@@ -2,8 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <map>
+#include <memory>
+#include <mutex>
+#include <sstream>
 #include <string>
+
+#include "src/common/crc32.h"
+#include "src/common/io_fault.h"
+#include "src/graph/datasets.h"
+#include "src/inference/inferturbo_mapreduce.h"
+#include "src/nn/model.h"
 
 namespace inferturbo {
 namespace {
@@ -209,6 +220,198 @@ TEST(MapReduceEngineTest, PeakResidentTracksLargestKeyGroup) {
   MrValue sample;
   sample.floats = {1.0f, 2.0f};
   EXPECT_EQ(job.metrics().PeakResidentBytes(), 10 * sample.WireBytes());
+}
+
+// --- golden byte formats ------------------------------------------------
+// The spill-block and checkpoint encodings, and the logits of a fixed
+// job, are pinned by CRC32: any change to the dataflow representation
+// must reproduce them byte for byte.
+
+/// A fixed record set exercising every field: tags, srcs, and float/id
+/// payloads of varying (including zero) length, over colliding keys.
+void EmitGoldenRecords(std::int64_t instance, MrEmitter* emitter) {
+  for (std::int64_t i = 0; i < 12; ++i) {
+    MrValue v;
+    v.tag = static_cast<std::int32_t>(i % 3);
+    v.src = instance * 100 + i;
+    for (std::int64_t f = 0; f < i % 4; ++f) {
+      v.floats.push_back(0.25f * static_cast<float>(f) +
+                         static_cast<float>(instance * 12 + i));
+    }
+    for (std::int64_t d = 0; d < i % 3; ++d) {
+      v.ids.push_back(instance * 1000 + i * 10 + d);
+    }
+    emitter->Emit((instance * 7 + i * 5) % 11, std::move(v));
+  }
+}
+
+/// Forwards every value to key + 1, tagging it with its arrival rank
+/// within the key group, so the output bytes pin the reduce order too.
+void ForwardReduce(std::int64_t key, std::span<MrValue> values,
+                   MrEmitter* emitter) {
+  std::int64_t rank = 0;
+  for (MrValue& v : values) {
+    v.ids.push_back(rank++);
+    emitter->Emit(key + 1, std::move(v));
+  }
+}
+
+/// Records the CRC32 of every spill block at the moment the reducer
+/// reads it; faults are never injected.
+class SpillRecorder : public IoFaultInjector {
+ public:
+  IoFaultKind Tick(IoOp op, const std::string& path) override {
+    if (op == IoOp::kRead && path.ends_with(".blk")) {
+      std::ifstream in(path, std::ios::binary);
+      std::ostringstream bytes;
+      bytes << in.rdbuf();
+      // A CRC over bytes that end in their own CRC is a constant, so
+      // checksum the block without its trailer.
+      const std::string block = bytes.str();
+      const std::string_view body(block.data(),
+                                  block.size() - sizeof(std::uint32_t));
+      std::lock_guard<std::mutex> lock(mu_);
+      crcs_[std::filesystem::path(path).filename().string()] = Crc32(body);
+    }
+    return IoFaultKind::kNone;
+  }
+  /// One CRC over "name=crc;" for every block, in name order.
+  std::uint32_t Digest() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::string joined;
+    for (const auto& [name, crc] : crcs_) {
+      joined += name + "=" + std::to_string(crc) + ";";
+    }
+    return Crc32(joined);
+  }
+  std::size_t blocks() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return crcs_.size();
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::map<std::string, std::uint32_t> crcs_;
+};
+
+TEST(MapReduceGoldenTest, CheckpointBytesArePinned) {
+  MapReduceJob::Options options;
+  options.num_instances = 3;
+  MapReduceJob job(options);
+  ASSERT_TRUE(job.RunMap(EmitGoldenRecords).ok());
+  const std::string mapped = job.SerializeDataflow();
+  EXPECT_EQ(Crc32(mapped), 0x97a22633u);
+  ASSERT_TRUE(job.RunReduce(ForwardReduce, nullptr).ok());
+  const std::string reduced = job.SerializeDataflow();
+  EXPECT_EQ(Crc32(reduced), 0x33ff2d7au);
+
+  // Old checkpoints restore, and re-serialize to the same bytes.
+  MapReduceJob restored(options);
+  ASSERT_TRUE(restored.RestoreDataflow(mapped).ok());
+  EXPECT_EQ(restored.SerializeDataflow(), mapped);
+  ASSERT_TRUE(restored.RunReduce(ForwardReduce, nullptr).ok());
+  EXPECT_EQ(restored.SerializeDataflow(), reduced);
+}
+
+TEST(MapReduceGoldenTest, SpillBytesArePinned) {
+  const auto spill_digest = [](bool combine) {
+    const std::string dir = testing::TempDir() + "/golden_spill_" +
+                            (combine ? "combined" : "plain");
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    SpillRecorder recorder;
+    MapReduceJob::Options options;
+    options.num_instances = 3;
+    options.spill_directory = dir;
+    options.fault_injector = &recorder;
+    MapReduceJob job(options);
+    EXPECT_TRUE(job.RunMap(EmitGoldenRecords).ok());
+    // Folds a key's tag-0 values into one record carrying their float
+    // sum and count; other values pass through in order.
+    MapReduceJob::CombineFn combiner = [](std::int64_t,
+                                          std::vector<MrValue>* values) {
+      std::vector<MrValue> kept;
+      MrValue folded;
+      folded.tag = 9;
+      folded.floats = {0.0f};
+      std::int64_t count = 0;
+      for (MrValue& v : *values) {
+        if (v.tag != 0) {
+          kept.push_back(std::move(v));
+          continue;
+        }
+        for (const float f : v.floats) folded.floats[0] += f;
+        ++count;
+      }
+      if (count > 0) {
+        folded.ids = {count};
+        kept.push_back(std::move(folded));
+      }
+      *values = std::move(kept);
+    };
+    EXPECT_TRUE(
+        job.RunReduce(ForwardReduce, combine ? &combiner : nullptr).ok());
+    EXPECT_GT(recorder.blocks(), 3u);
+    return recorder.Digest();
+  };
+  EXPECT_EQ(spill_digest(false), 0x86a47531u);
+  EXPECT_EQ(spill_digest(true), 0x978c6390u);
+}
+
+TEST(MapReduceGoldenTest, InferenceLogitsArePinned) {
+  PlantedGraphConfig config;
+  config.num_nodes = 500;
+  config.avg_degree = 6.0;
+  config.feature_dim = 12;
+  config.num_classes = 4;
+  config.in_skew_alpha = 1.0;
+  config.edge_feature_dim = 3;
+  config.seed = 11;
+  const Dataset dataset = MakePlantedDataset("golden", config);
+  struct Case {
+    const char* model;
+    bool partial_gather;
+    bool broadcast;
+    std::uint32_t crc;
+  };
+  const Case cases[] = {
+      {"sage", true, false, 0xb3c391f9u},
+      {"gat", false, true, 0x50077c3eu},
+      {"edge_sage", false, false, 0xb92bc855u},
+  };
+  const std::string dir = testing::TempDir() + "/golden_logits_spill";
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.model);
+    ModelConfig mc;
+    mc.input_dim = config.feature_dim;
+    mc.hidden_dim = 16;
+    mc.num_classes = config.num_classes;
+    mc.num_layers = 2;
+    mc.heads = 2;
+    mc.edge_feature_dim = config.edge_feature_dim;
+    mc.seed = 3;
+    Result<std::unique_ptr<GnnModel>> model = MakeModel(c.model, mc);
+    ASSERT_TRUE(model.ok());
+    for (const bool spill : {false, true}) {
+      SCOPED_TRACE(spill ? "spill" : "in memory");
+      std::filesystem::remove_all(dir);
+      std::filesystem::create_directories(dir);
+      InferTurboOptions options;
+      options.num_workers = 4;
+      options.strategies.partial_gather = c.partial_gather;
+      options.strategies.broadcast = c.broadcast;
+      options.strategies.threshold_override = c.broadcast ? 8 : -1;
+      if (spill) options.mr_spill_directory = dir;
+      const Result<InferenceResult> result =
+          RunInferTurboMapReduce(dataset.graph, **model, options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      const Tensor& logits = result->logits;
+      EXPECT_EQ(Crc32(logits.data(), static_cast<std::size_t>(
+                                         logits.rows() * logits.cols()) *
+                                         sizeof(float)),
+                c.crc);
+    }
+  }
 }
 
 TEST(MrValueTest, WireBytesCountAllFields) {
