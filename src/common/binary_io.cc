@@ -4,8 +4,7 @@ namespace inferturbo {
 
 Status BinaryReader::GetString(std::string* out) {
   std::uint64_t size = 0;
-  INFERTURBO_RETURN_NOT_OK(GetU64(&size));
-  INFERTURBO_RETURN_NOT_OK(CheckCount(size, 1));
+  INFERTURBO_RETURN_NOT_OK(GetLength(&size, 1));
   out->assign(data_.data() + pos_, static_cast<std::size_t>(size));
   pos_ += static_cast<std::size_t>(size);
   return Status::OK();
@@ -13,8 +12,7 @@ Status BinaryReader::GetString(std::string* out) {
 
 Status BinaryReader::GetFloats(std::vector<float>* out) {
   std::uint64_t count = 0;
-  INFERTURBO_RETURN_NOT_OK(GetU64(&count));
-  INFERTURBO_RETURN_NOT_OK(CheckCount(count, sizeof(float)));
+  INFERTURBO_RETURN_NOT_OK(GetLength(&count, sizeof(float)));
   out->resize(static_cast<std::size_t>(count));
   return GetBytes(out->data(), static_cast<std::size_t>(count) *
                                    sizeof(float));
@@ -22,8 +20,7 @@ Status BinaryReader::GetFloats(std::vector<float>* out) {
 
 Status BinaryReader::GetI64s(std::vector<std::int64_t>* out) {
   std::uint64_t count = 0;
-  INFERTURBO_RETURN_NOT_OK(GetU64(&count));
-  INFERTURBO_RETURN_NOT_OK(CheckCount(count, sizeof(std::int64_t)));
+  INFERTURBO_RETURN_NOT_OK(GetLength(&count, sizeof(std::int64_t)));
   out->resize(static_cast<std::size_t>(count));
   return GetBytes(out->data(), static_cast<std::size_t>(count) *
                                    sizeof(std::int64_t));

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,11 +37,11 @@ class BinaryWriter {
     PutU64(s.size());
     PutBytes(s.data(), s.size());
   }
-  void PutFloats(const std::vector<float>& v) {
+  void PutFloats(std::span<const float> v) {
     PutU64(v.size());
     PutBytes(v.data(), v.size() * sizeof(float));
   }
-  void PutI64s(const std::vector<std::int64_t>& v) {
+  void PutI64s(std::span<const std::int64_t> v) {
     PutU64(v.size());
     PutBytes(v.data(), v.size() * sizeof(std::int64_t));
   }
@@ -82,6 +83,22 @@ class BinaryReader {
   Status GetI32(std::int32_t* out) { return GetScalar(out); }
   Status GetI64(std::int64_t* out) { return GetScalar(out); }
   Status GetFloat(float* out) { return GetScalar(out); }
+
+  /// Reads a length prefix counting `element_size`-byte elements and
+  /// validates it against the remaining buffer.
+  Status GetLength(std::uint64_t* count, std::size_t element_size) {
+    INFERTURBO_RETURN_NOT_OK(GetU64(count));
+    return CheckCount(*count, element_size);
+  }
+  /// Advances past `size` bytes.
+  Status Skip(std::size_t size) {
+    if (remaining() < size) {
+      return Status::IoError("short read: skip " + std::to_string(size) +
+                             " bytes, have " + std::to_string(remaining()));
+    }
+    pos_ += size;
+    return Status::OK();
+  }
 
   Status GetString(std::string* out);
   Status GetFloats(std::vector<float>* out);

@@ -12,7 +12,7 @@
 namespace inferturbo {
 
 /// The superstep gather data plane, shared by both backends: a worker's
-/// inbox (Pregel) or a key group's message values (MapReduce) is first
+/// inbox (Pregel) or a reduce block's message values (MapReduce) is first
 /// flattened into dst-segmented arrays in one counting pass —
 /// BucketedInbox — then reduced with the parallel segment kernels.
 /// Everything here preserves the scalar fold's accumulation order
@@ -43,7 +43,7 @@ struct BucketedInbox {
 /// zero-width payloads are id-only broadcast references resolved
 /// through `lookup` (which must return non-null for every referenced
 /// key). `local_index` maps a global dst id to its segment; an empty
-/// span sends every row to segment 0 (the MapReduce single-key case).
+/// span sends every row to segment 0.
 BucketedInbox BucketInbox(std::span<const MessageBatch> batches,
                           const std::vector<bool>& batch_partial,
                           std::int64_t msg_dim,

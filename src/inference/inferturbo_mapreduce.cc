@@ -213,15 +213,15 @@ class MrInferenceDriver {
       if (use_partial) {
         const AggKind kind = sig.agg_kind;
         const std::int64_t msg_dim = sig.message_dim;
-        combiner = [kind, msg_dim](std::int64_t key,
-                                   std::vector<MrValue>* values) {
-          CombineInMessages(kind, msg_dim, key, values);
+        combiner = [kind, msg_dim](std::int64_t key, const MrValues& values,
+                                   MrEmitter* out) {
+          CombineInMessages(kind, msg_dim, key, values, out);
         };
       }
       INFERTURBO_RETURN_NOT_OK(job.RunReduce(
-          [this, l](std::int64_t key, std::span<MrValue> values,
-                    MrEmitter* emitter) { ReduceStage(l, key, values,
-                                                      emitter); },
+          [this, l](const MrKeyGroups& groups, MrEmitter* emitter) {
+            ReduceBlock(l, groups, emitter);
+          },
           combiner ? &combiner : nullptr));
       FlushBroadcastStaging(&job);
       INFERTURBO_RETURN_NOT_OK(save_checkpoint(stage));
@@ -234,15 +234,17 @@ class MrInferenceDriver {
       embeddings_ = Tensor(num_nodes, model_.embedding_dim());
     }
     std::vector<bool> seen(static_cast<std::size_t>(num_nodes), false);
-    for (MrKeyValue& kv : job.TakeOutputs()) {
-      if (kv.second.tag == kEmbedding) {
-        embeddings_.SetRow(kv.first, kv.second.floats.data());
-        continue;
+    for (const MrBlock& block : job.TakeOutputs()) {
+      for (std::size_t i = 0; i < block.size(); ++i) {
+        const MrRecord record = block.record(i);
+        const NodeId v = block.key(i);
+        if (record.tag == kEmbedding) {
+          embeddings_.SetRow(v, record.floats.data());
+        } else if (record.tag == kPrediction) {
+          logits.SetRow(v, record.floats.data());
+          seen[static_cast<std::size_t>(v)] = true;
+        }
       }
-      if (kv.second.tag != kPrediction) continue;
-      const NodeId v = kv.first;
-      logits.SetRow(v, kv.second.floats.data());
-      seen[static_cast<std::size_t>(v)] = true;
     }
     for (NodeId v = 0; v < num_nodes; ++v) {
       if (!seen[static_cast<std::size_t>(v)]) {
@@ -263,12 +265,19 @@ class MrInferenceDriver {
   const PipelineStats& pipeline_stats() const { return pipeline_stats_; }
 
  private:
+  /// A node's out-edges as the scatter reads them: destinations, plus
+  /// their edge-feature rows when the model ships them.
+  struct OutEdges {
+    std::span<const std::int64_t> dst;
+    std::span<const float> features;
+  };
+
   /// Map-side combine: fold this producer's kInMessage rows for `key`
-  /// into a single kPartialAgg record; other tags pass through.
+  /// into a single kPartialAgg record, written in place into the
+  /// outgoing arena; other tags pass through ahead of it.
   static void CombineInMessages(AggKind kind, std::int64_t msg_dim,
-                                std::int64_t key,
-                                std::vector<MrValue>* values) {
-    (void)key;
+                                std::int64_t key, const MrValues& values,
+                                MrEmitter* out) {
     INFERTURBO_CHECK(kind != AggKind::kUnion) << "union is not combinable";
     // Dispatched SIMD row fold instead of a scalar loop per value: the
     // max/min selects match std::max/std::min exactly (see row_fold.h),
@@ -277,36 +286,38 @@ class MrInferenceDriver {
         kind == AggKind::kMax   ? kernels::detail::RowMax()
         : kind == AggKind::kMin ? kernels::detail::RowMin()
                                 : kernels::detail::RowAdd();
-    std::vector<MrValue> kept;
-    std::vector<float> acc;
+    const auto foldable = [msg_dim](const MrRecord& v) {
+      return (v.tag == kInMessage &&
+              static_cast<std::int64_t>(v.floats.size()) == msg_dim) ||
+             v.tag == kPartialAgg;
+    };
+    std::size_t first = values.size();  // the first foldable value
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      const MrRecord v = values[i];
+      if (!foldable(v)) {
+        out->Emit(key, v.tag, v.src, v.floats, v.ids);
+      } else if (first == values.size()) {
+        first = i;
+      }
+    }
+    if (first == values.size()) return;
+    // The first foldable row seeds the accumulator in the arena; the
+    // rest fold into it in arrival order.
+    const std::span<const float> seed = values[first].floats;
+    const MrRecordSlot partial =
+        out->Append(key, kPartialAgg, -1, seed.size(), 1);
+    std::copy(seed.begin(), seed.end(), partial.floats.begin());
     std::int64_t count = 0;
-    for (MrValue& v : *values) {
-      const bool foldable =
-          (v.tag == kInMessage &&
-           static_cast<std::int64_t>(v.floats.size()) == msg_dim) ||
-          v.tag == kPartialAgg;
-      if (!foldable) {
-        kept.push_back(std::move(v));
-        continue;
+    for (std::size_t i = first; i < values.size(); ++i) {
+      const MrRecord v = values[i];
+      if (!foldable(v)) continue;
+      count += v.tag == kPartialAgg ? v.ids[0] : 1;
+      if (i > first) {
+        fold(partial.floats.data(), v.floats.data(),
+             static_cast<std::int64_t>(partial.floats.size()));
       }
-      const std::int64_t v_count = v.tag == kPartialAgg ? v.ids[0] : 1;
-      if (acc.empty()) {
-        acc = std::move(v.floats);
-        count = v_count;
-        continue;
-      }
-      fold(acc.data(), v.floats.data(),
-           static_cast<std::int64_t>(acc.size()));
-      count += v_count;
     }
-    if (!acc.empty()) {
-      MrValue partial;
-      partial.tag = kPartialAgg;
-      partial.floats = std::move(acc);
-      partial.ids = {count};
-      kept.push_back(std::move(partial));
-    }
-    *values = std::move(kept);
+    partial.ids[0] = count;
   }
 
   /// The initialization stage: map instance p streams partition p of
@@ -328,34 +339,32 @@ class MrInferenceDriver {
     const std::size_t fd =
         static_cast<std::size_t>(view_.feature_dim());
     const std::size_t efd =
-        static_cast<std::size_t>(view_.edge_feature_dim());
+        ships_edge_features_ ? static_cast<std::size_t>(view_.edge_feature_dim())
+                             : 0;
     Tensor states(static_cast<std::int64_t>(n),
                   static_cast<std::int64_t>(fd));
+    std::vector<OutEdges> out_edges(n);
     for (std::size_t i = 0; i < n; ++i) {
       states.SetRow(static_cast<std::int64_t>(i),
                     slice.node_features + i * fd);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const NodeId v = slice.nodes[i];
-      MrValue self;
-      self.tag = kSelfState;
-      self.floats = states.RowVector(static_cast<std::int64_t>(i));
-      emitter->Emit(v, std::move(self));
-
-      MrValue out_edges;
-      out_edges.tag = kOutEdges;
-      for (std::int64_t k = slice.out_offsets[i];
-           k < slice.out_offsets[i + 1]; ++k) {
-        out_edges.ids.push_back(slice.out_dst[static_cast<std::size_t>(k)]);
-        if (ships_edge_features_) {
-          const float* feat =
-              slice.edge_features + static_cast<std::size_t>(k) * efd;
-          out_edges.floats.insert(out_edges.floats.end(), feat, feat + efd);
-        }
+      const std::size_t begin = static_cast<std::size_t>(slice.out_offsets[i]);
+      const std::size_t degree =
+          static_cast<std::size_t>(slice.out_offsets[i + 1]) - begin;
+      out_edges[i].dst = slice.out_dst.subspan(begin, degree);
+      if (efd > 0) {
+        out_edges[i].features = std::span<const float>(
+            slice.edge_features + begin * efd, degree * efd);
       }
-      emitter->Emit(v, std::move(out_edges));
+      const NodeId v = slice.nodes[i];
+      emitter->Emit(v, kSelfState, -1,
+                    std::span<const float>(states.RowPtr(
+                                               static_cast<std::int64_t>(i)),
+                                           fd));
+      emitter->Emit(v, kOutEdges, -1, out_edges[i].features,
+                    out_edges[i].dst);
     }
-    ScatterMessages(/*layer_index=*/0, slice, states, emitter);
+    ScatterMessages(/*layer_index=*/0, slice.nodes, states, out_edges,
+                    emitter);
   }
 
   void RecordMapError(const Status& status) {
@@ -363,211 +372,186 @@ class MrInferenceDriver {
     if (map_error_.ok()) map_error_ = status;
   }
 
-  /// One GNN layer for one key. `values` hold the node's previous
-  /// state, its out-edges, and its gathered in-messages.
-  void ReduceStage(std::int64_t layer_index, std::int64_t key,
-                   std::span<MrValue> values, MrEmitter* emitter) {
+  /// One GNN layer for a block of consecutive keys. Each key's values
+  /// hold the node's previous state, its out-edges, and its gathered
+  /// in-messages; the whole block runs through one reduce, one
+  /// ApplyNode and one message (or logits) kernel call.
+  void ReduceBlock(std::int64_t layer_index, const MrKeyGroups& groups,
+                   MrEmitter* emitter) {
     const GasConv& layer = model_.layer(layer_index);
     const LayerSignature& sig = layer.signature();
     const AggKind kind = sig.agg_kind;
     const std::int64_t msg_dim = sig.message_dim;
+    const std::size_t num_keys = groups.size();
 
-    Tensor state;
-    std::vector<std::int64_t> out_neighbors;
-    std::vector<float> out_edge_feats;
-
-    // First pass: locate state/out-edges, count message rows.
+    // First pass: locate each key's state and out-edges, count message
+    // rows.
+    std::vector<MrRecord> self(num_keys);
+    std::vector<OutEdges> out_edges(num_keys);
+    std::vector<NodeId> keys(num_keys);
     std::int64_t msg_rows = 0;
     bool any_partial = false;
-    for (const MrValue& v : values) {
-      if (v.tag == kInMessage || v.tag == kRef || v.tag == kPartialAgg) {
-        ++msg_rows;
-        any_partial = any_partial || v.tag == kPartialAgg;
+    for (std::size_t g = 0; g < num_keys; ++g) {
+      keys[g] = groups.key(g);
+      for (const MrRecord v : groups.values(g)) {
+        switch (v.tag) {
+          case kSelfState:
+            self[g] = v;
+            break;
+          case kOutEdges:
+            out_edges[g] = OutEdges{v.ids, v.floats};
+            break;
+          case kInMessage:
+          case kRef:
+          case kPartialAgg:
+            ++msg_rows;
+            any_partial = any_partial || v.tag == kPartialAgg;
+            break;
+          case kPrediction:
+            INFERTURBO_CHECK(false) << "prediction record in a reduce round";
+        }
       }
+      INFERTURBO_CHECK(self[g].tag == kSelfState)
+          << "node " << keys[g] << " lost its self-state record";
     }
     INFERTURBO_CHECK(kind != AggKind::kUnion || !any_partial)
         << "union layer received a partial aggregate";
 
-    // Flatten this key group into the shared bucketed form (all rows in
-    // segment 0) in MrValue ARRIVAL order — the fold order both
-    // backends' bit-identity contract pins — then reduce through the
-    // same kernel path the Pregel gather uses.
+    // Flatten the block into the shared bucketed form — segment g holds
+    // key g's rows in ARRIVAL order, the fold order both backends'
+    // bit-identity contract pins — then reduce through the same kernel
+    // path the Pregel gather uses.
+    const std::int64_t state_dim =
+        static_cast<std::int64_t>(self[0].floats.size());
+    Tensor states(static_cast<std::int64_t>(num_keys), state_dim);
     BucketedInbox inbox;
     inbox.rows = Tensor(msg_rows, msg_dim);
-    inbox.dst.assign(static_cast<std::size_t>(msg_rows), 0);
+    inbox.dst.resize(static_cast<std::size_t>(msg_rows));
     if (any_partial) {
       inbox.counts.assign(static_cast<std::size_t>(msg_rows), 1);
     }
     std::int64_t row_cursor = 0;
-    for (MrValue& v : values) {
-      switch (v.tag) {
-        case kSelfState: {
-          state = Tensor(1, static_cast<std::int64_t>(v.floats.size()));
-          state.SetRow(0, v.floats.data());
-          break;
+    for (std::size_t g = 0; g < num_keys; ++g) {
+      INFERTURBO_CHECK(static_cast<std::int64_t>(self[g].floats.size()) ==
+                       state_dim)
+          << "node " << keys[g] << " state width differs within a block";
+      states.SetRow(static_cast<std::int64_t>(g), self[g].floats.data());
+      for (const MrRecord v : groups.values(g)) {
+        if (v.tag != kInMessage && v.tag != kRef && v.tag != kPartialAgg) {
+          continue;
         }
-        case kOutEdges:
-          out_neighbors = std::move(v.ids);
-          out_edge_feats = std::move(v.floats);
-          break;
-        case kInMessage:
-        case kRef:
-        case kPartialAgg: {
-          const float* row = nullptr;
-          if (v.tag == kRef) {
-            const std::vector<float>* value = LookupBroadcast(v.src);
-            INFERTURBO_CHECK(value != nullptr)
-                << "missing broadcast value for hub " << v.src;
-            row = value->data();
-          } else {
-            row = v.floats.data();
-            if (v.tag == kPartialAgg) {
-              inbox.counts[static_cast<std::size_t>(row_cursor)] = v.ids[0];
-            }
-          }
-          inbox.rows.SetRow(row_cursor, row);
-          ++row_cursor;
-          break;
+        const float* row = v.floats.data();
+        if (v.tag == kRef) {
+          const std::vector<float>* value = LookupBroadcast(v.src);
+          INFERTURBO_CHECK(value != nullptr)
+              << "missing broadcast value for hub " << v.src;
+          row = value->data();
+        } else if (v.tag == kPartialAgg) {
+          inbox.counts[static_cast<std::size_t>(row_cursor)] = v.ids[0];
         }
-        case kPrediction:
-          INFERTURBO_CHECK(false) << "prediction record in a reduce round";
+        inbox.rows.SetRow(row_cursor, row);
+        inbox.dst[static_cast<std::size_t>(row_cursor)] =
+            static_cast<std::int64_t>(g);
+        ++row_cursor;
       }
     }
-    INFERTURBO_CHECK(!state.empty())
-        << "node " << key << " lost its self-state record";
 
-    const GatherResult gathered =
-        ReduceBucketedInbox(kind, std::move(inbox), /*num_nodes=*/1);
-
-    const Tensor new_state = layer.ApplyNode(state, gathered);
+    const GatherResult gathered = ReduceBucketedInbox(
+        kind, std::move(inbox), static_cast<std::int64_t>(num_keys));
+    const Tensor new_states = layer.ApplyNode(states, gathered);
+    const std::size_t new_dim = static_cast<std::size_t>(new_states.cols());
+    const auto state_row = [&](std::size_t g) {
+      return std::span<const float>(
+          new_states.RowPtr(static_cast<std::int64_t>(g)), new_dim);
+    };
 
     if (layer_index + 1 == model_.num_layers()) {
-      const Tensor logits = model_.PredictLogits(new_state);
-      MrValue prediction;
-      prediction.tag = kPrediction;
-      prediction.floats = logits.RowVector(0);
-      emitter->Emit(key, std::move(prediction));
-      if (options_.export_embeddings) {
-        MrValue embedding;
-        embedding.tag = kEmbedding;
-        embedding.floats = new_state.RowVector(0);
-        emitter->Emit(key, std::move(embedding));
+      const Tensor logits = model_.PredictLogits(new_states);
+      const std::size_t classes = static_cast<std::size_t>(logits.cols());
+      for (std::size_t g = 0; g < num_keys; ++g) {
+        emitter->Emit(keys[g], kPrediction, -1,
+                      std::span<const float>(
+                          logits.RowPtr(static_cast<std::int64_t>(g)),
+                          classes));
+        if (options_.export_embeddings) {
+          emitter->Emit(keys[g], kEmbedding, -1, state_row(g));
+        }
       }
       return;
     }
 
     // Re-emit persistent records and the next layer's messages.
-    MrValue self;
-    self.tag = kSelfState;
-    self.floats = new_state.RowVector(0);
-    emitter->Emit(key, std::move(self));
-    MrValue out_edges;
-    out_edges.tag = kOutEdges;
-    out_edges.ids = out_neighbors;
-    out_edges.floats = out_edge_feats;
-    emitter->Emit(key, std::move(out_edges));
-
-    ScatterSingle(layer_index + 1, key, new_state, out_neighbors,
-                  out_edge_feats, emitter);
-  }
-
-  /// Scatter for a batch of nodes (Map stage): dense rows, or broadcast
-  /// refs for hubs. Map-side partial aggregation is the engine
-  /// combiner's job, so dense rows are emitted as-is here.
-  void ScatterMessages(std::int64_t layer_index, const PartitionSlice& slice,
-                       const Tensor& states, MrEmitter* emitter) {
-    const GasConv& layer = model_.layer(layer_index);
-    const Tensor messages = layer.ComputeMessage(states);
-    const std::size_t efd =
-        static_cast<std::size_t>(view_.edge_feature_dim());
-    for (std::size_t i = 0; i < slice.nodes.size(); ++i) {
-      std::vector<NodeId> out_neighbors;
-      std::vector<float> out_edge_feats;
-      for (std::int64_t k = slice.out_offsets[i];
-           k < slice.out_offsets[i + 1]; ++k) {
-        out_neighbors.push_back(slice.out_dst[static_cast<std::size_t>(k)]);
-        if (ships_edge_features_) {
-          const float* feat =
-              slice.edge_features + static_cast<std::size_t>(k) * efd;
-          out_edge_feats.insert(out_edge_feats.end(), feat, feat + efd);
-        }
-      }
-      EmitNodeMessages(layer_index, slice.nodes[i],
-                       messages.RowVector(static_cast<std::int64_t>(i)),
-                       out_neighbors, out_edge_feats, emitter);
+    for (std::size_t g = 0; g < num_keys; ++g) {
+      emitter->Emit(keys[g], kSelfState, -1, state_row(g));
+      emitter->Emit(keys[g], kOutEdges, -1, out_edges[g].features,
+                    out_edges[g].dst);
     }
+    ScatterMessages(layer_index + 1, keys, new_states, out_edges, emitter);
   }
 
-  /// Scatter for one node (Reduce rounds).
-  void ScatterSingle(std::int64_t layer_index, NodeId v,
-                     const Tensor& new_state,
-                     const std::vector<std::int64_t>& out_neighbors,
-                     const std::vector<float>& out_edge_feats,
-                     MrEmitter* emitter) {
-    const GasConv& layer = model_.layer(layer_index);
-    const Tensor message = layer.ComputeMessage(new_state);
-    EmitNodeMessages(layer_index, v, message.RowVector(0), out_neighbors,
-                     out_edge_feats, emitter);
-  }
-
-  void EmitNodeMessages(std::int64_t layer_index, NodeId v,
-                        std::vector<float> row,
-                        const std::vector<std::int64_t>& out_neighbors,
-                        const std::vector<float>& out_edge_feats,
-                        MrEmitter* emitter) {
+  /// Scatter for a batch of nodes: one ComputeMessage (and, for
+  /// edge-featured layers, one ApplyEdge) call, then dense rows or
+  /// broadcast refs for hubs. Map-side partial aggregation is the
+  /// engine combiner's job, so dense rows are emitted as-is here.
+  void ScatterMessages(std::int64_t layer_index,
+                       std::span<const NodeId> nodes, const Tensor& states,
+                       std::span<const OutEdges> out_edges,
+                       MrEmitter* emitter) {
     const GasConv& layer = model_.layer(layer_index);
     const LayerSignature& sig = layer.signature();
+    const Tensor messages = layer.ComputeMessage(states);
+    const std::size_t msg_cols = static_cast<std::size_t>(messages.cols());
     if (sig.uses_edge_features) {
-      // apply_edge varies per out-edge: materialize the merged rows in
-      // one batched call, then emit each.
-      const std::int64_t degree =
-          static_cast<std::int64_t>(out_neighbors.size());
-      if (degree == 0) return;
-      const std::int64_t edge_dim =
-          static_cast<std::int64_t>(out_edge_feats.size()) / degree;
-      Tensor base(degree, static_cast<std::int64_t>(row.size()));
-      Tensor feats(degree, edge_dim);
-      for (std::int64_t i = 0; i < degree; ++i) {
-        base.SetRow(i, row.data());
-        feats.SetRow(i, out_edge_feats.data() + i * edge_dim);
+      // apply_edge varies per out-edge: materialize every merged row of
+      // the batch in one call, then emit each.
+      std::int64_t total = 0;
+      for (const OutEdges& edges : out_edges) {
+        total += static_cast<std::int64_t>(edges.dst.size());
+      }
+      if (total == 0) return;
+      const std::int64_t edge_dim = view_.edge_feature_dim();
+      Tensor base(total, messages.cols());
+      Tensor feats(total, edge_dim);
+      std::int64_t row = 0;
+      for (std::size_t i = 0; i < nodes.size(); ++i) {
+        for (std::size_t k = 0; k < out_edges[i].dst.size(); ++k, ++row) {
+          base.SetRow(row, messages.RowPtr(static_cast<std::int64_t>(i)));
+          feats.SetRow(row, out_edges[i].features.data() +
+                                k * static_cast<std::size_t>(edge_dim));
+        }
       }
       const Tensor merged = layer.ApplyEdge(base, &feats);
-      for (std::int64_t i = 0; i < degree; ++i) {
-        MrValue msg;
-        msg.tag = kInMessage;
-        msg.src = v;
-        msg.floats = merged.RowVector(i);
-        emitter->Emit(out_neighbors[static_cast<std::size_t>(i)],
-                      std::move(msg));
+      const std::size_t merged_cols = static_cast<std::size_t>(merged.cols());
+      row = 0;
+      for (std::size_t i = 0; i < nodes.size(); ++i) {
+        for (const NodeId d : out_edges[i].dst) {
+          emitter->Emit(d, kInMessage, nodes[i],
+                        std::span<const float>(merged.RowPtr(row++),
+                                               merged_cols));
+        }
       }
       return;
     }
-    const bool hub = options_.strategies.broadcast &&
-                     sig.broadcastable_messages && hub_threshold_ > 0 &&
-                     static_cast<std::int64_t>(out_neighbors.size()) >
-                         hub_threshold_;
-    if (hub) {
-      {
-        // Idempotent under supervised duplicate attempts: both write
-        // the same deterministic bytes for v, so last-write-wins is
-        // byte-identical to exactly-once.
-        std::lock_guard<std::mutex> lock(broadcast_mutex_);
-        broadcast_staging_[v] = row;
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      const NodeId v = nodes[i];
+      const std::span<const float> row(
+          messages.RowPtr(static_cast<std::int64_t>(i)), msg_cols);
+      const std::span<const std::int64_t> dst = out_edges[i].dst;
+      const bool hub = options_.strategies.broadcast &&
+                       sig.broadcastable_messages && hub_threshold_ > 0 &&
+                       static_cast<std::int64_t>(dst.size()) > hub_threshold_;
+      if (hub) {
+        {
+          // Idempotent under supervised duplicate attempts: both write
+          // the same deterministic bytes for v, so last-write-wins is
+          // byte-identical to exactly-once.
+          std::lock_guard<std::mutex> lock(broadcast_mutex_);
+          broadcast_staging_[v].assign(row.begin(), row.end());
+        }
+        for (const NodeId d : dst) emitter->Emit(d, kRef, v);
+        continue;
       }
-      for (NodeId d : out_neighbors) {
-        MrValue ref;
-        ref.tag = kRef;
-        ref.src = v;
-        emitter->Emit(d, std::move(ref));
-      }
-      return;
-    }
-    for (NodeId d : out_neighbors) {
-      MrValue msg;
-      msg.tag = kInMessage;
-      msg.src = v;
-      msg.floats = row;
-      emitter->Emit(d, std::move(msg));
+      for (const NodeId d : dst) emitter->Emit(d, kInMessage, v, row);
     }
   }
 

@@ -5,9 +5,10 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <mutex>
+#include <numeric>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "src/common/atomic_file.h"
@@ -34,23 +35,43 @@ namespace {
 
 constexpr std::uint32_t kSpillMagic = 0x49545331;  // "ITS1"
 
-/// Binary serialization of a key/value sequence. Format per record:
-/// key, tag, src, #floats, floats..., #ids, ids... — little-endian,
-/// no alignment padding (read back the same way it was written).
-void EncodeRecords(const std::vector<MrKeyValue>& block, BinaryWriter* out) {
-  out->PutU64(block.size());
-  for (const MrKeyValue& kv : block) {
-    out->PutI64(kv.first);
-    out->PutI32(kv.second.tag);
-    out->PutI64(kv.second.src);
-    out->PutFloats(kv.second.floats);
-    out->PutI64s(kv.second.ids);
+// Emitter block sizing: an emitter's first block is small (a shuffle
+// keeps one emitter per producer/reducer pair, and many hold only a few
+// records) and each next block doubles, up to a cap that bounds the
+// unused tail of a run of blocks.
+constexpr std::size_t kMaxBlockGrowthShift = 8;
+constexpr std::size_t kFirstBlockRecords = 16;
+constexpr std::size_t kMaxBlockRecords = 2048;
+constexpr std::size_t kFirstBlockFloats = 256;
+constexpr std::size_t kMaxBlockFloats = std::size_t{1} << 16;
+constexpr std::size_t kFirstBlockIds = 64;
+constexpr std::size_t kMaxBlockIds = std::size_t{1} << 14;
+
+/// Binary serialization of a record sequence. Format: record count,
+/// then per record key, tag, src, #floats, floats..., #ids, ids... —
+/// little-endian, no alignment padding (read back the same way it was
+/// written).
+void EncodeRecords(std::span<const MrBlock> blocks, BinaryWriter* out) {
+  std::uint64_t count = 0;
+  for (const MrBlock& block : blocks) count += block.size();
+  out->PutU64(count);
+  for (const MrBlock& block : blocks) {
+    for (std::size_t i = 0; i < block.size(); ++i) {
+      const MrRecord record = block.record(i);
+      out->PutI64(block.key(i));
+      out->PutI32(record.tag);
+      out->PutI64(record.src);
+      out->PutFloats(record.floats);
+      out->PutI64s(record.ids);
+    }
   }
 }
 
-/// Inverse of EncodeRecords. Every length prefix is bounds-checked, so
-/// a truncated or bit-flipped buffer becomes an IoError, never UB.
-Status DecodeRecords(BinaryReader* in, std::vector<MrKeyValue>* block) {
+/// Inverse of EncodeRecords, appending into `out`. Every length prefix
+/// is bounds-checked before it sizes an arena slot, so a truncated or
+/// bit-flipped buffer becomes an IoError, never UB or an absurd
+/// allocation.
+Status DecodeRecords(BinaryReader* in, MrEmitter* out) {
   std::uint64_t count = 0;
   INFERTURBO_RETURN_NOT_OK(in->GetU64(&count));
   // A record is at least key + tag + src + two empty length prefixes.
@@ -62,16 +83,28 @@ Status DecodeRecords(BinaryReader* in, std::vector<MrKeyValue>* block) {
                            " exceeds remaining " +
                            std::to_string(in->remaining()) + " bytes");
   }
-  block->clear();
-  block->reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    MrKeyValue kv;
-    INFERTURBO_RETURN_NOT_OK(in->GetI64(&kv.first));
-    INFERTURBO_RETURN_NOT_OK(in->GetI32(&kv.second.tag));
-    INFERTURBO_RETURN_NOT_OK(in->GetI64(&kv.second.src));
-    INFERTURBO_RETURN_NOT_OK(in->GetFloats(&kv.second.floats));
-    INFERTURBO_RETURN_NOT_OK(in->GetI64s(&kv.second.ids));
-    block->push_back(std::move(kv));
+    std::int64_t key = 0;
+    std::int32_t tag = 0;
+    NodeId src = 0;
+    INFERTURBO_RETURN_NOT_OK(in->GetI64(&key));
+    INFERTURBO_RETURN_NOT_OK(in->GetI32(&tag));
+    INFERTURBO_RETURN_NOT_OK(in->GetI64(&src));
+    // Read both payload lengths ahead so the record's arena slot is
+    // sized once; the payloads are then copied straight into it.
+    BinaryReader ahead = *in;
+    std::uint64_t num_floats = 0;
+    std::uint64_t num_ids = 0;
+    INFERTURBO_RETURN_NOT_OK(ahead.GetLength(&num_floats, sizeof(float)));
+    INFERTURBO_RETURN_NOT_OK(ahead.Skip(num_floats * sizeof(float)));
+    INFERTURBO_RETURN_NOT_OK(ahead.GetLength(&num_ids, sizeof(std::int64_t)));
+    const MrRecordSlot slot = out->Append(key, tag, src, num_floats, num_ids);
+    INFERTURBO_RETURN_NOT_OK(in->Skip(sizeof(std::uint64_t)));
+    INFERTURBO_RETURN_NOT_OK(
+        in->GetBytes(slot.floats.data(), num_floats * sizeof(float)));
+    INFERTURBO_RETURN_NOT_OK(in->Skip(sizeof(std::uint64_t)));
+    INFERTURBO_RETURN_NOT_OK(
+        in->GetBytes(slot.ids.data(), num_ids * sizeof(std::int64_t)));
   }
   return Status::OK();
 }
@@ -79,17 +112,17 @@ Status DecodeRecords(BinaryReader* in, std::vector<MrKeyValue>* block) {
 /// One spill block on disk: magic, records, trailing CRC32 over
 /// everything before it — the end-to-end integrity check that turns
 /// torn writes, short reads, and bit flips into detectable errors.
-std::string EncodeBlock(const std::vector<MrKeyValue>& block) {
+std::string EncodeBlock(std::span<const MrBlock> blocks) {
   BinaryWriter out;
   out.PutU32(kSpillMagic);
-  EncodeRecords(block, &out);
+  EncodeRecords(blocks, &out);
   const std::uint32_t crc = Crc32(out.buffer());
   out.PutU32(crc);
   return out.Take();
 }
 
 Status DecodeBlock(const std::string& file, const std::string& path,
-                   std::vector<MrKeyValue>* block) {
+                   MrEmitter* out) {
   if (file.size() < sizeof(std::uint32_t) * 2) {
     return Status::IoError("spill block too short (" +
                            std::to_string(file.size()) + " bytes): " + path);
@@ -110,11 +143,77 @@ Status DecodeBlock(const std::string& file, const std::string& path,
   if (magic != kSpillMagic) {
     return Status::IoError("bad spill block magic in " + path);
   }
-  INFERTURBO_RETURN_NOT_OK(DecodeRecords(&in, block));
+  INFERTURBO_RETURN_NOT_OK(DecodeRecords(&in, out));
   if (!in.AtEnd()) {
     return Status::IoError("trailing bytes after spill records in " + path);
   }
   return Status::OK();
+}
+
+/// Appends a ref to every record of `blocks`, in order.
+void AppendRefs(const std::vector<MrBlock>& blocks,
+                std::vector<MrRecordRef>* refs) {
+  for (const MrBlock& block : blocks) {
+    for (std::size_t i = 0; i < block.size(); ++i) {
+      refs->push_back(MrRecordRef{&block, i});
+    }
+  }
+}
+
+/// Stable sort of `refs` by key, so values of one key keep their
+/// relative order. Keys are node ids in practice — dense — so this is a
+/// counting sort over the key range; sparse keys fall back to a
+/// comparison sort.
+void StableSortByKey(std::vector<MrRecordRef>* refs) {
+  const std::size_t n = refs->size();
+  if (n < 2) return;
+  std::vector<std::int64_t> keys(n);
+  for (std::size_t i = 0; i < n; ++i) keys[i] = (*refs)[i].key();
+  const auto [lo, hi] = std::minmax_element(keys.begin(), keys.end());
+  const std::uint64_t min_key = static_cast<std::uint64_t>(*lo);
+  const std::uint64_t range = static_cast<std::uint64_t>(*hi) - min_key;
+  std::vector<MrRecordRef> sorted(n);
+  if (range <= 4 * static_cast<std::uint64_t>(n) + 1024) {
+    std::vector<std::size_t> next(static_cast<std::size_t>(range) + 2, 0);
+    for (const std::int64_t key : keys) {
+      ++next[static_cast<std::uint64_t>(key) - min_key + 1];
+    }
+    std::partial_sum(next.begin(), next.end(), next.begin());
+    for (std::size_t i = 0; i < n; ++i) {
+      sorted[next[static_cast<std::uint64_t>(keys[i]) - min_key]++] =
+          (*refs)[i];
+    }
+  } else {
+    std::vector<std::size_t> order(n);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&keys](std::size_t a, std::size_t b) {
+                       return keys[a] < keys[b];
+                     });
+    for (std::size_t i = 0; i < n; ++i) sorted[i] = (*refs)[order[i]];
+  }
+  refs->swap(sorted);
+}
+
+/// Stable counting sort of `refs` by owning instance; returns the
+/// num_instances + 1 bounds of the per-instance groups.
+std::vector<std::size_t> GroupByInstance(std::vector<MrRecordRef>* refs,
+                                         std::int64_t num_instances) {
+  const std::size_t n = refs->size();
+  std::vector<std::uint32_t> owner(n);
+  std::vector<std::size_t> bounds(static_cast<std::size_t>(num_instances) + 1,
+                                  0);
+  for (std::size_t i = 0; i < n; ++i) {
+    owner[i] = static_cast<std::uint32_t>(
+        InstanceOfKey((*refs)[i].key(), num_instances));
+    ++bounds[owner[i] + 1];
+  }
+  std::partial_sum(bounds.begin(), bounds.end(), bounds.begin());
+  std::vector<std::size_t> next(bounds.begin(), bounds.end() - 1);
+  std::vector<MrRecordRef> grouped(n);
+  for (std::size_t i = 0; i < n; ++i) grouped[next[owner[i]]++] = (*refs)[i];
+  refs->swap(grouped);
+  return bounds;
 }
 
 }  // namespace
@@ -122,6 +221,63 @@ Status DecodeBlock(const std::string& file, const std::string& path,
 std::int64_t MapReduceJob::InstanceForKey(std::int64_t key,
                                           std::int64_t num_instances) {
   return InstanceOfKey(key, num_instances);
+}
+
+MrBlock::MrBlock(std::size_t records, std::size_t floats, std::size_t ids)
+    : record_capacity_(records),
+      float_capacity_(floats),
+      id_capacity_(ids),
+      floats_(std::make_unique_for_overwrite<float[]>(floats)),
+      ids_(std::make_unique_for_overwrite<std::int64_t[]>(ids)) {
+  keys_.reserve(records);
+  tags_.reserve(records);
+  srcs_.reserve(records);
+  float_offsets_.reserve(records + 1);
+  id_offsets_.reserve(records + 1);
+}
+
+MrRecordSlot MrBlock::Append(std::int64_t key, std::int32_t tag, NodeId src,
+                             std::size_t num_floats, std::size_t num_ids) {
+  INFERTURBO_CHECK(Fits(num_floats, num_ids)) << "MrBlock is full";
+  const std::uint64_t float_begin = float_offsets_.back();
+  const std::uint64_t id_begin = id_offsets_.back();
+  keys_.push_back(key);
+  tags_.push_back(tag);
+  srcs_.push_back(src);
+  float_offsets_.push_back(float_begin + num_floats);
+  id_offsets_.push_back(id_begin + num_ids);
+  return MrRecordSlot{
+      std::span<float>(floats_.get() + float_begin, num_floats),
+      std::span<std::int64_t>(ids_.get() + id_begin, num_ids)};
+}
+
+void MrEmitter::Emit(std::int64_t key, std::int32_t tag, NodeId src,
+                     std::span<const float> floats,
+                     std::span<const std::int64_t> ids) {
+  const MrRecordSlot slot = Append(key, tag, src, floats.size(), ids.size());
+  std::copy(floats.begin(), floats.end(), slot.floats.begin());
+  std::copy(ids.begin(), ids.end(), slot.ids.begin());
+}
+
+MrRecordSlot MrEmitter::Append(std::int64_t key, std::int32_t tag,
+                               NodeId src, std::size_t num_floats,
+                               std::size_t num_ids) {
+  if (blocks_.empty() || !blocks_.back().Fits(num_floats, num_ids)) {
+    const std::size_t shift = std::min(blocks_.size(), kMaxBlockGrowthShift);
+    blocks_.emplace_back(
+        std::min(kMaxBlockRecords, kFirstBlockRecords << shift),
+        std::max(num_floats, std::min(kMaxBlockFloats, kFirstBlockFloats << shift)),
+        std::max(num_ids, std::min(kMaxBlockIds, kFirstBlockIds << shift)));
+  }
+  ++records_;
+  return blocks_.back().Append(key, tag, src, num_floats, num_ids);
+}
+
+std::vector<MrBlock> MrEmitter::TakeBlocks() {
+  std::vector<MrBlock> blocks = std::move(blocks_);
+  blocks_.clear();
+  records_ = 0;
+  return blocks;
 }
 
 std::string MapReduceJob::SpillPath(std::int64_t stage,
@@ -178,14 +334,14 @@ Status MapReduceJob::RunMap(const MapFn& map_fn) {
   // to dataflow_ happens at the caller (unsupervised: immediately;
   // supervised: only for the winning attempt).
   const auto run_map_task = [&](std::size_t i, WorkerStepMetrics* m,
-                                std::vector<MrKeyValue>* out) {
+                                std::vector<MrBlock>* out) {
     TraceSpan span("mr/map", static_cast<std::int64_t>(i));
     MrEmitter emitter;
     WallTimer timer;
     map_fn(static_cast<std::int64_t>(i), &emitter);
     m->busy_seconds = timer.ElapsedSeconds();
-    m->records_out = static_cast<std::int64_t>(emitter.buffer().size());
-    *out = std::move(emitter.buffer());
+    m->records_out = static_cast<std::int64_t>(emitter.size());
+    *out = emitter.TakeBlocks();
     if (MetricsEnabled()) {
       static Histogram* hist =
           GlobalMetrics().GetHistogram("mr.map_seconds");
@@ -200,7 +356,7 @@ Status MapReduceJob::RunMap(const MapFn& map_fn) {
             map_stage, static_cast<std::size_t>(n),
             [&](TaskAttempt* attempt) {
               WorkerStepMetrics local_metrics;
-              std::vector<MrKeyValue> local_out;
+              std::vector<MrBlock> local_out;
               run_map_task(attempt->task(), &local_metrics, &local_out);
               if (attempt->TryCommit()) {
                 dataflow_[attempt->task()] = std::move(local_out);
@@ -241,8 +397,9 @@ Status MapReduceJob::RunReduce(const ReduceFn& reduce_fn,
 
   // --- producer side: partition by destination, combine, account,
   // and (when spilling) write this attempt's blocks out --------------
-  // outgoing[p][r] = p's records for reducer r, key-grouped.
-  std::vector<std::vector<std::vector<MrKeyValue>>> outgoing(
+  // outgoing[p][r] = p's record blocks for reducer r, in emission order
+  // (key-grouped when combining).
+  std::vector<std::vector<std::vector<MrBlock>>> outgoing(
       static_cast<std::size_t>(n));
   TraceSpan stage_span("mr/reduce_stage");
   const std::int64_t spill_stage = metrics_.num_steps();
@@ -250,61 +407,58 @@ Status MapReduceJob::RunReduce(const ReduceFn& reduce_fn,
   std::atomic<std::uint64_t> written{0};
   std::atomic<std::int64_t> write_retries{0};
   // Producer task body. Attempt-local under supervision: the resident
-  // dataflow is only read (copied), never drained, so a retried or
-  // duplicate attempt sees the same immutable inputs; spill blocks go
-  // to attempt-scoped paths and only the winner's are promoted.
+  // dataflow is only read, never released, so a retried or duplicate
+  // attempt sees the same immutable inputs; spill blocks go to
+  // attempt-scoped paths and only the winner's are promoted.
   const auto produce =
-      [&](std::size_t p, int attempt,
-          std::vector<std::vector<MrKeyValue>>* out, WorkerStepMetrics* m,
-          std::uint64_t* bytes_spilled,
+      [&](std::size_t p, int attempt, std::vector<std::vector<MrBlock>>* out,
+          WorkerStepMetrics* m, std::uint64_t* bytes_spilled,
           std::int64_t* spill_retries) -> Status {
     TraceSpan span("mr/shuffle_partition", static_cast<std::int64_t>(p));
     WallTimer timer;
-    out->assign(static_cast<std::size_t>(n), {});
-    // Group this producer's pairs by destination reducer, preserving
-    // emission order within each destination.
-    if (supervised) {
-      for (const MrKeyValue& kv : dataflow_[p]) {
-        (*out)[static_cast<std::size_t>(InstanceOfKey(kv.first, n))]
-            .push_back(kv);
-      }
-    } else {
-      for (MrKeyValue& kv : dataflow_[p]) {
-        (*out)[static_cast<std::size_t>(InstanceOfKey(kv.first, n))]
-            .push_back(std::move(kv));
-      }
-      dataflow_[p].clear();
-    }
-    if (combiner != nullptr) {
-      // Map-side combine: within one (producer, reducer) block, fold
-      // same-key runs. Stable sort keeps values in emission order.
-      for (auto& block : *out) {
-        std::stable_sort(block.begin(), block.end(),
-                         [](const MrKeyValue& a, const MrKeyValue& b) {
-                           return a.first < b.first;
-                         });
-        std::vector<MrKeyValue> combined;
-        combined.reserve(block.size());
-        std::vector<MrValue> run;
-        for (std::size_t i = 0; i < block.size();) {
-          const std::int64_t key = block[i].first;
-          run.clear();
-          while (i < block.size() && block[i].first == key) {
-            run.push_back(std::move(block[i].second));
-            ++i;
-          }
-          (*combiner)(key, &run);
-          for (MrValue& v : run) combined.emplace_back(key, std::move(v));
+    // Group this producer's records by destination reducer — and, to
+    // combine, by key — with stable sorts over record refs, so emission
+    // order holds within each group.
+    std::vector<MrRecordRef> refs;
+    AppendRefs(dataflow_[p], &refs);
+    if (combiner != nullptr) StableSortByKey(&refs);
+    const std::vector<std::size_t> bounds = GroupByInstance(&refs, n);
+    out->clear();
+    out->resize(static_cast<std::size_t>(n));
+    for (std::int64_t r = 0; r < n; ++r) {
+      const std::span<const MrRecordRef> group(
+          refs.data() + bounds[static_cast<std::size_t>(r)],
+          bounds[static_cast<std::size_t>(r) + 1] -
+              bounds[static_cast<std::size_t>(r)]);
+      MrEmitter emitter;
+      if (combiner != nullptr) {
+        // Map-side combine: fold each same-key run straight into the
+        // outgoing block's arena.
+        for (std::size_t i = 0; i < group.size();) {
+          const std::int64_t key = group[i].key();
+          std::size_t end = i + 1;
+          while (end < group.size() && group[end].key() == key) ++end;
+          (*combiner)(key, MrValues(group.subspan(i, end - i)), &emitter);
+          i = end;
         }
-        block = std::move(combined);
+      } else {
+        for (const MrRecordRef& ref : group) {
+          const MrRecord record = ref.get();
+          emitter.Emit(ref.key(), record.tag, record.src, record.floats,
+                       record.ids);
+        }
       }
+      (*out)[static_cast<std::size_t>(r)] = emitter.TakeBlocks();
     }
+    if (!supervised) dataflow_[p].clear();
     // Shuffle-write accounting: every record leaves through external
     // storage, local or not.
-    for (const auto& block : *out) {
-      for (const MrKeyValue& kv : block) {
-        m->bytes_out += kv.second.WireBytes();
-        ++m->records_out;
+    for (const auto& blocks : *out) {
+      for (const MrBlock& block : blocks) {
+        for (std::size_t i = 0; i < block.size(); ++i) {
+          m->bytes_out += block.record(i).WireBytes();
+        }
+        m->records_out += static_cast<std::int64_t>(block.size());
       }
     }
     m->busy_seconds += timer.ElapsedSeconds();
@@ -316,9 +470,9 @@ Status MapReduceJob::RunReduce(const ReduceFn& reduce_fn,
       // transient injected faults are retried with backoff and counted.
       TraceSpan write_span("mr/spill_write", static_cast<std::int64_t>(p));
       for (std::int64_t r = 0; r < n; ++r) {
-        auto& block = (*out)[static_cast<std::size_t>(r)];
-        if (block.empty()) continue;
-        const std::string encoded = EncodeBlock(block);
+        auto& blocks = (*out)[static_cast<std::size_t>(r)];
+        if (blocks.empty()) continue;
+        const std::string encoded = EncodeBlock(blocks);
         std::int64_t retries = 0;
         const Status status = WriteFileAtomic(
             SpillPath(spill_stage, static_cast<std::int64_t>(p), r, attempt),
@@ -326,8 +480,7 @@ Status MapReduceJob::RunReduce(const ReduceFn& reduce_fn,
         *spill_retries += retries;
         if (!status.ok()) return status;
         *bytes_spilled += encoded.size();
-        block.clear();
-        block.shrink_to_fit();
+        blocks.clear();
       }
     }
     return Status::OK();
@@ -340,7 +493,7 @@ Status MapReduceJob::RunReduce(const ReduceFn& reduce_fn,
         supervisor->RunStage(
             shuffle_stage, static_cast<std::size_t>(n),
             [&](TaskAttempt* attempt) -> Status {
-              std::vector<std::vector<MrKeyValue>> local_out;
+              std::vector<std::vector<MrBlock>> local_out;
               WorkerStepMetrics local_metrics;
               std::uint64_t local_bytes = 0;
               std::int64_t local_retries = 0;
@@ -358,7 +511,7 @@ Status MapReduceJob::RunReduce(const ReduceFn& reduce_fn,
               }
               return Status::OK();
             }));
-    // The stage committed everywhere; the copied inputs can go now.
+    // The stage committed everywhere; the shared inputs can go now.
     for (auto& flow : dataflow_) flow.clear();
     if (spill) {
       INFERTURBO_RETURN_NOT_OK(
@@ -389,77 +542,85 @@ Status MapReduceJob::RunReduce(const ReduceFn& reduce_fn,
   const std::int64_t stage = metrics_.num_steps();
   std::atomic<std::int64_t> failures{0};
   std::atomic<std::int64_t> read_retries{0};
-  std::vector<std::vector<MrKeyValue>> next_dataflow(
+  std::vector<std::vector<MrBlock>> next_dataflow(
       static_cast<std::size_t>(n));
   const auto run_reduce_task =
-      [&](std::size_t r, std::vector<MrKeyValue>* out, WorkerStepMetrics* m,
+      [&](std::size_t r, std::vector<MrBlock>* out, WorkerStepMetrics* m,
           std::int64_t* injected_failures,
           std::int64_t* local_read_retries) -> Status {
     WallTimer timer;
-    // Gather blocks from producers in id order, then a stable sort by
-    // key: values for one key arrive in (producer, emission) order —
-    // the determinism contract.
-    std::vector<MrKeyValue> incoming;
+    // Refs to every record bound for r — producers in id order, each in
+    // emission order — stably sorted by key: values for one key arrive
+    // in (producer, emission) order, the determinism contract. The
+    // blocks themselves are only read, so a supervised attempt and its
+    // concurrent duplicate can share them.
+    std::vector<std::vector<MrBlock>> from_disk(static_cast<std::size_t>(n));
+    std::vector<MrRecordRef> refs;
+    // Key group g is refs[groups[g], groups[g + 1]).
+    std::vector<std::size_t> groups;
     {
-    TraceSpan shuffle_span("mr/shuffle_read", static_cast<std::int64_t>(r));
-    std::size_t total = 0;
-    for (std::int64_t p = 0; p < n; ++p) {
-      total += outgoing[static_cast<std::size_t>(p)][r].size();
-    }
-    incoming.reserve(total);
-    for (std::int64_t p = 0; p < n; ++p) {
-      std::vector<MrKeyValue> from_disk;
-      std::vector<MrKeyValue>* block =
-          &outgoing[static_cast<std::size_t>(p)][r];
-      if (spill) {
-        const std::string path =
-            SpillPath(spill_stage, p, static_cast<std::int64_t>(r));
-        if (std::ifstream(path).good()) {
-          // Read + length/checksum verify + decode as one retried unit:
-          // a transient short read or bit flip fails validation and the
-          // retry re-reads healthy bytes; a persistent fault surfaces
-          // as a descriptive Status, never a crash or silent
-          // corruption.
-          std::int64_t retries = 0;
-          const Status status = RetryWithBackoff(
-              options_.retry,
-              [&] {
-                INFERTURBO_ASSIGN_OR_RETURN(
-                    const std::string file,
-                    ReadFileToString(path, options_.fault_injector));
-                return DecodeBlock(file, path, &from_disk);
-              },
-              &retries);
-          *local_read_retries += retries;
-          if (!status.ok()) return status;
-          // Supervised attempts must leave the durable shuffle input
-          // in place — a retried or duplicate attempt re-reads it; the
-          // files are retired once every reduce task has committed.
-          if (!supervised) std::remove(path.c_str());
-          block = &from_disk;
+      TraceSpan shuffle_span("mr/shuffle_read", static_cast<std::int64_t>(r));
+      for (std::int64_t p = 0; p < n; ++p) {
+        const std::vector<MrBlock>* blocks =
+            &outgoing[static_cast<std::size_t>(p)][r];
+        if (spill) {
+          const std::string path =
+              SpillPath(spill_stage, p, static_cast<std::int64_t>(r));
+          if (std::ifstream(path).good()) {
+            // Read + length/checksum verify + decode as one retried
+            // unit: a transient short read or bit flip fails validation
+            // and the retry re-reads healthy bytes; a persistent fault
+            // surfaces as a descriptive Status, never a crash or silent
+            // corruption.
+            std::int64_t retries = 0;
+            const Status status = RetryWithBackoff(
+                options_.retry,
+                [&] {
+                  INFERTURBO_ASSIGN_OR_RETURN(
+                      const std::string file,
+                      ReadFileToString(path, options_.fault_injector));
+                  MrEmitter decoded;
+                  INFERTURBO_RETURN_NOT_OK(DecodeBlock(file, path, &decoded));
+                  from_disk[static_cast<std::size_t>(p)] =
+                      decoded.TakeBlocks();
+                  return Status::OK();
+                },
+                &retries);
+            *local_read_retries += retries;
+            if (!status.ok()) return status;
+            // Supervised attempts must leave the durable shuffle input
+            // in place — a retried or duplicate attempt re-reads it;
+            // the files are retired once every reduce task has
+            // committed.
+            if (!supervised) std::remove(path.c_str());
+            blocks = &from_disk[static_cast<std::size_t>(p)];
+          }
         }
-      }
-      // A supervised attempt may share `outgoing` with a concurrent
-      // duplicate of itself — copy instead of draining.
-      const bool shared_input = supervised && block != &from_disk;
-      for (MrKeyValue& kv : *block) {
-        m->bytes_in += kv.second.WireBytes();
-        ++m->records_in;
-        if (shared_input) {
-          incoming.push_back(kv);
-        } else {
-          incoming.push_back(std::move(kv));
+        const std::size_t first = refs.size();
+        AppendRefs(*blocks, &refs);
+        for (std::size_t i = first; i < refs.size(); ++i) {
+          m->bytes_in += refs[i].get().WireBytes();
         }
+        m->records_in += static_cast<std::int64_t>(refs.size() - first);
       }
-    }
-    std::stable_sort(incoming.begin(), incoming.end(),
-                     [](const MrKeyValue& a, const MrKeyValue& b) {
-                       return a.first < b.first;
-                     });
+      StableSortByKey(&refs);
+      // Streaming execution model: one key group resident at a time
+      // (sort/merge spills to external storage on a real deployment),
+      // which is the backend's low-memory selling point.
+      std::uint64_t group_bytes = 0;
+      for (std::size_t i = 0; i < refs.size(); ++i) {
+        if (i == 0 || refs[i].key() != refs[i - 1].key()) {
+          groups.push_back(i);
+          group_bytes = 0;
+        }
+        group_bytes += refs[i].get().WireBytes();
+        m->peak_resident_bytes = std::max(m->peak_resident_bytes, group_bytes);
+      }
+      groups.push_back(refs.size());
     }
     // Shuffle inputs are durable: a failed task (injected) is simply
     // re-executed over the same inputs; the wasted attempt's time is
-    // charged. Reduce functions are pure w.r.t. the dataflow, so
+    // charged. Reduce functions only read their inputs, so
     // re-execution is exact — MapReduce's fault-tolerance model.
     std::int64_t attempts_left = 1;
     while (options_.failure_injector &&
@@ -473,33 +634,23 @@ Status MapReduceJob::RunReduce(const ReduceFn& reduce_fn,
             " (gave up after 10 attempts)");
       }
     }
-    MrEmitter emitter;
     TraceSpan reduce_span("mr/reduce", static_cast<std::int64_t>(r));
+    const std::size_t num_groups = groups.size() - 1;
     for (std::int64_t attempt = 0; attempt < attempts_left; ++attempt) {
-      const bool last_attempt = attempt + 1 == attempts_left;
-      emitter.buffer().clear();
-      std::vector<MrValue> run;
-      for (std::size_t i = 0; i < incoming.size();) {
-        const std::int64_t key = incoming[i].first;
-        run.clear();
-        std::uint64_t run_bytes = 0;
-        while (i < incoming.size() && incoming[i].first == key) {
-          run_bytes += incoming[i].second.WireBytes();
-          if (last_attempt) {
-            run.push_back(std::move(incoming[i].second));
-          } else {
-            run.push_back(incoming[i].second);  // keep inputs durable
-          }
-          ++i;
-        }
-        // Streaming execution model: one key group resident at a time
-        // (sort/merge spills to external storage on a real deployment),
-        // which is the backend's low-memory selling point.
-        m->peak_resident_bytes = std::max(m->peak_resident_bytes, run_bytes);
-        reduce_fn(key, run, &emitter);
+      // A failed attempt's output is discarded with its emitter.
+      MrEmitter emitter;
+      for (std::size_t g = 0; g < num_groups; g += kReduceBlockKeys) {
+        const std::size_t count = std::min(kReduceBlockKeys, num_groups - g);
+        reduce_fn(MrKeyGroups(refs, std::span<const std::size_t>(groups).subspan(
+                                        g, count + 1)),
+                  &emitter);
       }
+      *out = emitter.TakeBlocks();
     }
-    *out = std::move(emitter.buffer());
+    // Unsupervised, reducer r is the only reader of its inputs.
+    if (!supervised) {
+      for (auto& blocks : outgoing) blocks[r].clear();
+    }
     m->busy_seconds += timer.ElapsedSeconds();
     if (MetricsEnabled()) {
       static Histogram* hist =
@@ -516,7 +667,7 @@ Status MapReduceJob::RunReduce(const ReduceFn& reduce_fn,
         supervisor->RunStage(
             reduce_stage, static_cast<std::size_t>(n),
             [&](TaskAttempt* attempt) -> Status {
-              std::vector<MrKeyValue> local_out;
+              std::vector<MrBlock> local_out;
               WorkerStepMetrics local_metrics;
               std::int64_t local_failures = 0;
               std::int64_t local_retries = 0;
@@ -584,10 +735,12 @@ Status MapReduceJob::RestoreDataflow(std::string_view bytes) {
         "checkpointed dataflow has " + std::to_string(instances) +
         " instances, job has " + std::to_string(options_.num_instances));
   }
-  std::vector<std::vector<MrKeyValue>> restored(
+  std::vector<std::vector<MrBlock>> restored(
       static_cast<std::size_t>(instances));
   for (auto& flow : restored) {
-    INFERTURBO_RETURN_NOT_OK(DecodeRecords(&in, &flow));
+    MrEmitter decoded;
+    INFERTURBO_RETURN_NOT_OK(DecodeRecords(&in, &decoded));
+    flow = decoded.TakeBlocks();
   }
   if (!in.AtEnd()) {
     return Status::IoError("trailing bytes after checkpointed dataflow");
@@ -596,13 +749,10 @@ Status MapReduceJob::RestoreDataflow(std::string_view bytes) {
   return Status::OK();
 }
 
-std::vector<MrKeyValue> MapReduceJob::TakeOutputs() {
-  std::vector<MrKeyValue> out;
-  std::size_t total = 0;
-  for (const auto& flow : dataflow_) total += flow.size();
-  out.reserve(total);
+std::vector<MrBlock> MapReduceJob::TakeOutputs() {
+  std::vector<MrBlock> out;
   for (auto& flow : dataflow_) {
-    for (MrKeyValue& kv : flow) out.push_back(std::move(kv));
+    for (MrBlock& block : flow) out.push_back(std::move(block));
     flow.clear();
   }
   return out;

@@ -3,9 +3,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/common/byte_size.h"
@@ -18,18 +18,19 @@
 
 namespace inferturbo {
 
-/// A value in the simulated MapReduce dataflow: a tagged record wide
-/// enough for everything the InferTurbo-on-MR pipeline ships between
-/// rounds — self state, in-edge messages, out-edge adjacency, partial
-/// aggregates (paper §IV-C2). The engine treats it as opaque bytes.
-struct MrValue {
+/// One record of the simulated MapReduce dataflow, read in place from
+/// its block: a tagged record wide enough for everything the
+/// InferTurbo-on-MR pipeline ships between rounds — self state, in-edge
+/// messages, out-edge adjacency, partial aggregates (paper §IV-C2). The
+/// engine treats it as opaque bytes.
+struct MrRecord {
   /// Driver-defined discriminator (e.g. kSelfState / kInMessage /
   /// kOutEdges).
   std::int32_t tag = 0;
   /// Auxiliary id (message source, mirror origin, ...).
   NodeId src = -1;
-  std::vector<float> floats;
-  std::vector<std::int64_t> ids;
+  std::span<const float> floats;
+  std::span<const std::int64_t> ids;
 
   /// Serialized size on the simulated shuffle path. Unlike the Pregel
   /// backend, *all* shuffle traffic is charged (MapReduce spills
@@ -40,18 +41,141 @@ struct MrValue {
   }
 };
 
-using MrKeyValue = std::pair<std::int64_t, MrValue>;
+/// The payload of a freshly appended record, for the caller to fill in
+/// place. Valid until the block it points into is destroyed.
+struct MrRecordSlot {
+  std::span<float> floats;
+  std::span<std::int64_t> ids;
+};
 
-/// Collects emissions from map/reduce functions.
-class MrEmitter {
+/// A columnar block of records: keys, tags and srcs as parallel arrays,
+/// each record's floats and ids as a range of one float arena and one
+/// id arena. Capacity is fixed at construction — a block never grows
+/// (and so never copies its arenas); writers open the next block
+/// instead.
+class MrBlock {
  public:
-  void Emit(std::int64_t key, MrValue value) {
-    buffer_.emplace_back(key, std::move(value));
+  MrBlock() = default;
+  /// Room for `records` records carrying `floats` floats and `ids` ids
+  /// in total.
+  MrBlock(std::size_t records, std::size_t floats, std::size_t ids);
+
+  std::size_t size() const { return keys_.size(); }
+  bool empty() const { return keys_.empty(); }
+  /// Whether one more record with this payload fits.
+  bool Fits(std::size_t num_floats, std::size_t num_ids) const {
+    return keys_.size() < record_capacity_ &&
+           num_floats <= float_capacity_ - float_offsets_.back() &&
+           num_ids <= id_capacity_ - id_offsets_.back();
   }
-  std::vector<MrKeyValue>& buffer() { return buffer_; }
+
+  std::int64_t key(std::size_t i) const { return keys_[i]; }
+  MrRecord record(std::size_t i) const {
+    return MrRecord{
+        tags_[i], srcs_[i],
+        std::span<const float>(floats_.get() + float_offsets_[i],
+                               float_offsets_[i + 1] - float_offsets_[i]),
+        std::span<const std::int64_t>(ids_.get() + id_offsets_[i],
+                                      id_offsets_[i + 1] - id_offsets_[i])};
+  }
+
+  /// Appends a record whose payload the caller writes through the
+  /// returned slot. Requires Fits(num_floats, num_ids).
+  MrRecordSlot Append(std::int64_t key, std::int32_t tag, NodeId src,
+                      std::size_t num_floats, std::size_t num_ids);
 
  private:
-  std::vector<MrKeyValue> buffer_;
+  std::size_t record_capacity_ = 0;
+  std::size_t float_capacity_ = 0;
+  std::size_t id_capacity_ = 0;
+  std::vector<std::int64_t> keys_;
+  std::vector<std::int32_t> tags_;
+  std::vector<NodeId> srcs_;
+  /// size() + 1 offsets into the arenas; record i spans [off[i], off[i+1]).
+  std::vector<std::uint64_t> float_offsets_{0};
+  std::vector<std::uint64_t> id_offsets_{0};
+  std::unique_ptr<float[]> floats_;
+  std::unique_ptr<std::int64_t[]> ids_;
+};
+
+/// Collects emissions from map, reduce and combine functions into a run
+/// of blocks. When the current block is full the next record opens a
+/// new one, twice as large up to a fixed cap, so arenas grow in chunks
+/// and nothing is ever re-copied.
+class MrEmitter {
+ public:
+  /// Appends one record, copying its payload into the arena.
+  void Emit(std::int64_t key, std::int32_t tag, NodeId src,
+            std::span<const float> floats = {},
+            std::span<const std::int64_t> ids = {});
+  /// Appends one record whose payload the caller writes in place.
+  MrRecordSlot Append(std::int64_t key, std::int32_t tag, NodeId src,
+                      std::size_t num_floats, std::size_t num_ids);
+
+  /// Records emitted so far.
+  std::size_t size() const { return records_; }
+  const std::vector<MrBlock>& blocks() const { return blocks_; }
+  std::vector<MrBlock> TakeBlocks();
+
+ private:
+  std::vector<MrBlock> blocks_;
+  std::size_t records_ = 0;
+};
+
+/// Where a record lives: a block and a row in it.
+struct MrRecordRef {
+  const MrBlock* block = nullptr;
+  std::size_t index = 0;
+
+  std::int64_t key() const { return block->key(index); }
+  MrRecord get() const { return block->record(index); }
+};
+
+/// The values of one key, in (producer, emission) order.
+class MrValues {
+ public:
+  class Iterator {
+   public:
+    explicit Iterator(const MrRecordRef* ref) : ref_(ref) {}
+    MrRecord operator*() const { return ref_->get(); }
+    Iterator& operator++() {
+      ++ref_;
+      return *this;
+    }
+    bool operator!=(const Iterator& other) const { return ref_ != other.ref_; }
+
+   private:
+    const MrRecordRef* ref_;
+  };
+
+  explicit MrValues(std::span<const MrRecordRef> refs) : refs_(refs) {}
+  std::size_t size() const { return refs_.size(); }
+  MrRecord operator[](std::size_t i) const { return refs_[i].get(); }
+  Iterator begin() const { return Iterator(refs_.data()); }
+  Iterator end() const { return Iterator(refs_.data() + refs_.size()); }
+
+ private:
+  std::span<const MrRecordRef> refs_;
+};
+
+/// Consecutive key groups of one reduce task, handed to the reduce
+/// function together: keys ascend, and group g's values are
+/// refs[offsets[g], offsets[g + 1]).
+class MrKeyGroups {
+ public:
+  MrKeyGroups(std::span<const MrRecordRef> refs,
+              std::span<const std::size_t> offsets)
+      : refs_(refs), offsets_(offsets) {}
+
+  std::size_t size() const { return offsets_.size() - 1; }
+  std::int64_t key(std::size_t g) const { return refs_[offsets_[g]].key(); }
+  MrValues values(std::size_t g) const {
+    return MrValues(refs_.subspan(offsets_[g], offsets_[g + 1] - offsets_[g]));
+  }
+
+ private:
+  std::span<const MrRecordRef> refs_;
+  std::span<const std::size_t> offsets_;
 };
 
 /// A simulated elastic MapReduce job: I logical instances each act as
@@ -61,6 +185,11 @@ class MrEmitter {
 /// plugs into (paper §IV-D).
 class MapReduceJob {
  public:
+  /// Key groups per reduce call: enough rows to amortize one batched
+  /// kernel call over many keys, few enough to keep a call's scratch
+  /// small.
+  static constexpr std::size_t kReduceBlockKeys = 256;
+
   struct Options {
     std::int64_t num_instances = 8;
     ClusterCostModel cost_model;
@@ -101,13 +230,14 @@ class MapReduceJob {
 
   /// Called once per instance; the driver reads its own input split.
   using MapFn = std::function<void(std::int64_t instance, MrEmitter*)>;
-  /// Called per key with all values for that key (producer order).
-  using ReduceFn =
-      std::function<void(std::int64_t key, std::span<MrValue> values,
-                         MrEmitter*)>;
-  /// In-place shrink of same-key values on the producing side.
-  using CombineFn =
-      std::function<void(std::int64_t key, std::vector<MrValue>* values)>;
+  /// Called per block of at most kReduceBlockKeys consecutive key
+  /// groups; keys ascend across calls of one task.
+  using ReduceFn = std::function<void(const MrKeyGroups& groups, MrEmitter*)>;
+  /// Producer-side combine of one (producer, reducer, key) run: appends
+  /// the combined values for `key` to `out`.
+  using CombineFn = std::function<void(std::int64_t key,
+                                       const MrValues& values,
+                                       MrEmitter* out)>;
 
   explicit MapReduceJob(Options options);
 
@@ -125,8 +255,9 @@ class MapReduceJob {
   /// from a durable checkpoint.
   Status RunReduce(const ReduceFn& reduce_fn, const CombineFn* combiner);
 
-  /// Drains the final dataflow (concatenated in instance order).
-  std::vector<MrKeyValue> TakeOutputs();
+  /// Drains the final dataflow: every instance's blocks, in instance
+  /// order.
+  std::vector<MrBlock> TakeOutputs();
 
   /// Reduce-task re-executions triggered by the failure injector.
   std::int64_t failures_recovered() const { return failures_recovered_; }
@@ -166,8 +297,8 @@ class MapReduceJob {
                             const std::vector<int>& winning_attempt);
 
   Options options_;
-  /// dataflow_[i] = key/value pairs resident on instance i.
-  std::vector<std::vector<MrKeyValue>> dataflow_;
+  /// dataflow_[i] = the record blocks resident on instance i.
+  std::vector<std::vector<MrBlock>> dataflow_;
   JobMetrics metrics_;
   std::int64_t failures_recovered_ = 0;
   std::uint64_t spill_bytes_written_ = 0;

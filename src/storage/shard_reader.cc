@@ -13,10 +13,13 @@
 #define INFERTURBO_HAS_IO_URING 0
 #endif
 
+#include <algorithm>
 #include <array>
+#include <cassert>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <string>
 
 #include "src/common/timer.h"
@@ -439,26 +442,36 @@ void ObserveShardRead(ShardReadPath path, double seconds,
     Counter* bytes;
     Counter* reads;
   };
-  static const std::array<Instruments, 5>& instruments = *new auto([] {
-    std::array<Instruments, 5> out{};
-    for (int i = 0; i < static_cast<int>(out.size()); ++i) {
-      const std::string base =
-          "storage.read." +
-          std::string(ShardReadPathName(static_cast<ShardReadPath>(i)));
-      out[static_cast<std::size_t>(i)] = {
-          GlobalMetrics().GetHistogram(base + ".seconds"),
-          GlobalMetrics().GetCounter(base + ".bytes"),
-          GlobalMetrics().GetCounter(base + ".reads"),
-      };
-    }
-    return out;
-  }());
-  const std::size_t index = static_cast<std::size_t>(path) < instruments.size()
-                                ? static_cast<std::size_t>(path)
-                                : 0;
-  instruments[index].seconds->Observe(seconds);
-  instruments[index].bytes->Add(bytes);
-  instruments[index].reads->Increment();
+  // One slot per tier that can serve a read; kAuto resolves to one of
+  // them at Open() and never reaches here.
+  constexpr ShardReadPath kTiers[] = {ShardReadPath::kMmap,
+                                      ShardReadPath::kPread,
+                                      ShardReadPath::kDirect,
+                                      ShardReadPath::kUring};
+  static const std::array<Instruments, std::size(kTiers)>& instruments =
+      *new auto([&] {
+        std::array<Instruments, std::size(kTiers)> out{};
+        for (std::size_t i = 0; i < out.size(); ++i) {
+          const std::string base =
+              "storage.read." + std::string(ShardReadPathName(kTiers[i]));
+          out[i] = {
+              GlobalMetrics().GetHistogram(base + ".seconds"),
+              GlobalMetrics().GetCounter(base + ".bytes"),
+              GlobalMetrics().GetCounter(base + ".reads"),
+          };
+        }
+        return out;
+      }());
+  const auto slot = std::find(std::begin(kTiers), std::end(kTiers), path);
+  // A read attributed to no real tier is a caller bug: trap it in debug
+  // builds, and never file it under some other tier's instruments.
+  assert(slot != std::end(kTiers) && "shard read observed on no real tier");
+  if (slot == std::end(kTiers)) return;
+  const Instruments& tier =
+      instruments[static_cast<std::size_t>(slot - std::begin(kTiers))];
+  tier.seconds->Observe(seconds);
+  tier.bytes->Add(bytes);
+  tier.reads->Increment();
 }
 
 Result<AlignedShardBuffer> ReadFileAligned(const std::string& path,

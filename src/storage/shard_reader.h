@@ -91,7 +91,9 @@ Result<AlignedShardBuffer> ReadFileAligned(const std::string& path,
 /// buffer-filling tiers; the shard store calls it for the mmap
 /// fallback, so a `read_path_fallbacks` regression shows up as a
 /// latency distribution shift per tier in the run report's storage
-/// section. Subject to MetricsEnabled(); no-op otherwise.
+/// section. Only the four tiers that serve reads have instruments;
+/// `path` must be one of them (kAuto is resolved before any read).
+/// Subject to MetricsEnabled(); no-op otherwise.
 void ObserveShardRead(ShardReadPath path, double seconds,
                       std::int64_t bytes);
 

@@ -1,5 +1,6 @@
 #include "src/telemetry/metrics.h"
 
+#include <algorithm>
 #include <bit>
 #include <limits>
 
@@ -41,6 +42,17 @@ void AtomicMaxDouble(std::atomic<std::uint64_t>* bits, double value) {
   }
 }
 
+/// Inclusive upper bound of bucket `i` on the exponential grid (the
+/// last bucket is +inf).
+double UpperBound(const HistogramOptions& options, int i) {
+  if (i >= options.num_buckets - 1) {
+    return std::numeric_limits<double>::infinity();
+  }
+  double bound = options.first_bucket;
+  for (int b = 0; b < i; ++b) bound *= options.growth;
+  return bound;
+}
+
 }  // namespace
 
 HistogramSnapshot HistogramSnapshot::DeltaSince(
@@ -60,12 +72,7 @@ HistogramSnapshot HistogramSnapshot::DeltaSince(
 }
 
 double HistogramSnapshot::BucketUpperBound(int i) const {
-  if (i >= options.num_buckets - 1) {
-    return std::numeric_limits<double>::infinity();
-  }
-  double bound = options.first_bucket;
-  for (int b = 0; b < i; ++b) bound *= options.growth;
-  return bound;
+  return UpperBound(options, i);
 }
 
 double HistogramSnapshot::Percentile(double q) const {
@@ -79,12 +86,17 @@ double HistogramSnapshot::Percentile(double q) const {
     if (in_bucket <= 0) continue;
     if (static_cast<double>(cumulative + in_bucket) >= rank) {
       const double lower = i == 0 ? 0.0 : BucketUpperBound(i - 1);
-      double upper = BucketUpperBound(i);
-      if (i == static_cast<int>(buckets.size()) - 1) upper = max;
+      // The overflow bucket has no finite upper edge; use the largest
+      // value actually seen instead of infinity.
+      double upper = i == static_cast<int>(buckets.size()) - 1
+                         ? max
+                         : BucketUpperBound(i);
       if (upper < lower) upper = lower;
       const double fraction = (rank - static_cast<double>(cumulative)) /
                               static_cast<double>(in_bucket);
-      return lower + (upper - lower) * fraction;
+      // Interpolation can land past the largest observation inside a
+      // wide bucket; no percentile may exceed the observed max.
+      return std::min(lower + (upper - lower) * fraction, max);
     }
     cumulative += in_bucket;
   }
@@ -109,12 +121,7 @@ HistogramSnapshot Histogram::Snapshot() const {
 }
 
 double Histogram::BucketUpperBound(int i) const {
-  if (i >= options_.num_buckets - 1) {
-    return std::numeric_limits<double>::infinity();
-  }
-  double bound = options_.first_bucket;
-  for (int b = 0; b < i; ++b) bound *= options_.growth;
-  return bound;
+  return UpperBound(options_, i);
 }
 
 void Histogram::Observe(double value) {
@@ -145,30 +152,7 @@ double Histogram::max() const {
 }
 
 double Histogram::Percentile(double q) const {
-  const std::int64_t total = count();
-  if (total <= 0) return 0.0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  const double rank = q * static_cast<double>(total);
-  std::int64_t cumulative = 0;
-  for (int i = 0; i < options_.num_buckets; ++i) {
-    const std::int64_t in_bucket = bucket_count(i);
-    if (in_bucket == 0) continue;
-    if (static_cast<double>(cumulative + in_bucket) >= rank) {
-      const double lower = i == 0 ? 0.0 : BucketUpperBound(i - 1);
-      double upper = BucketUpperBound(i);
-      // The overflow bucket has no finite upper edge; report the
-      // largest value actually seen instead of infinity.
-      if (i == options_.num_buckets - 1) upper = max();
-      if (upper < lower) upper = lower;
-      const double fraction =
-          (rank - static_cast<double>(cumulative)) /
-          static_cast<double>(in_bucket);
-      return lower + (upper - lower) * fraction;
-    }
-    cumulative += in_bucket;
-  }
-  return max();
+  return Snapshot().Percentile(q);
 }
 
 Counter* MetricRegistry::GetCounter(std::string_view name) {

@@ -100,7 +100,9 @@ struct HistogramSnapshot {
   /// interval).
   HistogramSnapshot DeltaSince(const HistogramSnapshot& earlier) const;
 
-  /// Same interpolation as Histogram::Percentile, over this snapshot.
+  /// Quantile estimate in [0, 1] via cumulative bucket walk with linear
+  /// interpolation inside the winning bucket, clamped to the observed
+  /// max. Returns 0 when empty.
   double Percentile(double q) const;
   double BucketUpperBound(int i) const;
 };
@@ -120,8 +122,7 @@ class Histogram {
   double sum() const;
   double max() const;
 
-  /// Quantile estimate in [0, 1] via cumulative bucket walk with linear
-  /// interpolation inside the winning bucket. Returns 0 when empty.
+  /// Snapshot().Percentile(q).
   double Percentile(double q) const;
 
   /// Inclusive upper bound of bucket `i` (the last bucket is +inf).

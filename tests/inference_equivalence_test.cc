@@ -12,6 +12,7 @@
 //     the property that lets one model serve both phases.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -23,6 +24,9 @@
 #include "src/inference/traditional_pipeline.h"
 #include "src/nn/model.h"
 #include "src/sampling/khop_sampler.h"
+#include "src/storage/graph_view.h"
+#include "src/storage/shard_store.h"
+#include "src/storage/shard_writer.h"
 #include "src/tensor/kernels/kernel_config.h"
 #include "src/tensor/ops.h"
 
@@ -195,6 +199,79 @@ INSTANTIATE_TEST_SUITE_P(
         Case{"pool_sage", true, false, false},
         Case{"pool_sage", true, true, true}),
     CaseName);
+
+TEST(MapReduceStreamingEquivalenceTest, ShardViewIsBitIdenticalToInMemory) {
+  // The block reduce over streamed shards: every aggregation path the
+  // layers take — mean (with and without the combiner), max, union
+  // (GAT), edge features, and broadcast refs — yields the same bytes
+  // from a ShardGraphView as from the resident graph.
+  constexpr std::int64_t kPartitions = 5;
+  PlantedGraphConfig config;
+  config.num_nodes = 600;
+  config.avg_degree = 6.0;
+  config.feature_dim = 12;
+  config.num_classes = 4;
+  config.in_skew_alpha = 1.0;
+  config.edge_feature_dim = 3;
+  config.seed = 23;
+  const Dataset dataset = MakePlantedDataset("mr-stream", config);
+  const std::string dir = testing::TempDir() + "/mr_stream_equiv";
+  std::filesystem::remove_all(dir);
+  ShardWriterOptions writer;
+  writer.num_partitions = kPartitions;
+  ASSERT_TRUE(WriteGraphShards(dataset.graph, dir, writer).ok());
+  ThreadPool pool(2);
+
+  struct Case {
+    const char* model;
+    bool partial_gather;
+    bool broadcast;
+  };
+  const Case cases[] = {
+      {"sage", false, false},      {"sage", true, false},
+      {"pool_sage", true, false},  {"gat", false, false},
+      {"edge_sage", false, false}, {"gat", false, true},
+      {"sage", false, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.model) + (c.partial_gather ? " pg" : "") +
+                 (c.broadcast ? " bc" : ""));
+    ModelConfig mc;
+    mc.input_dim = config.feature_dim;
+    mc.hidden_dim = 16;
+    mc.num_classes = config.num_classes;
+    mc.num_layers = 2;
+    mc.heads = 2;
+    mc.edge_feature_dim = config.edge_feature_dim;
+    mc.seed = 5;
+    Result<std::unique_ptr<GnnModel>> model = MakeModel(c.model, mc);
+    ASSERT_TRUE(model.ok());
+    InferTurboOptions options;
+    options.num_workers = kPartitions;
+    options.pool = &pool;
+    options.strategies.partial_gather = c.partial_gather;
+    options.strategies.broadcast = c.broadcast;
+    // Low enough that every node with a few out-edges is a hub.
+    options.strategies.threshold_override = c.broadcast ? 3 : -1;
+    options.export_embeddings = true;
+    const Result<InferenceResult> in_memory =
+        RunInferTurboMapReduce(dataset.graph, **model, options);
+    ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
+
+    ShardStoreOptions store_options;
+    store_options.directory = dir;
+    store_options.prefetch_pool = &pool;
+    Result<ShardStore> store = ShardStore::Open(std::move(store_options));
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    const ShardGraphView view(std::move(*store));
+    const Result<InferenceResult> streamed =
+        RunInferTurboMapReduce(view, **model, options);
+    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+    EXPECT_TRUE(streamed->logits.ApproxEquals(in_memory->logits, 0.0f));
+    EXPECT_TRUE(
+        streamed->embeddings.ApproxEquals(in_memory->embeddings, 0.0f));
+  }
+}
 
 TEST(TrainingInferenceUnificationTest,
      KHopTrainingForwardMatchesFullGraphInference) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -9,15 +11,32 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "src/common/crc32.h"
 #include "src/common/io_fault.h"
 #include "src/graph/datasets.h"
 #include "src/inference/inferturbo_mapreduce.h"
 #include "src/nn/model.h"
+#include "src/runtime/task_supervisor.h"
 
 namespace inferturbo {
 namespace {
+
+constexpr std::size_t kBlock = MapReduceJob::kReduceBlockKeys;
+
+/// Every output record as (key, first float) — enough for the
+/// single-float jobs below.
+std::map<std::int64_t, float> FirstFloats(std::vector<MrBlock> blocks) {
+  std::map<std::int64_t, float> out;
+  for (const MrBlock& block : blocks) {
+    for (std::size_t i = 0; i < block.size(); ++i) {
+      out[block.key(i)] = block.record(i).floats[0];
+    }
+  }
+  return out;
+}
 
 TEST(MapReduceEngineTest, WordCountStyleAggregation) {
   // Map emits (key % 5, 1); reduce sums. 100 records -> 5 keys of 20.
@@ -25,25 +44,21 @@ TEST(MapReduceEngineTest, WordCountStyleAggregation) {
   options.num_instances = 4;
   MapReduceJob job(options);
   job.RunMap([](std::int64_t instance, MrEmitter* emitter) {
+    const float one = 1.0f;
     for (std::int64_t i = 0; i < 25; ++i) {
-      MrValue v;
-      v.floats = {1.0f};
-      emitter->Emit((instance * 25 + i) % 5, std::move(v));
+      emitter->Emit((instance * 25 + i) % 5, 0, -1, {&one, 1});
     }
   });
   job.RunReduce(
-      [](std::int64_t key, std::span<MrValue> values, MrEmitter* emitter) {
-        MrValue out;
-        float sum = 0.0f;
-        for (const MrValue& v : values) sum += v.floats[0];
-        out.floats = {sum};
-        emitter->Emit(key, std::move(out));
+      [](const MrKeyGroups& groups, MrEmitter* emitter) {
+        for (std::size_t g = 0; g < groups.size(); ++g) {
+          float sum = 0.0f;
+          for (const MrRecord v : groups.values(g)) sum += v.floats[0];
+          emitter->Emit(groups.key(g), 0, -1, {&sum, 1});
+        }
       },
       nullptr);
-  std::map<std::int64_t, float> result;
-  for (const MrKeyValue& kv : job.TakeOutputs()) {
-    result[kv.first] = kv.second.floats[0];
-  }
+  const std::map<std::int64_t, float> result = FirstFloats(job.TakeOutputs());
   ASSERT_EQ(result.size(), 5u);
   for (const auto& [key, sum] : result) EXPECT_EQ(sum, 20.0f);
 }
@@ -53,16 +68,12 @@ TEST(MapReduceEngineTest, ValuesArriveInProducerOrder) {
   options.num_instances = 3;
   MapReduceJob job(options);
   job.RunMap([](std::int64_t instance, MrEmitter* emitter) {
-    for (int i = 0; i < 2; ++i) {
-      MrValue v;
-      v.src = instance * 10 + i;
-      emitter->Emit(0, std::move(v));
-    }
+    for (int i = 0; i < 2; ++i) emitter->Emit(0, 0, instance * 10 + i);
   });
   std::vector<NodeId> order;
   job.RunReduce(
-      [&order](std::int64_t, std::span<MrValue> values, MrEmitter*) {
-        for (const MrValue& v : values) order.push_back(v.src);
+      [&order](const MrKeyGroups& groups, MrEmitter*) {
+        for (const MrRecord v : groups.values(0)) order.push_back(v.src);
       },
       nullptr);
   EXPECT_EQ(order, (std::vector<NodeId>{0, 1, 10, 11, 20, 21}));
@@ -74,23 +85,20 @@ TEST(MapReduceEngineTest, CombinerShrinksShuffleBytes) {
     options.num_instances = 2;
     MapReduceJob job(options);
     job.RunMap([](std::int64_t, MrEmitter* emitter) {
-      for (int i = 0; i < 50; ++i) {
-        MrValue v;
-        v.floats = {1.0f};
-        emitter->Emit(7, std::move(v));
-      }
+      const float one = 1.0f;
+      for (int i = 0; i < 50; ++i) emitter->Emit(7, 0, -1, {&one, 1});
     });
-    MapReduceJob::CombineFn combiner = [](std::int64_t,
-                                          std::vector<MrValue>* values) {
-      MrValue folded;
-      folded.floats = {0.0f};
-      for (const MrValue& v : *values) folded.floats[0] += v.floats[0];
-      values->assign(1, std::move(folded));
+    MapReduceJob::CombineFn combiner = [](std::int64_t key,
+                                          const MrValues& values,
+                                          MrEmitter* out) {
+      float folded = 0.0f;
+      for (const MrRecord v : values) folded += v.floats[0];
+      out->Emit(key, 0, -1, {&folded, 1});
     };
     float total = 0.0f;
     job.RunReduce(
-        [&total](std::int64_t, std::span<MrValue> values, MrEmitter*) {
-          for (const MrValue& v : values) total += v.floats[0];
+        [&total](const MrKeyGroups& groups, MrEmitter*) {
+          for (const MrRecord v : groups.values(0)) total += v.floats[0];
         },
         with_combiner ? &combiner : nullptr);
     std::uint64_t shuffle_bytes = 0;
@@ -110,11 +118,10 @@ TEST(MapReduceEngineTest, AllShuffleTrafficIsCharged) {
   MapReduceJob job(options);
   job.RunMap([](std::int64_t instance, MrEmitter* emitter) {
     if (instance != 0) return;
-    MrValue v;
-    v.floats = {1.0f, 2.0f};
-    emitter->Emit(0, std::move(v));  // lands wherever key 0 hashes
+    const float row[] = {1.0f, 2.0f};
+    emitter->Emit(0, 0, -1, row);  // lands wherever key 0 hashes
   });
-  job.RunReduce([](std::int64_t, std::span<MrValue>, MrEmitter*) {}, nullptr);
+  job.RunReduce([](const MrKeyGroups&, MrEmitter*) {}, nullptr);
   std::uint64_t out = 0, in = 0;
   for (const auto& w : job.metrics().workers) {
     out += w.Total().bytes_out;
@@ -129,25 +136,23 @@ TEST(MapReduceEngineTest, MultiRoundChainingPreservesData) {
   options.num_instances = 3;
   MapReduceJob job(options);
   job.RunMap([](std::int64_t instance, MrEmitter* emitter) {
-    MrValue v;
-    v.floats = {static_cast<float>(instance)};
-    emitter->Emit(instance, std::move(v));
+    const float value = static_cast<float>(instance);
+    emitter->Emit(instance, 0, -1, {&value, 1});
   });
   // Each round forwards key -> key+1 with value+10.
   for (int round = 0; round < 3; ++round) {
     job.RunReduce(
-        [](std::int64_t key, std::span<MrValue> values, MrEmitter* emitter) {
-          for (MrValue& v : values) {
-            v.floats[0] += 10.0f;
-            emitter->Emit(key + 1, std::move(v));
+        [](const MrKeyGroups& groups, MrEmitter* emitter) {
+          for (std::size_t g = 0; g < groups.size(); ++g) {
+            for (const MrRecord v : groups.values(g)) {
+              const float next = v.floats[0] + 10.0f;
+              emitter->Emit(groups.key(g) + 1, 0, -1, {&next, 1});
+            }
           }
         },
         nullptr);
   }
-  std::map<std::int64_t, float> result;
-  for (const MrKeyValue& kv : job.TakeOutputs()) {
-    result[kv.first] = kv.second.floats[0];
-  }
+  std::map<std::int64_t, float> result = FirstFloats(job.TakeOutputs());
   ASSERT_EQ(result.size(), 3u);
   EXPECT_EQ(result[3], 30.0f);
   EXPECT_EQ(result[4], 31.0f);
@@ -159,8 +164,8 @@ TEST(MapReduceEngineTest, MetricsTrackOneStepPerStage) {
   options.num_instances = 2;
   MapReduceJob job(options);
   job.RunMap([](std::int64_t, MrEmitter*) {});
-  job.RunReduce([](std::int64_t, std::span<MrValue>, MrEmitter*) {}, nullptr);
-  job.RunReduce([](std::int64_t, std::span<MrValue>, MrEmitter*) {}, nullptr);
+  job.RunReduce([](const MrKeyGroups&, MrEmitter*) {}, nullptr);
+  job.RunReduce([](const MrKeyGroups&, MrEmitter*) {}, nullptr);
   EXPECT_EQ(job.metrics().num_steps(), 3);
 }
 
@@ -174,24 +179,28 @@ TEST(MapReduceEngineTest, CombinerSeesOnlySameKeyRuns) {
   job.RunMap([](std::int64_t instance, MrEmitter* emitter) {
     if (instance != 0) return;
     for (int i = 0; i < 6; ++i) {
-      MrValue v;
-      v.floats = {static_cast<float>(1 << i)};
-      emitter->Emit(i % 2 == 0 ? 10 : 11, std::move(v));
+      const float value = static_cast<float>(1 << i);
+      emitter->Emit(i % 2 == 0 ? 10 : 11, 0, -1, {&value, 1});
     }
   });
   std::map<std::int64_t, std::vector<float>> combined_per_key;
-  MapReduceJob::CombineFn combiner =
-      [&combined_per_key](std::int64_t key, std::vector<MrValue>* values) {
-        MrValue folded;
-        folded.floats = {0.0f};
-        for (const MrValue& v : *values) folded.floats[0] += v.floats[0];
-        combined_per_key[key].push_back(folded.floats[0]);
-        values->assign(1, std::move(folded));
-      };
+  MapReduceJob::CombineFn combiner = [&combined_per_key](
+                                         std::int64_t key,
+                                         const MrValues& values,
+                                         MrEmitter* out) {
+    float folded = 0.0f;
+    for (const MrRecord v : values) folded += v.floats[0];
+    combined_per_key[key].push_back(folded);
+    out->Emit(key, 0, -1, {&folded, 1});
+  };
   std::map<std::int64_t, float> reduced;
   job.RunReduce(
-      [&reduced](std::int64_t key, std::span<MrValue> values, MrEmitter*) {
-        for (const MrValue& v : values) reduced[key] += v.floats[0];
+      [&reduced](const MrKeyGroups& groups, MrEmitter*) {
+        for (std::size_t g = 0; g < groups.size(); ++g) {
+          for (const MrRecord v : groups.values(g)) {
+            reduced[groups.key(g)] += v.floats[0];
+          }
+        }
       },
       &combiner);
   // Key 10 got 1+4+16 = 21; key 11 got 2+8+32 = 42; no cross-talk.
@@ -204,22 +213,237 @@ TEST(MapReduceEngineTest, CombinerSeesOnlySameKeyRuns) {
 }
 
 TEST(MapReduceEngineTest, PeakResidentTracksLargestKeyGroup) {
-  MapReduceJob::Options options;
-  options.num_instances = 1;
-  MapReduceJob job(options);
-  job.RunMap([](std::int64_t, MrEmitter* emitter) {
-    // Key 0: one record; key 1: ten records.
-    for (int i = 0; i < 11; ++i) {
-      MrValue v;
-      v.floats = {1.0f, 2.0f};
-      emitter->Emit(i == 0 ? 0 : 1, std::move(v));
+  // The accounting is per key group, not per reduce block: a block of
+  // many small groups does not count as one resident group.
+  const float row[] = {1.0f, 2.0f};
+  const MrRecord sample{0, -1, row, {}};
+  for (const std::size_t small_keys : {std::size_t{1}, 3 * kBlock}) {
+    MapReduceJob::Options options;
+    options.num_instances = 1;
+    MapReduceJob job(options);
+    job.RunMap([&](std::int64_t, MrEmitter* emitter) {
+      // Keys 0..small_keys-1: one record each; key -1: ten records.
+      for (std::size_t k = 0; k < small_keys; ++k) {
+        emitter->Emit(static_cast<std::int64_t>(k), 0, -1, row);
+      }
+      for (int i = 0; i < 10; ++i) emitter->Emit(-1, 0, -1, row);
+    });
+    job.RunReduce([](const MrKeyGroups&, MrEmitter*) {}, nullptr);
+    EXPECT_EQ(job.metrics().PeakResidentBytes(), 10 * sample.WireBytes());
+  }
+}
+
+TEST(MrRecordTest, WireBytesCountAllFields) {
+  const float floats[] = {1.0f, 2.0f};
+  const std::int64_t ids[] = {1, 2, 3};
+  const MrRecord v{0, -1, floats, ids};
+  EXPECT_EQ(v.WireBytes(),
+            kMessageHeaderBytes + sizeof(std::int32_t) + sizeof(NodeId) +
+                2 * sizeof(float) + 3 * sizeof(std::int64_t));
+}
+
+TEST(MrEmitterTest, RecordsSpanBlocksWithoutCopyingPayloads) {
+  // Enough records to fill several blocks, with payloads of mixed width
+  // including one wider than any default block.
+  MrEmitter emitter;
+  std::vector<std::int64_t> wide(100000);
+  for (std::size_t i = 0; i < wide.size(); ++i) {
+    wide[i] = static_cast<std::int64_t>(i);
+  }
+  const float* first_payload = nullptr;
+  for (int i = 0; i < 5000; ++i) {
+    std::vector<float> floats(static_cast<std::size_t>(i % 70),
+                              static_cast<float>(i));
+    if (i == 2500) {
+      emitter.Emit(i, 1, i, floats, wide);
+    } else {
+      emitter.Emit(i, 2, -i, floats);
     }
-  });
-  job.RunReduce([](std::int64_t, std::span<MrValue>, MrEmitter*) {},
-                nullptr);
-  MrValue sample;
-  sample.floats = {1.0f, 2.0f};
-  EXPECT_EQ(job.metrics().PeakResidentBytes(), 10 * sample.WireBytes());
+    if (i == 0) first_payload = emitter.blocks()[0].record(0).floats.data();
+  }
+  EXPECT_EQ(emitter.size(), 5000u);
+  EXPECT_GT(emitter.blocks().size(), 3u);
+  // Later appends never moved an earlier record's payload.
+  EXPECT_EQ(emitter.blocks()[0].record(0).floats.data(), first_payload);
+  std::int64_t expected = 0;
+  for (const MrBlock& block : emitter.TakeBlocks()) {
+    for (std::size_t i = 0; i < block.size(); ++i, ++expected) {
+      ASSERT_EQ(block.key(i), expected);
+      const MrRecord record = block.record(i);
+      ASSERT_EQ(record.floats.size(), static_cast<std::size_t>(expected % 70));
+      for (const float f : record.floats) {
+        ASSERT_EQ(f, static_cast<float>(expected));
+      }
+      if (expected == 2500) {
+        EXPECT_EQ(record.tag, 1);
+        ASSERT_EQ(record.ids.size(), wide.size());
+        EXPECT_EQ(record.ids.back(), 99999);
+      } else {
+        EXPECT_EQ(record.tag, 2);
+        EXPECT_EQ(record.src, -expected);
+        EXPECT_TRUE(record.ids.empty());
+      }
+    }
+  }
+  EXPECT_EQ(expected, 5000);
+  EXPECT_EQ(emitter.size(), 0u);
+}
+
+// --- block-boundary coverage -------------------------------------------
+
+/// The first `count` keys that instance 0 of `instances` owns.
+std::vector<std::int64_t> KeysOwnedByInstanceZero(std::size_t count,
+                                                  std::int64_t instances) {
+  std::vector<std::int64_t> keys;
+  for (std::int64_t k = 0; keys.size() < count; ++k) {
+    if (MapReduceJob::InstanceForKey(k, instances) == 0) keys.push_back(k);
+  }
+  return keys;
+}
+
+TEST(MapReduceBlockTest, KeyGroupsArriveAscendingAcrossBlockEdges) {
+  constexpr std::int64_t kInstances = 3;
+  for (const std::size_t num_keys :
+       {std::size_t{1}, kBlock - 1, kBlock, kBlock + 1}) {
+    SCOPED_TRACE(num_keys);
+    const std::vector<std::int64_t> keys =
+        KeysOwnedByInstanceZero(num_keys, kInstances);
+    for (const bool combine : {false, true}) {
+      SCOPED_TRACE(combine ? "combined" : "plain");
+      MapReduceJob::Options options;
+      options.num_instances = kInstances;
+      MapReduceJob job(options);
+      // Every producer emits two values per key, walking the keys in
+      // descending order so the shuffle's sort has work to do; src
+      // encodes (producer, emission index).
+      job.RunMap([&](std::int64_t instance, MrEmitter* emitter) {
+        std::int64_t emitted = 0;
+        for (int pass = 0; pass < 2; ++pass) {
+          for (auto k = keys.rbegin(); k != keys.rend(); ++k) {
+            emitter->Emit(*k, 0, instance * 100000 + emitted++);
+          }
+        }
+      });
+      // A pass-through combiner keeps every value but routes the shuffle
+      // through the producer-side key sort.
+      MapReduceJob::CombineFn pass_through =
+          [](std::int64_t key, const MrValues& values, MrEmitter* out) {
+            for (const MrRecord v : values) out->Emit(key, v.tag, v.src);
+          };
+      std::mutex mu;
+      std::vector<std::size_t> block_sizes;
+      std::vector<std::int64_t> seen_keys;
+      std::map<std::int64_t, std::vector<NodeId>> values;
+      ASSERT_TRUE(job.RunReduce(
+                         [&](const MrKeyGroups& groups, MrEmitter*) {
+                           std::lock_guard<std::mutex> lock(mu);
+                           block_sizes.push_back(groups.size());
+                           for (std::size_t g = 0; g < groups.size(); ++g) {
+                             seen_keys.push_back(groups.key(g));
+                             for (const MrRecord v : groups.values(g)) {
+                               values[groups.key(g)].push_back(v.src);
+                             }
+                           }
+                         },
+                         combine ? &pass_through : nullptr)
+                      .ok());
+      // Only instance 0 owns keys, so one task produced every call.
+      const std::size_t full_blocks = num_keys / kBlock;
+      const std::size_t tail = num_keys % kBlock;
+      ASSERT_EQ(block_sizes.size(), full_blocks + (tail > 0 ? 1 : 0));
+      for (std::size_t b = 0; b < block_sizes.size(); ++b) {
+        EXPECT_EQ(block_sizes[b], b < full_blocks ? kBlock : tail);
+      }
+      EXPECT_EQ(seen_keys, keys);  // ascending, each key exactly once
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        // Producer order, then emission order: the descending walk put
+        // key i at emission (num_keys - 1 - i) and (2 num_keys - 1 - i).
+        std::vector<NodeId> expected;
+        for (std::int64_t p = 0; p < kInstances; ++p) {
+          const std::int64_t first =
+              static_cast<std::int64_t>(num_keys - 1 - i);
+          expected.push_back(p * 100000 + first);
+          expected.push_back(p * 100000 + first +
+                             static_cast<std::int64_t>(num_keys));
+        }
+        EXPECT_EQ(values[keys[i]], expected) << "key " << keys[i];
+      }
+    }
+  }
+}
+
+TEST(MapReduceBlockTest, SupervisedDuplicateAttemptsSeeIdenticalInputs) {
+  // The first reduce call of the run stalls long enough for a
+  // speculative backup of its task to start; both attempts then reduce
+  // concurrently over the same shared input blocks and must see
+  // identical key groups, value by value.
+  constexpr std::int64_t kInstances = 2;
+  const auto map_fn = [](std::int64_t instance, MrEmitter* emitter) {
+    for (std::int64_t i = 0; i < 700; ++i) {
+      const float row[] = {static_cast<float>(i), static_cast<float>(instance)};
+      const std::int64_t ids[] = {instance, i};
+      emitter->Emit((i * 7919) % 601, static_cast<std::int32_t>(i % 3),
+                    instance * 1000 + i, row, ids);
+    }
+  };
+  std::mutex mu;
+  // First key of a block -> a digest of every call that reduced it.
+  std::map<std::int64_t, std::vector<std::uint32_t>> digests;
+  std::atomic<bool> stalled{false};
+  const auto reduce_fn = [&](const MrKeyGroups& groups, MrEmitter* emitter) {
+    if (!stalled.exchange(true)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    }
+    std::uint32_t crc = 0;
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      const std::int64_t key = groups.key(g);
+      crc = Crc32(&key, sizeof(key), crc);
+      for (const MrRecord v : groups.values(g)) {
+        crc = Crc32(&v.tag, sizeof(v.tag), crc);
+        crc = Crc32(&v.src, sizeof(v.src), crc);
+        crc = Crc32(v.floats.data(), v.floats.size_bytes(), crc);
+        crc = Crc32(v.ids.data(), v.ids.size_bytes(), crc);
+        emitter->Emit(key, v.tag, v.src, v.floats, v.ids);
+      }
+    }
+    std::lock_guard<std::mutex> lock(mu);
+    digests[groups.key(0)].push_back(crc);
+  };
+
+  MapReduceJob::Options plain_options;
+  plain_options.num_instances = kInstances;
+  MapReduceJob plain(plain_options);
+  ASSERT_TRUE(plain.RunMap(map_fn).ok());
+  stalled = true;  // no stall for the reference run
+  ASSERT_TRUE(plain.RunReduce(reduce_fn, nullptr).ok());
+  digests.clear();
+  stalled = false;
+
+  ThreadPool pool(4);
+  TaskSupervisionOptions supervision;
+  supervision.pool = &pool;
+  supervision.speculative_execution = true;
+  supervision.speculation_delay_seconds = 0.01;
+  TaskSupervisor supervisor(supervision);
+  MapReduceJob::Options options = plain_options;
+  options.pool = &pool;
+  options.supervisor = &supervisor;
+  MapReduceJob job(options);
+  ASSERT_TRUE(job.RunMap(map_fn).ok());
+  ASSERT_TRUE(job.RunReduce(reduce_fn, nullptr).ok());
+
+  EXPECT_GE(supervisor.metrics().speculative_launched, 1);
+  bool duplicated = false;
+  for (const auto& [first_key, crcs] : digests) {
+    duplicated = duplicated || crcs.size() > 1;
+    for (const std::uint32_t crc : crcs) {
+      EXPECT_EQ(crc, crcs[0]) << "block starting at key " << first_key;
+    }
+  }
+  EXPECT_TRUE(duplicated) << "no block was reduced by two attempts";
+  // Whichever attempt won, the committed dataflow is the unsupervised
+  // one, byte for byte.
+  EXPECT_EQ(job.SerializeDataflow(), plain.SerializeDataflow());
 }
 
 // --- golden byte formats ------------------------------------------------
@@ -231,28 +455,32 @@ TEST(MapReduceEngineTest, PeakResidentTracksLargestKeyGroup) {
 /// payloads of varying (including zero) length, over colliding keys.
 void EmitGoldenRecords(std::int64_t instance, MrEmitter* emitter) {
   for (std::int64_t i = 0; i < 12; ++i) {
-    MrValue v;
-    v.tag = static_cast<std::int32_t>(i % 3);
-    v.src = instance * 100 + i;
+    std::vector<float> floats;
     for (std::int64_t f = 0; f < i % 4; ++f) {
-      v.floats.push_back(0.25f * static_cast<float>(f) +
-                         static_cast<float>(instance * 12 + i));
+      floats.push_back(0.25f * static_cast<float>(f) +
+                       static_cast<float>(instance * 12 + i));
     }
+    std::vector<std::int64_t> ids;
     for (std::int64_t d = 0; d < i % 3; ++d) {
-      v.ids.push_back(instance * 1000 + i * 10 + d);
+      ids.push_back(instance * 1000 + i * 10 + d);
     }
-    emitter->Emit((instance * 7 + i * 5) % 11, std::move(v));
+    emitter->Emit((instance * 7 + i * 5) % 11, static_cast<std::int32_t>(i % 3),
+                  instance * 100 + i, floats, ids);
   }
 }
 
 /// Forwards every value to key + 1, tagging it with its arrival rank
 /// within the key group, so the output bytes pin the reduce order too.
-void ForwardReduce(std::int64_t key, std::span<MrValue> values,
-                   MrEmitter* emitter) {
-  std::int64_t rank = 0;
-  for (MrValue& v : values) {
-    v.ids.push_back(rank++);
-    emitter->Emit(key + 1, std::move(v));
+void ForwardReduce(const MrKeyGroups& groups, MrEmitter* emitter) {
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    std::int64_t rank = 0;
+    for (const MrRecord v : groups.values(g)) {
+      const MrRecordSlot slot = emitter->Append(
+          groups.key(g) + 1, v.tag, v.src, v.floats.size(), v.ids.size() + 1);
+      std::copy(v.floats.begin(), v.floats.end(), slot.floats.begin());
+      std::copy(v.ids.begin(), v.ids.end(), slot.ids.begin());
+      slot.ids.back() = rank++;
+    }
   }
 }
 
@@ -313,6 +541,29 @@ TEST(MapReduceGoldenTest, CheckpointBytesArePinned) {
   EXPECT_EQ(restored.SerializeDataflow(), reduced);
 }
 
+TEST(MapReduceGoldenTest, CorruptCheckpointBytesAreRejected) {
+  MapReduceJob::Options options;
+  options.num_instances = 3;
+  MapReduceJob job(options);
+  ASSERT_TRUE(job.RunMap(EmitGoldenRecords).ok());
+  const std::string bytes = job.SerializeDataflow();
+  // Every truncation, and a length prefix blown past the buffer, is a
+  // clean IoError.
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    MapReduceJob restored(options);
+    EXPECT_EQ(restored.RestoreDataflow(bytes.substr(0, len)).code(),
+              StatusCode::kIoError)
+        << "truncated to " << len;
+  }
+  std::string bloated = bytes;
+  // Instance 0's first record: i64 instances, u64 count, i64 key, i32
+  // tag, i64 src, then the u64 float count.
+  const std::size_t float_count_at = 8 + 8 + 8 + 4 + 8;
+  bloated[float_count_at + 6] = '\x7f';
+  MapReduceJob restored(options);
+  EXPECT_EQ(restored.RestoreDataflow(bloated).code(), StatusCode::kIoError);
+}
+
 TEST(MapReduceGoldenTest, SpillBytesArePinned) {
   const auto spill_digest = [](bool combine) {
     const std::string dir = testing::TempDir() + "/golden_spill_" +
@@ -328,26 +579,20 @@ TEST(MapReduceGoldenTest, SpillBytesArePinned) {
     EXPECT_TRUE(job.RunMap(EmitGoldenRecords).ok());
     // Folds a key's tag-0 values into one record carrying their float
     // sum and count; other values pass through in order.
-    MapReduceJob::CombineFn combiner = [](std::int64_t,
-                                          std::vector<MrValue>* values) {
-      std::vector<MrValue> kept;
-      MrValue folded;
-      folded.tag = 9;
-      folded.floats = {0.0f};
+    MapReduceJob::CombineFn combiner = [](std::int64_t key,
+                                          const MrValues& values,
+                                          MrEmitter* out) {
+      float sum = 0.0f;
       std::int64_t count = 0;
-      for (MrValue& v : *values) {
+      for (const MrRecord v : values) {
         if (v.tag != 0) {
-          kept.push_back(std::move(v));
+          out->Emit(key, v.tag, v.src, v.floats, v.ids);
           continue;
         }
-        for (const float f : v.floats) folded.floats[0] += f;
+        for (const float f : v.floats) sum += f;
         ++count;
       }
-      if (count > 0) {
-        folded.ids = {count};
-        kept.push_back(std::move(folded));
-      }
-      *values = std::move(kept);
+      if (count > 0) out->Emit(key, 9, -1, {&sum, 1}, {&count, 1});
     };
     EXPECT_TRUE(
         job.RunReduce(ForwardReduce, combine ? &combiner : nullptr).ok());
@@ -412,15 +657,6 @@ TEST(MapReduceGoldenTest, InferenceLogitsArePinned) {
                 c.crc);
     }
   }
-}
-
-TEST(MrValueTest, WireBytesCountAllFields) {
-  MrValue v;
-  v.floats = {1.0f, 2.0f};
-  v.ids = {1, 2, 3};
-  EXPECT_EQ(v.WireBytes(),
-            kMessageHeaderBytes + sizeof(std::int32_t) + sizeof(NodeId) +
-                2 * sizeof(float) + 3 * sizeof(std::int64_t));
 }
 
 }  // namespace

@@ -25,26 +25,24 @@ TEST(SpillTest, EngineRoundTripsBlocksThroughDisk) {
     MapReduceJob job(options);
     job.RunMap([](std::int64_t instance, MrEmitter* emitter) {
       for (int i = 0; i < 20; ++i) {
-        MrValue v;
-        v.src = instance;
-        v.floats = {static_cast<float>(i), static_cast<float>(instance)};
-        v.ids = {instance * 100 + i};
-        emitter->Emit(i % 7, std::move(v));
+        const float floats[] = {static_cast<float>(i),
+                                static_cast<float>(instance)};
+        const std::int64_t id = instance * 100 + i;
+        emitter->Emit(i % 7, 0, instance, floats, {&id, 1});
       }
     });
     float checksum = 0.0f;
     job.RunReduce(
-        [&checksum](std::int64_t key, std::span<MrValue> values,
-                    MrEmitter* emitter) {
-          MrValue out;
-          float sum = 0.0f;
-          for (const MrValue& v : values) {
-            sum += v.floats[0] + v.floats[1] +
-                   static_cast<float>(v.ids[0] % 97);
+        [&checksum](const MrKeyGroups& groups, MrEmitter* emitter) {
+          for (std::size_t g = 0; g < groups.size(); ++g) {
+            float sum = 0.0f;
+            for (const MrRecord v : groups.values(g)) {
+              sum += v.floats[0] + v.floats[1] +
+                     static_cast<float>(v.ids[0] % 97);
+            }
+            checksum += sum;
+            emitter->Emit(groups.key(g), 0, -1, {&sum, 1});
           }
-          checksum += sum;
-          out.floats = {sum};
-          emitter->Emit(key, std::move(out));
         },
         nullptr);
     EXPECT_EQ(spill, job.spill_bytes_written() > 0);

@@ -114,7 +114,8 @@ TEST_F(TelemetryTest, HistogramPercentileInterpolation) {
   for (int i = 0; i < 100; ++i) h->Observe(0.5);
   // p50 interpolates to the middle of bucket 0's (0, 1] range.
   EXPECT_DOUBLE_EQ(h->Percentile(0.50), 0.5);
-  EXPECT_DOUBLE_EQ(h->Percentile(1.00), 1.0);
+  // The bucket's upper edge is 1.0, but nothing above 0.5 was seen.
+  EXPECT_DOUBLE_EQ(h->Percentile(1.00), 0.5);
   EXPECT_DOUBLE_EQ(h->Percentile(0.0), 0.0);
 
   // Push 100 more into bucket 2 (2, 4]: now p75 lands inside bucket 2.
@@ -123,6 +124,27 @@ TEST_F(TelemetryTest, HistogramPercentileInterpolation) {
   // so p75 = 2 + (4 - 2) * 50/100 = 3.
   EXPECT_DOUBLE_EQ(h->Percentile(0.75), 3.0);
   EXPECT_EQ(h->count(), 200);
+}
+
+TEST_F(TelemetryTest, HistogramPercentilesNeverExceedObservedMax) {
+  SetMetricsEnabled(true);
+  HistogramOptions options;
+  options.first_bucket = 1.0;
+  options.growth = 2.0;
+  options.num_buckets = 8;
+  Histogram* h = GlobalMetrics().GetHistogram("test.wide_bucket", options);
+  // Three values in the one interior bucket (4, 8]: interpolating up to
+  // its edge would put p99 near 8, past everything observed.
+  for (const double v : {5.0, 5.5, 6.0}) h->Observe(v);
+  const double p50 = h->Percentile(0.50);
+  const double p99 = h->Percentile(0.99);
+  EXPECT_LE(p50, p99);
+  EXPECT_LE(p99, h->max());
+  EXPECT_DOUBLE_EQ(h->max(), 6.0);
+  // The snapshot the timeline samples reports the same numbers.
+  const HistogramSnapshot snapshot = h->Snapshot();
+  EXPECT_DOUBLE_EQ(snapshot.Percentile(0.50), p50);
+  EXPECT_DOUBLE_EQ(snapshot.Percentile(0.99), p99);
 }
 
 TEST_F(TelemetryTest, HistogramOverflowPercentileUsesObservedMax) {
