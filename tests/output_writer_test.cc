@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cfloat>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
+#include "src/common/crc32.h"
+#include "src/common/rng.h"
 #include "src/graph/datasets.h"
 #include "src/inference/inferturbo_pregel.h"
 #include "src/nn/model.h"
@@ -35,6 +41,49 @@ std::string FreshDir(const std::string& name) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;
+}
+
+std::string ReadAll(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// CRC32 (8 hex digits) of every file in `dir`, space-separated, in
+/// file-name order: MANIFEST.tsv, then embeddings_*, then scores_*.
+std::string FileCrcs(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  std::string out;
+  for (const std::string& name : names) {
+    char crc[16];
+    std::snprintf(crc, sizeof(crc), "%08x", Crc32(ReadAll(dir + "/" + name)));
+    if (!out.empty()) out.push_back(' ');
+    out += crc;
+  }
+  return out;
+}
+
+/// Logits and embeddings full of the values %.6g formatting gets wrong
+/// most easily: NaNs of both signs, infinities, -0, the smallest
+/// subnormal, FLT_MAX, the fixed/scientific switch points, and exact
+/// decimal ties (999999.5 and 1234565 round half-even to 1e+06 and
+/// 1.23456e+06).
+InferenceResult SpecialValuesResult() {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  InferenceResult result;
+  result.logits = Tensor::FromRows({{nan, inf, -inf},
+                                    {-0.0f, 1e-45f, FLT_MAX},
+                                    {1e-5f, 0.0001f, 999999.5f},
+                                    {1e6f, 1234565.0f, -FLT_MIN}});
+  result.predictions = {1, 0, 2, std::numeric_limits<std::int64_t>::max()};
+  result.embeddings = Tensor::FromRows(
+      {{-nan, 0.1f}, {123456.5f, -1e-38f}, {100000.0f, 0.5f}, {-2.5f, 1e38f}});
+  return result;
 }
 
 TEST(OutputWriterTest, PredictionsRoundTripThroughShards) {
@@ -188,6 +237,132 @@ TEST(OutputWriterTest, TransientReadFaultIsRetried) {
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_EQ(injector.faults_fired(), 1);
   EXPECT_EQ(*read, result.predictions);
+}
+
+// --- golden export bytes ----------------------------------------------
+
+// The export format is a contract with downstream loaders: these CRCs
+// pin every byte of every file, so any change to number formatting,
+// row order, sharding or the manifest layout shows up here.
+TEST(OutputWriterGoldenTest, ScoredExportBytesArePinned) {
+  struct Case {
+    std::int64_t num_shards;
+    bool write_logits;
+    bool embeddings;
+    const char* crcs;  // FileCrcs() of the export directory
+  };
+  const Case cases[] = {
+      {1, true, false, "ec9d0ca3 70fdc7ba"},
+      {1, true, true, "1d470909 f2e0553d 70fdc7ba"},
+      {1, false, false, "7fc6487a 862defa0"},
+      {1, false, true, "8e1c4dd0 f2e0553d 862defa0"},
+      {3, true, false, "c4e784bc a60a5828 d91528b7 f38ef6b9"},
+      {3, true, true,
+       "a0dbe934 24a09c21 9feebe68 c608362e a60a5828 d91528b7 f38ef6b9"},
+      {3, false, false, "e4bc18d5 eea9325b 623e7683 67d9ea9e"},
+      {3, false, true,
+       "8080755d 24a09c21 9feebe68 c608362e eea9325b 623e7683 67d9ea9e"},
+      {8, true, false,
+       "fd446ee8 4c55b4f8 4ca7a8ed 9dd9b24b 8d5dace8 9b726b67 b5b92103 "
+       "0b4ff210 994eb017"},
+      {8, true, true,
+       "fb0aa655 dac376ee 763f1f65 2f1d51f8 f18d2cbc e34abea4 3942ce95 "
+       "13c36b0c 78ec8729 4c55b4f8 4ca7a8ed 9dd9b24b 8d5dace8 9b726b67 "
+       "b5b92103 0b4ff210 994eb017"},
+      {8, false, false,
+       "0aeef6c0 bf837517 4544da00 bdf0ff77 2a41de99 408402a4 d256295f "
+       "5f62a53e e645e52e"},
+      {8, false, true,
+       "0ca03e7d dac376ee 763f1f65 2f1d51f8 f18d2cbc e34abea4 3942ce95 "
+       "13c36b0c 78ec8729 bf837517 4544da00 bdf0ff77 2a41de99 408402a4 "
+       "d256295f 5f62a53e e645e52e"},
+  };
+  const InferenceResult plain = ScoreSomething(false);
+  const InferenceResult with_embeddings = ScoreSomething(true);
+  for (const Case& c : cases) {
+    SCOPED_TRACE("num_shards=" + std::to_string(c.num_shards) +
+                 " write_logits=" + std::to_string(c.write_logits) +
+                 " embeddings=" + std::to_string(c.embeddings));
+    const std::string dir = FreshDir("writer_golden");
+    OutputWriterOptions options;
+    options.num_shards = c.num_shards;
+    options.write_logits = c.write_logits;
+    ASSERT_TRUE(WriteInferenceOutput(c.embeddings ? with_embeddings : plain,
+                                     dir, options)
+                    .ok());
+    EXPECT_EQ(FileCrcs(dir), c.crcs);
+  }
+}
+
+TEST(OutputWriterGoldenTest, SpecialFloatsFormatLikePrintfG6) {
+  const InferenceResult result = SpecialValuesResult();
+  const std::string dir = FreshDir("writer_golden_special");
+  OutputWriterOptions options;
+  options.num_shards = 1;
+  ASSERT_TRUE(WriteInferenceOutput(result, dir, options).ok());
+  EXPECT_EQ(ReadAll(dir + "/scores_00000.tsv"),
+            "0\t1\tnan,inf,-inf\n"
+            "1\t0\t-0,1.4013e-45,3.40282e+38\n"
+            "2\t2\t1e-05,0.0001,1e+06\n"
+            "3\t9223372036854775807\t1e+06,1.23456e+06,-1.17549e-38\n");
+  EXPECT_EQ(ReadAll(dir + "/embeddings_00000.tsv"),
+            "0\t-nan,0.1\n"
+            "1\t123456,-1e-38\n"
+            "2\t100000,0.5\n"
+            "3\t-2.5,1e+38\n");
+  EXPECT_EQ(FileCrcs(dir), "409a97a0 c6202422 b4157105");
+
+  const std::string sharded = FreshDir("writer_golden_special_sharded");
+  options.num_shards = 3;
+  ASSERT_TRUE(WriteInferenceOutput(result, sharded, options).ok());
+  EXPECT_EQ(FileCrcs(sharded),
+            "c6be9c96 f65990de 560faf18 bec330c1 a5a0d0b9 da54f957 769b83bd");
+}
+
+// Every float the writer prints must read exactly as printf("%.6g")
+// would print it. A seeded sweep over ~1M random bit patterns (NaN
+// payloads, subnormals and infinities included) through one shard.
+TEST(OutputWriterGoldenTest, RandomFloatBitsFormatLikePrintfG6) {
+  constexpr std::int64_t kRows = 1024;
+  constexpr std::int64_t kCols = 1024;
+  Rng rng(20261017);
+  InferenceResult result;
+  result.logits = Tensor(kRows, kCols);
+  for (std::int64_t i = 0; i < kRows * kCols; ++i) {
+    const std::uint32_t bits = static_cast<std::uint32_t>(rng.NextUint64());
+    std::memcpy(result.logits.data() + i, &bits, sizeof(bits));
+  }
+  result.predictions.resize(static_cast<std::size_t>(kRows));
+  for (std::int64_t v = 0; v < kRows; ++v) {
+    result.predictions[static_cast<std::size_t>(v)] = v % 7;
+  }
+  const std::string dir = FreshDir("writer_golden_random");
+  OutputWriterOptions options;
+  options.num_shards = 1;
+  ASSERT_TRUE(WriteInferenceOutput(result, dir, options).ok());
+
+  std::string expected;
+  char buf[32];
+  for (std::int64_t v = 0; v < kRows; ++v) {
+    expected += std::to_string(v) + "\t" + std::to_string(v % 7);
+    for (std::int64_t j = 0; j < kCols; ++j) {
+      expected.push_back(j == 0 ? '\t' : ',');
+      std::snprintf(buf, sizeof(buf), "%.6g",
+                    static_cast<double>(result.logits.RowPtr(v)[j]));
+      expected += buf;
+    }
+    expected.push_back('\n');
+  }
+  const std::string actual = ReadAll(dir + "/scores_00000.tsv");
+  const std::size_t at = static_cast<std::size_t>(
+      std::mismatch(expected.begin(), expected.end(), actual.begin(),
+                    actual.end())
+          .first -
+      expected.begin());
+  EXPECT_EQ(actual.size(), expected.size());
+  EXPECT_EQ(at, expected.size())
+      << "first difference after: "
+      << expected.substr(at < 40 ? 0 : at - 40, 40);
 }
 
 }  // namespace
