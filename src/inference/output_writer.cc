@@ -8,7 +8,11 @@
 
 #include "src/common/atomic_file.h"
 #include "src/common/crc32.h"
+#include "src/common/parallel_exec.h"
+#include "src/common/timer.h"
 #include "src/graph/partition.h"
+#include "src/telemetry/metrics.h"
+#include "src/telemetry/trace.h"
 
 namespace inferturbo {
 namespace {
@@ -20,12 +24,27 @@ std::string ShardName(const char* prefix, std::int64_t shard) {
   return buf;
 }
 
-void AppendFloats(const float* values, std::int64_t n, std::string* line) {
-  char buf[32];
+// Widest token each formatter can emit: "-9223372036854775808", and a
+// float at six significant digits ("-1.17549e-38", "-nan").
+constexpr std::size_t kMaxIntChars = 20;
+constexpr std::size_t kMaxFloatChars = 16;
+
+void AppendInt(std::int64_t value, std::string* out) {
+  char buf[kMaxIntChars];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
+// std::to_chars at general precision 6 prints exactly what
+// printf("%.6g") prints for every float, NaN and inf included, without
+// the locale and format-string parsing.
+void AppendFloats(const float* values, std::int64_t n, std::string* out) {
+  char buf[kMaxFloatChars];
   for (std::int64_t j = 0; j < n; ++j) {
-    line->push_back(j == 0 ? '\t' : ',');
-    std::snprintf(buf, sizeof(buf), "%.6g", values[j]);
-    line->append(buf);
+    out->push_back(j == 0 ? '\t' : ',');
+    out->append(buf, std::to_chars(buf, buf + sizeof(buf),
+                                   static_cast<double>(values[j]),
+                                   std::chars_format::general, 6)
+                         .ptr);
   }
 }
 
@@ -45,52 +64,96 @@ Status WriteInferenceOutput(const InferenceResult& result,
   }
   const std::int64_t num_nodes = result.logits.rows();
   const bool with_embeddings = !result.embeddings.empty();
+  const std::size_t num_shards = static_cast<std::size_t>(options.num_shards);
   HashPartitioner partitioner(options.num_shards);
+
+  // Group node ids by shard with a counting sort: shard s owns
+  // order[begin[s], begin[s + 1]), in ascending node-id order.
+  std::vector<std::int64_t> begin(num_shards + 1, 0);
+  for (NodeId v = 0; v < num_nodes; ++v) {
+    ++begin[static_cast<std::size_t>(partitioner.PartitionOf(v)) + 1];
+  }
+  for (std::size_t s = 0; s < num_shards; ++s) begin[s + 1] += begin[s];
+  std::vector<NodeId> order(static_cast<std::size_t>(num_nodes));
+  std::vector<std::int64_t> cursor(begin.begin(), begin.end() - 1);
+  for (NodeId v = 0; v < num_nodes; ++v) {
+    const std::size_t s = static_cast<std::size_t>(partitioner.PartitionOf(v));
+    order[static_cast<std::size_t>(cursor[s]++)] = v;
+  }
 
   // Shard contents are built in memory first, then each file lands
   // atomically (temp + rename) and the manifest — which downstream
   // consumers treat as the commit record — is written only after every
   // shard is durable. A crash mid-export leaves either a complete,
   // readable export or no manifest at all, never a torn one.
-  std::vector<std::string> scores(
-      static_cast<std::size_t>(options.num_shards));
-  std::vector<std::string> embeddings(
-      static_cast<std::size_t>(with_embeddings ? options.num_shards : 0));
-  std::vector<std::int64_t> rows_per_shard(
-      static_cast<std::size_t>(options.num_shards), 0);
-  std::string line;
-  for (NodeId v = 0; v < num_nodes; ++v) {
-    const std::int64_t shard = partitioner.PartitionOf(v);
-    ++rows_per_shard[static_cast<std::size_t>(shard)];
-    line.clear();
-    line += std::to_string(v);
-    line.push_back('\t');
-    line += std::to_string(result.predictions[static_cast<std::size_t>(v)]);
-    if (options.write_logits) {
-      AppendFloats(result.logits.RowPtr(v), result.logits.cols(), &line);
-    }
-    line.push_back('\n');
-    scores[static_cast<std::size_t>(shard)] += line;
-    if (with_embeddings) {
-      line.clear();
-      line += std::to_string(v);
-      AppendFloats(result.embeddings.RowPtr(v), result.embeddings.cols(),
-                   &line);
-      line.push_back('\n');
-      embeddings[static_cast<std::size_t>(shard)] += line;
-    }
+  //
+  // Buffers are reserved here to a per-row upper bound, so the format
+  // tasks never regrow one and only the bytes written become resident.
+  const std::size_t score_row_bound =
+      2 * kMaxIntChars + 2 +
+      (options.write_logits
+           ? static_cast<std::size_t>(result.logits.cols()) *
+                 (kMaxFloatChars + 1)
+           : 0);
+  const std::size_t embedding_row_bound =
+      kMaxIntChars + 1 +
+      static_cast<std::size_t>(result.embeddings.cols()) *
+          (kMaxFloatChars + 1);
+  std::vector<std::string> scores(num_shards);
+  std::vector<std::string> embeddings(with_embeddings ? num_shards : 0);
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    const std::size_t rows = static_cast<std::size_t>(begin[s + 1] - begin[s]);
+    scores[s].reserve(rows * score_row_bound);
+    if (with_embeddings) embeddings[s].reserve(rows * embedding_row_bound);
   }
 
-  for (std::int64_t s = 0; s < options.num_shards; ++s) {
-    INFERTURBO_RETURN_NOT_OK(WriteFileAtomic(
-        directory + "/" + ShardName("scores", s),
-        scores[static_cast<std::size_t>(s)], options.fault_injector,
-        options.retry));
+  // One task per shard formats its rows and checksums its score bytes;
+  // tasks share nothing but read-only inputs.
+  std::vector<std::uint32_t> score_crc(num_shards, 0);
+  StaticExecutor::Default().RunTasks(
+      static_cast<int>(num_shards), [&](WorkerSlot&, int task) {
+        TraceSpan span("output/format", task);
+        const WallTimer timer;
+        const std::size_t s = static_cast<std::size_t>(task);
+        std::string& out = scores[s];
+        for (std::int64_t i = begin[s]; i < begin[s + 1]; ++i) {
+          const NodeId v = order[static_cast<std::size_t>(i)];
+          AppendInt(v, &out);
+          out.push_back('\t');
+          AppendInt(result.predictions[static_cast<std::size_t>(v)], &out);
+          if (options.write_logits) {
+            AppendFloats(result.logits.RowPtr(v), result.logits.cols(), &out);
+          }
+          out.push_back('\n');
+          if (with_embeddings) {
+            std::string& emb = embeddings[s];
+            AppendInt(v, &emb);
+            AppendFloats(result.embeddings.RowPtr(v),
+                         result.embeddings.cols(), &emb);
+            emb.push_back('\n');
+          }
+        }
+        score_crc[s] = Crc32(out);
+        if (MetricsEnabled()) {
+          static Histogram* hist =
+              GlobalMetrics().GetHistogram("output.format_seconds");
+          hist->Observe(timer.ElapsedSeconds());
+        }
+      });
+
+  // Files commit serially in shard order, manifest last, so a fault
+  // injector sees the same operation sequence as a serial writer.
+  TraceSpan span("output/commit");
+  const WallTimer commit_timer;
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    const std::int64_t shard = static_cast<std::int64_t>(s);
+    INFERTURBO_RETURN_NOT_OK(
+        WriteFileAtomic(directory + "/" + ShardName("scores", shard),
+                        scores[s], options.fault_injector, options.retry));
     if (with_embeddings) {
       INFERTURBO_RETURN_NOT_OK(WriteFileAtomic(
-          directory + "/" + ShardName("embeddings", s),
-          embeddings[static_cast<std::size_t>(s)], options.fault_injector,
-          options.retry));
+          directory + "/" + ShardName("embeddings", shard), embeddings[s],
+          options.fault_injector, options.retry));
     }
   }
 
@@ -100,13 +163,20 @@ Status WriteInferenceOutput(const InferenceResult& result,
   manifest << "num_nodes\t" << num_nodes << "\n";
   manifest << "num_shards\t" << options.num_shards << "\n";
   manifest << "embeddings\t" << (with_embeddings ? 1 : 0) << "\n";
-  for (std::int64_t s = 0; s < options.num_shards; ++s) {
-    manifest << ShardName("scores", s) << "\t"
-             << rows_per_shard[static_cast<std::size_t>(s)] << "\t"
-             << CrcHex(Crc32(scores[static_cast<std::size_t>(s)])) << "\n";
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    manifest << ShardName("scores", static_cast<std::int64_t>(s)) << "\t"
+             << begin[s + 1] - begin[s] << "\t" << CrcHex(score_crc[s])
+             << "\n";
   }
-  return WriteFileAtomic(directory + "/MANIFEST.tsv", manifest.str(),
-                         options.fault_injector, options.retry);
+  const Status committed =
+      WriteFileAtomic(directory + "/MANIFEST.tsv", manifest.str(),
+                      options.fault_injector, options.retry);
+  if (MetricsEnabled()) {
+    static Histogram* hist =
+        GlobalMetrics().GetHistogram("output.commit_seconds");
+    hist->Observe(commit_timer.ElapsedSeconds());
+  }
+  return committed;
 }
 
 Result<std::vector<std::int64_t>> ReadPredictions(
