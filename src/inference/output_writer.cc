@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <vector>
@@ -182,25 +183,67 @@ Status WriteInferenceOutput(const InferenceResult& result,
 Result<std::vector<std::int64_t>> ReadPredictions(
     const std::string& directory, IoFaultInjector* injector,
     const IoRetryPolicy& retry) {
-  std::ifstream manifest_in(directory + "/MANIFEST.tsv");
-  if (!manifest_in) return Status::IoError("cannot open manifest");
-  std::string key;
+  // Every count in the manifest is checked against bytes that exist
+  // before it sizes an allocation: a damaged manifest is an IoError,
+  // never a std::length_error.
+  std::string manifest;
+  {
+    std::ifstream in(directory + "/MANIFEST.tsv", std::ios::binary);
+    if (!in) return Status::IoError("cannot open manifest");
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    manifest = std::move(bytes).str();
+  }
+  std::istringstream manifest_in(manifest);
+  std::string nodes_key, shards_key, embeddings_key;
   std::int64_t num_nodes = 0, num_shards = 0, has_embeddings = 0;
-  manifest_in >> key >> num_nodes >> key >> num_shards >> key >>
-      has_embeddings;
-  if (!manifest_in || num_nodes <= 0 || num_shards <= 0) {
+  manifest_in >> nodes_key >> num_nodes >> shards_key >> num_shards >>
+      embeddings_key >> has_embeddings;
+  if (!manifest_in || nodes_key != "num_nodes" ||
+      shards_key != "num_shards" || embeddings_key != "embeddings" ||
+      num_nodes <= 0 || num_shards <= 0) {
     return Status::IoError("malformed manifest");
   }
-  // Per-shard rows: name, row count, crc32 hex.
+  // The shortest shard row is "scores_00000.tsv\t0\t00000000\n".
+  constexpr std::int64_t kMinShardRowBytes = 28;
+  if (num_shards > static_cast<std::int64_t>(manifest.size()) /
+                       kMinShardRowBytes) {
+    return Status::IoError("manifest lists " + std::to_string(num_shards) +
+                           " shards in " + std::to_string(manifest.size()) +
+                           " bytes");
+  }
+  // Per-shard rows: name, row count, crc32 hex. The row counts must
+  // partition num_nodes.
   std::vector<std::int64_t> shard_rows(static_cast<std::size_t>(num_shards));
   std::vector<std::string> shard_crc(static_cast<std::size_t>(num_shards));
+  std::int64_t rows_listed = 0;
   for (std::int64_t s = 0; s < num_shards; ++s) {
     std::string name;
-    manifest_in >> name >> shard_rows[static_cast<std::size_t>(s)] >>
-        shard_crc[static_cast<std::size_t>(s)];
-    if (!manifest_in || name != ShardName("scores", s)) {
+    std::int64_t& rows = shard_rows[static_cast<std::size_t>(s)];
+    manifest_in >> name >> rows >> shard_crc[static_cast<std::size_t>(s)];
+    if (!manifest_in || name != ShardName("scores", s) || rows < 0 ||
+        rows > num_nodes - rows_listed) {
       return Status::IoError("malformed manifest shard row for shard " +
                              std::to_string(s));
+    }
+    rows_listed += rows;
+  }
+  if (rows_listed != num_nodes) {
+    return Status::IoError("manifest shard rows sum to " +
+                           std::to_string(rows_listed) + ", not num_nodes " +
+                           std::to_string(num_nodes));
+  }
+  // Nor may a shard promise more rows than its file could hold (the
+  // shortest row is "0\t0\n").
+  for (std::int64_t s = 0; s < num_shards; ++s) {
+    const std::string path = directory + "/" + ShardName("scores", s);
+    std::error_code error;
+    const std::uintmax_t bytes = std::filesystem::file_size(path, error);
+    if (error) return Status::IoError("cannot open " + path);
+    if (static_cast<std::uintmax_t>(shard_rows[static_cast<std::size_t>(s)]) >
+        bytes / 4) {
+      return Status::IoError("manifest promises more rows than " + path +
+                             " holds");
     }
   }
 
