@@ -39,10 +39,13 @@ Status WriteOnce(const std::string& path, std::string_view data,
   if (fault == IoFaultKind::kNoSpace) {
     return Status::IoError("no space left on device (injected) for " + path);
   }
-  std::string payload(data);
+  // Only a corrupting fault needs its own copy of the payload.
+  std::string corrupted;
   if (fault == IoFaultKind::kBitFlip || fault == IoFaultKind::kShortRead) {
     // Torn/corrupted write: the bytes land "successfully" but wrong.
-    CorruptInPlace(fault, &payload);
+    corrupted.assign(data);
+    CorruptInPlace(fault, &corrupted);
+    data = corrupted;
   }
 
   const std::string tmp = TempPathFor(path);
@@ -51,7 +54,7 @@ Status WriteOnce(const std::string& path, std::string_view data,
     if (!out) {
       return Status::IoError("cannot open temp file " + tmp);
     }
-    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+    out.write(data.data(), static_cast<std::streamsize>(data.size()));
     out.flush();
     if (!out) {
       out.close();
