@@ -239,19 +239,21 @@ TEST(OutputWriterTest, TransientReadFaultIsRetried) {
   EXPECT_EQ(*read, result.predictions);
 }
 
-/// Exports ScoreSomething() to `name` in 3 shards, then replaces
-/// `from` with `to` in its manifest.
-std::string ExportWithDamagedManifest(const std::string& name,
-                                      const std::string& from,
-                                      const std::string& to) {
+/// Exports ScoreSomething() to `name` in 3 shards, then makes each
+/// {from, to} replacement in its manifest.
+std::string ExportWithDamagedManifest(
+    const std::string& name,
+    const std::vector<std::pair<std::string, std::string>>& edits) {
   const std::string dir = FreshDir(name);
   OutputWriterOptions options;
   options.num_shards = 3;
   EXPECT_TRUE(WriteInferenceOutput(ScoreSomething(false), dir, options).ok());
   std::string manifest = ReadAll(dir + "/MANIFEST.tsv");
-  const std::size_t at = manifest.find(from);
-  EXPECT_NE(at, std::string::npos) << manifest;
-  if (at != std::string::npos) manifest.replace(at, from.size(), to);
+  for (const auto& [from, to] : edits) {
+    const std::size_t at = manifest.find(from);
+    EXPECT_NE(at, std::string::npos) << manifest;
+    if (at != std::string::npos) manifest.replace(at, from.size(), to);
+  }
   std::ofstream(dir + "/MANIFEST.tsv", std::ios::binary | std::ios::trunc)
       << manifest;
   return dir;
@@ -268,36 +270,29 @@ void ExpectIoError(const std::string& dir) {
 // abort the process with std::length_error.
 TEST(OutputWriterTest, HugeNumNodesInManifestIsIoError) {
   ExpectIoError(ExportWithDamagedManifest(
-      "writer_huge_nodes", "num_nodes\t200\n",
-      "num_nodes\t4611686018427387904\n"));
+      "writer_huge_nodes",
+      {{"num_nodes\t200\n", "num_nodes\t4611686018427387904\n"}}));
 }
 
 TEST(OutputWriterTest, HugeNumShardsInManifestIsIoError) {
   ExpectIoError(ExportWithDamagedManifest(
-      "writer_huge_shards", "num_shards\t3\n",
-      "num_shards\t4611686018427387904\n"));
+      "writer_huge_shards",
+      {{"num_shards\t3\n", "num_shards\t4611686018427387904\n"}}));
 }
 
 TEST(OutputWriterTest, ManifestRowsBeyondShardBytesAreIoError) {
-  // Consistent counts, but shard 0 cannot hold the rows it promises.
-  const std::string dir = ExportWithDamagedManifest(
-      "writer_huge_rows", "num_nodes\t200\n",
-      "num_nodes\t4611686018427387904\n");
-  std::string manifest = ReadAll(dir + "/MANIFEST.tsv");
-  const std::string row = "scores_00000.tsv\t";
-  const std::size_t at = manifest.find(row) + row.size();
-  const std::size_t end = manifest.find('\t', at);
-  const std::int64_t rows = std::stoll(manifest.substr(at, end - at));
-  manifest.replace(at, end - at,
-                   std::to_string(4611686018427387904LL - 200 + rows));
-  std::ofstream(dir + "/MANIFEST.tsv", std::ios::binary | std::ios::trunc)
-      << manifest;
-  ExpectIoError(dir);
+  // Row counts that sum to num_nodes, but shard 0 (65 real rows) cannot
+  // hold the rows it promises.
+  ExpectIoError(ExportWithDamagedManifest(
+      "writer_huge_rows",
+      {{"num_nodes\t200\n", "num_nodes\t4611686018427387904\n"},
+       {"scores_00000.tsv\t65\t",
+        "scores_00000.tsv\t4611686018427387769\t"}}));
 }
 
 TEST(OutputWriterTest, ManifestHeaderKeysAreChecked) {
-  ExpectIoError(ExportWithDamagedManifest("writer_bad_key", "num_nodes\t",
-                                          "num_edges\t"));
+  ExpectIoError(ExportWithDamagedManifest("writer_bad_key",
+                                          {{"num_nodes\t", "num_edges\t"}}));
 }
 
 // --- golden export bytes ----------------------------------------------
