@@ -213,7 +213,8 @@ Result<std::vector<std::int64_t>> ReadPredictions(
                            " bytes");
   }
   // Per-shard rows: name, row count, crc32 hex. The row counts must
-  // partition num_nodes.
+  // partition num_nodes, and no shard may promise more rows than its
+  // file could hold (the shortest row is "0\t0\n").
   std::vector<std::int64_t> shard_rows(static_cast<std::size_t>(num_shards));
   std::vector<std::string> shard_crc(static_cast<std::size_t>(num_shards));
   std::int64_t rows_listed = 0;
@@ -226,25 +227,20 @@ Result<std::vector<std::int64_t>> ReadPredictions(
       return Status::IoError("malformed manifest shard row for shard " +
                              std::to_string(s));
     }
+    const std::string path = directory + "/" + name;
+    std::error_code error;
+    const std::uintmax_t bytes = std::filesystem::file_size(path, error);
+    if (error) return Status::IoError("cannot open " + path);
+    if (static_cast<std::uintmax_t>(rows) > bytes / 4) {
+      return Status::IoError("manifest promises more rows than " + path +
+                             " holds");
+    }
     rows_listed += rows;
   }
   if (rows_listed != num_nodes) {
     return Status::IoError("manifest shard rows sum to " +
                            std::to_string(rows_listed) + ", not num_nodes " +
                            std::to_string(num_nodes));
-  }
-  // Nor may a shard promise more rows than its file could hold (the
-  // shortest row is "0\t0\n").
-  for (std::int64_t s = 0; s < num_shards; ++s) {
-    const std::string path = directory + "/" + ShardName("scores", s);
-    std::error_code error;
-    const std::uintmax_t bytes = std::filesystem::file_size(path, error);
-    if (error) return Status::IoError("cannot open " + path);
-    if (static_cast<std::uintmax_t>(shard_rows[static_cast<std::size_t>(s)]) >
-        bytes / 4) {
-      return Status::IoError("manifest promises more rows than " + path +
-                             " holds");
-    }
   }
 
   std::vector<std::int64_t> predictions(
