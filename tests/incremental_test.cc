@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "src/common/crc32.h"
 #include "src/graph/datasets.h"
 #include "src/graph/graph_builder.h"
 #include "src/inference/reference_inference.h"
@@ -55,6 +56,36 @@ Graph MutateGraph(const Graph& graph,
   return std::move(builder).Finish().ValueOrDie();
 }
 
+Dataset EdgeFeaturedDataset() {
+  PlantedGraphConfig config;
+  config.num_nodes = 300;
+  config.avg_degree = 6.0;
+  config.num_classes = 3;
+  config.feature_dim = 8;
+  config.edge_feature_dim = 3;
+  config.seed = 79;
+  return MakePlantedDataset("incremental-edge", config);
+}
+
+std::unique_ptr<GnnModel> EdgeModel(const Graph& g) {
+  ModelConfig config;
+  config.input_dim = g.feature_dim();
+  config.hidden_dim = 8;
+  config.num_classes = g.num_classes();
+  config.num_layers = 2;
+  config.edge_feature_dim = g.edge_features().cols();
+  return MakeModel("edge_sage", config).ValueOrDie();
+}
+
+/// CRC over every layer's bytes, layer 0 first.
+std::uint32_t StatesCrc(const LayerStates& states) {
+  std::uint32_t crc = 0;
+  for (const Tensor& t : states.states) {
+    crc = Crc32(t.data(), t.ByteSize(), crc);
+  }
+  return crc;
+}
+
 TEST(IncrementalTest, LayerStatesMatchReferenceForward) {
   const Dataset d = BaseDataset();
   const std::unique_ptr<GnnModel> model = SmallModel(d.graph);
@@ -64,6 +95,22 @@ TEST(IncrementalTest, LayerStatesMatchReferenceForward) {
       *model, d.graph.node_features(), d.graph.edge_src(),
       d.graph.edge_dst());
   EXPECT_TRUE(states.states.back().ApproxEquals(reference, 0.0f));
+}
+
+// Golden bytes of the full layer-wise forward: the pooled fold (SAGE),
+// the union path (GAT) and the edge-feature path (edge SAGE). A change
+// to how messages are folded must reproduce these exactly.
+TEST(IncrementalTest, LayerStatesBytesArePinned) {
+  const Dataset d = BaseDataset();
+  EXPECT_EQ(StatesCrc(ComputeLayerStates(*SmallModel(d.graph, "sage"),
+                                         d.graph)),
+            0xe8ac9724u);
+  EXPECT_EQ(StatesCrc(ComputeLayerStates(*SmallModel(d.graph, "gat"),
+                                         d.graph)),
+            0xa220dc91u);
+  const Dataset e = EdgeFeaturedDataset();
+  EXPECT_EQ(StatesCrc(ComputeLayerStates(*EdgeModel(e.graph), e.graph)),
+            0x63621f74u);
 }
 
 TEST(IncrementalTest, FeatureChangeMatchesFullRecompute) {

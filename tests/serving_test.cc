@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/crc32.h"
 #include "src/common/rng.h"
 #include "src/graph/datasets.h"
 #include "src/inference/inferturbo_mapreduce.h"
@@ -35,13 +36,28 @@ Dataset BaseDataset() {
   return MakePlantedDataset("serving-base", config);
 }
 
-std::unique_ptr<GnnModel> SmallModel(const Graph& g) {
+Dataset EdgeFeaturedDataset() {
+  PlantedGraphConfig config;
+  config.num_nodes = 300;
+  config.avg_degree = 5.0;
+  config.num_classes = 3;
+  config.feature_dim = 8;
+  config.edge_feature_dim = 3;
+  config.seed = 93;
+  return MakePlantedDataset("serving-edge", config);
+}
+
+std::unique_ptr<GnnModel> SmallModel(const Graph& g,
+                                     const std::string& kind = "sage") {
   ModelConfig config;
   config.input_dim = g.feature_dim();
   config.hidden_dim = 8;
   config.num_classes = g.num_classes();
   config.num_layers = 2;
-  return MakeModel("sage", config).ValueOrDie();
+  config.heads = 2;
+  config.edge_feature_dim =
+      g.has_edge_features() ? g.edge_features().cols() : 0;
+  return MakeModel(kind, config).ValueOrDie();
 }
 
 bool BitIdenticalRow(const Tensor& a, std::int64_t a_row, const Tensor& b,
@@ -181,6 +197,40 @@ TEST(ServingEngineTest, ConcurrentQueriesExactUnderDeltaStream) {
   EXPECT_TRUE(served->logits.ApproxEquals(pregel->logits, kBackendTolerance));
   EXPECT_TRUE(
       served->logits.ApproxEquals(mapreduce->logits, kBackendTolerance));
+}
+
+/// Replays the fixed mutation schedule (feature refreshes, new edges,
+/// node growth every third delta) and returns the CRC of every node's
+/// served logits on the final generation.
+std::uint32_t ReplayedLogitsCrc(const GnnModel& model, const Graph& graph) {
+  ServingOptions options;
+  options.batch_window_seconds = 0.0;
+  ServingEngine engine(&model, Graph(graph), options);
+  for (const GraphMutation& mutation : MutationSchedule(graph, 9)) {
+    EXPECT_TRUE(engine.ApplyMutation(mutation).ok());
+    // Interleaved lookups keep cache rows alive across generations.
+    EXPECT_TRUE(engine.Query({0, 1, 2, 3}).ok());
+  }
+  std::vector<NodeId> all(
+      static_cast<std::size_t>(engine.graph_snapshot()->num_nodes()));
+  std::iota(all.begin(), all.end(), 0);
+  const Result<QueryResponse> served = engine.Query(all);
+  EXPECT_TRUE(served.ok());
+  if (!served.ok()) return 0;
+  return Crc32(served->logits.data(), served->logits.ByteSize());
+}
+
+// Golden bytes of the served logits after a delta replay that grows
+// the graph, for the pooled (SAGE), union (GAT) and edge-feature paths.
+TEST(ServingEngineTest, ReplayedLogitsBytesArePinned) {
+  const Dataset d = BaseDataset();
+  EXPECT_EQ(ReplayedLogitsCrc(*SmallModel(d.graph, "sage"), d.graph),
+            0x3a7060bcu);
+  EXPECT_EQ(ReplayedLogitsCrc(*SmallModel(d.graph, "gat"), d.graph),
+            0x10b07d97u);
+  const Dataset e = EdgeFeaturedDataset();
+  EXPECT_EQ(ReplayedLogitsCrc(*SmallModel(e.graph, "edge_sage"), e.graph),
+            0x36a515c3u);
 }
 
 TEST(ServingEngineTest, CacheInvalidatesOnlyTheDeltaCone) {
