@@ -15,22 +15,17 @@ Tensor GasConv::ApplyEdge(const Tensor& messages,
   return messages;
 }
 
-GatherResult GatherIntoResult(AggKind kind, const Tensor& messages,
-                              std::span<const std::int64_t> dst_index,
-                              std::int64_t num_nodes, bool is_partial) {
+namespace {
+
+/// The pooled fold behind both entry points: row i (`row_at(i)`, with a
+/// trailing count column when `is_partial`) folds into dst_index[i], in
+/// ascending i.
+template <typename RowAt>
+GatherResult FoldPooled(AggKind kind, std::int64_t width, bool is_partial,
+                        std::span<const std::int64_t> dst_index,
+                        std::int64_t num_nodes, RowAt row_at) {
   GatherResult result;
   result.kind = kind;
-  if (kind == AggKind::kUnion) {
-    INFERTURBO_CHECK(!is_partial) << "union aggregates have no partial form";
-    result.messages = messages;
-    result.dst_index.assign(dst_index.begin(), dst_index.end());
-    result.counts = SegmentCounts(dst_index, num_nodes);
-    return result;
-  }
-
-  const std::int64_t width =
-      is_partial ? messages.cols() - 1 : messages.cols();
-  INFERTURBO_CHECK(width >= 0) << "partial batch without a count column";
   result.pooled = Tensor(num_nodes, width);
   result.counts.assign(static_cast<std::size_t>(num_nodes), 0);
 
@@ -41,11 +36,11 @@ GatherResult GatherIntoResult(AggKind kind, const Tensor& messages,
     result.pooled = Tensor::Full(num_nodes, width, init);
   }
 
-  for (std::int64_t i = 0; i < messages.rows(); ++i) {
-    const std::int64_t seg = dst_index[static_cast<std::size_t>(i)];
+  for (std::size_t i = 0; i < dst_index.size(); ++i) {
+    const std::int64_t seg = dst_index[i];
     INFERTURBO_CHECK(0 <= seg && seg < num_nodes)
         << "gather dst index " << seg << " out of [0," << num_nodes << ")";
-    const float* row = messages.RowPtr(i);
+    const float* row = row_at(static_cast<std::int64_t>(i));
     const std::int64_t count =
         is_partial ? static_cast<std::int64_t>(row[width]) : 1;
     float* acc = result.pooled.RowPtr(seg);
@@ -86,6 +81,47 @@ GatherResult GatherIntoResult(AggKind kind, const Tensor& messages,
     }
   }
   return result;
+}
+
+}  // namespace
+
+GatherResult GatherIntoResult(AggKind kind, const Tensor& messages,
+                              std::span<const std::int64_t> dst_index,
+                              std::int64_t num_nodes, bool is_partial) {
+  if (kind == AggKind::kUnion) {
+    INFERTURBO_CHECK(!is_partial) << "union aggregates have no partial form";
+    GatherResult result;
+    result.kind = kind;
+    result.messages = messages;
+    result.dst_index.assign(dst_index.begin(), dst_index.end());
+    result.counts = SegmentCounts(dst_index, num_nodes);
+    return result;
+  }
+  const std::int64_t width =
+      is_partial ? messages.cols() - 1 : messages.cols();
+  INFERTURBO_CHECK(width >= 0) << "partial batch without a count column";
+  return FoldPooled(kind, width, is_partial,
+                    dst_index.first(static_cast<std::size_t>(messages.rows())),
+                    num_nodes,
+                    [&messages](std::int64_t i) { return messages.RowPtr(i); });
+}
+
+GatherResult FoldMessageRows(AggKind kind, const Tensor& messages,
+                             std::span<const std::int64_t> row_index,
+                             std::span<const std::int64_t> dst_index,
+                             std::int64_t num_nodes) {
+  INFERTURBO_CHECK(kind != AggKind::kUnion)
+      << "union aggregates keep their per-edge rows";
+  INFERTURBO_CHECK(row_index.size() == dst_index.size())
+      << "fold index length mismatch";
+  return FoldPooled(kind, messages.cols(), /*is_partial=*/false, dst_index,
+                    num_nodes, [&](std::int64_t i) {
+                      const std::int64_t r =
+                          row_index[static_cast<std::size_t>(i)];
+                      INFERTURBO_CHECK(0 <= r && r < messages.rows())
+                          << "fold row " << r << " out of range";
+                      return messages.RowPtr(r);
+                    });
 }
 
 }  // namespace inferturbo

@@ -98,6 +98,17 @@ GatherResult GatherIntoResult(AggKind kind, const Tensor& messages,
                               std::span<const std::int64_t> dst_index,
                               std::int64_t num_nodes, bool is_partial);
 
+/// The pooled fold over rows messages[row_index[i]] without
+/// materializing them: row_index[i] folds into dst_index[i] in index
+/// order, so the result is bit-identical to GatherIntoResult(kind,
+/// GatherRows(messages, row_index), dst_index, num_nodes, false). A
+/// node whose message feeds many edges is computed once and never
+/// copied per edge. Pooled kinds only (union needs the per-edge rows).
+GatherResult FoldMessageRows(AggKind kind, const Tensor& messages,
+                             std::span<const std::int64_t> row_index,
+                             std::span<const std::int64_t> dst_index,
+                             std::int64_t num_nodes);
+
 }  // namespace inferturbo
 
 #endif  // INFERTURBO_GAS_GAS_CONV_H_

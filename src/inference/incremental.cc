@@ -1,74 +1,108 @@
 #include "src/inference/incremental.h"
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 
 #include "src/common/logging.h"
 #include "src/gas/gas_conv.h"
+#include "src/telemetry/trace.h"
 #include "src/tensor/ops.h"
 
 namespace inferturbo {
 
-LayerStates ComputeLayerStates(const GnnModel& model, const Graph& graph) {
-  LayerStates out;
-  out.states.push_back(graph.node_features());
-  Tensor h = graph.node_features();
-  for (std::int64_t l = 0; l < model.num_layers(); ++l) {
-    const GasConv& layer = model.layer(l);
-    const Tensor node_messages = layer.ComputeMessage(h);
-    Tensor edge_messages = GatherRows(node_messages, graph.edge_src());
-    edge_messages = layer.ApplyEdge(
-        edge_messages, layer.signature().uses_edge_features
-                           ? &graph.edge_features()
-                           : nullptr);
-    const GatherResult gathered =
-        GatherIntoResult(layer.signature().agg_kind, edge_messages,
-                         graph.edge_dst(), graph.num_nodes(),
-                         /*is_partial=*/false);
-    h = layer.ApplyNode(h, gathered);
-    out.states.push_back(h);
-  }
-  return out;
-}
-
 namespace {
 
-/// Recomputes layer `l`'s output rows for `affected` over `graph`,
-/// reading inputs from `prev` (layer-l input states, already correct
-/// for every node) and writing into `next` rows.
-void RecomputeRows(const GasConv& layer, const Graph& graph,
-                   const Tensor& prev, const std::vector<NodeId>& affected,
-                   Tensor* next) {
-  // Per-edge gather restricted to the affected nodes' in-edges, in
-  // global edge-id order per node — the same fold order the full pass
-  // uses, so results are bit-identical.
-  std::vector<std::int64_t> srcs;
+/// The gather stage of `layer` over edges i, each carrying message row
+/// row_index[i] to node dst_index[i]. Pooled layers without edge
+/// features fold the message rows in place; union attention and
+/// apply_edge need per-edge rows, so those are materialized.
+/// `edge_features` (row i = edge i) is read only by layers that use it.
+GatherResult GatherLayer(const GasConv& layer, const Tensor& messages,
+                         std::span<const std::int64_t> row_index,
+                         std::span<const std::int64_t> dst_index,
+                         std::int64_t num_nodes, const Tensor* edge_features) {
+  const LayerSignature& sig = layer.signature();
+  if (sig.agg_kind != AggKind::kUnion && !sig.uses_edge_features) {
+    return FoldMessageRows(sig.agg_kind, messages, row_index, dst_index,
+                           num_nodes);
+  }
+  const Tensor edge_messages = layer.ApplyEdge(
+      GatherRows(messages, row_index),
+      sig.uses_edge_features ? edge_features : nullptr);
+  return GatherIntoResult(sig.agg_kind, edge_messages, dst_index, num_nodes,
+                          /*is_partial=*/false);
+}
+
+/// Previous-layer states as one delta sees them: the delta's patch
+/// where it has a row (`in_patch` marks its ids), history otherwise.
+struct LayerInput {
+  const ChunkedRows* history;
+  const RowPatch* patch;  // null: history is already current everywhere
+  const std::vector<bool>* in_patch;
+
+  const float* Row(NodeId v) const {
+    if (patch != nullptr && (*in_patch)[static_cast<std::size_t>(v)]) {
+      const auto it =
+          std::lower_bound(patch->ids.begin(), patch->ids.end(), v);
+      return patch->rows.RowPtr(it - patch->ids.begin());
+    }
+    return history->Row(v);
+  }
+
+  Tensor Gather(std::span<const std::int64_t> ids) const {
+    Tensor out(static_cast<std::int64_t>(ids.size()), history->cols());
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      out.SetRow(static_cast<std::int64_t>(i), Row(ids[i]));
+    }
+    return out;
+  }
+};
+
+/// Layer `layer`'s new states for `affected` (sorted). ComputeMessage
+/// runs once per distinct source of the cone; each in-edge then folds
+/// its source's message row, per node in the rebuilt graph's in-edge
+/// order — the order the full pass folds in. `slot` is an all -1
+/// scratch over the node range, left all -1.
+Tensor RecomputeRows(const GasConv& layer, const OverlayGraph& graph,
+                     const LayerInput& input,
+                     const std::vector<NodeId>& affected,
+                     std::vector<std::int64_t>* slot,
+                     std::int64_t* cone_in_edges) {
+  const bool uses_edge_features = layer.signature().uses_edge_features;
+  std::vector<std::int64_t> sources;
+  std::vector<std::int64_t> edge_slot;
   std::vector<std::int64_t> dst_local;
-  std::vector<EdgeId> edge_ids;
+  std::vector<const float*> edge_feature_rows;
   for (std::size_t i = 0; i < affected.size(); ++i) {
-    for (EdgeId e : graph.InEdges(affected[i])) {
-      srcs.push_back(graph.EdgeSrc(e));
+    graph.ForEachInEdge(affected[i], [&](NodeId src, const float* features) {
+      std::int64_t& s = (*slot)[static_cast<std::size_t>(src)];
+      if (s < 0) {
+        s = static_cast<std::int64_t>(sources.size());
+        sources.push_back(src);
+      }
+      edge_slot.push_back(s);
       dst_local.push_back(static_cast<std::int64_t>(i));
-      edge_ids.push_back(e);
+      if (uses_edge_features) edge_feature_rows.push_back(features);
+    });
+  }
+  for (NodeId src : sources) (*slot)[static_cast<std::size_t>(src)] = -1;
+  *cone_in_edges += static_cast<std::int64_t>(edge_slot.size());
+
+  Tensor edge_features;
+  if (uses_edge_features) {
+    edge_features = Tensor(static_cast<std::int64_t>(edge_slot.size()),
+                           graph.edge_feature_dim());
+    for (std::size_t i = 0; i < edge_feature_rows.size(); ++i) {
+      edge_features.SetRow(static_cast<std::int64_t>(i),
+                           edge_feature_rows[i]);
     }
   }
-  const Tensor src_states = GatherRows(prev, srcs);
-  Tensor edge_messages = layer.ComputeMessage(src_states);
-  if (layer.signature().uses_edge_features) {
-    const Tensor edge_feats = GatherRows(graph.edge_features(), edge_ids);
-    edge_messages = layer.ApplyEdge(edge_messages, &edge_feats);
-  } else {
-    edge_messages = layer.ApplyEdge(edge_messages, nullptr);
-  }
-  const GatherResult gathered = GatherIntoResult(
-      layer.signature().agg_kind, edge_messages, dst_local,
-      static_cast<std::int64_t>(affected.size()), /*is_partial=*/false);
-  std::vector<std::int64_t> affected_idx(affected.begin(), affected.end());
-  const Tensor own_states = GatherRows(prev, affected_idx);
-  const Tensor updated = layer.ApplyNode(own_states, gathered);
-  for (std::size_t i = 0; i < affected.size(); ++i) {
-    next->SetRow(affected[i], updated.RowPtr(static_cast<std::int64_t>(i)));
-  }
+  const Tensor messages = layer.ComputeMessage(input.Gather(sources));
+  const GatherResult gathered =
+      GatherLayer(layer, messages, edge_slot, dst_local,
+                  static_cast<std::int64_t>(affected.size()), &edge_features);
+  return layer.ApplyNode(input.Gather(affected), gathered);
 }
 
 /// Entry normalization: callers (a live delta stream in particular)
@@ -81,23 +115,87 @@ std::vector<NodeId> SortedUnique(const std::vector<NodeId>& ids) {
   return out;
 }
 
-}  // namespace
+/// Span names must outlive the trace drain; one literal per layer
+/// index, the last shared by every deeper layer.
+const char* LayerSpanName(std::int64_t layer) {
+  static constexpr const char* kNames[] = {
+      "incremental/layer0", "incremental/layer1", "incremental/layer2",
+      "incremental/layer3+"};
+  return kNames[std::min<std::int64_t>(layer, std::size(kNames) - 1)];
+}
 
-Result<IncrementalResult> IncrementalInference(
-    const GnnModel& model, const Graph& new_graph,
-    const LayerStates& old_states, const GraphDelta& delta,
-    const IncrementalOptions& options) {
-  if (old_states.num_layers() != model.num_layers()) {
-    return Status::InvalidArgument("historical states layer count (" +
-                                   std::to_string(old_states.num_layers()) +
-                                   ") does not match the model");
+Status CheckShapes(const GnnModel& model, const OverlayGraph& graph,
+                   const ChunkedRows& features,
+                   std::span<const ChunkedRows> history) {
+  if (static_cast<std::int64_t>(history.size()) != model.num_layers()) {
+    return Status::InvalidArgument(
+        "historical states layer count (" + std::to_string(history.size()) +
+        ") does not match the model");
   }
-  const std::int64_t old_n = old_states.states[0].rows();
-  const std::int64_t new_n = new_graph.num_nodes();
-  if (new_n < old_n) {
+  if (features.rows() != graph.num_nodes() ||
+      features.cols() != model.input_dim()) {
+    return Status::InvalidArgument(
+        "features are " + std::to_string(features.rows()) + " x " +
+        std::to_string(features.cols()) + "; the graph has " +
+        std::to_string(graph.num_nodes()) +
+        " nodes and the model reads width " +
+        std::to_string(model.input_dim()));
+  }
+  const std::int64_t old_n = history.empty() ? 0 : history[0].rows();
+  if (old_n > graph.num_nodes()) {
     return Status::InvalidArgument(
         "node removals are not supported; rebuild from scratch");
   }
+  for (std::int64_t l = 0; l < model.num_layers(); ++l) {
+    const ChunkedRows& layer_states = history[static_cast<std::size_t>(l)];
+    const LayerSignature& sig = model.layer(l).signature();
+    if (layer_states.rows() != old_n ||
+        layer_states.cols() != sig.output_dim) {
+      return Status::InvalidArgument(
+          "historical layer " + std::to_string(l + 1) + " is " +
+          std::to_string(layer_states.rows()) + " x " +
+          std::to_string(layer_states.cols()) + "; expected " +
+          std::to_string(old_n) + " x " + std::to_string(sig.output_dim));
+    }
+    const std::int64_t edge_width = sig.message_dim - sig.input_dim;
+    if (sig.uses_edge_features && graph.edge_feature_dim() != edge_width) {
+      return Status::InvalidArgument(
+          "layer " + std::to_string(l) + " reads edge features of width " +
+          std::to_string(edge_width) + "; the graph carries width " +
+          std::to_string(graph.edge_feature_dim()));
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+LayerStates ComputeLayerStates(const GnnModel& model, const Graph& graph) {
+  LayerStates out;
+  out.states.reserve(static_cast<std::size_t>(model.num_layers()) + 1);
+  out.states.push_back(graph.node_features());
+  for (std::int64_t l = 0; l < model.num_layers(); ++l) {
+    const GasConv& layer = model.layer(l);
+    const Tensor& h = out.states.back();
+    const GatherResult gathered =
+        GatherLayer(layer, layer.ComputeMessage(h), graph.edge_src(),
+                    graph.edge_dst(), graph.num_nodes(),
+                    &graph.edge_features());
+    Tensor next = layer.ApplyNode(h, gathered);
+    out.states.push_back(std::move(next));
+  }
+  return out;
+}
+
+Result<DeltaPatches> ComputeDeltaPatches(const GnnModel& model,
+                                         const OverlayGraph& graph,
+                                         const ChunkedRows& features,
+                                         std::span<const ChunkedRows> history,
+                                         const GraphDelta& delta) {
+  const Status shapes = CheckShapes(model, graph, features, history);
+  if (!shapes.ok()) return shapes;
+  const std::int64_t new_n = graph.num_nodes();
+  const std::int64_t old_n = history.empty() ? new_n : history[0].rows();
   const std::vector<NodeId> changed_nodes = SortedUnique(delta.changed_nodes);
   const std::vector<NodeId> changed_in_edges =
       SortedUnique(delta.changed_in_edges);
@@ -112,12 +210,6 @@ Result<IncrementalResult> IncrementalInference(
     }
   }
 
-  IncrementalResult result;
-  result.states.states.reserve(
-      static_cast<std::size_t>(model.num_layers()) + 1);
-  // Layer 0: the new feature matrix (already includes changed rows).
-  result.states.states.push_back(new_graph.node_features());
-
   // dirty[v] = v's *current-layer* state differs from the historical
   // one. Seeds: feature changes and graph growth.
   std::vector<bool> dirty(static_cast<std::size_t>(new_n), false);
@@ -131,7 +223,11 @@ Result<IncrementalResult> IncrementalInference(
   for (NodeId v : changed_nodes) mark(v);
   for (NodeId v = old_n; v < new_n; ++v) mark(v);
 
+  DeltaPatches out;
+  out.layers.reserve(static_cast<std::size_t>(model.num_layers()));
+  std::vector<std::int64_t> slot(static_cast<std::size_t>(new_n), -1);
   for (std::int64_t l = 0; l < model.num_layers(); ++l) {
+    TraceSpan span(LayerSpanName(l));
     // Who needs layer l+1 recomputed: every currently-dirty node, every
     // out-neighbor of a dirty node, and every node whose in-edge set
     // changed (their gather differs at every layer).
@@ -145,32 +241,87 @@ Result<IncrementalResult> IncrementalInference(
     };
     for (NodeId v : dirty_list) {
       mark_next(v);
-      for (EdgeId e : new_graph.OutEdges(v)) mark_next(new_graph.EdgeDst(e));
+      graph.ForEachOutNeighbor(v, mark_next);
     }
     for (NodeId v : changed_in_edges) mark_next(v);
     std::sort(affected.begin(), affected.end());
 
-    // Start from the historical layer (grown to the new node count),
-    // then patch the affected rows.
-    const Tensor& historical =
-        old_states.states[static_cast<std::size_t>(l) + 1];
-    Tensor next(new_n, historical.cols());
-    for (NodeId v = 0; v < old_n; ++v) {
-      next.SetRow(v, historical.RowPtr(v));
-    }
-    RecomputeRows(model.layer(l), new_graph,
-                  result.states.states.back(), affected, &next);
-    result.recomputed_per_layer.push_back(
-        static_cast<std::int64_t>(affected.size()));
-    result.states.states.push_back(std::move(next));
+    // Layer 0 reads the current features everywhere; deeper layers read
+    // the previous patch (its ids are exactly the dirty set) over history.
+    const LayerInput input =
+        l == 0 ? LayerInput{&features, nullptr, nullptr}
+               : LayerInput{&history[static_cast<std::size_t>(l) - 1],
+                            &out.layers.back(), &dirty};
+    RowPatch patch;
+    patch.rows = RecomputeRows(model.layer(l), graph, input, affected, &slot,
+                               &out.cone_in_edges);
+    patch.ids = affected;
+    out.layers.push_back(std::move(patch));
 
     dirty = std::move(next_dirty);
     dirty_list = std::move(affected);
   }
+  return out;
+}
 
-  // dirty_list now holds the last layer's affected set (sorted) — the
-  // only nodes whose final states, and hence logits, may have moved.
-  result.final_changed_nodes = std::move(dirty_list);
+Result<IncrementalResult> IncrementalInference(
+    const GnnModel& model, const Graph& new_graph,
+    const LayerStates& old_states, const GraphDelta& delta,
+    const IncrementalOptions& options) {
+  if (old_states.num_layers() != model.num_layers()) {
+    return Status::InvalidArgument("historical states layer count (" +
+                                   std::to_string(old_states.num_layers()) +
+                                   ") does not match the model");
+  }
+  const Tensor& old_features = old_states.states[0];
+  if (new_graph.feature_dim() != old_features.cols()) {
+    return Status::InvalidArgument(
+        "new graph feature_dim " + std::to_string(new_graph.feature_dim()) +
+        " differs from the historical width " +
+        std::to_string(old_features.cols()));
+  }
+  // Borrowed views: nothing below outlives this call's arguments.
+  const OverlayGraph graph(
+      std::shared_ptr<const Graph>(std::shared_ptr<const Graph>(), &new_graph));
+  const ChunkedRows features =
+      ChunkedRows::View(new_graph.node_features(), nullptr);
+  std::vector<ChunkedRows> history;
+  for (std::size_t l = 1; l < old_states.states.size(); ++l) {
+    const Tensor& layer_states = old_states.states[l];
+    if (layer_states.rows() != old_features.rows()) {
+      return Status::InvalidArgument(
+          "historical layer " + std::to_string(l) + " has " +
+          std::to_string(layer_states.rows()) + " rows for " +
+          std::to_string(old_features.rows()) + " nodes");
+    }
+    history.push_back(ChunkedRows::View(layer_states, nullptr));
+  }
+  Result<DeltaPatches> patches =
+      ComputeDeltaPatches(model, graph, features, history, delta);
+  if (!patches.ok()) return patches.status();
+
+  IncrementalResult result;
+  result.states.states.reserve(old_states.states.size());
+  result.states.states.push_back(new_graph.node_features());
+  const std::int64_t new_n = new_graph.num_nodes();
+  for (std::size_t l = 1; l < old_states.states.size(); ++l) {
+    const Tensor& historical = old_states.states[l];
+    const RowPatch& patch = patches->layers[l - 1];
+    Tensor next(new_n, historical.cols());
+    if (historical.size() > 0) {
+      std::memcpy(next.data(), historical.data(), historical.ByteSize());
+    }
+    for (std::size_t i = 0; i < patch.ids.size(); ++i) {
+      next.SetRow(patch.ids[i],
+                  patch.rows.RowPtr(static_cast<std::int64_t>(i)));
+    }
+    result.recomputed_per_layer.push_back(
+        static_cast<std::int64_t>(patch.ids.size()));
+    result.states.states.push_back(std::move(next));
+  }
+  if (!patches->layers.empty()) {
+    result.final_changed_nodes = std::move(patches->layers.back().ids);
+  }
   if (options.compute_logits) {
     result.logits = model.PredictLogits(result.states.states.back());
   }

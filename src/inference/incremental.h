@@ -2,12 +2,15 @@
 #define INFERTURBO_INFERENCE_INCREMENTAL_H_
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "src/common/result.h"
 #include "src/graph/graph.h"
+#include "src/graph/overlay_graph.h"
 #include "src/nn/model.h"
+#include "src/tensor/chunked_rows.h"
 
 namespace inferturbo {
 
@@ -81,12 +84,45 @@ struct IncrementalResult {
 /// `new_graph` may have more nodes than old_states (growth), in which
 /// case the new ids must be listed in delta.changed_nodes.
 ///
+/// Shapes are checked before any kernel runs: a feature width, a
+/// historical layer's row or column count, or an edge-feature width
+/// that does not fit the model returns InvalidArgument.
+///
 /// Exactness (tested): the returned states equal a from-scratch
 /// ComputeLayerStates(model, new_graph) bit-for-bit on every node.
 Result<IncrementalResult> IncrementalInference(
     const GnnModel& model, const Graph& new_graph,
     const LayerStates& old_states, const GraphDelta& delta,
     const IncrementalOptions& options = {});
+
+/// One layer's recomputed rows: rows.RowPtr(i) is node ids[i]'s state.
+struct RowPatch {
+  std::vector<NodeId> ids;  ///< sorted, unique
+  Tensor rows;
+};
+
+/// One delta's cone as row patches over the historical states.
+struct DeltaPatches {
+  /// layers[l] holds the recomputed rows of layer l + 1. The ids of the
+  /// last patch are exactly the nodes whose logits may have moved.
+  std::vector<RowPatch> layers;
+  /// In-edges folded over all layers: the cone's gather work.
+  std::int64_t cone_in_edges = 0;
+};
+
+/// The engine behind IncrementalInference, without materializing any
+/// full state matrix. `features` holds every node's current layer-0 row
+/// over graph.num_nodes(); history[l] holds layer l + 1's historical
+/// states over the old node range. A recomputed row reads its
+/// previous-layer inputs from this delta's patch where there is one,
+/// and from history otherwise; in-edges fold in the rebuilt graph's
+/// order, so the patched rows are bit-identical to a from-scratch pass.
+/// Shapes are validated as for IncrementalInference.
+Result<DeltaPatches> ComputeDeltaPatches(const GnnModel& model,
+                                         const OverlayGraph& graph,
+                                         const ChunkedRows& features,
+                                         std::span<const ChunkedRows> history,
+                                         const GraphDelta& delta);
 
 }  // namespace inferturbo
 

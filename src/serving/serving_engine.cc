@@ -1,51 +1,82 @@
 #include "src/serving/serving_engine.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <string>
 
-#include "src/common/timer.h"
-#include "src/graph/graph_builder.h"
+#include "src/common/logging.h"
 #include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/metrics.h"
+#include "src/telemetry/trace.h"
 #include "src/tensor/ops.h"
 
 namespace inferturbo {
 
-/// One immutable snapshot the front-end serves from. Queries pin a
-/// generation via shared_ptr; only the logits cache inside it mutates
-/// (under cache_mu), and cached bytes are a pure function of
-/// (graph, states, model), so concurrent fills write identical rows.
-struct ServingEngine::Generation {
-  std::int64_t epoch = 0;
-  Graph graph;
-  LayerStates states;
+namespace {
 
-  std::mutex cache_mu;
-  Tensor cached_logits;                  // num_nodes × num_classes
-  std::vector<std::uint8_t> cache_valid; // 1 = row is live
+constexpr std::int64_t kChunkRows = ChunkedRows::kChunkRows;
+
+std::int64_t ChunkCount(std::int64_t rows) {
+  return (rows + kChunkRows - 1) / kChunkRows;
+}
+
+}  // namespace
+
+/// kChunkRows cached logits rows and their valid flags. Cached bytes
+/// are a pure function of (final state row, model), so concurrent
+/// fills write identical rows.
+struct ServingGeneration::LogitsChunk {
+  explicit LogitsChunk(std::int64_t num_classes)
+      : logits(static_cast<std::size_t>(kChunkRows * num_classes)) {}
+
+  std::vector<float> logits;
+  std::array<std::uint8_t, kChunkRows> valid{};  // 1 = row is live
 };
+
+std::shared_ptr<const Graph> ServingGeneration::Compacted() const {
+  std::lock_guard<std::mutex> lock(compacted_mu_);
+  if (!compacted_) {
+    Result<Graph> graph = graph_.Compact(states_[0].ToTensor());
+    INFERTURBO_CHECK(graph.ok()) << graph.status().ToString();
+    compacted_ = std::make_shared<const Graph>(std::move(graph).ValueOrDie());
+  }
+  return compacted_;
+}
 
 ServingEngine::ServingEngine(const GnnModel* model, Graph graph,
                              const ServingOptions& options)
-    : ServingEngine(model,
-                    Graph(graph),  // copy: ComputeLayerStates needs it too
-                    ComputeLayerStates(*model, graph), options) {}
+    : model_(model), options_(options) {
+  auto base = std::make_shared<const Graph>(std::move(graph));
+  LayerStates states = ComputeLayerStates(*model_, *base);
+  Init(std::move(base), std::move(states));
+}
 
 ServingEngine::ServingEngine(const GnnModel* model, Graph graph,
                              LayerStates states,
                              const ServingOptions& options)
     : model_(model), options_(options) {
+  Init(std::make_shared<const Graph>(std::move(graph)), std::move(states));
+}
+
+void ServingEngine::Init(std::shared_ptr<const Graph> base,
+                         LayerStates states) {
   auto gen = std::make_shared<Generation>();
-  gen->epoch = 0;
-  gen->graph = std::move(graph);
-  gen->states = std::move(states);
-  if (options_.cache_logits) {
-    gen->cached_logits =
-        Tensor(gen->graph.num_nodes(), model_->num_classes());
-    gen->cache_valid.assign(
-        static_cast<std::size_t>(gen->graph.num_nodes()), 0);
+  gen->epoch_ = 0;
+  gen->graph_ = OverlayGraph(base);
+  // Layer 0 is the base graph's own feature matrix, not a copy.
+  gen->states_.push_back(ChunkedRows::View(base->node_features(), base));
+  for (std::size_t l = 1; l < states.states.size(); ++l) {
+    auto owned = std::make_shared<const Tensor>(std::move(states.states[l]));
+    gen->states_.push_back(ChunkedRows::View(*owned, owned));
   }
+  if (options_.cache_logits) {
+    gen->cache_.resize(static_cast<std::size_t>(ChunkCount(base->num_nodes())));
+    for (auto& chunk : gen->cache_) {
+      chunk = std::make_shared<Generation::LogitsChunk>(model_->num_classes());
+    }
+  }
+  gen->compacted_ = std::move(base);
   generation_ = std::move(gen);
 
   MetricRegistry& registry = GlobalMetrics();
@@ -54,6 +85,7 @@ ServingEngine::ServingEngine(const GnnModel* model, Graph graph,
   batch_unique_nodes_ = registry.GetHistogram("serving/batch_unique_nodes");
   delta_seconds_ = registry.GetHistogram("serving/delta_seconds");
   delta_cone_nodes_ = registry.GetHistogram("serving/delta_cone_nodes");
+  delta_cone_in_edges_ = registry.GetHistogram("serving.delta_cone_in_edges");
 
   RequestBatcher::Options batcher_options;
   batcher_options.window_seconds = options_.batch_window_seconds;
@@ -65,24 +97,27 @@ ServingEngine::ServingEngine(const GnnModel* model, Graph graph,
       batcher_options);
 }
 
-std::shared_ptr<ServingEngine::Generation> ServingEngine::Snapshot() const {
+std::shared_ptr<const ServingEngine::Generation> ServingEngine::Snapshot()
+    const {
   std::lock_guard<std::mutex> lock(generation_mu_);
   return generation_;
 }
 
-void ServingEngine::Publish(std::shared_ptr<Generation> next) {
+void ServingEngine::Publish(std::shared_ptr<const Generation> next) {
   RecordFlightEvent(FlightEventKind::kGenerationSwap, "serving/publish",
-                    next->epoch);
+                    next->epoch());
   std::lock_guard<std::mutex> lock(generation_mu_);
   generation_ = std::move(next);
 }
 
-std::int64_t ServingEngine::epoch() const { return Snapshot()->epoch; }
+std::int64_t ServingEngine::epoch() const { return Snapshot()->epoch(); }
 
 std::shared_ptr<const Graph> ServingEngine::graph_snapshot() const {
-  std::shared_ptr<Generation> gen = Snapshot();
-  const Graph* graph = &gen->graph;
-  return std::shared_ptr<const Graph>(std::move(gen), graph);
+  return Snapshot()->Compacted();
+}
+
+std::shared_ptr<const ServingGeneration> ServingEngine::Pin() const {
+  return Snapshot();
 }
 
 Result<QueryResponse> ServingEngine::Query(std::vector<NodeId> nodes) {
@@ -94,8 +129,8 @@ Result<QueryResponse> ServingEngine::Query(std::vector<NodeId> nodes) {
 }
 
 void ServingEngine::ExecuteBatch(const std::vector<BatchedQuery*>& batch) {
-  const std::shared_ptr<Generation> gen = Snapshot();
-  const std::int64_t num_nodes = gen->graph.num_nodes();
+  const std::shared_ptr<const Generation> gen = Snapshot();
+  const std::int64_t num_nodes = gen->num_nodes();
   const std::int64_t num_classes = model_->num_classes();
 
   // Validate per query; an out-of-range id fails only its own query.
@@ -108,7 +143,7 @@ void ServingEngine::ExecuteBatch(const std::vector<BatchedQuery*>& batch) {
         batch[i]->response = Status::InvalidArgument(
             "queried node " + std::to_string(v) + " outside [0," +
             std::to_string(num_nodes) + ") at epoch " +
-            std::to_string(gen->epoch));
+            std::to_string(gen->epoch()));
         valid[i] = 0;
         break;
       }
@@ -125,22 +160,30 @@ void ServingEngine::ExecuteBatch(const std::vector<BatchedQuery*>& batch) {
   batch_occupancy_->Observe(static_cast<double>(batch.size()));
   batch_unique_nodes_->Observe(static_cast<double>(unique_nodes.size()));
 
+  const auto cached_row = [&gen, num_classes](std::int64_t v) {
+    Generation::LogitsChunk& chunk =
+        *gen->cache_[static_cast<std::size_t>(v / kChunkRows)];
+    return std::pair<float*, std::uint8_t*>(
+        chunk.logits.data() + (v % kChunkRows) * num_classes,
+        &chunk.valid[static_cast<std::size_t>(v % kChunkRows)]);
+  };
+
   // The head pass covers only the cache-missing frontier rows; each
   // logits row depends only on its own final-state row, so subset
   // computation stays bit-identical to a full-matrix pass.
   std::vector<std::int64_t> misses;
   if (options_.cache_logits) {
-    std::lock_guard<std::mutex> lock(gen->cache_mu);
+    std::lock_guard<std::mutex> lock(cache_mu_);
     for (std::int64_t v : unique_nodes) {
-      if (!gen->cache_valid[static_cast<std::size_t>(v)]) misses.push_back(v);
+      if (!*cached_row(v).second) misses.push_back(v);
     }
   } else {
     misses = unique_nodes;
   }
   Tensor computed;
   if (!misses.empty()) {
-    const Tensor final_rows = GatherRows(gen->states.states.back(), misses);
-    computed = model_->PredictLogits(final_rows);
+    computed = model_->PredictLogits(
+        gen->states(model_->num_layers()).Gather(misses));
   }
   cache_hits_.fetch_add(
       static_cast<std::int64_t>(unique_nodes.size() - misses.size()),
@@ -157,7 +200,7 @@ void ServingEngine::ExecuteBatch(const std::vector<BatchedQuery*>& batch) {
   const auto fill_response = [&](BatchedQuery* query,
                                  const auto& row_for_node) {
     QueryResponse response;
-    response.epoch = gen->epoch;
+    response.epoch = gen->epoch();
     response.logits =
         Tensor(static_cast<std::int64_t>(query->nodes.size()), num_classes);
     for (std::size_t i = 0; i < query->nodes.size(); ++i) {
@@ -168,16 +211,17 @@ void ServingEngine::ExecuteBatch(const std::vector<BatchedQuery*>& batch) {
   };
 
   if (options_.cache_logits) {
-    std::lock_guard<std::mutex> lock(gen->cache_mu);
+    std::lock_guard<std::mutex> lock(cache_mu_);
     for (std::size_t i = 0; i < misses.size(); ++i) {
-      gen->cached_logits.SetRow(misses[i],
-                                computed.RowPtr(static_cast<std::int64_t>(i)));
-      gen->cache_valid[static_cast<std::size_t>(misses[i])] = 1;
+      const auto [row, row_valid] = cached_row(misses[i]);
+      std::memcpy(row, computed.RowPtr(static_cast<std::int64_t>(i)),
+                  static_cast<std::size_t>(num_classes) * sizeof(float));
+      *row_valid = 1;
     }
     for (std::size_t i = 0; i < batch.size(); ++i) {
       if (!valid[i]) continue;
-      fill_response(batch[i], [&](NodeId v) {
-        return gen->cached_logits.RowPtr(v);
+      fill_response(batch[i], [&](NodeId v) -> const float* {
+        return cached_row(v).first;
       });
     }
   } else {
@@ -190,89 +234,17 @@ void ServingEngine::ExecuteBatch(const std::vector<BatchedQuery*>& batch) {
 
 Result<DeltaApplied> ServingEngine::ApplyMutation(
     const GraphMutation& mutation) {
-  // Deltas serialize: the mutated graph must build against the graph
-  // that is still current when the new generation publishes.
+  // Deltas serialize: the overlay must extend the graph that is still
+  // current when the new generation publishes.
   std::lock_guard<std::mutex> delta_lock(delta_mu_);
-  const std::shared_ptr<Generation> current = Snapshot();
-  Result<std::pair<Graph, GraphDelta>> built =
-      BuildMutatedGraph(current->graph, mutation);
-  if (!built.ok()) return built.status();
-  return ApplyDeltaLocked(std::move(built->first), built->second, current);
-}
+  const std::shared_ptr<const Generation> current = Snapshot();
+  TraceSpan span("serving/delta");
+  const WallTimer timer;
 
-Result<DeltaApplied> ServingEngine::ApplyDelta(Graph new_graph,
-                                               const GraphDelta& delta) {
-  std::lock_guard<std::mutex> delta_lock(delta_mu_);
-  return ApplyDeltaLocked(std::move(new_graph), delta, Snapshot());
-}
-
-Result<DeltaApplied> ServingEngine::ApplyDeltaLocked(
-    Graph new_graph, const GraphDelta& delta,
-    const std::shared_ptr<Generation>& current) {
-  WallTimer timer;
-  IncrementalOptions inc_options;
-  inc_options.compute_logits = false;  // logits materialize lazily per query
-  Result<IncrementalResult> inc = IncrementalInference(
-      *model_, new_graph, current->states, delta, inc_options);
-  if (!inc.ok()) return inc.status();
-
-  auto next = std::make_shared<Generation>();
-  next->epoch = current->epoch + 1;
-  next->graph = std::move(new_graph);
-  next->states = std::move(inc->states);
-
-  std::int64_t invalidated = 0;
-  if (options_.cache_logits) {
-    const std::int64_t new_n = next->graph.num_nodes();
-    next->cached_logits = Tensor(new_n, model_->num_classes());
-    next->cache_valid.assign(static_cast<std::size_t>(new_n), 0);
-    {
-      // Carry every cached row forward — unchanged final states mean
-      // bit-identical logits — then drop exactly the delta's
-      // final-layer cone (new nodes start invalid by construction).
-      std::lock_guard<std::mutex> cache_lock(current->cache_mu);
-      const std::int64_t old_n = current->graph.num_nodes();
-      for (std::int64_t v = 0; v < old_n; ++v) {
-        if (!current->cache_valid[static_cast<std::size_t>(v)]) continue;
-        next->cached_logits.SetRow(v, current->cached_logits.RowPtr(v));
-        next->cache_valid[static_cast<std::size_t>(v)] = 1;
-      }
-    }
-    for (NodeId v : inc->final_changed_nodes) {
-      if (next->cache_valid[static_cast<std::size_t>(v)]) {
-        next->cache_valid[static_cast<std::size_t>(v)] = 0;
-        ++invalidated;
-      }
-    }
-  }
-
-  Publish(next);
-
-  DeltaApplied applied;
-  applied.epoch = next->epoch;
-  applied.recomputed_per_layer = std::move(inc->recomputed_per_layer);
-  for (std::int64_t count : applied.recomputed_per_layer) {
-    applied.recomputed_nodes += count;
-  }
-  applied.invalidated_cache_rows = invalidated;
-  applied.seconds = timer.ElapsedSeconds();
-
-  deltas_.fetch_add(1, std::memory_order_relaxed);
-  recomputed_nodes_.fetch_add(applied.recomputed_nodes,
-                              std::memory_order_relaxed);
-  invalidated_rows_.fetch_add(invalidated, std::memory_order_relaxed);
-  delta_seconds_->Observe(applied.seconds);
-  delta_cone_nodes_->Observe(static_cast<double>(applied.recomputed_nodes));
-  return applied;
-}
-
-Result<std::pair<Graph, GraphDelta>> ServingEngine::BuildMutatedGraph(
-    const Graph& old_graph, const GraphMutation& mutation) const {
-  const std::int64_t old_n = old_graph.num_nodes();
-  const std::int64_t dim = old_graph.feature_dim();
+  const std::int64_t old_n = current->num_nodes();
+  const std::int64_t dim = current->states(0).cols();
   const std::int64_t new_n =
       old_n + static_cast<std::int64_t>(mutation.new_node_features.size());
-
   for (const auto& [v, row] : mutation.feature_updates) {
     if (v < 0 || v >= old_n) {
       return Status::InvalidArgument("feature update for node " +
@@ -301,12 +273,11 @@ Result<std::pair<Graph, GraphDelta>> ServingEngine::BuildMutatedGraph(
           " references a node outside [0," + std::to_string(new_n) + ")");
     }
   }
-  const std::int64_t new_edge_count =
-      static_cast<std::int64_t>(mutation.new_edges.size());
-  if (old_graph.has_edge_features()) {
-    if (mutation.new_edge_features.rows() != new_edge_count ||
-        mutation.new_edge_features.cols() !=
-            old_graph.edge_features().cols()) {
+  const std::int64_t edge_dim = current->graph().edge_feature_dim();
+  if (edge_dim > 0) {
+    if (mutation.new_edge_features.rows() !=
+            static_cast<std::int64_t>(mutation.new_edges.size()) ||
+        mutation.new_edge_features.cols() != edge_dim) {
       return Status::InvalidArgument(
           "graph carries edge features; the mutation must supply one row "
           "per new edge with matching width");
@@ -316,79 +287,155 @@ Result<std::pair<Graph, GraphDelta>> ServingEngine::BuildMutatedGraph(
         "edge features supplied for a graph without them");
   }
 
-  GraphBuilder builder(new_n);
-  builder.ReserveEdges(static_cast<std::size_t>(old_graph.num_edges()) +
-                       mutation.new_edges.size());
-  for (EdgeId e = 0; e < old_graph.num_edges(); ++e) {
-    builder.AddEdge(old_graph.EdgeSrc(e), old_graph.EdgeDst(e));
+  // Start from the generation's rebuilt graph when one was built: that
+  // is the compaction graph_snapshot() already paid for.
+  OverlayGraph graph = current->graph();
+  ChunkedRows features = current->states(0);
+  {
+    std::lock_guard<std::mutex> lock(current->compacted_mu_);
+    if (current->compacted_ && graph.num_overlay_edges() > 0) {
+      graph = OverlayGraph(current->compacted_);
+      features = ChunkedRows::View(current->compacted_->node_features(),
+                                   current->compacted_);
+    }
   }
-  for (const auto& [src, dst] : mutation.new_edges) {
-    builder.AddEdge(src, dst);
-  }
+  graph = graph.WithEdges(new_n, mutation.new_edges,
+                          mutation.new_edge_features);
 
-  Tensor features(new_n, dim);
-  if (old_n > 0) {
-    std::memcpy(features.RowPtr(0), old_graph.node_features().RowPtr(0),
-                static_cast<std::size_t>(old_n * dim) * sizeof(float));
-  }
+  // The layer-0 patch: refreshed rows (the last one per node wins) and
+  // the appended nodes' rows.
+  std::vector<std::pair<NodeId, const float*>> rows;
+  rows.reserve(mutation.feature_updates.size() +
+               mutation.new_node_features.size());
   for (const auto& [v, row] : mutation.feature_updates) {
-    features.SetRow(v, row.data());
+    rows.emplace_back(v, row.data());
   }
   for (std::size_t i = 0; i < mutation.new_node_features.size(); ++i) {
-    features.SetRow(old_n + static_cast<std::int64_t>(i),
-                    mutation.new_node_features[i].data());
+    rows.emplace_back(old_n + static_cast<std::int64_t>(i),
+                      mutation.new_node_features[i].data());
   }
-  builder.SetNodeFeatures(std::move(features));
-
-  if (old_graph.has_edge_features()) {
-    const Tensor& old_ef = old_graph.edge_features();
-    Tensor edge_features(old_ef.rows() + new_edge_count, old_ef.cols());
-    if (old_ef.rows() > 0) {
-      std::memcpy(edge_features.RowPtr(0), old_ef.RowPtr(0),
-                  static_cast<std::size_t>(old_ef.rows() * old_ef.cols()) *
-                      sizeof(float));
-    }
-    for (std::int64_t i = 0; i < new_edge_count; ++i) {
-      edge_features.SetRow(old_ef.rows() + i,
-                           mutation.new_edge_features.RowPtr(i));
-    }
-    builder.SetEdgeFeatures(std::move(edge_features));
-  }
-
-  if (!old_graph.labels().empty()) {
-    std::vector<std::int64_t> labels = old_graph.labels();
-    labels.resize(static_cast<std::size_t>(new_n), 0);
-    builder.SetLabels(std::move(labels), old_graph.num_classes());
-  }
-  if (old_graph.is_multi_label()) {
-    const Tensor& old_ml = old_graph.multi_labels();
-    Tensor multi(new_n, old_ml.cols());
-    if (old_n > 0) {
-      std::memcpy(multi.RowPtr(0), old_ml.RowPtr(0),
-                  static_cast<std::size_t>(old_n * old_ml.cols()) *
-                      sizeof(float));
-    }
-    builder.SetMultiLabels(std::move(multi));
-  }
-  builder.SetSplits(old_graph.train_nodes(), old_graph.val_nodes(),
-                    old_graph.test_nodes());
-
-  Result<Graph> graph = std::move(builder).Finish();
-  if (!graph.ok()) return graph.status();
-
+  std::stable_sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  });
   GraphDelta delta;
-  delta.changed_nodes.reserve(mutation.feature_updates.size() +
-                              mutation.new_node_features.size());
-  for (const auto& [v, row] : mutation.feature_updates) {
-    delta.changed_nodes.push_back(v);
+  std::vector<const float*> patch_rows;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (i + 1 < rows.size() && rows[i + 1].first == rows[i].first) continue;
+    delta.changed_nodes.push_back(rows[i].first);
+    patch_rows.push_back(rows[i].second);
   }
-  for (std::int64_t v = old_n; v < new_n; ++v) {
-    delta.changed_nodes.push_back(v);
+  Tensor patch(static_cast<std::int64_t>(patch_rows.size()), dim);
+  for (std::size_t i = 0; i < patch_rows.size(); ++i) {
+    patch.SetRow(static_cast<std::int64_t>(i), patch_rows[i]);
   }
+  features = features.WithRows(new_n, delta.changed_nodes, patch);
   for (const auto& [src, dst] : mutation.new_edges) {
     delta.changed_in_edges.push_back(dst);
   }
-  return std::make_pair(std::move(graph).ValueOrDie(), std::move(delta));
+  return ApplyDeltaLocked(current, std::move(graph), std::move(features),
+                          delta, /*compacted=*/nullptr, timer);
+}
+
+Result<DeltaApplied> ServingEngine::ApplyDelta(Graph new_graph,
+                                               const GraphDelta& delta) {
+  std::lock_guard<std::mutex> delta_lock(delta_mu_);
+  const std::shared_ptr<const Generation> current = Snapshot();
+  TraceSpan span("serving/delta");
+  const WallTimer timer;
+  if (new_graph.feature_dim() != current->states(0).cols()) {
+    return Status::InvalidArgument(
+        "new graph feature_dim " + std::to_string(new_graph.feature_dim()) +
+        " differs from the served width " +
+        std::to_string(current->states(0).cols()));
+  }
+  auto base = std::make_shared<const Graph>(std::move(new_graph));
+  ChunkedRows features = ChunkedRows::View(base->node_features(), base);
+  return ApplyDeltaLocked(current, OverlayGraph(base), std::move(features),
+                          delta, base, timer);
+}
+
+Result<DeltaApplied> ServingEngine::ApplyDeltaLocked(
+    const std::shared_ptr<const Generation>& current, OverlayGraph graph,
+    ChunkedRows features, const GraphDelta& delta,
+    std::shared_ptr<const Graph> compacted, const WallTimer& timer) {
+  const std::vector<ChunkedRows> history(current->states_.begin() + 1,
+                                         current->states_.end());
+  Result<DeltaPatches> patches =
+      ComputeDeltaPatches(*model_, graph, features, history, delta);
+  if (!patches.ok()) return patches.status();
+
+  const std::int64_t new_n = graph.num_nodes();
+  auto next = std::make_shared<Generation>();
+  next->epoch_ = current->epoch() + 1;
+  next->states_.reserve(current->states_.size());
+  next->states_.push_back(std::move(features));
+  for (std::size_t l = 0; l < history.size(); ++l) {
+    const RowPatch& patch = patches->layers[l];
+    next->states_.push_back(history[l].WithRows(new_n, patch.ids, patch.rows));
+  }
+  const std::vector<NodeId>& final_changed = patches->layers.back().ids;
+
+  std::int64_t invalidated = 0;
+  if (options_.cache_logits) {
+    // Share every cache chunk the final-layer cone misses (unchanged
+    // final states mean bit-identical logits); copy the ones it hits
+    // and drop exactly the cone's rows (new nodes start invalid).
+    next->cache_ = current->cache_;
+    next->cache_.resize(static_cast<std::size_t>(ChunkCount(new_n)));
+    std::lock_guard<std::mutex> cache_lock(cache_mu_);
+    for (std::size_t i = 0; i < final_changed.size();) {
+      const std::int64_t c = final_changed[i] / kChunkRows;
+      std::shared_ptr<Generation::LogitsChunk>& chunk =
+          next->cache_[static_cast<std::size_t>(c)];
+      chunk = chunk ? std::make_shared<Generation::LogitsChunk>(*chunk)
+                    : std::make_shared<Generation::LogitsChunk>(
+                          model_->num_classes());
+      for (; i < final_changed.size() && final_changed[i] / kChunkRows == c;
+           ++i) {
+        std::uint8_t& row_valid =
+            chunk->valid[static_cast<std::size_t>(final_changed[i] %
+                                                  kChunkRows)];
+        invalidated += row_valid;
+        row_valid = 0;
+      }
+    }
+  }
+
+  if (graph.NeedsCompaction()) {
+    TraceSpan span("serving/compact");
+    Result<Graph> rebuilt = graph.Compact(next->states_[0].ToTensor());
+    if (!rebuilt.ok()) return rebuilt.status();
+    compacted = std::make_shared<const Graph>(std::move(rebuilt).ValueOrDie());
+    graph = OverlayGraph(compacted);
+    next->states_[0] =
+        ChunkedRows::View(compacted->node_features(), compacted);
+  }
+  next->graph_ = std::move(graph);
+  next->compacted_ = std::move(compacted);
+
+  DeltaApplied applied;
+  applied.epoch = next->epoch();
+  {
+    TraceSpan span("serving/publish");
+    Publish(std::move(next));
+  }
+
+  for (const RowPatch& patch : patches->layers) {
+    applied.recomputed_per_layer.push_back(
+        static_cast<std::int64_t>(patch.ids.size()));
+    applied.recomputed_nodes += static_cast<std::int64_t>(patch.ids.size());
+  }
+  applied.invalidated_cache_rows = invalidated;
+  applied.seconds = timer.ElapsedSeconds();
+
+  deltas_.fetch_add(1, std::memory_order_relaxed);
+  recomputed_nodes_.fetch_add(applied.recomputed_nodes,
+                              std::memory_order_relaxed);
+  invalidated_rows_.fetch_add(invalidated, std::memory_order_relaxed);
+  delta_seconds_->Observe(applied.seconds);
+  delta_cone_nodes_->Observe(static_cast<double>(applied.recomputed_nodes));
+  delta_cone_in_edges_->Observe(static_cast<double>(patches->cone_in_edges));
+  return applied;
 }
 
 ServingStats ServingEngine::stats() const {

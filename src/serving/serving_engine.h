@@ -9,10 +9,13 @@
 #include <vector>
 
 #include "src/common/result.h"
+#include "src/common/timer.h"
 #include "src/graph/graph.h"
+#include "src/graph/overlay_graph.h"
 #include "src/inference/incremental.h"
 #include "src/nn/model.h"
 #include "src/serving/request_batcher.h"
+#include "src/tensor/chunked_rows.h"
 
 namespace inferturbo {
 
@@ -32,11 +35,12 @@ struct ServingOptions {
 
 /// A small live update to the served graph: refreshed node features,
 /// new edges, and/or new nodes appended at the end of the id range.
-/// The engine rebuilds the (immutable) Graph, derives the exact
-/// GraphDelta, and runs change propagation — callers cannot get the
-/// delta wrong.
+/// The engine overlays the new edges on the served graph, derives the
+/// exact GraphDelta, and runs change propagation — callers cannot get
+/// the delta wrong.
 struct GraphMutation {
-  /// (node, new feature row); row length must equal feature_dim.
+  /// (node, new feature row); row length must equal feature_dim. When
+  /// one node is listed more than once, its last row wins.
   std::vector<std::pair<NodeId, std::vector<float>>> feature_updates;
   /// Appended directed edges; endpoints may name new nodes.
   std::vector<std::pair<NodeId, NodeId>> new_edges;
@@ -58,6 +62,43 @@ struct DeltaApplied {
   /// Logits-cache rows dropped (0 when the cache is off).
   std::int64_t invalidated_cache_rows = 0;
   double seconds = 0.0;
+};
+
+/// One served generation, immutable once published. Holding it pins
+/// it: its graph and per-layer states stay valid and byte-for-byte
+/// unchanged however many deltas publish after it. Later generations
+/// share its untouched state chunks (ChunkedRows) and its base graph,
+/// but never write them.
+class ServingGeneration {
+ public:
+  std::int64_t epoch() const { return epoch_; }
+  std::int64_t num_nodes() const { return graph_.num_nodes(); }
+  /// The served graph: a base Graph plus an overlay of added edges.
+  const OverlayGraph& graph() const { return graph_; }
+  /// Layer `layer`'s states over num_nodes() rows: 0 is the node
+  /// features, num_layers the final states the head reads.
+  const ChunkedRows& states(std::int64_t layer) const {
+    return states_[static_cast<std::size_t>(layer)];
+  }
+
+ private:
+  friend class ServingEngine;
+  struct LogitsChunk;
+
+  /// The rebuilt Graph of this generation, built on first use.
+  std::shared_ptr<const Graph> Compacted() const;
+
+  std::int64_t epoch_ = 0;
+  OverlayGraph graph_;
+  std::vector<ChunkedRows> states_;
+  /// Logits cache, kChunkRows rows per chunk (empty when the cache is
+  /// off). A chunk no delta has touched since is shared with older
+  /// generations: its rows' final states, hence logits, are equal in
+  /// all of them. Contents are guarded by ServingEngine::cache_mu_.
+  std::vector<std::shared_ptr<LogitsChunk>> cache_;
+
+  mutable std::mutex compacted_mu_;
+  mutable std::shared_ptr<const Graph> compacted_;
 };
 
 /// Point-in-time serving counters (always on, independent of the
@@ -90,12 +131,14 @@ struct ServingStats {
 /// An always-on serving front-end over incremental delta inference.
 ///
 /// The engine keeps a warm store — the current graph plus all
-/// per-layer states of a full forward (LayerStates) — behind an
-/// epoch/snapshot scheme: every query batch pins one immutable
-/// generation via shared_ptr and serves from it, while ApplyMutation/
-/// ApplyDelta computes the next generation off to the side (exact
-/// change propagation through IncrementalInference) and publishes it
-/// with a pointer swap. In-flight queries are never torn between
+/// per-layer states of a full forward — behind an epoch/snapshot
+/// scheme: every query batch pins one immutable ServingGeneration via
+/// shared_ptr and serves from it, while ApplyMutation/ApplyDelta
+/// computes the next generation off to the side (exact change
+/// propagation through ComputeDeltaPatches) and publishes it with a
+/// pointer swap. A delta costs O(cone): new edges go on the graph's
+/// overlay, and the next generation copies only the state and cache
+/// chunks the cone writes. In-flight queries are never torn between
 /// generations; the epoch each response carries names the exact graph
 /// its logits are bit-identical to a from-scratch batch run on.
 ///
@@ -108,7 +151,8 @@ struct ServingStats {
 /// ApplyMutation/ApplyDelta callers (deltas serialize internally).
 class ServingEngine {
  public:
-  /// Builds the warm store with a full layer-wise forward.
+  /// Builds the warm store with a full layer-wise forward over `graph`
+  /// (kept once, as the generations' shared base).
   ServingEngine(const GnnModel* model, Graph graph,
                 const ServingOptions& options = {});
   /// Adopts precomputed per-layer states (must come from
@@ -125,8 +169,9 @@ class ServingEngine {
   /// fails only this query, not its batch.
   Result<QueryResponse> Query(std::vector<NodeId> nodes);
 
-  /// Applies a live update: rebuilds the graph, derives the delta,
-  /// recomputes the affected cone, publishes the next generation.
+  /// Applies a live update: overlays the new edges, derives the delta,
+  /// recomputes the affected cone, publishes the next generation. Once
+  /// the overlay outgrows its bound, the graph is rebuilt (compacted).
   Result<DeltaApplied> ApplyMutation(const GraphMutation& mutation);
 
   /// Lower-level form for callers that already hold the post-delta
@@ -136,37 +181,46 @@ class ServingEngine {
   /// Current generation id (0 = the warm store the engine started on).
   std::int64_t epoch() const;
   /// Snapshot of the currently served graph (stays valid while held,
-  /// even across later deltas).
+  /// even across later deltas). The first call on a generation with an
+  /// overlay rebuilds its Graph once; the next delta then starts from
+  /// that rebuilt graph.
   std::shared_ptr<const Graph> graph_snapshot() const;
+  /// Pins the current generation.
+  std::shared_ptr<const ServingGeneration> Pin() const;
 
   ServingStats stats() const;
 
   const GnnModel& model() const { return *model_; }
 
  private:
-  struct Generation;
+  using Generation = ServingGeneration;
 
-  std::shared_ptr<Generation> Snapshot() const;
-  void Publish(std::shared_ptr<Generation> next);
+  /// Publishes generation 0 over `base` and its full-forward states.
+  void Init(std::shared_ptr<const Graph> base, LayerStates states);
+  std::shared_ptr<const Generation> Snapshot() const;
+  void Publish(std::shared_ptr<const Generation> next);
   /// The batch execute callback: one mini-superstep over the union of
   /// the batch's nodes against one pinned generation.
   void ExecuteBatch(const std::vector<BatchedQuery*>& batch);
   /// Shared delta path; caller holds delta_mu_ and passes the
-  /// generation the delta was computed against.
+  /// generation the delta was computed against, the post-delta graph
+  /// and features, and the graph's rebuilt form when it already has one.
   Result<DeltaApplied> ApplyDeltaLocked(
-      Graph new_graph, const GraphDelta& delta,
-      const std::shared_ptr<Generation>& current);
-  Result<std::pair<Graph, GraphDelta>> BuildMutatedGraph(
-      const Graph& old_graph, const GraphMutation& mutation) const;
+      const std::shared_ptr<const Generation>& current, OverlayGraph graph,
+      ChunkedRows features, const GraphDelta& delta,
+      std::shared_ptr<const Graph> compacted, const WallTimer& timer);
 
   const GnnModel* model_;
   const ServingOptions options_;
 
   mutable std::mutex generation_mu_;
-  std::shared_ptr<Generation> generation_;
+  std::shared_ptr<const Generation> generation_;
 
   /// Serializes delta application (queries stay concurrent).
   std::mutex delta_mu_;
+  /// Guards every logits-cache chunk's contents. Chunks are shared
+  /// across generations, so one lock covers them all.
+  mutable std::mutex cache_mu_;
 
   std::unique_ptr<RequestBatcher> batcher_;
 
@@ -184,6 +238,7 @@ class ServingEngine {
   Histogram* batch_unique_nodes_;
   Histogram* delta_seconds_;
   Histogram* delta_cone_nodes_;
+  Histogram* delta_cone_in_edges_;
 };
 
 }  // namespace inferturbo
