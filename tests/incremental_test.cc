@@ -291,5 +291,72 @@ TEST(IncrementalTest, RejectsMismatchedHistory) {
   EXPECT_TRUE(r.status().IsInvalidArgument());
 }
 
+/// `graph`'s topology and labels with new node and edge feature
+/// matrices (an empty edge matrix drops edge features).
+Graph WithFeatures(const Graph& graph, Tensor node_features,
+                   Tensor edge_features) {
+  GraphBuilder builder(graph.num_nodes());
+  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
+    builder.AddEdge(graph.EdgeSrc(e), graph.EdgeDst(e));
+  }
+  builder.SetNodeFeatures(std::move(node_features));
+  if (!edge_features.empty()) builder.SetEdgeFeatures(std::move(edge_features));
+  builder.SetLabels(graph.labels(), graph.num_classes());
+  return std::move(builder).Finish().ValueOrDie();
+}
+
+// Shapes are checked before any kernel runs: a wider feature matrix
+// used to abort inside the layer, and a short historical layer was read
+// past its end.
+TEST(IncrementalTest, RejectsFeatureWidthMismatch) {
+  const Dataset d = BaseDataset();
+  const std::unique_ptr<GnnModel> model = SmallModel(d.graph);
+  const LayerStates states = ComputeLayerStates(*model, d.graph);
+  const Graph wider = WithFeatures(
+      d.graph, Tensor(d.graph.num_nodes(), d.graph.feature_dim() + 1),
+      Tensor());
+  const Result<IncrementalResult> r =
+      IncrementalInference(*model, wider, states, GraphDelta{});
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
+}
+
+TEST(IncrementalTest, RejectsMisshapenHistoricalLayers) {
+  const Dataset d = BaseDataset();
+  const std::unique_ptr<GnnModel> model = SmallModel(d.graph);
+  const LayerStates states = ComputeLayerStates(*model, d.graph);
+  GraphDelta delta;
+  delta.changed_nodes = {d.graph.num_nodes() - 1};
+  for (std::size_t l = 0; l < states.states.size(); ++l) {
+    const Tensor& good = states.states[l];
+    for (const auto& [rows, cols] :
+         {std::pair{good.rows() - 10, good.cols()},
+          std::pair{good.rows(), good.cols() + 1}}) {
+      LayerStates bad = states;
+      bad.states[l] = Tensor(rows, cols);
+      const Result<IncrementalResult> r =
+          IncrementalInference(*model, d.graph, bad, delta);
+      ASSERT_FALSE(r.ok()) << "layer " << l << " " << rows << "x" << cols;
+      EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
+    }
+  }
+}
+
+TEST(IncrementalTest, RejectsEdgeFeatureWidthMismatch) {
+  const Dataset e = EdgeFeaturedDataset();
+  const std::unique_ptr<GnnModel> model = EdgeModel(e.graph);
+  const LayerStates states = ComputeLayerStates(*model, e.graph);
+  const Graph wider = WithFeatures(
+      e.graph, e.graph.node_features(),
+      Tensor(e.graph.num_edges(), e.graph.edge_features().cols() + 1));
+  const Graph bare = WithFeatures(e.graph, e.graph.node_features(), Tensor());
+  for (const Graph* graph : {&wider, &bare}) {
+    const Result<IncrementalResult> r =
+        IncrementalInference(*model, *graph, states, GraphDelta{});
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
+  }
+}
+
 }  // namespace
 }  // namespace inferturbo
