@@ -63,7 +63,7 @@ struct LayerInput {
 /// runs once per distinct source of the cone; each in-edge then folds
 /// its source's message row, per node in the rebuilt graph's in-edge
 /// order — the order the full pass folds in. `slot` is an all -1
-/// scratch over the node range, left all -1.
+/// scratch over the node range, returned all -1.
 Tensor RecomputeRows(const GasConv& layer, const OverlayGraph& graph,
                      const LayerInput& input,
                      const std::vector<NodeId>& affected,
@@ -71,21 +71,38 @@ Tensor RecomputeRows(const GasConv& layer, const OverlayGraph& graph,
                      std::int64_t* cone_in_edges) {
   const bool uses_edge_features = layer.signature().uses_edge_features;
   std::vector<std::int64_t> sources;
-  std::vector<std::int64_t> edge_slot;
+  std::vector<std::int64_t> edge_slot;  // each in-edge's source, then slot
   std::vector<std::int64_t> dst_local;
   std::vector<const float*> edge_feature_rows;
   for (std::size_t i = 0; i < affected.size(); ++i) {
     graph.ForEachInEdge(affected[i], [&](NodeId src, const float* features) {
       std::int64_t& s = (*slot)[static_cast<std::size_t>(src)];
       if (s < 0) {
-        s = static_cast<std::int64_t>(sources.size());
+        s = 0;
         sources.push_back(src);
       }
-      edge_slot.push_back(s);
+      edge_slot.push_back(src);
       dst_local.push_back(static_cast<std::int64_t>(i));
       if (uses_edge_features) edge_feature_rows.push_back(features);
     });
   }
+  // Distinct sources in id order, so their rows are read in memory order
+  // and a hub's in-edges (sorted by source) read ascending message rows.
+  // With many sources one scan of the marks beats sorting them.
+  const std::size_t num_nodes = slot->size();
+  if (sources.size() * 16 < num_nodes) {
+    std::sort(sources.begin(), sources.end());
+  } else {
+    sources.clear();
+    for (std::size_t v = 0; v < num_nodes; ++v) {
+      if ((*slot)[v] >= 0) sources.push_back(static_cast<std::int64_t>(v));
+    }
+  }
+  for (std::size_t j = 0; j < sources.size(); ++j) {
+    (*slot)[static_cast<std::size_t>(sources[j])] =
+        static_cast<std::int64_t>(j);
+  }
+  for (std::int64_t& s : edge_slot) s = (*slot)[static_cast<std::size_t>(s)];
   for (NodeId src : sources) (*slot)[static_cast<std::size_t>(src)] = -1;
   *cone_in_edges += static_cast<std::int64_t>(edge_slot.size());
 
