@@ -12,11 +12,13 @@
 #include "src/common/crc32.h"
 #include "src/common/rng.h"
 #include "src/graph/datasets.h"
+#include "src/graph/graph_builder.h"
 #include "src/inference/inferturbo_mapreduce.h"
 #include "src/inference/inferturbo_pregel.h"
 #include "src/inference/reference_inference.h"
 #include "src/nn/model.h"
 #include "src/serving/workload.h"
+#include "src/telemetry/trace.h"
 
 namespace inferturbo {
 namespace {
@@ -361,6 +363,194 @@ TEST(ServingEngineTest, AdoptsPrecomputedLayerStates) {
   const Tensor expected = FullGraphReferenceLogits(*model, d.graph);
   for (int i = 0; i < 3; ++i) {
     EXPECT_TRUE(BitIdenticalRow(response->logits, i, expected, i));
+  }
+}
+
+/// `graph`'s topology with new node and edge feature matrices.
+Graph WithFeatures(const Graph& graph, Tensor node_features,
+                   Tensor edge_features) {
+  GraphBuilder builder(graph.num_nodes());
+  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
+    builder.AddEdge(graph.EdgeSrc(e), graph.EdgeDst(e));
+  }
+  builder.SetNodeFeatures(std::move(node_features));
+  if (!edge_features.empty()) builder.SetEdgeFeatures(std::move(edge_features));
+  return std::move(builder).Finish().ValueOrDie();
+}
+
+// A wider feature matrix used to abort inside SageConv; a wrong
+// edge-feature width inside EdgeSageConv::ApplyEdge.
+TEST(ServingEngineTest, ApplyDeltaRejectsMisshapenGraphs) {
+  const Dataset d = BaseDataset();
+  const std::unique_ptr<GnnModel> model = SmallModel(d.graph);
+  ServingEngine engine(model.get(), Graph(d.graph), ServingOptions{});
+  GraphDelta delta;
+  delta.changed_nodes = {0};
+  const Result<DeltaApplied> wider = engine.ApplyDelta(
+      WithFeatures(d.graph,
+                   Tensor(d.graph.num_nodes(), d.graph.feature_dim() + 1),
+                   Tensor()),
+      delta);
+  ASSERT_FALSE(wider.ok());
+  EXPECT_TRUE(wider.status().IsInvalidArgument());
+
+  const Dataset e = EdgeFeaturedDataset();
+  const std::unique_ptr<GnnModel> edge_model =
+      SmallModel(e.graph, "edge_sage");
+  ServingEngine edge_engine(edge_model.get(), Graph(e.graph),
+                            ServingOptions{});
+  const Result<DeltaApplied> wider_edges = edge_engine.ApplyDelta(
+      WithFeatures(e.graph, e.graph.node_features(),
+                   Tensor(e.graph.num_edges(),
+                          e.graph.edge_features().cols() + 1)),
+      delta);
+  ASSERT_FALSE(wider_edges.ok());
+  EXPECT_TRUE(wider_edges.status().IsInvalidArgument());
+
+  EXPECT_EQ(engine.epoch(), 0);
+  EXPECT_EQ(edge_engine.epoch(), 0);
+}
+
+/// CRC over every layer's states of one generation.
+std::uint32_t GenerationCrc(const ServingGeneration& generation,
+                            std::int64_t num_layers) {
+  std::uint32_t crc = 0;
+  for (std::int64_t l = 0; l <= num_layers; ++l) {
+    const Tensor states = generation.states(l).ToTensor();
+    crc = Crc32(states.data(), states.ByteSize(), crc);
+  }
+  return crc;
+}
+
+// Generations share every state chunk a delta does not write; a pinned
+// one must keep its bytes while later deltas publish around it (and,
+// under TSan, while a reader races them).
+TEST(ServingEngineTest, PinnedGenerationKeepsItsBytes) {
+  const Dataset d = BaseDataset();
+  const std::unique_ptr<GnnModel> model = SmallModel(d.graph);
+  ServingOptions options;
+  options.batch_window_seconds = 0.0;
+  ServingEngine engine(model.get(), Graph(d.graph), options);
+  const std::shared_ptr<const ServingGeneration> pinned = engine.Pin();
+  const std::uint32_t pinned_crc =
+      GenerationCrc(*pinned, model->num_layers());
+
+  std::atomic<bool> done{false};
+  std::atomic<int> changed{0};
+  std::thread reader([&] {
+    while (!done.load()) {
+      if (GenerationCrc(*pinned, model->num_layers()) != pinned_crc) {
+        changed.fetch_add(1);
+      }
+    }
+  });
+  constexpr std::int64_t kDeltas = 12;
+  std::shared_ptr<const ServingGeneration> first;
+  for (const GraphMutation& mutation : MutationSchedule(d.graph, kDeltas)) {
+    ASSERT_TRUE(engine.ApplyMutation(mutation).ok());
+    ASSERT_TRUE(engine.Query({0, 1, 2}).ok());
+    if (!first) first = engine.Pin();
+  }
+  done.store(true);
+  reader.join();
+  EXPECT_EQ(changed.load(), 0);
+  EXPECT_EQ(GenerationCrc(*pinned, model->num_layers()), pinned_crc);
+  EXPECT_EQ(pinned->epoch(), 0);
+  EXPECT_EQ(pinned->num_nodes(), d.graph.num_nodes());
+  EXPECT_EQ(pinned->graph().num_overlay_edges(), 0);
+  EXPECT_EQ(engine.epoch(), kDeltas);
+
+  // The first delta refreshed three feature rows: its layer 0 copies at
+  // most three chunks and shares the rest; the final layer copies the
+  // chunks its cone rewrote.
+  const auto shared_chunks = [&](std::int64_t layer) {
+    std::int64_t shared = 0;
+    const ChunkedRows& before = pinned->states(layer);
+    for (std::int64_t c = 0; c < before.num_chunks(); ++c) {
+      shared += first->states(layer).SharesChunk(before, c) ? 1 : 0;
+    }
+    return shared;
+  };
+  const std::int64_t chunks = pinned->states(0).num_chunks();
+  EXPECT_GE(shared_chunks(0), chunks - 3);
+  EXPECT_LT(shared_chunks(0), chunks);
+  EXPECT_LT(shared_chunks(model->num_layers()), chunks);
+}
+
+// Overlay edges past the bound trigger a rebuild of the base graph; the
+// served logits stay exact across it.
+TEST(ServingEngineTest, CompactionRebuildsTheBaseExactly) {
+  const Dataset d = BaseDataset();
+  const std::unique_ptr<GnnModel> model = SmallModel(d.graph);
+  ServingOptions options;
+  options.batch_window_seconds = 0.0;
+  ServingEngine engine(model.get(), Graph(d.graph), options);
+  const std::int64_t bound = OverlayGraph::kCompactionFloor +
+                             d.graph.num_edges() /
+                                 OverlayGraph::kCompactionDivisor;
+  Rng rng(5);
+  GraphMutation mutation;
+  for (std::int64_t i = 0; i < bound / 2 + 1; ++i) {
+    mutation.new_edges.emplace_back(
+        static_cast<NodeId>(rng.NextBounded(400)),
+        static_cast<NodeId>(rng.NextBounded(400)));
+  }
+  ASSERT_TRUE(engine.ApplyMutation(mutation).ok());
+  EXPECT_GT(engine.Pin()->graph().num_overlay_edges(), 0);
+
+  ClearTrace();
+  SetTracingEnabled(true);
+  ASSERT_TRUE(engine.ApplyMutation(mutation).ok());
+  SetTracingEnabled(false);
+  bool compacted = false;
+  for (const TraceEvent& event : DrainTrace()) {
+    compacted |= std::string(event.name) == "serving/compact";
+  }
+  EXPECT_TRUE(compacted);
+  const std::shared_ptr<const ServingGeneration> latest = engine.Pin();
+  EXPECT_EQ(latest->graph().num_overlay_edges(), 0);
+  EXPECT_EQ(latest->graph().num_edges(),
+            d.graph.num_edges() +
+                2 * static_cast<std::int64_t>(mutation.new_edges.size()));
+
+  std::vector<NodeId> all(static_cast<std::size_t>(d.graph.num_nodes()));
+  std::iota(all.begin(), all.end(), 0);
+  const Result<QueryResponse> served = engine.Query(all);
+  ASSERT_TRUE(served.ok());
+  EXPECT_TRUE(served->logits.ApproxEquals(
+      FullGraphReferenceLogits(*model, *engine.graph_snapshot()), 0.0f));
+}
+
+// A delta records one serving/delta span holding a recompute span per
+// layer and the publish; nothing is recorded while tracing is off.
+TEST(ServingEngineTest, DeltaSpansCoverEachLayer) {
+  const Dataset d = BaseDataset();
+  const std::unique_ptr<GnnModel> model = SmallModel(d.graph);
+  ServingEngine engine(model.get(), Graph(d.graph), ServingOptions{});
+  const std::vector<GraphMutation> mutations = MutationSchedule(d.graph, 2);
+
+  ClearTrace();
+  ASSERT_TRUE(engine.ApplyMutation(mutations[0]).ok());
+  EXPECT_TRUE(DrainTrace().empty());
+
+  SetTracingEnabled(true);
+  ASSERT_TRUE(engine.ApplyMutation(mutations[1]).ok());
+  SetTracingEnabled(false);
+  const std::vector<TraceEvent> events = DrainTrace();
+  const auto find = [&events](const std::string& name) {
+    return std::find_if(events.begin(), events.end(),
+                        [&name](const TraceEvent& e) { return e.name == name; });
+  };
+  const auto delta = find("serving/delta");
+  ASSERT_NE(delta, events.end());
+  for (const char* child :
+       {"incremental/layer0", "incremental/layer1", "serving/publish"}) {
+    const auto it = find(child);
+    ASSERT_NE(it, events.end()) << child;
+    EXPECT_EQ(it->track, delta->track) << child;
+    EXPECT_GE(it->start_ns, delta->start_ns) << child;
+    EXPECT_LE(it->start_ns + it->dur_ns, delta->start_ns + delta->dur_ns)
+        << child;
   }
 }
 
