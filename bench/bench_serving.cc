@@ -7,6 +7,9 @@
 //   serial_query  one thread, zero batch window: the per-query floor
 //   zipf_serve    N threads through the request batcher, deltas racing
 //   delta_stream  the background writer's per-delta cost + cone size
+//   delta_nN      full mode only: the same delta stream, no queries, on
+//                 an N-node graph (20k, 80k, 320k) — seconds and cone
+//                 in-edges per delta as the graph grows
 //
 // Percentiles are exact (sorted per-query latencies, not histogram
 // buckets). Host-invariant gates: the final served logits fold into a
@@ -66,6 +69,7 @@ struct BenchRecord {
   double cache_hit_rate = 0.0;
   std::int64_t queries = 0;
   std::int64_t recomputed = 0;
+  double cone_in_edges = 0.0;  // per delta (delta rows)
 };
 
 struct Percentiles {
@@ -113,10 +117,11 @@ void WriteJson(const std::string& path,
         line, sizeof(line),
         "    {\"op\": \"%s\", \"seconds_per_iter\": %.6e, "
         "\"p99_seconds\": %.6e, \"qps\": %.1f, \"cache_hit_rate\": %.4f, "
-        "\"queries\": %lld, \"recomputed\": %lld}%s",
+        "\"queries\": %lld, \"recomputed\": %lld, "
+        "\"cone_in_edges\": %.1f}%s",
         r.op.c_str(), r.seconds_per_iter, r.p99_seconds, r.qps,
         r.cache_hit_rate, static_cast<long long>(r.queries),
-        static_cast<long long>(r.recomputed),
+        static_cast<long long>(r.recomputed), r.cone_in_edges,
         i + 1 < records.size() ? "," : "");
     out << line << "\n";
   }
@@ -203,6 +208,50 @@ int CheckAgainstBaseline(const std::vector<BenchRecord>& records,
   std::printf("baseline check: %d rows compared, %d regressions\n", compared,
               regressions);
   return regressions == 0 ? 0 : 1;
+}
+
+DeltaStream::Options BenchDeltaOptions() {
+  DeltaStream::Options options;
+  options.feature_updates = 4;
+  options.new_edges = 2;
+  options.new_node_every = 4;
+  options.zipf_alpha = kZipfAlpha;
+  options.seed = 19;
+  return options;
+}
+
+/// delta_nN: kDeltas deltas of the bench stream, no concurrent queries,
+/// on an N-node graph of the bench's shape. Seconds and cone in-edges
+/// are per delta; recomputed is the exact total.
+BenchRecord DeltaSweepRow(std::int64_t num_nodes) {
+  PlantedGraphConfig config;
+  config.num_nodes = num_nodes;
+  config.avg_degree = 8.0;
+  config.num_classes = 4;
+  config.feature_dim = 32;
+  config.seed = 71;
+  const Dataset dataset = MakePlantedDataset("serving-sweep", config);
+  const std::unique_ptr<GnnModel> model =
+      bench::UntrainedModelOn(dataset, "sage", /*hidden_dim=*/32);
+  ServingEngine engine(model.get(), Graph(dataset.graph), ServingOptions{});
+  DeltaStream stream(dataset.graph, BenchDeltaOptions());
+  BenchRecord r;
+  r.op = "delta_n" + std::to_string(num_nodes);
+  r.queries = kDeltas;
+  double cone_in_edges = 0.0;
+  for (std::int64_t d = 0; d < kDeltas; ++d) {
+    const Result<DeltaApplied> applied = engine.ApplyMutation(stream.Next());
+    INFERTURBO_CHECK(applied.ok()) << applied.status().ToString();
+    r.seconds_per_iter += applied->seconds / static_cast<double>(kDeltas);
+    r.recomputed += applied->recomputed_nodes;
+    cone_in_edges += static_cast<double>(applied->cone_in_edges);
+  }
+  r.cone_in_edges = cone_in_edges / static_cast<double>(kDeltas);
+  std::printf("%-13s mean %.2f ms, %.0f cone in-edges, %lld node states "
+              "recomputed per delta\n",
+              r.op.c_str(), r.seconds_per_iter * 1e3, r.cone_in_edges,
+              static_cast<long long>(r.recomputed / kDeltas));
+  return r;
 }
 
 int Main(int argc, const char* const argv[]) {
@@ -308,15 +357,10 @@ int Main(int argc, const char* const argv[]) {
       });
     }
 
-    DeltaStream::Options delta_options;
-    delta_options.feature_updates = 4;
-    delta_options.new_edges = 2;
-    delta_options.new_node_every = 4;
-    delta_options.zipf_alpha = kZipfAlpha;
-    delta_options.seed = 19;
-    DeltaStream delta_stream(dataset.graph, delta_options);
+    DeltaStream delta_stream(dataset.graph, BenchDeltaOptions());
     std::int64_t recomputed_total = 0;
     double delta_seconds = 0.0;
+    double cone_in_edges = 0.0;
     for (std::int64_t d = 0; d < kDeltas; ++d) {
       const Result<DeltaApplied> applied =
           engine.ApplyMutation(delta_stream.Next());
@@ -327,6 +371,7 @@ int Main(int argc, const char* const argv[]) {
       }
       recomputed_total += applied->recomputed_nodes;
       delta_seconds += applied->seconds;
+      cone_in_edges += static_cast<double>(applied->cone_in_edges);
       if (applied->recomputed_nodes <= 0) {
         std::fprintf(stderr,
                      "INVARIANT: delta %lld recomputed nothing\n",
@@ -374,6 +419,7 @@ int Main(int argc, const char* const argv[]) {
     delta_row.seconds_per_iter =
         delta_seconds / static_cast<double>(kDeltas);
     delta_row.recomputed = recomputed_total;
+    delta_row.cone_in_edges = cone_in_edges / static_cast<double>(kDeltas);
     delta_row.queries = kDeltas;
     records.push_back(delta_row);
     std::printf("%-13s %lld deltas, mean %.2f ms, %lld node states "
@@ -418,6 +464,12 @@ int Main(int argc, const char* const argv[]) {
                 static_cast<long long>(final_graph->num_nodes()),
                 static_cast<long long>(engine.epoch()),
                 static_cast<unsigned long long>(logits_crc));
+  }
+
+  if (!quick) {
+    for (const std::int64_t num_nodes : {20000, 80000, 320000}) {
+      records.push_back(DeltaSweepRow(num_nodes));
+    }
   }
 
   char shape[64];

@@ -425,6 +425,7 @@ Result<DeltaApplied> ServingEngine::ApplyDeltaLocked(
         static_cast<std::int64_t>(patch.ids.size()));
     applied.recomputed_nodes += static_cast<std::int64_t>(patch.ids.size());
   }
+  applied.cone_in_edges = patches->cone_in_edges;
   applied.invalidated_cache_rows = invalidated;
   applied.seconds = timer.ElapsedSeconds();
 
@@ -434,7 +435,7 @@ Result<DeltaApplied> ServingEngine::ApplyDeltaLocked(
   invalidated_rows_.fetch_add(invalidated, std::memory_order_relaxed);
   delta_seconds_->Observe(applied.seconds);
   delta_cone_nodes_->Observe(static_cast<double>(applied.recomputed_nodes));
-  delta_cone_in_edges_->Observe(static_cast<double>(patches->cone_in_edges));
+  delta_cone_in_edges_->Observe(static_cast<double>(applied.cone_in_edges));
   return applied;
 }
 

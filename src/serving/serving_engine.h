@@ -59,6 +59,9 @@ struct DeltaApplied {
   /// layer (a full batch pass would be layers * N).
   std::int64_t recomputed_nodes = 0;
   std::vector<std::int64_t> recomputed_per_layer;
+  /// In-edges the recompute folded, over all layers: the cone's gather
+  /// work, which hubs in the cone dominate.
+  std::int64_t cone_in_edges = 0;
   /// Logits-cache rows dropped (0 when the cache is off).
   std::int64_t invalidated_cache_rows = 0;
   double seconds = 0.0;
