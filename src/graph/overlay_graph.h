@@ -39,7 +39,6 @@ class OverlayGraph {
   explicit OverlayGraph(std::shared_ptr<const Graph> base);
 
   const Graph& base() const { return *base_; }
-  const std::shared_ptr<const Graph>& shared_base() const { return base_; }
 
   std::int64_t num_nodes() const { return num_nodes_; }
   std::int64_t num_overlay_edges() const {

@@ -59,52 +59,57 @@ struct LayerInput {
   }
 };
 
+/// Distinct values of `ids`, ascending, and each id rewritten to its
+/// value's index in them. Ids lie in [0, num_nodes). A few ids are
+/// sorted; many are marked in a dense table and collected by one scan.
+std::vector<std::int64_t> Distinct(std::vector<std::int64_t>* ids,
+                                   std::int64_t num_nodes) {
+  std::vector<std::int64_t> values;
+  if (static_cast<std::int64_t>(ids->size()) * 16 < num_nodes) {
+    values = *ids;
+    std::sort(values.begin(), values.end());
+    values.erase(std::unique(values.begin(), values.end()), values.end());
+    for (std::int64_t& id : *ids) {
+      id = std::lower_bound(values.begin(), values.end(), id) - values.begin();
+    }
+    return values;
+  }
+  std::vector<std::int64_t> index(static_cast<std::size_t>(num_nodes), -1);
+  for (std::int64_t id : *ids) index[static_cast<std::size_t>(id)] = 0;
+  for (std::int64_t v = 0; v < num_nodes; ++v) {
+    if (index[static_cast<std::size_t>(v)] < 0) continue;
+    index[static_cast<std::size_t>(v)] =
+        static_cast<std::int64_t>(values.size());
+    values.push_back(v);
+  }
+  for (std::int64_t& id : *ids) id = index[static_cast<std::size_t>(id)];
+  return values;
+}
+
 /// Layer `layer`'s new states for `affected` (sorted). ComputeMessage
 /// runs once per distinct source of the cone; each in-edge then folds
 /// its source's message row, per node in the rebuilt graph's in-edge
-/// order — the order the full pass folds in. `slot` is an all -1
-/// scratch over the node range, returned all -1.
+/// order — the order the full pass folds in.
 Tensor RecomputeRows(const GasConv& layer, const OverlayGraph& graph,
                      const LayerInput& input,
                      const std::vector<NodeId>& affected,
-                     std::vector<std::int64_t>* slot,
                      std::int64_t* cone_in_edges) {
   const bool uses_edge_features = layer.signature().uses_edge_features;
-  std::vector<std::int64_t> sources;
   std::vector<std::int64_t> edge_slot;  // each in-edge's source, then slot
   std::vector<std::int64_t> dst_local;
   std::vector<const float*> edge_feature_rows;
   for (std::size_t i = 0; i < affected.size(); ++i) {
     graph.ForEachInEdge(affected[i], [&](NodeId src, const float* features) {
-      std::int64_t& s = (*slot)[static_cast<std::size_t>(src)];
-      if (s < 0) {
-        s = 0;
-        sources.push_back(src);
-      }
       edge_slot.push_back(src);
       dst_local.push_back(static_cast<std::int64_t>(i));
       if (uses_edge_features) edge_feature_rows.push_back(features);
     });
   }
-  // Distinct sources in id order, so their rows are read in memory order
-  // and a hub's in-edges (sorted by source) read ascending message rows.
-  // With many sources one scan of the marks beats sorting them.
-  const std::size_t num_nodes = slot->size();
-  if (sources.size() * 16 < num_nodes) {
-    std::sort(sources.begin(), sources.end());
-  } else {
-    sources.clear();
-    for (std::size_t v = 0; v < num_nodes; ++v) {
-      if ((*slot)[v] >= 0) sources.push_back(static_cast<std::int64_t>(v));
-    }
-  }
-  for (std::size_t j = 0; j < sources.size(); ++j) {
-    (*slot)[static_cast<std::size_t>(sources[j])] =
-        static_cast<std::int64_t>(j);
-  }
-  for (std::int64_t& s : edge_slot) s = (*slot)[static_cast<std::size_t>(s)];
-  for (NodeId src : sources) (*slot)[static_cast<std::size_t>(src)] = -1;
   *cone_in_edges += static_cast<std::int64_t>(edge_slot.size());
+  // Sources in id order: their rows are read in memory order, and a
+  // hub's in-edges (sorted by source) read ascending message rows.
+  const std::vector<std::int64_t> sources =
+      Distinct(&edge_slot, graph.num_nodes());
 
   Tensor edge_features;
   if (uses_edge_features) {
@@ -242,7 +247,6 @@ Result<DeltaPatches> ComputeDeltaPatches(const GnnModel& model,
 
   DeltaPatches out;
   out.layers.reserve(static_cast<std::size_t>(model.num_layers()));
-  std::vector<std::int64_t> slot(static_cast<std::size_t>(new_n), -1);
   for (std::int64_t l = 0; l < model.num_layers(); ++l) {
     TraceSpan span(LayerSpanName(l));
     // Who needs layer l+1 recomputed: every currently-dirty node, every
@@ -270,7 +274,7 @@ Result<DeltaPatches> ComputeDeltaPatches(const GnnModel& model,
                : LayerInput{&history[static_cast<std::size_t>(l) - 1],
                             &out.layers.back(), &dirty};
     RowPatch patch;
-    patch.rows = RecomputeRows(model.layer(l), graph, input, affected, &slot,
+    patch.rows = RecomputeRows(model.layer(l), graph, input, affected,
                                &out.cone_in_edges);
     patch.ids = affected;
     out.layers.push_back(std::move(patch));

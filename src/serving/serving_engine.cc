@@ -182,8 +182,7 @@ void ServingEngine::ExecuteBatch(const std::vector<BatchedQuery*>& batch) {
   }
   Tensor computed;
   if (!misses.empty()) {
-    computed = model_->PredictLogits(
-        gen->states(model_->num_layers()).Gather(misses));
+    computed = model_->PredictLogits(gen->states_.back().Gather(misses));
   }
   cache_hits_.fetch_add(
       static_cast<std::int64_t>(unique_nodes.size() - misses.size()),
@@ -290,13 +289,15 @@ Result<DeltaApplied> ServingEngine::ApplyMutation(
   // Start from the generation's rebuilt graph when one was built: that
   // is the compaction graph_snapshot() already paid for.
   OverlayGraph graph = current->graph();
-  ChunkedRows features = current->states(0);
+  const ChunkedRows* features = &current->states(0);
+  ChunkedRows rebuilt_features;
   {
     std::lock_guard<std::mutex> lock(current->compacted_mu_);
     if (current->compacted_ && graph.num_overlay_edges() > 0) {
       graph = OverlayGraph(current->compacted_);
-      features = ChunkedRows::View(current->compacted_->node_features(),
-                                   current->compacted_);
+      rebuilt_features = ChunkedRows::View(
+          current->compacted_->node_features(), current->compacted_);
+      features = &rebuilt_features;
     }
   }
   graph = graph.WithEdges(new_n, mutation.new_edges,
@@ -328,11 +329,12 @@ Result<DeltaApplied> ServingEngine::ApplyMutation(
   for (std::size_t i = 0; i < patch_rows.size(); ++i) {
     patch.SetRow(static_cast<std::int64_t>(i), patch_rows[i]);
   }
-  features = features.WithRows(new_n, delta.changed_nodes, patch);
+  ChunkedRows next_features =
+      features->WithRows(new_n, delta.changed_nodes, patch);
   for (const auto& [src, dst] : mutation.new_edges) {
     delta.changed_in_edges.push_back(dst);
   }
-  return ApplyDeltaLocked(current, std::move(graph), std::move(features),
+  return ApplyDeltaLocked(current, std::move(graph), std::move(next_features),
                           delta, /*compacted=*/nullptr, timer);
 }
 
@@ -358,8 +360,8 @@ Result<DeltaApplied> ServingEngine::ApplyDeltaLocked(
     const std::shared_ptr<const Generation>& current, OverlayGraph graph,
     ChunkedRows features, const GraphDelta& delta,
     std::shared_ptr<const Graph> compacted, const WallTimer& timer) {
-  const std::vector<ChunkedRows> history(current->states_.begin() + 1,
-                                         current->states_.end());
+  const std::span<const ChunkedRows> history =
+      std::span<const ChunkedRows>(current->states_).subspan(1);
   Result<DeltaPatches> patches =
       ComputeDeltaPatches(*model_, graph, features, history, delta);
   if (!patches.ok()) return patches.status();
