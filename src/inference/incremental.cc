@@ -59,21 +59,29 @@ struct LayerInput {
   }
 };
 
+/// Entry normalization: callers (a live delta stream in particular)
+/// may deliver ids unordered and with repeats; one sorted, unique copy
+/// makes every downstream pass order- and duplicate-insensitive.
+std::vector<NodeId> SortedUnique(const std::vector<NodeId>& ids) {
+  std::vector<NodeId> out = ids;
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
 /// Distinct values of `ids`, ascending, and each id rewritten to its
 /// value's index in them. Ids lie in [0, num_nodes). A few ids are
 /// sorted; many are marked in a dense table and collected by one scan.
 std::vector<std::int64_t> Distinct(std::vector<std::int64_t>* ids,
                                    std::int64_t num_nodes) {
-  std::vector<std::int64_t> values;
   if (static_cast<std::int64_t>(ids->size()) * 16 < num_nodes) {
-    values = *ids;
-    std::sort(values.begin(), values.end());
-    values.erase(std::unique(values.begin(), values.end()), values.end());
+    std::vector<std::int64_t> values = SortedUnique(*ids);
     for (std::int64_t& id : *ids) {
       id = std::lower_bound(values.begin(), values.end(), id) - values.begin();
     }
     return values;
   }
+  std::vector<std::int64_t> values;
   std::vector<std::int64_t> index(static_cast<std::size_t>(num_nodes), -1);
   for (std::int64_t id : *ids) index[static_cast<std::size_t>(id)] = 0;
   for (std::int64_t v = 0; v < num_nodes; ++v) {
@@ -125,16 +133,6 @@ Tensor RecomputeRows(const GasConv& layer, const OverlayGraph& graph,
       GatherLayer(layer, messages, edge_slot, dst_local,
                   static_cast<std::int64_t>(affected.size()), &edge_features);
   return layer.ApplyNode(input.Gather(affected), gathered);
-}
-
-/// Entry normalization: callers (a live delta stream in particular)
-/// may deliver ids unordered and with repeats; one sorted, unique copy
-/// makes every downstream pass order- and duplicate-insensitive.
-std::vector<NodeId> SortedUnique(const std::vector<NodeId>& ids) {
-  std::vector<NodeId> out = ids;
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
 }
 
 /// Span names must outlive the trace drain; one literal per layer

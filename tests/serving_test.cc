@@ -538,8 +538,9 @@ TEST(ServingEngineTest, DeltaSpansCoverEachLayer) {
   SetTracingEnabled(false);
   const std::vector<TraceEvent> events = DrainTrace();
   const auto find = [&events](const std::string& name) {
-    return std::find_if(events.begin(), events.end(),
-                        [&name](const TraceEvent& e) { return e.name == name; });
+    return std::find_if(
+        events.begin(), events.end(),
+        [&name](const TraceEvent& e) { return e.name == name; });
   };
   const auto delta = find("serving/delta");
   ASSERT_NE(delta, events.end());
