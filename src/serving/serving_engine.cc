@@ -286,22 +286,8 @@ Result<DeltaApplied> ServingEngine::ApplyMutation(
         "edge features supplied for a graph without them");
   }
 
-  // Start from the generation's rebuilt graph when one was built: that
-  // is the compaction graph_snapshot() already paid for.
-  OverlayGraph graph = current->graph();
-  const ChunkedRows* features = &current->states(0);
-  ChunkedRows rebuilt_features;
-  {
-    std::lock_guard<std::mutex> lock(current->compacted_mu_);
-    if (current->compacted_ && graph.num_overlay_edges() > 0) {
-      graph = OverlayGraph(current->compacted_);
-      rebuilt_features = ChunkedRows::View(
-          current->compacted_->node_features(), current->compacted_);
-      features = &rebuilt_features;
-    }
-  }
-  graph = graph.WithEdges(new_n, mutation.new_edges,
-                          mutation.new_edge_features);
+  OverlayGraph graph = current->graph().WithEdges(
+      new_n, mutation.new_edges, mutation.new_edge_features);
 
   // The layer-0 patch: refreshed rows (the last one per node wins) and
   // the appended nodes' rows.
@@ -330,7 +316,7 @@ Result<DeltaApplied> ServingEngine::ApplyMutation(
     patch.SetRow(static_cast<std::int64_t>(i), patch_rows[i]);
   }
   ChunkedRows next_features =
-      features->WithRows(new_n, delta.changed_nodes, patch);
+      current->states(0).WithRows(new_n, delta.changed_nodes, patch);
   for (const auto& [src, dst] : mutation.new_edges) {
     delta.changed_in_edges.push_back(dst);
   }

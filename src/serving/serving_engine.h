@@ -70,8 +70,8 @@ struct DeltaApplied {
 /// One served generation, immutable once published. Holding it pins
 /// it: its graph and per-layer states stay valid and byte-for-byte
 /// unchanged however many deltas publish after it. Later generations
-/// share its untouched state chunks (ChunkedRows) and its base graph,
-/// but never write them.
+/// share its untouched state chunks (ChunkedRows), its base graph and
+/// its overlay runs, but never write them.
 class ServingGeneration {
  public:
   std::int64_t epoch() const { return epoch_; }
@@ -185,10 +185,11 @@ class ServingEngine {
   std::int64_t epoch() const;
   /// Snapshot of the currently served graph (stays valid while held,
   /// even across later deltas). The first call on a generation with an
-  /// overlay rebuilds its Graph once; the next delta then starts from
-  /// that rebuilt graph.
+  /// overlay rebuilds its Graph once, for readers only: deltas keep
+  /// extending the overlay.
   std::shared_ptr<const Graph> graph_snapshot() const;
-  /// Pins the current generation.
+  /// Pins the current generation. For tests and bench_serving, which
+  /// hold generations across deltas and read their overlay size.
   std::shared_ptr<const ServingGeneration> Pin() const;
 
   ServingStats stats() const;

@@ -90,10 +90,4 @@ Tensor ChunkedRows::ToTensor() const {
   return out;
 }
 
-bool ChunkedRows::SharesChunk(const ChunkedRows& other, std::int64_t c) const {
-  return c < num_chunks() && c < other.num_chunks() &&
-         chunks_[static_cast<std::size_t>(c)].get() ==
-             other.chunks_[static_cast<std::size_t>(c)].get();
-}
-
 }  // namespace inferturbo

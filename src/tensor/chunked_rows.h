@@ -50,12 +50,6 @@ class ChunkedRows {
   /// Every row as a dense matrix.
   Tensor ToTensor() const;
 
-  /// Whether chunk `c` is the same storage in both matrices.
-  bool SharesChunk(const ChunkedRows& other, std::int64_t c) const;
-  std::int64_t num_chunks() const {
-    return static_cast<std::int64_t>(chunks_.size());
-  }
-
  private:
   std::int64_t rows_ = 0;
   std::int64_t cols_ = 0;
