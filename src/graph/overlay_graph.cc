@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 
 #include "src/common/logging.h"
 #include "src/graph/graph_builder.h"
@@ -22,24 +23,64 @@ void AppendRows(Tensor* into, const Tensor& rows) {
   *into = std::move(grown);
 }
 
-/// Appends arrival indices [first, total) to a sorted `index`, keeping
-/// it sorted by `less`.
-template <typename Less>
-void ExtendSortedIndex(std::vector<std::int64_t>* index, std::int64_t first,
-                       std::size_t total, const Less& less) {
-  const auto old_size = static_cast<std::ptrdiff_t>(index->size());
-  for (auto k = first; k < static_cast<std::int64_t>(total); ++k) {
-    index->push_back(k);
+/// Orders a run's arrival indices by (src, k).
+struct BySrc {
+  const std::vector<NodeId>* src;
+  bool operator()(std::int64_t a, std::int64_t b) const {
+    const NodeId sa = (*src)[static_cast<std::size_t>(a)];
+    const NodeId sb = (*src)[static_cast<std::size_t>(b)];
+    return sa != sb ? sa < sb : a < b;
   }
-  std::sort(index->begin() + old_size, index->end(), less);
-  std::inplace_merge(index->begin(), index->begin() + old_size, index->end(),
-                     less);
+};
+
+/// Orders a run's arrival indices by (dst, src, k).
+struct ByDst {
+  const std::vector<NodeId>* src;
+  const std::vector<NodeId>* dst;
+  bool operator()(std::int64_t a, std::int64_t b) const {
+    const NodeId da = (*dst)[static_cast<std::size_t>(a)];
+    const NodeId db = (*dst)[static_cast<std::size_t>(b)];
+    return da != db ? da < db : BySrc{src}(a, b);
+  }
+};
+
+/// `older` then `newer` (its indices shifted past older's), merged by
+/// `less`: both inputs are sorted and arrival indices never collide.
+template <typename Less>
+std::vector<std::int64_t> MergeIndex(const std::vector<std::int64_t>& older,
+                                     const std::vector<std::int64_t>& newer,
+                                     std::int64_t shift, const Less& less) {
+  std::vector<std::int64_t> shifted(newer.size());
+  std::transform(newer.begin(), newer.end(), shifted.begin(),
+                 [shift](std::int64_t k) { return k + shift; });
+  std::vector<std::int64_t> out(older.size() + newer.size());
+  std::merge(older.begin(), older.end(), shifted.begin(), shifted.end(),
+             out.begin(), less);
+  return out;
 }
 
 }  // namespace
 
 OverlayGraph::OverlayGraph(std::shared_ptr<const Graph> base)
     : base_(std::move(base)), num_nodes_(base_->num_nodes()) {}
+
+std::shared_ptr<const OverlayGraph::Run> OverlayGraph::MergeRuns(
+    const Run& older, const Run& newer) {
+  auto out = std::make_shared<Run>();
+  out->src = older.src;
+  out->src.insert(out->src.end(), newer.src.begin(), newer.src.end());
+  out->dst = older.dst;
+  out->dst.insert(out->dst.end(), newer.dst.begin(), newer.dst.end());
+  if (!older.edge_features.empty() || !newer.edge_features.empty()) {
+    out->edge_features = older.edge_features;
+    AppendRows(&out->edge_features, newer.edge_features);
+  }
+  out->by_src = MergeIndex(older.by_src, newer.by_src, older.size(),
+                           BySrc{&out->src});
+  out->by_dst = MergeIndex(older.by_dst, newer.by_dst, older.size(),
+                           ByDst{&out->src, &out->dst});
+  return out;
+}
 
 OverlayGraph OverlayGraph::WithEdges(
     std::int64_t num_nodes, std::span<const std::pair<NodeId, NodeId>> edges,
@@ -49,40 +90,38 @@ OverlayGraph OverlayGraph::WithEdges(
   out.num_nodes_ = num_nodes;
   if (edges.empty()) return out;
 
-  auto next = overlay_ ? std::make_shared<Overlay>(*overlay_)
-                       : std::make_shared<Overlay>();
-  const std::int64_t first = static_cast<std::int64_t>(next->src.size());
+  auto run = std::make_shared<Run>();
   for (const auto& [src, dst] : edges) {
     INFERTURBO_CHECK(0 <= src && src < num_nodes && 0 <= dst &&
                      dst < num_nodes)
         << "overlay edge " << src << " -> " << dst << " out of range";
-    next->src.push_back(src);
-    next->dst.push_back(dst);
+    run->src.push_back(src);
+    run->dst.push_back(dst);
   }
   if (base_->has_edge_features()) {
     INFERTURBO_CHECK(
         edge_features.rows() == static_cast<std::int64_t>(edges.size()) &&
         edge_features.cols() == edge_feature_dim())
         << "overlay edges need one edge-feature row each";
-    AppendRows(&next->edge_features, edge_features);
+    run->edge_features = edge_features;
   }
+  run->by_src.resize(edges.size());
+  std::iota(run->by_src.begin(), run->by_src.end(), 0);
+  run->by_dst = run->by_src;
+  std::sort(run->by_src.begin(), run->by_src.end(), BySrc{&run->src});
+  std::sort(run->by_dst.begin(), run->by_dst.end(),
+            ByDst{&run->src, &run->dst});
+  out.overlay_edges_ += run->size();
 
-  // Arrival indices only grow, so each index is its old sorted run plus
-  // the new edges sorted on their own, merged in.
-  const Overlay& o = *next;
-  const auto by_src = [&o](std::int64_t a, std::int64_t b) {
-    const NodeId sa = o.src[static_cast<std::size_t>(a)];
-    const NodeId sb = o.src[static_cast<std::size_t>(b)];
-    return sa != sb ? sa < sb : a < b;
-  };
-  const auto by_dst = [&o, &by_src](std::int64_t a, std::int64_t b) {
-    const NodeId da = o.dst[static_cast<std::size_t>(a)];
-    const NodeId db = o.dst[static_cast<std::size_t>(b)];
-    return da != db ? da < db : by_src(a, b);
-  };
-  ExtendSortedIndex(&next->by_src, first, next->src.size(), by_src);
-  ExtendSortedIndex(&next->by_dst, first, next->src.size(), by_dst);
-  out.overlay_ = std::move(next);
+  // Keep each run more than twice the size of the next: fold the new
+  // run into its predecessors while they are no larger than that.
+  std::shared_ptr<const Run> merged = std::move(run);
+  while (!out.runs_.empty() && out.runs_.back()->size() <= 2 * merged->size()) {
+    merged = MergeRuns(*out.runs_.back(), *merged);
+    out.runs_.pop_back();
+  }
+  out.runs_.push_back(std::move(merged));
+  INFERTURBO_CHECK(out.runs_.size() <= kMaxRuns);
   return out;
 }
 
@@ -99,16 +138,18 @@ Result<Graph> OverlayGraph::Compact(Tensor node_features) const {
   for (EdgeId e = 0; e < base.num_edges(); ++e) {
     builder.AddEdge(base.EdgeSrc(e), base.EdgeDst(e));
   }
-  if (overlay_) {
-    for (std::size_t k = 0; k < overlay_->src.size(); ++k) {
-      builder.AddEdge(overlay_->src[k], overlay_->dst[k]);
+  for (const auto& run : runs_) {
+    for (std::size_t k = 0; k < run->src.size(); ++k) {
+      builder.AddEdge(run->src[k], run->dst[k]);
     }
   }
   builder.SetNodeFeatures(std::move(node_features));
 
   if (base.has_edge_features()) {
     Tensor edge_features = base.edge_features();
-    if (overlay_) AppendRows(&edge_features, overlay_->edge_features);
+    for (const auto& run : runs_) {
+      AppendRows(&edge_features, run->edge_features);
+    }
     builder.SetEdgeFeatures(std::move(edge_features));
   }
   if (!base.labels().empty()) {

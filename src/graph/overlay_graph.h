@@ -2,6 +2,7 @@
 #define INFERTURBO_GRAPH_OVERLAY_GRAPH_H_
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -14,9 +15,9 @@
 
 namespace inferturbo {
 
-/// A graph that only grows: an immutable base Graph plus a sorted
-/// overlay of the edges (and edge-feature rows) added since the base was
-/// built, and a node range that may extend past the base's.
+/// A graph that only grows: an immutable base Graph plus an overlay of
+/// the edges (and edge-feature rows) added since the base was built, and
+/// a node range that may extend past the base's.
 ///
 /// Every walk matches the Graph that GraphBuilder would build from the
 /// base's edges in edge-id order followed by the overlay edges in
@@ -26,8 +27,12 @@ namespace inferturbo {
 /// edges in arrival order — so a fold over it is bit-identical to a
 /// fold over the rebuilt graph.
 ///
-/// Copies share the base and the overlay; WithEdges() copies only the
-/// overlay, which NeedsCompaction() keeps small next to the base.
+/// The overlay is a list of immutable sorted runs in arrival order,
+/// each more than twice the size of the next. WithEdges() adds the new
+/// edges as one run and merges it into its predecessors while they are
+/// at most twice its size, so an edge is copied O(log overlay) times
+/// over its life, there are at most log2(overlay) + 1 runs, and copies
+/// of a graph share the base and every run.
 class OverlayGraph {
  public:
   /// Compaction bound: the overlay may hold kCompactionFloor edges plus
@@ -41,9 +46,7 @@ class OverlayGraph {
   const Graph& base() const { return *base_; }
 
   std::int64_t num_nodes() const { return num_nodes_; }
-  std::int64_t num_overlay_edges() const {
-    return overlay_ ? static_cast<std::int64_t>(overlay_->src.size()) : 0;
-  }
+  std::int64_t num_overlay_edges() const { return overlay_edges_; }
   std::int64_t num_edges() const {
     return base_->num_edges() + num_overlay_edges();
   }
@@ -70,16 +73,18 @@ class OverlayGraph {
   /// splits are the base's.
   Result<Graph> Compact(Tensor node_features) const;
 
-  /// fn(dst) for every out-edge of `u` (base edges, then overlay edges).
+  /// fn(dst) for every out-edge of `u` (base edges, then overlay edges
+  /// in arrival order).
   template <typename Fn>
   void ForEachOutNeighbor(NodeId u, Fn&& fn) const {
     if (u < base_->num_nodes()) {
       for (EdgeId e : base_->OutEdges(u)) fn(base_->EdgeDst(e));
     }
-    if (!overlay_) return;
-    const auto [lo, hi] = OverlayRange(overlay_->by_src, overlay_->src, u);
-    for (auto it = lo; it != hi; ++it) {
-      fn(overlay_->dst[static_cast<std::size_t>(*it)]);
+    for (const auto& run : runs_) {
+      const auto [lo, hi] = RunRange(run->by_src, run->src, u);
+      for (auto it = lo; it != hi; ++it) {
+        fn(run->dst[static_cast<std::size_t>(*it)]);
+      }
     }
   }
 
@@ -89,50 +94,71 @@ class OverlayGraph {
   template <typename Fn>
   void ForEachInEdge(NodeId v, Fn&& fn) const {
     const bool features = base_->has_edge_features();
-    std::span<const EdgeId> base_edges;
-    if (v < base_->num_nodes()) base_edges = base_->InEdges(v);
-    const std::int64_t* lo = nullptr;
-    const std::int64_t* hi = nullptr;
-    if (overlay_) {
-      const auto range = OverlayRange(overlay_->by_dst, overlay_->dst, v);
-      lo = range.first;
-      hi = range.second;
+    // One cursor per run over its in-edges of v, sorted by source.
+    struct Cursor {
+      const std::int64_t* at;
+      const std::int64_t* end;
+      const Run* run;
+      NodeId head() const { return run->src[static_cast<std::size_t>(*at)]; }
+    };
+    std::array<Cursor, kMaxRuns> cursors;
+    std::size_t live = 0;
+    for (const auto& run : runs_) {
+      const auto [lo, hi] = RunRange(run->by_dst, run->dst, v);
+      if (lo != hi) cursors[live++] = Cursor{lo, hi, run.get()};
     }
-    auto b = base_edges.begin();
-    // Merge by source: a base edge goes first unless an overlay edge has
-    // a strictly smaller source.
-    while (b != base_edges.end() || lo != hi) {
-      const bool take_base =
-          lo == hi ||
-          (b != base_edges.end() &&
-           base_->EdgeSrc(*b) <=
-               overlay_->src[static_cast<std::size_t>(*lo)]);
-      if (take_base) {
-        fn(base_->EdgeSrc(*b),
-           features ? base_->edge_features().RowPtr(*b) : nullptr);
-        ++b;
-      } else {
-        const std::int64_t k = *lo++;
-        fn(overlay_->src[static_cast<std::size_t>(k)],
-           features ? overlay_->edge_features.RowPtr(k) : nullptr);
+    // The next overlay edge: smallest source, the earliest run on ties
+    // (runs are in arrival order).
+    const auto next = [&cursors, live]() -> Cursor* {
+      Cursor* best = nullptr;
+      for (std::size_t i = 0; i < live; ++i) {
+        Cursor& c = cursors[i];
+        if (c.at != c.end && (best == nullptr || c.head() < best->head())) {
+          best = &c;
+        }
+      }
+      return best;
+    };
+    const auto emit = [&fn, features](Cursor* c) {
+      const std::int64_t k = *c->at++;
+      fn(c->run->src[static_cast<std::size_t>(k)],
+         features ? c->run->edge_features.RowPtr(k) : nullptr);
+    };
+    Cursor* best = next();
+    if (v < base_->num_nodes()) {
+      // Base edges go first unless an overlay edge has a strictly
+      // smaller source.
+      for (EdgeId e : base_->InEdges(v)) {
+        const NodeId src = base_->EdgeSrc(e);
+        for (; best != nullptr && best->head() < src; best = next()) {
+          emit(best);
+        }
+        fn(src, features ? base_->edge_features().RowPtr(e) : nullptr);
       }
     }
+    for (; best != nullptr; best = next()) emit(best);
   }
 
  private:
-  /// Overlay edges, indexed by arrival order k.
-  struct Overlay {
+  /// Runs hold more than twice the edges of the next, so 64 covers any
+  /// overlay that fits in memory.
+  static constexpr std::size_t kMaxRuns = 64;
+
+  /// Overlay edges of one run, indexed by arrival order k within it.
+  struct Run {
     std::vector<NodeId> src;
     std::vector<NodeId> dst;
     Tensor edge_features;  // row k = edge k; empty without edge features
     /// Arrival indices sorted by (src, k) and by (dst, src, k).
     std::vector<std::int64_t> by_src;
     std::vector<std::int64_t> by_dst;
+
+    std::int64_t size() const { return static_cast<std::int64_t>(src.size()); }
   };
 
   /// The run of `index` whose key[k] equals `node` (`index` is sorted
   /// by key first).
-  static std::pair<const std::int64_t*, const std::int64_t*> OverlayRange(
+  static std::pair<const std::int64_t*, const std::int64_t*> RunRange(
       const std::vector<std::int64_t>& index, const std::vector<NodeId>& key,
       NodeId node) {
     const auto at = [&key](std::int64_t k) {
@@ -148,8 +174,13 @@ class OverlayGraph {
             index.data() + (hi - index.begin())};
   }
 
+  /// `older` followed by `newer`, as one run.
+  static std::shared_ptr<const Run> MergeRuns(const Run& older,
+                                              const Run& newer);
+
   std::shared_ptr<const Graph> base_;
-  std::shared_ptr<const Overlay> overlay_;  // null while empty
+  std::vector<std::shared_ptr<const Run>> runs_;  // arrival order
+  std::int64_t overlay_edges_ = 0;
   std::int64_t num_nodes_ = 0;
 };
 

@@ -231,6 +231,43 @@ TEST_P(OverlayGraphTest, WalksAndCompactionMatchRebuild) {
   EXPECT_GT(compactions, 0);
 }
 
+// A long stream of small batches and no compaction: the overlay's runs
+// merge many times over, and a copy taken midway keeps its own walks
+// while later batches extend the graph it shares runs with.
+TEST_P(OverlayGraphTest, LongStreamKeepsWalksAndSharedCopies) {
+  const Dataset d = SmallDataset(GetParam());
+  const Graph& initial = d.graph;
+  EdgeLog log(initial);
+  OverlayGraph graph(std::make_shared<const Graph>(initial));
+  Rng rng(97 + static_cast<std::uint64_t>(GetParam()));
+  OverlayGraph midway;
+  EdgeLog midway_log(initial);
+  for (int step = 0; step < 300; ++step) {
+    const std::vector<std::pair<NodeId, NodeId>> added =
+        RandomEdges(log, graph.num_nodes(), &rng);
+    const Tensor added_features =
+        GetParam() > 0
+            ? RandomRows(static_cast<std::int64_t>(added.size()), GetParam(),
+                         &rng)
+            : Tensor();
+    graph = graph.WithEdges(graph.num_nodes(), added, added_features);
+    log.Append(added, added_features);
+    if (step % 10 == 0) {
+      ExpectWalksMatch(graph, log.Rebuild(initial, initial.node_features()));
+    }
+    if (step == 150) {
+      midway = graph;
+      midway_log = log;
+    }
+    if (HasFailure()) return;
+  }
+  EXPECT_EQ(graph.num_overlay_edges(),
+            static_cast<std::int64_t>(log.edges.size()) - initial.num_edges());
+  ExpectWalksMatch(graph, log.Rebuild(initial, initial.node_features()));
+  ExpectWalksMatch(midway,
+                   midway_log.Rebuild(initial, initial.node_features()));
+}
+
 INSTANTIATE_TEST_SUITE_P(EdgeFeatureWidths, OverlayGraphTest,
                          ::testing::Values(0, 2));
 
@@ -295,7 +332,7 @@ TEST(OverlayServingTest, MutationStreamMatchesRebuild) {
     const Graph rebuilt = log.Rebuild(initial, features);
 
     // Read the generation through its overlay, then (every third step)
-    // through a snapshot, which the next delta adopts as its base.
+    // through a snapshot; the next delta still extends the overlay.
     ExpectWalksMatch(engine.Pin()->graph(), rebuilt);
     EXPECT_TRUE(SameTensor(engine.Pin()->states(0).ToTensor(), features));
     std::vector<NodeId> all(static_cast<std::size_t>(new_n));
