@@ -8,8 +8,10 @@
 //   zipf_serve    N threads through the request batcher, deltas racing
 //   delta_stream  the background writer's per-delta cost + cone size
 //   delta_nN      full mode only: the same delta stream, no queries, on
-//                 an N-node graph (20k, 80k, 320k) — seconds and cone
-//                 in-edges per delta as the graph grows
+//                 an N-node graph (20k, 80k, 320k) whose edge overlay is
+//                 filled to just short of its compaction bound — seconds
+//                 and cone in-edges per delta as the graph grows
+//   compact_nN    the delta that then rebuilds the N-node graph
 //
 // Percentiles are exact (sorted per-query latencies, not histogram
 // buckets). Host-invariant gates: the final served logits fold into a
@@ -46,6 +48,7 @@
 #include "bench/bench_common.h"
 #include "src/common/crc32.h"
 #include "src/common/flags.h"
+#include "src/common/rng.h"
 #include "src/common/timer.h"
 #include "src/inference/reference_inference.h"
 #include "src/serving/serving_engine.h"
@@ -220,10 +223,16 @@ DeltaStream::Options BenchDeltaOptions() {
   return options;
 }
 
-/// delta_nN: kDeltas deltas of the bench stream, no concurrent queries,
-/// on an N-node graph of the bench's shape. Seconds and cone in-edges
-/// are per delta; recomputed is the exact total.
-BenchRecord DeltaSweepRow(std::int64_t num_nodes) {
+/// delta_nN and compact_nN on an N-node graph of the bench's shape, no
+/// concurrent queries. One untimed mutation first fills the edge
+/// overlay to 4 * kDeltas edges short of its compaction bound: the
+/// state a long delta stream reaches just before a rebuild. delta_nN
+/// then times kDeltas deltas of the bench stream (they add 40 edges,
+/// so none compacts): seconds and cone in-edges per delta. compact_nN
+/// times the delta that next pushes the overlay past the bound and
+/// rebuilds the graph. recomputed is the exact total of each row.
+void DeltaSweepRows(std::int64_t num_nodes,
+                    std::vector<BenchRecord>* records) {
   PlantedGraphConfig config;
   config.num_nodes = num_nodes;
   config.avg_degree = 8.0;
@@ -234,10 +243,31 @@ BenchRecord DeltaSweepRow(std::int64_t num_nodes) {
   const std::unique_ptr<GnnModel> model =
       bench::UntrainedModelOn(dataset, "sage", /*hidden_dim=*/32);
   ServingEngine engine(model.get(), Graph(dataset.graph), ServingOptions{});
+  const std::int64_t bound =
+      OverlayGraph::kCompactionFloor +
+      dataset.graph.num_edges() / OverlayGraph::kCompactionDivisor;
+  {
+    GraphMutation fill;
+    Rng rng(static_cast<std::uint64_t>(num_nodes));
+    for (std::int64_t i = 0; i < bound - 4 * kDeltas; ++i) {
+      fill.new_edges.emplace_back(
+          static_cast<NodeId>(
+              rng.NextBounded(static_cast<std::uint64_t>(num_nodes))),
+          static_cast<NodeId>(
+              rng.NextBounded(static_cast<std::uint64_t>(num_nodes))));
+    }
+    const Result<DeltaApplied> filled = engine.ApplyMutation(fill);
+    INFERTURBO_CHECK(filled.ok()) << filled.status().ToString();
+  }
+  const auto overlay_edges = [&engine] {
+    return engine.Pin()->graph().num_overlay_edges();
+  };
+
   DeltaStream stream(dataset.graph, BenchDeltaOptions());
   BenchRecord r;
   r.op = "delta_n" + std::to_string(num_nodes);
   r.queries = kDeltas;
+  const std::int64_t overlay_before = overlay_edges();
   double cone_in_edges = 0.0;
   for (std::int64_t d = 0; d < kDeltas; ++d) {
     const Result<DeltaApplied> applied = engine.ApplyMutation(stream.Next());
@@ -247,11 +277,43 @@ BenchRecord DeltaSweepRow(std::int64_t num_nodes) {
     cone_in_edges += static_cast<double>(applied->cone_in_edges);
   }
   r.cone_in_edges = cone_in_edges / static_cast<double>(kDeltas);
-  std::printf("%-13s mean %.2f ms, %.0f cone in-edges, %lld node states "
-              "recomputed per delta\n",
+  const std::int64_t overlay_after = overlay_edges();
+  INFERTURBO_CHECK(overlay_after > overlay_before)
+      << "a timed delta compacted the overlay";
+  records->push_back(r);
+
+  BenchRecord c;
+  c.op = "compact_n" + std::to_string(num_nodes);
+  c.queries = 1;
+  for (;;) {
+    const Result<DeltaApplied> applied = engine.ApplyMutation(stream.Next());
+    INFERTURBO_CHECK(applied.ok()) << applied.status().ToString();
+    if (overlay_edges() > 0) continue;
+    c.seconds_per_iter = applied->seconds;
+    c.recomputed = applied->recomputed_nodes;
+    c.cone_in_edges = static_cast<double>(applied->cone_in_edges);
+    break;
+  }
+  records->push_back(c);
+
+  // Steady state: a delta's own cost plus its share of the rebuild that
+  // every `bound` overlay edges pay for.
+  const double edges_per_delta =
+      static_cast<double>(overlay_after - overlay_before) /
+      static_cast<double>(kDeltas);
+  std::printf("%-15s mean %.2f ms, %.0f cone in-edges, %lld node states "
+              "recomputed per delta at %lld of %lld overlay edges\n",
               r.op.c_str(), r.seconds_per_iter * 1e3, r.cone_in_edges,
-              static_cast<long long>(r.recomputed / kDeltas));
-  return r;
+              static_cast<long long>(r.recomputed / kDeltas),
+              static_cast<long long>(overlay_after),
+              static_cast<long long>(bound));
+  std::printf("%-15s %.2f ms for the compacting delta; steady state "
+              "%.3f ms per delta\n",
+              c.op.c_str(), c.seconds_per_iter * 1e3,
+              (r.seconds_per_iter +
+               c.seconds_per_iter * edges_per_delta /
+                   static_cast<double>(bound)) *
+                  1e3);
 }
 
 int Main(int argc, const char* const argv[]) {
@@ -468,7 +530,7 @@ int Main(int argc, const char* const argv[]) {
 
   if (!quick) {
     for (const std::int64_t num_nodes : {20000, 80000, 320000}) {
-      records.push_back(DeltaSweepRow(num_nodes));
+      DeltaSweepRows(num_nodes, &records);
     }
   }
 
