@@ -1,12 +1,20 @@
 #ifndef INFERTURBO_BENCH_BENCH_COMMON_H_
 #define INFERTURBO_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <initializer_list>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "src/common/flags.h"
 #include "src/common/logging.h"
+#include "src/common/timer.h"
 #include "src/graph/datasets.h"
 #include "src/nn/model.h"
 #include "src/nn/trainer.h"
@@ -26,6 +34,113 @@ inline void PrintHeader(const std::string& artifact,
 
 inline void PrintRule() {
   std::printf("--------------------------------------------------------------\n");
+}
+
+/// Parses a bench's command line and rejects every flag not in
+/// `known`, so a stale or misspelled flag fails the run (callers exit
+/// 2) instead of silently doing nothing.
+inline Result<FlagParser> ParseFlags(
+    int argc, const char* const argv[],
+    std::initializer_list<std::string_view> known) {
+  Result<FlagParser> flags = FlagParser::Parse(argc, argv);
+  if (!flags.ok()) return flags;
+  for (const std::string& key : flags->Keys()) {
+    if (std::find(known.begin(), known.end(), key) != known.end()) continue;
+    std::string message = "unknown flag --" + key + " (known:";
+    for (const std::string_view flag : known) {
+      message += " --" + std::string(flag);
+    }
+    return Status::InvalidArgument(message + ")");
+  }
+  return flags;
+}
+
+struct TimingOptions {
+  double min_seconds = 0.3;
+  std::int64_t max_iters = 200;
+};
+
+/// Times `fn` by whole iterations until the budget is spent. Returns
+/// seconds per iteration (and the iteration count via `iters_out`). One
+/// untimed warmup iteration absorbs cold caches, lazy page-ins and lazy
+/// ISA dispatch.
+template <typename Fn>
+double TimeIt(const TimingOptions& options, Fn&& fn,
+              std::int64_t* iters_out = nullptr) {
+  fn();
+  WallTimer timer;
+  std::int64_t iters = 0;
+  double elapsed = 0.0;
+  while (elapsed < options.min_seconds && iters < options.max_iters) {
+    fn();
+    ++iters;
+    elapsed = timer.ElapsedSeconds();
+  }
+  if (iters_out != nullptr) *iters_out = iters;
+  return elapsed / static_cast<double>(iters);
+}
+
+/// Parses a comma-separated thread sweep ("1,2,8"); entries below 1 are
+/// dropped, and an empty result falls back to {1}.
+inline std::vector<int> ParseThreadSet(const std::string& spec) {
+  std::vector<int> threads;
+  std::stringstream in(spec);
+  std::string item;
+  while (std::getline(in, item, ',')) {
+    const int t = std::atoi(item.c_str());
+    if (t >= 1) threads.push_back(t);
+  }
+  if (threads.empty()) threads.push_back(1);
+  return threads;
+}
+
+inline std::string ThreadSetLabel(const std::vector<int>& threads) {
+  std::ostringstream out;
+  for (std::size_t i = 0; i < threads.size(); ++i) {
+    out << (i ? "," : "") << threads[i];
+  }
+  return out.str();
+}
+
+/// The multithreading-is-a-win gate over a thread sweep's records (any
+/// type with op, shape, threads and seconds_per_iter): for every
+/// (op, shape) with both a 1-thread row and multi-thread rows, the BEST
+/// multi-thread time must not be worse than the 1-thread time by more
+/// than `tolerance`. On a single-core host the executor caps fan-out at
+/// the core count, so multi-thread rows degrade to ~parity and the gate
+/// still holds; on a real multi-core runner this enforces actual
+/// scaling. Returns 1 on any violation, else 0.
+template <typename Record>
+int CheckScaling(const std::vector<Record>& records, double tolerance) {
+  int violations = 0, groups = 0;
+  for (const Record& r : records) {
+    if (r.threads != 1) continue;
+    double best_multi = 0.0;
+    int best_threads = 0;
+    for (const Record& m : records) {
+      if (m.op != r.op || m.shape != r.shape || m.threads == 1) continue;
+      if (best_threads == 0 || m.seconds_per_iter < best_multi) {
+        best_multi = m.seconds_per_iter;
+        best_threads = m.threads;
+      }
+    }
+    if (best_threads == 0) continue;
+    ++groups;
+    if (best_multi > r.seconds_per_iter * (1.0 + tolerance)) {
+      ++violations;
+      std::printf("SCALING VIOLATION %s %s: best multi-thread %.3f ms/iter "
+                  "(threads=%d) vs 1-thread %.3f ms/iter (tolerance %.0f%%)\n",
+                  r.op.c_str(), r.shape.c_str(), best_multi * 1e3,
+                  best_threads, r.seconds_per_iter * 1e3, tolerance * 100.0);
+    } else {
+      std::printf("scaling ok %s %s: %.2fx at best multi-thread\n",
+                  r.op.c_str(), r.shape.c_str(),
+                  r.seconds_per_iter / best_multi);
+    }
+  }
+  std::printf("scaling gate: %d groups checked, %d violations\n", groups,
+              violations);
+  return violations == 0 ? 0 : 1;
 }
 
 /// Trains `kind` on `dataset` with fast defaults; benches that need a

@@ -6,17 +6,17 @@
 //
 // Every row folds the incremental run's logits into a deterministic
 // logits_crc and records the exact recomputation count; both are
-// host-invariant (seeded dataset + deterministic kernels), so --check
-// gates them with zero tolerance while wall times get the usual slack.
+// host-invariant (seeded dataset + deterministic kernels), so
+// tools/report_diff gates them against the checked-in
+// BENCH_incremental.json with zero tolerance while wall times get the
+// usual slack.
 //
 // Usage:
 //   bench_incremental                 full sweep, writes BENCH_incremental.json
 //   bench_incremental --quick         CI smoke: same rows, single timed iter
 //   bench_incremental --out=PATH      write the JSON elsewhere
-//   bench_incremental --check=PATH    diff against a baseline JSON; exits 1 on
-//                                     a timing regression past
-//                                     --check-tolerance, a recomputation-count
-//                                     drift, or a logits_crc mismatch
+//
+// Unknown flags exit 2.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -101,81 +101,9 @@ void WriteJson(const std::string& path,
   std::printf("\nwrote %zu records to %s\n", records.size(), path.c_str());
 }
 
-std::string ExtractString(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\": \"";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return "";
-  const std::size_t begin = at + needle.size();
-  const std::size_t end = line.find('"', begin);
-  return end == std::string::npos ? "" : line.substr(begin, end - begin);
-}
-
-double ExtractNumber(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\": ";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return 0.0;
-  return std::strtod(line.c_str() + at + needle.size(), nullptr);
-}
-
-int CheckAgainstBaseline(const std::vector<BenchRecord>& records,
-                         const std::string& path, double tolerance) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "bench_incremental: cannot read baseline %s\n",
-                 path.c_str());
-    return 1;
-  }
-  int compared = 0;
-  int regressions = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::string op = ExtractString(line, "op");
-    if (op.empty()) continue;
-    const std::int64_t delta =
-        static_cast<std::int64_t>(ExtractNumber(line, "delta"));
-    for (const BenchRecord& r : records) {
-      const std::string r_op = r.delta_size == 0 ? "full_pass" : "incremental";
-      if (r_op != op || r.delta_size != delta) continue;
-      ++compared;
-      // Host-invariant gates: the change-propagation cone and the
-      // logits bits are exact functions of the seeded inputs.
-      const std::int64_t baseline_recomputed =
-          static_cast<std::int64_t>(ExtractNumber(line, "recomputed"));
-      if (baseline_recomputed != r.recomputed) {
-        ++regressions;
-        std::printf("CONE DRIFT delta=%lld: recomputed %lld vs baseline "
-                    "%lld — change propagation visits a different set\n",
-                    static_cast<long long>(delta),
-                    static_cast<long long>(r.recomputed),
-                    static_cast<long long>(baseline_recomputed));
-      }
-      const std::string baseline_crc = ExtractString(line, "logits_crc");
-      if (!baseline_crc.empty() &&
-          baseline_crc != std::to_string(r.logits_crc)) {
-        ++regressions;
-        std::printf("CHECKSUM MISMATCH delta=%lld: logits bits differ "
-                    "from the baseline run\n",
-                    static_cast<long long>(delta));
-      }
-      const double baseline_seconds = ExtractNumber(line, "seconds_per_iter");
-      if (baseline_seconds > 0.0 &&
-          r.seconds_per_iter > baseline_seconds * (1.0 + tolerance)) {
-        ++regressions;
-        std::printf("REGRESSION %s delta=%lld: %.3f ms/iter vs baseline "
-                    "%.3f ms/iter (tolerance %.0f%%)\n",
-                    op.c_str(), static_cast<long long>(delta),
-                    r.seconds_per_iter * 1e3, baseline_seconds * 1e3,
-                    tolerance * 100.0);
-      }
-    }
-  }
-  std::printf("baseline check: %d rows compared, %d regressions\n", compared,
-              regressions);
-  return regressions == 0 ? 0 : 1;
-}
-
 int Main(int argc, const char* const argv[]) {
-  const Result<FlagParser> flags = FlagParser::Parse(argc, argv);
+  const Result<FlagParser> flags =
+      bench::ParseFlags(argc, argv, {"quick", "out"});
   if (!flags.ok()) {
     std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
     return 2;
@@ -183,8 +111,6 @@ int Main(int argc, const char* const argv[]) {
   const bool quick = flags->GetBool("quick", false);
   const std::string out_path =
       flags->GetString("out", "BENCH_incremental.json");
-  const std::string check_path = flags->GetString("check", "");
-  const double tolerance = flags->GetDouble("check-tolerance", 0.5);
   const std::int64_t timed_iters = quick ? 1 : 3;
 
   bench::PrintHeader("Extension: incremental inference",
@@ -295,9 +221,6 @@ int Main(int argc, const char* const argv[]) {
     std::fprintf(stderr, "bench_incremental: %d invariant violation(s)\n",
                  failures);
     return 1;
-  }
-  if (!check_path.empty()) {
-    return CheckAgainstBaseline(records, check_path, tolerance);
   }
   return 0;
 }

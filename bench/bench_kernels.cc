@@ -8,8 +8,6 @@
 //   bench_kernels                      full sweep, writes BENCH_kernels.json
 //   bench_kernels --quick              CI smoke: smaller shapes, shorter timing
 //   bench_kernels --out=PATH           write the JSON elsewhere
-//   bench_kernels --check=PATH         diff against a baseline JSON; exits 1
-//                                      when any op regresses past --check-tolerance
 //   bench_kernels --threads=LIST       comma-separated thread sweep
 //                                      (default "1,2,8" — fixed so baselines
 //                                      compare like against like)
@@ -17,6 +15,9 @@
 //                                      time is worse than its 1-thread time
 //                                      by more than --scaling-tolerance
 //   bench_kernels --fast_math=false    skip the opt-in fast-math rows
+//
+// Baseline comparison is tools/report_diff against the checked-in
+// BENCH_kernels.json; unknown flags exit 2.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -28,10 +29,8 @@
 #include <thread>
 #include <vector>
 
-#include "src/common/flags.h"
+#include "bench/bench_common.h"
 #include "src/common/rng.h"
-#include "src/common/thread_pool.h"
-#include "src/common/timer.h"
 #include "src/telemetry/perf_counters.h"
 #include "src/tensor/kernels/kernel_config.h"
 #include "src/tensor/kernels/kernel_stats.h"
@@ -64,30 +63,6 @@ struct BenchRecord {
   double llc_misses_per_iter = 0.0;
 };
 
-struct TimingOptions {
-  double min_seconds = 0.3;
-  std::int64_t max_iters = 200;
-};
-
-// Times `fn` by whole iterations until the budget is spent. Returns
-// seconds per iteration (and the iteration count via `iters_out`). One
-// untimed warmup iteration absorbs cold caches and lazy ISA dispatch.
-template <typename Fn>
-double TimeIt(const TimingOptions& options, Fn&& fn,
-              std::int64_t* iters_out = nullptr) {
-  fn();
-  WallTimer timer;
-  std::int64_t iters = 0;
-  double elapsed = 0.0;
-  while (elapsed < options.min_seconds && iters < options.max_iters) {
-    fn();
-    ++iters;
-    elapsed = timer.ElapsedSeconds();
-  }
-  if (iters_out != nullptr) *iters_out = iters;
-  return elapsed / static_cast<double>(iters);
-}
-
 void SetThreads(int max_threads) {
   kernels::KernelConfig config = kernels::GetKernelConfig();
   config.max_threads = max_threads;
@@ -105,7 +80,7 @@ void SetFastMath(bool on, bool bf16) {
 }
 
 struct Harness {
-  TimingOptions timing;
+  bench::TimingOptions timing;
   // Fixed sweep (default {1, 2, 8}) so baseline rows always compare
   // like against like regardless of the machine's core count. The
   // scaling gate compares across these rows per (op, shape).
@@ -120,7 +95,7 @@ struct Harness {
              kernels::KernelWork work, double elems, RefFn&& ref,
              FastFn&& fast) {
     SetThreads(1);
-    const double ref_seconds = TimeIt(timing, ref);
+    const double ref_seconds = bench::TimeIt(timing, ref);
     BenchTimed(op, shape, work, elems, ref_seconds, fast);
   }
 
@@ -142,7 +117,7 @@ struct Harness {
         // bracket the whole timing loop (including the one warmup
         // iteration — hence iters + 1 below).
         PerfCounterScope profile("bench", &counters);
-        seconds = TimeIt(timing, fast, &iters);
+        seconds = bench::TimeIt(timing, fast, &iters);
       }
       BenchRecord record;
       record.op = op;
@@ -233,8 +208,8 @@ void BenchMatMuls(Harness* harness, bool quick, bool fast_math) {
     const double elems = static_cast<double>(n) * n;  // output elements
     const std::string shape = MatMulShapeLabel(n, n, n);
     SetThreads(1);
-    const double ref_seconds =
-        TimeIt(harness->timing, [&] { Sink(kernels::reference::MatMul(a, b)); });
+    const double ref_seconds = bench::TimeIt(
+        harness->timing, [&] { Sink(kernels::reference::MatMul(a, b)); });
     harness->BenchTimed("matmul", shape, work, elems, ref_seconds,
                         [&] { Sink(kernels::MatMul(a, b)); });
     SetFastMath(true, /*bf16=*/false);
@@ -329,14 +304,6 @@ void BenchRowOps(Harness* harness, bool quick) {
       });
 }
 
-std::string ThreadSetLabel(const std::vector<int>& threads) {
-  std::ostringstream out;
-  for (std::size_t i = 0; i < threads.size(); ++i) {
-    out << (i ? "," : "") << threads[i];
-  }
-  return out.str();
-}
-
 void WriteJson(const std::string& path, const std::vector<BenchRecord>& records,
                bool quick, const std::vector<int>& thread_set) {
   std::ofstream out(path, std::ios::trunc);
@@ -348,7 +315,8 @@ void WriteJson(const std::string& path, const std::vector<BenchRecord>& records,
   out << "  \"bench\": \"bench_kernels\",\n";
   out << "  \"mode\": \"" << (quick ? "quick" : "full") << "\",\n";
   out << "  \"avx2\": " << (kernels::UsingAvx2() ? "true" : "false") << ",\n";
-  out << "  \"thread_set\": \"" << ThreadSetLabel(thread_set) << "\",\n";
+  out << "  \"thread_set\": \"" << bench::ThreadSetLabel(thread_set)
+      << "\",\n";
   out << "  \"hardware_concurrency\": "
       << std::thread::hardware_concurrency() << ",\n";
   // Explicit marker: rows carry real hardware counts, or they are all
@@ -383,150 +351,24 @@ void WriteJson(const std::string& path, const std::vector<BenchRecord>& records,
   std::printf("\nwrote %zu records to %s\n", records.size(), path.c_str());
 }
 
-// Minimal field extraction for the exact format WriteJson emits (one
-// record per line) — enough for --check without a JSON dependency.
-struct BaselineRecord {
-  std::string op, shape;
-  int threads = 0;
-  double gflops = 0.0;
-  double seconds_per_iter = 0.0;
-};
-
-std::string ExtractString(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\": \"";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return "";
-  const std::size_t begin = at + needle.size();
-  const std::size_t end = line.find('"', begin);
-  return end == std::string::npos ? "" : line.substr(begin, end - begin);
-}
-
-double ExtractNumber(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\": ";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return 0.0;
-  return std::strtod(line.c_str() + at + needle.size(), nullptr);
-}
-
-std::vector<BaselineRecord> LoadBaseline(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "bench_kernels: cannot read baseline %s\n",
-                 path.c_str());
-    std::exit(2);
-  }
-  std::vector<BaselineRecord> baseline;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.find("\"op\"") == std::string::npos) continue;
-    BaselineRecord record;
-    record.op = ExtractString(line, "op");
-    record.shape = ExtractString(line, "shape");
-    record.threads = static_cast<int>(ExtractNumber(line, "threads"));
-    record.gflops = ExtractNumber(line, "gflops");
-    record.seconds_per_iter = ExtractNumber(line, "seconds_per_iter");
-    baseline.push_back(record);
-  }
-  return baseline;
-}
-
-// Compares against a baseline run; a kernel counts as regressed when
-// its time per iteration grew past (1 + tolerance) on a matching
-// (op, shape, threads) row. Shapes present on only one side are
-// skipped (quick vs full runs share only some rows).
-int CheckAgainstBaseline(const std::vector<BenchRecord>& records,
-                         const std::string& path, double tolerance) {
-  const std::vector<BaselineRecord> baseline = LoadBaseline(path);
-  int regressions = 0, compared = 0;
-  for (const BenchRecord& r : records) {
-    for (const BaselineRecord& b : baseline) {
-      if (b.op != r.op || b.shape != r.shape || b.threads != r.threads) {
-        continue;
-      }
-      ++compared;
-      if (b.seconds_per_iter > 0.0 &&
-          r.seconds_per_iter > b.seconds_per_iter * (1.0 + tolerance)) {
-        ++regressions;
-        std::printf("REGRESSION %s %s threads=%d: %.3f ms/iter vs baseline "
-                    "%.3f ms/iter (tolerance %.0f%%)\n",
-                    r.op.c_str(), r.shape.c_str(), r.threads,
-                    r.seconds_per_iter * 1e3, b.seconds_per_iter * 1e3,
-                    tolerance * 100.0);
-      }
-      break;
-    }
-  }
-  std::printf("baseline check: %d rows compared, %d regressions\n", compared,
-              regressions);
-  return regressions == 0 ? 0 : 1;
-}
-
-// The multithreading-is-a-win gate: for every (op, shape) with both a
-// 1-thread row and multi-thread rows, the BEST multi-thread time must
-// not be worse than the 1-thread time by more than `tolerance`. On a
-// single-core host the executor caps fan-out at the core count, so
-// multi-thread rows degrade to ~parity and the gate still holds; on a
-// real multi-core runner this enforces actual scaling.
-int CheckScaling(const std::vector<BenchRecord>& records, double tolerance) {
-  int violations = 0, groups = 0;
-  for (const BenchRecord& r : records) {
-    if (r.threads != 1) continue;
-    double best_multi = 0.0;
-    int best_threads = 0;
-    for (const BenchRecord& m : records) {
-      if (m.op != r.op || m.shape != r.shape || m.threads == 1) continue;
-      if (best_threads == 0 || m.seconds_per_iter < best_multi) {
-        best_multi = m.seconds_per_iter;
-        best_threads = m.threads;
-      }
-    }
-    if (best_threads == 0) continue;
-    ++groups;
-    if (best_multi > r.seconds_per_iter * (1.0 + tolerance)) {
-      ++violations;
-      std::printf("SCALING VIOLATION %s %s: best multi-thread %.3f ms/iter "
-                  "(threads=%d) vs 1-thread %.3f ms/iter (tolerance %.0f%%)\n",
-                  r.op.c_str(), r.shape.c_str(), best_multi * 1e3,
-                  best_threads, r.seconds_per_iter * 1e3, tolerance * 100.0);
-    } else {
-      std::printf("scaling ok %s %s: %.2fx at best multi-thread\n",
-                  r.op.c_str(), r.shape.c_str(),
-                  r.seconds_per_iter / best_multi);
-    }
-  }
-  std::printf("scaling gate: %d groups checked, %d violations\n", groups,
-              violations);
-  return violations == 0 ? 0 : 1;
-}
-
-std::vector<int> ParseThreadSet(const std::string& spec) {
-  std::vector<int> threads;
-  std::stringstream in(spec);
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    const int t = std::atoi(item.c_str());
-    if (t >= 1) threads.push_back(t);
-  }
-  if (threads.empty()) threads.push_back(1);
-  return threads;
-}
-
 int Main(int argc, char** argv) {
-  Result<FlagParser> flags = FlagParser::Parse(argc, argv);
+  const Result<FlagParser> flags = bench::ParseFlags(
+      argc, argv,
+      {"quick", "out", "threads", "scaling-gate", "scaling-tolerance",
+       "fast_math"});
   if (!flags.ok()) {
     std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
     return 2;
   }
   const bool quick = flags->GetBool("quick", false);
   const std::string out_path = flags->GetString("out", "BENCH_kernels.json");
-  const std::string check_path = flags->GetString("check", "");
-  const double tolerance = flags->GetDouble("check-tolerance", 0.5);
   const bool scaling_gate = flags->GetBool("scaling-gate", false);
   const double scaling_tolerance = flags->GetDouble("scaling-tolerance", 0.15);
   const bool fast_math = flags->GetBool("fast_math", true);
 
   Harness harness;
-  harness.thread_set = ParseThreadSet(flags->GetString("threads", "1,2,8"));
+  harness.thread_set =
+      bench::ParseThreadSet(flags->GetString("threads", "1,2,8"));
   harness.timing.min_seconds = quick ? 0.02 : 0.3;
   harness.timing.max_iters = quick ? 20 : 200;
 
@@ -538,7 +380,7 @@ int Main(int argc, char** argv) {
   std::printf("bench_kernels (%s mode, avx2=%s, threads={%s}, %u hardware "
               "threads, perf counters %s)\n\n",
               quick ? "quick" : "full", kernels::UsingAvx2() ? "on" : "off",
-              ThreadSetLabel(harness.thread_set).c_str(),
+              bench::ThreadSetLabel(harness.thread_set).c_str(),
               std::thread::hardware_concurrency(),
               PerfCountersSupported()
                   ? "available"
@@ -552,12 +394,8 @@ int Main(int argc, char** argv) {
 
   WriteJson(out_path, harness.records, quick, harness.thread_set);
 
-  int rc = 0;
-  if (scaling_gate) rc |= CheckScaling(harness.records, scaling_tolerance);
-  if (!check_path.empty()) {
-    rc |= CheckAgainstBaseline(harness.records, check_path, tolerance);
-  }
-  return rc;
+  return scaling_gate ? bench::CheckScaling(harness.records, scaling_tolerance)
+                      : 0;
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Out-of-core storage benchmark and regression harness: packs a
-// synthetic graph into a shard directory, then times the four access
+// synthetic graph into a shard directory, then times the access
 // patterns the streaming inference path is built from and writes
 // BENCH_storage.json — one record per mode with MB/s over the pack.
 //
@@ -8,9 +8,6 @@
 //   streamed          sequential partition sweep under a BINDING budget
 //                     (the pack minus its smallest shard), touching every
 //                     feature byte — the MapReduce map stage's access shape
-//   prefetched        the same sweep with Prefetch(p+1) overlapping I/O
-//                     (the legacy fire-and-forget scheme, kept as a row so
-//                     the pipeline's win over it stays visible)
 //   pipelined         the same sweep through a ShardPipeline: a dedicated
 //                     loader thread double-buffers shard I/O behind the
 //                     checksum compute
@@ -20,20 +17,21 @@
 // Every mode folds the bytes it touches into a deterministic
 // gather_checksum (seeded dataset + hash partitioning = host-stable),
 // and the run FAILS — not just reports — when an invariant breaks:
-// peak mapped bytes over budget, zero prefetch hits, nothing pinned,
-// or any checksum failure. The JSON also records which read-path tier
+// peak mapped bytes over budget, nothing pinned, or any checksum
+// failure. The JSON also records which read-path tier
 // (io_uring / O_DIRECT / pread / mmap) auto-detection picked.
 //
 // Usage:
 //   bench_storage                     full sweep, writes BENCH_storage.json
 //   bench_storage --quick             CI smoke: same dataset shape, short timing
 //   bench_storage --out=PATH          write the JSON elsewhere
-//   bench_storage --check=PATH        diff against a baseline JSON; exits 1 on
-//                                     timing regression past --check-tolerance
-//                                     or a gather_checksum mismatch
 //   bench_storage --overlap-gate      exit 1 unless the pipelined sweep is at
 //                                     least as fast as the streamed sweep
 //                                     (minus --overlap-tolerance slack)
+//
+// Baseline comparison is tools/report_diff against the checked-in
+// BENCH_storage.json (gather_checksum is exact-class); unknown flags
+// exit 2.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -43,10 +41,8 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "src/common/crc32.h"
-#include "src/common/flags.h"
-#include "src/common/thread_pool.h"
-#include "src/common/timer.h"
 #include "src/graph/datasets.h"
 #include "src/storage/graph_view.h"
 #include "src/storage/shard_format.h"
@@ -71,25 +67,6 @@ struct BenchRecord {
   double mb_per_s = 0.0;
   std::uint64_t peak_bytes_mapped = 0;
 };
-
-struct TimingOptions {
-  double min_seconds = 0.3;
-  std::int64_t max_iters = 50;
-};
-
-template <typename Fn>
-double TimeIt(const TimingOptions& options, Fn&& fn) {
-  fn();  // untimed warmup: cold caches, lazy page-ins
-  WallTimer timer;
-  std::int64_t iters = 0;
-  double elapsed = 0.0;
-  while (elapsed < options.min_seconds && iters < options.max_iters) {
-    fn();
-    ++iters;
-    elapsed = timer.ElapsedSeconds();
-  }
-  return elapsed / static_cast<double>(iters);
-}
 
 /// Folds every byte a slice exposes (topology + features + labels)
 /// into a CRC accumulator — the "work" each sweep iteration does, and
@@ -117,10 +94,9 @@ std::uint64_t ChecksumSlice(const PartitionSlice& slice,
   return acc;
 }
 
-std::uint64_t SweepView(const GraphView& view, bool prefetch) {
+std::uint64_t SweepView(const GraphView& view) {
   std::uint64_t acc = 0;
   for (std::int64_t p = 0; p < view.num_partitions(); ++p) {
-    if (prefetch) view.PrefetchPartition(p + 1);
     const Result<PartitionSlice> slice = view.AcquirePartition(p);
     if (!slice.ok()) {
       std::fprintf(stderr, "bench_storage: %s\n",
@@ -153,12 +129,10 @@ std::uint64_t SweepPipelined(const GraphView& view, int slots) {
 
 ShardStoreOptions StoreOptions(const std::string& dir,
                                std::uint64_t budget,
-                               ThreadPool* pool,
                                std::uint64_t pinned_budget = 0) {
   ShardStoreOptions options;
   options.directory = dir;
   options.memory_budget_bytes = budget;
-  options.prefetch_pool = pool;
   options.pinned_budget_bytes = pinned_budget;
   return options;
 }
@@ -206,71 +180,9 @@ void WriteJson(const std::string& path,
   std::printf("\nwrote %zu records to %s\n", records.size(), path.c_str());
 }
 
-// Minimal extraction for the exact one-record-per-line format WriteJson
-// emits — enough for --check without a JSON dependency.
-std::string ExtractString(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\": \"";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return "";
-  const std::size_t begin = at + needle.size();
-  const std::size_t end = line.find('"', begin);
-  return end == std::string::npos ? "" : line.substr(begin, end - begin);
-}
-
-double ExtractNumber(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\": ";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return 0.0;
-  return std::strtod(line.c_str() + at + needle.size(), nullptr);
-}
-
-int CheckAgainstBaseline(const std::vector<BenchRecord>& records,
-                         std::uint64_t gather_checksum,
-                         const std::string& path, double tolerance) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "bench_storage: cannot read baseline %s\n",
-                 path.c_str());
-    return 1;
-  }
-  int compared = 0;
-  int regressions = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::string baseline_checksum =
-        ExtractString(line, "gather_checksum");
-    if (!baseline_checksum.empty() &&
-        baseline_checksum != std::to_string(gather_checksum)) {
-      std::printf("CHECKSUM MISMATCH: %s vs baseline %s — the streamed "
-                  "bytes differ from the baseline run\n",
-                  std::to_string(gather_checksum).c_str(),
-                  baseline_checksum.c_str());
-      ++regressions;
-    }
-    const std::string op = ExtractString(line, "op");
-    if (op.empty()) continue;
-    for (const BenchRecord& r : records) {
-      if (r.mode != op || r.shape != ExtractString(line, "shape")) continue;
-      ++compared;
-      const double baseline = ExtractNumber(line, "seconds_per_iter");
-      if (baseline > 0.0 &&
-          r.seconds_per_iter > baseline * (1.0 + tolerance)) {
-        ++regressions;
-        std::printf("REGRESSION %s %s: %.3f ms/iter vs baseline %.3f "
-                    "ms/iter (tolerance %.0f%%)\n",
-                    r.mode.c_str(), r.shape.c_str(),
-                    r.seconds_per_iter * 1e3, baseline * 1e3,
-                    tolerance * 100.0);
-      }
-    }
-  }
-  std::printf("baseline check: %d rows compared, %d regressions\n", compared,
-              regressions);
-  return regressions == 0 ? 0 : 1;
-}
-
 int Main(int argc, const char* const argv[]) {
-  const Result<FlagParser> flags = FlagParser::Parse(argc, argv);
+  const Result<FlagParser> flags = bench::ParseFlags(
+      argc, argv, {"quick", "out", "overlap-gate", "overlap-tolerance"});
   if (!flags.ok()) {
     std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
     return 2;
@@ -278,17 +190,13 @@ int Main(int argc, const char* const argv[]) {
   const bool quick = flags->GetBool("quick", false);
   const std::string out_path =
       flags->GetString("out", "BENCH_storage.json");
-  const std::string check_path = flags->GetString("check", "");
-  const double tolerance = flags->GetDouble("check-tolerance", 0.5);
   const bool overlap_gate = flags->GetBool("overlap-gate", false);
   const double overlap_tolerance =
       flags->GetDouble("overlap-tolerance", 0.10);
 
-  TimingOptions timing;
-  if (quick) {
-    timing.min_seconds = 0.02;
-    timing.max_iters = 3;
-  }
+  bench::TimingOptions timing;
+  timing.min_seconds = quick ? 0.02 : 0.3;
+  timing.max_iters = quick ? 3 : 50;
 
   // One dataset shape for quick AND full runs, so a quick CI check
   // compares against the checked-in full baseline on matching rows.
@@ -358,22 +266,22 @@ int Main(int argc, const char* const argv[]) {
 
   {  // cold: open + demand-load the whole pack every iteration
     std::uint64_t peak = 0;
-    const double seconds = TimeIt(timing, [&] {
-      ShardStore store = MustOpen(StoreOptions(dir, 0, nullptr));
+    const double seconds = bench::TimeIt(timing, [&] {
+      ShardStore store = MustOpen(StoreOptions(dir, 0));
       const ShardGraphView view(std::move(store));
-      g_sink = g_sink + SweepView(view, /*prefetch=*/false);
+      g_sink = g_sink + SweepView(view);
       peak = view.storage_metrics().peak_bytes_mapped;
     });
     record("cold", seconds, peak);
   }
 
   {  // warm: one store, every Map a cache hit
-    ShardStore store = MustOpen(StoreOptions(dir, 0, nullptr));
+    ShardStore store = MustOpen(StoreOptions(dir, 0));
     read_path = store.read_path();
     const ShardGraphView view(std::move(store));
-    gather_checksum = SweepView(view, /*prefetch=*/false);  // fill
-    const double seconds = TimeIt(
-        timing, [&] { g_sink = g_sink + SweepView(view, false); });
+    gather_checksum = SweepView(view);  // fill
+    const double seconds = bench::TimeIt(
+        timing, [&] { g_sink = g_sink + SweepView(view); });
     const StorageMetrics metrics = view.storage_metrics();
     record("warm", seconds, metrics.peak_bytes_mapped);
     if (metrics.checksum_failures != 0) {
@@ -385,10 +293,10 @@ int Main(int argc, const char* const argv[]) {
 
   {  // streamed: sequential sweep under the binding budget
     std::uint64_t peak = 0;
-    const double seconds = TimeIt(timing, [&] {
-      ShardStore store = MustOpen(StoreOptions(dir, budget, nullptr));
+    const double seconds = bench::TimeIt(timing, [&] {
+      ShardStore store = MustOpen(StoreOptions(dir, budget));
       const ShardGraphView view(std::move(store));
-      const std::uint64_t acc = SweepView(view, /*prefetch=*/false);
+      const std::uint64_t acc = SweepView(view);
       g_sink = g_sink + acc;
       if (acc != gather_checksum) {
         std::fprintf(stderr, "INVARIANT: streamed checksum diverged\n");
@@ -406,42 +314,11 @@ int Main(int argc, const char* const argv[]) {
     }
   }
 
-  {  // prefetched: the same sweep with Prefetch(p+1) overlapping I/O
-    ThreadPool pool(2);
-    std::uint64_t peak = 0;
-    std::int64_t prefetch_hits = 0;
-    const double seconds = TimeIt(timing, [&] {
-      ShardStore store = MustOpen(StoreOptions(dir, budget, &pool));
-      const ShardGraphView view(std::move(store));
-      const std::uint64_t acc = SweepView(view, /*prefetch=*/true);
-      g_sink = g_sink + acc;
-      if (acc != gather_checksum) {
-        std::fprintf(stderr, "INVARIANT: prefetched checksum diverged\n");
-        ++failures;
-      }
-      const StorageMetrics metrics = view.storage_metrics();
-      peak = metrics.peak_bytes_mapped;
-      prefetch_hits += metrics.prefetch_hits;
-    });
-    record("prefetched", seconds, peak);
-    if (peak > budget) {
-      std::fprintf(stderr,
-                   "INVARIANT: peak %llu exceeds the %llu-byte budget\n",
-                   static_cast<unsigned long long>(peak),
-                   static_cast<unsigned long long>(budget));
-      ++failures;
-    }
-    if (prefetch_hits == 0) {
-      std::fprintf(stderr, "INVARIANT: no prefetch hit across any run\n");
-      ++failures;
-    }
-  }
-
   {  // pipelined: the sweep with a dedicated loader thread overlapping
      // shard I/O for p+1 behind the checksum compute on p
     std::uint64_t peak = 0;
-    const double seconds = TimeIt(timing, [&] {
-      ShardStore store = MustOpen(StoreOptions(dir, budget, nullptr));
+    const double seconds = bench::TimeIt(timing, [&] {
+      ShardStore store = MustOpen(StoreOptions(dir, budget));
       const ShardGraphView view(std::move(store));
       const std::uint64_t acc = SweepPipelined(view, /*slots=*/2);
       g_sink = g_sink + acc;
@@ -463,8 +340,7 @@ int Main(int argc, const char* const argv[]) {
 
   {  // pipelined_pinned: persistent store, hub hot-set pinned resident
      // under half the budget, cold shards cycling through the rest
-    ShardStore store =
-        MustOpen(StoreOptions(dir, budget, nullptr, budget / 2));
+    ShardStore store = MustOpen(StoreOptions(dir, budget, budget / 2));
     const ShardGraphView view(std::move(store));
     const Result<std::int64_t> pinned = view.PinHotSet(/*hub_threshold=*/0);
     if (!pinned.ok()) {
@@ -472,7 +348,7 @@ int Main(int argc, const char* const argv[]) {
                    pinned.status().ToString().c_str());
       return 2;
     }
-    const double seconds = TimeIt(timing, [&] {
+    const double seconds = bench::TimeIt(timing, [&] {
       const std::uint64_t acc = SweepPipelined(view, /*slots=*/2);
       g_sink = g_sink + acc;
       if (acc != gather_checksum) {
@@ -533,10 +409,6 @@ int Main(int argc, const char* const argv[]) {
     std::fprintf(stderr, "bench_storage: %d invariant violation(s)\n",
                  failures);
     return 1;
-  }
-  if (!check_path.empty()) {
-    return CheckAgainstBaseline(records, gather_checksum, check_path,
-                                tolerance);
   }
   return 0;
 }

@@ -4,23 +4,21 @@
 // BENCH_superstep.json — one record per (op, shape, threads) with
 // throughput, ns/message, and the measured speedup. Self-contained
 // timing (no external benchmark framework), same JSON and flag shape
-// as bench_kernels so the CI baseline check is shared tooling.
+// as bench_kernels so tools/report_diff gates both against their
+// checked-in baselines.
 //
 // Usage:
 //   bench_superstep                    full sweep, writes BENCH_superstep.json
 //   bench_superstep --quick            CI smoke: smaller inbox, shorter timing
 //   bench_superstep --out=PATH         write the JSON elsewhere
-//   bench_superstep --check=PATH       diff against a baseline JSON; exits 1
-//                                      when any op's speedup-vs-scalar falls
-//                                      below baseline/(1 + --check-tolerance).
-//                                      Ratios, not absolute seconds: the
-//                                      interleaved oracle cancels host speed.
 //   bench_superstep --threads=LIST     comma-separated thread sweep
 //                                      (default "1,2,8" — fixed so baselines
 //                                      compare like against like)
 //   bench_superstep --scaling-gate     exit 1 if any op's best multi-thread
 //                                      time is worse than its 1-thread time
 //                                      by more than --scaling-tolerance
+//
+// Unknown flags exit 2.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -34,9 +32,8 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/flags.h"
+#include "bench/bench_common.h"
 #include "src/common/rng.h"
-#include "src/common/timer.h"
 #include "src/telemetry/perf_counters.h"
 #include "src/gas/message.h"
 #include "src/gas/superstep_gather.h"
@@ -73,11 +70,6 @@ struct BenchRecord {
   double llc_misses_per_iter = 0.0;
 };
 
-struct TimingOptions {
-  double min_seconds = 0.3;
-  std::int64_t max_iters = 200;
-};
-
 void SetThreads(int max_threads) {
   kernels::KernelConfig config = kernels::GetKernelConfig();
   config.max_threads = max_threads;
@@ -86,7 +78,7 @@ void SetThreads(int max_threads) {
 }
 
 struct Harness {
-  TimingOptions timing;
+  bench::TimingOptions timing;
   // Fixed sweep (default {1, 2, 8}) so baseline rows always compare
   // like against like regardless of the machine's core count.
   std::vector<int> thread_set = {1, 2, 8};
@@ -355,14 +347,6 @@ void BenchRoute(Harness* harness, const Workload& w) {
       });
 }
 
-std::string ThreadSetLabel(const std::vector<int>& threads) {
-  std::ostringstream out;
-  for (std::size_t i = 0; i < threads.size(); ++i) {
-    out << (i ? "," : "") << threads[i];
-  }
-  return out.str();
-}
-
 void WriteJson(const std::string& path, const std::vector<BenchRecord>& records,
                bool quick, const std::vector<int>& thread_set) {
   std::ofstream out(path, std::ios::trunc);
@@ -374,7 +358,8 @@ void WriteJson(const std::string& path, const std::vector<BenchRecord>& records,
   out << "  \"bench\": \"bench_superstep\",\n";
   out << "  \"mode\": \"" << (quick ? "quick" : "full") << "\",\n";
   out << "  \"avx2\": " << (kernels::UsingAvx2() ? "true" : "false") << ",\n";
-  out << "  \"thread_set\": \"" << ThreadSetLabel(thread_set) << "\",\n";
+  out << "  \"thread_set\": \"" << bench::ThreadSetLabel(thread_set)
+      << "\",\n";
   out << "  \"hardware_concurrency\": "
       << std::thread::hardware_concurrency() << ",\n";
   // Explicit marker: rows carry real hardware counts, or they are all
@@ -407,151 +392,22 @@ void WriteJson(const std::string& path, const std::vector<BenchRecord>& records,
   std::printf("\nwrote %zu records to %s\n", records.size(), path.c_str());
 }
 
-// Minimal field extraction for the exact format WriteJson emits (one
-// record per line) — enough for --check without a JSON dependency.
-struct BaselineRecord {
-  std::string op, shape;
-  int threads = 0;
-  double seconds_per_iter = 0.0;
-  double speedup_vs_reference = 0.0;
-};
-
-std::string ExtractString(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\": \"";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return "";
-  const std::size_t begin = at + needle.size();
-  const std::size_t end = line.find('"', begin);
-  return end == std::string::npos ? "" : line.substr(begin, end - begin);
-}
-
-double ExtractNumber(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\": ";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return 0.0;
-  return std::strtod(line.c_str() + at + needle.size(), nullptr);
-}
-
-std::vector<BaselineRecord> LoadBaseline(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "bench_superstep: cannot read baseline %s\n",
-                 path.c_str());
-    std::exit(2);
-  }
-  std::vector<BaselineRecord> baseline;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.find("\"op\"") == std::string::npos) continue;
-    BaselineRecord record;
-    record.op = ExtractString(line, "op");
-    record.shape = ExtractString(line, "shape");
-    record.threads = static_cast<int>(ExtractNumber(line, "threads"));
-    record.seconds_per_iter = ExtractNumber(line, "seconds_per_iter");
-    record.speedup_vs_reference = ExtractNumber(line, "speedup_vs_reference");
-    baseline.push_back(record);
-  }
-  return baseline;
-}
-
-int CheckAgainstBaseline(const std::vector<BenchRecord>& records,
-                         const std::string& path, double tolerance) {
-  const std::vector<BaselineRecord> baseline = LoadBaseline(path);
-  int regressions = 0, compared = 0;
-  for (const BenchRecord& r : records) {
-    for (const BaselineRecord& b : baseline) {
-      if (b.op != r.op || b.shape != r.shape || b.threads != r.threads) {
-        continue;
-      }
-      ++compared;
-      // The gate compares speedup-vs-scalar, not absolute seconds: the
-      // oracle is re-timed interleaved with the fast path inside every
-      // row, so the ratio cancels out host speed and bandwidth drift.
-      // A scalar fallback sneaking back in drives the ratio to ~1.0,
-      // which a tolerance well under the baseline ratio still catches.
-      if (b.speedup_vs_reference > 0.0 &&
-          r.speedup_vs_reference <
-              b.speedup_vs_reference / (1.0 + tolerance)) {
-        ++regressions;
-        std::printf("REGRESSION %s %s threads=%d: %.2fx vs scalar, baseline "
-                    "%.2fx (tolerance %.0f%%)\n",
-                    r.op.c_str(), r.shape.c_str(), r.threads,
-                    r.speedup_vs_reference, b.speedup_vs_reference,
-                    tolerance * 100.0);
-      }
-      break;
-    }
-  }
-  std::printf("baseline check: %d rows compared, %d regressions\n", compared,
-              regressions);
-  return regressions == 0 ? 0 : 1;
-}
-
-// The multithreading-is-a-win gate: for every (op, shape) with both a
-// 1-thread row and multi-thread rows, the BEST multi-thread time must
-// not be worse than the 1-thread time by more than `tolerance`. On a
-// single-core host the executor caps fan-out at the core count, so
-// multi-thread rows degrade to ~parity and the gate still holds; on a
-// real multi-core runner this enforces actual scaling.
-int CheckScaling(const std::vector<BenchRecord>& records, double tolerance) {
-  int violations = 0, groups = 0;
-  for (const BenchRecord& r : records) {
-    if (r.threads != 1) continue;
-    double best_multi = 0.0;
-    int best_threads = 0;
-    for (const BenchRecord& m : records) {
-      if (m.op != r.op || m.shape != r.shape || m.threads == 1) continue;
-      if (best_threads == 0 || m.seconds_per_iter < best_multi) {
-        best_multi = m.seconds_per_iter;
-        best_threads = m.threads;
-      }
-    }
-    if (best_threads == 0) continue;
-    ++groups;
-    if (best_multi > r.seconds_per_iter * (1.0 + tolerance)) {
-      ++violations;
-      std::printf("SCALING VIOLATION %s %s: best multi-thread %.3f ms/iter "
-                  "(threads=%d) vs 1-thread %.3f ms/iter (tolerance %.0f%%)\n",
-                  r.op.c_str(), r.shape.c_str(), best_multi * 1e3,
-                  best_threads, r.seconds_per_iter * 1e3, tolerance * 100.0);
-    } else {
-      std::printf("scaling ok %s %s: %.2fx at best multi-thread\n",
-                  r.op.c_str(), r.shape.c_str(),
-                  r.seconds_per_iter / best_multi);
-    }
-  }
-  std::printf("scaling gate: %d groups checked, %d violations\n", groups,
-              violations);
-  return violations == 0 ? 0 : 1;
-}
-
-std::vector<int> ParseThreadSet(const std::string& spec) {
-  std::vector<int> threads;
-  std::stringstream in(spec);
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    const int t = std::atoi(item.c_str());
-    if (t >= 1) threads.push_back(t);
-  }
-  if (threads.empty()) threads.push_back(1);
-  return threads;
-}
-
 int Main(int argc, char** argv) {
-  Result<FlagParser> flags = FlagParser::Parse(argc, argv);
+  const Result<FlagParser> flags = bench::ParseFlags(
+      argc, argv,
+      {"quick", "out", "threads", "scaling-gate", "scaling-tolerance"});
   if (!flags.ok()) {
     std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
     return 2;
   }
   const bool quick = flags->GetBool("quick", false);
   const std::string out_path = flags->GetString("out", "BENCH_superstep.json");
-  const std::string check_path = flags->GetString("check", "");
-  const double tolerance = flags->GetDouble("check-tolerance", 0.25);
   const bool scaling_gate = flags->GetBool("scaling-gate", false);
   const double scaling_tolerance = flags->GetDouble("scaling-tolerance", 0.15);
 
   Harness harness;
-  harness.thread_set = ParseThreadSet(flags->GetString("threads", "1,2,8"));
+  harness.thread_set =
+      bench::ParseThreadSet(flags->GetString("threads", "1,2,8"));
   harness.timing.min_seconds = quick ? 0.1 : 0.3;
   harness.timing.max_iters = quick ? 30 : 50;
 
@@ -563,14 +419,15 @@ int Main(int argc, char** argv) {
   std::printf("bench_superstep (%s mode, avx2=%s, threads={%s}, %u hardware "
               "threads, perf counters %s)\n\n",
               quick ? "quick" : "full", kernels::UsingAvx2() ? "on" : "off",
-              ThreadSetLabel(harness.thread_set).c_str(),
+              bench::ThreadSetLabel(harness.thread_set).c_str(),
               std::thread::hardware_concurrency(),
               PerfCountersSupported()
                   ? "available"
                   : PerfCountersUnavailableReason().c_str());
 
-  // The quick sweep reuses the smaller full-sweep inbox so CI --check
-  // compares real rows against the checked-in Release baseline.
+  // The quick sweep reuses the smaller full-sweep inbox so CI's
+  // report_diff gate compares real rows against the checked-in Release
+  // baseline.
   const std::vector<std::int64_t> sizes =
       quick ? std::vector<std::int64_t>{262144}
             : std::vector<std::int64_t>{262144, 1048576};
@@ -588,12 +445,8 @@ int Main(int argc, char** argv) {
 
   WriteJson(out_path, harness.records, quick, harness.thread_set);
 
-  int rc = 0;
-  if (scaling_gate) rc |= CheckScaling(harness.records, scaling_tolerance);
-  if (!check_path.empty()) {
-    rc |= CheckAgainstBaseline(harness.records, check_path, tolerance);
-  }
-  return rc;
+  return scaling_gate ? bench::CheckScaling(harness.records, scaling_tolerance)
+                      : 0;
 }
 
 }  // namespace

@@ -115,25 +115,6 @@ void ThreadPool::ParallelFor(std::size_t n,
   Wait();
 }
 
-void ThreadPool::ParallelForRanges(
-    std::size_t n, std::size_t max_tasks,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (n == 0) return;
-  const std::size_t tasks = std::max<std::size_t>(1, std::min(n, max_tasks));
-  if (tasks == 1) {
-    fn(0, n);
-    return;
-  }
-  for (std::size_t t = 0; t < tasks; ++t) {
-    const std::size_t begin = n * t / tasks;
-    const std::size_t end = n * (t + 1) / tasks;
-    if (begin < end) {
-      Submit([&fn, begin, end] { fn(begin, end); });
-    }
-  }
-  Wait();
-}
-
 ThreadPool& DefaultThreadPool() {
   static ThreadPool* pool =
       new ThreadPool(std::max(2u, std::thread::hardware_concurrency()));

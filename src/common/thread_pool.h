@@ -43,16 +43,6 @@ class ThreadPool {
   /// `fn` must be safe to invoke concurrently.
   void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  /// Runs `fn(begin, end)` over a fixed contiguous partition of [0, n)
-  /// into at most `max_tasks` ranges — one queued task per range, so
-  /// the per-index dispatch of ParallelFor (an atomic fetch_add and an
-  /// indirect call per element) is paid once per range instead.
-  /// Boundaries depend only on (n, task count); each index belongs to
-  /// exactly one call.
-  void ParallelForRanges(
-      std::size_t n, std::size_t max_tasks,
-      const std::function<void(std::size_t, std::size_t)>& fn);
-
   /// True when the calling thread is a worker of *any* ThreadPool.
   /// Nested ParallelFor/Wait from inside a pool task would deadlock
   /// (the task itself counts as in-flight), so layered parallelism —

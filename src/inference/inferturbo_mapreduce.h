@@ -25,7 +25,7 @@ Result<InferenceResult> RunInferTurboMapReduce(
     const InferTurboOptions& options);
 
 /// Same pipeline over a GraphView: map instance p streams partition p
-/// of the view (prefetching p+1), so an out-of-core shard-backed view
+/// of the view through a ShardPipeline, so an out-of-core shard-backed view
 /// runs with only ~one partition resident per mapper. Logits are
 /// bit-identical to the in-memory overload because the view presents
 /// partitions in the same HashPartitioner member order with the same

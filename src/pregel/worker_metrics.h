@@ -74,8 +74,8 @@ struct ClusterCostModel {
 };
 
 /// Out-of-core storage accounting (src/storage/): how many bytes of
-/// shard files a job had mapped, and how well the prefetcher hid the
-/// map cost. A job that never touched the shard store reports zeros.
+/// shard files a job had mapped, and how well the shard pipeline hid
+/// the load cost. A job that never touched the shard store reports zeros.
 struct StorageMetrics {
   /// Shard bytes currently mapped (mmap or heap fallback).
   std::uint64_t bytes_mapped = 0;
@@ -89,12 +89,6 @@ struct StorageMetrics {
   /// Map() requests satisfied by an already-mapped shard.
   std::int64_t cache_hits = 0;
   std::int64_t cache_misses = 0;
-  /// Async prefetches issued / finished loading.
-  std::int64_t prefetch_issued = 0;
-  std::int64_t prefetch_completed = 0;
-  /// Map() requests whose shard was resident because a prefetch loaded
-  /// it (subset of cache_hits).
-  std::int64_t prefetch_hits = 0;
   /// Cache entries dropped to respect the memory budget.
   std::int64_t evictions = 0;
   /// Shards rejected on load because a page failed CRC/bounds checks.
@@ -130,9 +124,6 @@ struct StorageMetrics {
     unmap_calls += other.unmap_calls;
     cache_hits += other.cache_hits;
     cache_misses += other.cache_misses;
-    prefetch_issued += other.prefetch_issued;
-    prefetch_completed += other.prefetch_completed;
-    prefetch_hits += other.prefetch_hits;
     evictions += other.evictions;
     checksum_failures += other.checksum_failures;
     pinned_bytes = std::max(pinned_bytes, other.pinned_bytes);

@@ -2,7 +2,6 @@
 #define INFERTURBO_STORAGE_GRAPH_VIEW_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -61,10 +60,6 @@ class GraphView {
   /// Pins partition p and returns spans over its data.
   virtual Result<PartitionSlice> AcquirePartition(
       std::int64_t partition) const = 0;
-  /// Hints that partition p will be acquired soon. Must be a no-op —
-  /// not even a queued task — for out-of-range partitions, so drivers
-  /// can blindly hint p+1 while walking a sweep.
-  virtual void PrefetchPartition(std::int64_t /*partition*/) const {}
   /// Pins the hub-heavy hot-set resident (out-of-core views configured
   /// with a pinned budget; see ShardStore::PinHotSet). Returns the
   /// number of partitions pinned — 0 for in-memory views and stores
@@ -136,7 +131,6 @@ class ShardGraphView : public GraphView {
 
   Result<PartitionSlice> AcquirePartition(
       std::int64_t partition) const override;
-  void PrefetchPartition(std::int64_t partition) const override;
   Result<std::int64_t> PinHotSet(std::int64_t hub_threshold) const override;
   StorageMetrics storage_metrics() const override {
     return store_.metrics();
@@ -147,25 +141,6 @@ class ShardGraphView : public GraphView {
  private:
   mutable ShardStore store_;
 };
-
-/// Rebuilds a full in-memory Graph from any view, reproducing the
-/// original edge numbering exactly: slices carry global edge ids, so
-/// every edge lands at its original position and the rebuilt CSC
-/// in-edge order — and with it every order-sensitive float fold — is
-/// bit-identical to the graph that was packed. Peak extra memory is
-/// one partition's slice at a time on top of the output graph.
-Result<Graph> MaterializeGraph(const GraphView& view);
-
-namespace storage_internal {
-/// Materialization core shared by the demand path above and the
-/// pipelined overload in shard_pipeline.h: `acquire(p)` supplies each
-/// partition's slice, everything else (validation, exact edge-id
-/// reconstruction) is identical, which is what keeps the two overloads
-/// byte-identical.
-Result<Graph> MaterializeWith(
-    const GraphView& view,
-    const std::function<Result<PartitionSlice>(std::int64_t)>& acquire);
-}  // namespace storage_internal
 
 }  // namespace inferturbo
 

@@ -1,8 +1,10 @@
 #include "src/storage/shard_pipeline.h"
 
 #include <utility>
+#include <vector>
 
 #include "src/common/timer.h"
+#include "src/graph/graph_builder.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/trace.h"
 
@@ -43,7 +45,7 @@ std::int64_t ShardPipeline::PickTargetLocked() {
   if (best >= 0) return best;
   // Ahead scheduling: the cursor walks 0..P-1 once, skipping partitions
   // already scheduled or consumed, and never runs past the last
-  // partition (out-of-range prefetch was the old scheme's bug).
+  // partition.
   while (next_ahead_ < num_partitions_ &&
          (slots_.count(next_ahead_) != 0 ||
           consumed_.count(next_ahead_) != 0)) {
@@ -176,11 +178,88 @@ Result<Graph> MaterializeGraph(const GraphView& view,
   }
   ShardPipeline pipeline(view,
                          ShardPipelineOptions{options.pipeline_slots});
-  Result<Graph> out = storage_internal::MaterializeWith(
-      view,
-      [&pipeline](std::int64_t p) { return pipeline.Acquire(p); });
+  const std::int64_t num_nodes = view.num_nodes();
+  const std::int64_t num_edges = view.num_edges();
+  const std::int64_t fd = view.feature_dim();
+  const std::int64_t efd = view.edge_feature_dim();
+  const bool labeled = view.has_labels();
+
+  // Fill edge-id-indexed arrays so AddEdge can run in original edge-id
+  // order — the ordering the CSC in-edge index (and every fold over it)
+  // is derived from.
+  std::vector<NodeId> edge_src(static_cast<std::size_t>(num_edges), -1);
+  std::vector<NodeId> edge_dst(static_cast<std::size_t>(num_edges), -1);
+  Tensor node_features(num_nodes, fd);
+  Tensor edge_features =
+      efd > 0 ? Tensor(num_edges, efd) : Tensor();
+  std::vector<std::int64_t> labels(
+      labeled ? static_cast<std::size_t>(num_nodes) : 0, 0);
+  std::vector<bool> node_seen(static_cast<std::size_t>(num_nodes), false);
+
+  for (std::int64_t p = 0; p < view.num_partitions(); ++p) {
+    INFERTURBO_ASSIGN_OR_RETURN(PartitionSlice slice, pipeline.Acquire(p));
+    if (slice.out_offsets.size() != slice.nodes.size() + 1) {
+      return Status::IoError("partition " + std::to_string(p) +
+                             " slice has inconsistent CSR offsets");
+    }
+    for (std::size_t i = 0; i < slice.nodes.size(); ++i) {
+      const std::int64_t v = slice.nodes[i];
+      if (v < 0 || v >= num_nodes || node_seen[static_cast<std::size_t>(v)]) {
+        return Status::IoError("partition " + std::to_string(p) +
+                               " names node " + std::to_string(v) +
+                               " out of range or twice");
+      }
+      node_seen[static_cast<std::size_t>(v)] = true;
+      node_features.SetRow(v, slice.node_features +
+                                  i * static_cast<std::size_t>(fd));
+      if (labeled) {
+        labels[static_cast<std::size_t>(v)] = slice.labels[i];
+      }
+      for (std::int64_t k = slice.out_offsets[i];
+           k < slice.out_offsets[i + 1]; ++k) {
+        const std::int64_t e = slice.out_edge_ids[static_cast<std::size_t>(k)];
+        if (e < 0 || e >= num_edges ||
+            edge_src[static_cast<std::size_t>(e)] != -1) {
+          return Status::IoError("partition " + std::to_string(p) +
+                                 " names edge id " + std::to_string(e) +
+                                 " out of range or twice");
+        }
+        edge_src[static_cast<std::size_t>(e)] = v;
+        edge_dst[static_cast<std::size_t>(e)] =
+            slice.out_dst[static_cast<std::size_t>(k)];
+        if (efd > 0) {
+          edge_features.SetRow(
+              e, slice.edge_features + static_cast<std::size_t>(k) *
+                                           static_cast<std::size_t>(efd));
+        }
+      }
+    }
+  }
   if (options.stats != nullptr) options.stats->Merge(pipeline.stats());
-  return out;
+  for (std::int64_t v = 0; v < num_nodes; ++v) {
+    if (!node_seen[static_cast<std::size_t>(v)]) {
+      return Status::IoError("node " + std::to_string(v) +
+                             " is missing from every partition");
+    }
+  }
+  for (std::int64_t e = 0; e < num_edges; ++e) {
+    if (edge_src[static_cast<std::size_t>(e)] < 0) {
+      return Status::IoError("edge id " + std::to_string(e) +
+                             " is missing from every partition");
+    }
+  }
+
+  GraphBuilder builder(num_nodes);
+  builder.ReserveEdges(static_cast<std::size_t>(num_edges));
+  for (std::int64_t e = 0; e < num_edges; ++e) {
+    builder.AddEdge(edge_src[static_cast<std::size_t>(e)],
+                    edge_dst[static_cast<std::size_t>(e)]);
+  }
+  builder.SetNodeFeatures(std::move(node_features));
+  if (efd > 0) builder.SetEdgeFeatures(std::move(edge_features));
+  if (labeled) builder.SetLabels(std::move(labels), view.num_classes());
+  return std::move(builder).Finish();
 }
+
 
 }  // namespace inferturbo

@@ -52,10 +52,7 @@ struct PipelineStats {
 
 /// Explicit double-buffered streaming over a GraphView: one dedicated
 /// loader thread fills up to `slots` partitions ahead of the consumer,
-/// and Acquire(p) hands off through an explicit ready-future — the
-/// replacement for the demand-Map-races-Prefetch scheme (which queued
-/// fire-and-forget loads on the busy compute pool, so "prefetched"
-/// streaming benchmarked *slower* than plain streaming).
+/// and Acquire(p) hands off through an explicit ready-future.
 ///
 /// Contract: one sweep. Each partition is acquired at most once per
 /// pipeline instance (a second Acquire of the same partition degrades
@@ -123,20 +120,25 @@ class ShardPipeline {
   std::thread loader_;
 };
 
-/// Options for the pipeline-aware MaterializeGraph overload.
+/// Options for MaterializeGraph.
 struct MaterializeOptions {
   /// Pipeline window used while sweeping partitions; <= 0 streams on
-  /// demand (the original behavior).
+  /// demand.
   int pipeline_slots = 2;
   /// When set, the sweep's pipeline accounting is merged in.
   PipelineStats* stats = nullptr;
 };
 
-/// MaterializeGraph with the partition sweep running on a
-/// ShardPipeline, so shard I/O for partition p+1 overlaps the rebuild
-/// of partition p. Byte-identical output to the plain overload.
+/// Rebuilds a full in-memory Graph from any view, reproducing the
+/// original edge numbering exactly: slices carry global edge ids, so
+/// every edge lands at its original position and the rebuilt CSC
+/// in-edge order — and with it every order-sensitive float fold — is
+/// bit-identical to the graph that was packed. The partition sweep runs
+/// on a ShardPipeline, so shard I/O for partition p+1 overlaps the
+/// rebuild of partition p; peak extra memory is the pipeline window's
+/// slices on top of the output graph.
 Result<Graph> MaterializeGraph(const GraphView& view,
-                               const MaterializeOptions& options);
+                               const MaterializeOptions& options = {});
 
 }  // namespace inferturbo
 

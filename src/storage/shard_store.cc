@@ -10,7 +10,6 @@
 #include <cerrno>
 #include <mutex>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -39,13 +38,11 @@ struct ShardStore::State {
   struct CacheEntry {
     ShardLease lease;
     std::uint64_t last_use = 0;
-    bool from_prefetch = false;
     /// Pinned entries belong to the hub hot-set: LRU eviction skips
     /// them, so they stay resident across supersteps.
     bool pinned = false;
   };
   std::unordered_map<std::int64_t, CacheEntry> cache;
-  std::unordered_set<std::int64_t> prefetching;
   std::uint64_t tick = 0;
   /// Hot-set accounting, guarded by `mu`.
   std::uint64_t pinned_bytes = 0;
@@ -416,8 +413,7 @@ Result<std::unique_ptr<MappedShard>> LoadShard(
 /// outliving the store stays valid.
 ShardLease PublishLocked(const std::shared_ptr<State>& s,
                          std::int64_t partition,
-                         std::unique_ptr<MappedShard> shard,
-                         bool from_prefetch) {
+                         std::unique_ptr<MappedShard> shard) {
   const std::size_t size = shard->mapped_bytes();
   EvictForLocked(*s, size);
   s->bytes_mapped.fetch_add(size, std::memory_order_relaxed);
@@ -448,7 +444,6 @@ ShardLease PublishLocked(const std::shared_ptr<State>& s,
   State::CacheEntry entry;
   entry.lease = lease;
   entry.last_use = ++s->tick;
-  entry.from_prefetch = from_prefetch;
   s->cache[partition] = std::move(entry);
   return lease;
 }
@@ -519,13 +514,6 @@ Result<ShardLease> ShardStore::Map(std::int64_t partition) {
     if (it != s.cache.end()) {
       ++s.counters.cache_hits;
       if (it->second.pinned) ++s.counters.pinned_hits;
-      if (it->second.from_prefetch) {
-        ++s.counters.prefetch_hits;
-        if (MetricsEnabled()) {
-          GlobalMetrics().GetCounter("storage.prefetch_hits")->Increment();
-        }
-        it->second.from_prefetch = false;
-      }
       it->second.last_use = ++s.tick;
       return it->second.lease;
     }
@@ -538,61 +526,12 @@ Result<ShardLease> ShardStore::Map(std::int64_t partition) {
   std::lock_guard<std::mutex> lock(s.mu);
   auto it = s.cache.find(partition);
   if (it != s.cache.end()) {
-    // A prefetch (or a concurrent Map) beat us; keep the incumbent and
-    // drop our never-charged duplicate — never block on an in-flight
-    // load.
+    // A concurrent Map beat us; keep the incumbent and drop our
+    // never-charged duplicate — never block on an in-flight load.
     it->second.last_use = ++s.tick;
-    if (it->second.from_prefetch) {
-      ++s.counters.prefetch_hits;
-      if (MetricsEnabled()) {
-        GlobalMetrics().GetCounter("storage.prefetch_hits")->Increment();
-      }
-      it->second.from_prefetch = false;
-    }
     return it->second.lease;
   }
-  return PublishLocked(state_, partition, std::move(shard),
-                       /*from_prefetch=*/false);
-}
-
-void ShardStore::Prefetch(std::int64_t partition) {
-  State& s = *state_;
-  if (s.options.prefetch_pool == nullptr || partition < 0 ||
-      partition >= s.meta.num_partitions()) {
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    if (s.cache.count(partition) != 0 ||
-        s.prefetching.count(partition) != 0) {
-      return;
-    }
-    s.prefetching.insert(partition);
-    ++s.counters.prefetch_issued;
-    if (MetricsEnabled()) {
-      GlobalMetrics().GetCounter("storage.prefetch_issued")->Increment();
-    }
-  }
-  // The task holds the State shared_ptr, so a store destroyed while a
-  // prefetch is in flight stays valid until the task finishes.
-  const std::shared_ptr<State> state = state_;
-  s.options.prefetch_pool->Submit([state, partition]() {
-    TraceSpan span("storage/prefetch", partition);
-    {
-      std::lock_guard<std::mutex> lock(state->mu);
-      EvictForLocked(*state, ExpectedShardBytes(state->meta, partition));
-    }
-    Result<std::unique_ptr<MappedShard>> shard = LoadShard(state, partition);
-    std::lock_guard<std::mutex> lock(state->mu);
-    state->prefetching.erase(partition);
-    ++state->counters.prefetch_completed;
-    // A failed prefetch is dropped silently: the next Map() repeats the
-    // load and surfaces the error on the demand path.
-    if (!shard.ok()) return;
-    if (state->cache.count(partition) != 0) return;  // demand load won
-    PublishLocked(state, partition, std::move(*shard),
-                  /*from_prefetch=*/true);
-  });
+  return PublishLocked(state_, partition, std::move(shard));
 }
 
 Result<std::int64_t> ShardStore::PinHotSet(std::int64_t hub_threshold) {

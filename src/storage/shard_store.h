@@ -9,7 +9,6 @@
 
 #include "src/common/io_fault.h"
 #include "src/common/result.h"
-#include "src/common/thread_pool.h"
 #include "src/pregel/worker_metrics.h"
 #include "src/storage/shard_format.h"
 #include "src/storage/shard_reader.h"
@@ -96,8 +95,6 @@ struct ShardStoreOptions {
   std::uint64_t memory_budget_bytes = 0;
   /// Verify every page's CRC32 (and CSR offset sanity) on first map.
   bool verify_checksums = true;
-  /// Pool for async Prefetch; nullptr makes Prefetch a no-op.
-  ThreadPool* prefetch_pool = nullptr;
   /// Optional fault injection: when set, shards are read through
   /// ReadFileToString (heap fallback) so every IoFaultKind applies.
   IoFaultInjector* fault_injector = nullptr;
@@ -123,11 +120,10 @@ struct ShardStoreOptions {
 ///
 /// Map(p) returns a lease on partition p, loading + validating the file
 /// on a miss and evicting LRU cached shards first to stay under budget.
-/// Prefetch(p) schedules the same load on the configured pool so the
-/// next partition is resident by the time the pipeline asks for it.
-/// Loads never block on an in-flight prefetch of the same shard — a
-/// duplicate load may race and the loser is dropped — so a slow or
-/// wedged pool can never deadlock a Map() caller.
+/// Concurrent misses on one partition never block on each other's load:
+/// each loads, the first to publish wins, and the others drop their
+/// never-charged duplicate and return the winner's lease. ShardPipeline
+/// (shard_pipeline.h) is the read-ahead; it calls Map() like any caller.
 ///
 /// Thread-safe; cheap to copy (shared handle to one cache). Corruption
 /// (bad magic, truncation, CRC mismatch, inconsistent counts) surfaces
@@ -142,10 +138,6 @@ class ShardStore {
 
   /// Returns a lease on partition p, loading it if not resident.
   Result<ShardLease> Map(std::int64_t partition);
-
-  /// Schedules an async load of partition p (no-op without a pool, or
-  /// when p is already resident or being prefetched).
-  void Prefetch(std::int64_t partition);
 
   /// Builds the pinned hub hot-set: ranks partitions by the out-edges
   /// their hub nodes carry (nodes whose out-degree exceeds

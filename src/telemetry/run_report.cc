@@ -53,11 +53,6 @@ JsonValue ReadLatencyJson() {
 }
 
 JsonValue StorageJson(const StorageMetrics& s) {
-  const double hit_rate =
-      s.prefetch_issued > 0
-          ? static_cast<double>(s.prefetch_hits) /
-                static_cast<double>(s.prefetch_issued)
-          : 0.0;
   return JsonValue(JsonValue::Object{
       {"bytes_mapped", JsonValue(s.bytes_mapped)},
       {"peak_bytes_mapped", JsonValue(s.peak_bytes_mapped)},
@@ -65,10 +60,6 @@ JsonValue StorageJson(const StorageMetrics& s) {
       {"unmap_calls", JsonValue(s.unmap_calls)},
       {"cache_hits", JsonValue(s.cache_hits)},
       {"cache_misses", JsonValue(s.cache_misses)},
-      {"prefetch_issued", JsonValue(s.prefetch_issued)},
-      {"prefetch_completed", JsonValue(s.prefetch_completed)},
-      {"prefetch_hits", JsonValue(s.prefetch_hits)},
-      {"prefetch_hit_rate", JsonValue(hit_rate)},
       {"evictions", JsonValue(s.evictions)},
       {"checksum_failures", JsonValue(s.checksum_failures)},
       {"pinned_bytes", JsonValue(s.pinned_bytes)},

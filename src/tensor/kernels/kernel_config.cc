@@ -12,7 +12,6 @@ namespace {
 
 std::atomic<int> g_max_threads{0};
 std::atomic<std::int64_t> g_min_parallel_work{1 << 18};
-std::atomic<bool> g_use_static_executor{true};
 std::atomic<bool> g_fast_math{false};
 std::atomic<bool> g_fast_math_bf16{false};
 
@@ -23,8 +22,6 @@ KernelConfig GetKernelConfig() {
   config.max_threads = g_max_threads.load(std::memory_order_relaxed);
   config.min_parallel_work =
       g_min_parallel_work.load(std::memory_order_relaxed);
-  config.use_static_executor =
-      g_use_static_executor.load(std::memory_order_relaxed);
   config.fast_math = g_fast_math.load(std::memory_order_relaxed);
   config.fast_math_bf16 = g_fast_math_bf16.load(std::memory_order_relaxed);
   return config;
@@ -35,8 +32,6 @@ void SetKernelConfig(const KernelConfig& config) {
   g_min_parallel_work.store(std::max<std::int64_t>(1,
                                                    config.min_parallel_work),
                             std::memory_order_relaxed);
-  g_use_static_executor.store(config.use_static_executor,
-                              std::memory_order_relaxed);
   g_fast_math.store(config.fast_math, std::memory_order_relaxed);
   g_fast_math_bf16.store(config.fast_math_bf16, std::memory_order_relaxed);
 }
@@ -49,9 +44,7 @@ int PlanParallelTasks(std::int64_t n, std::int64_t work_per_item) {
   if (ThreadPool::InPoolWorker() || StaticExecutor::InWorker()) return 1;
   const KernelConfig config = GetKernelConfig();
   const std::int64_t scheduler_threads =
-      config.use_static_executor
-          ? static_cast<std::int64_t>(StaticExecutor::Default().num_threads())
-          : static_cast<std::int64_t>(DefaultThreadPool().num_threads());
+      StaticExecutor::Default().num_threads();
   // max_threads is an upper bound, never a way to plan more concurrency
   // than the scheduler has: tasks beyond the scheduler's threads cannot
   // run concurrently and would be pure partitioning overhead (asking
@@ -78,34 +71,15 @@ void ParallelForChunksFixed(std::int64_t n, int tasks,
     return;
   }
   const std::int64_t tasks64 = tasks;
-  if (GetKernelConfig().use_static_executor) {
-    StaticExecutor::Default().RunTasks(tasks, [&](WorkerSlot& slot, int t) {
-      RangeChunk chunk;
-      chunk.begin = RangeBegin(n, t, tasks64);
-      chunk.end = RangeBegin(n, t + 1, tasks64);
-      chunk.task = t;
-      chunk.num_tasks = tasks;
-      chunk.slot = &slot;
-      fn(chunk);
-    });
-    return;
-  }
-  // Legacy scheduling: one pool task per chunk via the pool's range
-  // overload (no per-index dispatch). Slots fall back to the
-  // per-thread serial slot, so scratch is still never shared.
-  DefaultThreadPool().ParallelForRanges(
-      static_cast<std::size_t>(tasks), static_cast<std::size_t>(tasks),
-      [&](std::size_t t0, std::size_t t1) {
-        for (std::size_t t = t0; t < t1; ++t) {
-          RangeChunk chunk;
-          chunk.begin = RangeBegin(n, static_cast<std::int64_t>(t), tasks64);
-          chunk.end = RangeBegin(n, static_cast<std::int64_t>(t) + 1, tasks64);
-          chunk.task = static_cast<int>(t);
-          chunk.num_tasks = tasks;
-          chunk.slot = &StaticExecutor::SerialSlot();
-          fn(chunk);
-        }
-      });
+  StaticExecutor::Default().RunTasks(tasks, [&](WorkerSlot& slot, int t) {
+    RangeChunk chunk;
+    chunk.begin = RangeBegin(n, t, tasks64);
+    chunk.end = RangeBegin(n, t + 1, tasks64);
+    chunk.task = t;
+    chunk.num_tasks = tasks;
+    chunk.slot = &slot;
+    fn(chunk);
+  });
 }
 
 void ParallelForChunks(std::int64_t n, std::int64_t work_per_item,

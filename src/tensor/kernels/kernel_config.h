@@ -17,19 +17,13 @@ namespace kernels {
 /// that trades bit-identity with the scalar oracle for throughput
 /// (documented tolerance, see fast_math_test).
 struct KernelConfig {
-  /// Upper bound on tasks per kernel launch; 0 means the scheduler's
-  /// thread count (the static executor's, or the default pool's when
-  /// `use_static_executor` is off).
+  /// Upper bound on tasks per kernel launch; 0 means the static
+  /// executor's thread count.
   int max_threads = 0;
   /// Minimum work (multiply-adds or copied floats) a task must carry
   /// before a kernel fans out; below this everything runs on the
   /// calling thread.
   std::int64_t min_parallel_work = 1 << 18;
-  /// Route parallel kernel launches to the StaticExecutor (persistent
-  /// pinned workers, static task ownership, spin-then-park barrier).
-  /// Off = legacy path: the default ThreadPool's range overload.
-  /// Results are identical either way; this is a scheduling choice.
-  bool use_static_executor = true;
   /// Opt-in fast-math tier for the matmuls: FMA contraction and
   /// relaxed accumulation order, validated against the scalar oracle
   /// at a documented tolerance instead of bit-identity. Never on by

@@ -4,7 +4,7 @@
 // bit whether or not the fast TU is compiled in. (2) ON is bounded:
 // FMA (and optionally bf16-storage) results stay inside the documented
 // envelope |fast - oracle| <= tol * (|A|·|B|)[i,j] + tiny at every
-// shape and thread setting, on both scheduler paths.
+// shape and thread setting.
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -59,33 +59,26 @@ void ExpectWithinEnvelope(const Tensor& fast, const Tensor& oracle,
   }
 }
 
-struct Setting {
-  int max_threads;
-  bool use_static;
-};
-
-const Setting kSettings[] = {
-    {1, true}, {2, true}, {4, true}, {2, false}, {4, false}};
+const int kThreadSettings[] = {1, 2, 4};
 
 class FastMathTest : public ::testing::Test {
  protected:
   void SetUp() override { saved_ = kernels::GetKernelConfig(); }
   void TearDown() override { kernels::SetKernelConfig(saved_); }
 
-  void Use(const Setting& setting, bool fast, bool bf16) {
+  void Use(int max_threads, bool fast, bool bf16) {
     kernels::KernelConfig config;
-    config.max_threads = setting.max_threads;
+    config.max_threads = max_threads;
     config.min_parallel_work = 1;
-    config.use_static_executor = setting.use_static;
     config.fast_math = fast;
     config.fast_math_bf16 = bf16;
     kernels::SetKernelConfig(config);
   }
 
   bool FastMathAvailable() {
-    Use({1, true}, /*fast=*/true, /*bf16=*/false);
+    Use(1, /*fast=*/true, /*bf16=*/false);
     const bool available = kernels::UsingFastMath();
-    Use({1, true}, /*fast=*/false, /*bf16=*/false);
+    Use(1, /*fast=*/false, /*bf16=*/false);
     return available;
   }
 
@@ -113,12 +106,11 @@ TEST_F(FastMathTest, Fp32TierWithinDocumentedTolerance) {
     const Tensor oracle = kernels::reference::MatMul(a, b);
     const Tensor envelope =
         kernels::reference::MatMul(AbsTensor(a), AbsTensor(b));
-    for (const Setting& setting : kSettings) {
-      Use(setting, /*fast=*/true, /*bf16=*/false);
+    for (const int threads : kThreadSettings) {
+      Use(threads, /*fast=*/true, /*bf16=*/false);
       std::ostringstream label;
       label << "fp32 " << shape.m << "x" << shape.k << "x" << shape.n
-            << " threads=" << setting.max_threads
-            << " static=" << setting.use_static;
+            << " threads=" << threads;
       ExpectWithinEnvelope(kernels::MatMul(a, b), oracle, envelope,
                            kernels::kFastMathRelTol, label.str());
     }
@@ -136,12 +128,11 @@ TEST_F(FastMathTest, Bf16TierWithinDocumentedTolerance) {
     const Tensor oracle = kernels::reference::MatMul(a, b);
     const Tensor envelope =
         kernels::reference::MatMul(AbsTensor(a), AbsTensor(b));
-    for (const Setting& setting : kSettings) {
-      Use(setting, /*fast=*/true, /*bf16=*/true);
+    for (const int threads : kThreadSettings) {
+      Use(threads, /*fast=*/true, /*bf16=*/true);
       std::ostringstream label;
       label << "bf16 " << shape.m << "x" << shape.k << "x" << shape.n
-            << " threads=" << setting.max_threads
-            << " static=" << setting.use_static;
+            << " threads=" << threads;
       ExpectWithinEnvelope(kernels::MatMul(a, b), oracle, envelope,
                            kernels::kFastMathBf16RelTol, label.str());
     }
@@ -164,8 +155,8 @@ TEST_F(FastMathTest, TransposedAUsesTheTierToo) {
     }
   }
   const Tensor envelope = kernels::reference::MatMul(at, AbsTensor(b));
-  for (const Setting& setting : kSettings) {
-    Use(setting, /*fast=*/true, /*bf16=*/false);
+  for (const int threads : kThreadSettings) {
+    Use(threads, /*fast=*/true, /*bf16=*/false);
     ExpectWithinEnvelope(kernels::MatMulTransposedA(a, b), oracle, envelope,
                          kernels::kFastMathRelTol, "matmul_ta fp32");
   }
@@ -179,12 +170,12 @@ TEST_F(FastMathTest, OffMeansBitIdenticalToTheOracle) {
     const Tensor a = Tensor::RandomNormal(shape.m, shape.k, 1.0f, &rng);
     const Tensor b = Tensor::RandomNormal(shape.k, shape.n, 1.0f, &rng);
     const Tensor want = kernels::reference::MatMul(a, b);
-    for (const Setting& setting : kSettings) {
-      Use(setting, /*fast=*/false, /*bf16=*/false);
+    for (const int threads : kThreadSettings) {
+      Use(threads, /*fast=*/false, /*bf16=*/false);
       const Tensor got = kernels::MatMul(a, b);
       ASSERT_EQ(0, std::memcmp(want.data(), got.data(), want.ByteSize()))
           << shape.m << "x" << shape.k << "x" << shape.n << " threads="
-          << setting.max_threads << " static=" << setting.use_static;
+          << threads;
     }
   }
 }
@@ -214,7 +205,7 @@ TEST_F(FastMathTest, OffKeepsBothBackendsLogitsBitIdentical) {
   InferTurboOptions options;
   options.num_workers = 4;
 
-  Use({1, true}, /*fast=*/false, /*bf16=*/false);
+  Use(1, /*fast=*/false, /*bf16=*/false);
   const Result<InferenceResult> base_pregel =
       RunInferTurboPregel(dataset.graph, **model, options);
   const Result<InferenceResult> base_mr =
@@ -222,8 +213,8 @@ TEST_F(FastMathTest, OffKeepsBothBackendsLogitsBitIdentical) {
   ASSERT_TRUE(base_pregel.ok());
   ASSERT_TRUE(base_mr.ok());
 
-  for (const Setting& setting : kSettings) {
-    Use(setting, /*fast=*/false, /*bf16=*/false);
+  for (const int threads : kThreadSettings) {
+    Use(threads, /*fast=*/false, /*bf16=*/false);
     const Result<InferenceResult> pregel =
         RunInferTurboPregel(dataset.graph, **model, options);
     const Result<InferenceResult> mr =
@@ -233,12 +224,10 @@ TEST_F(FastMathTest, OffKeepsBothBackendsLogitsBitIdentical) {
     EXPECT_EQ(0, std::memcmp(base_pregel->logits.data(),
                              pregel->logits.data(),
                              base_pregel->logits.ByteSize()))
-        << "pregel threads=" << setting.max_threads
-        << " static=" << setting.use_static;
+        << "pregel threads=" << threads;
     EXPECT_EQ(0, std::memcmp(base_mr->logits.data(), mr->logits.data(),
                              base_mr->logits.ByteSize()))
-        << "mapreduce threads=" << setting.max_threads
-        << " static=" << setting.use_static;
+        << "mapreduce threads=" << threads;
   }
 }
 

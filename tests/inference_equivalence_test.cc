@@ -260,7 +260,6 @@ TEST(MapReduceStreamingEquivalenceTest, ShardViewIsBitIdenticalToInMemory) {
 
     ShardStoreOptions store_options;
     store_options.directory = dir;
-    store_options.prefetch_pool = &pool;
     Result<ShardStore> store = ShardStore::Open(std::move(store_options));
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     const ShardGraphView view(std::move(*store));

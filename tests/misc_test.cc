@@ -261,11 +261,12 @@ TEST(WorkerMetricsTest, AppendStagesMergesStorage) {
   a.storage.bytes_mapped = 100;
   a.storage.peak_bytes_mapped = 400;
   a.storage.map_calls = 3;
-  a.storage.prefetch_issued = 2;
-  a.storage.prefetch_hits = 1;
+  a.storage.cache_hits = 2;
+  a.storage.pinned_hits = 1;
   b.storage.bytes_mapped = 250;
   b.storage.peak_bytes_mapped = 300;
   b.storage.map_calls = 5;
+  b.storage.cache_hits = 4;
   b.storage.evictions = 2;
   b.storage.checksum_failures = 1;
   a.AppendStages(b);
@@ -274,8 +275,8 @@ TEST(WorkerMetricsTest, AppendStagesMergesStorage) {
   EXPECT_EQ(a.storage.bytes_mapped, 250u);
   EXPECT_EQ(a.storage.peak_bytes_mapped, 400u);
   EXPECT_EQ(a.storage.map_calls, 8);
-  EXPECT_EQ(a.storage.prefetch_issued, 2);
-  EXPECT_EQ(a.storage.prefetch_hits, 1);
+  EXPECT_EQ(a.storage.cache_hits, 6);
+  EXPECT_EQ(a.storage.pinned_hits, 1);
   EXPECT_EQ(a.storage.evictions, 2);
   EXPECT_EQ(a.storage.checksum_failures, 1);
 }

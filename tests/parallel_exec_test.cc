@@ -18,7 +18,6 @@
 
 #include "src/common/parallel_exec.h"
 #include "src/common/rng.h"
-#include "src/common/thread_pool.h"
 #include "src/tensor/kernels/kernel_config.h"
 #include "src/tensor/kernels/kernels.h"
 #include "src/tensor/kernels/reference.h"
@@ -167,11 +166,10 @@ class ChunkApiTest : public ::testing::Test {
   void SetUp() override { saved_ = kernels::GetKernelConfig(); }
   void TearDown() override { kernels::SetKernelConfig(saved_); }
 
-  void UseThreads(int max_threads, bool use_static) {
+  void UseThreads(int max_threads) {
     kernels::KernelConfig config;
     config.max_threads = max_threads;
     config.min_parallel_work = 1;
-    config.use_static_executor = use_static;
     kernels::SetKernelConfig(config);
   }
 
@@ -180,69 +178,48 @@ class ChunkApiTest : public ::testing::Test {
 };
 
 TEST_F(ChunkApiTest, FixedTaskCountIsHonoredBeyondThreads) {
-  for (const bool use_static : {true, false}) {
-    UseThreads(4, use_static);
-    // 11 tasks on a 4-thread scheduler: every task index must still be
-    // delivered exactly once with the exact partition boundaries —
-    // owner-bucketed data built for 11 tasks depends on it.
-    constexpr int kTasks = 11;
-    constexpr std::int64_t kN = 103;
-    std::vector<std::atomic<int>> hits(kTasks);
-    for (auto& h : hits) h.store(0);
-    std::vector<std::int64_t> begins(kTasks, -1), ends(kTasks, -1);
-    kernels::ParallelForChunksFixed(
-        kN, kTasks, [&](const kernels::RangeChunk& chunk) {
-          hits[static_cast<std::size_t>(chunk.task)].fetch_add(1);
-          begins[static_cast<std::size_t>(chunk.task)] = chunk.begin;
-          ends[static_cast<std::size_t>(chunk.task)] = chunk.end;
-          ASSERT_EQ(chunk.num_tasks, kTasks);
-          ASSERT_NE(chunk.slot, nullptr);
-        });
-    for (int t = 0; t < kTasks; ++t) {
-      EXPECT_EQ(hits[static_cast<std::size_t>(t)].load(), 1);
-      EXPECT_EQ(begins[static_cast<std::size_t>(t)],
-                kernels::RangeBegin(kN, t, kTasks));
-      EXPECT_EQ(ends[static_cast<std::size_t>(t)],
-                kernels::RangeBegin(kN, t + 1, kTasks));
-    }
+  UseThreads(4);
+  // 11 tasks on a 4-thread scheduler: every task index must still be
+  // delivered exactly once with the exact partition boundaries —
+  // owner-bucketed data built for 11 tasks depends on it.
+  constexpr int kTasks = 11;
+  constexpr std::int64_t kN = 103;
+  std::vector<std::atomic<int>> hits(kTasks);
+  for (auto& h : hits) h.store(0);
+  std::vector<std::int64_t> begins(kTasks, -1), ends(kTasks, -1);
+  kernels::ParallelForChunksFixed(
+      kN, kTasks, [&](const kernels::RangeChunk& chunk) {
+        hits[static_cast<std::size_t>(chunk.task)].fetch_add(1);
+        begins[static_cast<std::size_t>(chunk.task)] = chunk.begin;
+        ends[static_cast<std::size_t>(chunk.task)] = chunk.end;
+        ASSERT_EQ(chunk.num_tasks, kTasks);
+        ASSERT_NE(chunk.slot, nullptr);
+      });
+  for (int t = 0; t < kTasks; ++t) {
+    EXPECT_EQ(hits[static_cast<std::size_t>(t)].load(), 1);
+    EXPECT_EQ(begins[static_cast<std::size_t>(t)],
+              kernels::RangeBegin(kN, t, kTasks));
+    EXPECT_EQ(ends[static_cast<std::size_t>(t)],
+              kernels::RangeBegin(kN, t + 1, kTasks));
   }
 }
 
 TEST_F(ChunkApiTest, PlanNeverExceedsSchedulerThreads) {
-  UseThreads(64, /*use_static=*/true);
+  UseThreads(64);
   // Asking for 64 threads cannot plan more concurrency than the
   // executor has (4 here): excess tasks would serialize with pure
   // partitioning overhead.
   EXPECT_LE(kernels::PlanParallelTasks(1 << 20, 1 << 10),
             StaticExecutor::Default().num_threads());
-  UseThreads(2, /*use_static=*/true);
+  UseThreads(2);
   EXPECT_LE(kernels::PlanParallelTasks(1 << 20, 1 << 10), 2);
-}
-
-TEST_F(ChunkApiTest, ThreadPoolRangeOverloadCoversEverythingOnce) {
-  ThreadPool pool(3);
-  for (const std::size_t n : {0u, 1u, 5u, 64u, 1000u}) {
-    for (const std::size_t max_tasks : {1u, 2u, 3u, 8u}) {
-      std::vector<std::atomic<int>> hits(n);
-      for (auto& h : hits) h.store(0);
-      pool.ParallelForRanges(n, max_tasks,
-                             [&](std::size_t begin, std::size_t end) {
-                               for (std::size_t i = begin; i < end; ++i) {
-                                 hits[i].fetch_add(1);
-                               }
-                             });
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(hits[i].load(), 1) << "n=" << n << " tasks=" << max_tasks;
-      }
-    }
-  }
 }
 
 // With the Default() executor sized to 4 by the env override, the
 // config-driven kernels genuinely fan out here even on a 1-core host.
-// Bit-identity across schedulers and thread counts is the contract that
-// makes the scheduling knobs safe to flip in production.
-TEST_F(ChunkApiTest, KernelsBitIdenticalAcrossSchedulersAndThreadCounts) {
+// Bit-identity across thread counts is the contract that makes the
+// scheduling knobs safe to flip in production.
+TEST_F(ChunkApiTest, KernelsBitIdenticalAcrossThreadCounts) {
   Rng rng(11);
   const Tensor a = Tensor::RandomNormal(37, 29, 1.0f, &rng);
   const Tensor b = Tensor::RandomNormal(29, 41, 1.0f, &rng);
@@ -262,23 +239,21 @@ TEST_F(ChunkApiTest, KernelsBitIdenticalAcrossSchedulersAndThreadCounts) {
     kernels::reference::ScatterAddRows(&want_scatter, clipped, values);
   }
 
-  for (const bool use_static : {true, false}) {
-    for (const int threads : {1, 2, 3, 4}) {
-      UseThreads(threads, use_static);
-      const Tensor got_mm = kernels::MatMul(a, b);
-      ASSERT_EQ(0, std::memcmp(want_mm.data(), got_mm.data(),
-                               want_mm.ByteSize()))
-          << "matmul threads=" << threads << " static=" << use_static;
-      const Tensor got_seg = kernels::SegmentSum(values, ids, 31);
-      ASSERT_EQ(0, std::memcmp(want_seg.data(), got_seg.data(),
-                               want_seg.ByteSize()))
-          << "segment_sum threads=" << threads << " static=" << use_static;
-      Tensor got_scatter(31, 9);
-      kernels::ScatterAddRows(&got_scatter, ids_span, values);
-      ASSERT_EQ(0, std::memcmp(want_scatter.data(), got_scatter.data(),
-                               want_scatter.ByteSize()))
-          << "scatter_add threads=" << threads << " static=" << use_static;
-    }
+  for (const int threads : {1, 2, 3, 4}) {
+    UseThreads(threads);
+    const Tensor got_mm = kernels::MatMul(a, b);
+    ASSERT_EQ(0, std::memcmp(want_mm.data(), got_mm.data(),
+                             want_mm.ByteSize()))
+        << "matmul threads=" << threads;
+    const Tensor got_seg = kernels::SegmentSum(values, ids, 31);
+    ASSERT_EQ(0, std::memcmp(want_seg.data(), got_seg.data(),
+                             want_seg.ByteSize()))
+        << "segment_sum threads=" << threads;
+    Tensor got_scatter(31, 9);
+    kernels::ScatterAddRows(&got_scatter, ids_span, values);
+    ASSERT_EQ(0, std::memcmp(want_scatter.data(), got_scatter.data(),
+                             want_scatter.ByteSize()))
+        << "scatter_add threads=" << threads;
   }
 }
 

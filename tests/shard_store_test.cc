@@ -1,6 +1,6 @@
 // Out-of-core shard store: pack/open round trips, slice fidelity
-// against the source graph, LRU eviction under a memory budget, async
-// prefetch, and corruption (truncation, bit flips, torn writes)
+// against the source graph, LRU eviction under a memory budget,
+// concurrent misses on one partition, and corruption (truncation, bit flips, torn writes)
 // surfacing as clean Status errors — exercised against the scripted
 // I/O fault injector.
 #include "src/storage/shard_store.h"
@@ -8,16 +8,18 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <thread>
 #include <vector>
 
-#include "src/common/thread_pool.h"
 #include "src/graph/datasets.h"
 #include "src/storage/graph_view.h"
 #include "src/storage/shard_format.h"
+#include "src/storage/shard_pipeline.h"
 #include "src/storage/shard_reader.h"
 #include "src/storage/shard_writer.h"
 
@@ -328,31 +330,6 @@ TEST(ShardStoreTest, PinnedBudgetAboveMemoryBudgetIsRejected) {
       ShardStore::Open(std::move(options)).status().IsInvalidArgument());
 }
 
-TEST(ShardStoreTest, OutOfRangePrefetchIsANoOp) {
-  const Dataset d = MakeDataset();
-  const std::string dir = FreshDir("shards_pf_range");
-  ShardWriterOptions writer;
-  writer.num_partitions = 4;
-  ASSERT_TRUE(WriteGraphShards(d.graph, dir, writer).ok());
-  ThreadPool pool(2);
-  ShardStoreOptions options;
-  options.directory = dir;
-  options.prefetch_pool = &pool;
-  Result<ShardStore> store = ShardStore::Open(std::move(options));
-  ASSERT_TRUE(store.ok());
-  const ShardGraphView view(std::move(*store));
-
-  // The drivers blindly hint p+1 while sweeping; hints past either end
-  // must not issue anything — not even a queued no-op task.
-  view.PrefetchPartition(-1);
-  view.PrefetchPartition(view.num_partitions());
-  view.PrefetchPartition(view.num_partitions() + 7);
-  EXPECT_EQ(view.storage_metrics().prefetch_issued, 0);
-
-  view.PrefetchPartition(view.num_partitions() - 1);
-  EXPECT_EQ(view.storage_metrics().prefetch_issued, 1);
-}
-
 TEST(ShardStoreTest, ForcedReadPathsAreBitIdentical) {
   const Dataset d = MakeDataset(/*edge_features=*/true);
   const std::string dir = FreshDir("shards_read_paths");
@@ -398,33 +375,76 @@ TEST(ShardStoreTest, SecondMapIsACacheHit) {
   EXPECT_EQ(metrics.map_calls, 1);
 }
 
-TEST(ShardStoreTest, PrefetchMakesTheNextMapAHit) {
+/// Healthy injector that holds every read of `file` until `parties`
+/// readers are inside it at once, so concurrent Map() misses are
+/// guaranteed to overlap their loads instead of merely likely to.
+class RendezvousInjector : public IoFaultInjector {
+ public:
+  RendezvousInjector(std::string file, int parties)
+      : file_(std::move(file)), parties_(parties) {}
+
+  IoFaultKind Tick(IoOp /*op*/, const std::string& path) override {
+    if (path.find(file_) == std::string::npos) return IoFaultKind::kNone;
+    std::unique_lock<std::mutex> lock(mu_);
+    ++arrived_;
+    all_arrived_.notify_all();
+    all_arrived_.wait_for(lock, std::chrono::seconds(10),
+                          [this] { return arrived_ >= parties_; });
+    return IoFaultKind::kNone;
+  }
+
+ private:
+  const std::string file_;
+  const int parties_;
+  std::mutex mu_;
+  std::condition_variable all_arrived_;
+  int arrived_ = 0;
+};
+
+TEST(ShardStoreTest, ConcurrentMapOfAColdPartitionSharesOneLease) {
   const Dataset d = MakeDataset();
-  const std::string dir = FreshDir("shards_prefetch");
+  const std::string dir = FreshDir("shards_concurrent_map");
   ShardWriterOptions writer;
   writer.num_partitions = 4;
   ASSERT_TRUE(WriteGraphShards(d.graph, dir, writer).ok());
 
-  ThreadPool pool(2);
+  constexpr int kThreads = 4;
+  const std::uint64_t shard_bytes =
+      std::filesystem::file_size(dir + "/" + ShardFileName(2));
+  RendezvousInjector injector(ShardFileName(2), kThreads);
   ShardStoreOptions options;
   options.directory = dir;
-  options.prefetch_pool = &pool;
+  // Room for exactly one copy: a second charged copy would break it.
+  options.memory_budget_bytes = shard_bytes;
+  options.fault_injector = &injector;
   Result<ShardStore> store = ShardStore::Open(std::move(options));
   ASSERT_TRUE(store.ok());
 
-  store->Prefetch(2);
-  // Wait for the async load to land before demanding the shard.
-  for (int i = 0; i < 2000 && store->metrics().prefetch_completed == 0;
-       ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  std::vector<ShardLease> leases(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&store, &leases, t] {
+      Result<ShardLease> lease = store->Map(2);
+      ASSERT_TRUE(lease.ok()) << lease.status().ToString();
+      leases[static_cast<std::size_t>(t)] = std::move(*lease);
+    });
   }
-  ASSERT_EQ(store->metrics().prefetch_completed, 1);
-  ASSERT_TRUE(store->Map(2).ok());
+  for (std::thread& thread : threads) thread.join();
+
+  for (const ShardLease& lease : leases) {
+    ASSERT_NE(lease, nullptr);
+    EXPECT_EQ(lease.get(), leases[0].get());
+  }
   const StorageMetrics metrics = store->metrics();
-  EXPECT_EQ(metrics.prefetch_issued, 1);
-  EXPECT_EQ(metrics.prefetch_hits, 1);
-  EXPECT_EQ(metrics.cache_hits, 1);
-  EXPECT_EQ(metrics.cache_misses, 0);
+  // Every thread missed and loaded (the rendezvous overlaps the loads);
+  // one copy was published, the others were dropped without a charge.
+  EXPECT_EQ(metrics.cache_misses, kThreads);
+  EXPECT_EQ(metrics.map_calls, kThreads);
+  EXPECT_EQ(metrics.bytes_mapped, shard_bytes);
+  EXPECT_EQ(metrics.peak_bytes_mapped, shard_bytes);
+  EXPECT_LE(metrics.peak_bytes_mapped, store->options().memory_budget_bytes);
+  EXPECT_EQ(metrics.unmap_calls, 0);
+  EXPECT_EQ(metrics.evictions, 0);
 }
 
 TEST(ShardStoreTest, MapOutOfRangeIsInvalidArgument) {

@@ -67,7 +67,7 @@ std::string PackInto(const Graph& graph, const std::string& name) {
 /// A budget that is genuinely binding — the whole pack minus its
 /// smallest shard, so the store can never hold every partition and
 /// must evict — while leaving ample headroom for the shards that 2
-/// pool workers plus their prefetches pin concurrently.
+/// pool workers plus the pipeline's read-ahead window pin concurrently.
 std::uint64_t BindingBudget(const std::string& dir) {
   std::uint64_t smallest = UINT64_MAX;
   std::uint64_t total = 0;
@@ -83,12 +83,10 @@ std::uint64_t BindingBudget(const std::string& dir) {
 }
 
 Result<ShardStore> OpenStore(const std::string& dir, std::uint64_t budget,
-                             ThreadPool* pool,
                              std::uint64_t pinned_budget = 0) {
   ShardStoreOptions options;
   options.directory = dir;
   options.memory_budget_bytes = budget;
-  options.prefetch_pool = pool;
   options.pinned_budget_bytes = pinned_budget;
   return ShardStore::Open(std::move(options));
 }
@@ -154,8 +152,7 @@ TEST_P(StorageEquivalenceTest, StreamedRunsAreBitIdenticalToInMemory) {
     for (const StreamMode& mode : kModes) {
       SCOPED_TRACE(mode.name);
       const std::uint64_t pinned_budget = mode.pin ? budget / 2 : 0;
-      Result<ShardStore> store =
-          OpenStore(dir, budget, &pool, pinned_budget);
+      Result<ShardStore> store = OpenStore(dir, budget, pinned_budget);
       ASSERT_TRUE(store.ok()) << store.status().ToString();
       const ShardGraphView view(std::move(*store));
       InferTurboOptions streamed_options = options;
@@ -221,7 +218,7 @@ TEST(StorageInferenceTest, EdgeFeatureModelStreamsBitIdentically) {
             ? RunInferTurboMapReduce(dataset.graph, *model, options)
             : RunInferTurboPregel(dataset.graph, *model, options);
     ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
-    Result<ShardStore> store = OpenStore(dir, BindingBudget(dir), &pool);
+    Result<ShardStore> store = OpenStore(dir, BindingBudget(dir));
     ASSERT_TRUE(store.ok());
     const ShardGraphView view(std::move(*store));
     const Result<InferenceResult> streamed =
@@ -237,7 +234,7 @@ TEST(StorageInferenceTest, MapReduceRejectsWorkerPartitionMismatch) {
   const std::unique_ptr<GnnModel> model =
       MakeModelFor("sage", dataset.graph);
   const std::string dir = PackInto(dataset.graph, "storage_mismatch");
-  Result<ShardStore> store = OpenStore(dir, 0, nullptr);
+  Result<ShardStore> store = OpenStore(dir, 0);
   ASSERT_TRUE(store.ok());
   const ShardGraphView view(std::move(*store));
 
@@ -256,7 +253,7 @@ TEST(StorageInferenceTest, StreamedPipelineActuallyRuns) {
       MakeModelFor("sage", dataset.graph);
   const std::string dir = PackInto(dataset.graph, "storage_pf");
   ThreadPool pool(2);
-  Result<ShardStore> store = OpenStore(dir, BindingBudget(dir), &pool);
+  Result<ShardStore> store = OpenStore(dir, BindingBudget(dir));
   ASSERT_TRUE(store.ok());
   const ShardGraphView view(std::move(*store));
 
@@ -266,10 +263,8 @@ TEST(StorageInferenceTest, StreamedPipelineActuallyRuns) {
   const Result<InferenceResult> streamed =
       RunInferTurboMapReduce(view, *model, options);
   ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-  // The map stage no longer issues fire-and-forget prefetches; every
-  // shard load goes through the pipeline's loader thread instead.
-  EXPECT_EQ(streamed->metrics.storage.prefetch_issued, 0);
-  // Each consumed load charges its I/O time either to consumer wait or
+  // Every shard load goes through the pipeline's loader thread, and
+  // each consumed load charges its I/O time either to consumer wait or
   // to hidden overlap, so the two together are strictly positive.
   const StorageMetrics storage = streamed->metrics.storage;
   EXPECT_GT(storage.overlap_seconds + storage.pipeline_wait_seconds, 0.0);
@@ -325,7 +320,7 @@ TEST(StorageInferenceTest, FourTimesBudgetStreamsBitIdentically) {
             : RunInferTurboPregel(dataset.graph, *model, options);
     ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
 
-    Result<ShardStore> store = OpenStore(dir, budget, &pool);
+    Result<ShardStore> store = OpenStore(dir, budget);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     const ShardGraphView view(std::move(*store));
     const Result<InferenceResult> streamed =

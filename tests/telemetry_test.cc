@@ -366,8 +366,8 @@ TEST_F(TelemetryTest, RunReportUnifiesJobStorageMetricsAndConfig) {
   step.bytes_in = 100;
   metrics.workers[0].steps.push_back(step);
   metrics.workers[1].steps.push_back(step);
-  metrics.storage.prefetch_issued = 4;
-  metrics.storage.prefetch_hits = 3;
+  metrics.storage.cache_hits = 3;
+  metrics.storage.overlap_seconds = 0.75;
   metrics.storage.peak_bytes_mapped = 4096;
   RunReportOptions options;
   options.backend = "pregel";
@@ -387,7 +387,8 @@ TEST_F(TelemetryTest, RunReportUnifiesJobStorageMetricsAndConfig) {
   const JsonValue* storage = parsed->Find("storage");
   ASSERT_NE(storage, nullptr);
   EXPECT_EQ(storage->Find("peak_bytes_mapped")->as_int(), 4096);
-  EXPECT_DOUBLE_EQ(storage->Find("prefetch_hit_rate")->as_double(), 0.75);
+  EXPECT_EQ(storage->Find("cache_hits")->as_int(), 3);
+  EXPECT_DOUBLE_EQ(storage->Find("overlap_seconds")->as_double(), 0.75);
   EXPECT_EQ(parsed->Find("metrics")
                 ->Find("counters")
                 ->Find("report.counter")

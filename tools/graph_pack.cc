@@ -17,6 +17,7 @@
 #include "src/common/flags.h"
 #include "src/graph/graph_io.h"
 #include "src/storage/graph_view.h"
+#include "src/storage/shard_pipeline.h"
 #include "src/storage/shard_store.h"
 #include "src/storage/shard_writer.h"
 
