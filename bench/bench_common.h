@@ -1,15 +1,12 @@
 #ifndef INFERTURBO_BENCH_BENCH_COMMON_H_
 #define INFERTURBO_BENCH_BENCH_COMMON_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <initializer_list>
 #include <memory>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/common/flags.h"
@@ -34,25 +31,6 @@ inline void PrintHeader(const std::string& artifact,
 
 inline void PrintRule() {
   std::printf("--------------------------------------------------------------\n");
-}
-
-/// Parses a bench's command line and rejects every flag not in
-/// `known`, so a stale or misspelled flag fails the run (callers exit
-/// 2) instead of silently doing nothing.
-inline Result<FlagParser> ParseFlags(
-    int argc, const char* const argv[],
-    std::initializer_list<std::string_view> known) {
-  Result<FlagParser> flags = FlagParser::Parse(argc, argv);
-  if (!flags.ok()) return flags;
-  for (const std::string& key : flags->Keys()) {
-    if (std::find(known.begin(), known.end(), key) != known.end()) continue;
-    std::string message = "unknown flag --" + key + " (known:";
-    for (const std::string_view flag : known) {
-      message += " --" + std::string(flag);
-    }
-    return Status::InvalidArgument(message + ")");
-  }
-  return flags;
 }
 
 struct TimingOptions {

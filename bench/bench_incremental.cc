@@ -102,8 +102,7 @@ void WriteJson(const std::string& path,
 }
 
 int Main(int argc, const char* const argv[]) {
-  const Result<FlagParser> flags =
-      bench::ParseFlags(argc, argv, {"quick", "out"});
+  const Result<FlagParser> flags = ParseFlags(argc, argv, {"quick", "out"});
   if (!flags.ok()) {
     std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
     return 2;

@@ -238,7 +238,7 @@ void DeltaSweepRows(std::int64_t num_nodes,
 
 int Main(int argc, const char* const argv[]) {
   const Result<FlagParser> flags =
-      bench::ParseFlags(argc, argv, {"quick", "out", "threads"});
+      ParseFlags(argc, argv, {"quick", "out", "threads"});
   if (!flags.ok()) {
     std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
     return 2;

@@ -18,8 +18,8 @@
 // gather_checksum (seeded dataset + hash partitioning = host-stable),
 // and the run FAILS — not just reports — when an invariant breaks:
 // peak mapped bytes over budget, nothing pinned, or any checksum
-// failure. The JSON also records which read-path tier
-// (io_uring / O_DIRECT / pread / mmap) auto-detection picked.
+// failure. The JSON also records which read-path tier (pread or mmap)
+// auto-detection picked.
 //
 // Usage:
 //   bench_storage                     full sweep, writes BENCH_storage.json
@@ -181,7 +181,7 @@ void WriteJson(const std::string& path,
 }
 
 int Main(int argc, const char* const argv[]) {
-  const Result<FlagParser> flags = bench::ParseFlags(
+  const Result<FlagParser> flags = ParseFlags(
       argc, argv, {"quick", "out", "overlap-gate", "overlap-tolerance"});
   if (!flags.ok()) {
     std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());

@@ -393,7 +393,7 @@ void WriteJson(const std::string& path, const std::vector<BenchRecord>& records,
 }
 
 int Main(int argc, char** argv) {
-  const Result<FlagParser> flags = bench::ParseFlags(
+  const Result<FlagParser> flags = ParseFlags(
       argc, argv,
       {"quick", "out", "threads", "scaling-gate", "scaling-tolerance"});
   if (!flags.ok()) {

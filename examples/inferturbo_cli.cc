@@ -70,7 +70,8 @@
 //   --fast_math_precision=fp32|bf16   fast-math panel storage; bf16
 //                               halves panel bytes at a wider tolerance
 //
-// Run with no flags for a demo that chains all three in /tmp.
+// Run with no flags for a demo that chains all three in /tmp. A flag
+// no mode reads is rejected with exit code 2.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -267,8 +268,7 @@ int Infer(const FlagParser& flags, const std::string& dir) {
   // still supplies model dims and the accuracy labels.
   // --storage_memory_budget caps resident shard bytes ("512MB", "4GiB").
   // --pipeline_slots sets the streaming pipeline's in-flight window
-  // (2 = double buffering, 0 = demand loads); --read_path forces a read
-  // tier (auto|mmap|pread|direct|uring); --storage_pinned_budget +
+  // (2 = double buffering, 0 = demand loads); --storage_pinned_budget +
   // --pin_hubs keep the hub-heavy shards resident across the sweep.
   const std::string packed = flags.GetString("packed", "");
   Result<InferenceResult> result = Status::Internal("unset");
@@ -289,17 +289,10 @@ int Infer(const FlagParser& flags, const std::string& dir) {
                    pinned_budget.status().ToString().c_str());
       return 1;
     }
-    const Result<ShardReadPath> read_path =
-        ParseShardReadPath(flags.GetString("read_path", "auto"));
-    if (!read_path.ok()) {
-      std::fprintf(stderr, "%s\n", read_path.status().ToString().c_str());
-      return 1;
-    }
     ShardStoreOptions store_options;
     store_options.directory = packed;
     store_options.memory_budget_bytes = *budget;
     store_options.pinned_budget_bytes = *pinned_budget;
-    store_options.read_path = *read_path;
     Result<ShardStore> store = ShardStore::Open(std::move(store_options));
     if (!store.ok()) {
       std::fprintf(stderr, "%s\n", store.status().ToString().c_str());
@@ -616,7 +609,29 @@ int Serve(const FlagParser& flags, const std::string& dir) {
 }
 
 int Main(int argc, const char* const argv[]) {
-  const Result<FlagParser> flags = FlagParser::Parse(argc, argv);
+  // Every flag any mode reads; anything else is a usage error (exit 2).
+  const Result<FlagParser> flags = ParseFlags(
+      argc, argv,
+      {// any mode
+       "mode", "dir", "model", "seed", "hidden", "layers", "heads",
+       "log_level", "trace_out", "metrics_out", "profile",
+       "flight_record_out", "num_threads", "fast_math", "fast_math_precision",
+       // generate
+       "nodes", "avg_degree", "classes", "features", "homophily", "in_skew",
+       // train
+       "epochs", "batch", "fanout", "lr", "verbose",
+       // infer
+       "backend", "workers", "partial_gather", "broadcast", "shadow_nodes",
+       "lambda", "embeddings", "shards", "checkpoint_dir",
+       "checkpoint_interval", "keep_last", "resume", "fault_plan",
+       "task_deadline_ms", "max_task_retries", "speculative_execution",
+       "supervise_tasks", "packed", "storage_memory_budget",
+       "storage_pinned_budget", "pipeline_slots", "pin_hubs",
+       // serve
+       "serve_threads", "serve_requests", "serve_nodes_per_query",
+       "serve_batch_window", "serve_max_batch", "serve_cache", "zipf_alpha",
+       "serve_deltas", "delta_features", "delta_edges", "delta_interval_ms",
+       "serve_verify", "stats_interval", "timeline_out"});
   if (!flags.ok()) {
     std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
     return 2;

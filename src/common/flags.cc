@@ -1,5 +1,6 @@
 #include "src/common/flags.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "src/common/byte_size.h"
@@ -72,6 +73,21 @@ std::vector<std::string> FlagParser::Keys() const {
   keys.reserve(values_.size());
   for (const auto& [key, value] : values_) keys.push_back(key);
   return keys;
+}
+
+Result<FlagParser> ParseFlags(int argc, const char* const argv[],
+                              std::initializer_list<std::string_view> known) {
+  Result<FlagParser> flags = FlagParser::Parse(argc, argv);
+  if (!flags.ok()) return flags;
+  for (const std::string& key : flags->Keys()) {
+    if (std::find(known.begin(), known.end(), key) != known.end()) continue;
+    std::string message = "unknown flag --" + key + " (known:";
+    for (const std::string_view flag : known) {
+      message += " --" + std::string(flag);
+    }
+    return Status::InvalidArgument(message + ")");
+  }
+  return flags;
 }
 
 }  // namespace inferturbo

@@ -2,8 +2,10 @@
 #define INFERTURBO_COMMON_FLAGS_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/result.h"
@@ -42,6 +44,12 @@ class FlagParser {
  private:
   std::map<std::string, std::string> values_;
 };
+
+/// FlagParser::Parse plus a check that every flag on the command line
+/// is in `known`, so a stale or misspelled flag fails the run (callers
+/// exit 2) instead of silently doing nothing.
+Result<FlagParser> ParseFlags(int argc, const char* const argv[],
+                              std::initializer_list<std::string_view> known);
 
 }  // namespace inferturbo
 

@@ -107,7 +107,7 @@ struct StorageMetrics {
   /// in-flight load.
   double pipeline_wait_seconds = 0.0;
   /// How shard bytes were read: a ShardReadPath numeric code
-  /// (0 auto / 1 mmap / 2 pread / 3 direct / 4 uring). Provenance for
+  /// (0 auto / 1 mmap / 2 pread; 3 and 4 are retired). Provenance for
   /// BENCH_storage.json and the run report.
   std::int64_t read_path = 0;
   /// Loads where the detected read tier failed mid-job and the store

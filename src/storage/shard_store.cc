@@ -144,8 +144,7 @@ Result<std::unique_ptr<MappedShard>> ShardStoreInternal::BuildFromHeap(
   return shard;
 }
 
-/// Aligned-buffer-backed shard: the whole file image arrived through
-/// the direct-I/O read ladder (pread / O_DIRECT / io_uring).
+/// Buffer-backed shard: the whole file image arrived through pread.
 Result<std::unique_ptr<MappedShard>> ShardStoreInternal::BuildFromBuffer(
     AlignedShardBuffer buffer, bool verify_checksums) {
   std::unique_ptr<MappedShard> shard(new MappedShard());
@@ -322,15 +321,14 @@ Result<std::int64_t> HubEdgesForPartition(const std::string& path,
 }
 
 /// Non-injector load through the resolved read tier, with mmap as the
-/// safety net when a buffered/direct/uring read fails mid-job (the
-/// probe passed at Open, but a filesystem can still refuse O_DIRECT on
-/// a particular file, or a ring allocation can hit a limit). Validation
-/// failures are returned as-is — re-reading corrupt bytes through mmap
-/// cannot fix them.
+/// safety net when a pread fails mid-job (the probe read the meta file
+/// at Open, but an allocation or a particular shard file can still
+/// fail). Validation failures are returned as-is — re-reading corrupt
+/// bytes through mmap cannot fix them.
 Result<std::unique_ptr<MappedShard>> LoadFromDisk(
     const std::shared_ptr<State>& s, const std::string& path) {
-  if (s->read_path != ShardReadPath::kMmap) {
-    Result<AlignedShardBuffer> bytes = ReadFileAligned(path, s->read_path);
+  if (s->read_path == ShardReadPath::kPread) {
+    Result<AlignedShardBuffer> bytes = ReadFileAligned(path);
     if (bytes.ok()) {
       return ShardStoreInternal::BuildFromBuffer(
           std::move(*bytes), s->options.verify_checksums);
@@ -368,10 +366,13 @@ Result<std::unique_ptr<MappedShard>> LoadShard(
   if (s->options.fault_injector != nullptr) {
     // Read through the injector so faults apply; corruption is only
     // detectable after validation, so the retry wraps read + validate.
+    double read_seconds = 0.0;
     const Status status = RetryWithBackoff(s->options.retry, [&]() {
+      WallTimer timer;
       Result<std::string> bytes =
           ReadFileToString(path, s->options.fault_injector);
       INFERTURBO_RETURN_NOT_OK(bytes.status());
+      read_seconds = timer.ElapsedSeconds();
       Result<std::unique_ptr<MappedShard>> built =
           ShardStoreInternal::BuildFromHeap(std::move(*bytes),
                                             s->options.verify_checksums);
@@ -385,6 +386,8 @@ Result<std::unique_ptr<MappedShard>> LoadShard(
     if (!status.ok()) {
       return Status::IoError(path + ": " + status.message());
     }
+    ObserveShardRead(ShardReadPath::kPread, read_seconds,
+                     static_cast<std::int64_t>(shard->mapped_bytes()));
   } else {
     Result<std::unique_ptr<MappedShard>> built = LoadFromDisk(s, path);
     if (!built.ok()) {
@@ -480,12 +483,11 @@ Result<ShardStore> ShardStore::Open(ShardStoreOptions options) {
   state->options = std::move(options);
   state->meta = std::move(meta);
   // Resolve the read tier once per store. An armed fault injector needs
-  // every byte to flow through ReadFileToString, which the heap path
-  // (reported as kMmap provenance) provides; otherwise probe the ladder
-  // against the meta file, which lives on the same filesystem as the
-  // shards.
+  // every byte to flow through ReadFileToString, a buffered read that
+  // LoadShard reports as kPread; otherwise probe pread against the meta
+  // file, which lives on the same filesystem as the shards.
   if (state->options.fault_injector != nullptr) {
-    state->read_path = ShardReadPath::kMmap;
+    state->read_path = ShardReadPath::kPread;
   } else if (state->options.read_path == ShardReadPath::kAuto) {
     state->read_path = DetectShardReadPath(meta_path);
   } else {

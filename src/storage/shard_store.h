@@ -16,10 +16,10 @@
 namespace inferturbo {
 
 /// One validated, resident shard: typed views over its pages. The
-/// backing memory is an mmap'd read-only file, an aligned buffer filled
-/// by the direct-I/O read ladder, or (when a fault injector is active)
-/// a heap copy; either way it is immutable and outlives every span
-/// handed out, for as long as the MappedShard does.
+/// backing memory is an mmap'd read-only file, a buffer filled by
+/// pread, or (when a fault injector is active) a heap copy; either way
+/// it is immutable and outlives every span handed out, for as long as
+/// the MappedShard does.
 class MappedShard {
  public:
   ~MappedShard();
@@ -78,7 +78,7 @@ class MappedShard {
   std::size_t size_ = 0;
   void* mmap_base_ = nullptr;   ///< non-null when backed by mmap
   std::string heap_;            ///< backing bytes on the injector path
-  AlignedShardBuffer buffer_;   ///< backing bytes on the read ladder
+  AlignedShardBuffer buffer_;   ///< backing bytes on the pread path
 };
 
 /// A lease pins one shard resident. The shard stays mapped — and its
@@ -99,12 +99,14 @@ struct ShardStoreOptions {
   /// ReadFileToString (heap fallback) so every IoFaultKind applies.
   IoFaultInjector* fault_injector = nullptr;
   IoRetryPolicy retry;
-  /// How shard bytes get resident. kAuto probes the ladder (io_uring →
-  /// O_DIRECT → fadvise-pread → mmap) against the pack's meta file at
-  /// Open(); any other value forces that tier. A forced non-mmap tier
-  /// that fails at load time falls back to mmap for that shard (counted
-  /// in read_path_fallbacks). Ignored while a fault injector is set —
-  /// injected faults need the heap read path.
+  /// How shard bytes get resident. kAuto resolves at Open() to kPread
+  /// if a pread of the pack's meta file works, else kMmap; any other
+  /// value forces that tier. A pread that fails at load time (say, a
+  /// shard file that cannot be read while the meta file could) falls
+  /// back to mmap for that shard, counted in read_path_fallbacks.
+  /// Ignored while a fault injector is set: such a store always reads
+  /// with a buffered ReadFileToString so every injected fault applies,
+  /// and reports kPread.
   ShardReadPath read_path = ShardReadPath::kAuto;
   /// Budget carved out of memory_budget_bytes for the pinned hub
   /// hot-set (PinHotSet). Pinned shards never cycle through the LRU;

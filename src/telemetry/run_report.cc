@@ -32,8 +32,7 @@ JsonValue WorkerTotalsJson(const WorkerStepMetrics& t) {
 JsonValue ReadLatencyJson() {
   JsonValue::Object out;
   for (const ShardReadPath path :
-       {ShardReadPath::kMmap, ShardReadPath::kPread, ShardReadPath::kDirect,
-        ShardReadPath::kUring}) {
+       {ShardReadPath::kMmap, ShardReadPath::kPread}) {
     const std::string name(ShardReadPathName(path));
     const std::string base = "storage.read." + name;
     Counter* reads = GlobalMetrics().GetCounter(base + ".reads");

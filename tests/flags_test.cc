@@ -148,6 +148,29 @@ TEST(FlagParserTest, GetBytesParsesUnitsAndRejectsGarbage) {
   EXPECT_NE(bad.status().message().find("--bad"), std::string::npos);
 }
 
+TEST(FlagParserTest, ParseFlagsRejectsUnknownFlags) {
+  const char* good[] = {"binary", "--quick", "--out=x.json"};
+  const Result<FlagParser> parsed = ParseFlags(3, good, {"quick", "out"});
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->GetString("out", ""), "x.json");
+
+  // A retired flag and a typo are both usage errors that name the flag.
+  for (const std::string name : {"read_path", "storage_memory_budegt"}) {
+    const std::string flag = "--" + name + "=1";
+    const char* argv[] = {"binary", "--quick", flag.c_str()};
+    const Result<FlagParser> rejected =
+        ParseFlags(3, argv, {"quick", "storage_memory_budget"});
+    ASSERT_FALSE(rejected.ok()) << flag;
+    EXPECT_TRUE(rejected.status().IsInvalidArgument());
+    EXPECT_NE(rejected.status().message().find("unknown flag --" + name),
+              std::string::npos)
+        << rejected.status().ToString();
+  }
+  // Malformed argv still fails in the parser itself.
+  const char* positional[] = {"binary", "stray"};
+  EXPECT_FALSE(ParseFlags(2, positional, {"quick"}).ok());
+}
+
 // --- task supervision / chaos flags (the CLI's robustness knobs) -----
 
 TEST(FlagParserTest, SupervisionFlagsParse) {

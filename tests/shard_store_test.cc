@@ -22,6 +22,7 @@
 #include "src/storage/shard_pipeline.h"
 #include "src/storage/shard_reader.h"
 #include "src/storage/shard_writer.h"
+#include "src/telemetry/metrics.h"
 
 namespace inferturbo {
 namespace {
@@ -338,25 +339,65 @@ TEST(ShardStoreTest, ForcedReadPathsAreBitIdentical) {
   ASSERT_TRUE(WriteGraphShards(d.graph, dir, writer).ok());
 
   for (const ShardReadPath path :
-       {ShardReadPath::kMmap, ShardReadPath::kPread, ShardReadPath::kDirect,
-        ShardReadPath::kUring, ShardReadPath::kAuto}) {
+       {ShardReadPath::kMmap, ShardReadPath::kPread, ShardReadPath::kAuto}) {
     SCOPED_TRACE(ShardReadPathName(path));
     ShardStoreOptions options;
     options.directory = dir;
     options.read_path = path;
     Result<ShardStore> store = ShardStore::Open(std::move(options));
     ASSERT_TRUE(store.ok()) << store.status().ToString();
-    // kAuto resolves to a concrete tier at Open.
-    EXPECT_NE(store->read_path(), ShardReadPath::kAuto);
-    if (path != ShardReadPath::kAuto) {
-      EXPECT_EQ(store->read_path(), path);
-    }
+    // kAuto resolves to pread on any readable pack.
+    EXPECT_EQ(store->read_path(), path == ShardReadPath::kAuto
+                                      ? ShardReadPath::kPread
+                                      : path);
     const ShardGraphView view(std::move(*store));
     const Result<Graph> rebuilt = MaterializeGraph(view);
     ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
     EXPECT_TRUE(BitIdentical(d.graph, *rebuilt));
     EXPECT_EQ(view.storage_metrics().checksum_failures, 0);
+    // The forced tier served every shard: none fell back to mmap.
+    EXPECT_EQ(view.storage_metrics().read_path_fallbacks, 0);
   }
+}
+
+TEST(ShardStoreTest, InjectorStoresReportAndObservePread) {
+  const Dataset d = MakeDataset();
+  const std::string dir = FreshDir("shards_injector_path");
+  ShardWriterOptions writer;
+  writer.num_partitions = 3;
+  ASSERT_TRUE(WriteGraphShards(d.graph, dir, writer).ok());
+  ScriptedIoFaultInjector injector;  // healthy: nothing armed
+  ShardStoreOptions options;
+  options.directory = dir;
+  options.fault_injector = &injector;
+  options.read_path = ShardReadPath::kMmap;  // ignored under an injector
+  Result<ShardStore> store = ShardStore::Open(std::move(options));
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  // Injector loads are buffered reads, so the provenance says pread...
+  EXPECT_EQ(store->read_path(), ShardReadPath::kPread);
+  EXPECT_EQ(store->metrics().read_path,
+            static_cast<std::int64_t>(ShardReadPath::kPread));
+
+  // ...and every load lands in the pread latency instruments, none in
+  // mmap's.
+  const bool was_enabled = MetricsEnabled();
+  SetMetricsEnabled(true);
+  Counter* pread_reads = GlobalMetrics().GetCounter("storage.read.pread.reads");
+  Counter* pread_bytes = GlobalMetrics().GetCounter("storage.read.pread.bytes");
+  Counter* mmap_reads = GlobalMetrics().GetCounter("storage.read.mmap.reads");
+  const std::int64_t reads_before = pread_reads->value();
+  const std::int64_t bytes_before = pread_bytes->value();
+  const std::int64_t mmap_before = mmap_reads->value();
+  std::int64_t mapped = 0;
+  for (std::int64_t p = 0; p < 3; ++p) {
+    const Result<ShardLease> lease = store->Map(p);
+    ASSERT_TRUE(lease.ok()) << lease.status().ToString();
+    mapped += static_cast<std::int64_t>((*lease)->mapped_bytes());
+  }
+  SetMetricsEnabled(was_enabled);
+  EXPECT_EQ(pread_reads->value() - reads_before, 3);
+  EXPECT_EQ(pread_bytes->value() - bytes_before, mapped);
+  EXPECT_EQ(mmap_reads->value(), mmap_before);
 }
 
 TEST(ShardStoreTest, SecondMapIsACacheHit) {

@@ -9,7 +9,7 @@
 // worker assignment, which is what makes the streamed run's logits
 // bit-identical to an in-memory one. --verify re-opens the pack,
 // rebuilds the graph from it, and compares every byte against the
-// input before declaring success.
+// input before declaring success. An unknown flag exits 2.
 #include <cstdio>
 #include <string>
 
@@ -35,7 +35,8 @@ bool BitIdentical(const Graph& a, const Graph& b) {
 }
 
 int Main(int argc, const char* const argv[]) {
-  const Result<FlagParser> flags = FlagParser::Parse(argc, argv);
+  const Result<FlagParser> flags = ParseFlags(
+      argc, argv, {"nodes", "edges", "out", "partitions", "verify"});
   if (!flags.ok()) {
     std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
     return 2;

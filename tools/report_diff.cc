@@ -16,7 +16,8 @@
 //     using the in-tree strict parser, optionally requiring every
 //     document's "schema" member. Exit 1 on malformed input.
 //
-// Exit codes: 0 ok, 1 regression/lint failure, 2 usage error.
+// Exit codes: 0 ok, 1 regression/lint failure, 2 usage error (an
+// unknown flag is one).
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -40,7 +41,10 @@ std::vector<std::string> SplitCommas(const std::string& text) {
 }
 
 int Main(int argc, const char* const argv[]) {
-  const Result<FlagParser> flags = FlagParser::Parse(argc, argv);
+  const Result<FlagParser> flags = ParseFlags(
+      argc, argv,
+      {"lint", "schema", "baseline", "current", "tolerance", "abs-tolerance",
+       "keys", "fail-on-missing", "min-compared"});
   if (!flags.ok()) {
     std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
     return 2;
