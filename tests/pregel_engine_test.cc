@@ -10,8 +10,12 @@
 #include <cmath>
 #include <mutex>
 
+#include "src/common/crc32.h"
+#include "src/common/thread_pool.h"
 #include "src/graph/datasets.h"
 #include "src/graph/graph_builder.h"
+#include "src/inference/inferturbo_pregel.h"
+#include "src/nn/model.h"
 
 namespace inferturbo {
 namespace {
@@ -304,6 +308,61 @@ TEST(PregelEngineTest, DeterministicAcrossRuns) {
     return sums;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// Golden CRCs of the Pregel backend's logits with partial gather on:
+// the sender-side combine of a mean (sage), max (pool_sage) and sum
+// (gin) layer, and the edge-feature partial path (edge_sage). Every
+// fold order and the partial batches' bytes feed these digests, so a
+// change that reorders a fold fails here, at 1 and 8 pool threads.
+TEST(PregelGoldenTest, InferenceLogitsArePinned) {
+  PlantedGraphConfig config;
+  config.num_nodes = 500;
+  config.avg_degree = 6.0;
+  config.feature_dim = 12;
+  config.num_classes = 4;
+  config.in_skew_alpha = 1.0;
+  config.edge_feature_dim = 3;
+  config.seed = 11;
+  const Dataset dataset = MakePlantedDataset("golden", config);
+  struct Case {
+    const char* model;
+    std::uint32_t crc;
+  };
+  const Case cases[] = {
+      {"sage", 0xb3c391f9u},
+      {"pool_sage", 0x3ae9227cu},
+      {"gin", 0x3f0a9bcbu},
+      {"edge_sage", 0x34c344cfu},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.model);
+    ModelConfig mc;
+    mc.input_dim = config.feature_dim;
+    mc.hidden_dim = 16;
+    mc.num_classes = config.num_classes;
+    mc.num_layers = 2;
+    mc.edge_feature_dim = config.edge_feature_dim;
+    mc.seed = 3;
+    Result<std::unique_ptr<GnnModel>> model = MakeModel(c.model, mc);
+    ASSERT_TRUE(model.ok());
+    for (const std::size_t threads : {1, 8}) {
+      SCOPED_TRACE(threads);
+      ThreadPool pool(threads);
+      InferTurboOptions options;
+      options.num_workers = 4;
+      options.pool = &pool;
+      options.strategies.partial_gather = true;
+      const Result<InferenceResult> result =
+          RunInferTurboPregel(dataset.graph, **model, options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      const Tensor& logits = result->logits;
+      EXPECT_EQ(Crc32(logits.data(), static_cast<std::size_t>(
+                                         logits.rows() * logits.cols()) *
+                                         sizeof(float)),
+                c.crc);
+    }
+  }
 }
 
 }  // namespace
