@@ -176,6 +176,9 @@ kernels::detail::FoldOp PooledFoldOp(AggKind kind) {
 }  // namespace
 
 std::int64_t PooledAccumulator::SlotFor(NodeId dst) {
+  for (std::size_t s = index_.size(); s < dst_order_.size(); ++s) {
+    index_.emplace(dst_order_[s], static_cast<std::int64_t>(s));
+  }
   auto [it, inserted] =
       index_.try_emplace(dst, static_cast<std::int64_t>(dst_order_.size()));
   if (inserted) {
@@ -232,7 +235,7 @@ void PooledAccumulator::AddBatch(const MessageBatch& batch, bool partial) {
     } else {
       s = SlotFor(d);
     }
-    slot_scratch_[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(s);
+    slot_scratch_[static_cast<std::size_t>(i)] = s;
   }
 
   // Pass 2 — counts and value folds, one batch kernel call with the
@@ -242,7 +245,33 @@ void PooledAccumulator::AddBatch(const MessageBatch& batch, bool partial) {
   // stable.
   kernels::detail::SlotFold(PooledFoldOp(kind_))(
       rows_.data(), width_, slot_scratch_.data(), counts_.data(),
-      batch.payload.data(), batch.payload.cols(), n, partial);
+      batch.payload.data(), batch.payload.cols(), /*row_index=*/nullptr, n,
+      partial);
+}
+
+void PooledAccumulator::AddIndexed(std::vector<NodeId> dst_order,
+                                   std::span<const std::int64_t> slots,
+                                   const Tensor& messages,
+                                   std::span<const std::int64_t> row_index) {
+  INFERTURBO_CHECK(empty()) << "AddIndexed needs an empty accumulator";
+  INFERTURBO_CHECK(messages.cols() == width_)
+      << "AddIndexed message width " << messages.cols() << " vs " << width_;
+  INFERTURBO_CHECK(slots.size() == row_index.size())
+      << "AddIndexed index length mismatch";
+  const auto num_slots = static_cast<std::int64_t>(dst_order.size());
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    INFERTURBO_CHECK(0 <= slots[i] && slots[i] < num_slots &&
+                     0 <= row_index[i] && row_index[i] < messages.rows())
+        << "AddIndexed entry " << i << " out of range";
+  }
+  dst_order_ = std::move(dst_order);
+  counts_.assign(dst_order_.size(), 0);
+  rows_.assign(dst_order_.size() * static_cast<std::size_t>(width_),
+               PooledInitValue(kind_));
+  kernels::detail::SlotFold(PooledFoldOp(kind_))(
+      rows_.data(), width_, slots.data(), counts_.data(), messages.data(),
+      width_, row_index.data(), static_cast<std::int64_t>(slots.size()),
+      /*partial=*/false);
 }
 
 // PooledAccumulator::Add / ::AddPartial — the retained per-row scalar

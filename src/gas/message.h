@@ -103,9 +103,19 @@ class PooledAccumulator {
   /// size (the power-law common case) slot resolution runs through a
   /// dense scratch table — one array load per row, a hash probe only on
   /// first sight of each destination — and the value fold runs through
-  /// the dispatched SIMD row kernels instead of a scalar loop per
-  /// message.
+  /// the indexed SIMD fold kernel instead of a scalar loop per message.
   void AddBatch(const MessageBatch& batch, bool partial);
+
+  /// Folds messages row row_index[i] into slot slots[i], in ascending
+  /// i, where slot s is destination dst_order[s]: bit-identical to
+  /// calling Add(dst_order[slots[i]], messages.RowPtr(row_index[i])) per
+  /// i when dst_order lists distinct destinations in the order their
+  /// slots first appear. For callers that resolve slots themselves:
+  /// nothing is hashed and no message row is copied. The accumulator
+  /// must be empty.
+  void AddIndexed(std::vector<NodeId> dst_order,
+                  std::span<const std::int64_t> slots, const Tensor& messages,
+                  std::span<const std::int64_t> row_index);
 
   /// Emits one message per destination: payload = aggregate row with
   /// the count appended as a final column so downstream merges stay
@@ -129,7 +139,8 @@ class PooledAccumulator {
 
  private:
   /// Slot of `dst` in rows_/dst_order_/counts_, inserting (and
-  /// extending storage by one initialized row) on first sight.
+  /// extending storage by one initialized row) on first sight. Indexes
+  /// the destinations AddIndexed appended first.
   std::int64_t SlotFor(NodeId dst);
   float* RowFor(NodeId dst, std::int64_t count_delta);
 
@@ -145,7 +156,7 @@ class PooledAccumulator {
   std::vector<std::int32_t> dense_slots_;
   /// AddBatch scratch: per-row resolved slots, handed to the batch fold
   /// kernel so the payload stream is read exactly once.
-  std::vector<std::int32_t> slot_scratch_;
+  std::vector<std::int64_t> slot_scratch_;
 };
 
 }  // namespace inferturbo

@@ -1,5 +1,6 @@
 #include "src/inference/inferturbo_pregel.h"
 
+#include <limits>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -14,7 +15,6 @@
 #include "src/storage/shard_pipeline.h"
 #include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/trace.h"
-#include "src/tensor/kernels/kernels.h"
 #include "src/tensor/ops.h"
 
 namespace inferturbo {
@@ -264,13 +264,17 @@ class PregelInferenceDriver {
       return;
     }
 
-    // Partial path: per destination worker, the edges' destination ids
-    // and the message-row index each edge carries, collected in (node,
-    // edge) order; batched into the accumulators below.
+    // Partial path: per destination worker, each edge's slot among that
+    // worker's destinations (first-seen order) and the message row it
+    // carries, collected in (node, edge) order; folded below.
     std::vector<std::vector<NodeId>> part_dst;
+    std::vector<std::vector<std::int64_t>> part_slot;
     std::vector<std::vector<std::int64_t>> part_row;
+    std::vector<std::vector<std::int32_t>>* slot_of = nullptr;
     if (use_partial) {
+      slot_of = &SlotTables();
       part_dst.resize(static_cast<std::size_t>(num_workers));
+      part_slot.resize(static_cast<std::size_t>(num_workers));
       part_row.resize(static_cast<std::size_t>(num_workers));
     }
     // Dense per-edge rows (non-partial path), sized in a first pass.
@@ -311,8 +315,14 @@ class PregelInferenceDriver {
         for (EdgeId e : graph_.OutEdges(v)) {
           const NodeId d = graph_.EdgeDst(e);
           const auto pw = static_cast<std::size_t>(
-              engine_partitioner_->PartitionOf(d));
-          part_dst[pw].push_back(d);
+              assignment_.partition_of[static_cast<std::size_t>(d)]);
+          std::int32_t& slot =
+              (*slot_of)[pw][static_cast<std::size_t>(LocalIndex(d))];
+          if (slot < 0) {
+            slot = static_cast<std::int32_t>(part_dst[pw].size());
+            part_dst[pw].push_back(d);
+          }
+          part_slot[pw].push_back(slot);
           part_row[pw].push_back(static_cast<std::int64_t>(i));
         }
       } else {
@@ -327,25 +337,42 @@ class PregelInferenceDriver {
     if (!dense.empty()) ctx->SendBatch(std::move(dense));
     if (!refs.dst.empty()) ctx->SendBatch(std::move(refs));
     if (use_partial) {
-      // Sender-side combine, one accumulator per destination worker:
-      // materialize each worker's per-edge rows with one batched row
-      // gather, then fold the whole batch through the SIMD combine —
-      // same first-seen destination order as per-edge Add calls, so the
-      // partial batch's wire bytes are unchanged.
+      // Sender-side combine, one accumulator per destination worker: the
+      // indexed fold reads each edge's message row in place — same
+      // per-destination order and first-seen destination order as
+      // per-edge Add calls, so the partial batch's wire bytes are
+      // unchanged. The slot tables go back to unseen entry by entry.
       PooledAccumulator acc(sig.agg_kind, msg_dim);
-      for (std::int64_t w = 0; w < num_workers; ++w) {
-        auto& dst_ids = part_dst[static_cast<std::size_t>(w)];
-        if (dst_ids.empty()) continue;
-        MessageBatch carrier;
-        carrier.payload = kernels::GatherRows(
-            messages, part_row[static_cast<std::size_t>(w)]);
-        carrier.src.assign(dst_ids.size(), ctx->worker_id());
-        carrier.dst = std::move(dst_ids);
+      for (std::size_t w = 0; w < part_dst.size(); ++w) {
+        if (part_dst[w].empty()) continue;
+        for (NodeId d : part_dst[w]) {
+          (*slot_of)[w][static_cast<std::size_t>(LocalIndex(d))] = -1;
+        }
         acc.Reset(sig.agg_kind, msg_dim);
-        acc.AddBatch(carrier, /*partial=*/false);
+        acc.AddIndexed(std::move(part_dst[w]), part_slot[w], messages,
+                       part_row[w]);
         ctx->SendPartialBatch(acc.ToPartialBatch(ctx->worker_id()));
       }
     }
+  }
+
+  /// This thread's dense slot tables for the partial scatter: entry
+  /// [w][local index of d] is d's slot among worker w's destinations,
+  /// -1 when unseen. Each table is bounded by worker w's node count and
+  /// rests at all -1; a scatter clears only the entries it set.
+  /// Thread-local because duplicate attempts of one worker may run at
+  /// once.
+  std::vector<std::vector<std::int32_t>>& SlotTables() const {
+    thread_local std::vector<std::vector<std::int32_t>> tables;
+    tables.resize(assignment_.members.size());
+    for (std::size_t w = 0; w < tables.size(); ++w) {
+      const std::size_t nodes = assignment_.members[w].size();
+      INFERTURBO_CHECK(nodes <= static_cast<std::size_t>(
+                                    std::numeric_limits<std::int32_t>::max()))
+          << "worker " << w << " owns too many nodes for an int32 slot";
+      if (tables[w].size() < nodes) tables[w].resize(nodes, -1);
+    }
+    return tables;
   }
 
   /// Scatter for layers whose apply_edge consumes edge features: the

@@ -51,16 +51,25 @@ enum class FoldOp { kAdd, kMax, kMin };
 /// runs call-free. Both apply rows strictly in index order — the same
 /// order as the per-row fold, so results stay bit-identical.
 
-/// For each row i in [0, n):
-///   counts[slots[i]] += partial ? (int64)payload[i*stride + width] : 1
-///   fold(rows + slots[i]*width, payload + i*stride, width)
-/// Slots must be pre-resolved and rows pre-initialized (the
-/// PooledAccumulator AddBatch shape).
+/// The indexed fold rows[slots[i]] (+)= payload[r], where r = row_index[i]
+/// (or i when row_index is null, the contiguous form). For each i in
+/// [0, n), in ascending i:
+///   counts[slots[i]] += partial ? (int64)payload[r*stride + width] : 1
+///   fold(rows + slots[i]*width, payload + r*stride, width)
+/// Row indices may repeat and come in any order: a message row that
+/// feeds many destinations is read in place, never copied per edge.
+/// Slots and row indices must be in range (callers validate them) and
+/// `rows` pre-initialized. Each call adds once to kernel.row_fold.calls
+/// and kernel.row_fold.bytes.
 using SlotFoldFn = void (*)(float* rows, std::int64_t width,
-                            const std::int32_t* slots, std::int64_t* counts,
+                            const std::int64_t* slots, std::int64_t* counts,
                             const float* payload, std::int64_t stride,
-                            std::int64_t n, bool partial);
+                            const std::int64_t* row_index, std::int64_t n,
+                            bool partial);
 SlotFoldFn SlotFold(FoldOp op);
+
+/// The kernel.row_fold accounting behind every SlotFold variant.
+void AccountSlotFold(std::int64_t n, std::int64_t width, bool indexed);
 
 /// For each row i in [0, n) whose segment s = segs[i] lies in [s0, s1):
 ///   fold(out + s*width, payload + i*stride, width)
@@ -73,28 +82,34 @@ using SegFoldFn = void (*)(float* out, std::int64_t width,
 SegFoldFn SegFold(FoldOp op);
 
 void SlotFoldAddPortable(float* rows, std::int64_t width,
-                         const std::int32_t* slots, std::int64_t* counts,
+                         const std::int64_t* slots, std::int64_t* counts,
                          const float* payload, std::int64_t stride,
-                         std::int64_t n, bool partial);
+                         const std::int64_t* row_index, std::int64_t n,
+                         bool partial);
 void SlotFoldMaxPortable(float* rows, std::int64_t width,
-                         const std::int32_t* slots, std::int64_t* counts,
+                         const std::int64_t* slots, std::int64_t* counts,
                          const float* payload, std::int64_t stride,
-                         std::int64_t n, bool partial);
+                         const std::int64_t* row_index, std::int64_t n,
+                         bool partial);
 void SlotFoldMinPortable(float* rows, std::int64_t width,
-                         const std::int32_t* slots, std::int64_t* counts,
+                         const std::int64_t* slots, std::int64_t* counts,
                          const float* payload, std::int64_t stride,
-                         std::int64_t n, bool partial);
+                         const std::int64_t* row_index, std::int64_t n,
+                         bool partial);
 void SlotFoldAddAvx2(float* rows, std::int64_t width,
-                     const std::int32_t* slots, std::int64_t* counts,
-                     const float* payload, std::int64_t stride, std::int64_t n,
+                     const std::int64_t* slots, std::int64_t* counts,
+                     const float* payload, std::int64_t stride,
+                     const std::int64_t* row_index, std::int64_t n,
                      bool partial);
 void SlotFoldMaxAvx2(float* rows, std::int64_t width,
-                     const std::int32_t* slots, std::int64_t* counts,
-                     const float* payload, std::int64_t stride, std::int64_t n,
+                     const std::int64_t* slots, std::int64_t* counts,
+                     const float* payload, std::int64_t stride,
+                     const std::int64_t* row_index, std::int64_t n,
                      bool partial);
 void SlotFoldMinAvx2(float* rows, std::int64_t width,
-                     const std::int32_t* slots, std::int64_t* counts,
-                     const float* payload, std::int64_t stride, std::int64_t n,
+                     const std::int64_t* slots, std::int64_t* counts,
+                     const float* payload, std::int64_t stride,
+                     const std::int64_t* row_index, std::int64_t n,
                      bool partial);
 
 void SegFoldAddPortable(float* out, std::int64_t width,

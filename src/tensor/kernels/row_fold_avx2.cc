@@ -74,25 +74,31 @@ struct MinFold {
   }
 };
 
-template <typename Fold>
-void SlotFoldImpl(float* rows, std::int64_t width, const std::int32_t* slots,
+template <typename Fold, bool kIndexed, bool kPartial>
+void SlotFoldLoop(float* rows, std::int64_t width, const std::int64_t* slots,
                   std::int64_t* counts, const float* payload,
-                  std::int64_t stride, std::int64_t n, bool partial) {
-  if (partial) {
-    for (std::int64_t i = 0; i < n; ++i) {
-      const float* row = payload + i * stride;
-      const std::int64_t s = slots[i];
-      counts[s] += static_cast<std::int64_t>(row[width]);
-      Fold::Apply(rows + s * width, row, width);
-    }
-  } else {
-    for (std::int64_t i = 0; i < n; ++i) {
-      const float* row = payload + i * stride;
-      const std::int64_t s = slots[i];
-      ++counts[s];
-      Fold::Apply(rows + s * width, row, width);
-    }
+                  std::int64_t stride, const std::int64_t* row_index,
+                  std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float* row = payload + (kIndexed ? row_index[i] : i) * stride;
+    const std::int64_t s = slots[i];
+    counts[s] += kPartial ? static_cast<std::int64_t>(row[width]) : 1;
+    Fold::Apply(rows + s * width, row, width);
   }
+}
+
+template <typename Fold>
+void SlotFoldImpl(float* rows, std::int64_t width, const std::int64_t* slots,
+                  std::int64_t* counts, const float* payload,
+                  std::int64_t stride, const std::int64_t* row_index,
+                  std::int64_t n, bool partial) {
+  AccountSlotFold(n, width, row_index != nullptr);
+  const auto loop = row_index != nullptr
+                        ? (partial ? SlotFoldLoop<Fold, true, true>
+                                   : SlotFoldLoop<Fold, true, false>)
+                        : (partial ? SlotFoldLoop<Fold, false, true>
+                                   : SlotFoldLoop<Fold, false, false>);
+  loop(rows, width, slots, counts, payload, stride, row_index, n);
 }
 
 template <typename Fold>
@@ -125,25 +131,28 @@ void RowMinAvx2(float* __restrict__ acc, const float* __restrict__ row,
 }
 
 void SlotFoldAddAvx2(float* rows, std::int64_t width,
-                     const std::int32_t* slots, std::int64_t* counts,
-                     const float* payload, std::int64_t stride, std::int64_t n,
+                     const std::int64_t* slots, std::int64_t* counts,
+                     const float* payload, std::int64_t stride,
+                     const std::int64_t* row_index, std::int64_t n,
                      bool partial) {
-  SlotFoldImpl<AddFold>(rows, width, slots, counts, payload, stride, n,
-                        partial);
+  SlotFoldImpl<AddFold>(rows, width, slots, counts, payload, stride, row_index,
+                        n, partial);
 }
 void SlotFoldMaxAvx2(float* rows, std::int64_t width,
-                     const std::int32_t* slots, std::int64_t* counts,
-                     const float* payload, std::int64_t stride, std::int64_t n,
+                     const std::int64_t* slots, std::int64_t* counts,
+                     const float* payload, std::int64_t stride,
+                     const std::int64_t* row_index, std::int64_t n,
                      bool partial) {
-  SlotFoldImpl<MaxFold>(rows, width, slots, counts, payload, stride, n,
-                        partial);
+  SlotFoldImpl<MaxFold>(rows, width, slots, counts, payload, stride, row_index,
+                        n, partial);
 }
 void SlotFoldMinAvx2(float* rows, std::int64_t width,
-                     const std::int32_t* slots, std::int64_t* counts,
-                     const float* payload, std::int64_t stride, std::int64_t n,
+                     const std::int64_t* slots, std::int64_t* counts,
+                     const float* payload, std::int64_t stride,
+                     const std::int64_t* row_index, std::int64_t n,
                      bool partial) {
-  SlotFoldImpl<MinFold>(rows, width, slots, counts, payload, stride, n,
-                        partial);
+  SlotFoldImpl<MinFold>(rows, width, slots, counts, payload, stride, row_index,
+                        n, partial);
 }
 
 void SegFoldAddAvx2(float* out, std::int64_t width, const std::int32_t* segs,
@@ -175,22 +184,28 @@ void RowMinAvx2(float* acc, const float* row, std::int64_t n) {
 }
 
 void SlotFoldAddAvx2(float* rows, std::int64_t width,
-                     const std::int32_t* slots, std::int64_t* counts,
-                     const float* payload, std::int64_t stride, std::int64_t n,
+                     const std::int64_t* slots, std::int64_t* counts,
+                     const float* payload, std::int64_t stride,
+                     const std::int64_t* row_index, std::int64_t n,
                      bool partial) {
-  SlotFoldAddPortable(rows, width, slots, counts, payload, stride, n, partial);
+  SlotFoldAddPortable(rows, width, slots, counts, payload, stride, row_index,
+                      n, partial);
 }
 void SlotFoldMaxAvx2(float* rows, std::int64_t width,
-                     const std::int32_t* slots, std::int64_t* counts,
-                     const float* payload, std::int64_t stride, std::int64_t n,
+                     const std::int64_t* slots, std::int64_t* counts,
+                     const float* payload, std::int64_t stride,
+                     const std::int64_t* row_index, std::int64_t n,
                      bool partial) {
-  SlotFoldMaxPortable(rows, width, slots, counts, payload, stride, n, partial);
+  SlotFoldMaxPortable(rows, width, slots, counts, payload, stride, row_index,
+                      n, partial);
 }
 void SlotFoldMinAvx2(float* rows, std::int64_t width,
-                     const std::int32_t* slots, std::int64_t* counts,
-                     const float* payload, std::int64_t stride, std::int64_t n,
+                     const std::int64_t* slots, std::int64_t* counts,
+                     const float* payload, std::int64_t stride,
+                     const std::int64_t* row_index, std::int64_t n,
                      bool partial) {
-  SlotFoldMinPortable(rows, width, slots, counts, payload, stride, n, partial);
+  SlotFoldMinPortable(rows, width, slots, counts, payload, stride, row_index,
+                      n, partial);
 }
 
 void SegFoldAddAvx2(float* out, std::int64_t width, const std::int32_t* segs,

@@ -1,5 +1,7 @@
 #include "src/tensor/kernels/row_fold.h"
 
+#include "src/telemetry/metrics.h"
+#include "src/tensor/kernels/kernel_stats.h"
 #include "src/tensor/kernels/matmul_tiles.h"
 
 namespace inferturbo {
@@ -27,25 +29,32 @@ void RowMinPortable(float* __restrict__ acc, const float* __restrict__ row,
 
 namespace {
 
-template <void Fold(float*, const float*, std::int64_t)>
-void SlotFoldImpl(float* rows, std::int64_t width, const std::int32_t* slots,
+template <void Fold(float*, const float*, std::int64_t), bool kIndexed,
+          bool kPartial>
+void SlotFoldLoop(float* rows, std::int64_t width, const std::int64_t* slots,
                   std::int64_t* counts, const float* payload,
-                  std::int64_t stride, std::int64_t n, bool partial) {
-  if (partial) {
-    for (std::int64_t i = 0; i < n; ++i) {
-      const float* row = payload + i * stride;
-      const std::int64_t s = slots[i];
-      counts[s] += static_cast<std::int64_t>(row[width]);
-      Fold(rows + s * width, row, width);
-    }
-  } else {
-    for (std::int64_t i = 0; i < n; ++i) {
-      const float* row = payload + i * stride;
-      const std::int64_t s = slots[i];
-      ++counts[s];
-      Fold(rows + s * width, row, width);
-    }
+                  std::int64_t stride, const std::int64_t* row_index,
+                  std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float* row = payload + (kIndexed ? row_index[i] : i) * stride;
+    const std::int64_t s = slots[i];
+    counts[s] += kPartial ? static_cast<std::int64_t>(row[width]) : 1;
+    Fold(rows + s * width, row, width);
   }
+}
+
+template <void Fold(float*, const float*, std::int64_t)>
+void SlotFoldImpl(float* rows, std::int64_t width, const std::int64_t* slots,
+                  std::int64_t* counts, const float* payload,
+                  std::int64_t stride, const std::int64_t* row_index,
+                  std::int64_t n, bool partial) {
+  AccountSlotFold(n, width, row_index != nullptr);
+  const auto loop = row_index != nullptr
+                        ? (partial ? SlotFoldLoop<Fold, true, true>
+                                   : SlotFoldLoop<Fold, true, false>)
+                        : (partial ? SlotFoldLoop<Fold, false, true>
+                                   : SlotFoldLoop<Fold, false, false>);
+  loop(rows, width, slots, counts, payload, stride, row_index, n);
 }
 
 template <void Fold(float*, const float*, std::int64_t)>
@@ -63,25 +72,28 @@ void SegFoldImpl(float* out, std::int64_t width, const std::int32_t* segs,
 }  // namespace
 
 void SlotFoldAddPortable(float* rows, std::int64_t width,
-                         const std::int32_t* slots, std::int64_t* counts,
+                         const std::int64_t* slots, std::int64_t* counts,
                          const float* payload, std::int64_t stride,
-                         std::int64_t n, bool partial) {
-  SlotFoldImpl<RowAddPortable>(rows, width, slots, counts, payload, stride, n,
-                               partial);
+                         const std::int64_t* row_index, std::int64_t n,
+                         bool partial) {
+  SlotFoldImpl<RowAddPortable>(rows, width, slots, counts, payload, stride,
+                               row_index, n, partial);
 }
 void SlotFoldMaxPortable(float* rows, std::int64_t width,
-                         const std::int32_t* slots, std::int64_t* counts,
+                         const std::int64_t* slots, std::int64_t* counts,
                          const float* payload, std::int64_t stride,
-                         std::int64_t n, bool partial) {
-  SlotFoldImpl<RowMaxPortable>(rows, width, slots, counts, payload, stride, n,
-                               partial);
+                         const std::int64_t* row_index, std::int64_t n,
+                         bool partial) {
+  SlotFoldImpl<RowMaxPortable>(rows, width, slots, counts, payload, stride,
+                               row_index, n, partial);
 }
 void SlotFoldMinPortable(float* rows, std::int64_t width,
-                         const std::int32_t* slots, std::int64_t* counts,
+                         const std::int64_t* slots, std::int64_t* counts,
                          const float* payload, std::int64_t stride,
-                         std::int64_t n, bool partial) {
-  SlotFoldImpl<RowMinPortable>(rows, width, slots, counts, payload, stride, n,
-                               partial);
+                         const std::int64_t* row_index, std::int64_t n,
+                         bool partial) {
+  SlotFoldImpl<RowMinPortable>(rows, width, slots, counts, payload, stride,
+                               row_index, n, partial);
 }
 
 void SegFoldAddPortable(float* out, std::int64_t width,
@@ -101,6 +113,16 @@ void SegFoldMinPortable(float* out, std::int64_t width,
                         std::int64_t stride, std::int64_t n, std::int64_t s0,
                         std::int64_t s1) {
   SegFoldImpl<RowMinPortable>(out, width, segs, payload, stride, n, s0, s1);
+}
+
+void AccountSlotFold(std::int64_t n, std::int64_t width, bool indexed) {
+  if (!MetricsEnabled()) return;
+  static Counter* const calls =
+      GlobalMetrics().GetCounter("kernel.row_fold.calls");
+  static Counter* const bytes =
+      GlobalMetrics().GetCounter("kernel.row_fold.bytes");
+  calls->Increment();
+  bytes->Add(RowFoldWork(n, width, indexed).bytes);
 }
 
 RowFoldFn RowAdd() {

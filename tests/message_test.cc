@@ -289,5 +289,18 @@ TEST(GatherIntoResultTest, IsolatedNodesReadNeutralZero) {
   }
 }
 
+TEST(GatherIntoResultTest, DstIndexLengthMustMatchMessageRows) {
+  const Tensor rows = Tensor::FromRows({{1, 2}, {3, 4}});
+  const std::vector<std::int64_t> shorter = {0};
+  const std::vector<std::int64_t> longer = {0, 1, 1};
+  for (const AggKind kind : {AggKind::kSum, AggKind::kMax, AggKind::kUnion}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    EXPECT_DEATH(GatherIntoResult(kind, rows, shorter, 2, false),
+                 "dst indices for 2 message rows");
+    EXPECT_DEATH(GatherIntoResult(kind, rows, longer, 2, false),
+                 "dst indices for 2 message rows");
+  }
+}
+
 }  // namespace
 }  // namespace inferturbo

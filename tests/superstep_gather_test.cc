@@ -2,8 +2,9 @@
 // plane: the fast gather (BucketInbox + segment kernels) must be
 // BIT-identical to the retained scalar oracle for every aggregator
 // kind, batch mix (dense / partial / id-only broadcast refs / empty),
-// and thread count; PooledAccumulator::AddBatch must be bit-identical
-// to the per-row Add/AddPartial fold including emission order; and the
+// and thread count; PooledAccumulator::AddBatch, AddIndexed and every
+// compiled SlotFold variant must be bit-identical to the per-row
+// Add/AddPartial fold including emission order; and the
 // new SegmentMax/SegmentMin kernels must match their pinned scalar
 // references exactly.
 #include "src/gas/superstep_gather.h"
@@ -11,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -18,7 +21,9 @@
 #include "src/gas/message.h"
 #include "src/tensor/kernels/kernel_config.h"
 #include "src/tensor/kernels/kernels.h"
+#include "src/tensor/kernels/matmul_tiles.h"
 #include "src/tensor/kernels/reference.h"
+#include "src/tensor/kernels/row_fold.h"
 
 namespace inferturbo {
 namespace {
@@ -225,57 +230,178 @@ TEST(SuperstepGatherTest, EmptyLocalIndexBucketsEverythingToSegmentZero) {
   EXPECT_EQ(fast.counts, (std::vector<std::int64_t>{n}));
 }
 
+// Overwrites a sprinkle of the first `width` columns with NaN, +0 and
+// -0: the inputs on which a hardware vmaxps/vminps or a reordered add
+// would differ from the scalar fold.
+void SprinkleSpecialValues(Tensor* t, std::int64_t width, Rng* rng) {
+  for (std::int64_t i = 0; i < t->rows(); ++i) {
+    float* row = t->RowPtr(i);
+    for (std::int64_t j = 0; j < width; ++j) {
+      switch (rng->NextBounded(12)) {
+        case 0:
+          row[j] = std::numeric_limits<float>::quiet_NaN();
+          break;
+        case 1:
+          row[j] = 0.0f;
+          break;
+        case 2:
+          row[j] = -0.0f;
+          break;
+        default:
+          break;
+      }
+    }
+  }
+}
+
+bool SameBytes(const float* a, const float* b, std::int64_t n) {
+  return std::memcmp(a, b, static_cast<std::size_t>(n) * sizeof(float)) == 0;
+}
+
+bool SameBytes(const Tensor& a, const Tensor& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         SameBytes(a.data(), b.data(), a.size());
+}
+
+// Every form of the pooled fold against the per-row Add/AddPartial
+// oracle, bit for bit: AddBatch (the contiguous fold), AddIndexed, and
+// each compiled SlotFold variant called directly, both on the
+// materialized batch (identity rows) and on the message table through
+// repeated, unsorted row indices.
 TEST(SuperstepGatherTest, AddBatchMatchesPerRowFoldAndEmissionOrder) {
   Rng rng(909);
   for (const AggKind kind :
        {AggKind::kSum, AggKind::kMean, AggKind::kMax, AggKind::kMin}) {
+    const kernels::detail::FoldOp op =
+        kind == AggKind::kMax   ? kernels::detail::FoldOp::kMax
+        : kind == AggKind::kMin ? kernels::detail::FoldOp::kMin
+                                : kernels::detail::FoldOp::kAdd;
+    std::vector<kernels::detail::SlotFoldFn> variants = {
+        op == kernels::detail::FoldOp::kMax
+            ? kernels::detail::SlotFoldMaxPortable
+        : op == kernels::detail::FoldOp::kMin
+            ? kernels::detail::SlotFoldMinPortable
+            : kernels::detail::SlotFoldAddPortable};
+    if (kernels::detail::Avx2KernelsAvailable()) {
+      variants.push_back(op == kernels::detail::FoldOp::kMax
+                             ? kernels::detail::SlotFoldMaxAvx2
+                         : op == kernels::detail::FoldOp::kMin
+                             ? kernels::detail::SlotFoldMinAvx2
+                             : kernels::detail::SlotFoldAddAvx2);
+    }
     for (const bool partial : {false, true}) {
-      const std::int64_t width = 7;
-      MessageBatch batch;
-      if (partial) {
-        PooledAccumulator sender(kind, width);
-        const std::int64_t n = 150;
-        const Tensor rows = Tensor::RandomNormal(n, width, 2.0f, &rng);
-        for (std::int64_t i = 0; i < n; ++i) {
-          sender.Add(static_cast<NodeId>(rng.NextBounded(25)), rows.RowPtr(i));
+      for (const std::int64_t width : {1, 7, 8, 9, 65}) {
+        SCOPED_TRACE(testing::Message()
+                     << "kind " << static_cast<int>(kind) << " partial "
+                     << partial << " width " << width);
+        // The message table the indexed fold reads in place. Partial
+        // rows come from a real sender so their count columns are
+        // authentic.
+        Tensor messages;
+        if (partial) {
+          PooledAccumulator sender(kind, width);
+          Tensor rows = Tensor::RandomNormal(150, width, 2.0f, &rng);
+          SprinkleSpecialValues(&rows, width, &rng);
+          for (std::int64_t i = 0; i < rows.rows(); ++i) {
+            sender.Add(static_cast<NodeId>(rng.NextBounded(40)),
+                       rows.RowPtr(i));
+          }
+          messages = sender.ToPartialBatch(/*from=*/3).payload;
+        } else {
+          messages = Tensor::RandomNormal(60, width, 2.0f, &rng);
+          SprinkleSpecialValues(&messages, width, &rng);
         }
-        batch = sender.ToPartialBatch(/*from=*/3);
-      } else {
+        // Edge i carries message row row_index[i] (repeated, unsorted)
+        // to dst[i]; the batch holds those rows materialized.
         const std::int64_t n = 150;
-        batch.payload = Tensor::RandomNormal(n, width, 2.0f, &rng);
+        std::vector<std::int64_t> row_index(static_cast<std::size_t>(n));
+        MessageBatch batch;
+        batch.payload = Tensor(n, messages.cols());
         for (std::int64_t i = 0; i < n; ++i) {
+          const auto r = static_cast<std::int64_t>(
+              rng.NextBounded(static_cast<std::uint64_t>(messages.rows())));
+          row_index[static_cast<std::size_t>(i)] = r;
+          batch.payload.SetRow(i, messages.RowPtr(r));
           batch.dst.push_back(static_cast<NodeId>(rng.NextBounded(25)));
           batch.src.push_back(static_cast<NodeId>(i));
         }
-      }
+        // Slots in first-seen destination order, as a caller that
+        // resolves them without hashing would produce.
+        std::vector<NodeId> dst_order;
+        std::vector<std::int64_t> slots;
+        std::vector<std::int64_t> slot_of(25, -1);
+        for (const NodeId d : batch.dst) {
+          std::int64_t& slot = slot_of[static_cast<std::size_t>(d)];
+          if (slot < 0) {
+            slot = static_cast<std::int64_t>(dst_order.size());
+            dst_order.push_back(d);
+          }
+          slots.push_back(slot);
+        }
 
-      PooledAccumulator oracle(kind, width);
-      for (std::int64_t i = 0; i < batch.size(); ++i) {
-        const float* row = batch.payload.RowPtr(i);
-        if (partial) {
-          oracle.AddPartial(batch.dst[static_cast<std::size_t>(i)], row,
-                            static_cast<std::int64_t>(row[width]));
-        } else {
-          oracle.Add(batch.dst[static_cast<std::size_t>(i)], row);
+        PooledAccumulator oracle(kind, width);
+        for (std::int64_t i = 0; i < batch.size(); ++i) {
+          const float* row = batch.payload.RowPtr(i);
+          if (partial) {
+            oracle.AddPartial(batch.dst[static_cast<std::size_t>(i)], row,
+                              static_cast<std::int64_t>(row[width]));
+          } else {
+            oracle.Add(batch.dst[static_cast<std::size_t>(i)], row);
+          }
+        }
+        const auto fin_oracle = oracle.Finalize();
+        const MessageBatch wire_oracle = oracle.ToPartialBatch(9);
+        EXPECT_EQ(fin_oracle.dst, dst_order);
+
+        const auto expect_matches_oracle = [&](const PooledAccumulator& acc) {
+          const auto fin = acc.Finalize();
+          // dst equality covers first-seen EMISSION order, not just
+          // content.
+          EXPECT_EQ(fin.dst, fin_oracle.dst);
+          EXPECT_EQ(fin.counts, fin_oracle.counts);
+          EXPECT_TRUE(SameBytes(fin.values, fin_oracle.values));
+          // Wire form must also be byte-stable (the partial-gather
+          // payload).
+          const MessageBatch wire = acc.ToPartialBatch(9);
+          EXPECT_EQ(wire.dst, wire_oracle.dst);
+          EXPECT_EQ(wire.src, wire_oracle.src);
+          EXPECT_TRUE(SameBytes(wire.payload, wire_oracle.payload));
+        };
+        PooledAccumulator batched(kind, width);
+        batched.AddBatch(batch, partial);
+        expect_matches_oracle(batched);
+        if (!partial) {
+          PooledAccumulator indexed(kind, width);
+          indexed.AddIndexed(dst_order, slots, messages, row_index);
+          expect_matches_oracle(indexed);
+        }
+
+        // Each compiled variant, contiguous and indexed, against the
+        // oracle's raw (pre-finalize) rows and counts.
+        const float init = kind == AggKind::kMax
+                               ? -std::numeric_limits<float>::infinity()
+                           : kind == AggKind::kMin
+                               ? std::numeric_limits<float>::infinity()
+                               : 0.0f;
+        for (const kernels::detail::SlotFoldFn fold : variants) {
+          for (const bool indexed : {false, true}) {
+            SCOPED_TRACE(indexed ? "indexed" : "contiguous");
+            const Tensor& payload = indexed ? messages : batch.payload;
+            Tensor rows = Tensor::Full(
+                static_cast<std::int64_t>(dst_order.size()), width, init);
+            std::vector<std::int64_t> counts(dst_order.size(), 0);
+            fold(rows.data(), width, slots.data(), counts.data(),
+                 payload.data(), payload.cols(),
+                 indexed ? row_index.data() : nullptr, n, partial);
+            EXPECT_EQ(counts, fin_oracle.counts);
+            for (std::int64_t s = 0; s < rows.rows(); ++s) {
+              EXPECT_TRUE(SameBytes(rows.RowPtr(s),
+                                    wire_oracle.payload.RowPtr(s), width))
+                  << "slot " << s;
+            }
+          }
         }
       }
-      PooledAccumulator batched(kind, width);
-      batched.AddBatch(batch, partial);
-
-      const auto fin_oracle = oracle.Finalize();
-      const auto fin_batched = batched.Finalize();
-      // dst equality covers first-seen EMISSION order, not just content.
-      EXPECT_EQ(fin_batched.dst, fin_oracle.dst);
-      EXPECT_EQ(fin_batched.counts, fin_oracle.counts);
-      EXPECT_TRUE(fin_batched.values.ApproxEquals(fin_oracle.values, 0.0f));
-
-      // Wire form must also be byte-stable (the partial-gather payload).
-      const MessageBatch wire_oracle = oracle.ToPartialBatch(9);
-      const MessageBatch wire_batched = batched.ToPartialBatch(9);
-      EXPECT_EQ(wire_batched.dst, wire_oracle.dst);
-      EXPECT_EQ(wire_batched.src, wire_oracle.src);
-      EXPECT_TRUE(wire_batched.payload.ApproxEquals(wire_oracle.payload,
-                                                    0.0f));
     }
   }
 }

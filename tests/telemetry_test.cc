@@ -505,6 +505,22 @@ TEST_F(TelemetryTest, TracingDoesNotChangePregelLogits) {
   EXPECT_TRUE(saw_compute);
 }
 
+// The partial scatter folds message rows in place, so its traffic
+// shows up under the indexed fold's counters rather than a row gather.
+TEST_F(TelemetryTest, PartialGatherScatterCountsTheRowFold) {
+  const Dataset dataset = TelemetryDataset();
+  const std::unique_ptr<GnnModel> model = TelemetryModel(dataset.graph);
+  InferTurboOptions options;
+  options.num_workers = 4;
+  options.strategies.partial_gather = true;
+  SetMetricsEnabled(true);
+  const Result<InferenceResult> result =
+      RunInferTurboPregel(dataset.graph, *model, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_GT(GlobalMetrics().GetCounter("kernel.row_fold.calls")->value(), 0);
+  EXPECT_GT(GlobalMetrics().GetCounter("kernel.row_fold.bytes")->value(), 0);
+}
+
 TEST_F(TelemetryTest, TracingDoesNotChangeMapReduceLogits) {
   const Dataset dataset = TelemetryDataset();
   const std::unique_ptr<GnnModel> model = TelemetryModel(dataset.graph);
