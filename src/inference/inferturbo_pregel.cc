@@ -54,6 +54,77 @@ struct WorkerState {
   Tensor states;              // (nodes.size() × current_dim)
 };
 
+/// Sender-side partial gather for one scatter. Edges arrive in (node,
+/// edge) order, each carrying message row r to node d; Send folds each
+/// destination worker's edges into one accumulator through the indexed
+/// fold, reading message rows in place, and sends one partial batch
+/// per worker. A slot is resolved without hashing, from d's worker and
+/// local index through this thread's dense table for that worker, so
+/// first-seen destination order — and the partial batches' wire bytes —
+/// match per-edge Add calls.
+class PartialScatter {
+ public:
+  explicit PartialScatter(const PartitionAssignment& assignment)
+      : assignment_(assignment),
+        slot_of_(SlotTables(assignment)),
+        dst_(assignment.members.size()),
+        slot_(assignment.members.size()),
+        row_(assignment.members.size()) {}
+
+  void Add(NodeId d, std::int64_t r) {
+    const auto w = static_cast<std::size_t>(
+        assignment_.partition_of[static_cast<std::size_t>(d)]);
+    std::int32_t& slot = slot_of_[w][static_cast<std::size_t>(
+        assignment_.local_index[static_cast<std::size_t>(d)])];
+    if (slot < 0) {
+      slot = static_cast<std::int32_t>(dst_[w].size());
+      dst_[w].push_back(d);
+    }
+    slot_[w].push_back(slot);
+    row_[w].push_back(r);
+  }
+
+  void Send(PregelContext* ctx, AggKind kind, const Tensor& messages) {
+    PooledAccumulator acc(kind, messages.cols());
+    for (std::size_t w = 0; w < dst_.size(); ++w) {
+      if (dst_[w].empty()) continue;
+      for (NodeId d : dst_[w]) {
+        slot_of_[w][static_cast<std::size_t>(
+            assignment_.local_index[static_cast<std::size_t>(d)])] = -1;
+      }
+      acc.Reset(kind, messages.cols());
+      acc.AddIndexed(std::move(dst_[w]), slot_[w], messages, row_[w]);
+      ctx->SendPartialBatch(acc.ToPartialBatch(ctx->worker_id()));
+    }
+  }
+
+ private:
+  /// Entry [w][local index of d] is d's slot among worker w's
+  /// destinations, -1 when unseen. Each table is bounded by worker w's
+  /// node count and rests at all -1: Send clears only the entries this
+  /// scatter set. Thread-local because duplicate attempts of one worker
+  /// may run at once.
+  static std::vector<std::vector<std::int32_t>>& SlotTables(
+      const PartitionAssignment& assignment) {
+    thread_local std::vector<std::vector<std::int32_t>> tables;
+    tables.resize(assignment.members.size());
+    for (std::size_t w = 0; w < tables.size(); ++w) {
+      const std::size_t nodes = assignment.members[w].size();
+      INFERTURBO_CHECK(nodes <= static_cast<std::size_t>(
+                                    std::numeric_limits<std::int32_t>::max()))
+          << "worker " << w << " owns too many nodes for an int32 slot";
+      if (tables[w].size() < nodes) tables[w].resize(nodes, -1);
+    }
+    return tables;
+  }
+
+  const PartitionAssignment& assignment_;
+  std::vector<std::vector<std::int32_t>>& slot_of_;
+  std::vector<std::vector<NodeId>> dst_;
+  std::vector<std::vector<std::int64_t>> slot_;
+  std::vector<std::vector<std::int64_t>> row_;
+};
+
 /// The vertex program closure. One instance shared by all workers; all
 /// mutable state lives in per-worker slots.
 class PregelInferenceDriver {
@@ -250,7 +321,6 @@ class PregelInferenceDriver {
     const LayerSignature& sig = layer.signature();
     const Tensor messages = layer.ComputeMessage(states);
     const std::int64_t msg_dim = sig.message_dim;
-    const std::int64_t num_workers = ctx->num_workers();
 
     const bool use_partial = options_.strategies.partial_gather &&
                              sig.partial_gather &&
@@ -264,19 +334,8 @@ class PregelInferenceDriver {
       return;
     }
 
-    // Partial path: per destination worker, each edge's slot among that
-    // worker's destinations (first-seen order) and the message row it
-    // carries, collected in (node, edge) order; folded below.
-    std::vector<std::vector<NodeId>> part_dst;
-    std::vector<std::vector<std::int64_t>> part_slot;
-    std::vector<std::vector<std::int64_t>> part_row;
-    std::vector<std::vector<std::int32_t>>* slot_of = nullptr;
-    if (use_partial) {
-      slot_of = &SlotTables();
-      part_dst.resize(static_cast<std::size_t>(num_workers));
-      part_slot.resize(static_cast<std::size_t>(num_workers));
-      part_row.resize(static_cast<std::size_t>(num_workers));
-    }
+    std::optional<PartialScatter> partial;
+    if (use_partial) partial.emplace(assignment_);
     // Dense per-edge rows (non-partial path), sized in a first pass.
     MessageBatch dense;
     // Id-only rows for hub out-edges.
@@ -313,17 +372,7 @@ class PregelInferenceDriver {
       }
       if (use_partial) {
         for (EdgeId e : graph_.OutEdges(v)) {
-          const NodeId d = graph_.EdgeDst(e);
-          const auto pw = static_cast<std::size_t>(
-              assignment_.partition_of[static_cast<std::size_t>(d)]);
-          std::int32_t& slot =
-              (*slot_of)[pw][static_cast<std::size_t>(LocalIndex(d))];
-          if (slot < 0) {
-            slot = static_cast<std::int32_t>(part_dst[pw].size());
-            part_dst[pw].push_back(d);
-          }
-          part_slot[pw].push_back(slot);
-          part_row[pw].push_back(static_cast<std::int64_t>(i));
+          partial->Add(graph_.EdgeDst(e), static_cast<std::int64_t>(i));
         }
       } else {
         for (EdgeId e : graph_.OutEdges(v)) {
@@ -336,43 +385,7 @@ class PregelInferenceDriver {
 
     if (!dense.empty()) ctx->SendBatch(std::move(dense));
     if (!refs.dst.empty()) ctx->SendBatch(std::move(refs));
-    if (use_partial) {
-      // Sender-side combine, one accumulator per destination worker: the
-      // indexed fold reads each edge's message row in place — same
-      // per-destination order and first-seen destination order as
-      // per-edge Add calls, so the partial batch's wire bytes are
-      // unchanged. The slot tables go back to unseen entry by entry.
-      PooledAccumulator acc(sig.agg_kind, msg_dim);
-      for (std::size_t w = 0; w < part_dst.size(); ++w) {
-        if (part_dst[w].empty()) continue;
-        for (NodeId d : part_dst[w]) {
-          (*slot_of)[w][static_cast<std::size_t>(LocalIndex(d))] = -1;
-        }
-        acc.Reset(sig.agg_kind, msg_dim);
-        acc.AddIndexed(std::move(part_dst[w]), part_slot[w], messages,
-                       part_row[w]);
-        ctx->SendPartialBatch(acc.ToPartialBatch(ctx->worker_id()));
-      }
-    }
-  }
-
-  /// This thread's dense slot tables for the partial scatter: entry
-  /// [w][local index of d] is d's slot among worker w's destinations,
-  /// -1 when unseen. Each table is bounded by worker w's node count and
-  /// rests at all -1; a scatter clears only the entries it set.
-  /// Thread-local because duplicate attempts of one worker may run at
-  /// once.
-  std::vector<std::vector<std::int32_t>>& SlotTables() const {
-    thread_local std::vector<std::vector<std::int32_t>> tables;
-    tables.resize(assignment_.members.size());
-    for (std::size_t w = 0; w < tables.size(); ++w) {
-      const std::size_t nodes = assignment_.members[w].size();
-      INFERTURBO_CHECK(nodes <= static_cast<std::size_t>(
-                                    std::numeric_limits<std::int32_t>::max()))
-          << "worker " << w << " owns too many nodes for an int32 slot";
-      if (tables[w].size() < nodes) tables[w].resize(nodes, -1);
-    }
-    return tables;
+    if (use_partial) partial->Send(ctx, sig.agg_kind, messages);
   }
 
   /// Scatter for layers whose apply_edge consumes edge features: the
@@ -406,36 +419,21 @@ class PregelInferenceDriver {
       }
     }
     Tensor final_rows = layer.ApplyEdge(base_rows, &edge_feats);
-
+    if (use_partial) {
+      // Edge k carries its own row k of final_rows.
+      PartialScatter partial(assignment_);
+      for (std::int64_t k = 0; k < total; ++k) {
+        partial.Add(dst[static_cast<std::size_t>(k)], k);
+      }
+      partial.Send(ctx, layer.signature().agg_kind, final_rows);
+      return;
+    }
     MessageBatch batch;
     batch.dst = std::move(dst);
     batch.src = std::move(src);
     batch.payload = std::move(final_rows);
-    if (use_partial) {
-      // Route once (low-copy), then fold each destination worker's
-      // slice through the SIMD batch combine. Slices preserve row
-      // order, so first-seen destination order — and the partial
-      // batch's wire bytes — match the old per-row Add loop.
-      const std::int64_t width = batch.payload.cols();
-      std::vector<MessageBatch> slices = SplitByWorker(
-          std::move(batch), *engine_partitioner_, ctx->num_workers());
-      PooledAccumulator acc(layer.signature().agg_kind, width);
-      for (std::int64_t w = 0; w < ctx->num_workers(); ++w) {
-        const MessageBatch& slice = slices[static_cast<std::size_t>(w)];
-        if (slice.empty()) continue;
-        acc.Reset(layer.signature().agg_kind, width);
-        acc.AddBatch(slice, /*partial=*/false);
-        ctx->SendPartialBatch(acc.ToPartialBatch(ctx->worker_id()));
-      }
-      return;
-    }
     ctx->SendBatch(std::move(batch));
   }
-
- public:
-  /// Set by RunInferTurboPregel before the job starts (the partitioner
-  /// lives in the engine).
-  const HashPartitioner* engine_partitioner_ = nullptr;
 
  private:
   const Graph& graph_;
@@ -535,7 +533,6 @@ Result<InferenceResult> RunInferTurboPregel(const Graph& graph,
   }
 
   PregelEngine engine(engine_options, partitioner);
-  driver.engine_partitioner_ = &engine.partitioner();
 
   Result<JobMetrics> run =
       engine.Run([&driver](PregelContext* ctx) { driver.Compute(ctx); });

@@ -29,32 +29,19 @@ void RowMinPortable(float* __restrict__ acc, const float* __restrict__ row,
 
 namespace {
 
-template <void Fold(float*, const float*, std::int64_t), bool kIndexed,
-          bool kPartial>
-void SlotFoldLoop(float* rows, std::int64_t width, const std::int64_t* slots,
-                  std::int64_t* counts, const float* payload,
-                  std::int64_t stride, const std::int64_t* row_index,
-                  std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float* row = payload + (kIndexed ? row_index[i] : i) * stride;
-    const std::int64_t s = slots[i];
-    counts[s] += kPartial ? static_cast<std::int64_t>(row[width]) : 1;
-    Fold(rows + s * width, row, width);
-  }
-}
-
 template <void Fold(float*, const float*, std::int64_t)>
 void SlotFoldImpl(float* rows, std::int64_t width, const std::int64_t* slots,
                   std::int64_t* counts, const float* payload,
                   std::int64_t stride, const std::int64_t* row_index,
                   std::int64_t n, bool partial) {
   AccountSlotFold(n, width, row_index != nullptr);
-  const auto loop = row_index != nullptr
-                        ? (partial ? SlotFoldLoop<Fold, true, true>
-                                   : SlotFoldLoop<Fold, true, false>)
-                        : (partial ? SlotFoldLoop<Fold, false, true>
-                                   : SlotFoldLoop<Fold, false, false>);
-  loop(rows, width, slots, counts, payload, stride, row_index, n);
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float* row =
+        payload + (row_index != nullptr ? row_index[i] : i) * stride;
+    const std::int64_t s = slots[i];
+    counts[s] += partial ? static_cast<std::int64_t>(row[width]) : 1;
+    Fold(rows + s * width, row, width);
+  }
 }
 
 template <void Fold(float*, const float*, std::int64_t)>
