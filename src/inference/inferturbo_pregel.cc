@@ -59,70 +59,75 @@ struct WorkerState {
 /// destination worker's edges into one accumulator through the indexed
 /// fold, reading message rows in place, and sends one partial batch
 /// per worker. A slot is resolved without hashing, from d's worker and
-/// local index through this thread's dense table for that worker, so
-/// first-seen destination order — and the partial batches' wire bytes —
-/// match per-edge Add calls.
+/// local index through a dense table for that worker, so first-seen
+/// destination order — and the partial batches' wire bytes — match
+/// per-edge Add calls.
 class PartialScatter {
  public:
   explicit PartialScatter(const PartitionAssignment& assignment)
-      : assignment_(assignment),
-        slot_of_(SlotTables(assignment)),
-        dst_(assignment.members.size()),
-        slot_(assignment.members.size()),
-        row_(assignment.members.size()) {}
+      : assignment_(assignment), buckets_(Buckets(assignment)) {}
 
   void Add(NodeId d, std::int64_t r) {
-    const auto w = static_cast<std::size_t>(
-        assignment_.partition_of[static_cast<std::size_t>(d)]);
-    std::int32_t& slot = slot_of_[w][static_cast<std::size_t>(
+    Bucket& b = buckets_[static_cast<std::size_t>(
+        assignment_.partition_of[static_cast<std::size_t>(d)])];
+    std::int32_t& slot = b.slot_of[static_cast<std::size_t>(
         assignment_.local_index[static_cast<std::size_t>(d)])];
     if (slot < 0) {
-      slot = static_cast<std::int32_t>(dst_[w].size());
-      dst_[w].push_back(d);
+      slot = static_cast<std::int32_t>(b.dst.size());
+      b.dst.push_back(d);
     }
-    slot_[w].push_back(slot);
-    row_[w].push_back(r);
+    b.slot.push_back(slot);
+    b.row.push_back(r);
   }
 
   void Send(PregelContext* ctx, AggKind kind, const Tensor& messages) {
     PooledAccumulator acc(kind, messages.cols());
-    for (std::size_t w = 0; w < dst_.size(); ++w) {
-      if (dst_[w].empty()) continue;
-      for (NodeId d : dst_[w]) {
-        slot_of_[w][static_cast<std::size_t>(
+    for (Bucket& b : buckets_) {
+      if (b.dst.empty()) continue;
+      for (NodeId d : b.dst) {
+        b.slot_of[static_cast<std::size_t>(
             assignment_.local_index[static_cast<std::size_t>(d)])] = -1;
       }
       acc.Reset(kind, messages.cols());
-      acc.AddIndexed(std::move(dst_[w]), slot_[w], messages, row_[w]);
+      acc.AddIndexed(b.dst, b.slot, messages, b.row);
       ctx->SendPartialBatch(acc.ToPartialBatch(ctx->worker_id()));
+      b.dst.clear();
+      b.slot.clear();
+      b.row.clear();
     }
   }
 
  private:
-  /// Entry [w][local index of d] is d's slot among worker w's
-  /// destinations, -1 when unseen. Each table is bounded by worker w's
-  /// node count and rests at all -1: Send clears only the entries this
-  /// scatter set. Thread-local because duplicate attempts of one worker
-  /// may run at once.
-  static std::vector<std::vector<std::int32_t>>& SlotTables(
-      const PartitionAssignment& assignment) {
-    thread_local std::vector<std::vector<std::int32_t>> tables;
-    tables.resize(assignment.members.size());
-    for (std::size_t w = 0; w < tables.size(); ++w) {
+  /// One destination worker's share of a scatter. slot_of[local index]
+  /// is that node's slot among the scatter's destinations, -1 when
+  /// unseen; it is bounded by the worker's node count and rests at all
+  /// -1, because Send clears only the entries the scatter set. Buckets
+  /// are thread-local, so scatters reuse their allocations, and
+  /// duplicate attempts of one worker may run at once.
+  struct Bucket {
+    std::vector<std::int32_t> slot_of;
+    std::vector<NodeId> dst;
+    std::vector<std::int64_t> slot;
+    std::vector<std::int64_t> row;
+  };
+
+  static std::vector<Bucket>& Buckets(const PartitionAssignment& assignment) {
+    thread_local std::vector<Bucket> buckets;
+    buckets.resize(assignment.members.size());
+    for (std::size_t w = 0; w < buckets.size(); ++w) {
       const std::size_t nodes = assignment.members[w].size();
       INFERTURBO_CHECK(nodes <= static_cast<std::size_t>(
                                     std::numeric_limits<std::int32_t>::max()))
           << "worker " << w << " owns too many nodes for an int32 slot";
-      if (tables[w].size() < nodes) tables[w].resize(nodes, -1);
+      if (buckets[w].slot_of.size() < nodes) {
+        buckets[w].slot_of.resize(nodes, -1);
+      }
     }
-    return tables;
+    return buckets;
   }
 
   const PartitionAssignment& assignment_;
-  std::vector<std::vector<std::int32_t>>& slot_of_;
-  std::vector<std::vector<NodeId>> dst_;
-  std::vector<std::vector<std::int64_t>> slot_;
-  std::vector<std::vector<std::int64_t>> row_;
+  std::vector<Bucket>& buckets_;
 };
 
 /// The vertex program closure. One instance shared by all workers; all
