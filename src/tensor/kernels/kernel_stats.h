@@ -55,14 +55,6 @@ constexpr KernelWork SegmentMeanWork(std::int64_t rows, std::int64_t cols,
               2 * kFloatBytes * segments * cols};
 }
 
-/// SegmentFoldWork for the indexed fold rows[slot[i]] (+)= msg[row[i]]:
-/// the row index is read too when the rows are not read in order.
-constexpr KernelWork RowFoldWork(std::int64_t rows, std::int64_t cols,
-                                 bool indexed) {
-  return {rows * cols, (indexed ? 2 : 1) * kIndexBytes * rows +
-                           3 * kFloatBytes * rows * cols};
-}
-
 /// Pure data movement: ids read, source rows read, output written.
 constexpr KernelWork GatherWork(std::int64_t rows, std::int64_t cols) {
   return {0, kIndexBytes * rows + 2 * kFloatBytes * rows * cols};

@@ -102,6 +102,8 @@ void SegFoldMinPortable(float* out, std::int64_t width,
   SegFoldImpl<RowMinPortable>(out, width, segs, payload, stride, n, s0, s1);
 }
 
+// Bytes as SegmentFoldWork counts them, plus the row index when the
+// rows are not read in order.
 void AccountSlotFold(std::int64_t n, std::int64_t width, bool indexed) {
   if (!MetricsEnabled()) return;
   static Counter* const calls =
@@ -109,7 +111,8 @@ void AccountSlotFold(std::int64_t n, std::int64_t width, bool indexed) {
   static Counter* const bytes =
       GlobalMetrics().GetCounter("kernel.row_fold.bytes");
   calls->Increment();
-  bytes->Add(RowFoldWork(n, width, indexed).bytes);
+  bytes->Add((indexed ? 2 : 1) * kIndexBytes * n +
+             3 * kFloatBytes * n * width);
 }
 
 RowFoldFn RowAdd() {
