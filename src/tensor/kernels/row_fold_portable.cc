@@ -29,18 +29,34 @@ void RowMinPortable(float* __restrict__ acc, const float* __restrict__ row,
 
 namespace {
 
+// One loop per (partial, indexed) case, so neither test runs per row.
+template <void Fold(float*, const float*, std::int64_t), bool kPartial, bool kIndexed>
+void SlotFoldRows(float* rows, std::int64_t width, const std::int64_t* slots,
+                  std::int64_t* counts, const float* payload,
+                  std::int64_t stride, const std::int64_t* row_index,
+                  std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float* row = payload + (kIndexed ? row_index[i] : i) * stride;
+    const std::int64_t s = slots[i];
+    counts[s] += kPartial ? static_cast<std::int64_t>(row[width]) : 1;
+    Fold(rows + s * width, row, width);
+  }
+}
+
 template <void Fold(float*, const float*, std::int64_t)>
 void SlotFoldImpl(float* rows, std::int64_t width, const std::int64_t* slots,
                   std::int64_t* counts, const float* payload,
                   std::int64_t stride, const std::int64_t* row_index,
                   std::int64_t n, bool partial) {
   AccountSlotFold(n, width, row_index != nullptr);
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float* row =
-        payload + (row_index != nullptr ? row_index[i] : i) * stride;
-    const std::int64_t s = slots[i];
-    counts[s] += partial ? static_cast<std::int64_t>(row[width]) : 1;
-    Fold(rows + s * width, row, width);
+  if (row_index == nullptr) {
+    (partial ? SlotFoldRows<Fold, true, false>
+             : SlotFoldRows<Fold, false, false>)(rows, width, slots, counts,
+                                                 payload, stride, row_index, n);
+  } else {
+    (partial ? SlotFoldRows<Fold, true, true>
+             : SlotFoldRows<Fold, false, true>)(rows, width, slots, counts,
+                                                payload, stride, row_index, n);
   }
 }
 
