@@ -176,9 +176,6 @@ kernels::detail::FoldOp PooledFoldOp(AggKind kind) {
 }  // namespace
 
 std::int64_t PooledAccumulator::SlotFor(NodeId dst) {
-  for (std::size_t s = index_.size(); s < dst_order_.size(); ++s) {
-    index_.emplace(dst_order_[s], static_cast<std::int64_t>(s));
-  }
   auto [it, inserted] =
       index_.try_emplace(dst, static_cast<std::int64_t>(dst_order_.size()));
   if (inserted) {
@@ -249,7 +246,7 @@ void PooledAccumulator::AddBatch(const MessageBatch& batch, bool partial) {
       partial);
 }
 
-void PooledAccumulator::AddIndexed(std::vector<NodeId> dst_order,
+void PooledAccumulator::AddIndexed(std::span<const NodeId> dst_order,
                                    std::span<const std::int64_t> slots,
                                    const Tensor& messages,
                                    std::span<const std::int64_t> row_index) {
@@ -264,7 +261,7 @@ void PooledAccumulator::AddIndexed(std::vector<NodeId> dst_order,
                      0 <= row_index[i] && row_index[i] < messages.rows())
         << "AddIndexed entry " << i << " out of range";
   }
-  dst_order_ = std::move(dst_order);
+  dst_order_.assign(dst_order.begin(), dst_order.end());
   counts_.assign(dst_order_.size(), 0);
   rows_.assign(dst_order_.size() * static_cast<std::size_t>(width_),
                PooledInitValue(kind_));

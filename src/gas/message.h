@@ -112,8 +112,9 @@ class PooledAccumulator {
   /// i when dst_order lists distinct destinations in the order their
   /// slots first appear. For callers that resolve slots themselves:
   /// nothing is hashed and no message row is copied. The accumulator
-  /// must be empty.
-  void AddIndexed(std::vector<NodeId> dst_order,
+  /// must be empty. AddIndexed leaves the hash index empty, so Add,
+  /// AddPartial and AddBatch are unsupported after it until Reset.
+  void AddIndexed(std::span<const NodeId> dst_order,
                   std::span<const std::int64_t> slots, const Tensor& messages,
                   std::span<const std::int64_t> row_index);
 
@@ -139,8 +140,7 @@ class PooledAccumulator {
 
  private:
   /// Slot of `dst` in rows_/dst_order_/counts_, inserting (and
-  /// extending storage by one initialized row) on first sight. Indexes
-  /// the destinations AddIndexed appended first.
+  /// extending storage by one initialized row) on first sight.
   std::int64_t SlotFor(NodeId dst);
   float* RowFor(NodeId dst, std::int64_t count_delta);
 
