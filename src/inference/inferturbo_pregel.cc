@@ -65,7 +65,15 @@ struct WorkerState {
 class PartialScatter {
  public:
   explicit PartialScatter(const PartitionAssignment& assignment)
-      : assignment_(assignment), buckets_(Buckets(assignment)) {}
+      : assignment_(assignment), buckets_(assignment.members.size()) {
+    for (std::size_t w = 0; w < buckets_.size(); ++w) {
+      const std::size_t nodes = assignment.members[w].size();
+      INFERTURBO_CHECK(nodes <= static_cast<std::size_t>(
+                                    std::numeric_limits<std::int32_t>::max()))
+          << "worker " << w << " owns too many nodes for an int32 slot";
+      buckets_[w].slot_of.assign(nodes, -1);
+    }
+  }
 
   void Add(NodeId d, std::int64_t r) {
     Bucket& b = buckets_[static_cast<std::size_t>(
@@ -80,30 +88,21 @@ class PartialScatter {
     b.row.push_back(r);
   }
 
-  void Send(PregelContext* ctx, AggKind kind, const Tensor& messages) {
+  /// Sends the scatter's partial batches; call once, after every Add.
+  void Send(PregelContext* ctx, AggKind kind, const Tensor& messages) const {
     PooledAccumulator acc(kind, messages.cols());
-    for (Bucket& b : buckets_) {
+    for (const Bucket& b : buckets_) {
       if (b.dst.empty()) continue;
-      for (NodeId d : b.dst) {
-        b.slot_of[static_cast<std::size_t>(
-            assignment_.local_index[static_cast<std::size_t>(d)])] = -1;
-      }
       acc.Reset(kind, messages.cols());
       acc.AddIndexed(b.dst, b.slot, messages, b.row);
       ctx->SendPartialBatch(acc.ToPartialBatch(ctx->worker_id()));
-      b.dst.clear();
-      b.slot.clear();
-      b.row.clear();
     }
   }
 
  private:
-  /// One destination worker's share of a scatter. slot_of[local index]
-  /// is that node's slot among the scatter's destinations, -1 when
-  /// unseen; it is bounded by the worker's node count and rests at all
-  /// -1, because Send clears only the entries the scatter set. Buckets
-  /// are thread-local, so scatters reuse their allocations, and
-  /// duplicate attempts of one worker may run at once.
+  /// One destination worker's share of the scatter. slot_of[local
+  /// index] is that node's slot among the scatter's destinations, -1
+  /// when unseen, so the table is bounded by the worker's node count.
   struct Bucket {
     std::vector<std::int32_t> slot_of;
     std::vector<NodeId> dst;
@@ -111,23 +110,8 @@ class PartialScatter {
     std::vector<std::int64_t> row;
   };
 
-  static std::vector<Bucket>& Buckets(const PartitionAssignment& assignment) {
-    thread_local std::vector<Bucket> buckets;
-    buckets.resize(assignment.members.size());
-    for (std::size_t w = 0; w < buckets.size(); ++w) {
-      const std::size_t nodes = assignment.members[w].size();
-      INFERTURBO_CHECK(nodes <= static_cast<std::size_t>(
-                                    std::numeric_limits<std::int32_t>::max()))
-          << "worker " << w << " owns too many nodes for an int32 slot";
-      if (buckets[w].slot_of.size() < nodes) {
-        buckets[w].slot_of.resize(nodes, -1);
-      }
-    }
-    return buckets;
-  }
-
   const PartitionAssignment& assignment_;
-  std::vector<Bucket>& buckets_;
+  std::vector<Bucket> buckets_;
 };
 
 /// The vertex program closure. One instance shared by all workers; all
