@@ -623,6 +623,9 @@ TEST(MapReduceGoldenTest, InferenceLogitsArePinned) {
       {"sage", true, false, 0xb3c391f9u},
       {"gat", false, true, 0x50077c3eu},
       {"edge_sage", false, false, 0xb92bc855u},
+      {"pool_sage", true, false, 0x3ae9227cu},
+      {"gin", true, false, 0x3f0a9bcbu},
+      {"sage", false, true, 0x7a5c7fa5u},
   };
   const std::string dir = testing::TempDir() + "/golden_logits_spill";
   for (const Case& c : cases) {

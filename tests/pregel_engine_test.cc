@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cmath>
 #include <mutex>
+#include <string>
 
 #include "src/common/crc32.h"
 #include "src/common/thread_pool.h"
@@ -312,9 +313,10 @@ TEST(PregelEngineTest, DeterministicAcrossRuns) {
 
 // Golden CRCs of the Pregel backend's logits with partial gather on:
 // the sender-side combine of a mean (sage), max (pool_sage) and sum
-// (gin) layer, and the edge-feature partial path (edge_sage). Every
-// fold order and the partial batches' bytes feed these digests, so a
-// change that reorders a fold fails here, at 1 and 8 pool threads.
+// (gin) layer, and the edge-feature partial path (edge_sage); the
+// broadcast sage case mixes partial and id-only batches in one inbox.
+// Every fold order and the partial batches' bytes feed these digests,
+// so a change that reorders a fold fails here, at 1 and 8 pool threads.
 TEST(PregelGoldenTest, InferenceLogitsArePinned) {
   PlantedGraphConfig config;
   config.num_nodes = 500;
@@ -327,16 +329,18 @@ TEST(PregelGoldenTest, InferenceLogitsArePinned) {
   const Dataset dataset = MakePlantedDataset("golden", config);
   struct Case {
     const char* model;
+    bool broadcast;
     std::uint32_t crc;
   };
   const Case cases[] = {
-      {"sage", 0xb3c391f9u},
-      {"pool_sage", 0x3ae9227cu},
-      {"gin", 0x3f0a9bcbu},
-      {"edge_sage", 0x34c344cfu},
+      {"sage", false, 0xb3c391f9u},
+      {"pool_sage", false, 0x3ae9227cu},
+      {"gin", false, 0x3f0a9bcbu},
+      {"edge_sage", false, 0x34c344cfu},
+      {"sage", true, 0xd052b0e4u},
   };
   for (const Case& c : cases) {
-    SCOPED_TRACE(c.model);
+    SCOPED_TRACE(std::string(c.model) + (c.broadcast ? " broadcast" : ""));
     ModelConfig mc;
     mc.input_dim = config.feature_dim;
     mc.hidden_dim = 16;
@@ -353,6 +357,8 @@ TEST(PregelGoldenTest, InferenceLogitsArePinned) {
       options.num_workers = 4;
       options.pool = &pool;
       options.strategies.partial_gather = true;
+      options.strategies.broadcast = c.broadcast;
+      options.strategies.threshold_override = c.broadcast ? 8 : -1;
       const Result<InferenceResult> result =
           RunInferTurboPregel(dataset.graph, **model, options);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
