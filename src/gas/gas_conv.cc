@@ -1,9 +1,9 @@
 #include "src/gas/gas_conv.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "src/common/logging.h"
+#include "src/tensor/kernels/kernel_config.h"
 #include "src/tensor/kernels/row_fold.h"
 #include "src/tensor/ops.h"
 #include "src/tensor/segment_ops.h"
@@ -16,77 +16,85 @@ Tensor GasConv::ApplyEdge(const Tensor& messages,
   return messages;
 }
 
-namespace {
-
-/// The pooled fold behind both entry points: row r = row_index[i] (i
-/// when row_index is null) of `messages`, with a trailing count column
-/// when `is_partial`, folds into dst_index[i] in ascending i. Init, one
-/// validation pass, one indexed fold kernel call, finalize.
-GatherResult FoldPooled(AggKind kind, const Tensor& messages, bool is_partial,
-                        const std::int64_t* row_index,
-                        std::span<const std::int64_t> dst_index,
-                        std::int64_t num_nodes) {
-  const std::int64_t width =
-      is_partial ? messages.cols() - 1 : messages.cols();
-  INFERTURBO_CHECK(width >= 0) << "partial batch without a count column";
-  for (std::size_t i = 0; i < dst_index.size(); ++i) {
-    const std::int64_t seg = dst_index[i];
-    INFERTURBO_CHECK(0 <= seg && seg < num_nodes)
-        << "gather dst index " << seg << " out of [0," << num_nodes << ")";
-    if (row_index != nullptr) {
-      INFERTURBO_CHECK(0 <= row_index[i] && row_index[i] < messages.rows())
-          << "fold row " << row_index[i] << " out of range";
-    }
-  }
-
+GatherResult GatherPooledRows(AggKind kind, std::int64_t width,
+                              std::int64_t num_nodes,
+                              std::span<const std::int64_t> segs,
+                              std::span<const float* const> rows,
+                              std::span<const std::int64_t> counts) {
+  INFERTURBO_CHECK(kind != AggKind::kUnion)
+      << "union aggregates keep their per-edge rows";
+  INFERTURBO_CHECK(rows.size() == segs.size() &&
+                   (counts.empty() || counts.size() == segs.size()))
+      << "gather has " << segs.size() << " segments for " << rows.size()
+      << " rows and " << counts.size() << " counts";
   GatherResult result;
   result.kind = kind;
   result.counts.assign(static_cast<std::size_t>(num_nodes), 0);
-  kernels::detail::FoldOp op = kernels::detail::FoldOp::kAdd;
-  if (kind == AggKind::kMax || kind == AggKind::kMin) {
-    op = kind == AggKind::kMax ? kernels::detail::FoldOp::kMax
-                               : kernels::detail::FoldOp::kMin;
-    const float init = kind == AggKind::kMax
-                           ? -std::numeric_limits<float>::infinity()
-                           : std::numeric_limits<float>::infinity();
-    result.pooled = Tensor::Full(num_nodes, width, init);
-  } else {
-    // Partial mean rows arrive as *running sums* plus a count column
-    // (PooledAccumulator keeps sums until Finalize), so the merge is a
-    // plain add either way.
-    result.pooled = Tensor(num_nodes, width);
+  // True folded message count per node: a partial row carries more
+  // than one original message, so this is NOT the row count.
+  for (std::size_t i = 0; i < segs.size(); ++i) {
+    const std::int64_t seg = segs[i];
+    INFERTURBO_CHECK(0 <= seg && seg < num_nodes)
+        << "gather dst index " << seg << " out of [0," << num_nodes << ")";
+    result.counts[static_cast<std::size_t>(seg)] +=
+        counts.empty() ? 1 : counts[i];
   }
-  kernels::detail::SlotFold(op)(
-      result.pooled.data(), width, dst_index.data(), result.counts.data(),
-      messages.data(), messages.cols(), row_index,
-      static_cast<std::int64_t>(dst_index.size()), is_partial);
+  result.pooled = Tensor::Full(num_nodes, width, PooledInitValue(kind));
 
-  // Finalize: divide mean by total count; clear untouched extremum rows
-  // to the neutral zero the layers expect for isolated nodes.
-  for (std::int64_t v = 0; v < num_nodes; ++v) {
-    float* acc = result.pooled.RowPtr(v);
-    const std::int64_t count = result.counts[static_cast<std::size_t>(v)];
-    if (count == 0) {
-      std::fill(acc, acc + width, 0.0f);
-    } else if (kind == AggKind::kMean) {
-      const float inv = 1.0f / static_cast<float>(count);
-      for (std::int64_t j = 0; j < width; ++j) acc[j] *= inv;
-    }
-  }
+  const std::int64_t n = static_cast<std::int64_t>(segs.size());
+  kernels::detail::AccountRowFold(n, width, /*indexed=*/true);
+  const kernels::detail::PtrRowFoldFn fold =
+      kernels::detail::PtrRowFold(PooledFoldOp(kind));
+  float* pooled = result.pooled.data();
+  const std::int64_t* folded = result.counts.data();
+  const std::int64_t work_per_segment = std::max<std::int64_t>(
+      width, n * width / std::max<std::int64_t>(1, num_nodes));
+  kernels::ParallelForRanges(
+      num_nodes, work_per_segment, [&](std::int64_t s0, std::int64_t s1) {
+        fold(pooled, width, segs.data(), rows.data(), n, s0, s1);
+        // Finalize the owned range: isolated nodes read the neutral
+        // zero (extrema start at +-inf); mean divides by the count.
+        for (std::int64_t v = s0; v < s1; ++v) {
+          float* acc = pooled + v * width;
+          if (folded[v] == 0) {
+            std::fill(acc, acc + width, 0.0f);
+          } else if (kind == AggKind::kMean) {
+            const float inv = 1.0f / static_cast<float>(folded[v]);
+            for (std::int64_t j = 0; j < width; ++j) acc[j] *= inv;
+          }
+        }
+      });
   return result;
+}
+
+namespace {
+
+// Pointers to messages' rows row_index[i] for i in [0, n), or to rows
+// 0..n-1 when row_index is null.
+std::vector<const float*> RowPointers(const Tensor& messages,
+                                      const std::int64_t* row_index,
+                                      std::size_t n) {
+  std::vector<const float*> rows(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int64_t r =
+        row_index == nullptr ? static_cast<std::int64_t>(i) : row_index[i];
+    INFERTURBO_CHECK(0 <= r && r < messages.rows())
+        << "fold row " << r << " out of range";
+    rows[i] = messages.RowPtr(r);
+  }
+  return rows;
 }
 
 }  // namespace
 
 GatherResult GatherIntoResult(AggKind kind, const Tensor& messages,
                               std::span<const std::int64_t> dst_index,
-                              std::int64_t num_nodes, bool is_partial) {
+                              std::int64_t num_nodes) {
   INFERTURBO_CHECK(static_cast<std::int64_t>(dst_index.size()) ==
                    messages.rows())
       << "gather has " << dst_index.size() << " dst indices for "
       << messages.rows() << " message rows";
   if (kind == AggKind::kUnion) {
-    INFERTURBO_CHECK(!is_partial) << "union aggregates have no partial form";
     GatherResult result;
     result.kind = kind;
     result.messages = messages;
@@ -94,20 +102,20 @@ GatherResult GatherIntoResult(AggKind kind, const Tensor& messages,
     result.counts = SegmentCounts(dst_index, num_nodes);
     return result;
   }
-  return FoldPooled(kind, messages, is_partial, /*row_index=*/nullptr,
-                    dst_index, num_nodes);
+  return GatherPooledRows(
+      kind, messages.cols(), num_nodes, dst_index,
+      RowPointers(messages, /*row_index=*/nullptr, dst_index.size()), {});
 }
 
 GatherResult FoldMessageRows(AggKind kind, const Tensor& messages,
                              std::span<const std::int64_t> row_index,
                              std::span<const std::int64_t> dst_index,
                              std::int64_t num_nodes) {
-  INFERTURBO_CHECK(kind != AggKind::kUnion)
-      << "union aggregates keep their per-edge rows";
   INFERTURBO_CHECK(row_index.size() == dst_index.size())
       << "fold index length mismatch";
-  return FoldPooled(kind, messages, /*is_partial=*/false, row_index.data(),
-                    dst_index, num_nodes);
+  return GatherPooledRows(
+      kind, messages.cols(), num_nodes, dst_index,
+      RowPointers(messages, row_index.data(), row_index.size()), {});
 }
 
 }  // namespace inferturbo

@@ -90,20 +90,33 @@ class GasConv {
   virtual std::vector<ag::VarPtr> Parameters() const = 0;
 };
 
+/// The one pooled receive behind every sum/mean/max/min gather of both
+/// backends and the in-memory fold. Row i is the pointer rows[i] (width
+/// floats) and folds into segment segs[i] in ascending i; counts[i] is
+/// the number of messages row i already folds (a partial aggregate),
+/// empty meaning all 1. Tasks own destination ranges, so each segment
+/// folds in row order at any thread count. Segments must lie in
+/// [0, num_nodes). Isolated segments read the neutral zero; mean
+/// divides by the folded count.
+GatherResult GatherPooledRows(AggKind kind, std::int64_t width,
+                              std::int64_t num_nodes,
+                              std::span<const std::int64_t> segs,
+                              std::span<const float* const> rows,
+                              std::span<const std::int64_t> counts);
+
 /// Engine-side helper implementing the receiver half of Gather: folds a
 /// vectorized message batch (with local destination indices) into a
-/// GatherResult per `kind`. Rows whose last column is a partial count
-/// (is_partial = true) are merged exactly.
+/// GatherResult per `kind`.
 GatherResult GatherIntoResult(AggKind kind, const Tensor& messages,
                               std::span<const std::int64_t> dst_index,
-                              std::int64_t num_nodes, bool is_partial);
+                              std::int64_t num_nodes);
 
 /// The pooled fold over rows messages[row_index[i]] without
 /// materializing them: row_index[i] folds into dst_index[i] in index
 /// order, so the result is bit-identical to GatherIntoResult(kind,
-/// GatherRows(messages, row_index), dst_index, num_nodes, false). A
-/// node whose message feeds many edges is computed once and never
-/// copied per edge. Pooled kinds only (union needs the per-edge rows).
+/// GatherRows(messages, row_index), dst_index, num_nodes). A node
+/// whose message feeds many edges is computed once and never copied
+/// per edge. Pooled kinds only (union needs the per-edge rows).
 GatherResult FoldMessageRows(AggKind kind, const Tensor& messages,
                              std::span<const std::int64_t> row_index,
                              std::span<const std::int64_t> dst_index,

@@ -149,8 +149,6 @@ void PooledAccumulator::Reset(AggKind kind, std::int64_t width) {
   // reinitialized on use; keeping them is the point of Reset.
 }
 
-namespace {
-
 float PooledInitValue(AggKind kind) {
   return (kind == AggKind::kMax) ? -std::numeric_limits<float>::infinity()
          : (kind == AggKind::kMin) ? std::numeric_limits<float>::infinity()
@@ -172,8 +170,6 @@ kernels::detail::FoldOp PooledFoldOp(AggKind kind) {
   INFERTURBO_CHECK(false) << "unreachable";
   return kernels::detail::FoldOp::kAdd;
 }
-
-}  // namespace
 
 std::int64_t PooledAccumulator::SlotFor(NodeId dst) {
   auto [it, inserted] =

@@ -10,6 +10,7 @@
 #include "src/gas/signature.h"
 #include "src/graph/graph.h"
 #include "src/graph/partition.h"
+#include "src/tensor/kernels/row_fold.h"
 #include "src/tensor/tensor.h"
 
 namespace inferturbo {
@@ -69,6 +70,14 @@ struct MessageBatch {
 std::vector<MessageBatch> SplitByWorker(MessageBatch batch,
                                         const HashPartitioner& partitioner,
                                         std::int64_t num_workers);
+
+/// A pooled kind's accumulator init: -inf for max, +inf for min, zero
+/// for sum and mean.
+float PooledInitValue(AggKind kind);
+
+/// The row fold behind a pooled kind; mean folds as a running sum and
+/// divides at finalize.
+kernels::detail::FoldOp PooledFoldOp(AggKind kind);
 
 /// Accumulates pooled (sum/mean/max/min) aggregates keyed by
 /// destination node, supporting both receiver-side gather and

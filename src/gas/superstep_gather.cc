@@ -2,71 +2,71 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 #include <utility>
 
 #include "src/common/logging.h"
-#include "src/tensor/kernels/kernel_config.h"
-#include "src/tensor/kernels/kernels.h"
-#include "src/tensor/kernels/row_fold.h"
 
 namespace inferturbo {
 
+namespace {
+
+std::int64_t InboxRows(std::span<const MessageBatch> batches) {
+  std::int64_t total = 0;
+  for (const MessageBatch& b : batches) total += b.size();
+  return total;
+}
+
+// The destination segment of each of b's rows through `local_index`,
+// or segment 0 for every row when it is empty.
+void BatchSegments(const MessageBatch& b,
+                   std::span<const std::int64_t> local_index,
+                   std::int64_t* segs) {
+  const std::int64_t n = b.size();
+  if (local_index.empty()) {
+    std::fill(segs, segs + n, 0);
+    return;
+  }
+  for (std::int64_t i = 0; i < n; ++i) {
+    segs[i] = local_index[static_cast<std::size_t>(
+        b.dst[static_cast<std::size_t>(i)])];
+  }
+}
+
+// The published row behind the broadcast reference to `key`.
+const float* BroadcastRow(const BroadcastLookupFn& lookup, NodeId key,
+                          std::int64_t msg_dim) {
+  const std::vector<float>* value = lookup(key);
+  INFERTURBO_CHECK(value != nullptr)
+      << "missing broadcast value for node " << key;
+  INFERTURBO_CHECK(static_cast<std::int64_t>(value->size()) == msg_dim)
+      << "broadcast row width " << value->size() << " vs message dim "
+      << msg_dim;
+  return value->data();
+}
+
+}  // namespace
+
 BucketedInbox BucketInbox(std::span<const MessageBatch> batches,
-                          const std::vector<bool>& batch_partial,
                           std::int64_t msg_dim,
                           std::span<const std::int64_t> local_index,
                           const BroadcastLookupFn& lookup) {
   BucketedInbox inbox;
-  std::int64_t total = 0;
-  bool any_partial = false;
-  for (std::size_t bi = 0; bi < batches.size(); ++bi) {
-    total += batches[bi].size();
-    any_partial = any_partial ||
-                  (batch_partial[bi] && !batches[bi].empty());
-  }
+  const std::int64_t total = InboxRows(batches);
   inbox.rows = Tensor(total, msg_dim);
   inbox.dst.resize(static_cast<std::size_t>(total));
-  if (any_partial) inbox.counts.assign(static_cast<std::size_t>(total), 1);
-
   const std::size_t row_bytes =
       static_cast<std::size_t>(msg_dim) * sizeof(float);
   std::int64_t row = 0;
-  for (std::size_t bi = 0; bi < batches.size(); ++bi) {
-    const MessageBatch& b = batches[bi];
+  for (const MessageBatch& b : batches) {
     if (b.empty()) continue;
-    const bool partial = batch_partial[bi];
-    const bool id_only = b.payload.cols() == 0;
     const std::int64_t n = b.size();
-    // Destination segments: one local-index gather per row.
-    std::int64_t* pdst = inbox.dst.data() + row;
-    if (local_index.empty()) {
-      std::memset(pdst, 0, static_cast<std::size_t>(n) * sizeof(std::int64_t));
-    } else {
+    BatchSegments(b, local_index, inbox.dst.data() + row);
+    if (b.payload.cols() == 0) {  // id-only broadcast references
       for (std::int64_t i = 0; i < n; ++i) {
-        pdst[i] = local_index[static_cast<std::size_t>(
-            b.dst[static_cast<std::size_t>(i)])];
-      }
-    }
-    // Payload rows.
-    if (id_only) {
-      for (std::int64_t i = 0; i < n; ++i) {
-        const std::vector<float>* value =
-            lookup(b.src[static_cast<std::size_t>(i)]);
-        INFERTURBO_CHECK(value != nullptr)
-            << "missing broadcast value for node "
-            << b.src[static_cast<std::size_t>(i)];
-        std::memcpy(inbox.rows.RowPtr(row + i), value->data(), row_bytes);
-      }
-    } else if (partial) {
-      INFERTURBO_CHECK(b.payload.cols() == msg_dim + 1)
-          << "partial batch width " << b.payload.cols() << " vs message dim "
-          << msg_dim;
-      for (std::int64_t i = 0; i < n; ++i) {
-        const float* src = b.payload.RowPtr(i);
-        std::memcpy(inbox.rows.RowPtr(row + i), src, row_bytes);
-        inbox.counts[static_cast<std::size_t>(row + i)] =
-            static_cast<std::int64_t>(src[msg_dim]);
+        std::memcpy(inbox.rows.RowPtr(row + i),
+                    BroadcastRow(lookup, b.src[static_cast<std::size_t>(i)],
+                                 msg_dim),
+                    row_bytes);
       }
     } else {
       INFERTURBO_CHECK(b.payload.cols() == msg_dim)
@@ -81,230 +81,19 @@ BucketedInbox BucketInbox(std::span<const MessageBatch> batches,
   return inbox;
 }
 
-GatherResult ReduceBucketedInbox(AggKind kind, BucketedInbox inbox,
-                                 std::int64_t num_nodes) {
+GatherResult ReduceBucketedInbox(BucketedInbox inbox, std::int64_t num_nodes) {
   GatherResult result;
-  result.kind = kind;
+  result.kind = AggKind::kUnion;
   result.counts.assign(static_cast<std::size_t>(num_nodes), 0);
-
-  if (kind == AggKind::kUnion) {
-    INFERTURBO_CHECK(inbox.counts.empty())
-        << "union layer received a partial aggregate";
-    for (std::int64_t s : inbox.dst) {
-      ++result.counts[static_cast<std::size_t>(s)];
-    }
-    result.messages = std::move(inbox.rows);
-    result.dst_index = std::move(inbox.dst);
-    return result;
+  for (const std::int64_t s : inbox.dst) {
+    INFERTURBO_CHECK(0 <= s && s < num_nodes)
+        << "gather dst index " << s << " out of [0," << num_nodes << ")";
+    ++result.counts[static_cast<std::size_t>(s)];
   }
-
-  // True folded message count per node (partial rows carry more than
-  // one original message, so this is NOT the row count).
-  if (inbox.counts.empty()) {
-    for (std::int64_t s : inbox.dst) {
-      ++result.counts[static_cast<std::size_t>(s)];
-    }
-  } else {
-    for (std::size_t i = 0; i < inbox.dst.size(); ++i) {
-      result.counts[static_cast<std::size_t>(inbox.dst[i])] +=
-          inbox.counts[i];
-    }
-  }
-
-  switch (kind) {
-    case AggKind::kSum:
-    case AggKind::kMean:
-      // Mean is a sum here: the divisor is the true count below, which
-      // kernels::SegmentMean (row count) would get wrong for partials.
-      result.pooled = kernels::SegmentSum(inbox.rows, inbox.dst, num_nodes);
-      break;
-    case AggKind::kMax:
-      result.pooled = kernels::SegmentMax(inbox.rows, inbox.dst, num_nodes);
-      break;
-    case AggKind::kMin:
-      result.pooled = kernels::SegmentMin(inbox.rows, inbox.dst, num_nodes);
-      break;
-    case AggKind::kUnion:
-      INFERTURBO_CHECK(false) << "unreachable";
-  }
-  // Isolated nodes are already zero (SegmentSum init, the extremum
-  // kernels' empty-segment fill); only mean needs a finalize pass.
-  if (kind == AggKind::kMean) {
-    const std::int64_t msg_dim = result.pooled.cols();
-    float* pooled = result.pooled.data();
-    const std::int64_t* counts = result.counts.data();
-    kernels::ParallelForRanges(
-        num_nodes, msg_dim, [&](std::int64_t v0, std::int64_t v1) {
-          for (std::int64_t v = v0; v < v1; ++v) {
-            if (counts[v] == 0) continue;
-            const float inv = 1.0f / static_cast<float>(counts[v]);
-            float* acc = pooled + v * msg_dim;
-            for (std::int64_t j = 0; j < msg_dim; ++j) acc[j] *= inv;
-          }
-        });
-  }
+  result.messages = std::move(inbox.rows);
+  result.dst_index = std::move(inbox.dst);
   return result;
 }
-
-namespace {
-
-// Pooled kinds skip the BucketedInbox materialization entirely: the
-// segment fold reads rows straight out of the delivered batch payloads
-// (partial rows through their wider stride, broadcast references
-// through pre-resolved board pointers), so the memory traffic matches
-// the scalar oracle's single pass while the folds run 8-wide. Fold
-// order per destination is still batch order then row order — the
-// bit-identity contract — because tasks own destination ranges and
-// every task walks the batches in delivery order.
-GatherResult GatherPooledFused(AggKind kind, std::int64_t msg_dim,
-                               std::span<const MessageBatch> batches,
-                               const std::vector<bool>& batch_partial,
-                               std::span<const std::int64_t> local_index,
-                               std::int64_t num_nodes,
-                               const BroadcastLookupFn& lookup) {
-  GatherResult result;
-  result.kind = kind;
-  result.counts.assign(static_cast<std::size_t>(num_nodes), 0);
-
-  std::int64_t total = 0;
-  for (const MessageBatch& b : batches) total += b.size();
-  if (total == 0 || num_nodes == 0) {
-    result.pooled = Tensor(num_nodes, msg_dim);
-    return result;
-  }
-  const bool sum_like = kind == AggKind::kSum || kind == AggKind::kMean;
-  result.pooled =
-      sum_like ? Tensor(num_nodes, msg_dim)
-               : Tensor::Full(num_nodes, msg_dim,
-                              kind == AggKind::kMax
-                                  ? -std::numeric_limits<float>::infinity()
-                                  : std::numeric_limits<float>::infinity());
-
-  // Serial prologue: per-row destination segments, true message counts,
-  // and broadcast-row resolution (the lookup is not required to be
-  // thread-safe, so it runs before the fan-out).
-  std::vector<std::int32_t> segs(static_cast<std::size_t>(total));
-  std::vector<const float*> resolved;
-  std::int64_t base = 0;
-  for (std::size_t bi = 0; bi < batches.size(); ++bi) {
-    const MessageBatch& b = batches[bi];
-    if (b.empty()) continue;
-    const std::int64_t n = b.size();
-    std::int32_t* ps = segs.data() + base;
-    if (local_index.empty()) {
-      std::fill(ps, ps + n, 0);
-    } else {
-      for (std::int64_t i = 0; i < n; ++i) {
-        ps[i] = static_cast<std::int32_t>(local_index[static_cast<std::size_t>(
-            b.dst[static_cast<std::size_t>(i)])]);
-      }
-    }
-    if (b.payload.cols() == 0) {  // id-only broadcast references
-      if (resolved.empty()) {
-        resolved.assign(static_cast<std::size_t>(total), nullptr);
-      }
-      for (std::int64_t i = 0; i < n; ++i) {
-        const std::vector<float>* value =
-            lookup(b.src[static_cast<std::size_t>(i)]);
-        INFERTURBO_CHECK(value != nullptr)
-            << "missing broadcast value for node "
-            << b.src[static_cast<std::size_t>(i)];
-        resolved[static_cast<std::size_t>(base + i)] = value->data();
-        ++result.counts[static_cast<std::size_t>(ps[i])];
-      }
-    } else if (batch_partial[bi]) {
-      INFERTURBO_CHECK(b.payload.cols() == msg_dim + 1)
-          << "partial batch width " << b.payload.cols() << " vs message dim "
-          << msg_dim;
-      const float* pv = b.payload.data();
-      const std::int64_t stride = msg_dim + 1;
-      for (std::int64_t i = 0; i < n; ++i) {
-        result.counts[static_cast<std::size_t>(ps[i])] +=
-            static_cast<std::int64_t>(pv[i * stride + msg_dim]);
-      }
-    } else {
-      INFERTURBO_CHECK(b.payload.cols() == msg_dim)
-          << "dense batch width " << b.payload.cols() << " vs message dim "
-          << msg_dim;
-      for (std::int64_t i = 0; i < n; ++i) {
-        ++result.counts[static_cast<std::size_t>(ps[i])];
-      }
-    }
-    base += n;
-  }
-
-  const kernels::detail::FoldOp op = kind == AggKind::kMax
-                                         ? kernels::detail::FoldOp::kMax
-                                     : kind == AggKind::kMin
-                                         ? kernels::detail::FoldOp::kMin
-                                         : kernels::detail::FoldOp::kAdd;
-  const kernels::detail::SegFoldFn seg_fold = kernels::detail::SegFold(op);
-  const kernels::detail::RowFoldFn row_fold =
-      op == kernels::detail::FoldOp::kMax   ? kernels::detail::RowMax()
-      : op == kernels::detail::FoldOp::kMin ? kernels::detail::RowMin()
-                                            : kernels::detail::RowAdd();
-  float* po = result.pooled.data();
-  const std::int64_t work_per_segment =
-      total * msg_dim / std::max<std::int64_t>(1, num_nodes);
-  kernels::ParallelForRanges(
-      num_nodes, work_per_segment, [&](std::int64_t s0, std::int64_t s1) {
-        std::int64_t at = 0;
-        for (std::size_t bi = 0; bi < batches.size(); ++bi) {
-          const MessageBatch& b = batches[bi];
-          if (b.empty()) continue;
-          const std::int64_t n = b.size();
-          const std::int32_t* ps = segs.data() + at;
-          if (b.payload.cols() == 0) {
-            // Broadcast references fold through their resolved board
-            // pointers — few rows (one per hub reference), so the
-            // per-row dispatched fold is fine here.
-            const float* const* pr = resolved.data() + at;
-            for (std::int64_t i = 0; i < n; ++i) {
-              const std::int64_t s = ps[i];
-              if (s >= s0 && s < s1) {
-                row_fold(po + s * msg_dim, pr[i], msg_dim);
-              }
-            }
-          } else {
-            // Contiguous payloads take the batch kernel: the row fold
-            // is inlined, so the payload stream — the dominant traffic
-            // of the whole gather — runs call-free.
-            seg_fold(po, msg_dim, ps, b.payload.data(), b.payload.cols(), n,
-                     s0, s1);
-          }
-          at += n;
-        }
-      });
-
-  // Isolated nodes: extrema flip their +-inf init to the neutral zero;
-  // sum/mean are already zero.
-  if (!sum_like) {
-    const std::int64_t* counts = result.counts.data();
-    kernels::ParallelForRanges(
-        num_nodes, msg_dim, [&](std::int64_t v0, std::int64_t v1) {
-          for (std::int64_t v = v0; v < v1; ++v) {
-            if (counts[v] != 0) continue;
-            float* row = po + v * msg_dim;
-            std::fill(row, row + msg_dim, 0.0f);
-          }
-        });
-  }
-  if (kind == AggKind::kMean) {
-    const std::int64_t* counts = result.counts.data();
-    kernels::ParallelForRanges(
-        num_nodes, msg_dim, [&](std::int64_t v0, std::int64_t v1) {
-          for (std::int64_t v = v0; v < v1; ++v) {
-            if (counts[v] == 0) continue;
-            const float inv = 1.0f / static_cast<float>(counts[v]);
-            float* acc = po + v * msg_dim;
-            for (std::int64_t j = 0; j < msg_dim; ++j) acc[j] *= inv;
-          }
-        });
-  }
-  return result;
-}
-
-}  // namespace
 
 GatherResult GatherSuperstepInbox(AggKind kind, std::int64_t msg_dim,
                                   std::span<const MessageBatch> batches,
@@ -313,15 +102,50 @@ GatherResult GatherSuperstepInbox(AggKind kind, std::int64_t msg_dim,
                                   std::int64_t num_nodes,
                                   const BroadcastLookupFn& lookup) {
   if (kind == AggKind::kUnion) {
-    // Union keeps the raw rows, so the flat materialization IS the
-    // result; the fused fold has nothing to save.
+    for (std::size_t bi = 0; bi < batches.size(); ++bi) {
+      INFERTURBO_CHECK(!batch_partial[bi] || batches[bi].empty())
+          << "union layer received a partial aggregate";
+    }
     return ReduceBucketedInbox(
-        kind, BucketInbox(batches, batch_partial, msg_dim, local_index,
-                          lookup),
-        num_nodes);
+        BucketInbox(batches, msg_dim, local_index, lookup), num_nodes);
   }
-  return GatherPooledFused(kind, msg_dim, batches, batch_partial, local_index,
-                           num_nodes, lookup);
+  // Pooled kinds fold the delivered rows in place: a payload row (a
+  // partial row through its wider stride) or a broadcast reference's
+  // board row. The lookup need not be thread-safe, so it runs here,
+  // before the builder fans out.
+  const std::int64_t total = InboxRows(batches);
+  std::vector<std::int64_t> segs(static_cast<std::size_t>(total));
+  std::vector<const float*> rows(static_cast<std::size_t>(total));
+  std::vector<std::int64_t> counts;  // stays empty without partial rows
+  std::int64_t base = 0;
+  for (std::size_t bi = 0; bi < batches.size(); ++bi) {
+    const MessageBatch& b = batches[bi];
+    if (b.empty()) continue;
+    const std::int64_t n = b.size();
+    BatchSegments(b, local_index, segs.data() + base);
+    const float** pr = rows.data() + base;
+    if (b.payload.cols() == 0) {  // id-only broadcast references
+      for (std::int64_t i = 0; i < n; ++i) {
+        pr[i] = BroadcastRow(lookup, b.src[static_cast<std::size_t>(i)],
+                             msg_dim);
+      }
+    } else {
+      const bool partial = batch_partial[bi];
+      INFERTURBO_CHECK(b.payload.cols() == (partial ? msg_dim + 1 : msg_dim))
+          << (partial ? "partial" : "dense") << " batch width "
+          << b.payload.cols() << " vs message dim " << msg_dim;
+      for (std::int64_t i = 0; i < n; ++i) pr[i] = b.payload.RowPtr(i);
+      if (partial) {
+        if (counts.empty()) counts.assign(static_cast<std::size_t>(total), 1);
+        for (std::int64_t i = 0; i < n; ++i) {
+          counts[static_cast<std::size_t>(base + i)] =
+              static_cast<std::int64_t>(pr[i][msg_dim]);
+        }
+      }
+    }
+    base += n;
+  }
+  return GatherPooledRows(kind, msg_dim, num_nodes, segs, rows, counts);
 }
 
 }  // namespace inferturbo

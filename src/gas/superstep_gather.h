@@ -11,54 +11,47 @@
 
 namespace inferturbo {
 
-/// The superstep gather data plane, shared by both backends: a worker's
-/// inbox (Pregel) or a reduce block's message values (MapReduce) is first
-/// flattened into dst-segmented arrays in one counting pass —
-/// BucketedInbox — then reduced with the parallel segment kernels.
-/// Everything here preserves the scalar fold's accumulation order
-/// exactly (per destination: batch order, then row order within a
-/// batch), so results are bit-identical to the retained per-row oracle
-/// at any thread count.
+/// The superstep gather data plane, shared by both backends. Pooled
+/// kinds resolve a worker's inbox (Pregel) or a reduce block's message
+/// records (MapReduce) to one row pointer and segment per message and
+/// fold them through GatherPooledRows; union flattens the rows into a
+/// BucketedInbox, whose rows are the result. Everything here preserves
+/// the scalar fold's accumulation order exactly (per destination: batch
+/// order, then row order within a batch), so results are bit-identical
+/// to the retained per-row oracle at any thread count.
 
 /// Resolves a broadcast key (id-only message reference) to its
 /// published row, or nullptr when the key was never published.
 using BroadcastLookupFn =
     std::function<const std::vector<float>*(NodeId)>;
 
-/// A flattened inbox: every message row materialized (broadcast refs
-/// resolved, partial rows stripped of their trailing count column),
-/// with its destination segment id and folded message count.
+/// A flattened union inbox: every message row materialized (broadcast
+/// refs resolved), with its destination segment id.
 struct BucketedInbox {
   /// (n × msg_dim) resolved message rows, in inbox order.
   Tensor rows;
   /// Local destination segment per row, in [0, num_nodes).
   std::vector<std::int64_t> dst;
-  /// Original-message count each row carries; empty means all 1 (no
-  /// partial batches were present).
-  std::vector<std::int64_t> counts;
 };
 
-/// Flattens `batches` in one counting pass. `batch_partial[i]` marks
-/// batch i as pre-pooled (payload has a trailing count column);
-/// zero-width payloads are id-only broadcast references resolved
-/// through `lookup` (which must return non-null for every referenced
-/// key). `local_index` maps a global dst id to its segment; an empty
-/// span sends every row to segment 0.
+/// Flattens `batches` in one counting pass. Zero-width payloads are
+/// id-only broadcast references resolved through `lookup` (which must
+/// return non-null for every referenced key). `local_index` maps a
+/// global dst id to its segment; an empty span sends every row to
+/// segment 0. Union batches are never partial aggregates.
 BucketedInbox BucketInbox(std::span<const MessageBatch> batches,
-                          const std::vector<bool>& batch_partial,
                           std::int64_t msg_dim,
                           std::span<const std::int64_t> local_index,
                           const BroadcastLookupFn& lookup);
 
-/// Segment-reduces a bucketed inbox into a finalized GatherResult over
-/// `num_nodes` segments: sum/mean/max/min run through the parallel
-/// kernels (mean divides by the true folded count, not the row count,
-/// so partial rows merge exactly); union moves the rows through
-/// untouched. Nodes that received nothing get a zero row and count 0.
-GatherResult ReduceBucketedInbox(AggKind kind, BucketedInbox inbox,
-                                 std::int64_t num_nodes);
+/// The union GatherResult over `num_nodes` segments: the bucketed rows
+/// move through untouched, with a per-node row count.
+GatherResult ReduceBucketedInbox(BucketedInbox inbox, std::int64_t num_nodes);
 
-/// The full kernel-backed gather: BucketInbox + ReduceBucketedInbox.
+/// The full kernel-backed gather: GatherPooledRows over the resolved
+/// inbox rows for pooled kinds, BucketInbox + ReduceBucketedInbox for
+/// union. `batch_partial[i]` marks batch i as pre-pooled (payload has a
+/// trailing count column).
 GatherResult GatherSuperstepInbox(AggKind kind, std::int64_t msg_dim,
                                   std::span<const MessageBatch> batches,
                                   const std::vector<bool>& batch_partial,

@@ -30,8 +30,7 @@ GatherResult GatherLayer(const GasConv& layer, const Tensor& messages,
   const Tensor edge_messages = layer.ApplyEdge(
       GatherRows(messages, row_index),
       sig.uses_edge_features ? edge_features : nullptr);
-  return GatherIntoResult(sig.agg_kind, edge_messages, dst_index, num_nodes,
-                          /*is_partial=*/false);
+  return GatherIntoResult(sig.agg_kind, edge_messages, dst_index, num_nodes);
 }
 
 /// Previous-layer states as one delta sees them: the delta's patch

@@ -417,20 +417,18 @@ class MrInferenceDriver {
     INFERTURBO_CHECK(kind != AggKind::kUnion || !any_partial)
         << "union layer received a partial aggregate";
 
-    // Flatten the block into the shared bucketed form — segment g holds
-    // key g's rows in ARRIVAL order, the fold order both backends'
-    // bit-identity contract pins — then reduce through the same kernel
-    // path the Pregel gather uses.
+    // Segment g holds key g's message rows in ARRIVAL order, the fold
+    // order both backends' bit-identity contract pins. Pooled kinds fold
+    // the records in place through the same builder the Pregel gather
+    // uses; union copies them into the flat per-edge form it keeps.
     const std::int64_t state_dim =
         static_cast<std::int64_t>(self[0].floats.size());
     Tensor states(static_cast<std::int64_t>(num_keys), state_dim);
-    BucketedInbox inbox;
-    inbox.rows = Tensor(msg_rows, msg_dim);
-    inbox.dst.resize(static_cast<std::size_t>(msg_rows));
-    if (any_partial) {
-      inbox.counts.assign(static_cast<std::size_t>(msg_rows), 1);
-    }
-    std::int64_t row_cursor = 0;
+    std::vector<std::int64_t> segs(static_cast<std::size_t>(msg_rows));
+    std::vector<const float*> rows(static_cast<std::size_t>(msg_rows));
+    std::vector<std::int64_t> counts;  // stays empty without partials
+    if (any_partial) counts.assign(static_cast<std::size_t>(msg_rows), 1);
+    std::size_t row_cursor = 0;
     for (std::size_t g = 0; g < num_keys; ++g) {
       INFERTURBO_CHECK(static_cast<std::int64_t>(self[g].floats.size()) ==
                        state_dim)
@@ -440,24 +438,39 @@ class MrInferenceDriver {
         if (v.tag != kInMessage && v.tag != kRef && v.tag != kPartialAgg) {
           continue;
         }
-        const float* row = v.floats.data();
+        std::span<const float> row = v.floats;
         if (v.tag == kRef) {
           const std::vector<float>* value = LookupBroadcast(v.src);
           INFERTURBO_CHECK(value != nullptr)
               << "missing broadcast value for hub " << v.src;
-          row = value->data();
+          row = *value;
         } else if (v.tag == kPartialAgg) {
-          inbox.counts[static_cast<std::size_t>(row_cursor)] = v.ids[0];
+          counts[row_cursor] = v.ids[0];
         }
-        inbox.rows.SetRow(row_cursor, row);
-        inbox.dst[static_cast<std::size_t>(row_cursor)] =
-            static_cast<std::int64_t>(g);
+        INFERTURBO_CHECK(static_cast<std::int64_t>(row.size()) == msg_dim)
+            << "message record for node " << keys[g] << " has " << row.size()
+            << " floats, not the message dim " << msg_dim;
+        segs[row_cursor] = static_cast<std::int64_t>(g);
+        rows[row_cursor] = row.data();
         ++row_cursor;
       }
     }
 
-    const GatherResult gathered = ReduceBucketedInbox(
-        kind, std::move(inbox), static_cast<std::int64_t>(num_keys));
+    GatherResult gathered;
+    if (kind == AggKind::kUnion) {
+      BucketedInbox inbox;
+      inbox.rows = Tensor(msg_rows, msg_dim);
+      for (std::int64_t r = 0; r < msg_rows; ++r) {
+        inbox.rows.SetRow(r, rows[static_cast<std::size_t>(r)]);
+      }
+      inbox.dst = std::move(segs);
+      gathered = ReduceBucketedInbox(std::move(inbox),
+                                     static_cast<std::int64_t>(num_keys));
+    } else {
+      gathered = GatherPooledRows(kind, msg_dim,
+                                  static_cast<std::int64_t>(num_keys), segs,
+                                  rows, counts);
+    }
     const Tensor new_states = layer.ApplyNode(states, gathered);
     const std::size_t new_dim = static_cast<std::size_t>(new_states.cols());
     const auto state_row = [&](std::size_t g) {

@@ -275,12 +275,12 @@ class PregelInferenceDriver {
     return assignment_.local_index[static_cast<std::size_t>(v)];
   }
 
-  /// gather_nbrs + aggregate: vectorize the inbox into a GatherResult
-  /// in this worker's local index space via the shared kernel-backed
-  /// data plane (bucket into dst-segmented flat arrays, then segment-
-  /// reduce). Id-only rows (broadcast references) are resolved against
-  /// the board during bucketing. Bit-identical to the retained scalar
-  /// oracle (GatherSuperstepInboxScalar) at any thread count.
+  /// gather_nbrs + aggregate: fold the inbox into a GatherResult in
+  /// this worker's local index space via the shared kernel-backed data
+  /// plane (GatherPooledRows over the delivered rows; union buckets
+  /// them). Id-only rows (broadcast references) fold their board rows
+  /// in place. Bit-identical to the retained scalar oracle
+  /// (GatherSuperstepInboxScalar) at any thread count.
   GatherResult GatherInbox(PregelContext* ctx, const WorkerState& worker,
                            const GasConv& layer) const {
     const std::int64_t local_n =

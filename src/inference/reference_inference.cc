@@ -85,8 +85,7 @@ Tensor LayerStackForward(const GnnModel& model, const Tensor& features,
     // gather + apply_node.
     const GatherResult gathered =
         kind == AggKind::kUnion
-            ? GatherIntoResult(kind, edge_messages, dst_index, num_nodes,
-                               /*is_partial=*/false)
+            ? GatherIntoResult(kind, edge_messages, dst_index, num_nodes)
             : ScalarPooledGather(kind, edge_messages, dst_index, num_nodes);
     h = layer.ApplyNode(h, gathered);
   }

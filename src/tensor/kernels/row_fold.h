@@ -68,18 +68,22 @@ using SlotFoldFn = void (*)(float* rows, std::int64_t width,
                             bool partial);
 SlotFoldFn SlotFold(FoldOp op);
 
-/// The kernel.row_fold accounting behind every SlotFold variant.
-void AccountSlotFold(std::int64_t n, std::int64_t width, bool indexed);
+/// The kernel.row_fold accounting behind every SlotFold call and every
+/// pooled receive: n rows of `width` floats, plus a second index per
+/// row when the rows are not read in order.
+void AccountRowFold(std::int64_t n, std::int64_t width, bool indexed);
 
-/// For each row i in [0, n) whose segment s = segs[i] lies in [s0, s1):
-///   fold(out + s*width, payload + i*stride, width)
+/// The pointer-row fold behind every pooled receive: for each i in
+/// [0, n), in ascending i, whose segment s = segs[i] lies in [s0, s1):
+///   fold(out + s*width, rows[i], width)
 /// Rows outside the range only cost the segment load — the filtered
 /// scan ParallelForRanges tasks use to keep destination ownership.
-using SegFoldFn = void (*)(float* out, std::int64_t width,
-                           const std::int32_t* segs, const float* payload,
-                           std::int64_t stride, std::int64_t n,
-                           std::int64_t s0, std::int64_t s1);
-SegFoldFn SegFold(FoldOp op);
+/// Segments must be in range (callers validate them).
+using PtrRowFoldFn = void (*)(float* out, std::int64_t width,
+                              const std::int64_t* segs,
+                              const float* const* rows, std::int64_t n,
+                              std::int64_t s0, std::int64_t s1);
+PtrRowFoldFn PtrRowFold(FoldOp op);
 
 void SlotFoldAddPortable(float* rows, std::int64_t width,
                          const std::int64_t* slots, std::int64_t* counts,
@@ -112,27 +116,24 @@ void SlotFoldMinAvx2(float* rows, std::int64_t width,
                      const std::int64_t* row_index, std::int64_t n,
                      bool partial);
 
-void SegFoldAddPortable(float* out, std::int64_t width,
-                        const std::int32_t* segs, const float* payload,
-                        std::int64_t stride, std::int64_t n, std::int64_t s0,
-                        std::int64_t s1);
-void SegFoldMaxPortable(float* out, std::int64_t width,
-                        const std::int32_t* segs, const float* payload,
-                        std::int64_t stride, std::int64_t n, std::int64_t s0,
-                        std::int64_t s1);
-void SegFoldMinPortable(float* out, std::int64_t width,
-                        const std::int32_t* segs, const float* payload,
-                        std::int64_t stride, std::int64_t n, std::int64_t s0,
-                        std::int64_t s1);
-void SegFoldAddAvx2(float* out, std::int64_t width, const std::int32_t* segs,
-                    const float* payload, std::int64_t stride, std::int64_t n,
-                    std::int64_t s0, std::int64_t s1);
-void SegFoldMaxAvx2(float* out, std::int64_t width, const std::int32_t* segs,
-                    const float* payload, std::int64_t stride, std::int64_t n,
-                    std::int64_t s0, std::int64_t s1);
-void SegFoldMinAvx2(float* out, std::int64_t width, const std::int32_t* segs,
-                    const float* payload, std::int64_t stride, std::int64_t n,
-                    std::int64_t s0, std::int64_t s1);
+void PtrRowFoldAddPortable(float* out, std::int64_t width,
+                           const std::int64_t* segs, const float* const* rows,
+                           std::int64_t n, std::int64_t s0, std::int64_t s1);
+void PtrRowFoldMaxPortable(float* out, std::int64_t width,
+                           const std::int64_t* segs, const float* const* rows,
+                           std::int64_t n, std::int64_t s0, std::int64_t s1);
+void PtrRowFoldMinPortable(float* out, std::int64_t width,
+                           const std::int64_t* segs, const float* const* rows,
+                           std::int64_t n, std::int64_t s0, std::int64_t s1);
+void PtrRowFoldAddAvx2(float* out, std::int64_t width,
+                       const std::int64_t* segs, const float* const* rows,
+                       std::int64_t n, std::int64_t s0, std::int64_t s1);
+void PtrRowFoldMaxAvx2(float* out, std::int64_t width,
+                       const std::int64_t* segs, const float* const* rows,
+                       std::int64_t n, std::int64_t s0, std::int64_t s1);
+void PtrRowFoldMinAvx2(float* out, std::int64_t width,
+                       const std::int64_t* segs, const float* const* rows,
+                       std::int64_t n, std::int64_t s0, std::int64_t s1);
 
 }  // namespace detail
 }  // namespace kernels

@@ -93,7 +93,7 @@ void SlotFoldImpl(float* rows, std::int64_t width, const std::int64_t* slots,
                   std::int64_t* counts, const float* payload,
                   std::int64_t stride, const std::int64_t* row_index,
                   std::int64_t n, bool partial) {
-  AccountSlotFold(n, width, row_index != nullptr);
+  AccountRowFold(n, width, row_index != nullptr);
   if (row_index == nullptr) {
     (partial ? SlotFoldRows<Fold, true, false>
              : SlotFoldRows<Fold, false, false>)(rows, width, slots, counts,
@@ -106,14 +106,12 @@ void SlotFoldImpl(float* rows, std::int64_t width, const std::int64_t* slots,
 }
 
 template <typename Fold>
-void SegFoldImpl(float* out, std::int64_t width, const std::int32_t* segs,
-                 const float* payload, std::int64_t stride, std::int64_t n,
-                 std::int64_t s0, std::int64_t s1) {
+void PtrRowFoldImpl(float* out, std::int64_t width, const std::int64_t* segs,
+                    const float* const* rows, std::int64_t n, std::int64_t s0,
+                    std::int64_t s1) {
   for (std::int64_t i = 0; i < n; ++i) {
     const std::int64_t s = segs[i];
-    if (s >= s0 && s < s1) {
-      Fold::Apply(out + s * width, payload + i * stride, width);
-    }
+    if (s >= s0 && s < s1) Fold::Apply(out + s * width, rows[i], width);
   }
 }
 
@@ -159,20 +157,20 @@ void SlotFoldMinAvx2(float* rows, std::int64_t width,
                         n, partial);
 }
 
-void SegFoldAddAvx2(float* out, std::int64_t width, const std::int32_t* segs,
-                    const float* payload, std::int64_t stride, std::int64_t n,
-                    std::int64_t s0, std::int64_t s1) {
-  SegFoldImpl<AddFold>(out, width, segs, payload, stride, n, s0, s1);
+void PtrRowFoldAddAvx2(float* out, std::int64_t width,
+                       const std::int64_t* segs, const float* const* rows,
+                       std::int64_t n, std::int64_t s0, std::int64_t s1) {
+  PtrRowFoldImpl<AddFold>(out, width, segs, rows, n, s0, s1);
 }
-void SegFoldMaxAvx2(float* out, std::int64_t width, const std::int32_t* segs,
-                    const float* payload, std::int64_t stride, std::int64_t n,
-                    std::int64_t s0, std::int64_t s1) {
-  SegFoldImpl<MaxFold>(out, width, segs, payload, stride, n, s0, s1);
+void PtrRowFoldMaxAvx2(float* out, std::int64_t width,
+                       const std::int64_t* segs, const float* const* rows,
+                       std::int64_t n, std::int64_t s0, std::int64_t s1) {
+  PtrRowFoldImpl<MaxFold>(out, width, segs, rows, n, s0, s1);
 }
-void SegFoldMinAvx2(float* out, std::int64_t width, const std::int32_t* segs,
-                    const float* payload, std::int64_t stride, std::int64_t n,
-                    std::int64_t s0, std::int64_t s1) {
-  SegFoldImpl<MinFold>(out, width, segs, payload, stride, n, s0, s1);
+void PtrRowFoldMinAvx2(float* out, std::int64_t width,
+                       const std::int64_t* segs, const float* const* rows,
+                       std::int64_t n, std::int64_t s0, std::int64_t s1) {
+  PtrRowFoldImpl<MinFold>(out, width, segs, rows, n, s0, s1);
 }
 
 #else  // !defined(__AVX2__)
@@ -212,20 +210,20 @@ void SlotFoldMinAvx2(float* rows, std::int64_t width,
                       n, partial);
 }
 
-void SegFoldAddAvx2(float* out, std::int64_t width, const std::int32_t* segs,
-                    const float* payload, std::int64_t stride, std::int64_t n,
-                    std::int64_t s0, std::int64_t s1) {
-  SegFoldAddPortable(out, width, segs, payload, stride, n, s0, s1);
+void PtrRowFoldAddAvx2(float* out, std::int64_t width,
+                       const std::int64_t* segs, const float* const* rows,
+                       std::int64_t n, std::int64_t s0, std::int64_t s1) {
+  PtrRowFoldAddPortable(out, width, segs, rows, n, s0, s1);
 }
-void SegFoldMaxAvx2(float* out, std::int64_t width, const std::int32_t* segs,
-                    const float* payload, std::int64_t stride, std::int64_t n,
-                    std::int64_t s0, std::int64_t s1) {
-  SegFoldMaxPortable(out, width, segs, payload, stride, n, s0, s1);
+void PtrRowFoldMaxAvx2(float* out, std::int64_t width,
+                       const std::int64_t* segs, const float* const* rows,
+                       std::int64_t n, std::int64_t s0, std::int64_t s1) {
+  PtrRowFoldMaxPortable(out, width, segs, rows, n, s0, s1);
 }
-void SegFoldMinAvx2(float* out, std::int64_t width, const std::int32_t* segs,
-                    const float* payload, std::int64_t stride, std::int64_t n,
-                    std::int64_t s0, std::int64_t s1) {
-  SegFoldMinPortable(out, width, segs, payload, stride, n, s0, s1);
+void PtrRowFoldMinAvx2(float* out, std::int64_t width,
+                       const std::int64_t* segs, const float* const* rows,
+                       std::int64_t n, std::int64_t s0, std::int64_t s1) {
+  PtrRowFoldMinPortable(out, width, segs, rows, n, s0, s1);
 }
 
 #endif  // defined(__AVX2__)

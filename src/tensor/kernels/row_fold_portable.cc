@@ -48,7 +48,7 @@ void SlotFoldImpl(float* rows, std::int64_t width, const std::int64_t* slots,
                   std::int64_t* counts, const float* payload,
                   std::int64_t stride, const std::int64_t* row_index,
                   std::int64_t n, bool partial) {
-  AccountSlotFold(n, width, row_index != nullptr);
+  AccountRowFold(n, width, row_index != nullptr);
   if (row_index == nullptr) {
     (partial ? SlotFoldRows<Fold, true, false>
              : SlotFoldRows<Fold, false, false>)(rows, width, slots, counts,
@@ -61,14 +61,12 @@ void SlotFoldImpl(float* rows, std::int64_t width, const std::int64_t* slots,
 }
 
 template <void Fold(float*, const float*, std::int64_t)>
-void SegFoldImpl(float* out, std::int64_t width, const std::int32_t* segs,
-                 const float* payload, std::int64_t stride, std::int64_t n,
-                 std::int64_t s0, std::int64_t s1) {
+void PtrRowFoldImpl(float* out, std::int64_t width, const std::int64_t* segs,
+                    const float* const* rows, std::int64_t n, std::int64_t s0,
+                    std::int64_t s1) {
   for (std::int64_t i = 0; i < n; ++i) {
     const std::int64_t s = segs[i];
-    if (s >= s0 && s < s1) {
-      Fold(out + s * width, payload + i * stride, width);
-    }
+    if (s >= s0 && s < s1) Fold(out + s * width, rows[i], width);
   }
 }
 
@@ -99,28 +97,25 @@ void SlotFoldMinPortable(float* rows, std::int64_t width,
                                row_index, n, partial);
 }
 
-void SegFoldAddPortable(float* out, std::int64_t width,
-                        const std::int32_t* segs, const float* payload,
-                        std::int64_t stride, std::int64_t n, std::int64_t s0,
-                        std::int64_t s1) {
-  SegFoldImpl<RowAddPortable>(out, width, segs, payload, stride, n, s0, s1);
+void PtrRowFoldAddPortable(float* out, std::int64_t width,
+                           const std::int64_t* segs, const float* const* rows,
+                           std::int64_t n, std::int64_t s0, std::int64_t s1) {
+  PtrRowFoldImpl<RowAddPortable>(out, width, segs, rows, n, s0, s1);
 }
-void SegFoldMaxPortable(float* out, std::int64_t width,
-                        const std::int32_t* segs, const float* payload,
-                        std::int64_t stride, std::int64_t n, std::int64_t s0,
-                        std::int64_t s1) {
-  SegFoldImpl<RowMaxPortable>(out, width, segs, payload, stride, n, s0, s1);
+void PtrRowFoldMaxPortable(float* out, std::int64_t width,
+                           const std::int64_t* segs, const float* const* rows,
+                           std::int64_t n, std::int64_t s0, std::int64_t s1) {
+  PtrRowFoldImpl<RowMaxPortable>(out, width, segs, rows, n, s0, s1);
 }
-void SegFoldMinPortable(float* out, std::int64_t width,
-                        const std::int32_t* segs, const float* payload,
-                        std::int64_t stride, std::int64_t n, std::int64_t s0,
-                        std::int64_t s1) {
-  SegFoldImpl<RowMinPortable>(out, width, segs, payload, stride, n, s0, s1);
+void PtrRowFoldMinPortable(float* out, std::int64_t width,
+                           const std::int64_t* segs, const float* const* rows,
+                           std::int64_t n, std::int64_t s0, std::int64_t s1) {
+  PtrRowFoldImpl<RowMinPortable>(out, width, segs, rows, n, s0, s1);
 }
 
-// Bytes as SegmentFoldWork counts them, plus the row index when the
-// rows are not read in order.
-void AccountSlotFold(std::int64_t n, std::int64_t width, bool indexed) {
+// Bytes as SegmentFoldWork counts them, plus the row index (or row
+// pointer) when the rows are not read in order.
+void AccountRowFold(std::int64_t n, std::int64_t width, bool indexed) {
   if (!MetricsEnabled()) return;
   static Counter* const calls =
       GlobalMetrics().GetCounter("kernel.row_fold.calls");
@@ -162,17 +157,17 @@ SlotFoldFn SlotFold(FoldOp op) {
   return avx2 ? SlotFoldAddAvx2 : SlotFoldAddPortable;
 }
 
-SegFoldFn SegFold(FoldOp op) {
+PtrRowFoldFn PtrRowFold(FoldOp op) {
   const bool avx2 = Avx2KernelsAvailable();
   switch (op) {
     case FoldOp::kAdd:
-      return avx2 ? SegFoldAddAvx2 : SegFoldAddPortable;
+      return avx2 ? PtrRowFoldAddAvx2 : PtrRowFoldAddPortable;
     case FoldOp::kMax:
-      return avx2 ? SegFoldMaxAvx2 : SegFoldMaxPortable;
+      return avx2 ? PtrRowFoldMaxAvx2 : PtrRowFoldMaxPortable;
     case FoldOp::kMin:
-      return avx2 ? SegFoldMinAvx2 : SegFoldMinPortable;
+      return avx2 ? PtrRowFoldMinAvx2 : PtrRowFoldMinPortable;
   }
-  return avx2 ? SegFoldAddAvx2 : SegFoldAddPortable;
+  return avx2 ? PtrRowFoldAddAvx2 : PtrRowFoldAddPortable;
 }
 
 }  // namespace detail

@@ -46,7 +46,7 @@ Tensor InferenceForward(const GasConv& layer, const TestGraph& g) {
   const Tensor edge_messages = GatherRows(node_messages, g.src);
   const GatherResult gathered =
       GatherIntoResult(layer.signature().agg_kind, edge_messages, g.dst,
-                       g.num_nodes, /*is_partial=*/false);
+                       g.num_nodes);
   return layer.ApplyNode(g.features, gathered);
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -19,6 +20,7 @@
 #include "src/graph/datasets.h"
 #include "src/inference/inferturbo_mapreduce.h"
 #include "src/nn/model.h"
+#include "src/nn/sage_conv.h"
 #include "src/runtime/task_supervisor.h"
 
 namespace inferturbo {
@@ -660,6 +662,45 @@ TEST(MapReduceGoldenTest, InferenceLogitsArePinned) {
                 c.crc);
     }
   }
+}
+
+// A SAGE layer whose message rows carry one float more than its
+// signature's message dim declares.
+class WideMessageSage : public SageConv {
+ public:
+  using SageConv::SageConv;
+  Tensor ComputeMessage(const Tensor& node_states) const override {
+    const Tensor narrow = SageConv::ComputeMessage(node_states);
+    Tensor wide(narrow.rows(), narrow.cols() + 1);
+    for (std::int64_t r = 0; r < narrow.rows(); ++r) {
+      std::copy(narrow.RowPtr(r), narrow.RowPtr(r) + narrow.cols(),
+                wide.RowPtr(r));
+    }
+    return wide;
+  }
+};
+
+// The reduce folds message records in place, so a record that is not
+// exactly message_dim floats wide must die rather than be read short
+// or long.
+TEST(MapReduceReduceTest, MessageRecordOfTheWrongWidthDies) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  PlantedGraphConfig config;
+  config.num_nodes = 60;
+  config.feature_dim = 4;
+  config.num_classes = 2;
+  config.seed = 5;
+  const Dataset dataset = MakePlantedDataset("wide", config);
+  Rng rng(1);
+  std::vector<std::unique_ptr<GasConv>> layers;
+  layers.push_back(std::make_unique<WideMessageSage>(
+      config.feature_dim, 8, /*activation=*/true, &rng));
+  const GnnModel model(std::move(layers), config.num_classes, &rng);
+  InferTurboOptions options;
+  options.num_workers = 2;
+  EXPECT_DEATH(
+      (void)RunInferTurboMapReduce(dataset.graph, model, options),
+      "has 5 floats, not the message dim 4");
 }
 
 }  // namespace

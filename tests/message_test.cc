@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "src/common/rng.h"
 #include "src/gas/gas_conv.h"
+#include "src/gas/superstep_gather.h"
 #include "src/tensor/segment_ops.h"
 
 namespace inferturbo {
@@ -131,7 +134,8 @@ TEST(PooledAccumulatorTest, PartialBatchCarriesCountColumn) {
 
 // The partial-gather exactness property: splitting a message stream
 // across senders, partially pooling each side, and merging the
-// partials must equal pooling everything at the receiver.
+// partials at the receiver's superstep gather must equal pooling
+// everything at the receiver.
 TEST(PooledAccumulatorTest, PartialThenMergeEqualsDirect) {
   Rng rng(31);
   for (const AggKind kind :
@@ -145,8 +149,7 @@ TEST(PooledAccumulatorTest, PartialThenMergeEqualsDirect) {
     }
 
     // Direct: everything folded at the receiver.
-    const GatherResult direct =
-        GatherIntoResult(kind, rows, dst, num_nodes, /*is_partial=*/false);
+    const GatherResult direct = GatherIntoResult(kind, rows, dst, num_nodes);
 
     // Partial: three senders each pool a third, receiver merges.
     std::vector<MessageBatch> partials;
@@ -157,11 +160,12 @@ TEST(PooledAccumulatorTest, PartialThenMergeEqualsDirect) {
       }
       partials.push_back(acc.ToPartialBatch(part));
     }
-    MessageBatch merged = MessageBatch::Merge(partials);
-    std::vector<std::int64_t> merged_dst(merged.dst.begin(),
-                                         merged.dst.end());
-    const GatherResult via_partial = GatherIntoResult(
-        kind, merged.payload, merged_dst, num_nodes, /*is_partial=*/true);
+    const std::vector<bool> batch_partial(partials.size(), true);
+    std::vector<std::int64_t> local_index(static_cast<std::size_t>(num_nodes));
+    std::iota(local_index.begin(), local_index.end(), 0);
+    const GatherResult via_partial =
+        GatherSuperstepInbox(kind, width, partials, batch_partial, local_index,
+                             num_nodes, BroadcastLookupFn{});
 
     EXPECT_TRUE(via_partial.pooled.ApproxEquals(direct.pooled, 1e-4f))
         << "kind=" << static_cast<int>(kind);
@@ -270,8 +274,7 @@ TEST(SplitByWorkerTest, ZeroWidthPayloadSplitsIds) {
 TEST(GatherIntoResultTest, UnionKeepsRawRows) {
   Tensor rows = Tensor::FromRows({{1, 2}, {3, 4}});
   const std::vector<std::int64_t> dst = {1, 0};
-  const GatherResult r = GatherIntoResult(AggKind::kUnion, rows, dst, 2,
-                                          false);
+  const GatherResult r = GatherIntoResult(AggKind::kUnion, rows, dst, 2);
   EXPECT_TRUE(r.messages.ApproxEquals(rows));
   EXPECT_EQ(r.dst_index, dst);
   EXPECT_EQ(r.counts, (std::vector<std::int64_t>{1, 1}));
@@ -282,7 +285,7 @@ TEST(GatherIntoResultTest, IsolatedNodesReadNeutralZero) {
   const std::vector<std::int64_t> dst = {0};
   for (const AggKind kind :
        {AggKind::kSum, AggKind::kMean, AggKind::kMax, AggKind::kMin}) {
-    const GatherResult r = GatherIntoResult(kind, rows, dst, 3, false);
+    const GatherResult r = GatherIntoResult(kind, rows, dst, 3);
     EXPECT_EQ(r.counts[1], 0);
     EXPECT_EQ(r.pooled.At(1, 0), 0.0f);
     EXPECT_EQ(r.pooled.At(2, 1), 0.0f);
@@ -295,9 +298,9 @@ TEST(GatherIntoResultTest, DstIndexLengthMustMatchMessageRows) {
   const std::vector<std::int64_t> longer = {0, 1, 1};
   for (const AggKind kind : {AggKind::kSum, AggKind::kMax, AggKind::kUnion}) {
     SCOPED_TRACE(static_cast<int>(kind));
-    EXPECT_DEATH(GatherIntoResult(kind, rows, shorter, 2, false),
+    EXPECT_DEATH(GatherIntoResult(kind, rows, shorter, 2),
                  "dst indices for 2 message rows");
-    EXPECT_DEATH(GatherIntoResult(kind, rows, longer, 2, false),
+    EXPECT_DEATH(GatherIntoResult(kind, rows, longer, 2),
                  "dst indices for 2 message rows");
   }
 }

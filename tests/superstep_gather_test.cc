@@ -1,12 +1,12 @@
 // Randomized equivalence suite for the kernel-backed superstep data
-// plane: the fast gather (BucketInbox + segment kernels) must be
-// BIT-identical to the retained scalar oracle for every aggregator
-// kind, batch mix (dense / partial / id-only broadcast refs / empty),
-// and thread count; PooledAccumulator::AddBatch, AddIndexed and every
-// compiled SlotFold variant must be bit-identical to the per-row
-// Add/AddPartial fold including emission order; and the
-// new SegmentMax/SegmentMin kernels must match their pinned scalar
-// references exactly.
+// plane: the fast gather (GatherPooledRows, or BucketInbox for union)
+// must be BIT-identical to the retained scalar oracle for every
+// aggregator kind, batch mix (dense / partial / id-only broadcast refs
+// / empty), and thread count; PooledAccumulator::AddBatch, AddIndexed
+// and every compiled SlotFold and PtrRowFold variant must be
+// bit-identical to the per-row Add/AddPartial fold including emission
+// order; and the SegmentMax/SegmentMin kernels must match their pinned
+// scalar references exactly.
 #include "src/gas/superstep_gather.h"
 
 #include <gtest/gtest.h>
@@ -264,10 +264,11 @@ bool SameBytes(const Tensor& a, const Tensor& b) {
 }
 
 // Every form of the pooled fold against the per-row Add/AddPartial
-// oracle, bit for bit: AddBatch (the contiguous fold), AddIndexed, and
+// oracle, bit for bit: AddBatch (the contiguous fold), AddIndexed,
 // each compiled SlotFold variant called directly, both on the
 // materialized batch (identity rows) and on the message table through
-// repeated, unsorted row indices.
+// repeated, unsorted row indices, and each compiled PtrRowFold variant
+// over pointers to those rows.
 TEST(SuperstepGatherTest, AddBatchMatchesPerRowFoldAndEmissionOrder) {
   Rng rng(909);
   for (const AggKind kind :
@@ -282,12 +283,23 @@ TEST(SuperstepGatherTest, AddBatchMatchesPerRowFoldAndEmissionOrder) {
         : op == kernels::detail::FoldOp::kMin
             ? kernels::detail::SlotFoldMinPortable
             : kernels::detail::SlotFoldAddPortable};
+    std::vector<kernels::detail::PtrRowFoldFn> ptr_variants = {
+        op == kernels::detail::FoldOp::kMax
+            ? kernels::detail::PtrRowFoldMaxPortable
+        : op == kernels::detail::FoldOp::kMin
+            ? kernels::detail::PtrRowFoldMinPortable
+            : kernels::detail::PtrRowFoldAddPortable};
     if (kernels::detail::Avx2KernelsAvailable()) {
       variants.push_back(op == kernels::detail::FoldOp::kMax
                              ? kernels::detail::SlotFoldMaxAvx2
                          : op == kernels::detail::FoldOp::kMin
                              ? kernels::detail::SlotFoldMinAvx2
                              : kernels::detail::SlotFoldAddAvx2);
+      ptr_variants.push_back(op == kernels::detail::FoldOp::kMax
+                                 ? kernels::detail::PtrRowFoldMaxAvx2
+                             : op == kernels::detail::FoldOp::kMin
+                                 ? kernels::detail::PtrRowFoldMinAvx2
+                                 : kernels::detail::PtrRowFoldAddAvx2);
     }
     for (const bool partial : {false, true}) {
       for (const std::int64_t width : {1, 7, 8, 9, 65}) {
@@ -401,8 +413,48 @@ TEST(SuperstepGatherTest, AddBatchMatchesPerRowFoldAndEmissionOrder) {
             }
           }
         }
+
+        // Each compiled pointer-row fold reads the message table's rows
+        // by pointer, in two segment ranges as two receive tasks would.
+        std::vector<const float*> row_ptrs;
+        for (const std::int64_t r : row_index) {
+          row_ptrs.push_back(messages.RowPtr(r));
+        }
+        const auto num_slots = static_cast<std::int64_t>(dst_order.size());
+        for (const kernels::detail::PtrRowFoldFn fold : ptr_variants) {
+          Tensor rows = Tensor::Full(num_slots, width, init);
+          fold(rows.data(), width, slots.data(), row_ptrs.data(), n, 0,
+               num_slots / 2);
+          fold(rows.data(), width, slots.data(), row_ptrs.data(), n,
+               num_slots / 2, num_slots);
+          for (std::int64_t s = 0; s < num_slots; ++s) {
+            EXPECT_TRUE(SameBytes(rows.RowPtr(s),
+                                  wire_oracle.payload.RowPtr(s), width))
+                << "pointer-row slot " << s;
+          }
+        }
       }
     }
+  }
+}
+
+// The receive range-checks every segment before it folds: a batch
+// whose destination maps outside [0, num_nodes) dies, whatever the
+// kind.
+TEST(SuperstepGatherTest, DestinationOutsideTheWorkerDies) {
+  MessageBatch b;
+  b.payload = Tensor::FromRows({{1, 2}, {3, 4}});
+  b.dst = {0, 1};
+  b.src = {7, 8};
+  const std::vector<MessageBatch> batches = {b};
+  const std::vector<bool> partial = {false};
+  const std::vector<std::int64_t> local_index = {0, 5};
+  for (const AggKind kind : {AggKind::kSum, AggKind::kMean, AggKind::kMax,
+                             AggKind::kMin, AggKind::kUnion}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    EXPECT_DEATH(GatherSuperstepInbox(kind, 2, batches, partial, local_index,
+                                      2, BroadcastLookupFn{}),
+                 "gather dst index 5 out of \\[0,2\\)");
   }
 }
 

@@ -521,6 +521,21 @@ TEST_F(TelemetryTest, PartialGatherScatterCountsTheRowFold) {
   EXPECT_GT(GlobalMetrics().GetCounter("kernel.row_fold.bytes")->value(), 0);
 }
 
+// The MapReduce reduce folds its message records in place through the
+// pooled receive, so that traffic counts under the row fold too.
+TEST_F(TelemetryTest, MapReduceReduceCountsTheRowFold) {
+  const Dataset dataset = TelemetryDataset();
+  const std::unique_ptr<GnnModel> model = TelemetryModel(dataset.graph);
+  InferTurboOptions options;
+  options.num_workers = 4;
+  SetMetricsEnabled(true);
+  const Result<InferenceResult> result =
+      RunInferTurboMapReduce(dataset.graph, *model, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_GT(GlobalMetrics().GetCounter("kernel.row_fold.calls")->value(), 0);
+  EXPECT_GT(GlobalMetrics().GetCounter("kernel.row_fold.bytes")->value(), 0);
+}
+
 TEST_F(TelemetryTest, TracingDoesNotChangeMapReduceLogits) {
   const Dataset dataset = TelemetryDataset();
   const std::unique_ptr<GnnModel> model = TelemetryModel(dataset.graph);
