@@ -39,7 +39,10 @@ GatherResult GatherPooledRows(AggKind kind, std::int64_t width,
     result.counts[static_cast<std::size_t>(seg)] +=
         counts.empty() ? 1 : counts[i];
   }
-  result.pooled = Tensor::Full(num_nodes, width, PooledInitValue(kind));
+  const bool extremum = kind == AggKind::kMax || kind == AggKind::kMin;
+  result.pooled = extremum
+                      ? Tensor::Full(num_nodes, width, PooledInitValue(kind))
+                      : Tensor(num_nodes, width);
 
   const std::int64_t n = static_cast<std::int64_t>(segs.size());
   kernels::detail::AccountRowFold(n, width, /*indexed=*/true);
@@ -52,12 +55,13 @@ GatherResult GatherPooledRows(AggKind kind, std::int64_t width,
   kernels::ParallelForRanges(
       num_nodes, work_per_segment, [&](std::int64_t s0, std::int64_t s1) {
         fold(pooled, width, segs.data(), rows.data(), n, s0, s1);
-        // Finalize the owned range: isolated nodes read the neutral
-        // zero (extrema start at +-inf); mean divides by the count.
+        // Finalize the owned range: isolated extremum rows flip their
+        // +-inf init to the neutral zero (sum rows already read zero);
+        // mean divides by the count.
         for (std::int64_t v = s0; v < s1; ++v) {
           float* acc = pooled + v * width;
           if (folded[v] == 0) {
-            std::fill(acc, acc + width, 0.0f);
+            if (extremum) std::fill(acc, acc + width, 0.0f);
           } else if (kind == AggKind::kMean) {
             const float inv = 1.0f / static_cast<float>(folded[v]);
             for (std::int64_t j = 0; j < width; ++j) acc[j] *= inv;
