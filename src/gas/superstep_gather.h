@@ -34,11 +34,11 @@ struct BucketedInbox {
   std::vector<std::int64_t> dst;
 };
 
-/// Flattens `batches` in one counting pass. Zero-width payloads are
-/// id-only broadcast references resolved through `lookup` (which must
-/// return non-null for every referenced key). `local_index` maps a
-/// global dst id to its segment; an empty span sends every row to
-/// segment 0. Union batches are never partial aggregates.
+/// Flattens `batches` in one pass. Zero-width payloads are id-only
+/// broadcast references resolved through `lookup` (which must return
+/// non-null for every referenced key). `local_index` maps a global dst
+/// id to its segment; an empty span sends every row to segment 0.
+/// Union batches are never partial aggregates.
 BucketedInbox BucketInbox(std::span<const MessageBatch> batches,
                           std::int64_t msg_dim,
                           std::span<const std::int64_t> local_index,
