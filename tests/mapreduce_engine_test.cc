@@ -628,6 +628,7 @@ TEST(MapReduceGoldenTest, InferenceLogitsArePinned) {
       {"pool_sage", true, false, 0x3ae9227cu},
       {"gin", true, false, 0x3f0a9bcbu},
       {"sage", false, true, 0x7a5c7fa5u},
+      {"gat", false, false, 0x50077c3eu},
   };
   const std::string dir = testing::TempDir() + "/golden_logits_spill";
   for (const Case& c : cases) {

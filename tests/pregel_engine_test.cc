@@ -315,8 +315,11 @@ TEST(PregelEngineTest, DeterministicAcrossRuns) {
 // the sender-side combine of a mean (sage), max (pool_sage) and sum
 // (gin) layer, and the edge-feature partial path (edge_sage); the
 // broadcast sage case mixes partial and id-only batches in one inbox.
-// Every fold order and the partial batches' bytes feed these digests,
-// so a change that reorders a fold fails here, at 1 and 8 pool threads.
+// gat cannot combine: its union receive hands every raw per-edge row to
+// the attention apply, and with broadcast on, hub rows arrive as id-only
+// references to the board. Every fold order and the partial batches'
+// bytes feed these digests, so a change that reorders a fold fails
+// here, at 1 and 8 pool threads.
 TEST(PregelGoldenTest, InferenceLogitsArePinned) {
   PlantedGraphConfig config;
   config.num_nodes = 500;
@@ -338,6 +341,8 @@ TEST(PregelGoldenTest, InferenceLogitsArePinned) {
       {"gin", false, 0x3f0a9bcbu},
       {"edge_sage", false, 0x34c344cfu},
       {"sage", true, 0xd052b0e4u},
+      {"gat", false, 0x2fa42168u},
+      {"gat", true, 0xb6f16a79u},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(std::string(c.model) + (c.broadcast ? " broadcast" : ""));
