@@ -52,6 +52,7 @@ void Sink(const Tensor& t) {
 void Sink(const GatherResult& r) {
   Sink(r.pooled);
   Sink(r.messages);
+  if (!r.rows.empty()) g_sink = g_sink + r.rows[0][0];
 }
 
 struct BenchRecord {

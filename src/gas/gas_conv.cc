@@ -1,12 +1,13 @@
 #include "src/gas/gas_conv.h"
 
 #include <algorithm>
+#include <memory>
+#include <utility>
 
 #include "src/common/logging.h"
 #include "src/tensor/kernels/kernel_config.h"
 #include "src/tensor/kernels/row_fold.h"
 #include "src/tensor/ops.h"
-#include "src/tensor/segment_ops.h"
 
 namespace inferturbo {
 
@@ -91,6 +92,25 @@ std::vector<const float*> RowPointers(const Tensor& messages,
 
 }  // namespace
 
+GatherResult GatherUnionRows(std::int64_t num_nodes,
+                             std::vector<std::int64_t> segs,
+                             std::vector<const float*> rows) {
+  INFERTURBO_CHECK(rows.size() == segs.size())
+      << "union gather has " << segs.size() << " segments for "
+      << rows.size() << " rows";
+  GatherResult result;
+  result.kind = AggKind::kUnion;
+  result.counts.assign(static_cast<std::size_t>(num_nodes), 0);
+  for (const std::int64_t s : segs) {
+    INFERTURBO_CHECK(0 <= s && s < num_nodes)
+        << "gather dst index " << s << " out of [0," << num_nodes << ")";
+    ++result.counts[static_cast<std::size_t>(s)];
+  }
+  result.rows = std::move(rows);
+  result.dst_index = std::move(segs);
+  return result;
+}
+
 GatherResult GatherIntoResult(AggKind kind, const Tensor& messages,
                               std::span<const std::int64_t> dst_index,
                               std::int64_t num_nodes) {
@@ -99,11 +119,11 @@ GatherResult GatherIntoResult(AggKind kind, const Tensor& messages,
       << "gather has " << dst_index.size() << " dst indices for "
       << messages.rows() << " message rows";
   if (kind == AggKind::kUnion) {
-    GatherResult result;
-    result.kind = kind;
-    result.messages = messages;
-    result.dst_index.assign(dst_index.begin(), dst_index.end());
-    result.counts = SegmentCounts(dst_index, num_nodes);
+    auto storage = std::make_shared<const Tensor>(messages);
+    GatherResult result = GatherUnionRows(
+        num_nodes, {dst_index.begin(), dst_index.end()},
+        RowPointers(*storage, /*row_index=*/nullptr, dst_index.size()));
+    result.row_storage = std::move(storage);
     return result;
   }
   return GatherPooledRows(
@@ -117,9 +137,14 @@ GatherResult FoldMessageRows(AggKind kind, const Tensor& messages,
                              std::int64_t num_nodes) {
   INFERTURBO_CHECK(row_index.size() == dst_index.size())
       << "fold index length mismatch";
-  return GatherPooledRows(
-      kind, messages.cols(), num_nodes, dst_index,
-      RowPointers(messages, row_index.data(), row_index.size()), {});
+  std::vector<const float*> rows =
+      RowPointers(messages, row_index.data(), row_index.size());
+  if (kind == AggKind::kUnion) {
+    return GatherUnionRows(num_nodes, {dst_index.begin(), dst_index.end()},
+                           std::move(rows));
+  }
+  return GatherPooledRows(kind, messages.cols(), num_nodes, dst_index, rows,
+                          {});
 }
 
 }  // namespace inferturbo

@@ -17,19 +17,29 @@ namespace inferturbo {
 ///
 /// For pooled aggregates (sum/mean/max/min) only `pooled`/`counts` are
 /// populated: one finalized row per local node (zero / count 0 when a
-/// node received no messages). For union aggregates (GAT) the raw
-/// per-message rows and their destination segment ids are preserved so
-/// apply_node can run attention.
+/// node received no messages). For union aggregates (GAT) every raw
+/// message row is handed over in place, by pointer, with its
+/// destination segment id, so apply_node can run attention without a
+/// per-edge copy.
 struct GatherResult {
   AggKind kind = AggKind::kSum;
   /// (num_nodes × message_dim) finalized pooled values.
   Tensor pooled;
   /// Messages folded per node (0 = isolated node this round).
   std::vector<std::int64_t> counts;
-  /// Union path: raw message rows (E × message_dim)...
-  Tensor messages;
+  /// Union path: one pointer per message to its message_dim floats, in
+  /// arrival order...
+  std::vector<const float*> rows;
   /// ...and each row's local destination index in [0, num_nodes).
   std::vector<std::int64_t> dst_index;
+  /// The storage `rows` point into when the result owns it
+  /// (GatherIntoResult), shared so copies stay valid. Null when the
+  /// rows live in the caller's inbox, records or message table, which
+  /// must then outlive the result.
+  std::shared_ptr<const Tensor> row_storage;
+  /// Union rows materialized (E × message_dim): written only by the
+  /// retained scalar oracle, GatherSuperstepInboxScalar.
+  Tensor messages;
 };
 
 /// One GNN layer expressed in the paper's five-stage GAS-like
@@ -104,19 +114,28 @@ GatherResult GatherPooledRows(AggKind kind, std::int64_t width,
                               std::span<const float* const> rows,
                               std::span<const std::int64_t> counts);
 
+/// The one union receive: row i is the pointer rows[i] and belongs to
+/// segment segs[i]. Nothing is copied; the result's rows keep arrival
+/// order and point wherever the caller's do. Segments must lie in
+/// [0, num_nodes), and rows and segs must have the same length.
+GatherResult GatherUnionRows(std::int64_t num_nodes,
+                             std::vector<std::int64_t> segs,
+                             std::vector<const float*> rows);
+
 /// Engine-side helper implementing the receiver half of Gather: folds a
 /// vectorized message batch (with local destination indices) into a
-/// GatherResult per `kind`.
+/// GatherResult per `kind`. A union result owns a copy of `messages`
+/// (row_storage), so it outlives the argument.
 GatherResult GatherIntoResult(AggKind kind, const Tensor& messages,
                               std::span<const std::int64_t> dst_index,
                               std::int64_t num_nodes);
 
-/// The pooled fold over rows messages[row_index[i]] without
-/// materializing them: row_index[i] folds into dst_index[i] in index
-/// order, so the result is bit-identical to GatherIntoResult(kind,
-/// GatherRows(messages, row_index), dst_index, num_nodes). A node
-/// whose message feeds many edges is computed once and never copied
-/// per edge. Pooled kinds only (union needs the per-edge rows).
+/// The gather over rows messages[row_index[i]] without materializing
+/// them: row_index[i] goes to dst_index[i] in index order, so the
+/// result is bit-identical to GatherIntoResult(kind,
+/// GatherRows(messages, row_index), dst_index, num_nodes). A node whose
+/// message feeds many edges is computed once and never copied per
+/// edge. A union result points into `messages`, which must outlive it.
 GatherResult FoldMessageRows(AggKind kind, const Tensor& messages,
                              std::span<const std::int64_t> row_index,
                              std::span<const std::int64_t> dst_index,

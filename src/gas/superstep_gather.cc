@@ -1,7 +1,6 @@
 #include "src/gas/superstep_gather.h"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -46,73 +45,16 @@ const float* BroadcastRow(const BroadcastLookupFn& lookup, NodeId key,
 
 }  // namespace
 
-BucketedInbox BucketInbox(std::span<const MessageBatch> batches,
-                          std::int64_t msg_dim,
-                          std::span<const std::int64_t> local_index,
-                          const BroadcastLookupFn& lookup) {
-  BucketedInbox inbox;
-  const std::int64_t total = InboxRows(batches);
-  inbox.rows = Tensor(total, msg_dim);
-  inbox.dst.resize(static_cast<std::size_t>(total));
-  const std::size_t row_bytes =
-      static_cast<std::size_t>(msg_dim) * sizeof(float);
-  std::int64_t row = 0;
-  for (const MessageBatch& b : batches) {
-    if (b.empty()) continue;
-    const std::int64_t n = b.size();
-    BatchSegments(b, local_index, inbox.dst.data() + row);
-    if (b.payload.cols() == 0) {  // id-only broadcast references
-      for (std::int64_t i = 0; i < n; ++i) {
-        std::memcpy(inbox.rows.RowPtr(row + i),
-                    BroadcastRow(lookup, b.src[static_cast<std::size_t>(i)],
-                                 msg_dim),
-                    row_bytes);
-      }
-    } else {
-      INFERTURBO_CHECK(b.payload.cols() == msg_dim)
-          << "dense batch width " << b.payload.cols() << " vs message dim "
-          << msg_dim;
-      // Dense payloads are already the flat form: one block copy.
-      std::memcpy(inbox.rows.RowPtr(row), b.payload.data(),
-                  static_cast<std::size_t>(n) * row_bytes);
-    }
-    row += n;
-  }
-  return inbox;
-}
-
-GatherResult ReduceBucketedInbox(BucketedInbox inbox, std::int64_t num_nodes) {
-  GatherResult result;
-  result.kind = AggKind::kUnion;
-  result.counts.assign(static_cast<std::size_t>(num_nodes), 0);
-  for (const std::int64_t s : inbox.dst) {
-    INFERTURBO_CHECK(0 <= s && s < num_nodes)
-        << "gather dst index " << s << " out of [0," << num_nodes << ")";
-    ++result.counts[static_cast<std::size_t>(s)];
-  }
-  result.messages = std::move(inbox.rows);
-  result.dst_index = std::move(inbox.dst);
-  return result;
-}
-
 GatherResult GatherSuperstepInbox(AggKind kind, std::int64_t msg_dim,
                                   std::span<const MessageBatch> batches,
                                   const std::vector<bool>& batch_partial,
                                   std::span<const std::int64_t> local_index,
                                   std::int64_t num_nodes,
                                   const BroadcastLookupFn& lookup) {
-  if (kind == AggKind::kUnion) {
-    for (std::size_t bi = 0; bi < batches.size(); ++bi) {
-      INFERTURBO_CHECK(!batch_partial[bi] || batches[bi].empty())
-          << "union layer received a partial aggregate";
-    }
-    return ReduceBucketedInbox(
-        BucketInbox(batches, msg_dim, local_index, lookup), num_nodes);
-  }
-  // Pooled kinds fold the delivered rows in place: a payload row (a
+  // Every kind reads the delivered rows in place: a payload row (a
   // partial row through its wider stride) or a broadcast reference's
   // board row. The lookup need not be thread-safe, so it runs here,
-  // before the builder fans out.
+  // before the pooled builder fans out.
   const std::int64_t total = InboxRows(batches);
   std::vector<std::int64_t> segs(static_cast<std::size_t>(total));
   std::vector<const float*> rows(static_cast<std::size_t>(total));
@@ -121,6 +63,8 @@ GatherResult GatherSuperstepInbox(AggKind kind, std::int64_t msg_dim,
   for (std::size_t bi = 0; bi < batches.size(); ++bi) {
     const MessageBatch& b = batches[bi];
     if (b.empty()) continue;
+    INFERTURBO_CHECK(kind != AggKind::kUnion || !batch_partial[bi])
+        << "union layer received a partial aggregate";
     const std::int64_t n = b.size();
     BatchSegments(b, local_index, segs.data() + base);
     const float** pr = rows.data() + base;
@@ -144,6 +88,9 @@ GatherResult GatherSuperstepInbox(AggKind kind, std::int64_t msg_dim,
       }
     }
     base += n;
+  }
+  if (kind == AggKind::kUnion) {
+    return GatherUnionRows(num_nodes, std::move(segs), std::move(rows));
   }
   return GatherPooledRows(kind, msg_dim, num_nodes, segs, rows, counts);
 }

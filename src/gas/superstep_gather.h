@@ -11,47 +11,31 @@
 
 namespace inferturbo {
 
-/// The superstep gather data plane, shared by both backends. Pooled
-/// kinds resolve a worker's inbox (Pregel) or a reduce block's message
-/// records (MapReduce) to one row pointer and segment per message and
-/// fold them through GatherPooledRows; union flattens the rows into a
-/// BucketedInbox, whose rows are the result. Everything here preserves
-/// the scalar fold's accumulation order exactly (per destination: batch
-/// order, then row order within a batch), so results are bit-identical
-/// to the retained per-row oracle at any thread count.
+/// The superstep gather data plane, shared by both backends. A
+/// worker's inbox (Pregel) or a reduce block's message records
+/// (MapReduce) resolve to one row pointer and segment per message: a
+/// dense row points into its payload, a broadcast reference at its
+/// board row. Pooled kinds fold those rows through GatherPooledRows;
+/// union hands them to apply_node in place through GatherUnionRows, so
+/// a union row is never copied on receipt. Everything here preserves
+/// the scalar fold's order exactly (per destination: batch order, then
+/// row order within a batch), so results are bit-identical to the
+/// retained per-row oracle at any thread count.
 
 /// Resolves a broadcast key (id-only message reference) to its
 /// published row, or nullptr when the key was never published.
 using BroadcastLookupFn =
     std::function<const std::vector<float>*(NodeId)>;
 
-/// A flattened union inbox: every message row materialized (broadcast
-/// refs resolved), with its destination segment id.
-struct BucketedInbox {
-  /// (n × msg_dim) resolved message rows, in inbox order.
-  Tensor rows;
-  /// Local destination segment per row, in [0, num_nodes).
-  std::vector<std::int64_t> dst;
-};
-
-/// Flattens `batches` in one pass. Zero-width payloads are id-only
-/// broadcast references resolved through `lookup` (which must return
-/// non-null for every referenced key). `local_index` maps a global dst
-/// id to its segment; an empty span sends every row to segment 0.
-/// Union batches are never partial aggregates.
-BucketedInbox BucketInbox(std::span<const MessageBatch> batches,
-                          std::int64_t msg_dim,
-                          std::span<const std::int64_t> local_index,
-                          const BroadcastLookupFn& lookup);
-
-/// The union GatherResult over `num_nodes` segments: the bucketed rows
-/// move through untouched, with a per-node row count.
-GatherResult ReduceBucketedInbox(BucketedInbox inbox, std::int64_t num_nodes);
-
 /// The full kernel-backed gather: GatherPooledRows over the resolved
-/// inbox rows for pooled kinds, BucketInbox + ReduceBucketedInbox for
-/// union. `batch_partial[i]` marks batch i as pre-pooled (payload has a
-/// trailing count column).
+/// inbox rows for pooled kinds, GatherUnionRows for union, whose rows
+/// point into `batches` and the board behind `lookup` (both must
+/// outlive the result). Zero-width payloads are id-only broadcast
+/// references (`lookup` must return non-null for every referenced
+/// key). `local_index` maps a global dst id to its segment; an empty
+/// span sends every row to segment 0. `batch_partial[i]` marks batch i
+/// as pre-pooled (payload has a trailing count column); union batches
+/// are never partial aggregates.
 GatherResult GatherSuperstepInbox(AggKind kind, std::int64_t msg_dim,
                                   std::span<const MessageBatch> batches,
                                   const std::vector<bool>& batch_partial,

@@ -14,16 +14,17 @@ namespace inferturbo {
 namespace {
 
 /// The gather stage of `layer` over edges i, each carrying message row
-/// row_index[i] to node dst_index[i]. Pooled layers without edge
-/// features fold the message rows in place; union attention and
-/// apply_edge need per-edge rows, so those are materialized.
-/// `edge_features` (row i = edge i) is read only by layers that use it.
+/// row_index[i] to node dst_index[i]. Layers without edge features read
+/// the message rows in place (pooled kinds fold them, a union result
+/// points into `messages`, which must outlive it); apply_edge needs
+/// per-edge rows, so those are materialized. `edge_features` (row i =
+/// edge i) is read only by layers that use it.
 GatherResult GatherLayer(const GasConv& layer, const Tensor& messages,
                          std::span<const std::int64_t> row_index,
                          std::span<const std::int64_t> dst_index,
                          std::int64_t num_nodes, const Tensor* edge_features) {
   const LayerSignature& sig = layer.signature();
-  if (sig.agg_kind != AggKind::kUnion && !sig.uses_edge_features) {
+  if (!sig.uses_edge_features) {
     return FoldMessageRows(sig.agg_kind, messages, row_index, dst_index,
                            num_nodes);
   }
@@ -196,10 +197,10 @@ LayerStates ComputeLayerStates(const GnnModel& model, const Graph& graph) {
   for (std::int64_t l = 0; l < model.num_layers(); ++l) {
     const GasConv& layer = model.layer(l);
     const Tensor& h = out.states.back();
+    const Tensor messages = layer.ComputeMessage(h);
     const GatherResult gathered =
-        GatherLayer(layer, layer.ComputeMessage(h), graph.edge_src(),
-                    graph.edge_dst(), graph.num_nodes(),
-                    &graph.edge_features());
+        GatherLayer(layer, messages, graph.edge_src(), graph.edge_dst(),
+                    graph.num_nodes(), &graph.edge_features());
     Tensor next = layer.ApplyNode(h, gathered);
     out.states.push_back(std::move(next));
   }

@@ -11,7 +11,6 @@
 #include "src/common/binary_io.h"
 #include "src/common/logging.h"
 #include "src/gas/gas_conv.h"
-#include "src/gas/superstep_gather.h"
 #include "src/mapreduce/mapreduce_engine.h"
 #include "src/storage/graph_view.h"
 #include "src/storage/shard_pipeline.h"
@@ -418,9 +417,9 @@ class MrInferenceDriver {
         << "union layer received a partial aggregate";
 
     // Segment g holds key g's message rows in ARRIVAL order, the fold
-    // order both backends' bit-identity contract pins. Pooled kinds fold
-    // the records in place through the same builder the Pregel gather
-    // uses; union copies them into the flat per-edge form it keeps.
+    // order both backends' bit-identity contract pins. Every kind reads
+    // the records in place through the same builders the Pregel gather
+    // uses: pooled kinds fold them, union hands their pointers on.
     const std::int64_t state_dim =
         static_cast<std::int64_t>(self[0].floats.size());
     Tensor states(static_cast<std::int64_t>(num_keys), state_dim);
@@ -456,21 +455,13 @@ class MrInferenceDriver {
       }
     }
 
-    GatherResult gathered;
-    if (kind == AggKind::kUnion) {
-      BucketedInbox inbox;
-      inbox.rows = Tensor(msg_rows, msg_dim);
-      for (std::int64_t r = 0; r < msg_rows; ++r) {
-        inbox.rows.SetRow(r, rows[static_cast<std::size_t>(r)]);
-      }
-      inbox.dst = std::move(segs);
-      gathered = ReduceBucketedInbox(std::move(inbox),
-                                     static_cast<std::int64_t>(num_keys));
-    } else {
-      gathered = GatherPooledRows(kind, msg_dim,
-                                  static_cast<std::int64_t>(num_keys), segs,
-                                  rows, counts);
-    }
+    const GatherResult gathered =
+        kind == AggKind::kUnion
+            ? GatherUnionRows(static_cast<std::int64_t>(num_keys),
+                              std::move(segs), std::move(rows))
+            : GatherPooledRows(kind, msg_dim,
+                               static_cast<std::int64_t>(num_keys), segs,
+                               rows, counts);
     const Tensor new_states = layer.ApplyNode(states, gathered);
     const std::size_t new_dim = static_cast<std::size_t>(new_states.cols());
     const auto state_row = [&](std::size_t g) {

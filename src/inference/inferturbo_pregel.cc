@@ -172,8 +172,14 @@ class PregelInferenceDriver {
       TraceSpan span("pregel/gather", ctx->worker_id());
       gathered = GatherInbox(ctx, worker, layer);
     }
+    // A union result's rows stay in the inbox and on the board; the
+    // gather itself holds only its pointer, segment and count arrays.
     const std::uint64_t gathered_bytes =
-        gathered.pooled.ByteSize() + gathered.messages.ByteSize();
+        gathered.kind == AggKind::kUnion
+            ? gathered.rows.size() * sizeof(const float*) +
+                  (gathered.dst_index.size() + gathered.counts.size()) *
+                      sizeof(std::int64_t)
+            : gathered.pooled.ByteSize();
     const std::uint64_t old_state_bytes = worker.states.ByteSize();
     auto new_states = std::make_shared<Tensor>();
     {
@@ -275,10 +281,16 @@ class PregelInferenceDriver {
     return assignment_.local_index[static_cast<std::size_t>(v)];
   }
 
+  /// The worker owning edge e's destination.
+  std::size_t WorkerOf(EdgeId e) const {
+    return static_cast<std::size_t>(assignment_.partition_of[
+        static_cast<std::size_t>(graph_.EdgeDst(e))]);
+  }
+
   /// gather_nbrs + aggregate: fold the inbox into a GatherResult in
   /// this worker's local index space via the shared kernel-backed data
-  /// plane (GatherPooledRows over the delivered rows; union buckets
-  /// them). Id-only rows (broadcast references) fold their board rows
+  /// plane (GatherPooledRows over the delivered rows; union points at
+  /// them). Id-only rows (broadcast references) read their board rows
   /// in place. Bit-identical to the retained scalar oracle
   /// (GatherSuperstepInboxScalar) at any thread count.
   GatherResult GatherInbox(PregelContext* ctx, const WorkerState& worker,
@@ -325,29 +337,30 @@ class PregelInferenceDriver {
 
     std::optional<PartialScatter> partial;
     if (use_partial) partial.emplace(assignment_);
-    // Dense per-edge rows (non-partial path), sized in a first pass.
-    MessageBatch dense;
+    // Dense per-edge rows (non-partial path): one batch per destination
+    // worker, sized in a first pass, so each row is written once, into
+    // the batch its receiver reads, and routing moves batches whole.
+    std::vector<MessageBatch> dense(assignment_.members.size());
     // Id-only rows for hub out-edges.
     MessageBatch refs;
     refs.payload = Tensor(0, 0);
 
-    std::int64_t dense_rows = 0;
+    std::vector<std::int64_t> dense_rows(dense.size(), 0);
     std::vector<bool> is_hub(nodes.size(), false);
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       const NodeId v = nodes[i];
-      const std::int64_t out_degree = graph_.OutDegree(v);
-      if (use_broadcast && out_degree > hub_threshold_) {
+      if (use_broadcast && graph_.OutDegree(v) > hub_threshold_) {
         is_hub[i] = true;
       } else if (!use_partial) {
-        dense_rows += out_degree;
+        for (EdgeId e : graph_.OutEdges(v)) ++dense_rows[WorkerOf(e)];
       }
     }
-    if (dense_rows > 0) {
-      dense.Reserve(static_cast<std::size_t>(dense_rows), msg_dim);
-      dense.payload = Tensor(dense_rows, msg_dim);
+    for (std::size_t w = 0; w < dense.size(); ++w) {
+      if (dense_rows[w] > 0) {
+        dense[w].Reserve(static_cast<std::size_t>(dense_rows[w]), msg_dim);
+      }
     }
 
-    std::int64_t dense_cursor = 0;
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       const NodeId v = nodes[i];
       const float* row = messages.RowPtr(static_cast<std::int64_t>(i));
@@ -365,14 +378,19 @@ class PregelInferenceDriver {
         }
       } else {
         for (EdgeId e : graph_.OutEdges(v)) {
-          dense.dst.push_back(graph_.EdgeDst(e));
-          dense.src.push_back(v);
-          dense.payload.SetRow(dense_cursor++, row);
+          MessageBatch& b = dense[WorkerOf(e)];
+          b.dst.push_back(graph_.EdgeDst(e));
+          b.src.push_back(v);
+          b.payload.AppendRow(row);
         }
       }
     }
 
-    if (!dense.empty()) ctx->SendBatch(std::move(dense));
+    // Per destination worker the inbox order is unchanged: dense rows
+    // in emission order, then references.
+    for (MessageBatch& b : dense) {
+      if (!b.empty()) ctx->SendBatch(std::move(b));
+    }
     if (!refs.dst.empty()) ctx->SendBatch(std::move(refs));
     if (use_partial) partial->Send(ctx, sig.agg_kind, messages);
   }

@@ -1,6 +1,8 @@
 #include "src/nn/gat_conv.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/common/logging.h"
 #include "src/tensor/ops.h"
@@ -59,8 +61,11 @@ Tensor GatConv::ApplyNode(const Tensor& node_states,
       << "GatConv expects union-gathered messages";
   const std::int64_t n = node_states.rows();
   const std::int64_t zcols = heads_ * head_dim_;
-  const Tensor& messages = gathered.messages;  // (E × H*D + H)
-  const std::int64_t num_msgs = messages.rows();
+  // Message e is rows[e]: (H*D transformed source state, H logits).
+  const std::vector<const float*>& rows = gathered.rows;
+  const std::vector<std::int64_t>& dst = gathered.dst_index;
+  const std::size_t num_msgs = rows.size();
+  const auto heads = static_cast<std::size_t>(heads_);
 
   // Destination-side attention logits t[v,h] = a_dst_h · (W h_v)_h.
   const Tensor z_dst = MatMul(node_states, weight_->value);
@@ -78,25 +83,45 @@ Tensor GatConv::ApplyNode(const Tensor& node_states,
     }
   }
 
-  Tensor out(n, zcols);
   // Per head: softmax(LeakyReLU(s_src + t_dst)) over each node's
-  // in-messages, then attention-weighted sum of the transformed source
-  // states.
-  for (std::int64_t h = 0; h < heads_; ++h) {
-    Tensor logits(num_msgs, 1);
-    for (std::int64_t e = 0; e < num_msgs; ++e) {
-      const float raw =
-          messages.At(e, zcols + h) +
-          t.At(gathered.dst_index[static_cast<std::size_t>(e)], h);
-      logits.At(e, 0) = raw > 0.0f ? raw : kAttnSlope * raw;
+  // in-messages, then the attention-weighted sum of the transformed
+  // source states. Each pass walks the messages once and advances every
+  // head; per (node, head) the float ops and their order are exactly
+  // SegmentSoftmax's (running max, exp, double sum, divide) and then
+  // the weighted sum's, so the bytes match a head-at-a-time evaluation.
+  std::vector<float> weight(num_msgs * heads);
+  std::vector<float> seg_max(static_cast<std::size_t>(n) * heads,
+                             -std::numeric_limits<float>::infinity());
+  for (std::size_t e = 0; e < num_msgs; ++e) {
+    const float* src_logit = rows[e] + zcols;
+    const float* pt = t.RowPtr(dst[e]);
+    float* pw = weight.data() + e * heads;
+    float* pmax = seg_max.data() + static_cast<std::size_t>(dst[e]) * heads;
+    for (std::size_t h = 0; h < heads; ++h) {
+      const float raw = src_logit[h] + pt[h];
+      pw[h] = raw > 0.0f ? raw : kAttnSlope * raw;
+      pmax[h] = std::max(pmax[h], pw[h]);
     }
-    const Tensor alpha = SegmentSoftmax(logits, gathered.dst_index, n);
-    for (std::int64_t e = 0; e < num_msgs; ++e) {
-      const std::int64_t v = gathered.dst_index[static_cast<std::size_t>(e)];
-      const float w = alpha.At(e, 0);
-      const float* pm = messages.RowPtr(e) + h * head_dim_;
-      float* po = out.RowPtr(v) + h * head_dim_;
-      for (std::int64_t d = 0; d < head_dim_; ++d) po[d] += w * pm[d];
+  }
+  std::vector<double> seg_sum(static_cast<std::size_t>(n) * heads, 0.0);
+  for (std::size_t e = 0; e < num_msgs; ++e) {
+    const std::size_t v = static_cast<std::size_t>(dst[e]) * heads;
+    float* pw = weight.data() + e * heads;
+    for (std::size_t h = 0; h < heads; ++h) {
+      pw[h] = std::exp(pw[h] - seg_max[v + h]);
+      seg_sum[v + h] += pw[h];
+    }
+  }
+  Tensor out(n, zcols);
+  for (std::size_t e = 0; e < num_msgs; ++e) {
+    const std::size_t v = static_cast<std::size_t>(dst[e]) * heads;
+    const float* pw = weight.data() + e * heads;
+    float* po = out.RowPtr(dst[e]);
+    for (std::size_t h = 0; h < heads; ++h) {
+      const float w = pw[h] / static_cast<float>(seg_sum[v + h]);
+      const float* pm = rows[e] + h * head_dim_;
+      float* poh = po + h * head_dim_;
+      for (std::int64_t d = 0; d < head_dim_; ++d) poh[d] += w * pm[d];
     }
   }
   // Nodes with no in-edges fall back to their own transformed state, so

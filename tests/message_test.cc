@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <optional>
 
 #include "src/common/rng.h"
 #include "src/gas/gas_conv.h"
@@ -275,9 +277,41 @@ TEST(GatherIntoResultTest, UnionKeepsRawRows) {
   Tensor rows = Tensor::FromRows({{1, 2}, {3, 4}});
   const std::vector<std::int64_t> dst = {1, 0};
   const GatherResult r = GatherIntoResult(AggKind::kUnion, rows, dst, 2);
-  EXPECT_TRUE(r.messages.ApproxEquals(rows));
+  ASSERT_EQ(r.rows.size(), 2u);
+  for (std::int64_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(r.rows[static_cast<std::size_t>(i)][0], rows.At(i, 0));
+    EXPECT_EQ(r.rows[static_cast<std::size_t>(i)][1], rows.At(i, 1));
+  }
   EXPECT_EQ(r.dst_index, dst);
   EXPECT_EQ(r.counts, (std::vector<std::int64_t>{1, 1}));
+}
+
+// A union result owns its rows: they read the same bytes after the
+// source tensor is gone, and a copy of the result (which may outlive
+// the original) reads them too.
+TEST(GatherIntoResultTest, UnionRowsOutliveTheSourceAndCopies) {
+  const std::vector<std::vector<float>> values = {{1, 2, 3}, {4, 5, 6}};
+  const std::vector<std::int64_t> dst = {0, 0};
+  std::optional<GatherResult> original;
+  {
+    Tensor source = Tensor::FromRows(values);
+    original = GatherIntoResult(AggKind::kUnion, source, dst, 1);
+    std::fill(source.data(), source.data() + source.size(), -1.0f);
+  }
+  const auto expect_rows = [&](const GatherResult& r) {
+    ASSERT_EQ(r.rows.size(), values.size());
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      EXPECT_EQ(std::vector<float>(r.rows[i], r.rows[i] + 3), values[i]);
+    }
+  };
+  expect_rows(*original);
+  GatherResult copy = *original;
+  original.reset();
+  expect_rows(copy);
+  GatherResult assigned;
+  assigned = copy;
+  copy = GatherResult();
+  expect_rows(assigned);
 }
 
 TEST(GatherIntoResultTest, IsolatedNodesReadNeutralZero) {

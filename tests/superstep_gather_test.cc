@@ -1,6 +1,6 @@
 // Randomized equivalence suite for the kernel-backed superstep data
-// plane: the fast gather (GatherPooledRows, or BucketInbox for union)
-// must be BIT-identical to the retained scalar oracle for every
+// plane: the fast gather (GatherPooledRows, or GatherUnionRows for
+// union) must be BIT-identical to the retained scalar oracle for every
 // aggregator kind, batch mix (dense / partial / id-only broadcast refs
 // / empty), and thread count; PooledAccumulator::AddBatch, AddIndexed
 // and every compiled SlotFold and PtrRowFold variant must be
@@ -132,12 +132,30 @@ RandomInbox MakeInbox(Rng* rng, AggKind kind, std::int64_t msg_dim,
   return inbox;
 }
 
+bool SameBytes(const float* a, const float* b, std::int64_t n) {
+  return std::memcmp(a, b, static_cast<std::size_t>(n) * sizeof(float)) == 0;
+}
+
+bool SameBytes(const Tensor& a, const Tensor& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         SameBytes(a.data(), b.data(), a.size());
+}
+
 void ExpectBitIdentical(const GatherResult& fast, const GatherResult& oracle) {
   EXPECT_EQ(fast.kind, oracle.kind);
   EXPECT_EQ(fast.counts, oracle.counts);
   // Tolerance 0: bit-identity is the contract, not approximation.
   EXPECT_TRUE(fast.pooled.ApproxEquals(oracle.pooled, 0.0f));
-  EXPECT_TRUE(fast.messages.ApproxEquals(oracle.messages, 0.0f));
+  // The fast union receive points at the delivered rows; the oracle
+  // materializes them.
+  ASSERT_EQ(static_cast<std::int64_t>(fast.rows.size()),
+            oracle.messages.rows());
+  for (std::size_t i = 0; i < fast.rows.size(); ++i) {
+    EXPECT_TRUE(SameBytes(fast.rows[i],
+                          oracle.messages.RowPtr(static_cast<std::int64_t>(i)),
+                          oracle.messages.cols()))
+        << "union row " << i;
+  }
   EXPECT_EQ(fast.dst_index, oracle.dst_index);
 }
 
@@ -252,15 +270,6 @@ void SprinkleSpecialValues(Tensor* t, std::int64_t width, Rng* rng) {
       }
     }
   }
-}
-
-bool SameBytes(const float* a, const float* b, std::int64_t n) {
-  return std::memcmp(a, b, static_cast<std::size_t>(n) * sizeof(float)) == 0;
-}
-
-bool SameBytes(const Tensor& a, const Tensor& b) {
-  return a.rows() == b.rows() && a.cols() == b.cols() &&
-         SameBytes(a.data(), b.data(), a.size());
 }
 
 // Every form of the pooled fold against the per-row Add/AddPartial
@@ -456,6 +465,20 @@ TEST(SuperstepGatherTest, DestinationOutsideTheWorkerDies) {
                                       2, BroadcastLookupFn{}),
                  "gather dst index 5 out of \\[0,2\\)");
   }
+}
+
+// The union receive copies nothing, so its range and length checks are
+// all that stands between a bad segment and an out-of-bounds apply.
+TEST(SuperstepGatherTest, UnionRowsCheckSegmentsAndLengths) {
+  const float row[2] = {1.0f, 2.0f};
+  EXPECT_DEATH(GatherUnionRows(2, {0, 2}, {row, row}),
+               "gather dst index 2 out of \\[0,2\\)");
+  EXPECT_DEATH(GatherUnionRows(2, {-1}, {row}),
+               "gather dst index -1 out of \\[0,2\\)");
+  EXPECT_DEATH(GatherUnionRows(2, {0, 1}, {row}),
+               "union gather has 2 segments for 1 rows");
+  EXPECT_DEATH(GatherUnionRows(2, {0}, {row, row}),
+               "union gather has 1 segments for 2 rows");
 }
 
 TEST(SuperstepGatherTest, SegmentExtremaMatchPinnedReference) {
