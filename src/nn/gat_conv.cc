@@ -89,36 +89,37 @@ Tensor GatConv::ApplyNode(const Tensor& node_states,
   // head; per (node, head) the float ops and their order are exactly
   // SegmentSoftmax's (running max, exp, double sum, divide) and then
   // the weighted sum's, so the bytes match a head-at-a-time evaluation.
-  std::vector<float> weight(num_msgs * heads);
+  // score[e*H + h] holds the logit, then its exp.
+  std::vector<float> score(num_msgs * heads);
   std::vector<float> seg_max(static_cast<std::size_t>(n) * heads,
                              -std::numeric_limits<float>::infinity());
   for (std::size_t e = 0; e < num_msgs; ++e) {
     const float* src_logit = rows[e] + zcols;
     const float* pt = t.RowPtr(dst[e]);
-    float* pw = weight.data() + e * heads;
+    float* ps = score.data() + e * heads;
     float* pmax = seg_max.data() + static_cast<std::size_t>(dst[e]) * heads;
     for (std::size_t h = 0; h < heads; ++h) {
       const float raw = src_logit[h] + pt[h];
-      pw[h] = raw > 0.0f ? raw : kAttnSlope * raw;
-      pmax[h] = std::max(pmax[h], pw[h]);
+      ps[h] = raw > 0.0f ? raw : kAttnSlope * raw;
+      pmax[h] = std::max(pmax[h], ps[h]);
     }
   }
   std::vector<double> seg_sum(static_cast<std::size_t>(n) * heads, 0.0);
   for (std::size_t e = 0; e < num_msgs; ++e) {
     const std::size_t v = static_cast<std::size_t>(dst[e]) * heads;
-    float* pw = weight.data() + e * heads;
+    float* ps = score.data() + e * heads;
     for (std::size_t h = 0; h < heads; ++h) {
-      pw[h] = std::exp(pw[h] - seg_max[v + h]);
-      seg_sum[v + h] += pw[h];
+      ps[h] = std::exp(ps[h] - seg_max[v + h]);
+      seg_sum[v + h] += ps[h];
     }
   }
   Tensor out(n, zcols);
   for (std::size_t e = 0; e < num_msgs; ++e) {
     const std::size_t v = static_cast<std::size_t>(dst[e]) * heads;
-    const float* pw = weight.data() + e * heads;
+    const float* ps = score.data() + e * heads;
     float* po = out.RowPtr(dst[e]);
     for (std::size_t h = 0; h < heads; ++h) {
-      const float w = pw[h] / static_cast<float>(seg_sum[v + h]);
+      const float w = ps[h] / static_cast<float>(seg_sum[v + h]);
       const float* pm = rows[e] + h * head_dim_;
       float* poh = po + h * head_dim_;
       for (std::int64_t d = 0; d < head_dim_; ++d) poh[d] += w * pm[d];
