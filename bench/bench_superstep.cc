@@ -242,9 +242,8 @@ void BenchGather(Harness* harness, const Workload& w) {
       });
 }
 
-// Sender-side combine: folding one outgoing batch into a
-// PooledAccumulator and emitting the partial wire batch, AddBatch vs
-// the per-row Add loop.
+// Sender-side combine: folding one outgoing batch into the partial wire
+// batch, CombineBatch vs the per-row PooledAccumulator::Add loop.
 void BenchCombine(Harness* harness, const Workload& w) {
   const double elems = static_cast<double>(w.num_msgs);
   const double flops = elems * static_cast<double>(w.msg_dim);
@@ -258,11 +257,7 @@ void BenchCombine(Harness* harness, const Workload& w) {
         }
         Sink(acc.ToPartialBatch(0).payload);
       },
-      [&] {
-        PooledAccumulator acc(AggKind::kSum, w.msg_dim);
-        acc.AddBatch(w.flat, /*partial=*/false);
-        Sink(acc.ToPartialBatch(0).payload);
-      });
+      [&] { Sink(CombineBatch(AggKind::kSum, w.flat, 0).payload); });
 }
 
 // The whole partial-gather data plane: every sender combines its
@@ -300,15 +295,11 @@ void BenchGatherCombine(Harness* harness, const Workload& w) {
         kernels::ParallelForRanges(
             num_senders, (w.num_msgs / num_senders) * w.msg_dim,
             [&](std::int64_t s0, std::int64_t s1) {
-              // One accumulator per task, Reset per sender — the
-              // engines' allocation-reuse pattern.
-              PooledAccumulator acc(AggKind::kSum, w.msg_dim);
               for (std::int64_t s = s0; s < s1; ++s) {
-                acc.Reset(AggKind::kSum, w.msg_dim);
-                acc.AddBatch(w.batches[static_cast<std::size_t>(s)],
-                             /*partial=*/false);
                 partials[static_cast<std::size_t>(s)] =
-                    acc.ToPartialBatch(static_cast<NodeId>(s));
+                    CombineBatch(AggKind::kSum,
+                                 w.batches[static_cast<std::size_t>(s)],
+                                 static_cast<NodeId>(s));
               }
             });
         Sink(GatherSuperstepInbox(AggKind::kSum, w.msg_dim, partials,

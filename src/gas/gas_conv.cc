@@ -46,7 +46,7 @@ GatherResult GatherPooledRows(AggKind kind, std::int64_t width,
                       : Tensor(num_nodes, width);
 
   const std::int64_t n = static_cast<std::int64_t>(segs.size());
-  kernels::detail::AccountRowFold(n, width, /*indexed=*/true);
+  kernels::detail::AccountRowFold(n, width);
   const kernels::detail::PtrRowFoldFn fold =
       kernels::detail::PtrRowFold(PooledFoldOp(kind));
   float* pooled = result.pooled.data();
@@ -55,7 +55,7 @@ GatherResult GatherPooledRows(AggKind kind, std::int64_t width,
       width, n * width / std::max<std::int64_t>(1, num_nodes));
   kernels::ParallelForRanges(
       num_nodes, work_per_segment, [&](std::int64_t s0, std::int64_t s1) {
-        fold(pooled, width, segs.data(), rows.data(), n, s0, s1);
+        fold(pooled, width, width, segs.data(), rows.data(), n, s0, s1);
         // Finalize the owned range: isolated extremum rows flip their
         // +-inf init to the neutral zero (sum rows already read zero);
         // mean divides by the count.

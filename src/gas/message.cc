@@ -136,19 +136,6 @@ PooledAccumulator::PooledAccumulator(AggKind kind, std::int64_t width)
       << "PooledAccumulator cannot pool a union aggregate";
 }
 
-void PooledAccumulator::Reset(AggKind kind, std::int64_t width) {
-  INFERTURBO_CHECK(kind != AggKind::kUnion)
-      << "PooledAccumulator cannot pool a union aggregate";
-  kind_ = kind;
-  width_ = width;
-  rows_.clear();
-  dst_order_.clear();
-  counts_.clear();
-  index_.clear();
-  // dense_slots_ / slot_scratch_ are per-AddBatch scratch and already
-  // reinitialized on use; keeping them is the point of Reset.
-}
-
 float PooledInitValue(AggKind kind) {
   return (kind == AggKind::kMax) ? -std::numeric_limits<float>::infinity()
          : (kind == AggKind::kMin) ? std::numeric_limits<float>::infinity()
@@ -189,88 +176,10 @@ float* PooledAccumulator::RowFor(NodeId dst, std::int64_t count_delta) {
   return rows_.data() + s * width_;
 }
 
-void PooledAccumulator::AddBatch(const MessageBatch& batch, bool partial) {
-  if (batch.empty()) return;
-  const std::int64_t expected = partial ? width_ + 1 : width_;
-  INFERTURBO_CHECK(batch.payload.cols() == expected)
-      << "AddBatch payload width " << batch.payload.cols() << " vs expected "
-      << expected << (partial ? " (partial)" : "");
-  const std::int64_t n = batch.size();
-
-  // Pass 1 — slot resolution, ids only (the payload stays untouched so
-  // its stream is read exactly once, by the fold kernel). When the
-  // destination id range is modest relative to the batch (hub-heavy
-  // power-law traffic), a dense scratch table turns the per-row hash
-  // probe into one array load — the hash index is consulted only the
-  // first time a destination appears this call. A sparse gigantic id
-  // space skips the table rather than allocate it.
-  NodeId max_dst = 0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    max_dst = std::max(max_dst, batch.dst[static_cast<std::size_t>(i)]);
-  }
-  const bool dense = static_cast<std::int64_t>(max_dst) < 4 * n + 1024;
-  if (dense) {
-    dense_slots_.assign(static_cast<std::size_t>(max_dst) + 1, -1);
-  }
-  slot_scratch_.resize(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) {
-    const NodeId d = batch.dst[static_cast<std::size_t>(i)];
-    std::int64_t s;
-    if (dense) {
-      const std::int32_t cached = dense_slots_[static_cast<std::size_t>(d)];
-      if (cached >= 0) {
-        s = cached;
-      } else {
-        s = SlotFor(d);
-        dense_slots_[static_cast<std::size_t>(d)] =
-            static_cast<std::int32_t>(s);
-      }
-    } else {
-      s = SlotFor(d);
-    }
-    slot_scratch_[static_cast<std::size_t>(i)] = s;
-  }
-
-  // Pass 2 — counts and value folds, one batch kernel call with the
-  // SIMD row fold inlined, in row order: the same per-destination
-  // accumulation order (and first-seen emission order) as the per-row
-  // path. rows_ stopped growing after pass 1, so the base pointer is
-  // stable.
-  kernels::detail::SlotFold(PooledFoldOp(kind_))(
-      rows_.data(), width_, slot_scratch_.data(), counts_.data(),
-      batch.payload.data(), batch.payload.cols(), /*row_index=*/nullptr, n,
-      partial);
-}
-
-void PooledAccumulator::AddIndexed(std::span<const NodeId> dst_order,
-                                   std::span<const std::int64_t> slots,
-                                   const Tensor& messages,
-                                   std::span<const std::int64_t> row_index) {
-  INFERTURBO_CHECK(empty()) << "AddIndexed needs an empty accumulator";
-  INFERTURBO_CHECK(messages.cols() == width_)
-      << "AddIndexed message width " << messages.cols() << " vs " << width_;
-  INFERTURBO_CHECK(slots.size() == row_index.size())
-      << "AddIndexed index length mismatch";
-  const auto num_slots = static_cast<std::int64_t>(dst_order.size());
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    INFERTURBO_CHECK(0 <= slots[i] && slots[i] < num_slots &&
-                     0 <= row_index[i] && row_index[i] < messages.rows())
-        << "AddIndexed entry " << i << " out of range";
-  }
-  dst_order_.assign(dst_order.begin(), dst_order.end());
-  counts_.assign(dst_order_.size(), 0);
-  rows_.assign(dst_order_.size() * static_cast<std::size_t>(width_),
-               PooledInitValue(kind_));
-  kernels::detail::SlotFold(PooledFoldOp(kind_))(
-      rows_.data(), width_, slots.data(), counts_.data(), messages.data(),
-      width_, row_index.data(), static_cast<std::int64_t>(slots.size()),
-      /*partial=*/false);
-}
-
 // PooledAccumulator::Add / ::AddPartial — the retained per-row scalar
 // folds — live in message_scalar.cc, a TU pinned against
-// autovectorization, because they double as the oracle bench_superstep
-// measures the batch path against.
+// autovectorization, because they are the oracle bench_superstep
+// measures CombineBatch against.
 
 MessageBatch PooledAccumulator::ToPartialBatch(NodeId from) const {
   MessageBatch batch;
@@ -305,6 +214,86 @@ PooledAccumulator::Finalized PooledAccumulator::Finalize() const {
     }
   }
   return out;
+}
+
+MessageBatch CombineRows(AggKind kind, std::int64_t width,
+                         std::span<const NodeId> dst_order,
+                         std::span<const std::int64_t> slots,
+                         std::span<const float* const> rows, NodeId from) {
+  INFERTURBO_CHECK(kind != AggKind::kUnion)
+      << "a union aggregate keeps its per-edge rows";
+  INFERTURBO_CHECK(slots.size() == rows.size())
+      << "combine has " << slots.size() << " slots for " << rows.size()
+      << " rows";
+  const auto num_slots = static_cast<std::int64_t>(dst_order.size());
+  std::vector<std::int64_t> counts(dst_order.size(), 0);
+  for (const std::int64_t s : slots) {
+    INFERTURBO_CHECK(0 <= s && s < num_slots)
+        << "combine slot " << s << " out of [0," << num_slots << ")";
+    ++counts[static_cast<std::size_t>(s)];
+  }
+  MessageBatch batch;
+  batch.dst.assign(dst_order.begin(), dst_order.end());
+  batch.src.assign(dst_order.size(), from);
+  // Rows fold straight into the wire payload; its last column is the
+  // count, so the fold strides over it.
+  const std::int64_t stride = width + 1;
+  const float init = PooledInitValue(kind);
+  batch.payload = init == 0.0f ? Tensor(num_slots, stride)
+                               : Tensor::Full(num_slots, stride, init);
+  const auto n = static_cast<std::int64_t>(slots.size());
+  kernels::detail::AccountRowFold(n, width);
+  kernels::detail::PtrRowFold(PooledFoldOp(kind))(
+      batch.payload.data(), width, stride, slots.data(), rows.data(), n, 0,
+      num_slots);
+  for (std::int64_t s = 0; s < num_slots; ++s) {
+    batch.payload.RowPtr(s)[width] =
+        static_cast<float>(counts[static_cast<std::size_t>(s)]);
+  }
+  return batch;
+}
+
+MessageBatch CombineBatch(AggKind kind, const MessageBatch& batch,
+                          NodeId from) {
+  const std::int64_t n = batch.size();
+  INFERTURBO_CHECK(batch.payload.rows() == n)
+      << "combine batch has " << n << " ids for " << batch.payload.rows()
+      << " payload rows";
+  // Slot resolution reads ids only, so the payload stream is read
+  // exactly once, by the fold. When the destination id range is modest
+  // relative to the batch (hub-heavy power-law traffic) a dense table
+  // turns the per-row hash probe into one array load; a sparse gigantic
+  // id space skips the table rather than allocate it.
+  NodeId min_dst = 0;
+  NodeId max_dst = 0;
+  for (const NodeId d : batch.dst) {
+    min_dst = std::min(min_dst, d);
+    max_dst = std::max(max_dst, d);
+  }
+  const bool dense = min_dst >= 0 && max_dst < 4 * n + 1024;
+  std::vector<std::int32_t> dense_slots(
+      dense ? static_cast<std::size_t>(max_dst) + 1 : 0, -1);
+  std::unordered_map<NodeId, std::int64_t> sparse_slots;
+  std::vector<NodeId> dst_order;
+  std::vector<std::int64_t> slots(static_cast<std::size_t>(n));
+  std::vector<const float*> rows(static_cast<std::size_t>(n));
+  for (std::int64_t i = 0; i < n; ++i) {
+    const NodeId d = batch.dst[static_cast<std::size_t>(i)];
+    const auto next = static_cast<std::int64_t>(dst_order.size());
+    std::int64_t s;
+    if (dense) {
+      std::int32_t& cached = dense_slots[static_cast<std::size_t>(d)];
+      if (cached < 0) cached = static_cast<std::int32_t>(next);
+      s = cached;
+    } else {
+      s = sparse_slots.try_emplace(d, next).first->second;
+    }
+    if (s == next) dst_order.push_back(d);
+    slots[static_cast<std::size_t>(i)] = s;
+    rows[static_cast<std::size_t>(i)] = batch.payload.RowPtr(i);
+  }
+  return CombineRows(kind, batch.payload.cols(), dst_order, slots, rows,
+                     from);
 }
 
 }  // namespace inferturbo

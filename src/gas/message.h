@@ -79,11 +79,39 @@ float PooledInitValue(AggKind kind);
 /// divides at finalize.
 kernels::detail::FoldOp PooledFoldOp(AggKind kind);
 
-/// Accumulates pooled (sum/mean/max/min) aggregates keyed by
-/// destination node, supporting both receiver-side gather and
-/// sender-side combining (partial-gather). Mean is carried as
-/// (sum, count) so partial combines stay exact — the commutative/
-/// associative contract the paper's aggregate stage requires.
+/// The sender-side partial gather over row pointers — the combiner the
+/// paper's aggregate stage runs before the shuffle, and the mirror of
+/// GatherPooledRows. Folds rows[i] into slot slots[i], in ascending i,
+/// where slot s is destination dst_order[s], straight into the wire
+/// payload: one message per slot, the aggregate row with the folded
+/// message count appended as a last column (so downstream merges stay
+/// exact), `src` = `from`. Mean is carried as a running sum. Nothing is
+/// hashed and no message row is copied; rows may repeat and come in any
+/// order. The same bytes as per-row PooledAccumulator::Add followed by
+/// ToPartialBatch(from) when dst_order lists distinct destinations in
+/// the order their slots first appear. Dies on a slot outside
+/// [0, dst_order.size()) or when slots and rows differ in length.
+MessageBatch CombineRows(AggKind kind, std::int64_t width,
+                         std::span<const NodeId> dst_order,
+                         std::span<const std::int64_t> slots,
+                         std::span<const float* const> rows, NodeId from);
+
+/// CombineRows over a batch of raw message rows: destinations take
+/// slots in first-seen order, so the result is the same bytes as
+/// per-row Add followed by ToPartialBatch(from). When the batch's
+/// destination id range is modest relative to its size (the power-law
+/// common case) slots resolve through a dense table — one array load
+/// per row; a sparse id space resolves through a hash map instead.
+MessageBatch CombineBatch(AggKind kind, const MessageBatch& batch,
+                          NodeId from);
+
+/// The retained per-row scalar combine: accumulates pooled
+/// (sum/mean/max/min) aggregates keyed by destination node, one hash
+/// probe and one scalar fold loop per message. It is the oracle that
+/// the combine tests and bench_superstep hold CombineRows/CombineBatch
+/// to; the engines combine through those. Mean is carried as (sum,
+/// count) so partial combines stay exact — the commutative/associative
+/// contract the paper's aggregate stage requires.
 class PooledAccumulator {
  public:
   PooledAccumulator(AggKind kind, std::int64_t width);
@@ -93,39 +121,11 @@ class PooledAccumulator {
   PooledAccumulator(PooledAccumulator&&) = default;
   PooledAccumulator& operator=(PooledAccumulator&&) = default;
 
-  /// Clears all accumulated state and rebinds the aggregate kind and
-  /// row width, keeping every allocation (rows, index, scratch tables)
-  /// for reuse. Engines hold one accumulator per worker across
-  /// supersteps and Reset it per destination partition instead of
-  /// constructing a fresh one in the hot loop.
-  void Reset(AggKind kind, std::int64_t width);
-
   /// Folds one message row for `dst` (count 1).
   void Add(NodeId dst, const float* row);
   /// Folds a partial aggregate row for `dst` carrying `count` original
   /// messages.
   void AddPartial(NodeId dst, const float* row, std::int64_t count);
-  /// Folds a whole batch in row order — bit-identical to calling Add
-  /// (or AddPartial, when `partial` and the payload carries a trailing
-  /// count column) per row, including first-seen destination order.
-  /// When the batch's destination id range is modest relative to its
-  /// size (the power-law common case) slot resolution runs through a
-  /// dense scratch table — one array load per row, a hash probe only on
-  /// first sight of each destination — and the value fold runs through
-  /// the indexed SIMD fold kernel instead of a scalar loop per message.
-  void AddBatch(const MessageBatch& batch, bool partial);
-
-  /// Folds messages row row_index[i] into slot slots[i], in ascending
-  /// i, where slot s is destination dst_order[s]: bit-identical to
-  /// calling Add(dst_order[slots[i]], messages.RowPtr(row_index[i])) per
-  /// i when dst_order lists distinct destinations in the order their
-  /// slots first appear. For callers that resolve slots themselves:
-  /// nothing is hashed and no message row is copied. The accumulator
-  /// must be empty. AddIndexed leaves the hash index empty, so Add,
-  /// AddPartial and AddBatch are unsupported after it until Reset.
-  void AddIndexed(std::span<const NodeId> dst_order,
-                  std::span<const std::int64_t> slots, const Tensor& messages,
-                  std::span<const std::int64_t> row_index);
 
   /// Emits one message per destination: payload = aggregate row with
   /// the count appended as a final column so downstream merges stay
@@ -141,12 +141,6 @@ class PooledAccumulator {
   };
   Finalized Finalize() const;
 
-  std::int64_t width() const { return width_; }
-  bool empty() const { return dst_order_.empty(); }
-  std::int64_t num_destinations() const {
-    return static_cast<std::int64_t>(dst_order_.size());
-  }
-
  private:
   /// Slot of `dst` in rows_/dst_order_/counts_, inserting (and
   /// extending storage by one initialized row) on first sight.
@@ -160,12 +154,6 @@ class PooledAccumulator {
   std::vector<NodeId> dst_order_;
   std::vector<std::int64_t> counts_;
   std::unordered_map<NodeId, std::int64_t> index_;
-  /// AddBatch scratch: dst id -> slot (-1 unseen this call), kept as a
-  /// member so repeated batches reuse the allocation.
-  std::vector<std::int32_t> dense_slots_;
-  /// AddBatch scratch: per-row resolved slots, handed to the batch fold
-  /// kernel so the payload stream is read exactly once.
-  std::vector<std::int64_t> slot_scratch_;
 };
 
 }  // namespace inferturbo

@@ -1,12 +1,12 @@
 // The retained per-row scalar combine: PooledAccumulator::Add and
 // ::AddPartial, one hash-resolved destination row and one scalar fold
-// loop per message. AddBatch is bit-identical to calling these per row
-// — the randomized equivalence suite holds it to that — and
-// bench_superstep reports the batch path's speedup against this one,
-// so like the other scalar oracles (kernels/reference.cc,
-// superstep_gather_scalar.cc) this TU is compiled with
-// autovectorization disabled: the baseline means the same thing at
-// every optimization level.
+// loop per message. CombineRows and CombineBatch are bit-identical to
+// calling these per row and then ToPartialBatch — the randomized
+// equivalence suite holds them to that — and bench_superstep reports
+// CombineBatch's speedup against this one, so like the other scalar
+// oracles (kernels/reference.cc, superstep_gather_scalar.cc) this TU is
+// compiled with autovectorization disabled: the baseline means the same
+// thing at every optimization level.
 #include <algorithm>
 
 #include "src/common/logging.h"

@@ -32,11 +32,11 @@ Status GetTensor(BinaryReader* in, Tensor* t) {
   std::int64_t rows = 0, cols = 0;
   INFERTURBO_RETURN_NOT_OK(in->GetI64(&rows));
   INFERTURBO_RETURN_NOT_OK(in->GetI64(&cols));
+  // Division bounds the payload without a product that could wrap.
   if (rows < 0 || cols < 0 ||
-      (rows > 0 && cols > 0 &&
-       static_cast<std::uint64_t>(rows) * static_cast<std::uint64_t>(cols) *
-               sizeof(float) >
-           in->remaining())) {
+      (cols > 0 && static_cast<std::uint64_t>(rows) >
+                       in->remaining() / sizeof(float) /
+                           static_cast<std::uint64_t>(cols))) {
     return Status::IoError("corrupt tensor shape in checkpoint: " +
                            std::to_string(rows) + "x" + std::to_string(cols));
   }
@@ -55,13 +55,13 @@ struct WorkerState {
 };
 
 /// Sender-side partial gather for one scatter. Edges arrive in (node,
-/// edge) order, each carrying message row r to node d; Send folds each
-/// destination worker's edges into one accumulator through the indexed
-/// fold, reading message rows in place, and sends one partial batch
-/// per worker. A slot is resolved without hashing, from d's worker and
-/// local index through a dense table for that worker, so first-seen
-/// destination order — and the partial batches' wire bytes — match
-/// per-edge Add calls.
+/// edge) order, each carrying a message row to node d; Send combines
+/// each destination worker's edges with one CombineRows call, which
+/// reads the rows in place and folds them straight into the partial
+/// batch it sends. A slot is resolved without hashing, from d's worker
+/// and local index through a dense table for that worker, so
+/// first-seen destination order — and the partial batches' wire bytes
+/// — match per-edge Add calls.
 class PartialScatter {
  public:
   explicit PartialScatter(const PartitionAssignment& assignment)
@@ -75,7 +75,7 @@ class PartialScatter {
     }
   }
 
-  void Add(NodeId d, std::int64_t r) {
+  void Add(NodeId d, const float* row) {
     Bucket& b = buckets_[static_cast<std::size_t>(
         assignment_.partition_of[static_cast<std::size_t>(d)])];
     std::int32_t& slot = b.slot_of[static_cast<std::size_t>(
@@ -85,17 +85,16 @@ class PartialScatter {
       b.dst.push_back(d);
     }
     b.slot.push_back(slot);
-    b.row.push_back(r);
+    b.row.push_back(row);
   }
 
-  /// Sends the scatter's partial batches; call once, after every Add.
-  void Send(PregelContext* ctx, AggKind kind, const Tensor& messages) const {
-    PooledAccumulator acc(kind, messages.cols());
+  /// Sends the scatter's partial batches of `width`-float rows; call
+  /// once, after every Add.
+  void Send(PregelContext* ctx, AggKind kind, std::int64_t width) const {
     for (const Bucket& b : buckets_) {
       if (b.dst.empty()) continue;
-      acc.Reset(kind, messages.cols());
-      acc.AddIndexed(b.dst, b.slot, messages, b.row);
-      ctx->SendPartialBatch(acc.ToPartialBatch(ctx->worker_id()));
+      ctx->SendPartialBatch(
+          CombineRows(kind, width, b.dst, b.slot, b.row, ctx->worker_id()));
     }
   }
 
@@ -107,7 +106,7 @@ class PartialScatter {
     std::vector<std::int32_t> slot_of;
     std::vector<NodeId> dst;
     std::vector<std::int64_t> slot;
-    std::vector<std::int64_t> row;
+    std::vector<const float*> row;
   };
 
   const PartitionAssignment& assignment_;
@@ -374,7 +373,7 @@ class PregelInferenceDriver {
       }
       if (use_partial) {
         for (EdgeId e : graph_.OutEdges(v)) {
-          partial->Add(graph_.EdgeDst(e), static_cast<std::int64_t>(i));
+          partial->Add(graph_.EdgeDst(e), row);
         }
       } else {
         for (EdgeId e : graph_.OutEdges(v)) {
@@ -392,7 +391,7 @@ class PregelInferenceDriver {
       if (!b.empty()) ctx->SendBatch(std::move(b));
     }
     if (!refs.dst.empty()) ctx->SendBatch(std::move(refs));
-    if (use_partial) partial->Send(ctx, sig.agg_kind, messages);
+    if (use_partial) partial->Send(ctx, sig.agg_kind, messages.cols());
   }
 
   /// Scatter for layers whose apply_edge consumes edge features: the
@@ -430,9 +429,9 @@ class PregelInferenceDriver {
       // Edge k carries its own row k of final_rows.
       PartialScatter partial(assignment_);
       for (std::int64_t k = 0; k < total; ++k) {
-        partial.Add(dst[static_cast<std::size_t>(k)], k);
+        partial.Add(dst[static_cast<std::size_t>(k)], final_rows.RowPtr(k));
       }
-      partial.Send(ctx, layer.signature().agg_kind, final_rows);
+      partial.Send(ctx, layer.signature().agg_kind, final_rows.cols());
       return;
     }
     MessageBatch batch;

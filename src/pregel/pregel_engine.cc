@@ -88,10 +88,16 @@ Status DecodeBatch(BinaryReader* in, MessageBatch* batch) {
   std::int64_t rows = 0, cols = 0;
   INFERTURBO_RETURN_NOT_OK(in->GetI64(&rows));
   INFERTURBO_RETURN_NOT_OK(in->GetI64(&cols));
+  // Division bounds the payload without a product that could wrap. A
+  // payload row per message, except that an id-only batch (zero width)
+  // may also carry no rows at all.
+  const auto messages = static_cast<std::int64_t>(batch->dst.size());
   if (rows < 0 || cols < 0 ||
-      static_cast<std::uint64_t>(rows) * static_cast<std::uint64_t>(cols) *
-              sizeof(float) >
-          in->remaining()) {
+      (cols > 0 && static_cast<std::uint64_t>(rows) >
+                       in->remaining() / sizeof(float) /
+                           static_cast<std::uint64_t>(cols)) ||
+      batch->src.size() != batch->dst.size() ||
+      !(rows == messages || (cols == 0 && rows == 0))) {
     return Status::IoError("corrupt message batch shape in checkpoint");
   }
   batch->payload = Tensor(rows, cols);

@@ -436,37 +436,8 @@ void ScatterAddRows(Tensor* acc, std::span<const std::int64_t> indices,
     INFERTURBO_CHECK(0 <= idx && idx < acc->rows())
         << "ScatterAddRows index " << idx << " out of " << acc->rows();
   }
-  const std::int64_t num_rows = static_cast<std::int64_t>(indices.size());
-  const std::int64_t cols = rows.cols();
-  const std::int64_t acc_rows = acc->rows();
-  if (num_rows == 0 || cols == 0) return;
-  float* pa = acc->data();
-  const float* pr = rows.data();
-  const std::int64_t* pid = indices.data();
-  const std::int64_t work_per_acc_row =
-      num_rows * cols / std::max<std::int64_t>(1, acc_rows);
-  const int tasks = PlanParallelTasks(acc_rows, work_per_acc_row);
-  const detail::RowFoldFn add = detail::RowAdd();
-  if (tasks <= 1) {
-    for (std::int64_t i = 0; i < num_rows; ++i) {
-      add(pa + pid[i] * cols, pr + i * cols, cols);
-    }
-    return;
-  }
-  // Destination-range ownership with pre-bucketed rows: each task adds
-  // only its own destinations' rows, in input order, so accumulation
-  // per destination row matches the serial order at any task count.
-  const OwnerBuckets buckets = BucketRowsByOwner(pid, num_rows, acc_rows, tasks);
-  ParallelForChunksFixed(acc_rows, tasks, [&](const RangeChunk& chunk) {
-    const std::int64_t lo =
-        buckets.offsets[static_cast<std::size_t>(chunk.task)];
-    const std::int64_t hi =
-        buckets.offsets[static_cast<std::size_t>(chunk.task) + 1];
-    for (std::int64_t p = lo; p < hi; ++p) {
-      const std::int64_t i = buckets.rows[static_cast<std::size_t>(p)];
-      add(pa + pid[i] * cols, pr + i * cols, cols);
-    }
-  });
+  if (indices.empty() || rows.cols() == 0) return;
+  SegmentFoldInto(acc, rows, indices, acc->rows(), detail::RowAdd());
 }
 
 }  // namespace kernels

@@ -74,44 +74,13 @@ struct MinFold {
   }
 };
 
-// One loop per (partial, indexed) case, so neither test runs per row.
-template <typename Fold, bool kPartial, bool kIndexed>
-void SlotFoldRows(float* rows, std::int64_t width, const std::int64_t* slots,
-                  std::int64_t* counts, const float* payload,
-                  std::int64_t stride, const std::int64_t* row_index,
-                  std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float* row = payload + (kIndexed ? row_index[i] : i) * stride;
-    const std::int64_t s = slots[i];
-    counts[s] += kPartial ? static_cast<std::int64_t>(row[width]) : 1;
-    Fold::Apply(rows + s * width, row, width);
-  }
-}
-
 template <typename Fold>
-void SlotFoldImpl(float* rows, std::int64_t width, const std::int64_t* slots,
-                  std::int64_t* counts, const float* payload,
-                  std::int64_t stride, const std::int64_t* row_index,
-                  std::int64_t n, bool partial) {
-  AccountRowFold(n, width, row_index != nullptr);
-  if (row_index == nullptr) {
-    (partial ? SlotFoldRows<Fold, true, false>
-             : SlotFoldRows<Fold, false, false>)(rows, width, slots, counts,
-                                                 payload, stride, row_index, n);
-  } else {
-    (partial ? SlotFoldRows<Fold, true, true>
-             : SlotFoldRows<Fold, false, true>)(rows, width, slots, counts,
-                                                payload, stride, row_index, n);
-  }
-}
-
-template <typename Fold>
-void PtrRowFoldImpl(float* out, std::int64_t width, const std::int64_t* segs,
-                    const float* const* rows, std::int64_t n, std::int64_t s0,
-                    std::int64_t s1) {
+void PtrRowFoldImpl(float* out, std::int64_t width, std::int64_t out_stride,
+                    const std::int64_t* segs, const float* const* rows,
+                    std::int64_t n, std::int64_t s0, std::int64_t s1) {
   for (std::int64_t i = 0; i < n; ++i) {
     const std::int64_t s = segs[i];
-    if (s >= s0 && s < s1) Fold::Apply(out + s * width, rows[i], width);
+    if (s >= s0 && s < s1) Fold::Apply(out + s * out_stride, rows[i], width);
   }
 }
 
@@ -132,45 +101,23 @@ void RowMinAvx2(float* __restrict__ acc, const float* __restrict__ row,
   MinFold::Apply(acc, row, n);
 }
 
-void SlotFoldAddAvx2(float* rows, std::int64_t width,
-                     const std::int64_t* slots, std::int64_t* counts,
-                     const float* payload, std::int64_t stride,
-                     const std::int64_t* row_index, std::int64_t n,
-                     bool partial) {
-  SlotFoldImpl<AddFold>(rows, width, slots, counts, payload, stride, row_index,
-                        n, partial);
-}
-void SlotFoldMaxAvx2(float* rows, std::int64_t width,
-                     const std::int64_t* slots, std::int64_t* counts,
-                     const float* payload, std::int64_t stride,
-                     const std::int64_t* row_index, std::int64_t n,
-                     bool partial) {
-  SlotFoldImpl<MaxFold>(rows, width, slots, counts, payload, stride, row_index,
-                        n, partial);
-}
-void SlotFoldMinAvx2(float* rows, std::int64_t width,
-                     const std::int64_t* slots, std::int64_t* counts,
-                     const float* payload, std::int64_t stride,
-                     const std::int64_t* row_index, std::int64_t n,
-                     bool partial) {
-  SlotFoldImpl<MinFold>(rows, width, slots, counts, payload, stride, row_index,
-                        n, partial);
-}
-
 void PtrRowFoldAddAvx2(float* out, std::int64_t width,
-                       const std::int64_t* segs, const float* const* rows,
-                       std::int64_t n, std::int64_t s0, std::int64_t s1) {
-  PtrRowFoldImpl<AddFold>(out, width, segs, rows, n, s0, s1);
+                       std::int64_t out_stride, const std::int64_t* segs,
+                       const float* const* rows, std::int64_t n,
+                       std::int64_t s0, std::int64_t s1) {
+  PtrRowFoldImpl<AddFold>(out, width, out_stride, segs, rows, n, s0, s1);
 }
 void PtrRowFoldMaxAvx2(float* out, std::int64_t width,
-                       const std::int64_t* segs, const float* const* rows,
-                       std::int64_t n, std::int64_t s0, std::int64_t s1) {
-  PtrRowFoldImpl<MaxFold>(out, width, segs, rows, n, s0, s1);
+                       std::int64_t out_stride, const std::int64_t* segs,
+                       const float* const* rows, std::int64_t n,
+                       std::int64_t s0, std::int64_t s1) {
+  PtrRowFoldImpl<MaxFold>(out, width, out_stride, segs, rows, n, s0, s1);
 }
 void PtrRowFoldMinAvx2(float* out, std::int64_t width,
-                       const std::int64_t* segs, const float* const* rows,
-                       std::int64_t n, std::int64_t s0, std::int64_t s1) {
-  PtrRowFoldImpl<MinFold>(out, width, segs, rows, n, s0, s1);
+                       std::int64_t out_stride, const std::int64_t* segs,
+                       const float* const* rows, std::int64_t n,
+                       std::int64_t s0, std::int64_t s1) {
+  PtrRowFoldImpl<MinFold>(out, width, out_stride, segs, rows, n, s0, s1);
 }
 
 #else  // !defined(__AVX2__)
@@ -185,45 +132,23 @@ void RowMinAvx2(float* acc, const float* row, std::int64_t n) {
   RowMinPortable(acc, row, n);
 }
 
-void SlotFoldAddAvx2(float* rows, std::int64_t width,
-                     const std::int64_t* slots, std::int64_t* counts,
-                     const float* payload, std::int64_t stride,
-                     const std::int64_t* row_index, std::int64_t n,
-                     bool partial) {
-  SlotFoldAddPortable(rows, width, slots, counts, payload, stride, row_index,
-                      n, partial);
-}
-void SlotFoldMaxAvx2(float* rows, std::int64_t width,
-                     const std::int64_t* slots, std::int64_t* counts,
-                     const float* payload, std::int64_t stride,
-                     const std::int64_t* row_index, std::int64_t n,
-                     bool partial) {
-  SlotFoldMaxPortable(rows, width, slots, counts, payload, stride, row_index,
-                      n, partial);
-}
-void SlotFoldMinAvx2(float* rows, std::int64_t width,
-                     const std::int64_t* slots, std::int64_t* counts,
-                     const float* payload, std::int64_t stride,
-                     const std::int64_t* row_index, std::int64_t n,
-                     bool partial) {
-  SlotFoldMinPortable(rows, width, slots, counts, payload, stride, row_index,
-                      n, partial);
-}
-
 void PtrRowFoldAddAvx2(float* out, std::int64_t width,
-                       const std::int64_t* segs, const float* const* rows,
-                       std::int64_t n, std::int64_t s0, std::int64_t s1) {
-  PtrRowFoldAddPortable(out, width, segs, rows, n, s0, s1);
+                       std::int64_t out_stride, const std::int64_t* segs,
+                       const float* const* rows, std::int64_t n,
+                       std::int64_t s0, std::int64_t s1) {
+  PtrRowFoldAddPortable(out, width, out_stride, segs, rows, n, s0, s1);
 }
 void PtrRowFoldMaxAvx2(float* out, std::int64_t width,
-                       const std::int64_t* segs, const float* const* rows,
-                       std::int64_t n, std::int64_t s0, std::int64_t s1) {
-  PtrRowFoldMaxPortable(out, width, segs, rows, n, s0, s1);
+                       std::int64_t out_stride, const std::int64_t* segs,
+                       const float* const* rows, std::int64_t n,
+                       std::int64_t s0, std::int64_t s1) {
+  PtrRowFoldMaxPortable(out, width, out_stride, segs, rows, n, s0, s1);
 }
 void PtrRowFoldMinAvx2(float* out, std::int64_t width,
-                       const std::int64_t* segs, const float* const* rows,
-                       std::int64_t n, std::int64_t s0, std::int64_t s1) {
-  PtrRowFoldMinPortable(out, width, segs, rows, n, s0, s1);
+                       std::int64_t out_stride, const std::int64_t* segs,
+                       const float* const* rows, std::int64_t n,
+                       std::int64_t s0, std::int64_t s1) {
+  PtrRowFoldMinPortable(out, width, out_stride, segs, rows, n, s0, s1);
 }
 
 #endif  // defined(__AVX2__)

@@ -10,7 +10,10 @@
 #include <cmath>
 #include <mutex>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
+#include "src/common/binary_io.h"
 #include "src/common/crc32.h"
 #include "src/common/thread_pool.h"
 #include "src/graph/datasets.h"
@@ -374,6 +377,63 @@ TEST(PregelGoldenTest, InferenceLogitsArePinned) {
                 c.crc);
     }
   }
+}
+
+// One-worker engine checkpoint frame holding a single message batch
+// with the given ids and payload header, followed by `payload_floats`
+// payload floats and an empty broadcast board.
+std::string EngineStateFrame(const std::vector<NodeId>& dst,
+                             const std::vector<NodeId>& src,
+                             std::int64_t rows, std::int64_t cols,
+                             std::size_t payload_floats) {
+  BinaryWriter out;
+  out.PutU64(1);  // workers
+  out.PutU64(1);  // batches
+  out.PutU32(0);  // not partial
+  out.PutI64s(dst);
+  out.PutI64s(src);
+  out.PutI64(rows);
+  out.PutI64(cols);
+  for (std::size_t i = 0; i < payload_floats; ++i) out.PutFloat(1.0f);
+  out.PutU64(0);  // board entries
+  return out.Take();
+}
+
+Status DecodeOneWorker(const std::string& frame) {
+  std::vector<std::vector<MessageBatch>> inboxes;
+  std::vector<std::vector<bool>> partial;
+  std::unordered_map<NodeId, std::vector<float>> board;
+  return DecodePregelEngineState(frame, 1, &inboxes, &partial, &board);
+}
+
+// A payload shape whose byte count wraps a uint64 (2^62 rows x 4 cols
+// x 4 bytes) must not pass the bound with no payload bytes behind it.
+TEST(PregelEngineStateTest, WrappingPayloadShapeIsRejected) {
+  const std::int64_t rows = std::int64_t{1} << 62;
+  EXPECT_FALSE(DecodeOneWorker(EngineStateFrame({}, {}, rows, 4, 0)).ok());
+  EXPECT_FALSE(DecodeOneWorker(EngineStateFrame({0}, {0}, rows, 4, 0)).ok());
+}
+
+// Every message has one src and, unless the batch is id-only, one
+// payload row.
+TEST(PregelEngineStateTest, BatchWhoseLengthsDisagreeIsRejected) {
+  // 3 dst, 1 src, 1 payload row.
+  EXPECT_FALSE(DecodeOneWorker(EngineStateFrame({0, 1, 2}, {5}, 1, 2, 2)).ok());
+  // 2 messages, 1 payload row.
+  EXPECT_FALSE(DecodeOneWorker(EngineStateFrame({0, 1}, {5, 5}, 1, 2, 2)).ok());
+  // 1 message, 2 payload rows.
+  EXPECT_FALSE(DecodeOneWorker(EngineStateFrame({0}, {5}, 2, 2, 4)).ok());
+  // An id-only batch with a row count that is neither 0 nor its size.
+  EXPECT_FALSE(DecodeOneWorker(EngineStateFrame({0, 1}, {5, 5}, 1, 0, 0)).ok());
+}
+
+// The shapes the engine itself writes still decode: a dense batch, and
+// an id-only batch with either no payload rows or one per message.
+TEST(PregelEngineStateTest, WellFormedBatchesDecode) {
+  EXPECT_TRUE(DecodeOneWorker(EngineStateFrame({0, 1}, {5, 5}, 2, 2, 4)).ok());
+  EXPECT_TRUE(DecodeOneWorker(EngineStateFrame({0, 1}, {5, 5}, 0, 0, 0)).ok());
+  EXPECT_TRUE(DecodeOneWorker(EngineStateFrame({0, 1}, {5, 5}, 2, 0, 0)).ok());
+  EXPECT_TRUE(DecodeOneWorker(EngineStateFrame({}, {}, 0, 3, 0)).ok());
 }
 
 }  // namespace

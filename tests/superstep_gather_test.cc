@@ -2,11 +2,11 @@
 // plane: the fast gather (GatherPooledRows, or GatherUnionRows for
 // union) must be BIT-identical to the retained scalar oracle for every
 // aggregator kind, batch mix (dense / partial / id-only broadcast refs
-// / empty), and thread count; PooledAccumulator::AddBatch, AddIndexed
-// and every compiled SlotFold and PtrRowFold variant must be
-// bit-identical to the per-row Add/AddPartial fold including emission
-// order; and the SegmentMax/SegmentMin kernels must match their pinned
-// scalar references exactly.
+// / empty), and thread count; CombineBatch, CombineRows and every
+// compiled PtrRowFold variant must be bit-identical to the per-row
+// PooledAccumulator::Add fold including emission order; and the
+// SegmentMax/SegmentMin kernels must match their pinned scalar
+// references exactly.
 #include "src/gas/superstep_gather.h"
 
 #include <gtest/gtest.h>
@@ -272,27 +272,21 @@ void SprinkleSpecialValues(Tensor* t, std::int64_t width, Rng* rng) {
   }
 }
 
-// Every form of the pooled fold against the per-row Add/AddPartial
-// oracle, bit for bit: AddBatch (the contiguous fold), AddIndexed,
-// each compiled SlotFold variant called directly, both on the
-// materialized batch (identity rows) and on the message table through
-// repeated, unsorted row indices, and each compiled PtrRowFold variant
-// over pointers to those rows.
-TEST(SuperstepGatherTest, AddBatchMatchesPerRowFoldAndEmissionOrder) {
+// The one combine against the per-row Add + ToPartialBatch oracle, bit
+// for bit, including first-seen emission order: CombineBatch over the
+// materialized batch (through its dense slot table, and through its
+// hash map when destination ids are sparse) and CombineRows over
+// repeated, unsorted pointers into the message table. Each compiled
+// PtrRowFold variant is held to the oracle's rows at out_stride =
+// width, in two segment ranges as two receive tasks would fold, and at
+// width + 1, the combine's wire stride, where it must leave the count
+// column alone.
+TEST(SuperstepGatherTest, CombineMatchesPerRowFoldAndEmissionOrder) {
   Rng rng(909);
   for (const AggKind kind :
        {AggKind::kSum, AggKind::kMean, AggKind::kMax, AggKind::kMin}) {
-    const kernels::detail::FoldOp op =
-        kind == AggKind::kMax   ? kernels::detail::FoldOp::kMax
-        : kind == AggKind::kMin ? kernels::detail::FoldOp::kMin
-                                : kernels::detail::FoldOp::kAdd;
-    std::vector<kernels::detail::SlotFoldFn> variants = {
-        op == kernels::detail::FoldOp::kMax
-            ? kernels::detail::SlotFoldMaxPortable
-        : op == kernels::detail::FoldOp::kMin
-            ? kernels::detail::SlotFoldMinPortable
-            : kernels::detail::SlotFoldAddPortable};
-    std::vector<kernels::detail::PtrRowFoldFn> ptr_variants = {
+    const kernels::detail::FoldOp op = PooledFoldOp(kind);
+    std::vector<kernels::detail::PtrRowFoldFn> variants = {
         op == kernels::detail::FoldOp::kMax
             ? kernels::detail::PtrRowFoldMaxPortable
         : op == kernels::detail::FoldOp::kMin
@@ -300,150 +294,112 @@ TEST(SuperstepGatherTest, AddBatchMatchesPerRowFoldAndEmissionOrder) {
             : kernels::detail::PtrRowFoldAddPortable};
     if (kernels::detail::Avx2KernelsAvailable()) {
       variants.push_back(op == kernels::detail::FoldOp::kMax
-                             ? kernels::detail::SlotFoldMaxAvx2
+                             ? kernels::detail::PtrRowFoldMaxAvx2
                          : op == kernels::detail::FoldOp::kMin
-                             ? kernels::detail::SlotFoldMinAvx2
-                             : kernels::detail::SlotFoldAddAvx2);
-      ptr_variants.push_back(op == kernels::detail::FoldOp::kMax
-                                 ? kernels::detail::PtrRowFoldMaxAvx2
-                             : op == kernels::detail::FoldOp::kMin
-                                 ? kernels::detail::PtrRowFoldMinAvx2
-                                 : kernels::detail::PtrRowFoldAddAvx2);
+                             ? kernels::detail::PtrRowFoldMinAvx2
+                             : kernels::detail::PtrRowFoldAddAvx2);
     }
-    for (const bool partial : {false, true}) {
+    for (const bool sparse : {false, true}) {
       for (const std::int64_t width : {1, 7, 8, 9, 65}) {
         SCOPED_TRACE(testing::Message()
-                     << "kind " << static_cast<int>(kind) << " partial "
-                     << partial << " width " << width);
-        // The message table the indexed fold reads in place. Partial
-        // rows come from a real sender so their count columns are
-        // authentic.
-        Tensor messages;
-        if (partial) {
-          PooledAccumulator sender(kind, width);
-          Tensor rows = Tensor::RandomNormal(150, width, 2.0f, &rng);
-          SprinkleSpecialValues(&rows, width, &rng);
-          for (std::int64_t i = 0; i < rows.rows(); ++i) {
-            sender.Add(static_cast<NodeId>(rng.NextBounded(40)),
-                       rows.RowPtr(i));
-          }
-          messages = sender.ToPartialBatch(/*from=*/3).payload;
-        } else {
-          messages = Tensor::RandomNormal(60, width, 2.0f, &rng);
-          SprinkleSpecialValues(&messages, width, &rng);
-        }
+                     << "kind " << static_cast<int>(kind) << " sparse "
+                     << sparse << " width " << width);
+        Tensor messages = Tensor::RandomNormal(60, width, 2.0f, &rng);
+        SprinkleSpecialValues(&messages, width, &rng);
         // Edge i carries message row row_index[i] (repeated, unsorted)
-        // to dst[i]; the batch holds those rows materialized.
+        // to dst[i]; the batch holds those rows materialized. Sparse
+        // ids lie past CombineBatch's dense-table bound of 4n + 1024.
         const std::int64_t n = 150;
-        std::vector<std::int64_t> row_index(static_cast<std::size_t>(n));
+        std::vector<const float*> row_ptrs;
         MessageBatch batch;
-        batch.payload = Tensor(n, messages.cols());
+        batch.payload = Tensor(n, width);
         for (std::int64_t i = 0; i < n; ++i) {
           const auto r = static_cast<std::int64_t>(
               rng.NextBounded(static_cast<std::uint64_t>(messages.rows())));
-          row_index[static_cast<std::size_t>(i)] = r;
+          row_ptrs.push_back(messages.RowPtr(r));
           batch.payload.SetRow(i, messages.RowPtr(r));
-          batch.dst.push_back(static_cast<NodeId>(rng.NextBounded(25)));
+          const auto d = static_cast<NodeId>(rng.NextBounded(25));
+          batch.dst.push_back(sparse ? 4 * n + 1024 + 1000003 * d : d);
           batch.src.push_back(static_cast<NodeId>(i));
         }
         // Slots in first-seen destination order, as a caller that
-        // resolves them without hashing would produce.
+        // resolves them itself would produce.
         std::vector<NodeId> dst_order;
         std::vector<std::int64_t> slots;
-        std::vector<std::int64_t> slot_of(25, -1);
+        std::unordered_map<NodeId, std::int64_t> slot_of;
         for (const NodeId d : batch.dst) {
-          std::int64_t& slot = slot_of[static_cast<std::size_t>(d)];
-          if (slot < 0) {
-            slot = static_cast<std::int64_t>(dst_order.size());
-            dst_order.push_back(d);
-          }
-          slots.push_back(slot);
+          const auto [it, inserted] = slot_of.try_emplace(
+              d, static_cast<std::int64_t>(dst_order.size()));
+          if (inserted) dst_order.push_back(d);
+          slots.push_back(it->second);
         }
 
         PooledAccumulator oracle(kind, width);
         for (std::int64_t i = 0; i < batch.size(); ++i) {
-          const float* row = batch.payload.RowPtr(i);
-          if (partial) {
-            oracle.AddPartial(batch.dst[static_cast<std::size_t>(i)], row,
-                              static_cast<std::int64_t>(row[width]));
-          } else {
-            oracle.Add(batch.dst[static_cast<std::size_t>(i)], row);
-          }
+          oracle.Add(batch.dst[static_cast<std::size_t>(i)],
+                     batch.payload.RowPtr(i));
         }
-        const auto fin_oracle = oracle.Finalize();
         const MessageBatch wire_oracle = oracle.ToPartialBatch(9);
-        EXPECT_EQ(fin_oracle.dst, dst_order);
+        EXPECT_EQ(wire_oracle.dst, dst_order);
 
-        const auto expect_matches_oracle = [&](const PooledAccumulator& acc) {
-          const auto fin = acc.Finalize();
+        const auto expect_matches_oracle = [&](const MessageBatch& wire) {
           // dst equality covers first-seen EMISSION order, not just
           // content.
-          EXPECT_EQ(fin.dst, fin_oracle.dst);
-          EXPECT_EQ(fin.counts, fin_oracle.counts);
-          EXPECT_TRUE(SameBytes(fin.values, fin_oracle.values));
-          // Wire form must also be byte-stable (the partial-gather
-          // payload).
-          const MessageBatch wire = acc.ToPartialBatch(9);
           EXPECT_EQ(wire.dst, wire_oracle.dst);
           EXPECT_EQ(wire.src, wire_oracle.src);
           EXPECT_TRUE(SameBytes(wire.payload, wire_oracle.payload));
         };
-        PooledAccumulator batched(kind, width);
-        batched.AddBatch(batch, partial);
-        expect_matches_oracle(batched);
-        if (!partial) {
-          PooledAccumulator indexed(kind, width);
-          indexed.AddIndexed(dst_order, slots, messages, row_index);
-          expect_matches_oracle(indexed);
-        }
+        expect_matches_oracle(CombineBatch(kind, batch, 9));
+        expect_matches_oracle(
+            CombineRows(kind, width, dst_order, slots, row_ptrs, 9));
 
-        // Each compiled variant, contiguous and indexed, against the
-        // oracle's raw (pre-finalize) rows and counts.
-        const float init = kind == AggKind::kMax
-                               ? -std::numeric_limits<float>::infinity()
-                           : kind == AggKind::kMin
-                               ? std::numeric_limits<float>::infinity()
-                               : 0.0f;
-        for (const kernels::detail::SlotFoldFn fold : variants) {
-          for (const bool indexed : {false, true}) {
-            SCOPED_TRACE(indexed ? "indexed" : "contiguous");
-            const Tensor& payload = indexed ? messages : batch.payload;
-            Tensor rows = Tensor::Full(
-                static_cast<std::int64_t>(dst_order.size()), width, init);
-            std::vector<std::int64_t> counts(dst_order.size(), 0);
-            fold(rows.data(), width, slots.data(), counts.data(),
-                 payload.data(), payload.cols(),
-                 indexed ? row_index.data() : nullptr, n, partial);
-            EXPECT_EQ(counts, fin_oracle.counts);
-            for (std::int64_t s = 0; s < rows.rows(); ++s) {
-              EXPECT_TRUE(SameBytes(rows.RowPtr(s),
-                                    wire_oracle.payload.RowPtr(s), width))
-                  << "slot " << s;
-            }
-          }
-        }
-
-        // Each compiled pointer-row fold reads the message table's rows
-        // by pointer, in two segment ranges as two receive tasks would.
-        std::vector<const float*> row_ptrs;
-        for (const std::int64_t r : row_index) {
-          row_ptrs.push_back(messages.RowPtr(r));
-        }
+        const float init = PooledInitValue(kind);
         const auto num_slots = static_cast<std::int64_t>(dst_order.size());
-        for (const kernels::detail::PtrRowFoldFn fold : ptr_variants) {
+        for (const kernels::detail::PtrRowFoldFn fold : variants) {
           Tensor rows = Tensor::Full(num_slots, width, init);
-          fold(rows.data(), width, slots.data(), row_ptrs.data(), n, 0,
+          fold(rows.data(), width, width, slots.data(), row_ptrs.data(), n, 0,
                num_slots / 2);
-          fold(rows.data(), width, slots.data(), row_ptrs.data(), n,
+          fold(rows.data(), width, width, slots.data(), row_ptrs.data(), n,
                num_slots / 2, num_slots);
+          Tensor strided = Tensor::Full(num_slots, width + 1, init);
+          fold(strided.data(), width, width + 1, slots.data(), row_ptrs.data(),
+               n, 0, num_slots);
           for (std::int64_t s = 0; s < num_slots; ++s) {
             EXPECT_TRUE(SameBytes(rows.RowPtr(s),
                                   wire_oracle.payload.RowPtr(s), width))
-                << "pointer-row slot " << s;
+                << "stride " << width << " slot " << s;
+            EXPECT_TRUE(SameBytes(strided.RowPtr(s),
+                                  wire_oracle.payload.RowPtr(s), width))
+                << "stride " << width + 1 << " slot " << s;
+            EXPECT_TRUE(SameBytes(strided.RowPtr(s) + width, &init, 1))
+                << "count column of slot " << s;
           }
         }
       }
     }
+  }
+}
+
+// The combine folds through raw row pointers into its own payload, so
+// its slot-range and length checks are all that stands between a bad
+// slot and an out-of-bounds write.
+TEST(SuperstepGatherTest, CombineRowsChecksSlotsAndLengths) {
+  const float row[2] = {1.0f, 2.0f};
+  const std::vector<NodeId> dst_order = {4, 7};
+  const std::vector<const float*> two_rows = {row, row};
+  const std::vector<const float*> one_row = {row};
+  for (const AggKind kind :
+       {AggKind::kSum, AggKind::kMean, AggKind::kMax, AggKind::kMin}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    const std::vector<std::int64_t> past_end = {0, 2};
+    const std::vector<std::int64_t> negative = {-1};
+    const std::vector<std::int64_t> in_range = {0, 1};
+    EXPECT_DEATH(CombineRows(kind, 2, dst_order, past_end, two_rows, 0),
+                 "combine slot 2 out of \\[0,2\\)");
+    EXPECT_DEATH(CombineRows(kind, 2, dst_order, negative, one_row, 0),
+                 "combine slot -1 out of \\[0,2\\)");
+    EXPECT_DEATH(CombineRows(kind, 2, dst_order, in_range, one_row, 0),
+                 "combine has 2 slots for 1 rows");
   }
 }
 
