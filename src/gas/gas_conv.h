@@ -72,6 +72,11 @@ class GasConv {
   /// node regardless of out-degree.
   virtual Tensor ComputeMessage(const Tensor& node_states) const = 0;
 
+  /// True when ComputeMessage returns its input unchanged, so a scatter
+  /// may read message rows straight from the node states instead of a
+  /// copy of them.
+  virtual bool MessageIsState() const { return false; }
+
   /// Per-edge adjustment of message rows with edge features; default
   /// passes messages through (none of the bundled layers use edge
   /// features, but the hook completes the paper's apply_edge stage).

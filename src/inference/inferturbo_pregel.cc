@@ -1,7 +1,9 @@
 #include "src/inference/inferturbo_pregel.h"
 
+#include <atomic>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <utility>
 
@@ -54,64 +56,146 @@ struct WorkerState {
   Tensor states;              // (nodes.size() × current_dim)
 };
 
-/// Sender-side partial gather for one scatter. Edges arrive in (node,
-/// edge) order, each carrying a message row to node d; Send combines
-/// each destination worker's edges with one CombineRows call, which
-/// reads the rows in place and folds them straight into the partial
-/// batch it sends. A slot is resolved without hashing, from d's worker
-/// and local index through a dense table for that worker, so
-/// first-seen destination order — and the partial batches' wire bytes
-/// — match per-edge Add calls.
-class PartialScatter {
- public:
-  explicit PartialScatter(const PartitionAssignment& assignment)
-      : assignment_(assignment), buckets_(assignment.members.size()) {
-    for (std::size_t w = 0; w < buckets_.size(); ++w) {
-      const std::size_t nodes = assignment.members[w].size();
-      INFERTURBO_CHECK(nodes <= static_cast<std::size_t>(
-                                    std::numeric_limits<std::int32_t>::max()))
-          << "worker " << w << " owns too many nodes for an int32 slot";
-      buckets_[w].slot_of.assign(nodes, -1);
-    }
-  }
+/// Which out-edges a scatter plan routes, and what its rows index.
+enum class PlanKind {
+  kAllEdges,     // every out-edge; rows are local node indices
+  kNonHubEdges,  // out-edges of non-hub nodes (broadcast on); node rows
+  kEdgeRows,     // every out-edge; row k is the worker's k-th out-edge
+};
+constexpr std::size_t kNumPlanKinds = 3;
 
-  void Add(NodeId d, const float* row) {
-    Bucket& b = buckets_[static_cast<std::size_t>(
-        assignment_.partition_of[static_cast<std::size_t>(d)])];
-    std::int32_t& slot = b.slot_of[static_cast<std::size_t>(
-        assignment_.local_index[static_cast<std::size_t>(d)])];
-    if (slot < 0) {
-      slot = static_cast<std::int32_t>(b.dst.size());
-      b.dst.push_back(d);
-    }
-    b.slot.push_back(slot);
-    b.row.push_back(row);
-  }
+/// One worker's routing for the Pregel scatter, built once per job from
+/// the graph and the partition assignment and only read after that.
+/// For each destination worker it holds the destinations in the order
+/// the scatter first reaches them (the partial batches' wire order) and,
+/// slot-sorted as CSR, each destination slot's source rows in edge
+/// order. A partial scatter folds it slot by slot through CombineRows,
+/// with no per-edge slot lookup; a dense scatter sizes its batches from
+/// the row counts.
+struct ScatterPlan {
+  struct Route {
+    std::vector<NodeId> dst;          // slot -> destination id
+    std::vector<std::int32_t> begin;  // slot s: row[begin[s], begin[s + 1])
+    std::vector<std::int32_t> row;    // source rows, slot-sorted
+  };
+  std::vector<Route> routes;  // one per destination worker
 
-  /// Sends the scatter's partial batches of `width`-float rows; call
-  /// once, after every Add.
-  void Send(PregelContext* ctx, AggKind kind, std::int64_t width) const {
-    for (const Bucket& b : buckets_) {
-      if (b.dst.empty()) continue;
-      ctx->SendPartialBatch(
-          CombineRows(kind, width, b.dst, b.slot, b.row, ctx->worker_id()));
+  std::uint64_t ByteSize() const {
+    std::uint64_t bytes = routes.size() * sizeof(Route);
+    for (const Route& r : routes) {
+      bytes += r.dst.size() * sizeof(NodeId) +
+               (r.begin.size() + r.row.size()) * sizeof(std::int32_t);
     }
+    return bytes;
   }
+};
 
- private:
-  /// One destination worker's share of the scatter. slot_of[local
-  /// index] is that node's slot among the scatter's destinations, -1
-  /// when unseen, so the table is bounded by the worker's node count.
-  struct Bucket {
-    std::vector<std::int32_t> slot_of;
-    std::vector<NodeId> dst;
-    std::vector<std::int64_t> slot;
-    std::vector<const float*> row;
+/// Builds `nodes`' plan in two passes over their out-edges: the first
+/// counts each destination's edges, the second gives destinations their
+/// slots in first-seen order and writes each edge's source row at its
+/// slot's cursor. Both tables are indexed by a destination's local index
+/// on its worker, so nothing is hashed.
+ScatterPlan BuildScatterPlan(const Graph& graph,
+                             const PartitionAssignment& assignment,
+                             const std::vector<NodeId>& nodes,
+                             std::int64_t hub_threshold, PlanKind kind) {
+  // Rows are node indices or edge ordinals, both int32.
+  std::int64_t total = static_cast<std::int64_t>(nodes.size());
+  for (NodeId v : nodes) total += graph.OutDegree(v);
+  INFERTURBO_CHECK(total <= std::numeric_limits<std::int32_t>::max())
+      << "a worker's " << nodes.size() << " nodes and their out-edges "
+      << "overflow an int32 plan row";
+  const auto for_each_edge = [&](auto&& fn) {
+    std::int32_t edge = 0;
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      const NodeId v = nodes[i];
+      if (kind == PlanKind::kNonHubEdges &&
+          graph.OutDegree(v) > hub_threshold) {
+        continue;
+      }
+      for (EdgeId e : graph.OutEdges(v)) {
+        const NodeId d = graph.EdgeDst(e);
+        fn(d,
+           static_cast<std::size_t>(
+               assignment.partition_of[static_cast<std::size_t>(d)]),
+           static_cast<std::size_t>(
+               assignment.local_index[static_cast<std::size_t>(d)]),
+           kind == PlanKind::kEdgeRows ? edge : static_cast<std::int32_t>(i));
+        ++edge;
+      }
+    }
   };
 
-  const PartitionAssignment& assignment_;
-  std::vector<Bucket> buckets_;
-};
+  const std::size_t num_workers = assignment.members.size();
+  std::vector<std::vector<std::int32_t>> hits(num_workers);
+  for (std::size_t w = 0; w < num_workers; ++w) {
+    hits[w].assign(assignment.members[w].size(), 0);
+  }
+  for_each_edge([&](NodeId, std::size_t w, std::size_t local, std::int32_t) {
+    ++hits[w][local];
+  });
+
+  ScatterPlan plan;
+  plan.routes.resize(num_workers);
+  // cursor[w][local]: where that destination's next row goes, -1 until
+  // its slot is given; next[w]: the first row no slot has claimed.
+  std::vector<std::vector<std::int32_t>> cursor(num_workers);
+  std::vector<std::int32_t> next(num_workers, 0);
+  for (std::size_t w = 0; w < num_workers; ++w) {
+    std::size_t slots = 0;
+    std::size_t rows = 0;
+    for (const std::int32_t h : hits[w]) {
+      slots += h > 0 ? 1 : 0;
+      rows += static_cast<std::size_t>(h);
+    }
+    ScatterPlan::Route& route = plan.routes[w];
+    route.dst.reserve(slots);
+    route.begin.reserve(slots + 1);
+    route.row.resize(rows);
+    cursor[w].assign(hits[w].size(), -1);
+  }
+  for_each_edge([&](NodeId d, std::size_t w, std::size_t local,
+                    std::int32_t row) {
+    ScatterPlan::Route& route = plan.routes[w];
+    std::int32_t& at = cursor[w][local];
+    if (at < 0) {
+      at = next[w];
+      next[w] += hits[w][local];
+      route.dst.push_back(d);
+      route.begin.push_back(at);
+    }
+    route.row[static_cast<std::size_t>(at++)] = row;
+  });
+  for (ScatterPlan::Route& route : plan.routes) {
+    route.begin.push_back(static_cast<std::int32_t>(route.row.size()));
+  }
+  return plan;
+}
+
+/// The partial scatter of one layer: for each destination worker, rows
+/// messages[route.row[k]] fold slot by slot, in edge order within a
+/// slot, through one CombineRows call into the partial batch it sends —
+/// the bytes of combining the same edges in emission order. Each slot's
+/// output row is finished while it is hot.
+void SendPartials(PregelContext* ctx, const ScatterPlan& plan, AggKind kind,
+                  const Tensor& messages) {
+  std::vector<std::int64_t> slots;
+  std::vector<const float*> rows;
+  for (const ScatterPlan::Route& route : plan.routes) {
+    if (route.dst.empty()) continue;
+    slots.resize(route.row.size());
+    rows.resize(route.row.size());
+    for (std::size_t s = 0; s < route.dst.size(); ++s) {
+      for (std::int32_t k = route.begin[s]; k < route.begin[s + 1]; ++k) {
+        const auto at = static_cast<std::size_t>(k);
+        slots[at] = static_cast<std::int64_t>(s);
+        rows[at] = messages.RowPtr(route.row[at]);
+      }
+    }
+    ctx->SendPartialBatch(CombineRows(kind, messages.cols(), route.dst, slots,
+                                      rows, ctx->worker_id()));
+  }
+}
 
 /// The vertex program closure. One instance shared by all workers; all
 /// mutable state lives in per-worker slots.
@@ -126,7 +210,8 @@ class PregelInferenceDriver {
         options_(options),
         assignment_(assignment),
         hub_threshold_(hub_threshold),
-        logits_(graph.num_nodes(), model.num_classes()) {
+        logits_(graph.num_nodes(), model.num_classes()),
+        plans_(static_cast<std::size_t>(options.num_workers)) {
     if (options.export_embeddings) {
       embeddings_ = Tensor(graph.num_nodes(), model.embedding_dim());
     }
@@ -157,8 +242,9 @@ class PregelInferenceDriver {
       TraceSpan span("pregel/scatter", ctx->worker_id());
       auto states = std::make_shared<Tensor>(
           GatherRows(graph_.node_features(), worker.nodes));
-      ctx->ChargeResidentBytes(states->ByteSize());
       ScatterLayer(ctx, worker.nodes, *states, 0);
+      ctx->ChargeResidentBytes(states->ByteSize() +
+                               PlanBytes(ctx->worker_id()));
       ctx->DeferToCommit(
           [&worker, states] { worker.states = std::move(*states); });
       return;
@@ -185,11 +271,8 @@ class PregelInferenceDriver {
       TraceSpan span("pregel/apply", ctx->worker_id());
       *new_states = layer.ApplyNode(worker.states, gathered);
     }
-    // Old state, vectorized gather result, and new state coexist at
-    // the apply_node boundary — the Pregel backend's resident cost.
-    ctx->ChargeResidentBytes(old_state_bytes + gathered_bytes +
-                             new_states->ByteSize());
-
+    const std::uint64_t apply_bytes =
+        old_state_bytes + gathered_bytes + new_states->ByteSize();
     if (layer_index + 1 < num_layers) {
       TraceSpan span("pregel/scatter", ctx->worker_id());
       ScatterLayer(ctx, worker.nodes, *new_states, layer_index + 1);
@@ -214,6 +297,10 @@ class PregelInferenceDriver {
       });
       ctx->VoteToHalt();
     }
+    // Old state, vectorized gather result, and new state coexist at
+    // the apply_node boundary, beside the worker's scatter plans — the
+    // Pregel backend's resident cost.
+    ctx->ChargeResidentBytes(apply_bytes + PlanBytes(ctx->worker_id()));
   }
 
   Tensor TakeLogits() { return std::move(logits_); }
@@ -253,7 +340,22 @@ class PregelInferenceDriver {
     PutTensor(&out, embeddings_);
     return out.Take();
   }
-  Status DeserializeState(const std::string& bytes) {
+  /// Decodes SerializeState's bytes as checkpointed before superstep
+  /// `step`, rejecting any shape the job could not have written there:
+  /// a worker must own exactly its assigned members (its state rows and
+  /// scatter plans are indexed by them), its states must be 0 × 0
+  /// before superstep 0 and one row per node, as wide as superstep
+  /// `step`'s layer input, after it, and the result buffers keep the
+  /// job's shapes.
+  Status DeserializeState(const std::string& bytes, std::int64_t step) {
+    if (step < 0 || step > model_.num_layers()) {
+      return Status::IoError("driver checkpoint taken before superstep " +
+                             std::to_string(step) + " of a " +
+                             std::to_string(model_.num_layers() + 1) +
+                             "-superstep job");
+    }
+    const std::int64_t width =
+        step == 0 ? 0 : model_.layer(step - 1).signature().input_dim;
     BinaryReader in(bytes);
     std::int64_t num_workers = 0;
     INFERTURBO_RETURN_NOT_OK(in.GetI64(&num_workers));
@@ -262,24 +364,50 @@ class PregelInferenceDriver {
           "checkpointed driver state has " + std::to_string(num_workers) +
           " workers, job has " + std::to_string(workers_.size()));
     }
-    for (WorkerState& w : workers_) {
-      INFERTURBO_RETURN_NOT_OK(in.GetI64s(&w.nodes));
-      INFERTURBO_RETURN_NOT_OK(GetTensor(&in, &w.states));
+    std::vector<WorkerState> workers(workers_.size());
+    for (std::size_t w = 0; w < workers.size(); ++w) {
+      INFERTURBO_RETURN_NOT_OK(in.GetI64s(&workers[w].nodes));
+      if (workers[w].nodes != assignment_.members[w]) {
+        return Status::IoError("checkpointed worker " + std::to_string(w) +
+                               " owns other nodes than the job assigns it");
+      }
+      INFERTURBO_RETURN_NOT_OK(GetTensor(&in, &workers[w].states));
+      const Tensor& states = workers[w].states;
+      const std::int64_t rows =
+          step == 0 ? 0 : static_cast<std::int64_t>(workers[w].nodes.size());
+      if (states.rows() != rows || states.cols() != width) {
+        return Status::IoError(
+            "checkpointed worker " + std::to_string(w) + " has " +
+            std::to_string(states.rows()) + "x" +
+            std::to_string(states.cols()) + " states before superstep " +
+            std::to_string(step) + ", expected " + std::to_string(rows) +
+            "x" + std::to_string(width));
+      }
     }
-    INFERTURBO_RETURN_NOT_OK(GetTensor(&in, &logits_));
-    INFERTURBO_RETURN_NOT_OK(GetTensor(&in, &embeddings_));
+    Tensor logits;
+    Tensor embeddings;
+    INFERTURBO_RETURN_NOT_OK(GetTensor(&in, &logits));
+    INFERTURBO_RETURN_NOT_OK(GetTensor(&in, &embeddings));
+    const std::int64_t n = graph_.num_nodes();
+    const std::int64_t embedding_rows = options_.export_embeddings ? n : 0;
+    const std::int64_t embedding_cols =
+        options_.export_embeddings ? model_.embedding_dim() : 0;
+    if (logits.rows() != n || logits.cols() != model_.num_classes() ||
+        embeddings.rows() != embedding_rows ||
+        embeddings.cols() != embedding_cols) {
+      return Status::IoError(
+          "checkpointed logits or embeddings have the wrong shape");
+    }
     if (!in.AtEnd()) {
       return Status::IoError("trailing bytes after driver checkpoint state");
     }
+    workers_ = std::move(workers);
+    logits_ = std::move(logits);
+    embeddings_ = std::move(embeddings);
     return Status::OK();
   }
 
  private:
-  /// Local index of a global node id owned by this worker.
-  std::int64_t LocalIndex(NodeId v) const {
-    return assignment_.local_index[static_cast<std::size_t>(v)];
-  }
-
   /// The worker owning edge e's destination.
   std::size_t WorkerOf(EdgeId e) const {
     return static_cast<std::size_t>(assignment_.partition_of[
@@ -306,20 +434,44 @@ class PregelInferenceDriver {
         [ctx](NodeId key) { return ctx->LookupBroadcast(key); });
   }
 
+  /// `worker`'s plan of `kind`, built by the worker's first scatter
+  /// that needs it. Duplicate attempts, superstep re-execution and
+  /// checkpoint restores share the one build: a plan depends only on
+  /// the graph and the assignment, and `nodes` are the worker's members.
+  const ScatterPlan& PlanFor(std::int64_t worker, PlanKind kind,
+                             const std::vector<NodeId>& nodes) const {
+    WorkerPlans& plans = plans_[static_cast<std::size_t>(worker)];
+    const auto k = static_cast<std::size_t>(kind);
+    std::call_once(plans.once[k], [&] {
+      plans.plan[k] =
+          BuildScatterPlan(graph_, assignment_, nodes, hub_threshold_, kind);
+      plans.bytes += plans.plan[k].ByteSize();
+    });
+    return plans.plan[k];
+  }
+
+  /// Bytes of the plans `worker` has built so far.
+  std::uint64_t PlanBytes(std::int64_t worker) const {
+    return plans_[static_cast<std::size_t>(worker)].bytes;
+  }
+
   /// apply_edge + scatter_nbrs for `layer_index`, from the worker's
   /// freshly-computed states (passed explicitly — under the
   /// deferred-commit contract they are attempt-local, not yet published
-  /// to WorkerState). Routes per strategy:
+  /// to WorkerState). Identity messages are read from the states in
+  /// place. Routes per strategy:
   ///   - hubs (out-degree > threshold, broadcast on, broadcastable
   ///     messages): one payload on the board + id-only rows per edge;
-  ///   - lawful aggregates with partial-gather on: fold into per-worker
-  ///     accumulators, send one partial row per (worker, destination);
+  ///   - lawful aggregates with partial-gather on: fold through the
+  ///     worker's plan, one partial row per (worker, destination);
   ///   - otherwise: one dense row per out-edge.
   void ScatterLayer(PregelContext* ctx, const std::vector<NodeId>& nodes,
                     const Tensor& states, std::int64_t layer_index) const {
     const GasConv& layer = model_.layer(layer_index);
     const LayerSignature& sig = layer.signature();
-    const Tensor messages = layer.ComputeMessage(states);
+    Tensor computed;
+    if (!layer.MessageIsState()) computed = layer.ComputeMessage(states);
+    const Tensor& messages = layer.MessageIsState() ? states : computed;
     const std::int64_t msg_dim = sig.message_dim;
 
     const bool use_partial = options_.strategies.partial_gather &&
@@ -334,36 +486,25 @@ class PregelInferenceDriver {
       return;
     }
 
-    std::optional<PartialScatter> partial;
-    if (use_partial) partial.emplace(assignment_);
+    const ScatterPlan& plan = PlanFor(
+        ctx->worker_id(),
+        use_broadcast ? PlanKind::kNonHubEdges : PlanKind::kAllEdges, nodes);
     // Dense per-edge rows (non-partial path): one batch per destination
-    // worker, sized in a first pass, so each row is written once, into
+    // worker, sized from the plan, so each row is written once, into
     // the batch its receiver reads, and routing moves batches whole.
-    std::vector<MessageBatch> dense(assignment_.members.size());
+    std::vector<MessageBatch> dense(use_partial ? 0 : plan.routes.size());
+    for (std::size_t w = 0; w < dense.size(); ++w) {
+      const std::size_t rows = plan.routes[w].row.size();
+      if (rows > 0) dense[w].Reserve(rows, msg_dim);
+    }
     // Id-only rows for hub out-edges.
     MessageBatch refs;
     refs.payload = Tensor(0, 0);
 
-    std::vector<std::int64_t> dense_rows(dense.size(), 0);
-    std::vector<bool> is_hub(nodes.size(), false);
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      const NodeId v = nodes[i];
-      if (use_broadcast && graph_.OutDegree(v) > hub_threshold_) {
-        is_hub[i] = true;
-      } else if (!use_partial) {
-        for (EdgeId e : graph_.OutEdges(v)) ++dense_rows[WorkerOf(e)];
-      }
-    }
-    for (std::size_t w = 0; w < dense.size(); ++w) {
-      if (dense_rows[w] > 0) {
-        dense[w].Reserve(static_cast<std::size_t>(dense_rows[w]), msg_dim);
-      }
-    }
-
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       const NodeId v = nodes[i];
       const float* row = messages.RowPtr(static_cast<std::int64_t>(i));
-      if (is_hub[i]) {
+      if (use_broadcast && graph_.OutDegree(v) > hub_threshold_) {
         ctx->PublishBroadcast(v, row, msg_dim);
         for (EdgeId e : graph_.OutEdges(v)) {
           refs.dst.push_back(graph_.EdgeDst(e));
@@ -371,33 +512,28 @@ class PregelInferenceDriver {
         }
         continue;
       }
-      if (use_partial) {
-        for (EdgeId e : graph_.OutEdges(v)) {
-          partial->Add(graph_.EdgeDst(e), row);
-        }
-      } else {
-        for (EdgeId e : graph_.OutEdges(v)) {
-          MessageBatch& b = dense[WorkerOf(e)];
-          b.dst.push_back(graph_.EdgeDst(e));
-          b.src.push_back(v);
-          b.payload.AppendRow(row);
-        }
+      if (use_partial) continue;
+      for (EdgeId e : graph_.OutEdges(v)) {
+        MessageBatch& b = dense[WorkerOf(e)];
+        b.dst.push_back(graph_.EdgeDst(e));
+        b.src.push_back(v);
+        b.payload.AppendRow(row);
       }
     }
 
     // Per destination worker the inbox order is unchanged: dense rows
-    // in emission order, then references.
+    // in emission order, then references, then partial rows.
     for (MessageBatch& b : dense) {
       if (!b.empty()) ctx->SendBatch(std::move(b));
     }
     if (!refs.dst.empty()) ctx->SendBatch(std::move(refs));
-    if (use_partial) partial->Send(ctx, sig.agg_kind, messages.cols());
+    if (use_partial) SendPartials(ctx, plan, sig.agg_kind, messages);
   }
 
   /// Scatter for layers whose apply_edge consumes edge features: the
   /// per-edge rows genuinely differ, so they are materialized (in one
-  /// batched ApplyEdge call), then either folded into partial
-  /// accumulators or sent dense. Broadcast never applies here — the
+  /// batched ApplyEdge call), then either folded through the worker's
+  /// edge-row plan or sent dense. Broadcast never applies here — the
   /// messages are not identical across out-edges.
   void ScatterWithEdgeFeatures(PregelContext* ctx,
                                const std::vector<NodeId>& nodes,
@@ -410,8 +546,10 @@ class PregelInferenceDriver {
     for (NodeId v : nodes) total += graph_.OutDegree(v);
     Tensor base_rows(total, messages.cols());
     Tensor edge_feats(total, graph_.edge_features().cols());
-    std::vector<NodeId> dst(static_cast<std::size_t>(total));
-    std::vector<NodeId> src(static_cast<std::size_t>(total));
+    // Ids only for the dense batch; the plan routes partial rows.
+    const std::size_t ids = use_partial ? 0 : static_cast<std::size_t>(total);
+    std::vector<NodeId> dst(ids);
+    std::vector<NodeId> src(ids);
     std::int64_t cursor = 0;
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       const NodeId v = nodes[i];
@@ -419,19 +557,18 @@ class PregelInferenceDriver {
       for (EdgeId e : graph_.OutEdges(v)) {
         base_rows.SetRow(cursor, row);
         edge_feats.SetRow(cursor, graph_.edge_features().RowPtr(e));
-        dst[static_cast<std::size_t>(cursor)] = graph_.EdgeDst(e);
-        src[static_cast<std::size_t>(cursor)] = v;
+        if (!use_partial) {
+          dst[static_cast<std::size_t>(cursor)] = graph_.EdgeDst(e);
+          src[static_cast<std::size_t>(cursor)] = v;
+        }
         ++cursor;
       }
     }
     Tensor final_rows = layer.ApplyEdge(base_rows, &edge_feats);
     if (use_partial) {
       // Edge k carries its own row k of final_rows.
-      PartialScatter partial(assignment_);
-      for (std::int64_t k = 0; k < total; ++k) {
-        partial.Add(dst[static_cast<std::size_t>(k)], final_rows.RowPtr(k));
-      }
-      partial.Send(ctx, layer.signature().agg_kind, final_rows.cols());
+      SendPartials(ctx, PlanFor(ctx->worker_id(), PlanKind::kEdgeRows, nodes),
+                   layer.signature().agg_kind, final_rows);
       return;
     }
     MessageBatch batch;
@@ -450,6 +587,14 @@ class PregelInferenceDriver {
   Tensor logits_;
   Tensor embeddings_;
   std::vector<WorkerState> workers_;
+  /// A worker's scatter plans, one slot per PlanKind. Checkpoints and
+  /// snapshots leave them out: they derive from the graph alone.
+  struct WorkerPlans {
+    std::once_flag once[kNumPlanKinds];
+    ScatterPlan plan[kNumPlanKinds];
+    std::atomic<std::uint64_t> bytes{0};
+  };
+  mutable std::vector<WorkerPlans> plans_;
 };
 
 }  // namespace
@@ -511,8 +656,9 @@ Result<InferenceResult> RunInferTurboPregel(const Graph& graph,
     engine_options.serialize_driver = [&driver] {
       return driver.SerializeState();
     };
-    engine_options.deserialize_driver = [&driver](const std::string& bytes) {
-      return driver.DeserializeState(bytes);
+    engine_options.deserialize_driver = [&driver](const std::string& bytes,
+                                                  std::int64_t step) {
+      return driver.DeserializeState(bytes, step);
     };
     engine_options.resume = options.resume_from;
     engine_options.kill_switch = options.kill_switch;

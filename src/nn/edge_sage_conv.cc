@@ -48,8 +48,9 @@ Tensor EdgeSageConv::ApplyNode(const Tensor& node_states,
       << "EdgeSageConv expects mean-gathered messages";
   Tensor out = MatMul(node_states, w_self_->value);
   AddInPlace(&out, MatMul(gathered.pooled, w_nbr_->value));
-  out = AddRowBroadcast(out, bias_->value);
-  return activation_ ? Relu(out) : out;
+  AddRowBroadcastInPlace(&out, bias_->value);
+  if (activation_) ReluInPlace(&out);
+  return out;
 }
 
 ag::VarPtr EdgeSageConv::ForwardAg(const ag::VarPtr& h,

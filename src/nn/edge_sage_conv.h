@@ -25,6 +25,7 @@ class EdgeSageConv : public GasConv {
   const LayerSignature& signature() const override { return signature_; }
 
   Tensor ComputeMessage(const Tensor& node_states) const override;
+  bool MessageIsState() const override { return true; }
   /// Concatenates each message row with its edge's feature row.
   Tensor ApplyEdge(const Tensor& messages,
                    const Tensor* edge_features) const override;

@@ -132,8 +132,9 @@ Tensor GatConv::ApplyNode(const Tensor& node_states,
       out.SetRow(v, z_dst.RowPtr(v));
     }
   }
-  out = AddRowBroadcast(out, bias_->value);
-  return activation_ ? Relu(out) : out;
+  AddRowBroadcastInPlace(&out, bias_->value);
+  if (activation_) ReluInPlace(&out);
+  return out;
 }
 
 ag::VarPtr GatConv::ForwardAg(const ag::VarPtr& h,

@@ -42,9 +42,10 @@ Tensor GcnConv::ApplyNode(const Tensor& node_states,
       pc[j] = (pp[j] * count + ph[j]) * inv;
     }
   }
-  Tensor out = AddRowBroadcast(MatMul(combined, weight_->value),
-                               bias_->value);
-  return activation_ ? Relu(out) : out;
+  Tensor out = MatMul(combined, weight_->value);
+  AddRowBroadcastInPlace(&out, bias_->value);
+  if (activation_) ReluInPlace(&out);
+  return out;
 }
 
 ag::VarPtr GcnConv::ForwardAg(const ag::VarPtr& h,

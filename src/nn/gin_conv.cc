@@ -33,11 +33,15 @@ Tensor GinConv::ApplyNode(const Tensor& node_states,
   INFERTURBO_CHECK(gathered.kind == AggKind::kSum)
       << "GinConv expects sum-gathered messages";
   const float scale = 1.0f + eps_->value.At(0, 0);
-  Tensor combined = Add(Scale(node_states, scale), gathered.pooled);
-  Tensor hidden =
-      Relu(AddRowBroadcast(MatMul(combined, w1_->value), b1_->value));
-  Tensor out = AddRowBroadcast(MatMul(hidden, w2_->value), b2_->value);
-  return activation_ ? Relu(out) : out;
+  Tensor combined = Scale(node_states, scale);
+  AddInPlace(&combined, gathered.pooled);
+  Tensor hidden = MatMul(combined, w1_->value);
+  AddRowBroadcastInPlace(&hidden, b1_->value);
+  ReluInPlace(&hidden);
+  Tensor out = MatMul(hidden, w2_->value);
+  AddRowBroadcastInPlace(&out, b2_->value);
+  if (activation_) ReluInPlace(&out);
+  return out;
 }
 
 ag::VarPtr GinConv::ForwardAg(const ag::VarPtr& h,

@@ -23,6 +23,7 @@ class GinConv : public GasConv {
   const LayerSignature& signature() const override { return signature_; }
 
   Tensor ComputeMessage(const Tensor& node_states) const override;
+  bool MessageIsState() const override { return true; }
   Tensor ApplyNode(const Tensor& node_states,
                    const GatherResult& gathered) const override;
 

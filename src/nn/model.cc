@@ -29,8 +29,9 @@ GnnModel::GnnModel(std::vector<std::unique_ptr<GasConv>> layers,
 }
 
 Tensor GnnModel::PredictLogits(const Tensor& final_states) const {
-  return AddRowBroadcast(MatMul(final_states, head_weight_->value),
-                         head_bias_->value);
+  Tensor logits = MatMul(final_states, head_weight_->value);
+  AddRowBroadcastInPlace(&logits, head_bias_->value);
+  return logits;
 }
 
 ag::VarPtr GnnModel::PredictLogitsAg(const ag::VarPtr& final_states) const {

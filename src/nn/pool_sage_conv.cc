@@ -26,8 +26,10 @@ PoolSageConv::PoolSageConv(std::int64_t input_dim, std::int64_t output_dim,
 Tensor PoolSageConv::ComputeMessage(const Tensor& node_states) const {
   INFERTURBO_CHECK(node_states.cols() == signature_.input_dim)
       << "PoolSageConv message input dim mismatch";
-  return Relu(AddRowBroadcast(MatMul(node_states, w_pool_->value),
-                              b_pool_->value));
+  Tensor messages = MatMul(node_states, w_pool_->value);
+  AddRowBroadcastInPlace(&messages, b_pool_->value);
+  ReluInPlace(&messages);
+  return messages;
 }
 
 Tensor PoolSageConv::ApplyNode(const Tensor& node_states,
@@ -36,8 +38,9 @@ Tensor PoolSageConv::ApplyNode(const Tensor& node_states,
       << "PoolSageConv expects max-gathered messages";
   Tensor out = MatMul(node_states, w_self_->value);
   AddInPlace(&out, MatMul(gathered.pooled, w_nbr_->value));
-  out = AddRowBroadcast(out, bias_->value);
-  return activation_ ? Relu(out) : out;
+  AddRowBroadcastInPlace(&out, bias_->value);
+  if (activation_) ReluInPlace(&out);
+  return out;
 }
 
 ag::VarPtr PoolSageConv::ForwardAg(const ag::VarPtr& h,

@@ -33,8 +33,9 @@ Tensor SageConv::ApplyNode(const Tensor& node_states,
       << "SageConv expects mean-gathered messages";
   Tensor out = MatMul(node_states, w_self_->value);
   AddInPlace(&out, MatMul(gathered.pooled, w_nbr_->value));
-  out = AddRowBroadcast(out, bias_->value);
-  return activation_ ? Relu(out) : out;
+  AddRowBroadcastInPlace(&out, bias_->value);
+  if (activation_) ReluInPlace(&out);
+  return out;
 }
 
 ag::VarPtr SageConv::ForwardAg(const ag::VarPtr& h,

@@ -216,7 +216,7 @@ Result<JobMetrics> PregelEngine::Run(const ComputeFn& compute) {
           &board_current_));
       if (options_.deserialize_driver) {
         INFERTURBO_RETURN_NOT_OK(
-            options_.deserialize_driver(latest->driver_state));
+            options_.deserialize_driver(latest->driver_state, latest->step));
       }
       start_step = latest->step;
     } else if (!latest.status().IsNotFound()) {
@@ -416,7 +416,8 @@ Result<JobMetrics> PregelEngine::Run(const ComputeFn& compute) {
           if (checkpoint.driver_bytes != nullptr &&
               options_.deserialize_driver) {
             INFERTURBO_RETURN_NOT_OK(
-                options_.deserialize_driver(*checkpoint.driver_bytes));
+                options_.deserialize_driver(*checkpoint.driver_bytes,
+                                        checkpoint.step));
           } else if (options_.restore_state) {
             options_.restore_state(checkpoint.driver_state);
           }
@@ -471,7 +472,8 @@ Result<JobMetrics> PregelEngine::Run(const ComputeFn& compute) {
         if (checkpoint.driver_bytes != nullptr &&
             options_.deserialize_driver) {
           INFERTURBO_RETURN_NOT_OK(
-              options_.deserialize_driver(*checkpoint.driver_bytes));
+              options_.deserialize_driver(*checkpoint.driver_bytes,
+                                        checkpoint.step));
         } else if (options_.restore_state) {
           options_.restore_state(checkpoint.driver_state);
         }

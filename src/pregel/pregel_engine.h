@@ -154,8 +154,10 @@ class PregelEngine {
     /// Serializes the driver's mutable state to bytes for durable
     /// checkpoints...
     std::function<std::string()> serialize_driver;
-    /// ...and rebuilds it from bytes during a cross-process resume.
-    std::function<Status(const std::string&)> deserialize_driver;
+    /// ...and rebuilds it from bytes during a cross-process resume,
+    /// given the superstep the checkpoint was taken before.
+    std::function<Status(const std::string&, std::int64_t step)>
+        deserialize_driver;
     /// Start Run from the store's newest valid checkpoint instead of
     /// superstep 0 (falls back to a fresh start when the store holds no
     /// loadable checkpoint — the job died before its first one).

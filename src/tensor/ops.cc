@@ -75,17 +75,20 @@ void AddInPlace(Tensor* a, const Tensor& b) {
 }
 
 Tensor AddRowBroadcast(const Tensor& a, const Tensor& bias) {
-  INFERTURBO_CHECK(bias.rows() == 1 && bias.cols() == a.cols())
-      << "AddRowBroadcast wants 1x" << a.cols() << " bias, got "
-      << bias.ToString();
-  Tensor c(a.rows(), a.cols());
-  const float* pb = bias.data();
-  for (std::int64_t r = 0; r < a.rows(); ++r) {
-    const float* pa = a.RowPtr(r);
-    float* pc = c.RowPtr(r);
-    for (std::int64_t j = 0; j < a.cols(); ++j) pc[j] = pa[j] + pb[j];
-  }
+  Tensor c = a;
+  AddRowBroadcastInPlace(&c, bias);
   return c;
+}
+
+void AddRowBroadcastInPlace(Tensor* a, const Tensor& bias) {
+  INFERTURBO_CHECK(bias.rows() == 1 && bias.cols() == a->cols())
+      << "AddRowBroadcast wants 1x" << a->cols() << " bias, got "
+      << bias.ToString();
+  const float* pb = bias.data();
+  for (std::int64_t r = 0; r < a->rows(); ++r) {
+    float* pa = a->RowPtr(r);
+    for (std::int64_t j = 0; j < a->cols(); ++j) pa[j] += pb[j];
+  }
 }
 
 Tensor Sub(const Tensor& a, const Tensor& b) {
@@ -122,7 +125,16 @@ void ScaleInPlace(Tensor* a, float factor) {
 }
 
 Tensor Relu(const Tensor& a) {
-  return ElementwiseUnary(a, [](float x) { return x > 0.0f ? x : 0.0f; });
+  Tensor c = a;
+  ReluInPlace(&c);
+  return c;
+}
+
+void ReluInPlace(Tensor* a) {
+  float* pa = a->data();
+  for (std::int64_t i = 0; i < a->size(); ++i) {
+    pa[i] = pa[i] > 0.0f ? pa[i] : 0.0f;
+  }
 }
 
 Tensor LeakyRelu(const Tensor& a, float slope) {

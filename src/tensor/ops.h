@@ -26,6 +26,7 @@ Tensor Add(const Tensor& a, const Tensor& b);
 void AddInPlace(Tensor* a, const Tensor& b);
 /// Adds a 1×d bias row to every row of a (n×d).
 Tensor AddRowBroadcast(const Tensor& a, const Tensor& bias);
+void AddRowBroadcastInPlace(Tensor* a, const Tensor& bias);
 /// Elementwise difference.
 Tensor Sub(const Tensor& a, const Tensor& b);
 /// Elementwise product; shapes must match.
@@ -35,7 +36,9 @@ Tensor MulColBroadcast(const Tensor& a, const Tensor& scale);
 Tensor Scale(const Tensor& a, float factor);
 void ScaleInPlace(Tensor* a, float factor);
 
+/// x > 0 ? x : 0 per entry, so NaN and -0.0 become +0.0.
 Tensor Relu(const Tensor& a);
+void ReluInPlace(Tensor* a);
 /// max(x, slope*x); GAT uses slope 0.2.
 Tensor LeakyRelu(const Tensor& a, float slope);
 Tensor Sigmoid(const Tensor& a);

@@ -133,47 +133,55 @@ TEST(MapReduceCrashSweepTest, EveryStageInstancePairRecoversBitIdentical) {
   }
 }
 
+// Broadcast on, with partial gather off and on: with it on, the scatter
+// plans of a resumed job are first built after the resume.
 TEST(PregelCrashSweepTest, ProcessDeathAtEverySuperstepResumesBitIdentical) {
   const Dataset d = SkewedGraph();
   const std::unique_ptr<GnnModel> model = SmallModel(d.graph);
 
-  InferTurboOptions clean;
-  clean.num_workers = kWorkers;
-  clean.strategies.broadcast = true;
-  clean.strategies.threshold_override = 10;
-  const Result<InferenceResult> reference =
-      RunInferTurboPregel(d.graph, *model, clean);
-  ASSERT_TRUE(reference.ok());
+  for (const bool partial_gather : {false, true}) {
+    SCOPED_TRACE(partial_gather ? "partial gather" : "dense");
+    InferTurboOptions clean;
+    clean.num_workers = kWorkers;
+    clean.strategies.broadcast = true;
+    clean.strategies.threshold_override = 10;
+    clean.strategies.partial_gather = partial_gather;
+    const Result<InferenceResult> reference =
+        RunInferTurboPregel(d.graph, *model, clean);
+    ASSERT_TRUE(reference.ok());
 
-  for (std::int64_t kill_step = 0; kill_step < kPregelSupersteps;
-       ++kill_step) {
-    const std::string dir =
-        FreshDir("pregel_death_" + std::to_string(kill_step));
+    for (std::int64_t kill_step = 0; kill_step < kPregelSupersteps;
+         ++kill_step) {
+      const std::string dir =
+          FreshDir(std::string("pregel_death_") +
+                   (partial_gather ? "partial_" : "") +
+                   std::to_string(kill_step));
 
-    InferTurboOptions doomed = clean;
-    doomed.checkpoint_directory = dir;
-    doomed.checkpoint_interval = 1;
-    doomed.kill_switch = [kill_step](std::int64_t step) {
-      return step == kill_step;
-    };
-    const Result<InferenceResult> aborted =
-        RunInferTurboPregel(d.graph, *model, doomed);
-    ASSERT_FALSE(aborted.ok()) << "kill at superstep " << kill_step;
-    EXPECT_EQ(aborted.status().code(), StatusCode::kAborted);
+      InferTurboOptions doomed = clean;
+      doomed.checkpoint_directory = dir;
+      doomed.checkpoint_interval = 1;
+      doomed.kill_switch = [kill_step](std::int64_t step) {
+        return step == kill_step;
+      };
+      const Result<InferenceResult> aborted =
+          RunInferTurboPregel(d.graph, *model, doomed);
+      ASSERT_FALSE(aborted.ok()) << "kill at superstep " << kill_step;
+      EXPECT_EQ(aborted.status().code(), StatusCode::kAborted);
 
-    // A "new process": fresh options, no kill switch, resume_from.
-    InferTurboOptions revived = clean;
-    revived.checkpoint_directory = dir;
-    revived.checkpoint_interval = 1;
-    revived.resume_from = true;
-    const Result<InferenceResult> resumed =
-        RunInferTurboPregel(d.graph, *model, revived);
-    ASSERT_TRUE(resumed.ok()) << "resume after kill at superstep "
-                              << kill_step << ": "
-                              << resumed.status().ToString();
-    EXPECT_TRUE(resumed->logits.ApproxEquals(reference->logits, 0.0f))
-        << "resume after kill at superstep " << kill_step
-        << ": resumed run must be bit-identical";
+      // A "new process": fresh options, no kill switch, resume_from.
+      InferTurboOptions revived = clean;
+      revived.checkpoint_directory = dir;
+      revived.checkpoint_interval = 1;
+      revived.resume_from = true;
+      const Result<InferenceResult> resumed =
+          RunInferTurboPregel(d.graph, *model, revived);
+      ASSERT_TRUE(resumed.ok()) << "resume after kill at superstep "
+                                << kill_step << ": "
+                                << resumed.status().ToString();
+      EXPECT_TRUE(resumed->logits.ApproxEquals(reference->logits, 0.0f))
+          << "resume after kill at superstep " << kill_step
+          << ": resumed run must be bit-identical";
+    }
   }
 }
 

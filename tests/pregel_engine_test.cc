@@ -6,13 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <filesystem>
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "src/checkpoint/checkpoint_store.h"
 #include "src/common/binary_io.h"
 #include "src/common/crc32.h"
 #include "src/common/thread_pool.h"
@@ -434,6 +438,146 @@ TEST(PregelEngineStateTest, WellFormedBatchesDecode) {
   EXPECT_TRUE(DecodeOneWorker(EngineStateFrame({0, 1}, {5, 5}, 0, 0, 0)).ok());
   EXPECT_TRUE(DecodeOneWorker(EngineStateFrame({0, 1}, {5, 5}, 2, 0, 0)).ok());
   EXPECT_TRUE(DecodeOneWorker(EngineStateFrame({}, {}, 0, 3, 0)).ok());
+}
+
+// A Pregel inference driver frame as the checkpoint store holds it:
+// per worker its node ids and a zero-filled state tensor, then the
+// logits and embeddings tensors.
+struct DriverFrame {
+  std::vector<std::vector<NodeId>> nodes;
+  std::vector<std::pair<std::int64_t, std::int64_t>> states;
+  std::pair<std::int64_t, std::int64_t> logits;
+  std::pair<std::int64_t, std::int64_t> embeddings = {0, 0};
+
+  std::string Encode() const {
+    BinaryWriter out;
+    out.PutI64(static_cast<std::int64_t>(nodes.size()));
+    for (std::size_t w = 0; w < nodes.size(); ++w) {
+      out.PutI64s(nodes[w]);
+      PutZeros(&out, states[w]);
+    }
+    PutZeros(&out, logits);
+    PutZeros(&out, embeddings);
+    return out.Take();
+  }
+
+  static void PutZeros(BinaryWriter* out,
+                       std::pair<std::int64_t, std::int64_t> shape) {
+    out->PutI64(shape.first);
+    out->PutI64(shape.second);
+    for (std::int64_t i = 0; i < shape.first * shape.second; ++i) {
+      out->PutFloat(0.0f);
+    }
+  }
+};
+
+constexpr std::int64_t kFrameStep = 2;
+
+// A damaged driver frame in the newest checkpoint fails the resume with
+// a clean IoError instead of restoring shapes the apply stage or the
+// scatter plans would index out of bounds; the well-formed frame
+// resumes.
+TEST(PregelDriverStateTest, DamagedDriverFramesFailResumeCleanly) {
+  PlantedGraphConfig config;
+  config.num_nodes = 60;
+  config.avg_degree = 4.0;
+  config.feature_dim = 5;
+  config.num_classes = 3;
+  config.seed = 5;
+  const Dataset dataset = MakePlantedDataset("frames", config);
+  ModelConfig mc;
+  mc.input_dim = config.feature_dim;
+  mc.hidden_dim = 7;
+  mc.num_classes = config.num_classes;
+  mc.num_layers = 2;
+  const std::unique_ptr<GnnModel> model = MakeSageModel(mc);
+  constexpr std::int64_t kWorkers = 3;
+  const PartitionAssignment assignment = AssignPartitions(
+      dataset.graph.num_nodes(), HashPartitioner(kWorkers));
+  const std::int64_t n = dataset.graph.num_nodes();
+
+  // Taken before superstep 2, once layer 0 has committed: states are
+  // (members x hidden), and the engine's inboxes are empty.
+  DriverFrame good;
+  good.nodes = assignment.members;
+  for (const std::vector<NodeId>& members : assignment.members) {
+    good.states.emplace_back(static_cast<std::int64_t>(members.size()),
+                             mc.hidden_dim);
+  }
+  good.logits = {n, mc.num_classes};
+  const std::string engine_state = EncodePregelEngineState(
+      std::vector<std::vector<MessageBatch>>(kWorkers),
+      std::vector<std::vector<bool>>(kWorkers), {});
+
+  const auto resume = [&](const std::string& name, const std::string& frame,
+                          std::int64_t step) {
+    const std::string dir = testing::TempDir() + "/driver_frame_" + name;
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    CheckpointStoreOptions store_options;
+    store_options.directory = dir;
+    Result<CheckpointStore> store = CheckpointStore::Open(store_options);
+    EXPECT_TRUE(store.ok());
+    CheckpointData data;
+    data.step = step;
+    data.engine_state = engine_state;
+    data.driver_state = frame;
+    EXPECT_TRUE(store->Save(data).ok());
+    InferTurboOptions options;
+    options.num_workers = kWorkers;
+    options.strategies.partial_gather = true;
+    options.checkpoint_directory = dir;
+    options.resume_from = true;
+    return RunInferTurboPregel(dataset.graph, *model, options).status();
+  };
+  const auto expect_io_error = [&](const std::string& name,
+                                   const DriverFrame& frame,
+                                   std::int64_t step = kFrameStep) {
+    const Status status = resume(name, frame.Encode(), step);
+    EXPECT_EQ(status.code(), StatusCode::kIoError)
+        << name << ": " << status.ToString();
+  };
+
+  EXPECT_TRUE(resume("good", good.Encode(), kFrameStep).ok());
+
+  DriverFrame swapped = good;
+  std::swap(swapped.nodes[0], swapped.nodes[1]);
+  std::swap(swapped.states[0], swapped.states[1]);
+  expect_io_error("swapped_members", swapped);
+
+  DriverFrame reordered = good;
+  std::reverse(reordered.nodes[0].begin(), reordered.nodes[0].end());
+  expect_io_error("reordered_members", reordered);
+
+  DriverFrame short_rows = good;
+  short_rows.states[1].first -= 1;
+  expect_io_error("short_state_rows", short_rows);
+
+  // The width of layer 0's input is a layer width, but not the one a
+  // checkpoint before superstep 2 holds.
+  DriverFrame wrong_width = good;
+  for (auto& shape : wrong_width.states) shape.second = mc.input_dim;
+  expect_io_error("wrong_state_width", wrong_width);
+
+  // Zero wide, 2^62 rows: no payload bytes stand behind it.
+  DriverFrame huge = good;
+  huge.states[2] = {std::int64_t{1} << 62, 0};
+  expect_io_error("zero_width_huge_rows", huge);
+
+  // Before superstep 0 every worker still holds 0 x 0 states.
+  expect_io_error("states_before_first_superstep", good, 0);
+
+  DriverFrame logits = good;
+  logits.logits = {n - 1, mc.num_classes};
+  expect_io_error("logits_rows", logits);
+  logits.logits = {n, mc.num_classes + 1};
+  expect_io_error("logits_cols", logits);
+
+  DriverFrame embeddings = good;
+  embeddings.embeddings = {n, mc.hidden_dim};
+  expect_io_error("unexpected_embeddings", embeddings);
+
+  expect_io_error("step_past_the_job", good, mc.num_layers + 1);
 }
 
 }  // namespace

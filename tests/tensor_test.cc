@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
+
 #include "src/common/rng.h"
 #include "src/tensor/ops.h"
 
@@ -114,6 +119,61 @@ TEST(OpsTest, MulColBroadcastScalesRows) {
 TEST(OpsTest, ReluClampsNegatives) {
   Tensor a = Tensor::FromRows({{-1, 2}, {0, -3}});
   EXPECT_TRUE(Relu(a).ApproxEquals(Tensor::FromRows({{0, 2}, {0, 0}})));
+}
+
+// The in-place epilogue writes the bytes of the out-of-place ops and
+// of the per-element definitions, x + b and x > 0 ? x : 0, over every
+// pairing of NaN, signed zeros, infinities and denormals in the input
+// and the bias: NaN and -0.0 both come out of the ReLU as +0.0.
+TEST(OpsTest, InPlaceEpilogueMatchesOutOfPlaceBytes) {
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            -std::numeric_limits<float>::quiet_NaN(),
+                            -0.0f,
+                            0.0f,
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min(),
+                            1e-40f,
+                            -1e-40f,
+                            1.5f,
+                            -2.25f};
+  const auto k = static_cast<std::int64_t>(std::size(specials));
+  // Row r, column j holds specials[(r + j) % k] and the bias specials[j],
+  // so every (input, bias) pair meets in some cell.
+  Tensor a(k, k);
+  Tensor bias(1, k);
+  for (std::int64_t j = 0; j < k; ++j) {
+    bias.At(0, j) = specials[j];
+    for (std::int64_t r = 0; r < k; ++r) a.At(r, j) = specials[(r + j) % k];
+  }
+  Tensor expected(k, k);
+  for (std::int64_t r = 0; r < k; ++r) {
+    for (std::int64_t j = 0; j < k; ++j) {
+      const float x = a.At(r, j) + bias.At(0, j);
+      expected.At(r, j) = x > 0.0f ? x : 0.0f;
+    }
+  }
+  const Tensor out_of_place = Relu(AddRowBroadcast(a, bias));
+  Tensor in_place = a;
+  AddRowBroadcastInPlace(&in_place, bias);
+  ReluInPlace(&in_place);
+  const auto bytes = static_cast<std::size_t>(k * k) * sizeof(float);
+  EXPECT_EQ(std::memcmp(in_place.data(), out_of_place.data(), bytes), 0);
+  EXPECT_EQ(std::memcmp(in_place.data(), expected.data(), bytes), 0);
+
+  // ReLU alone, straight on the specials.
+  Tensor row(1, k);
+  for (std::int64_t j = 0; j < k; ++j) row.At(0, j) = specials[j];
+  const Tensor relu = Relu(row);
+  ReluInPlace(&row);
+  EXPECT_EQ(std::memcmp(row.data(), relu.data(),
+                        static_cast<std::size_t>(k) * sizeof(float)),
+            0);
+  for (std::int64_t j = 0; j < 4; ++j) {
+    EXPECT_EQ(row.At(0, j), 0.0f);
+    EXPECT_FALSE(std::signbit(row.At(0, j))) << "column " << j;
+  }
 }
 
 TEST(OpsTest, LeakyReluKeepsSlope) {
