@@ -74,18 +74,11 @@ GatherResult GatherPooledRows(AggKind kind, std::int64_t width,
 
 namespace {
 
-// Pointers to messages' rows row_index[i] for i in [0, n), or to rows
-// 0..n-1 when row_index is null.
-std::vector<const float*> RowPointers(const Tensor& messages,
-                                      const std::int64_t* row_index,
-                                      std::size_t n) {
-  std::vector<const float*> rows(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::int64_t r =
-        row_index == nullptr ? static_cast<std::int64_t>(i) : row_index[i];
-    INFERTURBO_CHECK(0 <= r && r < messages.rows())
-        << "fold row " << r << " out of range";
-    rows[i] = messages.RowPtr(r);
+// Pointers to each of messages' rows, in order.
+std::vector<const float*> RowPointers(const Tensor& messages) {
+  std::vector<const float*> rows(static_cast<std::size_t>(messages.rows()));
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    rows[i] = messages.RowPtr(static_cast<std::int64_t>(i));
   }
   return rows;
 }
@@ -121,30 +114,12 @@ GatherResult GatherIntoResult(AggKind kind, const Tensor& messages,
   if (kind == AggKind::kUnion) {
     auto storage = std::make_shared<const Tensor>(messages);
     GatherResult result = GatherUnionRows(
-        num_nodes, {dst_index.begin(), dst_index.end()},
-        RowPointers(*storage, /*row_index=*/nullptr, dst_index.size()));
+        num_nodes, {dst_index.begin(), dst_index.end()}, RowPointers(*storage));
     result.row_storage = std::move(storage);
     return result;
   }
-  return GatherPooledRows(
-      kind, messages.cols(), num_nodes, dst_index,
-      RowPointers(messages, /*row_index=*/nullptr, dst_index.size()), {});
-}
-
-GatherResult FoldMessageRows(AggKind kind, const Tensor& messages,
-                             std::span<const std::int64_t> row_index,
-                             std::span<const std::int64_t> dst_index,
-                             std::int64_t num_nodes) {
-  INFERTURBO_CHECK(row_index.size() == dst_index.size())
-      << "fold index length mismatch";
-  std::vector<const float*> rows =
-      RowPointers(messages, row_index.data(), row_index.size());
-  if (kind == AggKind::kUnion) {
-    return GatherUnionRows(num_nodes, {dst_index.begin(), dst_index.end()},
-                           std::move(rows));
-  }
-  return GatherPooledRows(kind, messages.cols(), num_nodes, dst_index, rows,
-                          {});
+  return GatherPooledRows(kind, messages.cols(), num_nodes, dst_index,
+                          RowPointers(messages), {});
 }
 
 }  // namespace inferturbo

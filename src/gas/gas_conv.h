@@ -135,17 +135,6 @@ GatherResult GatherIntoResult(AggKind kind, const Tensor& messages,
                               std::span<const std::int64_t> dst_index,
                               std::int64_t num_nodes);
 
-/// The gather over rows messages[row_index[i]] without materializing
-/// them: row_index[i] goes to dst_index[i] in index order, so the
-/// result is bit-identical to GatherIntoResult(kind,
-/// GatherRows(messages, row_index), dst_index, num_nodes). A node whose
-/// message feeds many edges is computed once and never copied per
-/// edge. A union result points into `messages`, which must outlive it.
-GatherResult FoldMessageRows(AggKind kind, const Tensor& messages,
-                             std::span<const std::int64_t> row_index,
-                             std::span<const std::int64_t> dst_index,
-                             std::int64_t num_nodes);
-
 }  // namespace inferturbo
 
 #endif  // INFERTURBO_GAS_GAS_CONV_H_

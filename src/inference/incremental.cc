@@ -4,35 +4,12 @@
 #include <cstring>
 #include <string>
 
-#include "src/common/logging.h"
 #include "src/gas/gas_conv.h"
 #include "src/telemetry/trace.h"
-#include "src/tensor/ops.h"
 
 namespace inferturbo {
 
 namespace {
-
-/// The gather stage of `layer` over edges i, each carrying message row
-/// row_index[i] to node dst_index[i]. Layers without edge features read
-/// the message rows in place (pooled kinds fold them, a union result
-/// points into `messages`, which must outlive it); apply_edge needs
-/// per-edge rows, so those are materialized. `edge_features` (row i =
-/// edge i) is read only by layers that use it.
-GatherResult GatherLayer(const GasConv& layer, const Tensor& messages,
-                         std::span<const std::int64_t> row_index,
-                         std::span<const std::int64_t> dst_index,
-                         std::int64_t num_nodes, const Tensor* edge_features) {
-  const LayerSignature& sig = layer.signature();
-  if (!sig.uses_edge_features) {
-    return FoldMessageRows(sig.agg_kind, messages, row_index, dst_index,
-                           num_nodes);
-  }
-  const Tensor edge_messages = layer.ApplyEdge(
-      GatherRows(messages, row_index),
-      sig.uses_edge_features ? edge_features : nullptr);
-  return GatherIntoResult(sig.agg_kind, edge_messages, dst_index, num_nodes);
-}
 
 /// Previous-layer states as one delta sees them: the delta's patch
 /// where it has a row (`in_patch` marks its ids), history otherwise.
@@ -94,45 +71,66 @@ std::vector<std::int64_t> Distinct(std::vector<std::int64_t>* ids,
   return values;
 }
 
-/// Layer `layer`'s new states for `affected` (sorted). ComputeMessage
-/// runs once per distinct source of the cone; each in-edge then folds
-/// its source's message row, per node in the rebuilt graph's in-edge
-/// order — the order the full pass folds in.
+/// `layer`'s new states from `states` when in-edge k carries message row
+/// rows[k] (`width` floats) to node dst[k], folded in ascending k by one
+/// builder call. Edge-feature layers fold their per-edge ApplyEdge rows
+/// (row k merged with edge_features' row k) instead.
+Tensor GatherApply(const GasConv& layer, const Tensor& states,
+                   std::int64_t width, std::vector<const float*> rows,
+                   std::span<const std::int64_t> dst,
+                   const Tensor& edge_features) {
+  const LayerSignature& sig = layer.signature();
+  if (sig.uses_edge_features) {
+    Tensor edge_rows(static_cast<std::int64_t>(rows.size()), width);
+    for (std::size_t k = 0; k < rows.size(); ++k) edge_rows.SetRow(k, rows[k]);
+    return layer.ApplyNode(
+        states, GatherIntoResult(sig.agg_kind,
+                                 layer.ApplyEdge(edge_rows, &edge_features),
+                                 dst, states.rows()));
+  }
+  const GatherResult gathered =
+      sig.agg_kind == AggKind::kUnion
+          ? GatherUnionRows(states.rows(), {dst.begin(), dst.end()},
+                            std::move(rows))
+          : GatherPooledRows(sig.agg_kind, width, states.rows(), dst, rows,
+                             {});
+  return layer.ApplyNode(states, gathered);
+}
+
+/// Layer `layer`'s new states for `affected` (sorted), each folding its
+/// in-edges in the rebuilt graph's order, as the full pass does. A
+/// message that is the state is its source's input row, read in place
+/// (patch or history); others are computed once per distinct source.
 Tensor RecomputeRows(const GasConv& layer, const OverlayGraph& graph,
                      const LayerInput& input,
                      const std::vector<NodeId>& affected,
                      std::int64_t* cone_in_edges) {
   const bool uses_edge_features = layer.signature().uses_edge_features;
-  std::vector<std::int64_t> edge_slot;  // each in-edge's source, then slot
+  std::vector<std::int64_t> edge_src;  // each in-edge's source (or slot)
   std::vector<std::int64_t> dst_local;
-  std::vector<const float*> edge_feature_rows;
+  Tensor edge_features(0, graph.edge_feature_dim());
   for (std::size_t i = 0; i < affected.size(); ++i) {
     graph.ForEachInEdge(affected[i], [&](NodeId src, const float* features) {
-      edge_slot.push_back(src);
+      edge_src.push_back(src);
       dst_local.push_back(static_cast<std::int64_t>(i));
-      if (uses_edge_features) edge_feature_rows.push_back(features);
+      if (uses_edge_features) edge_features.AppendRow(features);
     });
   }
-  *cone_in_edges += static_cast<std::int64_t>(edge_slot.size());
+  *cone_in_edges += static_cast<std::int64_t>(edge_src.size());
+  const bool in_place = layer.MessageIsState();
   // Sources in id order: their rows are read in memory order, and a
   // hub's in-edges (sorted by source) read ascending message rows.
-  const std::vector<std::int64_t> sources =
-      Distinct(&edge_slot, graph.num_nodes());
-
-  Tensor edge_features;
-  if (uses_edge_features) {
-    edge_features = Tensor(static_cast<std::int64_t>(edge_slot.size()),
-                           graph.edge_feature_dim());
-    for (std::size_t i = 0; i < edge_feature_rows.size(); ++i) {
-      edge_features.SetRow(static_cast<std::int64_t>(i),
-                           edge_feature_rows[i]);
-    }
+  const Tensor messages =
+      in_place ? Tensor()
+               : layer.ComputeMessage(
+                     input.Gather(Distinct(&edge_src, graph.num_nodes())));
+  std::vector<const float*> rows(edge_src.size());
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    rows[k] = in_place ? input.Row(edge_src[k]) : messages.RowPtr(edge_src[k]);
   }
-  const Tensor messages = layer.ComputeMessage(input.Gather(sources));
-  const GatherResult gathered =
-      GatherLayer(layer, messages, edge_slot, dst_local,
-                  static_cast<std::int64_t>(affected.size()), &edge_features);
-  return layer.ApplyNode(input.Gather(affected), gathered);
+  return GatherApply(layer, input.Gather(affected),
+                     in_place ? input.history->cols() : messages.cols(),
+                     std::move(rows), dst_local, edge_features);
 }
 
 /// Span names must outlive the trace drain; one literal per layer
@@ -197,12 +195,16 @@ LayerStates ComputeLayerStates(const GnnModel& model, const Graph& graph) {
   for (std::int64_t l = 0; l < model.num_layers(); ++l) {
     const GasConv& layer = model.layer(l);
     const Tensor& h = out.states.back();
-    const Tensor messages = layer.ComputeMessage(h);
-    const GatherResult gathered =
-        GatherLayer(layer, messages, graph.edge_src(), graph.edge_dst(),
-                    graph.num_nodes(), &graph.edge_features());
-    Tensor next = layer.ApplyNode(h, gathered);
-    out.states.push_back(std::move(next));
+    Tensor computed;
+    if (!layer.MessageIsState()) computed = layer.ComputeMessage(h);
+    const Tensor& messages = layer.MessageIsState() ? h : computed;
+    std::vector<const float*> rows(graph.edge_src().size());
+    for (std::size_t e = 0; e < rows.size(); ++e) {
+      rows[e] = messages.RowPtr(graph.edge_src()[e]);
+    }
+    out.states.push_back(GatherApply(layer, h, messages.cols(),
+                                     std::move(rows), graph.edge_dst(),
+                                     graph.edge_features()));
   }
   return out;
 }
@@ -271,11 +273,9 @@ Result<DeltaPatches> ComputeDeltaPatches(const GnnModel& model,
         l == 0 ? LayerInput{&features, nullptr, nullptr}
                : LayerInput{&history[static_cast<std::size_t>(l) - 1],
                             &out.layers.back(), &dirty};
-    RowPatch patch;
-    patch.rows = RecomputeRows(model.layer(l), graph, input, affected,
-                               &out.cone_in_edges);
-    patch.ids = affected;
-    out.layers.push_back(std::move(patch));
+    out.layers.push_back(
+        RowPatch{affected, RecomputeRows(model.layer(l), graph, input,
+                                         affected, &out.cone_in_edges)});
 
     dirty = std::move(next_dirty);
     dirty_list = std::move(affected);

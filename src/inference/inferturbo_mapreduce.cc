@@ -495,7 +495,8 @@ class MrInferenceDriver {
 
   /// Scatter for a batch of nodes: one ComputeMessage (and, for
   /// edge-featured layers, one ApplyEdge) call, then dense rows or
-  /// broadcast refs for hubs. Map-side partial aggregation is the
+  /// broadcast refs for hubs. Identity messages are read from the
+  /// states in place. Map-side partial aggregation is the
   /// engine combiner's job, so dense rows are emitted as-is here.
   void ScatterMessages(std::int64_t layer_index,
                        std::span<const NodeId> nodes, const Tensor& states,
@@ -503,7 +504,9 @@ class MrInferenceDriver {
                        MrEmitter* emitter) {
     const GasConv& layer = model_.layer(layer_index);
     const LayerSignature& sig = layer.signature();
-    const Tensor messages = layer.ComputeMessage(states);
+    Tensor computed;
+    if (!layer.MessageIsState()) computed = layer.ComputeMessage(states);
+    const Tensor& messages = layer.MessageIsState() ? states : computed;
     const std::size_t msg_cols = static_cast<std::size_t>(messages.cols());
     if (sig.uses_edge_features) {
       // apply_edge varies per out-edge: materialize every merged row of

@@ -61,8 +61,10 @@ enum class PlanKind {
   kAllEdges,     // every out-edge; rows are local node indices
   kNonHubEdges,  // out-edges of non-hub nodes (broadcast on); node rows
   kEdgeRows,     // every out-edge; row k is the worker's k-th out-edge
+  kAllEdgeCounts,     // kAllEdges' row counts only (dense scatter)
+  kNonHubEdgeCounts,  // kNonHubEdges' row counts only (dense scatter)
 };
-constexpr std::size_t kNumPlanKinds = 3;
+constexpr std::size_t kNumPlanKinds = 5;
 
 /// One worker's routing for the Pregel scatter, built once per job from
 /// the graph and the partition assignment and only read after that.
@@ -70,8 +72,9 @@ constexpr std::size_t kNumPlanKinds = 3;
 /// the scatter first reaches them (the partial batches' wire order) and,
 /// slot-sorted as CSR, each destination slot's source rows in edge
 /// order. A partial scatter folds it slot by slot through CombineRows,
-/// with no per-edge slot lookup; a dense scatter sizes its batches from
-/// the row counts.
+/// with no per-edge slot lookup. A dense scatter sizes its batches from
+/// a count-only plan, which holds each destination worker's row count
+/// and no routes.
 struct ScatterPlan {
   struct Route {
     std::vector<NodeId> dst;          // slot -> destination id
@@ -79,9 +82,11 @@ struct ScatterPlan {
     std::vector<std::int32_t> row;    // source rows, slot-sorted
   };
   std::vector<Route> routes;  // one per destination worker
+  std::vector<std::size_t> rows;  // count-only: rows per destination worker
 
   std::uint64_t ByteSize() const {
-    std::uint64_t bytes = routes.size() * sizeof(Route);
+    std::uint64_t bytes = routes.size() * sizeof(Route) +
+                          rows.size() * sizeof(std::size_t);
     for (const Route& r : routes) {
       bytes += r.dst.size() * sizeof(NodeId) +
                (r.begin.size() + r.row.size()) * sizeof(std::int32_t);
@@ -94,7 +99,8 @@ struct ScatterPlan {
 /// counts each destination's edges, the second gives destinations their
 /// slots in first-seen order and writes each edge's source row at its
 /// slot's cursor. Both tables are indexed by a destination's local index
-/// on its worker, so nothing is hashed.
+/// on its worker, so nothing is hashed. A count-only plan is one pass
+/// that counts each destination worker's edges.
 ScatterPlan BuildScatterPlan(const Graph& graph,
                              const PartitionAssignment& assignment,
                              const std::vector<NodeId>& nodes,
@@ -109,7 +115,8 @@ ScatterPlan BuildScatterPlan(const Graph& graph,
     std::int32_t edge = 0;
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       const NodeId v = nodes[i];
-      if (kind == PlanKind::kNonHubEdges &&
+      if ((kind == PlanKind::kNonHubEdges ||
+           kind == PlanKind::kNonHubEdgeCounts) &&
           graph.OutDegree(v) > hub_threshold) {
         continue;
       }
@@ -127,6 +134,15 @@ ScatterPlan BuildScatterPlan(const Graph& graph,
   };
 
   const std::size_t num_workers = assignment.members.size();
+  ScatterPlan plan;
+  if (kind == PlanKind::kAllEdgeCounts ||
+      kind == PlanKind::kNonHubEdgeCounts) {
+    plan.rows.assign(num_workers, 0);
+    for_each_edge([&](NodeId, std::size_t w, std::size_t, std::int32_t) {
+      ++plan.rows[w];
+    });
+    return plan;
+  }
   std::vector<std::vector<std::int32_t>> hits(num_workers);
   for (std::size_t w = 0; w < num_workers; ++w) {
     hits[w].assign(assignment.members[w].size(), 0);
@@ -135,7 +151,6 @@ ScatterPlan BuildScatterPlan(const Graph& graph,
     ++hits[w][local];
   });
 
-  ScatterPlan plan;
   plan.routes.resize(num_workers);
   // cursor[w][local]: where that destination's next row goes, -1 until
   // its slot is given; next[w]: the first row no slot has claimed.
@@ -486,16 +501,18 @@ class PregelInferenceDriver {
       return;
     }
 
-    const ScatterPlan& plan = PlanFor(
-        ctx->worker_id(),
-        use_broadcast ? PlanKind::kNonHubEdges : PlanKind::kAllEdges, nodes);
+    const PlanKind kind =
+        use_broadcast
+            ? (use_partial ? PlanKind::kNonHubEdges
+                           : PlanKind::kNonHubEdgeCounts)
+            : (use_partial ? PlanKind::kAllEdges : PlanKind::kAllEdgeCounts);
+    const ScatterPlan& plan = PlanFor(ctx->worker_id(), kind, nodes);
     // Dense per-edge rows (non-partial path): one batch per destination
-    // worker, sized from the plan, so each row is written once, into
-    // the batch its receiver reads, and routing moves batches whole.
-    std::vector<MessageBatch> dense(use_partial ? 0 : plan.routes.size());
+    // worker, sized from the plan's counts, so each row is written once,
+    // into the batch its receiver reads, and routing moves batches whole.
+    std::vector<MessageBatch> dense(plan.rows.size());
     for (std::size_t w = 0; w < dense.size(); ++w) {
-      const std::size_t rows = plan.routes[w].row.size();
-      if (rows > 0) dense[w].Reserve(rows, msg_dim);
+      if (plan.rows[w] > 0) dense[w].Reserve(plan.rows[w], msg_dim);
     }
     // Id-only rows for hub out-edges.
     MessageBatch refs;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <memory>
 #include <numeric>
 
 #include "src/common/crc32.h"
@@ -36,7 +38,8 @@ std::unique_ptr<GnnModel> SmallModel(const Graph& g,
 }
 
 /// Rebuilds `graph` with `feature_patch` rows replaced and
-/// `extra_edges` appended.
+/// `extra_edges` appended (with zero edge-feature rows when the graph
+/// carries edge features).
 Graph MutateGraph(const Graph& graph,
                   const std::vector<std::pair<NodeId, float>>& feature_patch,
                   const std::vector<std::pair<NodeId, NodeId>>& extra_edges) {
@@ -45,6 +48,14 @@ Graph MutateGraph(const Graph& graph,
     builder.AddEdge(graph.EdgeSrc(e), graph.EdgeDst(e));
   }
   for (const auto& [src, dst] : extra_edges) builder.AddEdge(src, dst);
+  if (graph.has_edge_features()) {
+    const Tensor& old_rows = graph.edge_features();
+    Tensor edge_features(
+        graph.num_edges() + static_cast<std::int64_t>(extra_edges.size()),
+        old_rows.cols());
+    std::memcpy(edge_features.data(), old_rows.data(), old_rows.ByteSize());
+    builder.SetEdgeFeatures(std::move(edge_features));
+  }
   Tensor features = graph.node_features();
   for (const auto& [v, value] : feature_patch) {
     for (std::int64_t j = 0; j < features.cols(); ++j) {
@@ -113,10 +124,18 @@ TEST(IncrementalTest, LayerStatesBytesArePinned) {
             0x63621f74u);
 }
 
+// Every layer kind: identity messages read in place (sage, gcn, gin),
+// computed messages (gat's union, pool_sage's max) and per-edge
+// apply_edge rows (edge_sage).
 TEST(IncrementalTest, FeatureChangeMatchesFullRecompute) {
-  const Dataset d = BaseDataset();
-  for (const std::string kind : {"sage", "gcn", "gat", "gin"}) {
-    const std::unique_ptr<GnnModel> model = SmallModel(d.graph, kind);
+  const Dataset base = BaseDataset();
+  const Dataset edged = EdgeFeaturedDataset();
+  for (const std::string kind :
+       {"sage", "gcn", "gat", "gin", "pool_sage", "edge_sage"}) {
+    const bool edge = kind == "edge_sage";
+    const Dataset& d = edge ? edged : base;
+    const std::unique_ptr<GnnModel> model =
+        edge ? EdgeModel(d.graph) : SmallModel(d.graph, kind);
     const LayerStates old_states = ComputeLayerStates(*model, d.graph);
 
     const Graph mutated = MutateGraph(d.graph, {{17, 0.5f}, {230, -1.25f}},
@@ -135,6 +154,106 @@ TEST(IncrementalTest, FeatureChangeMatchesFullRecompute) {
     }
     EXPECT_TRUE(incremental->logits.ApproxEquals(
         model->PredictLogits(fresh.states.back()), 0.0f));
+  }
+}
+
+// With three layers, the out-neighbours of a changed node read its
+// layer-1 and layer-2 rows from the delta's own patches; history still
+// holds the old rows, so reading it would diverge.
+TEST(IncrementalTest, ConeSourcesReadTheDeltaPatch) {
+  const Dataset d = BaseDataset();
+  for (const std::string kind : {"sage", "gat"}) {
+    ModelConfig config;
+    config.input_dim = d.graph.feature_dim();
+    config.hidden_dim = 8;
+    config.num_classes = d.graph.num_classes();
+    config.num_layers = 3;
+    config.heads = 2;
+    const std::unique_ptr<GnnModel> model =
+        MakeModel(kind, config).ValueOrDie();
+    const LayerStates old_states = ComputeLayerStates(*model, d.graph);
+    const NodeId changed = 17;
+    const Graph mutated = MutateGraph(d.graph, {{changed, 0.5f}}, {});
+    const LayerStates fresh = ComputeLayerStates(*model, mutated);
+    ASSERT_GT(mutated.OutDegree(changed), 0);
+    for (std::size_t l = 1; l < 3; ++l) {
+      ASSERT_FALSE(std::equal(
+          fresh.states[l].RowPtr(changed),
+          fresh.states[l].RowPtr(changed) + fresh.states[l].cols(),
+          old_states.states[l].RowPtr(changed)))
+          << kind << ": the patched layer-" << l << " row equals history";
+    }
+
+    GraphDelta delta;
+    delta.changed_nodes = {changed};
+    const Result<IncrementalResult> incremental =
+        IncrementalInference(*model, mutated, old_states, delta);
+    ASSERT_TRUE(incremental.ok()) << incremental.status().ToString();
+    for (std::size_t l = 0; l < fresh.states.size(); ++l) {
+      EXPECT_TRUE(incremental->states.states[l].ApproxEquals(
+          fresh.states[l], 0.0f))
+          << kind << " layer " << l << " diverged (must be bit-identical)";
+    }
+  }
+}
+
+// A node the delta appends, whose in-edges exist only in the overlay,
+// is a cone source at every layer: history has no row for it, so each
+// layer must read it from the previous patch. Every patched row equals
+// a from-scratch pass over the compacted graph, and every other row
+// equals history.
+TEST(IncrementalTest, AppendedOverlaySourceMatchesFullRecompute) {
+  const Dataset d = BaseDataset();
+  const std::int64_t old_n = d.graph.num_nodes();
+  const NodeId appended = old_n;
+  const std::vector<std::pair<NodeId, NodeId>> added = {
+      {5, appended}, {311, appended}, {appended, 42}, {appended, 7}};
+  const OverlayGraph graph =
+      OverlayGraph(std::make_shared<const Graph>(d.graph))
+          .WithEdges(old_n + 1, added, Tensor());
+  Tensor features(old_n + 1, d.graph.feature_dim());
+  std::memcpy(features.data(), d.graph.node_features().data(),
+              d.graph.node_features().ByteSize());
+  for (std::int64_t j = 0; j < features.cols(); ++j) {
+    features.At(appended, j) = 0.25f * static_cast<float>(j) - 1.0f;
+  }
+  const Result<Graph> rebuilt = graph.Compact(features);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+
+  for (const std::string kind : {"sage", "gat"}) {
+    const std::unique_ptr<GnnModel> model = SmallModel(d.graph, kind);
+    const LayerStates old_states = ComputeLayerStates(*model, d.graph);
+    const LayerStates fresh = ComputeLayerStates(*model, *rebuilt);
+    std::vector<ChunkedRows> history;
+    for (std::size_t l = 1; l < old_states.states.size(); ++l) {
+      history.push_back(ChunkedRows::View(old_states.states[l], nullptr));
+    }
+    GraphDelta delta;
+    delta.changed_nodes = {appended};
+    delta.changed_in_edges = {appended, 42, 7};
+    const Result<DeltaPatches> patches = ComputeDeltaPatches(
+        *model, graph, ChunkedRows::View(features, nullptr), history, delta);
+    ASSERT_TRUE(patches.ok()) << patches.status().ToString();
+
+    for (std::size_t l = 0; l < patches->layers.size(); ++l) {
+      const RowPatch& patch = patches->layers[l];
+      const Tensor& expected = fresh.states[l + 1];
+      ASSERT_TRUE(std::binary_search(patch.ids.begin(), patch.ids.end(),
+                                     appended));
+      for (NodeId v = 0; v < old_n + 1; ++v) {
+        const auto it =
+            std::lower_bound(patch.ids.begin(), patch.ids.end(), v);
+        const float* got =
+            it != patch.ids.end() && *it == v
+                ? patch.rows.RowPtr(it - patch.ids.begin())
+                : old_states.states[l + 1].RowPtr(v);
+        EXPECT_EQ(std::memcmp(got, expected.RowPtr(v),
+                              static_cast<std::size_t>(expected.cols()) *
+                                  sizeof(float)),
+                  0)
+            << kind << " layer " << l + 1 << " node " << v;
+      }
+    }
   }
 }
 

@@ -185,19 +185,25 @@ TEST(MapReduceEngineTest, CombinerSeesOnlySameKeyRuns) {
       emitter->Emit(i % 2 == 0 ? 10 : 11, 0, -1, {&value, 1});
     }
   });
+  // The two instances reduce (and combine) concurrently.
+  std::mutex mu;
   std::map<std::int64_t, std::vector<float>> combined_per_key;
-  MapReduceJob::CombineFn combiner = [&combined_per_key](
+  MapReduceJob::CombineFn combiner = [&mu, &combined_per_key](
                                          std::int64_t key,
                                          const MrValues& values,
                                          MrEmitter* out) {
     float folded = 0.0f;
     for (const MrRecord v : values) folded += v.floats[0];
-    combined_per_key[key].push_back(folded);
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      combined_per_key[key].push_back(folded);
+    }
     out->Emit(key, 0, -1, {&folded, 1});
   };
   std::map<std::int64_t, float> reduced;
   job.RunReduce(
-      [&reduced](const MrKeyGroups& groups, MrEmitter*) {
+      [&mu, &reduced](const MrKeyGroups& groups, MrEmitter*) {
+        std::lock_guard<std::mutex> lock(mu);
         for (std::size_t g = 0; g < groups.size(); ++g) {
           for (const MrRecord v : groups.values(g)) {
             reduced[groups.key(g)] += v.floats[0];
@@ -666,10 +672,12 @@ TEST(MapReduceGoldenTest, InferenceLogitsArePinned) {
 }
 
 // A SAGE layer whose message rows carry one float more than its
-// signature's message dim declares.
+// signature's message dim declares. Its message is no longer its
+// state, so the scatter must call ComputeMessage.
 class WideMessageSage : public SageConv {
  public:
   using SageConv::SageConv;
+  bool MessageIsState() const override { return false; }
   Tensor ComputeMessage(const Tensor& node_states) const override {
     const Tensor narrow = SageConv::ComputeMessage(node_states);
     Tensor wide(narrow.rows(), narrow.cols() + 1);
