@@ -635,6 +635,10 @@ TEST(MapReduceGoldenTest, InferenceLogitsArePinned) {
       {"gin", true, false, 0x3f0a9bcbu},
       {"sage", false, true, 0x7a5c7fa5u},
       {"gat", false, false, 0x50077c3eu},
+      // The only configuration where one producer sends a key both
+      // broadcast refs and a partial aggregate: pins refs-before-partial
+      // within each producer's values. Same logits as the Pregel pin.
+      {"sage", true, true, 0xd052b0e4u},
   };
   const std::string dir = testing::TempDir() + "/golden_logits_spill";
   for (const Case& c : cases) {
