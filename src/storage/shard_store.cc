@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cerrno>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -191,9 +192,21 @@ bool IsChecksumError(const Status& status) {
   return status.message().find("checksum mismatch") != std::string::npos;
 }
 
+/// Whether every id lies in [0, num_nodes): one branch-free unsigned
+/// compare per id.
+bool IdsInRange(std::span<const std::int64_t> ids, std::int64_t num_nodes) {
+  bool in_range = true;
+  for (const std::int64_t id : ids) {
+    in_range &= static_cast<std::uint64_t>(id) <
+                static_cast<std::uint64_t>(num_nodes);
+  }
+  return in_range;
+}
+
 /// Cross-checks a loaded shard against the meta's expectations for that
 /// partition, so a renamed or stale shard file cannot masquerade as the
-/// requested one.
+/// requested one, and a page whose CRC holds cannot smuggle in a node
+/// id that node-indexed tables downstream would overrun.
 Status CheckAgainstMeta(const MappedShard& shard, const ShardMeta& meta,
                         std::int64_t partition) {
   const ShardHeader& h = shard.header();
@@ -205,6 +218,12 @@ Status CheckAgainstMeta(const MappedShard& shard, const ShardMeta& meta,
       h.has_labels != meta.has_labels) {
     return Status::IoError("shard header disagrees with meta for partition " +
                            std::to_string(partition));
+  }
+  if (!IdsInRange(shard.node_ids(), meta.num_nodes) ||
+      !IdsInRange(shard.out_dst(), meta.num_nodes)) {
+    return Status::IoError("partition " + std::to_string(partition) +
+                           " holds a node id outside [0, " +
+                           std::to_string(meta.num_nodes) + ")");
   }
   return Status::OK();
 }

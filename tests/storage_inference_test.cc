@@ -8,16 +8,21 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 
+#include "src/common/crc32.h"
 #include "src/common/thread_pool.h"
 #include "src/graph/datasets.h"
 #include "src/inference/inferturbo_mapreduce.h"
 #include "src/inference/inferturbo_pregel.h"
 #include "src/nn/model.h"
 #include "src/storage/graph_view.h"
+#include "src/storage/shard_pipeline.h"
 #include "src/storage/shard_format.h"
 #include "src/storage/shard_store.h"
 #include "src/storage/shard_writer.h"
@@ -245,6 +250,64 @@ TEST(StorageInferenceTest, MapReduceRejectsWorkerPartitionMismatch) {
                   .IsInvalidArgument());
   // The Pregel backend materializes the view, so any worker count works.
   EXPECT_TRUE(RunInferTurboPregel(view, *model, options).ok());
+}
+
+/// Rewrites the first out-edge destination of `partition`'s shard to
+/// `dst` and reseals the out-dst page's CRC, so only the meta cross-
+/// check can tell the id is bad.
+void RewriteFirstDst(const std::string& dir, std::int64_t partition,
+                     std::int64_t dst) {
+  const std::string path = dir + "/" + ShardFileName(partition);
+  std::string file;
+  {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    file = bytes.str();
+  }
+  constexpr int kOutDstSlot = static_cast<int>(PageKind::kOutDst) - 1;
+  PageEntry entry;
+  ASSERT_TRUE(DecodePageEntry(file, kOutDstSlot, &entry).ok());
+  ASSERT_GT(entry.bytes, 0u);
+  std::memcpy(file.data() + entry.offset, &dst, sizeof(dst));
+  entry.payload_crc = Crc32(file.data() + entry.offset, entry.bytes);
+  const std::string sealed = EncodePageEntry(entry);
+  file.replace(kShardHeaderBytes + kOutDstSlot * kPageEntryBytes,
+               sealed.size(), sealed);
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << file;
+}
+
+TEST(StorageInferenceTest, OutOfRangeDestinationIsAnIoError) {
+  const Dataset dataset = SkewedDataset();
+  const std::unique_ptr<GnnModel> model =
+      MakeModelFor("sage", dataset.graph);
+  for (const std::int64_t bad : {dataset.graph.num_nodes(), std::int64_t{-1}}) {
+    SCOPED_TRACE(bad);
+    const std::string dir = PackInto(dataset.graph, "storage_bad_dst");
+    RewriteFirstDst(dir, /*partition=*/3, bad);
+    InferTurboOptions options;
+    options.num_workers = kPartitions;
+    {
+      Result<ShardStore> store = OpenStore(dir, 0);
+      ASSERT_TRUE(store.ok());
+      const ShardGraphView view(std::move(*store));
+      const Result<InferenceResult> result =
+          RunInferTurboMapReduce(view, *model, options);
+      EXPECT_EQ(result.status().code(), StatusCode::kIoError)
+          << result.status().ToString();
+      EXPECT_NE(result.status().message().find("outside [0, 400)"),
+                std::string::npos)
+          << result.status().ToString();
+    }
+    {
+      Result<ShardStore> store = OpenStore(dir, 0);
+      ASSERT_TRUE(store.ok());
+      const ShardGraphView view(std::move(*store));
+      const Result<Graph> graph = MaterializeGraph(view);
+      EXPECT_EQ(graph.status().code(), StatusCode::kIoError)
+          << graph.status().ToString();
+    }
+  }
 }
 
 TEST(StorageInferenceTest, StreamedPipelineActuallyRuns) {
