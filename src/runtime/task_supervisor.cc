@@ -210,6 +210,10 @@ void TaskSupervisor::RunAttemptBody(StageContext* ctx,
     skip = slot.committed || ctx->failed ||
            attempt->abandon_.load(std::memory_order_acquire);
   }
+  // The deadline scan times an attempt from its start, so it must see
+  // the start: a scan that ran before it would otherwise sleep until
+  // some other attempt ends, which may be never.
+  if (options_.task_deadline_seconds > 0.0) ctx->cv.notify_all();
 
   Status status = Status::OK();
   bool ran = false;

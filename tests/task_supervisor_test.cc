@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/thread_pool.h"
 #include "src/runtime/fault_plan.h"
 
 namespace inferturbo {
@@ -188,6 +189,43 @@ TEST(TaskSupervisorTest, DeadlineAbandonsStragglerAndRetryCommits) {
   EXPECT_GE(m.retries, 1);
   // Deadline overruns are transient-style: no quarantine.
   EXPECT_EQ(supervisor.num_quarantined(), 0);
+}
+
+TEST(TaskSupervisorTest, DeadlineTimesAnAttemptThatStartsAfterTheScan) {
+  // One executor thread, held busy until after the supervisor's first
+  // scan, which therefore sees no started attempt. The straggler then
+  // holds the only thread, so no attempt ends to wake the scan: only
+  // the straggler's own start can.
+  ThreadPool pool(1);
+  std::atomic<bool> release{false};
+  pool.Submit([&release] {
+    while (!release.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  std::thread releaser([&release] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    release.store(true);
+  });
+  TaskSupervisionOptions options;
+  options.pool = &pool;
+  options.task_deadline_seconds = 0.05;
+  TaskSupervisor supervisor(options);
+  bool abandoned = false;
+  const Result<StageResult> stage = supervisor.RunStage(
+      {TaskStageKind::kPregelCompute, 0}, 2,
+      [&](TaskAttempt* attempt) -> Status {
+        if (attempt->task() == 0 && attempt->attempt() == 0) {
+          WaitForAbandon(attempt, /*max_seconds=*/5.0);
+          abandoned = attempt->ShouldAbandon();
+        }
+        return Status::OK();
+      });
+  releaser.join();
+  ASSERT_TRUE(stage.ok()) << stage.status().ToString();
+  EXPECT_TRUE(abandoned);
+  EXPECT_GE(stage->committed_attempt[0], 1);
+  EXPECT_EQ(supervisor.metrics().deadline_exceeded, 1);
 }
 
 TEST(TaskSupervisorTest, SpeculativeBackupCommitsWhileStragglerSleeps) {
