@@ -204,24 +204,10 @@ class MrInferenceDriver {
       const std::int64_t stage = l + 1;
       if (stage <= completed_stage) continue;  // already durable
       INFERTURBO_RETURN_NOT_OK(killed(stage));
-      MapReduceJob::CombineFn combiner;
-      const LayerSignature& sig = model_.layer(l).signature();
-      const bool use_partial = options_.strategies.partial_gather &&
-                               sig.partial_gather &&
-                               PartialGatherReduces(sig.agg_kind);
-      if (use_partial) {
-        const AggKind kind = sig.agg_kind;
-        const std::int64_t msg_dim = sig.message_dim;
-        combiner = [kind, msg_dim](std::int64_t key, const MrValues& values,
-                                   MrEmitter* out) {
-          CombineInMessages(kind, msg_dim, key, values, out);
-        };
-      }
       INFERTURBO_RETURN_NOT_OK(job.RunReduce(
           [this, l](const MrKeyGroups& groups, MrEmitter* emitter) {
             ReduceBlock(l, groups, emitter);
-          },
-          combiner ? &combiner : nullptr));
+          }));
       FlushBroadcastStaging(&job);
       INFERTURBO_RETURN_NOT_OK(save_checkpoint(stage));
     }
@@ -270,54 +256,6 @@ class MrInferenceDriver {
     std::span<const std::int64_t> dst;
     std::span<const float> features;
   };
-
-  /// Map-side combine: fold this producer's kInMessage rows for `key`
-  /// into a single kPartialAgg record, written in place into the
-  /// outgoing arena; other tags pass through ahead of it.
-  static void CombineInMessages(AggKind kind, std::int64_t msg_dim,
-                                std::int64_t key, const MrValues& values,
-                                MrEmitter* out) {
-    INFERTURBO_CHECK(kind != AggKind::kUnion) << "union is not combinable";
-    // Dispatched SIMD row fold instead of a scalar loop per value: the
-    // max/min selects match std::max/std::min exactly (see row_fold.h),
-    // so the combine stays bit-identical to the old scalar switch.
-    const kernels::detail::RowFoldFn fold =
-        kind == AggKind::kMax   ? kernels::detail::RowMax()
-        : kind == AggKind::kMin ? kernels::detail::RowMin()
-                                : kernels::detail::RowAdd();
-    const auto foldable = [msg_dim](const MrRecord& v) {
-      return (v.tag == kInMessage &&
-              static_cast<std::int64_t>(v.floats.size()) == msg_dim) ||
-             v.tag == kPartialAgg;
-    };
-    std::size_t first = values.size();  // the first foldable value
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      const MrRecord v = values[i];
-      if (!foldable(v)) {
-        out->Emit(key, v.tag, v.src, v.floats, v.ids);
-      } else if (first == values.size()) {
-        first = i;
-      }
-    }
-    if (first == values.size()) return;
-    // The first foldable row seeds the accumulator in the arena; the
-    // rest fold into it in arrival order.
-    const std::span<const float> seed = values[first].floats;
-    const MrRecordSlot partial =
-        out->Append(key, kPartialAgg, -1, seed.size(), 1);
-    std::copy(seed.begin(), seed.end(), partial.floats.begin());
-    std::int64_t count = 0;
-    for (std::size_t i = first; i < values.size(); ++i) {
-      const MrRecord v = values[i];
-      if (!foldable(v)) continue;
-      count += v.tag == kPartialAgg ? v.ids[0] : 1;
-      if (i > first) {
-        fold(partial.floats.data(), v.floats.data(),
-             static_cast<std::int64_t>(partial.floats.size()));
-      }
-    }
-    partial.ids[0] = count;
-  }
 
   /// The initialization stage: map instance p streams partition p of
   /// the view through the shard pipeline, whose loader thread is
@@ -496,14 +434,27 @@ class MrInferenceDriver {
   /// Scatter for a batch of nodes: one ComputeMessage (and, for
   /// edge-featured layers, one ApplyEdge) call, then dense rows or
   /// broadcast refs for hubs. Identity messages are read from the
-  /// states in place. Map-side partial aggregation is the
-  /// engine combiner's job, so dense rows are emitted as-is here.
+  /// states in place. Under partial gather each dense row folds into
+  /// its destination's one kPartialAgg record as it is emitted, so the
+  /// producer never holds a per-edge record; hub refs stay per edge.
   void ScatterMessages(std::int64_t layer_index,
                        std::span<const NodeId> nodes, const Tensor& states,
                        std::span<const OutEdges> out_edges,
                        MrEmitter* emitter) {
     const GasConv& layer = model_.layer(layer_index);
     const LayerSignature& sig = layer.signature();
+    MrFoldFn fold = nullptr;
+    if (options_.strategies.partial_gather && sig.partial_gather &&
+        PartialGatherReduces(sig.agg_kind)) {
+      fold = sig.agg_kind == AggKind::kMax   ? kernels::detail::RowMax()
+             : sig.agg_kind == AggKind::kMin ? kernels::detail::RowMin()
+                                             : kernels::detail::RowAdd();
+    }
+    const auto emit_row = [fold, emitter](NodeId d, NodeId src,
+                                          std::span<const float> row) {
+      fold != nullptr ? emitter->EmitFolded(d, kPartialAgg, row, fold)
+                      : emitter->Emit(d, kInMessage, src, row);
+    };
     Tensor computed;
     if (!layer.MessageIsState()) computed = layer.ComputeMessage(states);
     const Tensor& messages = layer.MessageIsState() ? states : computed;
@@ -532,9 +483,8 @@ class MrInferenceDriver {
       row = 0;
       for (std::size_t i = 0; i < nodes.size(); ++i) {
         for (const NodeId d : out_edges[i].dst) {
-          emitter->Emit(d, kInMessage, nodes[i],
-                        std::span<const float>(merged.RowPtr(row++),
-                                               merged_cols));
+          emit_row(d, nodes[i],
+                   std::span<const float>(merged.RowPtr(row++), merged_cols));
         }
       }
       return;
@@ -558,7 +508,7 @@ class MrInferenceDriver {
         for (const NodeId d : dst) emitter->Emit(d, kRef, v);
         continue;
       }
-      for (const NodeId d : dst) emitter->Emit(d, kInMessage, v, row);
+      for (const NodeId d : dst) emit_row(d, v, row);
     }
   }
 

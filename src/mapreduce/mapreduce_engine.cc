@@ -160,10 +160,17 @@ void AppendRefs(const std::vector<MrBlock>& blocks,
   }
 }
 
+/// The widest key range that still counts as dense against `n`
+/// records, so a table indexed by key may span it: node ids in
+/// practice do. Such tables scale with the records, never with a key's
+/// value.
+std::uint64_t DenseKeyRange(std::size_t n) {
+  return 4 * static_cast<std::uint64_t>(n) + 1024;
+}
+
 /// Stable sort of `refs` by key, so values of one key keep their
-/// relative order. Keys are node ids in practice — dense — so this is a
-/// counting sort over the key range; sparse keys fall back to a
-/// comparison sort.
+/// relative order. A dense key range is counting-sorted; sparse keys
+/// fall back to a comparison sort.
 void StableSortByKey(std::vector<MrRecordRef>* refs) {
   const std::size_t n = refs->size();
   if (n < 2) return;
@@ -173,7 +180,7 @@ void StableSortByKey(std::vector<MrRecordRef>* refs) {
   const std::uint64_t min_key = static_cast<std::uint64_t>(*lo);
   const std::uint64_t range = static_cast<std::uint64_t>(*hi) - min_key;
   std::vector<MrRecordRef> sorted(n);
-  if (range <= 4 * static_cast<std::uint64_t>(n) + 1024) {
+  if (range <= DenseKeyRange(n)) {
     std::vector<std::size_t> next(static_cast<std::size_t>(range) + 2, 0);
     for (const std::int64_t key : keys) {
       ++next[static_cast<std::uint64_t>(key) - min_key + 1];
@@ -259,24 +266,82 @@ void MrEmitter::Emit(std::int64_t key, std::int32_t tag, NodeId src,
   std::copy(ids.begin(), ids.end(), slot.ids.begin());
 }
 
-MrRecordSlot MrEmitter::Append(std::int64_t key, std::int32_t tag,
-                               NodeId src, std::size_t num_floats,
-                               std::size_t num_ids) {
-  if (blocks_.empty() || !blocks_.back().Fits(num_floats, num_ids)) {
-    const std::size_t shift = std::min(blocks_.size(), kMaxBlockGrowthShift);
-    blocks_.emplace_back(
+MrRecordSlot MrEmitter::AppendTo(std::vector<MrBlock>* blocks,
+                                 std::int64_t key, std::int32_t tag,
+                                 NodeId src, std::size_t num_floats,
+                                 std::size_t num_ids) {
+  if (blocks->empty() || !blocks->back().Fits(num_floats, num_ids)) {
+    const std::size_t shift = std::min(blocks->size(), kMaxBlockGrowthShift);
+    blocks->emplace_back(
         std::min(kMaxBlockRecords, kFirstBlockRecords << shift),
         std::max(num_floats, std::min(kMaxBlockFloats, kFirstBlockFloats << shift)),
         std::max(num_ids, std::min(kMaxBlockIds, kFirstBlockIds << shift)));
   }
+  return blocks->back().Append(key, tag, src, num_floats, num_ids);
+}
+
+MrRecordSlot MrEmitter::Append(std::int64_t key, std::int32_t tag,
+                               NodeId src, std::size_t num_floats,
+                               std::size_t num_ids) {
   ++records_;
-  return blocks_.back().Append(key, tag, src, num_floats, num_ids);
+  ++emitted_;
+  return AppendTo(&blocks_, key, tag, src, num_floats, num_ids);
+}
+
+std::uint32_t& MrEmitter::PartialIndex(std::int64_t key) {
+  // A negative key wraps past every dense range.
+  const std::uint64_t k = static_cast<std::uint64_t>(key);
+  if (k >= dense_index_.size() && k <= DenseKeyRange(emitted_)) {
+    // Double the table, never past what DenseKeyRange admits, and move
+    // in the keys opened while it could not hold them yet.
+    dense_index_.resize(std::min<std::uint64_t>(
+        std::max<std::uint64_t>(k + 1, 2 * dense_index_.size()),
+        DenseKeyRange(emitted_) + 1));
+    std::erase_if(sparse_index_, [this](const auto& entry) {
+      const std::uint64_t moved = static_cast<std::uint64_t>(entry.first);
+      if (moved >= dense_index_.size()) return false;
+      dense_index_[moved] = entry.second;
+      return true;
+    });
+  }
+  return k < dense_index_.size() ? dense_index_[k] : sparse_index_[key];
+}
+
+void MrEmitter::EmitFolded(std::int64_t key, std::int32_t tag,
+                           std::span<const float> row, MrFoldFn fold) {
+  ++emitted_;
+  std::uint32_t& index = PartialIndex(key);
+  if (index == 0) {
+    INFERTURBO_CHECK(partials_.size() < UINT32_MAX)
+        << "too many folded records in one emitter";
+    const MrRecordSlot slot =
+        AppendTo(&folded_blocks_, key, tag, -1, row.size(), 1);
+    std::copy(row.begin(), row.end(), slot.floats.begin());
+    slot.ids[0] = 1;
+    partials_.push_back(slot);
+    index = static_cast<std::uint32_t>(partials_.size());
+    ++records_;
+    return;
+  }
+  const MrRecordSlot& partial = partials_[index - 1];
+  INFERTURBO_CHECK(partial.floats.size() == row.size())
+      << "folded row for key " << key << " has " << row.size()
+      << " floats, its partial has " << partial.floats.size();
+  fold(partial.floats.data(), row.data(),
+       static_cast<std::int64_t>(row.size()));
+  ++partial.ids[0];
 }
 
 std::vector<MrBlock> MrEmitter::TakeBlocks() {
   std::vector<MrBlock> blocks = std::move(blocks_);
   blocks_.clear();
+  for (MrBlock& block : folded_blocks_) blocks.push_back(std::move(block));
+  folded_blocks_.clear();
+  partials_.clear();
+  dense_index_.clear();
+  sparse_index_.clear();
   records_ = 0;
+  emitted_ = 0;
   return blocks;
 }
 
@@ -377,8 +442,7 @@ Status MapReduceJob::RunMap(const MapFn& map_fn) {
   return Status::OK();
 }
 
-Status MapReduceJob::RunReduce(const ReduceFn& reduce_fn,
-                               const CombineFn* combiner) {
+Status MapReduceJob::RunReduce(const ReduceFn& reduce_fn) {
   TaskSupervisor* const supervisor = options_.supervisor;
   const bool supervised = supervisor != nullptr;
   // First error wins; the other tasks finish their current work and
@@ -395,10 +459,9 @@ Status MapReduceJob::RunReduce(const ReduceFn& reduce_fn,
   const std::int64_t n = options_.num_instances;
   std::vector<WorkerStepMetrics> step(static_cast<std::size_t>(n));
 
-  // --- producer side: partition by destination, combine, account,
-  // and (when spilling) write this attempt's blocks out --------------
-  // outgoing[p][r] = p's record blocks for reducer r, in emission order
-  // (key-grouped when combining).
+  // --- producer side: partition by destination, account, and (when
+  // spilling) write this attempt's blocks out -------------------------
+  // outgoing[p][r] = p's record blocks for reducer r, in emission order.
   std::vector<std::vector<std::vector<MrBlock>>> outgoing(
       static_cast<std::size_t>(n));
   TraceSpan stage_span("mr/reduce_stage");
@@ -416,37 +479,21 @@ Status MapReduceJob::RunReduce(const ReduceFn& reduce_fn,
           std::int64_t* spill_retries) -> Status {
     TraceSpan span("mr/shuffle_partition", static_cast<std::int64_t>(p));
     WallTimer timer;
-    // Group this producer's records by destination reducer — and, to
-    // combine, by key — with stable sorts over record refs, so emission
-    // order holds within each group.
+    // Group this producer's records by destination reducer with a
+    // stable sort over record refs, so emission order holds within
+    // each group.
     std::vector<MrRecordRef> refs;
     AppendRefs(dataflow_[p], &refs);
-    if (combiner != nullptr) StableSortByKey(&refs);
     const std::vector<std::size_t> bounds = GroupByInstance(&refs, n);
     out->clear();
     out->resize(static_cast<std::size_t>(n));
     for (std::int64_t r = 0; r < n; ++r) {
-      const std::span<const MrRecordRef> group(
-          refs.data() + bounds[static_cast<std::size_t>(r)],
-          bounds[static_cast<std::size_t>(r) + 1] -
-              bounds[static_cast<std::size_t>(r)]);
       MrEmitter emitter;
-      if (combiner != nullptr) {
-        // Map-side combine: fold each same-key run straight into the
-        // outgoing block's arena.
-        for (std::size_t i = 0; i < group.size();) {
-          const std::int64_t key = group[i].key();
-          std::size_t end = i + 1;
-          while (end < group.size() && group[end].key() == key) ++end;
-          (*combiner)(key, MrValues(group.subspan(i, end - i)), &emitter);
-          i = end;
-        }
-      } else {
-        for (const MrRecordRef& ref : group) {
-          const MrRecord record = ref.get();
-          emitter.Emit(ref.key(), record.tag, record.src, record.floats,
-                       record.ids);
-        }
+      for (std::size_t i = bounds[static_cast<std::size_t>(r)];
+           i < bounds[static_cast<std::size_t>(r) + 1]; ++i) {
+        const MrRecord record = refs[i].get();
+        emitter.Emit(refs[i].key(), record.tag, record.src, record.floats,
+                     record.ids);
       }
       (*out)[static_cast<std::size_t>(r)] = emitter.TakeBlocks();
     }

@@ -6,6 +6,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/byte_size.h"
@@ -98,10 +99,14 @@ class MrBlock {
   std::unique_ptr<std::int64_t[]> ids_;
 };
 
-/// Collects emissions from map, reduce and combine functions into a run
-/// of blocks. When the current block is full the next record opens a
-/// new one, twice as large up to a fixed cap, so arenas grow in chunks
-/// and nothing is ever re-copied.
+/// The elementwise fold EmitFolded applies: acc[j] = fold(acc[j],
+/// row[j]) for j < n (the row-fold kernels' signature).
+using MrFoldFn = void (*)(float* acc, const float* row, std::int64_t n);
+
+/// Collects emissions from map and reduce functions into a run of
+/// blocks. When the current block is full the next record opens a new
+/// one, twice as large up to a fixed cap, so arenas grow in chunks and
+/// nothing is ever re-copied.
 class MrEmitter {
  public:
   /// Appends one record, copying its payload into the arena.
@@ -111,15 +116,42 @@ class MrEmitter {
   /// Appends one record whose payload the caller writes in place.
   MrRecordSlot Append(std::int64_t key, std::int32_t tag, NodeId src,
                       std::size_t num_floats, std::size_t num_ids);
+  /// Folds `row` into this emitter's one partial record for `key` — the
+  /// producer-side partial gather (paper §IV-D) done as rows are
+  /// emitted, so no per-row record is ever written. The first row for a
+  /// key opens the record (src -1, floats = the row, ids = {1}); each
+  /// later row folds into it with `fold` and adds 1 to its count. Every
+  /// row for one key must have the same width.
+  void EmitFolded(std::int64_t key, std::int32_t tag,
+                  std::span<const float> row, MrFoldFn fold);
 
-  /// Records emitted so far.
+  /// Records emitted so far (a folded record counts once).
   std::size_t size() const { return records_; }
-  const std::vector<MrBlock>& blocks() const { return blocks_; }
+  /// Every record: the plain blocks, then the folded ones, so each key
+  /// reads its plain records in emission order and then its partial.
+  /// Resets the emitter, fold state included.
   std::vector<MrBlock> TakeBlocks();
 
  private:
+  /// Appends to the run `blocks`, opening a block when its last is full.
+  static MrRecordSlot AppendTo(std::vector<MrBlock>* blocks,
+                               std::int64_t key, std::int32_t tag,
+                               NodeId src, std::size_t num_floats,
+                               std::size_t num_ids);
+  /// 1 + the index in partials_ of key's folded record; 0 = none yet.
+  std::uint32_t& PartialIndex(std::int64_t key);
+
   std::vector<MrBlock> blocks_;
+  std::vector<MrBlock> folded_blocks_;
+  /// Payload of each folded record, in the order they were opened.
+  std::vector<MrRecordSlot> partials_;
+  /// PartialIndex for keys in [0, dense_index_.size()) ...
+  std::vector<std::uint32_t> dense_index_;
+  /// ... and for every other key.
+  std::unordered_map<std::int64_t, std::uint32_t> sparse_index_;
   std::size_t records_ = 0;
+  /// Emit/Append/EmitFolded calls, which bound the dense table's size.
+  std::size_t emitted_ = 0;
 };
 
 /// Where a record lives: a block and a row in it.
@@ -149,8 +181,6 @@ class MrValues {
   };
 
   explicit MrValues(std::span<const MrRecordRef> refs) : refs_(refs) {}
-  std::size_t size() const { return refs_.size(); }
-  MrRecord operator[](std::size_t i) const { return refs_[i].get(); }
   Iterator begin() const { return Iterator(refs_.data()); }
   Iterator end() const { return Iterator(refs_.data() + refs_.size()); }
 
@@ -180,9 +210,9 @@ class MrKeyGroups {
 
 /// A simulated elastic MapReduce job: I logical instances each act as
 /// mapper and reducer; rounds alternate shuffle (sort by key, values
-/// ordered by producing instance) and reduce. Combiners run on the
-/// producing side per destination instance — the hook partial-gather
-/// plugs into (paper §IV-D).
+/// ordered by producing instance) and reduce. Producer-side partial
+/// gather (paper §IV-D) happens as map and reduce functions emit, via
+/// MrEmitter::EmitFolded.
 class MapReduceJob {
  public:
   /// Key groups per reduce call: enough rows to amortize one batched
@@ -233,11 +263,6 @@ class MapReduceJob {
   /// Called per block of at most kReduceBlockKeys consecutive key
   /// groups; keys ascend across calls of one task.
   using ReduceFn = std::function<void(const MrKeyGroups& groups, MrEmitter*)>;
-  /// Producer-side combine of one (producer, reducer, key) run: appends
-  /// the combined values for `key` to `out`.
-  using CombineFn = std::function<void(std::int64_t key,
-                                       const MrValues& values,
-                                       MrEmitter* out)>;
 
   explicit MapReduceJob(Options options);
 
@@ -247,13 +272,12 @@ class MapReduceJob {
   Status RunMap(const MapFn& map_fn);
 
   /// One shuffle+reduce round over the current dataflow; emitted pairs
-  /// become the next round's dataflow. `combiner` may be null. Returns
-  /// non-OK — never crashes — when a spill block cannot be written or
-  /// read back intact after bounded retries (IoError), or when the
-  /// failure injector never stops firing (Aborted). On error the
-  /// dataflow is left unspecified; the job must be abandoned or resumed
-  /// from a durable checkpoint.
-  Status RunReduce(const ReduceFn& reduce_fn, const CombineFn* combiner);
+  /// become the next round's dataflow. Returns non-OK — never crashes —
+  /// when a spill block cannot be written or read back intact after
+  /// bounded retries (IoError), or when the failure injector never
+  /// stops firing (Aborted). On error the dataflow is left unspecified;
+  /// the job must be abandoned or resumed from a durable checkpoint.
+  Status RunReduce(const ReduceFn& reduce_fn);
 
   /// Drains the final dataflow: every instance's blocks, in instance
   /// order.

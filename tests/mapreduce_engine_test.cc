@@ -1,12 +1,15 @@
 #include "src/mapreduce/mapreduce_engine.h"
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -22,6 +25,7 @@
 #include "src/nn/model.h"
 #include "src/nn/sage_conv.h"
 #include "src/runtime/task_supervisor.h"
+#include "src/tensor/kernels/row_fold.h"
 
 namespace inferturbo {
 namespace {
@@ -58,8 +62,7 @@ TEST(MapReduceEngineTest, WordCountStyleAggregation) {
           for (const MrRecord v : groups.values(g)) sum += v.floats[0];
           emitter->Emit(groups.key(g), 0, -1, {&sum, 1});
         }
-      },
-      nullptr);
+      });
   const std::map<std::int64_t, float> result = FirstFloats(job.TakeOutputs());
   ASSERT_EQ(result.size(), 5u);
   for (const auto& [key, sum] : result) EXPECT_EQ(sum, 20.0f);
@@ -76,41 +79,8 @@ TEST(MapReduceEngineTest, ValuesArriveInProducerOrder) {
   job.RunReduce(
       [&order](const MrKeyGroups& groups, MrEmitter*) {
         for (const MrRecord v : groups.values(0)) order.push_back(v.src);
-      },
-      nullptr);
+      });
   EXPECT_EQ(order, (std::vector<NodeId>{0, 1, 10, 11, 20, 21}));
-}
-
-TEST(MapReduceEngineTest, CombinerShrinksShuffleBytes) {
-  const auto run = [](bool with_combiner) {
-    MapReduceJob::Options options;
-    options.num_instances = 2;
-    MapReduceJob job(options);
-    job.RunMap([](std::int64_t, MrEmitter* emitter) {
-      const float one = 1.0f;
-      for (int i = 0; i < 50; ++i) emitter->Emit(7, 0, -1, {&one, 1});
-    });
-    MapReduceJob::CombineFn combiner = [](std::int64_t key,
-                                          const MrValues& values,
-                                          MrEmitter* out) {
-      float folded = 0.0f;
-      for (const MrRecord v : values) folded += v.floats[0];
-      out->Emit(key, 0, -1, {&folded, 1});
-    };
-    float total = 0.0f;
-    job.RunReduce(
-        [&total](const MrKeyGroups& groups, MrEmitter*) {
-          for (const MrRecord v : groups.values(0)) total += v.floats[0];
-        },
-        with_combiner ? &combiner : nullptr);
-    std::uint64_t shuffle_bytes = 0;
-    for (const auto& w : job.metrics().workers) {
-      shuffle_bytes += w.Total().bytes_out;
-    }
-    EXPECT_EQ(total, 100.0f);  // combining never changes the answer
-    return shuffle_bytes;
-  };
-  EXPECT_LT(run(true), run(false) / 10);
 }
 
 TEST(MapReduceEngineTest, AllShuffleTrafficIsCharged) {
@@ -123,7 +93,7 @@ TEST(MapReduceEngineTest, AllShuffleTrafficIsCharged) {
     const float row[] = {1.0f, 2.0f};
     emitter->Emit(0, 0, -1, row);  // lands wherever key 0 hashes
   });
-  job.RunReduce([](const MrKeyGroups&, MrEmitter*) {}, nullptr);
+  job.RunReduce([](const MrKeyGroups&, MrEmitter*) {});
   std::uint64_t out = 0, in = 0;
   for (const auto& w : job.metrics().workers) {
     out += w.Total().bytes_out;
@@ -151,8 +121,7 @@ TEST(MapReduceEngineTest, MultiRoundChainingPreservesData) {
               emitter->Emit(groups.key(g) + 1, 0, -1, {&next, 1});
             }
           }
-        },
-        nullptr);
+        });
   }
   std::map<std::int64_t, float> result = FirstFloats(job.TakeOutputs());
   ASSERT_EQ(result.size(), 3u);
@@ -166,58 +135,9 @@ TEST(MapReduceEngineTest, MetricsTrackOneStepPerStage) {
   options.num_instances = 2;
   MapReduceJob job(options);
   job.RunMap([](std::int64_t, MrEmitter*) {});
-  job.RunReduce([](const MrKeyGroups&, MrEmitter*) {}, nullptr);
-  job.RunReduce([](const MrKeyGroups&, MrEmitter*) {}, nullptr);
+  job.RunReduce([](const MrKeyGroups&, MrEmitter*) {});
+  job.RunReduce([](const MrKeyGroups&, MrEmitter*) {});
   EXPECT_EQ(job.metrics().num_steps(), 3);
-}
-
-TEST(MapReduceEngineTest, CombinerSeesOnlySameKeyRuns) {
-  // The combiner contract: invoked per (producer, reducer, key) with
-  // exactly that key's values; emissions for other keys must never be
-  // folded together.
-  MapReduceJob::Options options;
-  options.num_instances = 2;
-  MapReduceJob job(options);
-  job.RunMap([](std::int64_t instance, MrEmitter* emitter) {
-    if (instance != 0) return;
-    for (int i = 0; i < 6; ++i) {
-      const float value = static_cast<float>(1 << i);
-      emitter->Emit(i % 2 == 0 ? 10 : 11, 0, -1, {&value, 1});
-    }
-  });
-  // The two instances reduce (and combine) concurrently.
-  std::mutex mu;
-  std::map<std::int64_t, std::vector<float>> combined_per_key;
-  MapReduceJob::CombineFn combiner = [&mu, &combined_per_key](
-                                         std::int64_t key,
-                                         const MrValues& values,
-                                         MrEmitter* out) {
-    float folded = 0.0f;
-    for (const MrRecord v : values) folded += v.floats[0];
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      combined_per_key[key].push_back(folded);
-    }
-    out->Emit(key, 0, -1, {&folded, 1});
-  };
-  std::map<std::int64_t, float> reduced;
-  job.RunReduce(
-      [&mu, &reduced](const MrKeyGroups& groups, MrEmitter*) {
-        std::lock_guard<std::mutex> lock(mu);
-        for (std::size_t g = 0; g < groups.size(); ++g) {
-          for (const MrRecord v : groups.values(g)) {
-            reduced[groups.key(g)] += v.floats[0];
-          }
-        }
-      },
-      &combiner);
-  // Key 10 got 1+4+16 = 21; key 11 got 2+8+32 = 42; no cross-talk.
-  EXPECT_EQ(reduced[10], 21.0f);
-  EXPECT_EQ(reduced[11], 42.0f);
-  ASSERT_EQ(combined_per_key[10].size(), 1u);
-  ASSERT_EQ(combined_per_key[11].size(), 1u);
-  EXPECT_EQ(combined_per_key[10][0], 21.0f);
-  EXPECT_EQ(combined_per_key[11][0], 42.0f);
 }
 
 TEST(MapReduceEngineTest, PeakResidentTracksLargestKeyGroup) {
@@ -236,7 +156,7 @@ TEST(MapReduceEngineTest, PeakResidentTracksLargestKeyGroup) {
       }
       for (int i = 0; i < 10; ++i) emitter->Emit(-1, 0, -1, row);
     });
-    job.RunReduce([](const MrKeyGroups&, MrEmitter*) {}, nullptr);
+    job.RunReduce([](const MrKeyGroups&, MrEmitter*) {});
     EXPECT_EQ(job.metrics().PeakResidentBytes(), 10 * sample.WireBytes());
   }
 }
@@ -262,19 +182,21 @@ TEST(MrEmitterTest, RecordsSpanBlocksWithoutCopyingPayloads) {
   for (int i = 0; i < 5000; ++i) {
     std::vector<float> floats(static_cast<std::size_t>(i % 70),
                               static_cast<float>(i));
-    if (i == 2500) {
+    if (i == 0) {
+      first_payload = emitter.Append(i, 2, -i, 0, 0).floats.data();
+    } else if (i == 2500) {
       emitter.Emit(i, 1, i, floats, wide);
     } else {
       emitter.Emit(i, 2, -i, floats);
     }
-    if (i == 0) first_payload = emitter.blocks()[0].record(0).floats.data();
   }
   EXPECT_EQ(emitter.size(), 5000u);
-  EXPECT_GT(emitter.blocks().size(), 3u);
+  const std::vector<MrBlock> blocks = emitter.TakeBlocks();
+  EXPECT_GT(blocks.size(), 3u);
   // Later appends never moved an earlier record's payload.
-  EXPECT_EQ(emitter.blocks()[0].record(0).floats.data(), first_payload);
+  EXPECT_EQ(blocks[0].record(0).floats.data(), first_payload);
   std::int64_t expected = 0;
-  for (const MrBlock& block : emitter.TakeBlocks()) {
+  for (const MrBlock& block : blocks) {
     for (std::size_t i = 0; i < block.size(); ++i, ++expected) {
       ASSERT_EQ(block.key(i), expected);
       const MrRecord record = block.record(i);
@@ -297,6 +219,242 @@ TEST(MrEmitterTest, RecordsSpanBlocksWithoutCopyingPayloads) {
   EXPECT_EQ(emitter.size(), 0u);
 }
 
+// --- folding at emission ------------------------------------------------
+
+/// The row folds' scalar semantics (row_fold.h), applied one row at a
+/// time: the reference every EmitFolded result must match byte for byte.
+void ReferenceFold(kernels::detail::FoldOp op, float* acc, const float* row,
+                   std::size_t n) {
+  for (std::size_t j = 0; j < n; ++j) {
+    switch (op) {
+      case kernels::detail::FoldOp::kAdd:
+        acc[j] += row[j];
+        break;
+      case kernels::detail::FoldOp::kMax:
+        acc[j] = (acc[j] < row[j]) ? row[j] : acc[j];
+        break;
+      case kernels::detail::FoldOp::kMin:
+        acc[j] = (row[j] < acc[j]) ? row[j] : acc[j];
+        break;
+    }
+  }
+}
+
+TEST(MrEmitterFoldTest, FoldsMatchASequentialPerKeyFold) {
+  using kernels::detail::FoldOp;
+  const std::pair<FoldOp, MrFoldFn> kinds[] = {
+      {FoldOp::kAdd, kernels::detail::RowAdd()},
+      {FoldOp::kMax, kernels::detail::RowMax()},
+      {FoldOp::kMin, kernels::detail::RowMin()},
+  };
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const auto& [op, fold] : kinds) {
+    for (const std::size_t width : {1, 7, 8, 9, 65}) {
+      SCOPED_TRACE(testing::Message() << "op " << static_cast<int>(op)
+                                      << " width " << width);
+      MrEmitter emitter;
+      std::map<std::int64_t, std::pair<std::vector<float>, std::int64_t>>
+          expected;
+      std::uint64_t state = 12345 + width;
+      const auto next = [&state] {
+        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+        return static_cast<std::uint32_t>(state >> 33);
+      };
+      for (int i = 0; i < 400; ++i) {
+        // Repeated, unsorted keys; values mix NaN, both zeros, repeats.
+        const std::int64_t key = static_cast<std::int64_t>(next() % 37) * 3;
+        std::vector<float> row(width);
+        for (float& f : row) {
+          switch (next() % 8) {
+            case 0: f = nan; break;
+            case 1: f = 0.0f; break;
+            case 2: f = -0.0f; break;
+            case 3: f = 1.5f; break;
+            default:
+              f = static_cast<float>(static_cast<std::int32_t>(next() % 2001) -
+                                     1000) /
+                  64.0f;
+          }
+        }
+        emitter.EmitFolded(key, 4, row, fold);
+        auto [it, opened] = expected.try_emplace(key, row, 1);
+        if (!opened) {
+          ReferenceFold(op, it->second.first.data(), row.data(), width);
+          ++it->second.second;
+        }
+      }
+      EXPECT_EQ(emitter.size(), expected.size());
+      std::size_t seen = 0;
+      for (const MrBlock& block : emitter.TakeBlocks()) {
+        for (std::size_t i = 0; i < block.size(); ++i, ++seen) {
+          const MrRecord record = block.record(i);
+          const auto& [floats, count] = expected.at(block.key(i));
+          EXPECT_EQ(record.tag, 4);
+          EXPECT_EQ(record.src, -1);
+          ASSERT_EQ(record.floats.size(), width);
+          EXPECT_EQ(std::memcmp(record.floats.data(), floats.data(),
+                                width * sizeof(float)),
+                    0)
+              << "key " << block.key(i);
+          ASSERT_EQ(record.ids.size(), 1u);
+          EXPECT_EQ(record.ids[0], count);
+        }
+      }
+      EXPECT_EQ(seen, expected.size());
+    }
+  }
+}
+
+TEST(MrEmitterFoldTest, FoldedRecordsFollowEveryPlainRecord) {
+  MrEmitter emitter;
+  const float one = 1.0f;
+  // Enough of both kinds to span several blocks of each run.
+  for (std::int64_t i = 0; i < 3000; ++i) {
+    emitter.Emit(i % 50, 1, i);
+    emitter.EmitFolded(i % 70, 9, {&one, 1}, kernels::detail::RowAdd());
+  }
+  EXPECT_EQ(emitter.size(), 3000u + 70u);
+  std::int64_t plain = 0;
+  std::int64_t folded = 0;
+  for (const MrBlock& block : emitter.TakeBlocks()) {
+    for (std::size_t i = 0; i < block.size(); ++i) {
+      const MrRecord record = block.record(i);
+      if (record.tag == 1) {
+        ASSERT_EQ(folded, 0) << "plain record after a folded one";
+        EXPECT_EQ(record.src, plain);  // plain records keep emission order
+        ++plain;
+      } else {
+        ASSERT_EQ(record.tag, 9);
+        // Keys open in first-emission order, 0..69.
+        EXPECT_EQ(block.key(i), folded);
+        EXPECT_EQ(record.floats[0], static_cast<float>(record.ids[0]));
+        ++folded;
+      }
+    }
+  }
+  EXPECT_EQ(plain, 3000);
+  EXPECT_EQ(folded, 70);
+}
+
+TEST(MrEmitterFoldTest, ExtremeKeysFoldWithoutALargeAllocation) {
+  // A key indexing the dense table directly would need 2^40 slots; the
+  // fold must hash such keys (and negative ones) instead.
+  const std::size_t heap_before = mallinfo2().uordblks;
+  MrEmitter emitter;
+  const std::int64_t far = std::int64_t{1} << 40;
+  const float row[] = {2.0f, -1.0f};
+  for (int i = 0; i < 3; ++i) {
+    emitter.EmitFolded(far, 4, row, kernels::detail::RowAdd());
+    emitter.EmitFolded(-1, 4, row, kernels::detail::RowMax());
+  }
+  EXPECT_LT(mallinfo2().uordblks, heap_before + (std::size_t{1} << 20));
+  std::map<std::int64_t, MrRecord> records;
+  const std::vector<MrBlock> blocks = emitter.TakeBlocks();
+  for (const MrBlock& block : blocks) {
+    for (std::size_t i = 0; i < block.size(); ++i) {
+      records[block.key(i)] = block.record(i);
+    }
+  }
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[far].floats[0], 6.0f);
+  EXPECT_EQ(records[far].floats[1], -3.0f);
+  EXPECT_EQ(records[far].ids[0], 3);
+  EXPECT_EQ(records[-1].floats[0], 2.0f);
+  EXPECT_EQ(records[-1].ids[0], 3);
+}
+
+TEST(MrEmitterFoldTest, KeyOpenedBeforeTheTableReachedItKeepsOneRecord) {
+  // Key 5000 is past the dense table's reach while few records exist,
+  // and inside it once many do: both phases fold into one record.
+  MrEmitter emitter;
+  const float one = 1.0f;
+  emitter.EmitFolded(5000, 4, {&one, 1}, kernels::detail::RowAdd());
+  for (std::int64_t i = 0; i < 2000; ++i) emitter.Emit(i, 1, -1);
+  emitter.EmitFolded(5000, 4, {&one, 1}, kernels::detail::RowAdd());
+  emitter.EmitFolded(4999, 4, {&one, 1}, kernels::detail::RowAdd());
+  emitter.EmitFolded(5000, 4, {&one, 1}, kernels::detail::RowAdd());
+  std::map<std::int64_t, std::int64_t> counts;
+  for (const MrBlock& block : emitter.TakeBlocks()) {
+    for (std::size_t i = 0; i < block.size(); ++i) {
+      if (block.record(i).tag == 4) {
+        ASSERT_EQ(counts.count(block.key(i)), 0u) << "key folded twice";
+        counts[block.key(i)] = block.record(i).ids[0];
+      }
+    }
+  }
+  EXPECT_EQ(counts, (std::map<std::int64_t, std::int64_t>{{4999, 1},
+                                                          {5000, 3}}));
+}
+
+TEST(MrEmitterFoldTest, WidthMismatchOnOneKeyDies) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const float row[] = {1.0f, 2.0f, 3.0f};
+  EXPECT_DEATH(
+      {
+        MrEmitter emitter;
+        emitter.EmitFolded(7, 4, std::span<const float>(row, 3),
+                           kernels::detail::RowAdd());
+        emitter.EmitFolded(8, 4, std::span<const float>(row, 2),
+                           kernels::detail::RowAdd());
+        emitter.EmitFolded(7, 4, std::span<const float>(row, 2),
+                           kernels::detail::RowAdd());
+      },
+      "folded row for key 7 has 2 floats, its partial has 3");
+}
+
+TEST(MrEmitterFoldTest, TakeBlocksResetsTheFoldState) {
+  MrEmitter emitter;
+  const float first[] = {1.0f, 2.0f};
+  const float second[] = {5.0f};
+  emitter.EmitFolded(3, 4, first, kernels::detail::RowAdd());
+  emitter.EmitFolded(3, 4, first, kernels::detail::RowAdd());
+  ASSERT_EQ(emitter.TakeBlocks().size(), 1u);
+  EXPECT_EQ(emitter.size(), 0u);
+  // A fresh record, of a new width, with a fresh count.
+  emitter.EmitFolded(3, 4, second, kernels::detail::RowAdd());
+  const std::vector<MrBlock> blocks = emitter.TakeBlocks();
+  ASSERT_EQ(blocks.size(), 1u);
+  ASSERT_EQ(blocks[0].size(), 1u);
+  const MrRecord record = blocks[0].record(0);
+  ASSERT_EQ(record.floats.size(), 1u);
+  EXPECT_EQ(record.floats[0], 5.0f);
+  EXPECT_EQ(record.ids[0], 1);
+}
+
+TEST(MrEmitterFoldTest, FoldingShrinksShuffleBytes) {
+  const auto run = [](bool fold) {
+    MapReduceJob::Options options;
+    options.num_instances = 2;
+    MapReduceJob job(options);
+    job.RunMap([fold](std::int64_t, MrEmitter* emitter) {
+      const float one = 1.0f;
+      for (int i = 0; i < 50; ++i) {
+        if (fold) {
+          emitter->EmitFolded(7, 0, {&one, 1}, kernels::detail::RowAdd());
+        } else {
+          emitter->Emit(7, 0, -1, {&one, 1});
+        }
+      }
+    });
+    float total = 0.0f;
+    std::int64_t rows = 0;
+    job.RunReduce([&](const MrKeyGroups& groups, MrEmitter*) {
+      for (const MrRecord v : groups.values(0)) {
+        total += v.floats[0];
+        rows += v.ids.empty() ? 1 : v.ids[0];
+      }
+    });
+    std::uint64_t shuffle_bytes = 0;
+    for (const auto& w : job.metrics().workers) {
+      shuffle_bytes += w.Total().bytes_out;
+    }
+    EXPECT_EQ(total, 100.0f);  // folding never changes the answer
+    EXPECT_EQ(rows, 100);
+    return shuffle_bytes;
+  };
+  EXPECT_LT(run(true), run(false) / 10);
+}
+
 // --- block-boundary coverage -------------------------------------------
 
 /// The first `count` keys that instance 0 of `instances` owns.
@@ -316,66 +474,54 @@ TEST(MapReduceBlockTest, KeyGroupsArriveAscendingAcrossBlockEdges) {
     SCOPED_TRACE(num_keys);
     const std::vector<std::int64_t> keys =
         KeysOwnedByInstanceZero(num_keys, kInstances);
-    for (const bool combine : {false, true}) {
-      SCOPED_TRACE(combine ? "combined" : "plain");
-      MapReduceJob::Options options;
-      options.num_instances = kInstances;
-      MapReduceJob job(options);
-      // Every producer emits two values per key, walking the keys in
-      // descending order so the shuffle's sort has work to do; src
-      // encodes (producer, emission index).
-      job.RunMap([&](std::int64_t instance, MrEmitter* emitter) {
-        std::int64_t emitted = 0;
-        for (int pass = 0; pass < 2; ++pass) {
-          for (auto k = keys.rbegin(); k != keys.rend(); ++k) {
-            emitter->Emit(*k, 0, instance * 100000 + emitted++);
-          }
+    MapReduceJob::Options options;
+    options.num_instances = kInstances;
+    MapReduceJob job(options);
+    // Every producer emits two values per key, walking the keys in
+    // descending order so the shuffle's sort has work to do; src
+    // encodes (producer, emission index).
+    job.RunMap([&](std::int64_t instance, MrEmitter* emitter) {
+      std::int64_t emitted = 0;
+      for (int pass = 0; pass < 2; ++pass) {
+        for (auto k = keys.rbegin(); k != keys.rend(); ++k) {
+          emitter->Emit(*k, 0, instance * 100000 + emitted++);
         }
-      });
-      // A pass-through combiner keeps every value but routes the shuffle
-      // through the producer-side key sort.
-      MapReduceJob::CombineFn pass_through =
-          [](std::int64_t key, const MrValues& values, MrEmitter* out) {
-            for (const MrRecord v : values) out->Emit(key, v.tag, v.src);
-          };
-      std::mutex mu;
-      std::vector<std::size_t> block_sizes;
-      std::vector<std::int64_t> seen_keys;
-      std::map<std::int64_t, std::vector<NodeId>> values;
-      ASSERT_TRUE(job.RunReduce(
-                         [&](const MrKeyGroups& groups, MrEmitter*) {
-                           std::lock_guard<std::mutex> lock(mu);
-                           block_sizes.push_back(groups.size());
-                           for (std::size_t g = 0; g < groups.size(); ++g) {
-                             seen_keys.push_back(groups.key(g));
-                             for (const MrRecord v : groups.values(g)) {
-                               values[groups.key(g)].push_back(v.src);
-                             }
-                           }
-                         },
-                         combine ? &pass_through : nullptr)
-                      .ok());
-      // Only instance 0 owns keys, so one task produced every call.
-      const std::size_t full_blocks = num_keys / kBlock;
-      const std::size_t tail = num_keys % kBlock;
-      ASSERT_EQ(block_sizes.size(), full_blocks + (tail > 0 ? 1 : 0));
-      for (std::size_t b = 0; b < block_sizes.size(); ++b) {
-        EXPECT_EQ(block_sizes[b], b < full_blocks ? kBlock : tail);
       }
-      EXPECT_EQ(seen_keys, keys);  // ascending, each key exactly once
-      for (std::size_t i = 0; i < keys.size(); ++i) {
-        // Producer order, then emission order: the descending walk put
-        // key i at emission (num_keys - 1 - i) and (2 num_keys - 1 - i).
-        std::vector<NodeId> expected;
-        for (std::int64_t p = 0; p < kInstances; ++p) {
-          const std::int64_t first =
-              static_cast<std::int64_t>(num_keys - 1 - i);
-          expected.push_back(p * 100000 + first);
-          expected.push_back(p * 100000 + first +
-                             static_cast<std::int64_t>(num_keys));
-        }
-        EXPECT_EQ(values[keys[i]], expected) << "key " << keys[i];
+    });
+    std::mutex mu;
+    std::vector<std::size_t> block_sizes;
+    std::vector<std::int64_t> seen_keys;
+    std::map<std::int64_t, std::vector<NodeId>> values;
+    ASSERT_TRUE(job.RunReduce([&](const MrKeyGroups& groups, MrEmitter*) {
+                     std::lock_guard<std::mutex> lock(mu);
+                     block_sizes.push_back(groups.size());
+                     for (std::size_t g = 0; g < groups.size(); ++g) {
+                       seen_keys.push_back(groups.key(g));
+                       for (const MrRecord v : groups.values(g)) {
+                         values[groups.key(g)].push_back(v.src);
+                       }
+                     }
+                   })
+                    .ok());
+    // Only instance 0 owns keys, so one task produced every call.
+    const std::size_t full_blocks = num_keys / kBlock;
+    const std::size_t tail = num_keys % kBlock;
+    ASSERT_EQ(block_sizes.size(), full_blocks + (tail > 0 ? 1 : 0));
+    for (std::size_t b = 0; b < block_sizes.size(); ++b) {
+      EXPECT_EQ(block_sizes[b], b < full_blocks ? kBlock : tail);
+    }
+    EXPECT_EQ(seen_keys, keys);  // ascending, each key exactly once
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      // Producer order, then emission order: the descending walk put
+      // key i at emission (num_keys - 1 - i) and (2 num_keys - 1 - i).
+      std::vector<NodeId> expected;
+      for (std::int64_t p = 0; p < kInstances; ++p) {
+        const std::int64_t first = static_cast<std::int64_t>(num_keys - 1 - i);
+        expected.push_back(p * 100000 + first);
+        expected.push_back(p * 100000 + first +
+                           static_cast<std::int64_t>(num_keys));
       }
+      EXPECT_EQ(values[keys[i]], expected) << "key " << keys[i];
     }
   }
 }
@@ -423,7 +569,7 @@ TEST(MapReduceBlockTest, SupervisedDuplicateAttemptsSeeIdenticalInputs) {
   MapReduceJob plain(plain_options);
   ASSERT_TRUE(plain.RunMap(map_fn).ok());
   stalled = true;  // no stall for the reference run
-  ASSERT_TRUE(plain.RunReduce(reduce_fn, nullptr).ok());
+  ASSERT_TRUE(plain.RunReduce(reduce_fn).ok());
   digests.clear();
   stalled = false;
 
@@ -438,7 +584,7 @@ TEST(MapReduceBlockTest, SupervisedDuplicateAttemptsSeeIdenticalInputs) {
   options.supervisor = &supervisor;
   MapReduceJob job(options);
   ASSERT_TRUE(job.RunMap(map_fn).ok());
-  ASSERT_TRUE(job.RunReduce(reduce_fn, nullptr).ok());
+  ASSERT_TRUE(job.RunReduce(reduce_fn).ok());
 
   EXPECT_GE(supervisor.metrics().speculative_launched, 1);
   bool duplicated = false;
@@ -537,7 +683,7 @@ TEST(MapReduceGoldenTest, CheckpointBytesArePinned) {
   ASSERT_TRUE(job.RunMap(EmitGoldenRecords).ok());
   const std::string mapped = job.SerializeDataflow();
   EXPECT_EQ(Crc32(mapped), 0x97a22633u);
-  ASSERT_TRUE(job.RunReduce(ForwardReduce, nullptr).ok());
+  ASSERT_TRUE(job.RunReduce(ForwardReduce).ok());
   const std::string reduced = job.SerializeDataflow();
   EXPECT_EQ(Crc32(reduced), 0x33ff2d7au);
 
@@ -545,7 +691,7 @@ TEST(MapReduceGoldenTest, CheckpointBytesArePinned) {
   MapReduceJob restored(options);
   ASSERT_TRUE(restored.RestoreDataflow(mapped).ok());
   EXPECT_EQ(restored.SerializeDataflow(), mapped);
-  ASSERT_TRUE(restored.RunReduce(ForwardReduce, nullptr).ok());
+  ASSERT_TRUE(restored.RunReduce(ForwardReduce).ok());
   EXPECT_EQ(restored.SerializeDataflow(), reduced);
 }
 
@@ -573,42 +719,19 @@ TEST(MapReduceGoldenTest, CorruptCheckpointBytesAreRejected) {
 }
 
 TEST(MapReduceGoldenTest, SpillBytesArePinned) {
-  const auto spill_digest = [](bool combine) {
-    const std::string dir = testing::TempDir() + "/golden_spill_" +
-                            (combine ? "combined" : "plain");
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    SpillRecorder recorder;
-    MapReduceJob::Options options;
-    options.num_instances = 3;
-    options.spill_directory = dir;
-    options.fault_injector = &recorder;
-    MapReduceJob job(options);
-    EXPECT_TRUE(job.RunMap(EmitGoldenRecords).ok());
-    // Folds a key's tag-0 values into one record carrying their float
-    // sum and count; other values pass through in order.
-    MapReduceJob::CombineFn combiner = [](std::int64_t key,
-                                          const MrValues& values,
-                                          MrEmitter* out) {
-      float sum = 0.0f;
-      std::int64_t count = 0;
-      for (const MrRecord v : values) {
-        if (v.tag != 0) {
-          out->Emit(key, v.tag, v.src, v.floats, v.ids);
-          continue;
-        }
-        for (const float f : v.floats) sum += f;
-        ++count;
-      }
-      if (count > 0) out->Emit(key, 9, -1, {&sum, 1}, {&count, 1});
-    };
-    EXPECT_TRUE(
-        job.RunReduce(ForwardReduce, combine ? &combiner : nullptr).ok());
-    EXPECT_GT(recorder.blocks(), 3u);
-    return recorder.Digest();
-  };
-  EXPECT_EQ(spill_digest(false), 0x86a47531u);
-  EXPECT_EQ(spill_digest(true), 0x978c6390u);
+  const std::string dir = testing::TempDir() + "/golden_spill_plain";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  SpillRecorder recorder;
+  MapReduceJob::Options options;
+  options.num_instances = 3;
+  options.spill_directory = dir;
+  options.fault_injector = &recorder;
+  MapReduceJob job(options);
+  ASSERT_TRUE(job.RunMap(EmitGoldenRecords).ok());
+  ASSERT_TRUE(job.RunReduce(ForwardReduce).ok());
+  EXPECT_GT(recorder.blocks(), 3u);
+  EXPECT_EQ(recorder.Digest(), 0x86a47531u);
 }
 
 TEST(MapReduceGoldenTest, InferenceLogitsArePinned) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
+#include <mutex>
 
 #include "src/common/io_fault.h"
 #include "src/graph/datasets.h"
@@ -31,24 +33,26 @@ TEST(SpillTest, EngineRoundTripsBlocksThroughDisk) {
         emitter->Emit(i % 7, 0, instance, floats, {&id, 1});
       }
     });
-    float checksum = 0.0f;
-    job.RunReduce(
-        [&checksum](const MrKeyGroups& groups, MrEmitter* emitter) {
-          for (std::size_t g = 0; g < groups.size(); ++g) {
-            float sum = 0.0f;
-            for (const MrRecord v : groups.values(g)) {
-              sum += v.floats[0] + v.floats[1] +
-                     static_cast<float>(v.ids[0] % 97);
-            }
-            checksum += sum;
-            emitter->Emit(groups.key(g), 0, -1, {&sum, 1});
-          }
-        },
-        nullptr);
+    // Reduce tasks run concurrently: each key's sum lands under a lock.
+    std::mutex mu;
+    std::map<std::int64_t, float> sums;
+    job.RunReduce([&](const MrKeyGroups& groups, MrEmitter* emitter) {
+      for (std::size_t g = 0; g < groups.size(); ++g) {
+        float sum = 0.0f;
+        for (const MrRecord v : groups.values(g)) {
+          sum += v.floats[0] + v.floats[1] + static_cast<float>(v.ids[0] % 97);
+        }
+        emitter->Emit(groups.key(g), 0, -1, {&sum, 1});
+        std::lock_guard<std::mutex> lock(mu);
+        sums[groups.key(g)] = sum;
+      }
+    });
     EXPECT_EQ(spill, job.spill_bytes_written() > 0);
-    return checksum;
+    return sums;
   };
-  EXPECT_EQ(run(false), run(true));
+  const std::map<std::int64_t, float> in_memory = run(false);
+  EXPECT_EQ(in_memory.size(), 7u);
+  EXPECT_EQ(in_memory, run(true));
   // Spill files are cleaned up after being consumed.
   EXPECT_TRUE(std::filesystem::is_empty(dir));
 }
