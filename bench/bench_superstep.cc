@@ -1,6 +1,6 @@
 // Superstep data-plane benchmarks and regression harness: times the
-// kernel-backed gather / combine / route path against the retained
-// scalar oracles on power-law (zipf) inboxes and writes
+// kernel-backed gather / combine / route path against the scalar
+// oracles (tests/scalar_oracles.h) on power-law (zipf) inboxes and writes
 // BENCH_superstep.json — one record per (op, shape, threads) with
 // throughput, ns/message, and the measured speedup. Self-contained
 // timing (no external benchmark framework), same JSON and flag shape
@@ -40,6 +40,7 @@
 #include "src/graph/partition.h"
 #include "src/tensor/kernels/kernel_config.h"
 #include "src/tensor/kernels/kernels.h"
+#include "tests/scalar_oracles.h"
 
 namespace inferturbo {
 namespace {
@@ -51,7 +52,6 @@ void Sink(const Tensor& t) {
 }
 void Sink(const GatherResult& r) {
   Sink(r.pooled);
-  Sink(r.messages);
   if (!r.rows.empty()) g_sink = g_sink + r.rows[0][0];
 }
 
@@ -175,11 +175,14 @@ std::vector<NodeId> ZipfDsts(Rng* rng, std::int64_t num_msgs,
 
 // One superstep's worth of traffic: `senders` dense batches (as the
 // engine's routing delivers them) plus the same messages as one flat
-// batch for the combine/route ops.
+// batch for the combine/route ops. The row pointers the scalar
+// combine reads are resolved once here, untimed.
 struct Workload {
   std::vector<MessageBatch> batches;
+  std::vector<std::vector<const float*>> batch_rows;
   std::vector<bool> partial;
   MessageBatch flat;
+  std::vector<const float*> flat_rows;
   std::vector<std::int64_t> local_index;  // identity
   std::int64_t num_nodes = 0;
   std::int64_t num_msgs = 0;
@@ -217,6 +220,17 @@ Workload MakeWorkload(std::int64_t num_msgs, std::int64_t msg_dim,
     w.batches.push_back(std::move(b));
     w.partial.push_back(false);
   }
+  const auto row_pointers = [](const MessageBatch& b) {
+    std::vector<const float*> rows;
+    for (std::int64_t i = 0; i < b.size(); ++i) {
+      rows.push_back(b.payload.RowPtr(i));
+    }
+    return rows;
+  };
+  w.flat_rows = row_pointers(w.flat);
+  for (const MessageBatch& b : w.batches) {
+    w.batch_rows.push_back(row_pointers(b));
+  }
   std::ostringstream label;
   label << num_msgs << "x" << msg_dim << "z" << alpha;
   w.shape = label.str();
@@ -231,9 +245,9 @@ void BenchGather(Harness* harness, const Workload& w) {
   harness->Bench(
       "gather", w.shape, flops, elems,
       [&] {
-        Sink(GatherSuperstepInboxScalar(AggKind::kSum, w.msg_dim, w.batches,
-                                        w.partial, w.local_index, w.num_nodes,
-                                        BroadcastLookupFn{}));
+        Sink(ScalarGatherInbox(AggKind::kSum, w.msg_dim, w.batches,
+                               w.partial, w.local_index, w.num_nodes,
+                               BroadcastLookupFn{}));
       },
       [&] {
         Sink(GatherSuperstepInbox(AggKind::kSum, w.msg_dim, w.batches,
@@ -243,19 +257,16 @@ void BenchGather(Harness* harness, const Workload& w) {
 }
 
 // Sender-side combine: folding one outgoing batch into the partial wire
-// batch, CombineBatch vs the per-row PooledAccumulator::Add loop.
+// batch, CombineBatch vs the per-row scalar combine.
 void BenchCombine(Harness* harness, const Workload& w) {
   const double elems = static_cast<double>(w.num_msgs);
   const double flops = elems * static_cast<double>(w.msg_dim);
   harness->Bench(
       "combine", w.shape, flops, elems,
       [&] {
-        PooledAccumulator acc(AggKind::kSum, w.msg_dim);
-        for (std::int64_t i = 0; i < w.flat.size(); ++i) {
-          acc.Add(w.flat.dst[static_cast<std::size_t>(i)],
-                  w.flat.payload.RowPtr(i));
-        }
-        Sink(acc.ToPartialBatch(0).payload);
+        Sink(ScalarCombine(AggKind::kSum, w.msg_dim, w.flat.dst, w.flat_rows,
+                           0)
+                 .payload);
       },
       [&] { Sink(CombineBatch(AggKind::kSum, w.flat, 0).payload); });
 }
@@ -272,16 +283,13 @@ void BenchGatherCombine(Harness* harness, const Workload& w) {
       [&] {
         std::vector<MessageBatch> partials;
         for (std::size_t s = 0; s < w.batches.size(); ++s) {
-          const MessageBatch& b = w.batches[s];
-          PooledAccumulator acc(AggKind::kSum, w.msg_dim);
-          for (std::int64_t i = 0; i < b.size(); ++i) {
-            acc.Add(b.dst[static_cast<std::size_t>(i)], b.payload.RowPtr(i));
-          }
-          partials.push_back(acc.ToPartialBatch(static_cast<NodeId>(s)));
+          partials.push_back(ScalarCombine(AggKind::kSum, w.msg_dim,
+                                           w.batches[s].dst, w.batch_rows[s],
+                                           static_cast<NodeId>(s)));
         }
-        Sink(GatherSuperstepInboxScalar(AggKind::kSum, w.msg_dim, partials,
-                                        all_partial, w.local_index,
-                                        w.num_nodes, BroadcastLookupFn{}));
+        Sink(ScalarGatherInbox(AggKind::kSum, w.msg_dim, partials,
+                               all_partial, w.local_index, w.num_nodes,
+                               BroadcastLookupFn{}));
       },
       [&] {
         // Senders combine concurrently — the engine shape: each sending

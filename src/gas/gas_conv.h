@@ -37,9 +37,6 @@ struct GatherResult {
   /// rows live in the caller's inbox, records or message table, which
   /// must then outlive the result.
   std::shared_ptr<const Tensor> row_storage;
-  /// Union rows materialized (E × message_dim): written only by the
-  /// retained scalar oracle, GatherSuperstepInboxScalar.
-  Tensor messages;
 };
 
 /// One GNN layer expressed in the paper's five-stage GAS-like

@@ -3,28 +3,12 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
+#include <unordered_map>
 
 #include "src/common/logging.h"
 #include "src/tensor/kernels/row_fold.h"
 
 namespace inferturbo {
-
-void MessageBatch::Append(const MessageBatch& other) {
-  if (other.empty()) return;
-  if (empty()) {
-    *this = other;
-    return;
-  }
-  INFERTURBO_CHECK(payload.cols() == other.payload.cols())
-      << "MessageBatch width mismatch on Append";
-  dst.insert(dst.end(), other.dst.begin(), other.dst.end());
-  src.insert(src.end(), other.src.begin(), other.src.end());
-  Tensor merged(payload.rows() + other.payload.rows(), payload.cols());
-  std::memcpy(merged.data(), payload.data(), payload.ByteSize());
-  std::memcpy(merged.RowPtr(payload.rows()), other.payload.data(),
-              other.payload.ByteSize());
-  payload = std::move(merged);
-}
 
 void MessageBatch::Push(NodeId dst_id, NodeId src_id, const float* row,
                         std::int64_t width) {
@@ -44,32 +28,6 @@ void MessageBatch::Reserve(std::size_t n, std::int64_t width) {
   src.reserve(n);
   if (payload.empty()) payload = Tensor(0, width);
   payload.ReserveRows(static_cast<std::int64_t>(n));
-}
-
-MessageBatch MessageBatch::Merge(std::span<const MessageBatch> batches) {
-  MessageBatch out;
-  std::size_t total = 0;
-  std::int64_t width = 0;
-  for (const MessageBatch& b : batches) {
-    total += b.dst.size();
-    if (!b.empty()) width = b.payload.cols();
-  }
-  if (total == 0) return out;
-  out.dst.reserve(total);
-  out.src.reserve(total);
-  out.payload = Tensor(static_cast<std::int64_t>(total), width);
-  std::int64_t row = 0;
-  for (const MessageBatch& b : batches) {
-    if (b.empty()) continue;
-    INFERTURBO_CHECK(b.payload.cols() == width)
-        << "MessageBatch width mismatch on Merge";
-    out.dst.insert(out.dst.end(), b.dst.begin(), b.dst.end());
-    out.src.insert(out.src.end(), b.src.begin(), b.src.end());
-    std::memcpy(out.payload.RowPtr(row), b.payload.data(),
-                b.payload.ByteSize());
-    row += b.payload.rows();
-  }
-  return out;
 }
 
 std::vector<MessageBatch> SplitByWorker(MessageBatch batch,
@@ -130,12 +88,6 @@ std::vector<MessageBatch> SplitByWorker(MessageBatch batch,
   return slices;
 }
 
-PooledAccumulator::PooledAccumulator(AggKind kind, std::int64_t width)
-    : kind_(kind), width_(width) {
-  INFERTURBO_CHECK(kind != AggKind::kUnion)
-      << "PooledAccumulator cannot pool a union aggregate";
-}
-
 float PooledInitValue(AggKind kind) {
   return (kind == AggKind::kMax) ? -std::numeric_limits<float>::infinity()
          : (kind == AggKind::kMin) ? std::numeric_limits<float>::infinity()
@@ -145,7 +97,7 @@ float PooledInitValue(AggKind kind) {
 kernels::detail::FoldOp PooledFoldOp(AggKind kind) {
   switch (kind) {
     case AggKind::kSum:
-    case AggKind::kMean:  // carried as running sum until Finalize
+    case AggKind::kMean:  // carried as a running sum until finalize
       return kernels::detail::FoldOp::kAdd;
     case AggKind::kMax:
       return kernels::detail::FoldOp::kMax;
@@ -156,64 +108,6 @@ kernels::detail::FoldOp PooledFoldOp(AggKind kind) {
   }
   INFERTURBO_CHECK(false) << "unreachable";
   return kernels::detail::FoldOp::kAdd;
-}
-
-std::int64_t PooledAccumulator::SlotFor(NodeId dst) {
-  auto [it, inserted] =
-      index_.try_emplace(dst, static_cast<std::int64_t>(dst_order_.size()));
-  if (inserted) {
-    dst_order_.push_back(dst);
-    counts_.push_back(0);
-    rows_.resize(rows_.size() + static_cast<std::size_t>(width_),
-                 PooledInitValue(kind_));
-  }
-  return it->second;
-}
-
-float* PooledAccumulator::RowFor(NodeId dst, std::int64_t count_delta) {
-  const std::int64_t s = SlotFor(dst);
-  counts_[static_cast<std::size_t>(s)] += count_delta;
-  return rows_.data() + s * width_;
-}
-
-// PooledAccumulator::Add / ::AddPartial — the retained per-row scalar
-// folds — live in message_scalar.cc, a TU pinned against
-// autovectorization, because they are the oracle bench_superstep
-// measures CombineBatch against.
-
-MessageBatch PooledAccumulator::ToPartialBatch(NodeId from) const {
-  MessageBatch batch;
-  batch.dst = dst_order_;
-  batch.src.assign(dst_order_.size(), from);
-  batch.payload = Tensor(static_cast<std::int64_t>(dst_order_.size()),
-                         width_ + 1);
-  for (std::size_t i = 0; i < dst_order_.size(); ++i) {
-    float* row = batch.payload.RowPtr(static_cast<std::int64_t>(i));
-    std::memcpy(row, rows_.data() + static_cast<std::int64_t>(i) * width_,
-                static_cast<std::size_t>(width_) * sizeof(float));
-    row[width_] = static_cast<float>(counts_[i]);
-  }
-  return batch;
-}
-
-PooledAccumulator::Finalized PooledAccumulator::Finalize() const {
-  Finalized out;
-  out.dst = dst_order_;
-  out.counts = counts_;
-  out.values = Tensor(static_cast<std::int64_t>(dst_order_.size()), width_);
-  for (std::size_t i = 0; i < dst_order_.size(); ++i) {
-    const float* src_row = rows_.data() + static_cast<std::int64_t>(i) *
-                                              width_;
-    float* dst_row = out.values.RowPtr(static_cast<std::int64_t>(i));
-    if (kind_ == AggKind::kMean && counts_[i] > 0) {
-      const float inv = 1.0f / static_cast<float>(counts_[i]);
-      for (std::int64_t j = 0; j < width_; ++j) dst_row[j] = src_row[j] * inv;
-    } else {
-      std::memcpy(dst_row, src_row,
-                  static_cast<std::size_t>(width_) * sizeof(float));
-    }
-  }
-  return out;
 }
 
 MessageBatch CombineRows(AggKind kind, std::int64_t width,

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/byte_size.h"
@@ -42,10 +41,6 @@ struct MessageBatch {
     return static_cast<std::uint64_t>(dst.size()) * per_message;
   }
 
-  /// Appends all messages of `other` (payload widths must match unless
-  /// one side is empty). O(size + other.size); for merging many
-  /// batches use Merge, which allocates once.
-  void Append(const MessageBatch& other);
   /// Appends a single message row of `width` floats. Amortized O(width)
   /// per call — the payload grows geometrically underneath, so
   /// incremental builders cost the same as sizing up front.
@@ -54,9 +49,6 @@ struct MessageBatch {
 
   /// Pre-reserves ids and payload storage for `n` messages of `width`.
   void Reserve(std::size_t n, std::int64_t width);
-
-  /// Concatenates `batches` with a single allocation.
-  static MessageBatch Merge(std::span<const MessageBatch> batches);
 };
 
 /// Buckets `batch`'s rows by the worker owning each `dst` id. Slot w of
@@ -87,74 +79,23 @@ kernels::detail::FoldOp PooledFoldOp(AggKind kind);
 /// message count appended as a last column (so downstream merges stay
 /// exact), `src` = `from`. Mean is carried as a running sum. Nothing is
 /// hashed and no message row is copied; rows may repeat and come in any
-/// order. The same bytes as per-row PooledAccumulator::Add followed by
-/// ToPartialBatch(from) when dst_order lists distinct destinations in
-/// the order their slots first appear. Dies on a slot outside
-/// [0, dst_order.size()) or when slots and rows differ in length.
+/// order. Per slot, the bytes of the scalar per-row fold
+/// (ScalarPooledFold in reference_inference.h) over the slot's rows in
+/// ascending i. Dies on a slot outside [0, dst_order.size()) or when
+/// slots and rows differ in length.
 MessageBatch CombineRows(AggKind kind, std::int64_t width,
                          std::span<const NodeId> dst_order,
                          std::span<const std::int64_t> slots,
                          std::span<const float* const> rows, NodeId from);
 
 /// CombineRows over a batch of raw message rows: destinations take
-/// slots in first-seen order, so the result is the same bytes as
-/// per-row Add followed by ToPartialBatch(from). When the batch's
+/// slots in first-seen order, so the partial batch lists them in the
+/// order the per-row fold first meets them. When the batch's
 /// destination id range is modest relative to its size (the power-law
 /// common case) slots resolve through a dense table — one array load
 /// per row; a sparse id space resolves through a hash map instead.
 MessageBatch CombineBatch(AggKind kind, const MessageBatch& batch,
                           NodeId from);
-
-/// The retained per-row scalar combine: accumulates pooled
-/// (sum/mean/max/min) aggregates keyed by destination node, one hash
-/// probe and one scalar fold loop per message. It is the oracle that
-/// the combine tests and bench_superstep hold CombineRows/CombineBatch
-/// to; the engines combine through those. Mean is carried as (sum,
-/// count) so partial combines stay exact — the commutative/associative
-/// contract the paper's aggregate stage requires.
-class PooledAccumulator {
- public:
-  PooledAccumulator(AggKind kind, std::int64_t width);
-
-  PooledAccumulator(const PooledAccumulator&) = delete;
-  PooledAccumulator& operator=(const PooledAccumulator&) = delete;
-  PooledAccumulator(PooledAccumulator&&) = default;
-  PooledAccumulator& operator=(PooledAccumulator&&) = default;
-
-  /// Folds one message row for `dst` (count 1).
-  void Add(NodeId dst, const float* row);
-  /// Folds a partial aggregate row for `dst` carrying `count` original
-  /// messages.
-  void AddPartial(NodeId dst, const float* row, std::int64_t count);
-
-  /// Emits one message per destination: payload = aggregate row with
-  /// the count appended as a final column so downstream merges stay
-  /// exact. `src` on every message is `from` (the combining worker).
-  MessageBatch ToPartialBatch(NodeId from) const;
-
-  /// Finalized values (divided by count for mean), with destinations
-  /// and counts aligned to rows, in first-seen order.
-  struct Finalized {
-    std::vector<NodeId> dst;
-    std::vector<std::int64_t> counts;
-    Tensor values;
-  };
-  Finalized Finalize() const;
-
- private:
-  /// Slot of `dst` in rows_/dst_order_/counts_, inserting (and
-  /// extending storage by one initialized row) on first sight.
-  std::int64_t SlotFor(NodeId dst);
-  float* RowFor(NodeId dst, std::int64_t count_delta);
-
-  AggKind kind_;
-  std::int64_t width_;
-  /// Aggregate rows in first-seen order, width_ floats each.
-  std::vector<float> rows_;
-  std::vector<NodeId> dst_order_;
-  std::vector<std::int64_t> counts_;
-  std::unordered_map<NodeId, std::int64_t> index_;
-};
 
 }  // namespace inferturbo
 

@@ -20,7 +20,8 @@ namespace inferturbo {
 /// a union row is never copied on receipt. Everything here preserves
 /// the scalar fold's order exactly (per destination: batch order, then
 /// row order within a batch), so results are bit-identical to the
-/// retained per-row oracle at any thread count.
+/// per-row fold (ScalarPooledFold in reference_inference.h) at any
+/// thread count.
 
 /// Resolves a broadcast key (id-only message reference) to its
 /// published row, or nullptr when the key was never published.
@@ -42,19 +43,6 @@ GatherResult GatherSuperstepInbox(AggKind kind, std::int64_t msg_dim,
                                   std::span<const std::int64_t> local_index,
                                   std::int64_t num_nodes,
                                   const BroadcastLookupFn& lookup);
-
-/// The retained scalar oracle — byte-for-byte the pre-kernel per-row
-/// fold the Pregel driver used to run. It is the bit-identity oracle
-/// the equivalence tests check the fast path against and the baseline
-/// bench_superstep measures speedups against; its TU is compiled with
-/// autovectorization disabled so the baseline means the same thing at
-/// every optimization level. Do not "optimize" it.
-GatherResult GatherSuperstepInboxScalar(
-    AggKind kind, std::int64_t msg_dim,
-    std::span<const MessageBatch> batches,
-    const std::vector<bool>& batch_partial,
-    std::span<const std::int64_t> local_index, std::int64_t num_nodes,
-    const BroadcastLookupFn& lookup);
 
 }  // namespace inferturbo
 

@@ -433,8 +433,8 @@ class PregelInferenceDriver {
   /// this worker's local index space via the shared kernel-backed data
   /// plane (GatherPooledRows over the delivered rows; union points at
   /// them). Id-only rows (broadcast references) read their board rows
-  /// in place. Bit-identical to the retained scalar oracle
-  /// (GatherSuperstepInboxScalar) at any thread count.
+  /// in place. Bit-identical to the per-row scalar fold at any thread
+  /// count.
   GatherResult GatherInbox(PregelContext* ctx, const WorkerState& worker,
                            const GasConv& layer) const {
     const std::int64_t local_n =

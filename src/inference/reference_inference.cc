@@ -1,47 +1,36 @@
 #include "src/inference/reference_inference.h"
 
 #include <algorithm>
-#include <limits>
+#include <vector>
 
 #include "src/common/logging.h"
 #include "src/gas/gas_conv.h"
+#include "src/gas/message.h"
 #include "src/tensor/ops.h"
 
 namespace inferturbo {
 namespace {
 
-/// The reference's own pooled gather: a plain loop per edge, kept apart
-/// from the fold kernel the backends run so the oracle never shares the
-/// path it checks. Edge i folds into dst_index[i] in ascending i; mean
-/// divides by the count at the end; isolated nodes read zero.
-GatherResult ScalarPooledGather(AggKind kind, const Tensor& edge_messages,
-                                std::span<const std::int64_t> dst_index,
-                                std::int64_t num_nodes) {
-  INFERTURBO_CHECK(static_cast<std::int64_t>(dst_index.size()) ==
-                   edge_messages.rows())
-      << "one dst index per edge message";
+/// The reference's pooled gather: the scalar fold in edge order, kept
+/// apart from the fold kernel the backends run so the oracle never
+/// shares the path it checks. Mean divides by the count at the end;
+/// isolated nodes read zero.
+GatherResult ReferencePooledGather(AggKind kind, const Tensor& edge_messages,
+                                   std::span<const std::int64_t> dst_index,
+                                   std::int64_t num_nodes) {
   const std::int64_t width = edge_messages.cols();
-  const float init = kind == AggKind::kMax
-                         ? -std::numeric_limits<float>::infinity()
-                     : kind == AggKind::kMin
-                         ? std::numeric_limits<float>::infinity()
-                         : 0.0f;
+  // One row pointer per message row; the fold checks one per dst index.
+  std::vector<const float*> rows(
+      static_cast<std::size_t>(edge_messages.rows()));
+  for (std::size_t e = 0; e < rows.size(); ++e) {
+    rows[e] = edge_messages.RowPtr(static_cast<std::int64_t>(e));
+  }
   GatherResult result;
   result.kind = kind;
-  result.pooled = Tensor::Full(num_nodes, width, init);
+  result.pooled = Tensor::Full(num_nodes, width, PooledInitValue(kind));
   result.counts.assign(static_cast<std::size_t>(num_nodes), 0);
-  for (std::size_t i = 0; i < dst_index.size(); ++i) {
-    const std::int64_t v = dst_index[i];
-    INFERTURBO_CHECK(0 <= v && v < num_nodes) << "dst index out of range";
-    const float* row = edge_messages.RowPtr(static_cast<std::int64_t>(i));
-    float* acc = result.pooled.RowPtr(v);
-    for (std::int64_t j = 0; j < width; ++j) {
-      acc[j] = kind == AggKind::kMax   ? std::max(acc[j], row[j])
-               : kind == AggKind::kMin ? std::min(acc[j], row[j])
-                                       : acc[j] + row[j];
-    }
-    ++result.counts[static_cast<std::size_t>(v)];
-  }
+  ScalarPooledFold(kind, width, width, dst_index, rows, {},
+                   result.pooled.data(), result.counts);
   for (std::int64_t v = 0; v < num_nodes; ++v) {
     float* acc = result.pooled.RowPtr(v);
     const std::int64_t count = result.counts[static_cast<std::size_t>(v)];
@@ -57,6 +46,43 @@ GatherResult ScalarPooledGather(AggKind kind, const Tensor& edge_messages,
 }
 
 }  // namespace
+
+void ScalarPooledFold(AggKind kind, std::int64_t width, std::int64_t stride,
+                      std::span<const std::int64_t> segs,
+                      std::span<const float* const> rows,
+                      std::span<const std::int64_t> counts, float* acc,
+                      std::span<std::int64_t> seg_counts) {
+  INFERTURBO_CHECK(kind != AggKind::kUnion)
+      << "a union aggregate keeps its per-edge rows";
+  INFERTURBO_CHECK(segs.size() == rows.size() &&
+                   (counts.empty() || counts.size() == rows.size()))
+      << "fold has " << segs.size() << " segments and " << counts.size()
+      << " counts for " << rows.size() << " rows";
+  const auto num_segs = static_cast<std::int64_t>(seg_counts.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const std::int64_t s = segs[i];
+    INFERTURBO_CHECK(0 <= s && s < num_segs)
+        << "fold segment " << s << " out of [0," << num_segs << ")";
+    const float* row = rows[i];
+    float* out = acc + s * stride;
+    switch (kind) {
+      case AggKind::kMax:
+        for (std::int64_t j = 0; j < width; ++j) {
+          out[j] = std::max(out[j], row[j]);
+        }
+        break;
+      case AggKind::kMin:
+        for (std::int64_t j = 0; j < width; ++j) {
+          out[j] = std::min(out[j], row[j]);
+        }
+        break;
+      default:  // sum, and mean as a running sum
+        for (std::int64_t j = 0; j < width; ++j) out[j] += row[j];
+        break;
+    }
+    seg_counts[static_cast<std::size_t>(s)] += counts.empty() ? 1 : counts[i];
+  }
+}
 
 Tensor LayerStackForward(const GnnModel& model, const Tensor& features,
                          std::span<const std::int64_t> src_index,
@@ -86,7 +112,7 @@ Tensor LayerStackForward(const GnnModel& model, const Tensor& features,
     const GatherResult gathered =
         kind == AggKind::kUnion
             ? GatherIntoResult(kind, edge_messages, dst_index, num_nodes)
-            : ScalarPooledGather(kind, edge_messages, dst_index, num_nodes);
+            : ReferencePooledGather(kind, edge_messages, dst_index, num_nodes);
     h = layer.ApplyNode(h, gathered);
   }
   return h;

@@ -1,8 +1,10 @@
 #ifndef INFERTURBO_INFERENCE_REFERENCE_INFERENCE_H_
 #define INFERTURBO_INFERENCE_REFERENCE_INFERENCE_H_
 
+#include <cstdint>
 #include <span>
 
+#include "src/gas/signature.h"
 #include "src/graph/graph.h"
 #include "src/nn/model.h"
 #include "src/tensor/tensor.h"
@@ -26,6 +28,20 @@ Tensor LayerStackForward(const GnnModel& model, const Tensor& features,
 /// LayerStackForward over a Graph's full edge set, plus the prediction
 /// head: (num_nodes × num_classes) logits.
 Tensor FullGraphReferenceLogits(const GnnModel& model, const Graph& graph);
+
+/// The scalar pooled fold: the reference's own aggregate, and the one
+/// per-row semantics every fast pooled gather and combine is held to.
+/// For each i in ascending order, rows[i] (width floats) folds into
+/// acc + segs[i] * stride with +, std::max or std::min (mean folds as
+/// a sum), and seg_counts[segs[i]] grows by counts[i], or by 1 when
+/// counts is empty. No init and no finalize: `acc` holds
+/// seg_counts.size() rows of `stride` >= width floats, already filled.
+/// Dies on a segment outside [0, seg_counts.size()) or a union kind.
+void ScalarPooledFold(AggKind kind, std::int64_t width, std::int64_t stride,
+                      std::span<const std::int64_t> segs,
+                      std::span<const float* const> rows,
+                      std::span<const std::int64_t> counts, float* acc,
+                      std::span<std::int64_t> seg_counts);
 
 }  // namespace inferturbo
 

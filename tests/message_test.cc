@@ -5,31 +5,17 @@
 #include <algorithm>
 #include <numeric>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/gas/gas_conv.h"
 #include "src/gas/superstep_gather.h"
 #include "src/tensor/segment_ops.h"
+#include "tests/scalar_oracles.h"
 
 namespace inferturbo {
 namespace {
-
-TEST(MessageBatchTest, PushAndAppend) {
-  MessageBatch a;
-  const float r1[] = {1.0f, 2.0f};
-  const float r2[] = {3.0f, 4.0f};
-  a.Push(5, 1, r1, 2);
-  a.Push(6, 2, r2, 2);
-  EXPECT_EQ(a.size(), 2);
-  EXPECT_EQ(a.dst[1], 6);
-  EXPECT_EQ(a.payload.At(1, 0), 3.0f);
-
-  MessageBatch b;
-  b.Push(7, 3, r1, 2);
-  a.Append(b);
-  EXPECT_EQ(a.size(), 3);
-  EXPECT_EQ(a.src[2], 3);
-}
 
 TEST(MessageBatchTest, IncrementalPushKeepsContentsThroughGrowth) {
   // Push grows the payload geometrically; many single-row pushes must
@@ -59,18 +45,6 @@ TEST(MessageBatchTest, PushAfterMismatchedReserveAdoptsRowWidth) {
   EXPECT_EQ(a.payload.At(0, 2), 3.0f);
 }
 
-TEST(MessageBatchTest, MergeConcatenatesInOrder) {
-  const float r[] = {1.0f};
-  MessageBatch a, b, empty;
-  a.Push(0, 0, r, 1);
-  b.Push(1, 1, r, 1);
-  std::vector<MessageBatch> batches = {a, empty, b};
-  MessageBatch m = MessageBatch::Merge(batches);
-  EXPECT_EQ(m.size(), 2);
-  EXPECT_EQ(m.dst[0], 0);
-  EXPECT_EQ(m.dst[1], 1);
-}
-
 TEST(MessageBatchTest, WireBytesChargePayloadAndHeader) {
   const float r[] = {1.0f, 2.0f};
   MessageBatch a;
@@ -86,59 +60,102 @@ TEST(MessageBatchTest, IdOnlyBatchChargesReferenceBytes) {
   EXPECT_EQ(refs.WireBytes(), IdOnlyMessageBytes());
 }
 
-TEST(PooledAccumulatorTest, SumAccumulates) {
-  PooledAccumulator acc(AggKind::kSum, 2);
+// A partial batch from the engines' CombineBatch or, when `scalar`, from
+// the scalar combine oracle; every PooledCombineTest case holds both.
+MessageBatch Combine(bool scalar, AggKind kind, const MessageBatch& batch,
+                     NodeId from) {
+  if (!scalar) return CombineBatch(kind, batch, from);
+  std::vector<const float*> rows;
+  for (std::int64_t i = 0; i < batch.size(); ++i) {
+    rows.push_back(batch.payload.RowPtr(i));
+  }
+  return ScalarCombine(kind, batch.payload.cols(), batch.dst, rows, from);
+}
+
+// The receive that matches Combine(scalar, ...).
+GatherResult Gather(bool scalar, AggKind kind, std::int64_t width,
+                    std::span<const MessageBatch> partials,
+                    std::int64_t num_nodes) {
+  const std::vector<bool> batch_partial(partials.size(), true);
+  std::vector<std::int64_t> local_index(static_cast<std::size_t>(num_nodes));
+  std::iota(local_index.begin(), local_index.end(), 0);
+  return (scalar ? ScalarGatherInbox : GatherSuperstepInbox)(
+      kind, width, partials, batch_partial, local_index, num_nodes,
+      BroadcastLookupFn{});
+}
+
+std::vector<float> Row(const MessageBatch& batch, std::int64_t i) {
+  return std::vector<float>(batch.payload.RowPtr(i),
+                            batch.payload.RowPtr(i) + batch.payload.cols());
+}
+
+TEST(PooledCombineTest, SumAccumulates) {
   const float r1[] = {1.0f, 2.0f};
   const float r2[] = {10.0f, 20.0f};
-  acc.Add(5, r1);
-  acc.Add(5, r2);
-  acc.Add(9, r1);
-  const auto fin = acc.Finalize();
-  ASSERT_EQ(fin.dst.size(), 2u);
-  EXPECT_EQ(fin.dst[0], 5);
-  EXPECT_EQ(fin.counts[0], 2);
-  EXPECT_EQ(fin.values.At(0, 0), 11.0f);
-  EXPECT_EQ(fin.values.At(1, 1), 2.0f);
-}
-
-TEST(PooledAccumulatorTest, MeanDividesAtFinalize) {
-  PooledAccumulator acc(AggKind::kMean, 1);
-  const float a = 2.0f, b = 4.0f;
-  acc.Add(0, &a);
-  acc.Add(0, &b);
-  EXPECT_EQ(acc.Finalize().values.At(0, 0), 3.0f);
-}
-
-TEST(PooledAccumulatorTest, MaxMinSemantics) {
-  PooledAccumulator mx(AggKind::kMax, 1);
-  PooledAccumulator mn(AggKind::kMin, 1);
-  const float a = -2.0f, b = 5.0f;
-  for (auto* acc : {&mx, &mn}) {
-    acc->Add(0, &a);
-    acc->Add(0, &b);
+  MessageBatch batch;
+  batch.Push(5, 0, r1, 2);
+  batch.Push(5, 1, r2, 2);
+  batch.Push(9, 2, r1, 2);
+  for (const bool scalar : {false, true}) {
+    SCOPED_TRACE(scalar);
+    const MessageBatch partial = Combine(scalar, AggKind::kSum, batch, 0);
+    EXPECT_EQ(partial.dst, (std::vector<NodeId>{5, 9}));
+    EXPECT_EQ(Row(partial, 0), (std::vector<float>{11.0f, 22.0f, 2.0f}));
+    EXPECT_EQ(Row(partial, 1), (std::vector<float>{1.0f, 2.0f, 1.0f}));
   }
-  EXPECT_EQ(mx.Finalize().values.At(0, 0), 5.0f);
-  EXPECT_EQ(mn.Finalize().values.At(0, 0), -2.0f);
 }
 
-TEST(PooledAccumulatorTest, PartialBatchCarriesCountColumn) {
-  PooledAccumulator acc(AggKind::kMean, 2);
+TEST(PooledCombineTest, MeanDividesAtFinalize) {
+  const float a = 2.0f, b = 4.0f;
+  MessageBatch batch;
+  batch.Push(0, 0, &a, 1);
+  batch.Push(0, 1, &b, 1);
+  for (const bool scalar : {false, true}) {
+    SCOPED_TRACE(scalar);
+    const std::vector<MessageBatch> partials = {
+        Combine(scalar, AggKind::kMean, batch, 0)};
+    EXPECT_EQ(Row(partials[0], 0), (std::vector<float>{6.0f, 2.0f}));
+    const GatherResult r = Gather(scalar, AggKind::kMean, 1, partials, 1);
+    EXPECT_EQ(r.pooled.At(0, 0), 3.0f);
+    EXPECT_EQ(r.counts, (std::vector<std::int64_t>{2}));
+  }
+}
+
+TEST(PooledCombineTest, MaxMinSemantics) {
+  const float a = -2.0f, b = 5.0f;
+  MessageBatch batch;
+  batch.Push(0, 0, &a, 1);
+  batch.Push(0, 1, &b, 1);
+  for (const bool scalar : {false, true}) {
+    SCOPED_TRACE(scalar);
+    EXPECT_EQ(Combine(scalar, AggKind::kMax, batch, 0).payload.At(0, 0), 5.0f);
+    EXPECT_EQ(Combine(scalar, AggKind::kMin, batch, 0).payload.At(0, 0),
+              -2.0f);
+  }
+}
+
+TEST(PooledCombineTest, PartialBatchCarriesCountColumn) {
   const float r[] = {4.0f, 8.0f};
-  acc.Add(3, r);
-  acc.Add(3, r);
-  MessageBatch partial = acc.ToPartialBatch(/*from=*/7);
-  ASSERT_EQ(partial.size(), 1);
-  EXPECT_EQ(partial.payload.cols(), 3);
-  EXPECT_EQ(partial.payload.At(0, 0), 8.0f);  // running sum, not mean
-  EXPECT_EQ(partial.payload.At(0, 2), 2.0f);  // count
-  EXPECT_EQ(partial.src[0], 7);
+  MessageBatch batch;
+  batch.Push(3, 0, r, 2);
+  batch.Push(3, 1, r, 2);
+  for (const bool scalar : {false, true}) {
+    SCOPED_TRACE(scalar);
+    const MessageBatch partial =
+        Combine(scalar, AggKind::kMean, batch, /*from=*/7);
+    ASSERT_EQ(partial.size(), 1);
+    EXPECT_EQ(partial.payload.cols(), 3);
+    EXPECT_EQ(partial.payload.At(0, 0), 8.0f);  // running sum, not mean
+    EXPECT_EQ(partial.payload.At(0, 2), 2.0f);  // count
+    EXPECT_EQ(partial.src, (std::vector<NodeId>{7}));
+  }
 }
 
 // The partial-gather exactness property: splitting a message stream
 // across senders, partially pooling each side, and merging the
 // partials at the receiver's superstep gather must equal pooling
 // everything at the receiver.
-TEST(PooledAccumulatorTest, PartialThenMergeEqualsDirect) {
+TEST(PooledCombineTest, PartialThenMergeEqualsDirect) {
   Rng rng(31);
   for (const AggKind kind :
        {AggKind::kSum, AggKind::kMean, AggKind::kMax, AggKind::kMin}) {
@@ -153,25 +170,24 @@ TEST(PooledAccumulatorTest, PartialThenMergeEqualsDirect) {
     // Direct: everything folded at the receiver.
     const GatherResult direct = GatherIntoResult(kind, rows, dst, num_nodes);
 
-    // Partial: three senders each pool a third, receiver merges.
-    std::vector<MessageBatch> partials;
-    for (int part = 0; part < 3; ++part) {
-      PooledAccumulator acc(kind, width);
-      for (std::int64_t i = part; i < num_msgs; i += 3) {
-        acc.Add(dst[static_cast<std::size_t>(i)], rows.RowPtr(i));
+    for (const bool scalar : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "kind=" << static_cast<int>(kind)
+                                      << " scalar=" << scalar);
+      // Partial: three senders each pool a third, receiver merges.
+      std::vector<MessageBatch> partials;
+      for (int part = 0; part < 3; ++part) {
+        MessageBatch outgoing;
+        for (std::int64_t i = part; i < num_msgs; i += 3) {
+          outgoing.Push(dst[static_cast<std::size_t>(i)], i, rows.RowPtr(i),
+                        width);
+        }
+        partials.push_back(Combine(scalar, kind, outgoing, part));
       }
-      partials.push_back(acc.ToPartialBatch(part));
+      const GatherResult via_partial =
+          Gather(scalar, kind, width, partials, num_nodes);
+      EXPECT_TRUE(via_partial.pooled.ApproxEquals(direct.pooled, 1e-4f));
+      EXPECT_EQ(via_partial.counts, direct.counts);
     }
-    const std::vector<bool> batch_partial(partials.size(), true);
-    std::vector<std::int64_t> local_index(static_cast<std::size_t>(num_nodes));
-    std::iota(local_index.begin(), local_index.end(), 0);
-    const GatherResult via_partial =
-        GatherSuperstepInbox(kind, width, partials, batch_partial, local_index,
-                             num_nodes, BroadcastLookupFn{});
-
-    EXPECT_TRUE(via_partial.pooled.ApproxEquals(direct.pooled, 1e-4f))
-        << "kind=" << static_cast<int>(kind);
-    EXPECT_EQ(via_partial.counts, direct.counts);
   }
 }
 

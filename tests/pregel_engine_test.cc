@@ -241,11 +241,7 @@ TEST(PregelEngineTest, CombinerShrinksTrafficWithoutChangingDelivery) {
   options.max_supersteps = 2;
   // Sum-combine everything addressed to the same destination node.
   options.combiner = [](std::int64_t, MessageBatch batch) {
-    PooledAccumulator acc(AggKind::kSum, batch.payload.cols());
-    for (std::int64_t i = 0; i < batch.size(); ++i) {
-      acc.Add(batch.dst[static_cast<std::size_t>(i)], batch.payload.RowPtr(i));
-    }
-    return std::make_pair(acc.ToPartialBatch(-1), true);
+    return std::make_pair(CombineBatch(AggKind::kSum, batch, -1), true);
   };
   PregelEngine engine(options, partitioner);
 

@@ -1,12 +1,12 @@
 // Randomized equivalence suite for the kernel-backed superstep data
 // plane: the fast gather (GatherPooledRows, or GatherUnionRows for
-// union) must be BIT-identical to the retained scalar oracle for every
+// union) must be BIT-identical to the scalar receive oracle for every
 // aggregator kind, batch mix (dense / partial / id-only broadcast refs
 // / empty), and thread count; CombineBatch, CombineRows and every
-// compiled PtrRowFold variant must be bit-identical to the per-row
-// PooledAccumulator::Add fold including emission order; and the
-// SegmentMax/SegmentMin kernels must match their pinned scalar
-// references exactly.
+// compiled PtrRowFold variant must be bit-identical to the scalar
+// combine oracle including emission order; and the SegmentMax/
+// SegmentMin kernels must match their pinned scalar references
+// exactly. Both oracles run the reference's ScalarPooledFold.
 #include "src/gas/superstep_gather.h"
 
 #include <gtest/gtest.h>
@@ -19,11 +19,13 @@
 
 #include "src/common/rng.h"
 #include "src/gas/message.h"
+#include "src/inference/reference_inference.h"
 #include "src/tensor/kernels/kernel_config.h"
 #include "src/tensor/kernels/kernels.h"
 #include "src/tensor/kernels/matmul_tiles.h"
 #include "src/tensor/kernels/reference.h"
 #include "src/tensor/kernels/row_fold.h"
+#include "tests/scalar_oracles.h"
 
 namespace inferturbo {
 namespace {
@@ -69,8 +71,8 @@ struct RandomInbox {
 };
 
 // A worker inbox like the Pregel engine delivers: dense batches,
-// optionally sender-combined partial batches (built through the real
-// PooledAccumulator so count columns are authentic), optionally
+// optionally sender-combined partial batches (built through the scalar
+// combine so count columns are authentic), optionally
 // id-only broadcast references, plus one deliberately empty batch.
 RandomInbox MakeInbox(Rng* rng, AggKind kind, std::int64_t msg_dim,
                       bool with_partial, bool with_id_only) {
@@ -100,14 +102,17 @@ RandomInbox MakeInbox(Rng* rng, AggKind kind, std::int64_t msg_dim,
 
   if (with_partial) {
     for (int sender = 0; sender < 2; ++sender) {
-      PooledAccumulator acc(kind, msg_dim);
       const std::int64_t n =
           static_cast<std::int64_t>(rng->NextBounded(200)) + 1;
       const Tensor rows = Tensor::RandomNormal(n, msg_dim, 2.0f, rng);
+      std::vector<NodeId> dst;
+      std::vector<const float*> row_ptrs;
       for (std::int64_t i = 0; i < n; ++i) {
-        acc.Add(SkewedDst(rng, inbox.num_nodes), rows.RowPtr(i));
+        dst.push_back(SkewedDst(rng, inbox.num_nodes));
+        row_ptrs.push_back(rows.RowPtr(i));
       }
-      inbox.batches.push_back(acc.ToPartialBatch(/*from=*/sender));
+      inbox.batches.push_back(
+          ScalarCombine(kind, msg_dim, dst, row_ptrs, /*from=*/sender));
       inbox.partial.push_back(true);
     }
   }
@@ -141,19 +146,15 @@ bool SameBytes(const Tensor& a, const Tensor& b) {
          SameBytes(a.data(), b.data(), a.size());
 }
 
-void ExpectBitIdentical(const GatherResult& fast, const GatherResult& oracle) {
+void ExpectBitIdentical(const GatherResult& fast, const GatherResult& oracle,
+                        std::int64_t msg_dim) {
   EXPECT_EQ(fast.kind, oracle.kind);
   EXPECT_EQ(fast.counts, oracle.counts);
   // Tolerance 0: bit-identity is the contract, not approximation.
   EXPECT_TRUE(fast.pooled.ApproxEquals(oracle.pooled, 0.0f));
-  // The fast union receive points at the delivered rows; the oracle
-  // materializes them.
-  ASSERT_EQ(static_cast<std::int64_t>(fast.rows.size()),
-            oracle.messages.rows());
+  ASSERT_EQ(fast.rows.size(), oracle.rows.size());
   for (std::size_t i = 0; i < fast.rows.size(); ++i) {
-    EXPECT_TRUE(SameBytes(fast.rows[i],
-                          oracle.messages.RowPtr(static_cast<std::int64_t>(i)),
-                          oracle.messages.cols()))
+    EXPECT_TRUE(SameBytes(fast.rows[i], oracle.rows[i], msg_dim))
         << "union row " << i;
   }
   EXPECT_EQ(fast.dst_index, oracle.dst_index);
@@ -169,7 +170,7 @@ TEST(SuperstepGatherTest, PooledKindsMatchScalarOracleBitIdentically) {
                                              rng.NextBounded(19));
         const RandomInbox inbox =
             MakeInbox(&rng, kind, msg_dim, with_partial, with_id_only);
-        const GatherResult oracle = GatherSuperstepInboxScalar(
+        const GatherResult oracle = ScalarGatherInbox(
             kind, msg_dim, inbox.batches, inbox.partial, inbox.local_index,
             inbox.num_nodes, inbox.Lookup());
         for (const int threads : {1, 4}) {
@@ -177,7 +178,7 @@ TEST(SuperstepGatherTest, PooledKindsMatchScalarOracleBitIdentically) {
           const GatherResult fast = GatherSuperstepInbox(
               kind, msg_dim, inbox.batches, inbox.partial, inbox.local_index,
               inbox.num_nodes, inbox.Lookup());
-          ExpectBitIdentical(fast, oracle);
+          ExpectBitIdentical(fast, oracle, msg_dim);
         }
       }
     }
@@ -190,7 +191,7 @@ TEST(SuperstepGatherTest, UnionMatchesScalarOracleBitIdentically) {
     const std::int64_t msg_dim = 8;
     const RandomInbox inbox = MakeInbox(&rng, AggKind::kUnion, msg_dim,
                                         /*with_partial=*/false, with_id_only);
-    const GatherResult oracle = GatherSuperstepInboxScalar(
+    const GatherResult oracle = ScalarGatherInbox(
         AggKind::kUnion, msg_dim, inbox.batches, inbox.partial,
         inbox.local_index, inbox.num_nodes, inbox.Lookup());
     for (const int threads : {1, 4}) {
@@ -198,7 +199,7 @@ TEST(SuperstepGatherTest, UnionMatchesScalarOracleBitIdentically) {
       const GatherResult fast = GatherSuperstepInbox(
           AggKind::kUnion, msg_dim, inbox.batches, inbox.partial,
           inbox.local_index, inbox.num_nodes, inbox.Lookup());
-      ExpectBitIdentical(fast, oracle);
+      ExpectBitIdentical(fast, oracle, msg_dim);
     }
   }
 }
@@ -212,10 +213,9 @@ TEST(SuperstepGatherTest, EmptyInboxYieldsNeutralZeros) {
     const GatherResult fast =
         GatherSuperstepInbox(kind, 5, batches, partial, local_index, 3,
                              BroadcastLookupFn{});
-    const GatherResult oracle =
-        GatherSuperstepInboxScalar(kind, 5, batches, partial, local_index, 3,
-                                   BroadcastLookupFn{});
-    ExpectBitIdentical(fast, oracle);
+    const GatherResult oracle = ScalarGatherInbox(
+        kind, 5, batches, partial, local_index, 3, BroadcastLookupFn{});
+    ExpectBitIdentical(fast, oracle, 5);
     EXPECT_EQ(fast.counts, (std::vector<std::int64_t>{0, 0, 0}));
     if (kind != AggKind::kUnion) {
       EXPECT_EQ(fast.pooled.rows(), 3);
@@ -242,9 +242,9 @@ TEST(SuperstepGatherTest, EmptyLocalIndexBucketsEverythingToSegmentZero) {
   const std::vector<bool> partial = {false};
   const GatherResult fast = GatherSuperstepInbox(
       AggKind::kSum, msg_dim, batches, partial, {}, 1, BroadcastLookupFn{});
-  const GatherResult oracle = GatherSuperstepInboxScalar(
+  const GatherResult oracle = ScalarGatherInbox(
       AggKind::kSum, msg_dim, batches, partial, {}, 1, BroadcastLookupFn{});
-  ExpectBitIdentical(fast, oracle);
+  ExpectBitIdentical(fast, oracle, msg_dim);
   EXPECT_EQ(fast.counts, (std::vector<std::int64_t>{n}));
 }
 
@@ -272,8 +272,47 @@ void SprinkleSpecialValues(Tensor* t, std::int64_t width, Rng* rng) {
   }
 }
 
-// The one combine against the per-row Add + ToPartialBatch oracle, bit
-// for bit, including first-seen emission order: CombineBatch over the
+// The one scalar fold both oracles run: rows fold in ascending order,
+// a stride of width + 1 leaves the trailing count column untouched, a
+// non-empty counts span adds each row's partial count (an empty one
+// adds 1 per row), and a segment outside the counts span dies.
+TEST(SuperstepGatherTest, ScalarFoldSkipsCountColumnAndAddsPartialCounts) {
+  const float a[2] = {1.0f, -4.0f};
+  const float b[2] = {3.0f, 2.0f};
+  const std::vector<std::int64_t> segs = {1, 0, 1};
+  const std::vector<const float*> rows = {a, b, b};
+  const std::vector<std::int64_t> partial_counts = {2, 5, 3};
+  const struct {
+    AggKind kind;
+    std::vector<float> seg1;
+  } cases[] = {{AggKind::kSum, {4.0f, -2.0f}},
+               {AggKind::kMax, {3.0f, 2.0f}},
+               {AggKind::kMin, {1.0f, -4.0f}}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(static_cast<int>(c.kind));
+    Tensor acc = Tensor::Full(2, 3, PooledInitValue(c.kind));
+    acc.RowPtr(0)[2] = 7.5f;
+    acc.RowPtr(1)[2] = 7.5f;
+    std::vector<std::int64_t> seg_counts(2, 0);
+    ScalarPooledFold(c.kind, 2, 3, segs, rows, partial_counts, acc.data(),
+                     seg_counts);
+    EXPECT_EQ(seg_counts, (std::vector<std::int64_t>{5, 5}));
+    EXPECT_EQ(std::vector<float>(acc.RowPtr(0), acc.RowPtr(0) + 3),
+              (std::vector<float>{3.0f, 2.0f, 7.5f}));
+    EXPECT_EQ(std::vector<float>(acc.RowPtr(1), acc.RowPtr(1) + 2), c.seg1);
+    EXPECT_EQ(acc.RowPtr(1)[2], 7.5f);
+    ScalarPooledFold(c.kind, 2, 3, segs, rows, {}, acc.data(), seg_counts);
+    EXPECT_EQ(seg_counts, (std::vector<std::int64_t>{6, 7}));
+  }
+  std::vector<std::int64_t> seg_counts(1, 0);
+  float acc[3] = {};
+  EXPECT_DEATH(ScalarPooledFold(AggKind::kSum, 2, 3, segs, rows, {}, acc,
+                                seg_counts),
+               "fold segment 1 out of \\[0,1\\)");
+}
+
+// The one combine against the scalar combine oracle, bit for bit,
+// including first-seen emission order: CombineBatch over the
 // materialized batch (through its dense slot table, and through its
 // hash map when destination ids are sparse) and CombineRows over
 // repeated, unsorted pointers into the message table. Each compiled
@@ -334,12 +373,8 @@ TEST(SuperstepGatherTest, CombineMatchesPerRowFoldAndEmissionOrder) {
           slots.push_back(it->second);
         }
 
-        PooledAccumulator oracle(kind, width);
-        for (std::int64_t i = 0; i < batch.size(); ++i) {
-          oracle.Add(batch.dst[static_cast<std::size_t>(i)],
-                     batch.payload.RowPtr(i));
-        }
-        const MessageBatch wire_oracle = oracle.ToPartialBatch(9);
+        const MessageBatch wire_oracle =
+            ScalarCombine(kind, width, batch.dst, row_ptrs, 9);
         EXPECT_EQ(wire_oracle.dst, dst_order);
 
         const auto expect_matches_oracle = [&](const MessageBatch& wire) {
