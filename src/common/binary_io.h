@@ -47,6 +47,9 @@ class BinaryWriter {
   }
 
   std::size_t size() const { return buffer_.size(); }
+  /// Sizes the buffer up front, so a large encoding is written once
+  /// instead of copied through every doubling.
+  void Reserve(std::size_t bytes) { buffer_.reserve(bytes); }
   const std::string& buffer() const { return buffer_; }
   std::string Take() { return std::move(buffer_); }
 

@@ -86,6 +86,12 @@ class Status {
   }
   bool IsUnavailable() const { return code_ == StatusCode::kUnavailable; }
 
+  /// The same code with `msg` as the message — how a layer that adds
+  /// context keeps the code it was handed. Must not be called on OK.
+  Status WithMessage(std::string msg) const {
+    return Status(code_, std::move(msg));
+  }
+
   /// "OK" or "<Code>: <message>".
   std::string ToString() const;
 

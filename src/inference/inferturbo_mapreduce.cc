@@ -104,7 +104,6 @@ class MrInferenceDriver {
     job_options.num_instances = options_.num_workers;
     job_options.cost_model = options_.cost_model;
     job_options.pool = options_.pool;
-    job_options.failure_injector = options_.failure_injector;
     job_options.spill_directory = options_.mr_spill_directory;
     job_options.fault_injector = options_.io_fault_injector;
     job_options.retry = options_.io_retry;
@@ -239,11 +238,9 @@ class MrInferenceDriver {
     }
     metrics_ = job.metrics();
     if (supervisor) metrics_.supervision = supervisor->metrics();
-    failures_recovered_ = job.failures_recovered();
     return logits;
   }
 
-  std::int64_t failures_recovered() const { return failures_recovered_; }
   Tensor TakeEmbeddings() { return std::move(embeddings_); }
 
   JobMetrics TakeMetrics() { return std::move(metrics_); }
@@ -558,7 +555,6 @@ class MrInferenceDriver {
   PipelineStats pipeline_stats_;
   JobMetrics metrics_;
   Tensor embeddings_;
-  std::int64_t failures_recovered_ = 0;
 
   std::mutex broadcast_mutex_;
   std::unordered_map<NodeId, std::vector<float>> broadcast_staging_;
@@ -581,7 +577,6 @@ Result<InferenceResult> DriveView(const GraphView& view,
     return logits.status();
   }
   Tensor all_logits = std::move(*logits);
-  options.failures_recovered = driver.failures_recovered();
   InferenceResult result;
   result.logits = std::move(all_logits);
   result.embeddings = driver.TakeEmbeddings();

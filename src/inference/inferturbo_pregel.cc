@@ -322,30 +322,14 @@ class PregelInferenceDriver {
   Tensor TakeEmbeddings() { return std::move(embeddings_); }
 
   /// Checkpoint hooks: the driver's entire mutable state is the
-  /// per-worker embeddings plus the result buffer.
-  struct Snapshot {
-    std::vector<WorkerState> workers;
-    Tensor logits;
-    Tensor embeddings;
-  };
-  std::shared_ptr<const void> SnapshotState() const {
-    auto snap = std::make_shared<Snapshot>();
-    snap->workers = workers_;
-    snap->logits = logits_;
-    snap->embeddings = embeddings_;
-    return snap;
-  }
-  void RestoreState(const std::shared_ptr<const void>& state) {
-    const auto* snap = static_cast<const Snapshot*>(state.get());
-    workers_ = snap->workers;
-    logits_ = snap->logits;
-    embeddings_ = snap->embeddings;
-  }
-
-  /// Durable variants of the hooks above: the same mutable state,
-  /// serialized bit-exactly for the checkpoint store.
+  /// per-worker states plus the result buffers, serialized bit-exactly.
   std::string SerializeState() const {
+    std::size_t bytes = 40 + logits_.ByteSize() + embeddings_.ByteSize();
+    for (const WorkerState& w : workers_) {
+      bytes += 24 + w.nodes.size() * sizeof(NodeId) + w.states.ByteSize();
+    }
     BinaryWriter out;
+    out.Reserve(bytes);
     out.PutI64(static_cast<std::int64_t>(workers_.size()));
     for (const WorkerState& w : workers_) {
       out.PutI64s(w.nodes);
@@ -604,8 +588,8 @@ class PregelInferenceDriver {
   Tensor logits_;
   Tensor embeddings_;
   std::vector<WorkerState> workers_;
-  /// A worker's scatter plans, one slot per PlanKind. Checkpoints and
-  /// snapshots leave them out: they derive from the graph alone.
+  /// A worker's scatter plans, one slot per PlanKind. Checkpoints leave
+  /// them out: they derive from the graph alone.
   struct WorkerPlans {
     std::once_flag once[kNumPlanKinds];
     ScatterPlan plan[kNumPlanKinds];
@@ -650,7 +634,6 @@ Result<InferenceResult> RunInferTurboPregel(const Graph& graph,
   engine_options.cost_model = options.cost_model;
   engine_options.pool = options.pool;
   engine_options.checkpoint_interval = options.checkpoint_interval;
-  engine_options.failure_injector = options.failure_injector;
 
   // Durable store: opened when a checkpoint directory is configured.
   // Durable mode implies checkpointing, so an unset interval means
@@ -670,6 +653,10 @@ Result<InferenceResult> RunInferTurboPregel(const Graph& graph,
     if (!opened.ok()) return opened.status();
     store.emplace(std::move(opened).ValueOrDie());
     engine_options.checkpoint_store = &*store;
+    engine_options.resume = options.resume_from;
+    engine_options.kill_switch = options.kill_switch;
+  }
+  if (engine_options.checkpoint_interval > 0) {
     engine_options.serialize_driver = [&driver] {
       return driver.SerializeState();
     };
@@ -677,17 +664,6 @@ Result<InferenceResult> RunInferTurboPregel(const Graph& graph,
                                                   std::int64_t step) {
       return driver.DeserializeState(bytes, step);
     };
-    engine_options.resume = options.resume_from;
-    engine_options.kill_switch = options.kill_switch;
-  }
-  if (engine_options.checkpoint_interval > 0) {
-    engine_options.snapshot_state = [&driver] {
-      return driver.SnapshotState();
-    };
-    engine_options.restore_state =
-        [&driver](const std::shared_ptr<const void>& state) {
-          driver.RestoreState(state);
-        };
   }
   // Task supervision: deadlines, retry, speculation, quarantine around
   // every superstep compute task. The driver's deferred-commit Compute
@@ -712,7 +688,6 @@ Result<InferenceResult> RunInferTurboPregel(const Graph& graph,
     return run.status();
   }
   JobMetrics metrics = std::move(*run);
-  options.failures_recovered = engine.failures_recovered();
 
   InferenceResult result;
   Tensor all_logits = driver.TakeLogits();

@@ -30,15 +30,11 @@ struct InferTurboOptions {
 
   // --- fault tolerance --------------------------------------------
   /// Pregel backend: checkpoint driver + engine state every N
-  /// supersteps (0 = off). The MapReduce backend needs no
-  /// checkpointing — its shuffle inputs are durable and failed tasks
-  /// re-execute.
+  /// supersteps (0 = off); a supervised superstep that fails past its
+  /// re-executions rolls back to the last one. The MapReduce backend
+  /// needs no checkpointing — its shuffle inputs are durable and failed
+  /// tasks re-execute. Compute faults are injected through `fault_plan`.
   std::int64_t checkpoint_interval = 0;
-  /// Simulated failures for tests/benches: (superstep-or-stage,
-  /// worker) -> crashed? See the engines' Options for semantics.
-  std::function<bool(std::int64_t, std::int64_t)> failure_injector;
-  /// Filled on return: how many injected failures were recovered.
-  mutable std::int64_t failures_recovered = 0;
 
   /// MapReduce backend only: when non-empty, shuffle blocks round-trip
   /// through files under this directory (must exist) instead of

@@ -587,13 +587,11 @@ Status MapReduceJob::RunReduce(const ReduceFn& reduce_fn) {
 
   // --- reducer side: read, sort, reduce ------------------------------
   const std::int64_t stage = metrics_.num_steps();
-  std::atomic<std::int64_t> failures{0};
   std::atomic<std::int64_t> read_retries{0};
   std::vector<std::vector<MrBlock>> next_dataflow(
       static_cast<std::size_t>(n));
   const auto run_reduce_task =
       [&](std::size_t r, std::vector<MrBlock>* out, WorkerStepMetrics* m,
-          std::int64_t* injected_failures,
           std::int64_t* local_read_retries) -> Status {
     WallTimer timer;
     // Refs to every record bound for r — producers in id order, each in
@@ -665,35 +663,16 @@ Status MapReduceJob::RunReduce(const ReduceFn& reduce_fn) {
       }
       groups.push_back(refs.size());
     }
-    // Shuffle inputs are durable: a failed task (injected) is simply
-    // re-executed over the same inputs; the wasted attempt's time is
-    // charged. Reduce functions only read their inputs, so
-    // re-execution is exact — MapReduce's fault-tolerance model.
-    std::int64_t attempts_left = 1;
-    while (options_.failure_injector &&
-           options_.failure_injector(stage, static_cast<std::int64_t>(r))) {
-      ++attempts_left;
-      ++*injected_failures;
-      if (attempts_left > 10) {
-        return Status::Aborted(
-            "failure injector never stopped firing for reduce task " +
-            std::to_string(r) + " in stage " + std::to_string(stage) +
-            " (gave up after 10 attempts)");
-      }
-    }
     TraceSpan reduce_span("mr/reduce", static_cast<std::int64_t>(r));
     const std::size_t num_groups = groups.size() - 1;
-    for (std::int64_t attempt = 0; attempt < attempts_left; ++attempt) {
-      // A failed attempt's output is discarded with its emitter.
-      MrEmitter emitter;
-      for (std::size_t g = 0; g < num_groups; g += kReduceBlockKeys) {
-        const std::size_t count = std::min(kReduceBlockKeys, num_groups - g);
-        reduce_fn(MrKeyGroups(refs, std::span<const std::size_t>(groups).subspan(
-                                        g, count + 1)),
-                  &emitter);
-      }
-      *out = emitter.TakeBlocks();
+    MrEmitter emitter;
+    for (std::size_t g = 0; g < num_groups; g += kReduceBlockKeys) {
+      const std::size_t count = std::min(kReduceBlockKeys, num_groups - g);
+      reduce_fn(MrKeyGroups(refs, std::span<const std::size_t>(groups).subspan(
+                                      g, count + 1)),
+                &emitter);
     }
+    *out = emitter.TakeBlocks();
     // Unsupervised, reducer r is the only reader of its inputs.
     if (!supervised) {
       for (auto& blocks : outgoing) blocks[r].clear();
@@ -716,11 +695,10 @@ Status MapReduceJob::RunReduce(const ReduceFn& reduce_fn) {
             [&](TaskAttempt* attempt) -> Status {
               std::vector<MrBlock> local_out;
               WorkerStepMetrics local_metrics;
-              std::int64_t local_failures = 0;
               std::int64_t local_retries = 0;
-              INFERTURBO_RETURN_NOT_OK(
-                  run_reduce_task(attempt->task(), &local_out, &local_metrics,
-                                  &local_failures, &local_retries));
+              INFERTURBO_RETURN_NOT_OK(run_reduce_task(
+                  attempt->task(), &local_out, &local_metrics,
+                  &local_retries));
               if (attempt->TryCommit()) {
                 next_dataflow[attempt->task()] = std::move(local_out);
                 WorkerStepMetrics& s = step[attempt->task()];
@@ -729,7 +707,6 @@ Status MapReduceJob::RunReduce(const ReduceFn& reduce_fn) {
                 s.busy_seconds += local_metrics.busy_seconds;
                 s.peak_resident_bytes = std::max(
                     s.peak_resident_bytes, local_metrics.peak_resident_bytes);
-                failures.fetch_add(local_failures);
                 read_retries.fetch_add(local_retries);
               }
               return Status::OK();
@@ -745,16 +722,13 @@ Status MapReduceJob::RunReduce(const ReduceFn& reduce_fn) {
     }
   } else {
     pool.ParallelFor(static_cast<std::size_t>(n), [&](std::size_t r) {
-      std::int64_t local_failures = 0;
       std::int64_t local_retries = 0;
-      const Status status = run_reduce_task(r, &next_dataflow[r], &step[r],
-                                            &local_failures, &local_retries);
-      failures.fetch_add(local_failures);
+      const Status status =
+          run_reduce_task(r, &next_dataflow[r], &step[r], &local_retries);
       read_retries.fetch_add(local_retries);
       if (!status.ok()) record_error(status);
     });
   }
-  failures_recovered_ += failures.load();
   metrics_.spill_read_retries += read_retries.load();
   if (!first_error.ok()) return first_error;
 

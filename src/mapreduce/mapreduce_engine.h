@@ -224,14 +224,6 @@ class MapReduceJob {
     std::int64_t num_instances = 8;
     ClusterCostModel cost_model;
     ThreadPool* pool = nullptr;
-    /// Simulated task failure: returns true when `instance`'s reduce
-    /// task fails in stage `stage` (0 = the map stage, then one per
-    /// reduce round). Shuffle inputs are durable, so the engine
-    /// re-executes just that task — MapReduce's native fault-tolerance
-    /// model — charging the wasted attempt. Fires once per attempt; a
-    /// persistent true would retry forever (capped, then fatal).
-    std::function<bool(std::int64_t stage, std::int64_t instance)>
-        failure_injector;
     /// When non-empty, shuffle blocks are actually serialized to files
     /// under this directory between the producer and reducer halves of
     /// each round — the external-storage dataflow the paper's MR
@@ -272,19 +264,19 @@ class MapReduceJob {
   Status RunMap(const MapFn& map_fn);
 
   /// One shuffle+reduce round over the current dataflow; emitted pairs
-  /// become the next round's dataflow. Returns non-OK — never crashes —
-  /// when a spill block cannot be written or read back intact after
-  /// bounded retries (IoError), or when the failure injector never
-  /// stops firing (Aborted). On error the dataflow is left unspecified;
-  /// the job must be abandoned or resumed from a durable checkpoint.
+  /// become the next round's dataflow. Shuffle inputs are durable, so
+  /// under a supervisor a failed reduce task is simply re-executed over
+  /// the same inputs — MapReduce's native fault-tolerance model. Returns
+  /// non-OK — never crashes — when a spill block cannot be written or
+  /// read back intact after bounded retries (IoError), or when a
+  /// supervised task exhausts its retries (the task's error code). On
+  /// error the dataflow is left unspecified; the job must be abandoned
+  /// or resumed from a durable checkpoint.
   Status RunReduce(const ReduceFn& reduce_fn);
 
   /// Drains the final dataflow: every instance's blocks, in instance
   /// order.
   std::vector<MrBlock> TakeOutputs();
-
-  /// Reduce-task re-executions triggered by the failure injector.
-  std::int64_t failures_recovered() const { return failures_recovered_; }
 
   /// Bytes written to spill files so far (0 when spilling is off).
   std::uint64_t spill_bytes_written() const { return spill_bytes_written_; }
@@ -324,7 +316,6 @@ class MapReduceJob {
   /// dataflow_[i] = the record blocks resident on instance i.
   std::vector<std::vector<MrBlock>> dataflow_;
   JobMetrics metrics_;
-  std::int64_t failures_recovered_ = 0;
   std::uint64_t spill_bytes_written_ = 0;
 };
 

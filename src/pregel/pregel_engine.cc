@@ -111,7 +111,17 @@ std::string EncodePregelEngineState(
     const std::vector<std::vector<MessageBatch>>& inboxes,
     const std::vector<std::vector<bool>>& inbox_partial,
     const std::unordered_map<NodeId, std::vector<float>>& board) {
+  // The exact encoded size: counts, then per batch its flag, two id
+  // vectors, shape and payload, then per board entry key, length, row.
+  std::size_t bytes = 16 + 8 * inboxes.size();
+  for (const std::vector<MessageBatch>& inbox : inboxes) {
+    for (const MessageBatch& b : inbox) {
+      bytes += 36 + 16 * b.dst.size() + b.payload.ByteSize();
+    }
+  }
+  for (const auto& [key, row] : board) bytes += 16 + row.size() * sizeof(float);
   BinaryWriter out;
+  out.Reserve(bytes);
   out.PutU64(inboxes.size());
   for (std::size_t w = 0; w < inboxes.size(); ++w) {
     out.PutU64(inboxes[w].size());
@@ -188,7 +198,6 @@ Result<JobMetrics> PregelEngine::Run(const ComputeFn& compute) {
   ThreadPool& pool =
       options_.pool != nullptr ? *options_.pool : DefaultThreadPool();
   const std::int64_t num_workers = options_.num_workers;
-  failures_recovered_ = 0;
 
   JobMetrics metrics;
   metrics.cost_model = options_.cost_model;
@@ -201,6 +210,18 @@ Result<JobMetrics> PregelEngine::Run(const ComputeFn& compute) {
       static_cast<std::size_t>(num_workers));
   board_current_.clear();
 
+  // The one restore routine: decodes a checkpoint's engine and driver
+  // bytes through the checked decoders, for both the cross-process
+  // resume and rung 3 of the ladder.
+  const auto restore = [&](const CheckpointData& data) -> Status {
+    INFERTURBO_RETURN_NOT_OK(DecodePregelEngineState(
+        data.engine_state, num_workers, &inboxes, &inbox_partial,
+        &board_current_));
+    return options_.deserialize_driver
+               ? options_.deserialize_driver(data.driver_state, data.step)
+               : Status::OK();
+  };
+
   // Cross-process resume: rebuild in-flight state from the newest valid
   // durable checkpoint and continue at its superstep. A store with no
   // loadable checkpoint means the job died before its first one — start
@@ -211,39 +232,18 @@ Result<JobMetrics> PregelEngine::Run(const ComputeFn& compute) {
     if (latest.ok()) {
       RecordFlightEvent(FlightEventKind::kCheckpointRestore,
                         "pregel/resume", latest->step);
-      INFERTURBO_RETURN_NOT_OK(DecodePregelEngineState(
-          latest->engine_state, num_workers, &inboxes, &inbox_partial,
-          &board_current_));
-      if (options_.deserialize_driver) {
-        INFERTURBO_RETURN_NOT_OK(
-            options_.deserialize_driver(latest->driver_state, latest->step));
-      }
+      INFERTURBO_RETURN_NOT_OK(restore(*latest));
       start_step = latest->step;
     } else if (!latest.status().IsNotFound()) {
       return latest.status();
     }
   }
 
-  // Checkpointing: in-flight messages + board + (via hooks) driver
-  // state, every checkpoint_interval supersteps. A failed superstep
-  // rolls back here and replays. With a durable store configured the
-  // state is serialized exactly once and those encoded bytes back both
-  // the durable write and the in-memory rollback — no deep copy of
-  // inboxes/board, no second encoding pass. Without a store the deep
-  // copy is kept (cheaper than encode+decode for a purely local
-  // rollback).
-  struct Checkpoint {
-    std::int64_t step = 0;
-    // Deep-copy form (no durable store).
-    std::vector<std::vector<MessageBatch>> inboxes;
-    std::vector<std::vector<bool>> inbox_partial;
-    std::unordered_map<NodeId, std::vector<float>> board;
-    std::shared_ptr<const void> driver_state;
-    // Encoded form (durable store): shared with the store's write.
-    std::shared_ptr<const std::string> engine_bytes;
-    std::shared_ptr<const std::string> driver_bytes;
-  };
-  Checkpoint checkpoint;
+  // Checkpointing: every checkpoint_interval supersteps the in-flight
+  // messages, the board and the driver state are encoded once. The
+  // bytes stay in memory for a rollback and, with a store configured,
+  // are saved there too; a rollback decodes them like a resume does.
+  CheckpointData checkpoint;
   bool has_checkpoint = false;
   std::int64_t attempts = 0;
   const std::int64_t max_attempts = options_.max_supersteps * 10 + 10;
@@ -258,42 +258,21 @@ Result<JobMetrics> PregelEngine::Run(const ComputeFn& compute) {
        ++step) {
     if (++attempts > max_attempts) {
       return Status::Aborted(
-          "failure injector never stopped firing (gave up after " +
-          std::to_string(max_attempts) + " superstep attempts)");
+          "gave up after " + std::to_string(max_attempts) +
+          " superstep attempts: a stage kept failing after every "
+          "checkpoint restore");
     }
     if (options_.checkpoint_interval > 0 &&
         step % options_.checkpoint_interval == 0) {
-      checkpoint = Checkpoint();
+      TraceSpan span("pregel/checkpoint");
+      checkpoint = {};  // free the previous bytes before encoding anew
       checkpoint.step = step;
+      checkpoint.engine_state =
+          EncodePregelEngineState(inboxes, inbox_partial, board_current_);
+      checkpoint.driver_state =
+          options_.serialize_driver ? options_.serialize_driver() : "";
       if (options_.checkpoint_store != nullptr) {
-        TraceSpan span("pregel/checkpoint");
-        checkpoint.engine_bytes = std::make_shared<const std::string>(
-            EncodePregelEngineState(inboxes, inbox_partial, board_current_));
-        // The driver state rolls back through the encoded bytes only
-        // when the driver can decode them again; otherwise fall back to
-        // its in-memory snapshot hooks.
-        const bool encoded_driver =
-            options_.serialize_driver && options_.deserialize_driver;
-        if (options_.serialize_driver) {
-          checkpoint.driver_bytes = std::make_shared<const std::string>(
-              options_.serialize_driver());
-        }
-        if (!encoded_driver && options_.snapshot_state) {
-          checkpoint.driver_state = options_.snapshot_state();
-        }
-        CheckpointData durable;
-        durable.step = step;
-        durable.engine_state = *checkpoint.engine_bytes;
-        if (checkpoint.driver_bytes != nullptr) {
-          durable.driver_state = *checkpoint.driver_bytes;
-        }
-        INFERTURBO_RETURN_NOT_OK(options_.checkpoint_store->Save(durable));
-      } else {
-        checkpoint.inboxes = inboxes;
-        checkpoint.inbox_partial = inbox_partial;
-        checkpoint.board = board_current_;
-        checkpoint.driver_state =
-            options_.snapshot_state ? options_.snapshot_state() : nullptr;
+        INFERTURBO_RETURN_NOT_OK(options_.checkpoint_store->Save(checkpoint));
       }
       has_checkpoint = true;
       RecordFlightEvent(FlightEventKind::kCheckpointSave, "pregel/checkpoint",
@@ -397,36 +376,21 @@ Result<JobMetrics> PregelEngine::Run(const ComputeFn& compute) {
         if (has_checkpoint) {
           // Rung 3: roll back to the last checkpoint.
           ++supervised_restores;
-          ++failures_recovered_;
           RecordFlightEvent(FlightEventKind::kCheckpointRestore,
                             "pregel/restore", step, checkpoint.step);
           INFERTURBO_LOG(Warning)
               << "superstep " << step
               << " re-execution budget exhausted; restoring checkpoint of "
               << "step " << checkpoint.step;
-          if (checkpoint.engine_bytes != nullptr) {
-            INFERTURBO_RETURN_NOT_OK(DecodePregelEngineState(
-                *checkpoint.engine_bytes, num_workers, &inboxes,
-                &inbox_partial, &board_current_));
-          } else {
-            inboxes = checkpoint.inboxes;
-            inbox_partial = checkpoint.inbox_partial;
-            board_current_ = checkpoint.board;
-          }
-          if (checkpoint.driver_bytes != nullptr &&
-              options_.deserialize_driver) {
-            INFERTURBO_RETURN_NOT_OK(
-                options_.deserialize_driver(*checkpoint.driver_bytes,
-                                        checkpoint.step));
-          } else if (options_.restore_state) {
-            options_.restore_state(checkpoint.driver_state);
-          }
-          step = checkpoint.step - 1;
+          INFERTURBO_RETURN_NOT_OK(restore(checkpoint));
+          step = checkpoint.step - 1;  // loop increment replays it
           continue;
         }
         // Rung 4: no checkpoint to fall back to — surface the stage
-        // error as a clean Status.
-        return stage.status();
+        // error as a clean Status, saying why it was final.
+        return stage.status().WithMessage(
+            stage.status().message() +
+            "; no checkpoint to restore (set checkpoint_interval)");
       }
     } else {
       pool.ParallelFor(static_cast<std::size_t>(num_workers),
@@ -439,48 +403,6 @@ Result<JobMetrics> PregelEngine::Run(const ComputeFn& compute) {
     // in worker order — deterministic regardless of which attempt of
     // each task won, and only reached when the whole stage committed.
     for (PregelContext& ctx : contexts) ctx.RunCommitCallbacks();
-
-    // --- failure check: a crashed worker aborts the superstep --------
-    if (options_.failure_injector) {
-      bool failed = false;
-      for (std::int64_t w = 0; w < num_workers; ++w) {
-        failed = options_.failure_injector(step, w) || failed;
-      }
-      if (failed) {
-        if (!has_checkpoint) {
-          return Status::Aborted(
-              "worker failed in superstep " + std::to_string(step) +
-              " but checkpointing is disabled (set checkpoint_interval)");
-        }
-        ++failures_recovered_;
-        RecordFlightEvent(FlightEventKind::kCheckpointRestore,
-                          "pregel/restore", step, checkpoint.step);
-        // The aborted attempt's work is still real cost.
-        for (std::int64_t w = 0; w < num_workers; ++w) {
-          metrics.workers[static_cast<std::size_t>(w)].steps.push_back(
-              step_metrics[static_cast<std::size_t>(w)]);
-        }
-        if (checkpoint.engine_bytes != nullptr) {
-          INFERTURBO_RETURN_NOT_OK(DecodePregelEngineState(
-              *checkpoint.engine_bytes, num_workers, &inboxes,
-              &inbox_partial, &board_current_));
-        } else {
-          inboxes = checkpoint.inboxes;
-          inbox_partial = checkpoint.inbox_partial;
-          board_current_ = checkpoint.board;
-        }
-        if (checkpoint.driver_bytes != nullptr &&
-            options_.deserialize_driver) {
-          INFERTURBO_RETURN_NOT_OK(
-              options_.deserialize_driver(*checkpoint.driver_bytes,
-                                        checkpoint.step));
-        } else if (options_.restore_state) {
-          options_.restore_state(checkpoint.driver_state);
-        }
-        step = checkpoint.step - 1;  // loop increment replays it
-        continue;
-      }
-    }
 
     // --- combiner phase (charged to the sending worker) -------------
     if (options_.combiner) {

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -131,30 +130,18 @@ class PregelEngine {
     ThreadPool* pool = nullptr;
 
     // --- fault tolerance (paper §IV: inherited from the substrate) --
-    /// Snapshot the engine's in-flight state (plus the driver's, via
-    /// the two hooks below) every N supersteps; 0 disables
-    /// checkpointing.
+    /// Checkpoint the engine's in-flight state (inboxes, partial flags,
+    /// broadcast board) and the driver's state every N supersteps; 0
+    /// disables checkpointing. A checkpoint is one encoded form:
+    /// EncodePregelEngineState plus serialize_driver's bytes, kept in
+    /// memory for a supervised rollback and, when checkpoint_store is
+    /// set, also saved there for a cross-process resume.
     std::int64_t checkpoint_interval = 0;
-    /// Captures the driver's mutable state at a checkpoint...
-    std::function<std::shared_ptr<const void>()> snapshot_state;
-    /// ...and restores it during recovery.
-    std::function<void(const std::shared_ptr<const void>&)> restore_state;
-    /// Simulated failure: returns true when `worker` crashes in `step`.
-    /// The job rolls back to the last checkpoint and replays. The
-    /// injector sees each (step, worker) once per execution attempt, so
-    /// it must stop firing for the job to finish.
-    std::function<bool(std::int64_t step, std::int64_t worker)>
-        failure_injector;
-
-    // --- durable checkpoints (cross-process resume) -----------------
-    /// When set (with checkpoint_interval > 0), every checkpoint is
-    /// also serialized to this store, so a killed *process* — not just
-    /// a simulated worker — can resume. Not owned.
+    /// Not owned; may be null (rollbacks then stay in memory).
     CheckpointStore* checkpoint_store = nullptr;
-    /// Serializes the driver's mutable state to bytes for durable
-    /// checkpoints...
+    /// Serializes the driver's mutable state at a checkpoint...
     std::function<std::string()> serialize_driver;
-    /// ...and rebuilds it from bytes during a cross-process resume,
+    /// ...and rebuilds it from those bytes on a rollback or a resume,
     /// given the superstep the checkpoint was taken before.
     std::function<Status(const std::string&, std::int64_t step)>
         deserialize_driver;
@@ -189,16 +176,15 @@ class PregelEngine {
 
   /// Runs supersteps until every worker votes to halt in the same step
   /// or max_supersteps is reached. Returns the per-worker accounting.
-  /// Replayed supersteps (after an injected failure) appear as extra
-  /// metric steps — recovery work is real work. Returns a non-OK
-  /// Status — never crashes — when a worker fails with checkpointing
-  /// disabled, when the failure injector never stops firing, when a
-  /// durable checkpoint cannot be persisted, or when the kill switch
-  /// fires (Aborted).
+  /// Supersteps that failed or were replayed after a checkpoint
+  /// restore appear as extra metric steps — recovery work is real
+  /// work. Returns a non-OK Status — never crashes — when a supervised
+  /// stage fails past the degradation ladder (the stage's code; the
+  /// message says when no checkpoint was there to restore), when the
+  /// restore loop exceeds its superstep-attempt budget (Aborted), when
+  /// a checkpoint cannot be persisted or decoded, or when the kill
+  /// switch fires (Aborted).
   Result<JobMetrics> Run(const ComputeFn& compute);
-
-  /// Failures recovered during the last Run().
-  std::int64_t failures_recovered() const { return failures_recovered_; }
 
   const HashPartitioner& partitioner() const { return partitioner_; }
   std::int64_t num_workers() const { return options_.num_workers; }
@@ -211,7 +197,6 @@ class PregelEngine {
   // Board published last superstep (read side) and this superstep
   // (write side, merged at the barrier).
   std::unordered_map<NodeId, std::vector<float>> board_current_;
-  std::int64_t failures_recovered_ = 0;
 };
 
 /// Bit-exact serialization of the engine's in-flight state (inboxes,

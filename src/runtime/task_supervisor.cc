@@ -18,36 +18,6 @@ std::chrono::nanoseconds SecondsToNanos(double seconds) {
       static_cast<std::int64_t>(seconds * 1e9));
 }
 
-/// Rebuilds a Status with the same code but a new message (the public
-/// factories are per-code). Codes without a factory collapse to
-/// kInternal, which is the right permanent-failure default.
-Status StatusWithCode(StatusCode code, std::string msg) {
-  switch (code) {
-    case StatusCode::kInvalidArgument:
-      return Status::InvalidArgument(std::move(msg));
-    case StatusCode::kNotFound:
-      return Status::NotFound(std::move(msg));
-    case StatusCode::kOutOfRange:
-      return Status::OutOfRange(std::move(msg));
-    case StatusCode::kOutOfMemory:
-      return Status::OutOfMemory(std::move(msg));
-    case StatusCode::kIoError:
-      return Status::IoError(std::move(msg));
-    case StatusCode::kNotImplemented:
-      return Status::NotImplemented(std::move(msg));
-    case StatusCode::kAborted:
-      return Status::Aborted(std::move(msg));
-    case StatusCode::kDeadlineExceeded:
-      return Status::DeadlineExceeded(std::move(msg));
-    case StatusCode::kUnavailable:
-      return Status::Unavailable(std::move(msg));
-    case StatusCode::kOk:
-    case StatusCode::kInternal:
-      break;
-  }
-  return Status::Internal(std::move(msg));
-}
-
 }  // namespace
 
 /// Per-task supervision state for one stage.
@@ -347,8 +317,7 @@ void TaskSupervisor::RecordFailureLocked(StageContext* ctx, std::size_t task,
                       static_cast<std::int64_t>(task), slot.failures);
     if (!ctx->failed) {
       ctx->failed = true;
-      ctx->stage_error = StatusWithCode(
-          error.code(),
+      ctx->stage_error = error.WithMessage(
           "task " + std::to_string(task) + " exhausted " +
               std::to_string(options_.max_task_retries) +
               " retries; last error: " + error.ToString());

@@ -297,6 +297,34 @@ TEST(PregelChaosLadderTest, ExhaustedLadderReturnsCleanErrorNotAHang) {
   EXPECT_EQ(plan.crashes_fired(), 12);
 }
 
+TEST(PregelChaosLadderTest, RestoreLoopEndsAtTheAttemptBudget) {
+  const Dataset d = ChaosGraph();
+  const std::unique_ptr<GnnModel> model = SmallModel(d.graph);
+
+  // Unbounded crashes on executor 0 in superstep 1, with a checkpoint
+  // before every superstep: rung 3 restores and the crash fires again,
+  // forever. Only the engine's superstep-attempt budget ends the loop.
+  FaultPlan plan;
+  plan.ArmCrash(TaskStageKind::kPregelCompute, /*stage_index=*/1,
+                /*executor=*/0, /*times=*/-1);
+
+  InferTurboOptions doomed;
+  doomed.num_workers = kWorkers;
+  doomed.strategies.partial_gather = true;
+  doomed.checkpoint_interval = 1;
+  doomed.fault_plan = &plan;
+  doomed.supervision.quarantine_threshold = 0;
+  const Result<InferenceResult> failed =
+      RunInferTurboPregel(d.graph, *model, doomed);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kAborted)
+      << failed.status().ToString();
+  EXPECT_NE(failed.status().message().find("superstep attempts"),
+            std::string::npos)
+      << failed.status().ToString();
+  EXPECT_GT(plan.crashes_fired(), 12);
+}
+
 TEST(MapReduceChaosTest, ExhaustedRetriesFailCleanly) {
   const Dataset d = ChaosGraph();
   const std::unique_ptr<GnnModel> model = SmallModel(d.graph);

@@ -1,5 +1,5 @@
 // Crash sweep — exhaustively kills each (superstep, worker) pair once
-// via the in-process failure injector, and each checkpoint boundary
+// via a FaultPlan crash rule, and each checkpoint boundary
 // once via simulated whole-process death + resume_from, on both
 // backends. Every recovered or resumed run must produce logits
 // bit-identical to an undisturbed one.
@@ -12,6 +12,7 @@
 #include "src/inference/inferturbo_mapreduce.h"
 #include "src/inference/inferturbo_pregel.h"
 #include "src/nn/model.h"
+#include "src/runtime/fault_plan.h"
 
 namespace inferturbo {
 namespace {
@@ -68,25 +69,23 @@ TEST(PregelCrashSweepTest, EveryStepWorkerPairRecoversBitIdentical) {
       RunInferTurboPregel(d.graph, *model, clean);
   ASSERT_TRUE(reference.ok());
 
+  // No per-task retry and no superstep re-execution: every crash is
+  // recovered by a checkpoint restore.
   for (std::int64_t step = 0; step < kPregelSupersteps; ++step) {
-    for (std::int64_t worker = 0; worker < kWorkers; ++worker) {
+    for (int worker = 0; worker < kWorkers; ++worker) {
+      FaultPlan plan;
+      plan.ArmCrash(TaskStageKind::kPregelCompute, step, worker);
       InferTurboOptions faulty = clean;
       faulty.checkpoint_interval = 1;
-      auto fired = std::make_shared<bool>(false);
-      faulty.failure_injector = [fired, step, worker](std::int64_t s,
-                                                      std::int64_t w) {
-        if (s == step && w == worker && !*fired) {
-          *fired = true;
-          return true;
-        }
-        return false;
-      };
+      faulty.fault_plan = &plan;
+      faulty.supervision.max_task_retries = 0;
+      faulty.supervision.max_superstep_reexecutions = 0;
       const Result<InferenceResult> recovered =
           RunInferTurboPregel(d.graph, *model, faulty);
       ASSERT_TRUE(recovered.ok())
           << "step " << step << " worker " << worker << ": "
           << recovered.status().ToString();
-      EXPECT_EQ(faulty.failures_recovered, 1)
+      EXPECT_EQ(recovered->metrics.supervision.checkpoint_restores, 1)
           << "step " << step << " worker " << worker;
       EXPECT_TRUE(recovered->logits.ApproxEquals(reference->logits, 0.0f))
           << "step " << step << " worker " << worker
@@ -109,23 +108,17 @@ TEST(MapReduceCrashSweepTest, EveryStageInstancePairRecoversBitIdentical) {
   // Only reduce stages re-execute (the map's inputs are the immutable
   // graph), so the sweep covers stages 1..k.
   for (std::int64_t stage = 1; stage < kMrStages; ++stage) {
-    for (std::int64_t instance = 0; instance < kWorkers; ++instance) {
+    for (int instance = 0; instance < kWorkers; ++instance) {
+      FaultPlan plan;
+      plan.ArmCrash(TaskStageKind::kMrReduce, stage, instance);
       InferTurboOptions faulty = clean;
-      auto fired = std::make_shared<bool>(false);
-      faulty.failure_injector = [fired, stage, instance](std::int64_t s,
-                                                         std::int64_t i) {
-        if (s == stage && i == instance && !*fired) {
-          *fired = true;
-          return true;
-        }
-        return false;
-      };
+      faulty.fault_plan = &plan;
       const Result<InferenceResult> recovered =
           RunInferTurboMapReduce(d.graph, *model, faulty);
       ASSERT_TRUE(recovered.ok())
           << "stage " << stage << " instance " << instance << ": "
           << recovered.status().ToString();
-      EXPECT_EQ(faulty.failures_recovered, 1)
+      EXPECT_EQ(recovered->metrics.supervision.retries, 1)
           << "stage " << stage << " instance " << instance;
       EXPECT_TRUE(recovered->logits.ApproxEquals(reference->logits, 0.0f))
           << "stage " << stage << " instance " << instance;

@@ -1,16 +1,16 @@
 // Fault tolerance — the system property the paper inherits from its
 // substrates (§I: "it gains good system properties (e.g., scalability,
 // fault tolerance) of those mature infrastructures"). These tests
-// inject worker/task failures mid-job and require the recovered run to
-// produce *bit-identical* results to an undisturbed one.
+// crash worker/task attempts mid-job through a FaultPlan and require
+// the recovered run to produce *bit-identical* results to an
+// undisturbed one.
 #include <gtest/gtest.h>
-
-#include <set>
 
 #include "src/graph/datasets.h"
 #include "src/inference/inferturbo_mapreduce.h"
 #include "src/inference/inferturbo_pregel.h"
 #include "src/nn/model.h"
+#include "src/runtime/fault_plan.h"
 
 namespace inferturbo {
 namespace {
@@ -32,6 +32,18 @@ std::unique_ptr<GnnModel> SmallModel(const Graph& g) {
   return MakeSageModel(config);
 }
 
+// A Pregel job whose crashed superstep goes straight to a checkpoint
+// restore: no per-task retry and no superstep re-execution.
+InferTurboOptions RollbackOnCrash(InferTurboOptions options,
+                                  std::int64_t checkpoint_interval,
+                                  FaultPlan* plan) {
+  options.checkpoint_interval = checkpoint_interval;
+  options.fault_plan = plan;
+  options.supervision.max_task_retries = 0;
+  options.supervision.max_superstep_reexecutions = 0;
+  return options;
+}
+
 TEST(PregelFaultToleranceTest, RecoversFromSingleWorkerCrash) {
   const Dataset d = SmallGraph();
   const std::unique_ptr<GnnModel> model = SmallModel(d.graph);
@@ -43,21 +55,15 @@ TEST(PregelFaultToleranceTest, RecoversFromSingleWorkerCrash) {
       RunInferTurboPregel(d.graph, *model, clean);
   ASSERT_TRUE(reference.ok());
 
-  InferTurboOptions faulty = clean;
-  faulty.checkpoint_interval = 1;
   // Worker 2 crashes once, in superstep 2.
-  auto fired = std::make_shared<bool>(false);
-  faulty.failure_injector = [fired](std::int64_t step, std::int64_t worker) {
-    if (step == 2 && worker == 2 && !*fired) {
-      *fired = true;
-      return true;
-    }
-    return false;
-  };
+  FaultPlan plan;
+  plan.ArmCrash(TaskStageKind::kPregelCompute, /*stage_index=*/2,
+                /*executor=*/2);
+  const InferTurboOptions faulty = RollbackOnCrash(clean, 1, &plan);
   const Result<InferenceResult> recovered =
       RunInferTurboPregel(d.graph, *model, faulty);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_EQ(faulty.failures_recovered, 1);
+  EXPECT_EQ(recovered->metrics.supervision.checkpoint_restores, 1);
   EXPECT_TRUE(recovered->logits.ApproxEquals(reference->logits, 0.0f))
       << "recovered run must be bit-identical";
   // The replayed superstep shows up as extra accounted work.
@@ -75,22 +81,16 @@ TEST(PregelFaultToleranceTest, RecoversFromRepeatedCrashes) {
       RunInferTurboPregel(d.graph, *model, clean);
   ASSERT_TRUE(reference.ok());
 
-  InferTurboOptions faulty = clean;
-  faulty.checkpoint_interval = 2;
   // Three distinct crashes across different steps/workers.
-  auto remaining = std::make_shared<std::set<std::pair<std::int64_t,
-                                                       std::int64_t>>>();
-  remaining->insert({1, 0});
-  remaining->insert({2, 3});
-  remaining->insert({3, 1});
-  faulty.failure_injector = [remaining](std::int64_t step,
-                                        std::int64_t worker) {
-    return remaining->erase({step, worker}) > 0;
-  };
+  FaultPlan plan;
+  plan.ArmCrash(TaskStageKind::kPregelCompute, 1, 0);
+  plan.ArmCrash(TaskStageKind::kPregelCompute, 2, 3);
+  plan.ArmCrash(TaskStageKind::kPregelCompute, 3, 1);
+  const InferTurboOptions faulty = RollbackOnCrash(clean, 2, &plan);
   const Result<InferenceResult> recovered =
       RunInferTurboPregel(d.graph, *model, faulty);
-  ASSERT_TRUE(recovered.ok());
-  EXPECT_EQ(faulty.failures_recovered, 3);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->metrics.supervision.checkpoint_restores, 3);
   EXPECT_TRUE(recovered->logits.ApproxEquals(reference->logits, 0.0f));
 }
 
@@ -106,19 +106,14 @@ TEST(PregelFaultToleranceTest, CheckpointIntervalControlsReplayDepth) {
       RunInferTurboPregel(d.graph, *model, clean);
   ASSERT_TRUE(reference.ok());
 
-  InferTurboOptions faulty = clean;
-  faulty.checkpoint_interval = 4;
-  auto fired = std::make_shared<bool>(false);
-  faulty.failure_injector = [fired](std::int64_t step, std::int64_t) {
-    if (step == 3 && !*fired) {
-      *fired = true;
-      return true;
-    }
-    return false;
-  };
+  FaultPlan plan;
+  plan.ArmCrash(TaskStageKind::kPregelCompute, /*stage_index=*/3,
+                /*executor=*/0);
+  const InferTurboOptions faulty = RollbackOnCrash(clean, 4, &plan);
   const Result<InferenceResult> recovered =
       RunInferTurboPregel(d.graph, *model, faulty);
-  ASSERT_TRUE(recovered.ok());
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->metrics.supervision.checkpoint_restores, 1);
   EXPECT_TRUE(recovered->logits.ApproxEquals(reference->logits, 0.0f));
   // Replay from step 0: aborted attempt at step 3 + steps 0,1,2 redone.
   EXPECT_EQ(recovered->metrics.num_steps(),
@@ -136,20 +131,16 @@ TEST(MapReduceFaultToleranceTest, ReExecutesFailedReduceTask) {
       RunInferTurboMapReduce(d.graph, *model, clean);
   ASSERT_TRUE(reference.ok());
 
+  // Instance 1's reduce task crashes once, in stage 2 (reduce round 1).
+  FaultPlan plan;
+  plan.ArmCrash(TaskStageKind::kMrReduce, /*stage_index=*/2,
+                /*executor=*/1);
   InferTurboOptions faulty = clean;
-  auto fired = std::make_shared<bool>(false);
-  faulty.failure_injector = [fired](std::int64_t stage,
-                                    std::int64_t instance) {
-    if (stage == 2 && instance == 1 && !*fired) {
-      *fired = true;
-      return true;
-    }
-    return false;
-  };
+  faulty.fault_plan = &plan;
   const Result<InferenceResult> recovered =
       RunInferTurboMapReduce(d.graph, *model, faulty);
-  ASSERT_TRUE(recovered.ok());
-  EXPECT_EQ(faulty.failures_recovered, 1);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->metrics.supervision.retries, 1);
   EXPECT_TRUE(recovered->logits.ApproxEquals(reference->logits, 0.0f));
   // Unlike Pregel's rollback, only the failed task re-runs: stage
   // count is unchanged; the retried instance just worked longer.
@@ -167,19 +158,22 @@ TEST(MapReduceFaultToleranceTest, SurvivesManyFailures) {
       RunInferTurboMapReduce(d.graph, *model, clean);
   ASSERT_TRUE(reference.ok());
 
+  // Every instance fails once in every reduce stage (stages 1..3).
+  // Three crashes per executor would quarantine all of them, so
+  // quarantine is off: each retry stays on its home executor.
+  FaultPlan plan;
+  for (std::int64_t stage = 1; stage <= 3; ++stage) {
+    for (int instance = 0; instance < 4; ++instance) {
+      plan.ArmCrash(TaskStageKind::kMrReduce, stage, instance);
+    }
+  }
   InferTurboOptions faulty = clean;
-  // Every instance fails once in every reduce stage.
-  auto counts = std::make_shared<std::map<std::pair<std::int64_t,
-                                                    std::int64_t>,
-                                          int>>();
-  faulty.failure_injector = [counts](std::int64_t stage,
-                                     std::int64_t instance) {
-    return (*counts)[{stage, instance}]++ == 0;
-  };
+  faulty.fault_plan = &plan;
+  faulty.supervision.quarantine_threshold = 0;
   const Result<InferenceResult> recovered =
       RunInferTurboMapReduce(d.graph, *model, faulty);
-  ASSERT_TRUE(recovered.ok());
-  EXPECT_GT(faulty.failures_recovered, 4);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->metrics.supervision.retries, 12);
   EXPECT_TRUE(recovered->logits.ApproxEquals(reference->logits, 0.0f));
 }
 
@@ -204,22 +198,16 @@ TEST(PregelFaultToleranceTest, RecoveryReplaysBroadcastBoard) {
       RunInferTurboPregel(d.graph, *model, clean);
   ASSERT_TRUE(reference.ok());
 
-  InferTurboOptions faulty = clean;
-  faulty.checkpoint_interval = 1;
-  auto fired = std::make_shared<bool>(false);
-  faulty.failure_injector = [fired](std::int64_t step, std::int64_t worker) {
-    // Crash in a middle superstep, after broadcast payloads were
-    // published and references are in flight.
-    if (step == 2 && worker == 1 && !*fired) {
-      *fired = true;
-      return true;
-    }
-    return false;
-  };
+  // Crash in a middle superstep, after broadcast payloads were
+  // published and references are in flight.
+  FaultPlan plan;
+  plan.ArmCrash(TaskStageKind::kPregelCompute, /*stage_index=*/2,
+                /*executor=*/1);
+  const InferTurboOptions faulty = RollbackOnCrash(clean, 1, &plan);
   const Result<InferenceResult> recovered =
       RunInferTurboPregel(d.graph, *model, faulty);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_EQ(faulty.failures_recovered, 1);
+  EXPECT_EQ(recovered->metrics.supervision.checkpoint_restores, 1);
   EXPECT_TRUE(recovered->logits.ApproxEquals(reference->logits, 0.0f));
 }
 
@@ -230,25 +218,54 @@ TEST(PregelFaultToleranceTest, FailureWithoutCheckpointingIsCleanError) {
   const Dataset d = SmallGraph();
   const std::unique_ptr<GnnModel> model = SmallModel(d.graph);
 
-  InferTurboOptions faulty;
-  faulty.num_workers = 4;
-  faulty.checkpoint_interval = 0;  // explicitly off
-  auto fired = std::make_shared<bool>(false);
-  faulty.failure_injector = [fired](std::int64_t step, std::int64_t worker) {
-    if (step == 1 && worker == 0 && !*fired) {
-      *fired = true;
-      return true;
-    }
-    return false;
-  };
+  FaultPlan plan;
+  plan.ArmCrash(TaskStageKind::kPregelCompute, /*stage_index=*/1,
+                /*executor=*/0);
+  InferTurboOptions base;
+  base.num_workers = 4;
+  // Checkpointing explicitly off.
+  const InferTurboOptions faulty = RollbackOnCrash(base, 0, &plan);
   const Result<InferenceResult> result =
       RunInferTurboPregel(d.graph, *model, faulty);
   ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kAborted);
-  EXPECT_NE(result.status().message().find("checkpointing is disabled"),
+  // The stage's crash code survives; the message says why it was final.
+  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+  EXPECT_NE(result.status().message().find(
+                "no checkpoint to restore (set checkpoint_interval)"),
             std::string::npos)
       << result.status().ToString();
-  EXPECT_EQ(faulty.failures_recovered, 0);
+  EXPECT_EQ(plan.crashes_fired(), 1);
+}
+
+TEST(PregelFaultToleranceTest, RollbackRestoresExportedEmbeddings) {
+  // A rollback decodes the driver's embedding buffer through the same
+  // shape checks a resume uses; the recovered embeddings must match a
+  // clean run's bit for bit.
+  const Dataset d = SmallGraph();
+  const std::unique_ptr<GnnModel> model = SmallModel(d.graph);
+
+  InferTurboOptions clean;
+  clean.num_workers = 4;
+  clean.export_embeddings = true;
+  const Result<InferenceResult> reference =
+      RunInferTurboPregel(d.graph, *model, clean);
+  ASSERT_TRUE(reference.ok());
+  ASSERT_FALSE(reference->embeddings.empty());
+
+  // The crash hits the last superstep, which fills the embeddings;
+  // the rollback restores the buffers checkpointed before superstep 2.
+  FaultPlan plan;
+  plan.ArmCrash(TaskStageKind::kPregelCompute, /*stage_index=*/3,
+                /*executor=*/1);
+  const InferTurboOptions faulty = RollbackOnCrash(clean, 2, &plan);
+  const Result<InferenceResult> recovered =
+      RunInferTurboPregel(d.graph, *model, faulty);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered->metrics.supervision.checkpoint_restores, 1);
+  EXPECT_TRUE(recovered->logits.ApproxEquals(reference->logits, 0.0f));
+  EXPECT_TRUE(
+      recovered->embeddings.ApproxEquals(reference->embeddings, 0.0f))
+      << "recovered embeddings must be bit-identical";
 }
 
 }  // namespace
