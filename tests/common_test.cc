@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "src/common/byte_size.h"
+#include "src/common/crc32.h"
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
 #include "src/common/timer.h"
@@ -97,6 +101,68 @@ TEST(TimerTest, MeasuresElapsedTime) {
   for (int i = 0; i < 100000; ++i) x += i;
   EXPECT_GT(timer.ElapsedSeconds(), 0.0);
   EXPECT_GE(timer.ElapsedMicros(), 0);
+}
+
+// Random bytes for the CRC tests, from the seeded Rng.
+std::vector<unsigned char> RandomBytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<unsigned char> bytes(n);
+  for (auto& b : bytes) b = static_cast<unsigned char>(rng.NextUint64());
+  return bytes;
+}
+
+TEST(Crc32Test, KnownAnswers) {
+  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(Crc32Portable("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+  EXPECT_EQ(Crc32Portable(nullptr, 0), 0u);
+  // 64 and more bytes reach the folding path where the CPU has one.
+  const std::string zeros(64, '\0');
+  EXPECT_EQ(Crc32(zeros), 0x758D6336u);
+  const std::string digits = std::string(70, '0') + "123456789";
+  EXPECT_EQ(Crc32(digits), Crc32Portable(digits.data(), digits.size()));
+}
+
+TEST(Crc32Test, MatchesTheByteTableAtEveryLengthAndOffset) {
+  constexpr std::size_t kMaxLength = 1100;
+  constexpr std::size_t kMaxOffset = 15;
+  const std::vector<unsigned char> buffer =
+      RandomBytes(kMaxLength + kMaxOffset, 17);
+  Rng seeds(23);
+  for (std::size_t offset = 0; offset <= kMaxOffset; ++offset) {
+    for (std::size_t length = 0; length <= kMaxLength; ++length) {
+      const unsigned char* p = buffer.data() + offset;
+      ASSERT_EQ(Crc32(p, length), Crc32Portable(p, length))
+          << "offset " << offset << " length " << length;
+      const auto seed = static_cast<std::uint32_t>(seeds.NextUint64());
+      ASSERT_EQ(Crc32(p, length, seed), Crc32Portable(p, length, seed))
+          << "offset " << offset << " length " << length << " seed " << seed;
+    }
+  }
+}
+
+TEST(Crc32Test, MatchesTheByteTableOnAShardSizedBuffer) {
+  // About the size of one packed shard on the MapReduce benchmark.
+  const std::vector<unsigned char> shard =
+      RandomBytes(std::size_t{5} * 1024 * 1024 + 411 * 1024 + 7, 29);
+  EXPECT_EQ(Crc32(shard.data(), shard.size()),
+            Crc32Portable(shard.data(), shard.size()));
+  EXPECT_EQ(Crc32(shard.data() + 3, shard.size() - 3, 0x12345678u),
+            Crc32Portable(shard.data() + 3, shard.size() - 3, 0x12345678u));
+}
+
+TEST(Crc32Test, ChainsAcrossEverySplitNearTheFoldBoundaries) {
+  const std::vector<unsigned char> buffer = RandomBytes(300, 31);
+  for (const std::size_t total : {std::size_t{64}, std::size_t{80},
+                                  std::size_t{128}, std::size_t{129},
+                                  std::size_t{200}, std::size_t{300}}) {
+    const std::uint32_t whole = Crc32(buffer.data(), total);
+    for (std::size_t split = 0; split <= total; ++split) {
+      const std::uint32_t head = Crc32(buffer.data(), split);
+      ASSERT_EQ(Crc32(buffer.data() + split, total - split, head), whole)
+          << "total " << total << " split " << split;
+    }
+  }
 }
 
 TEST(ByteSizeTest, MessageByteArithmetic) {
