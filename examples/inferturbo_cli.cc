@@ -55,7 +55,8 @@
 //   --timeline_out=FILE  serve mode: timeline destination (default
 //                        <dir>/timeline.jsonl)
 //
-// Robustness flags (infer mode; any of them enables task supervision):
+// Robustness flags (infer mode; every infer run is supervised, these
+// set its policy):
 //   --task_deadline_ms=N        per-attempt deadline (0 = none)
 //   --max_task_retries=N        retry budget per task (default 3)
 //   --speculative_execution=true  backup attempts for stragglers
@@ -237,10 +238,9 @@ int Infer(const FlagParser& flags, const std::string& dir) {
       return 1;
     }
   }
-  // Task supervision + compute-side chaos. Any of these flags turns
-  // the TaskSupervisor on; --fault_plan additionally injects the given
-  // crash/transient/straggle schedule (see ParseFaultPlan for the
-  // grammar, e.g. "crash@compute:1:0;straggle@reduce:*:2~80").
+  // Task supervision policy + compute-side chaos. --fault_plan injects
+  // the given crash/transient/straggle schedule (see ParseFaultPlan for
+  // the grammar, e.g. "crash@compute:1:0;straggle@reduce:*:2~80").
   FaultPlan fault_plan;
   const std::string fault_spec = flags.GetString("fault_plan", "");
   if (!fault_spec.empty()) {
@@ -257,10 +257,6 @@ int Infer(const FlagParser& flags, const std::string& dir) {
       static_cast<int>(flags.GetInt("max_task_retries", 3));
   options.supervision.speculative_execution =
       flags.GetBool("speculative_execution", false);
-  options.supervise_tasks =
-      flags.GetBool("supervise_tasks", false) ||
-      flags.Has("task_deadline_ms") || flags.Has("max_task_retries") ||
-      flags.Has("speculative_execution");
   const std::string backend = flags.GetString("backend", "pregel");
 
   // --packed=DIR streams the graph from a graph_pack shard directory
@@ -335,26 +331,24 @@ int Infer(const FlagParser& flags, const std::string& dir) {
               result->metrics.TotalCpuSeconds(),
               result->metrics.SimulatedWallSeconds(),
               static_cast<long long>(writer.num_shards), out_dir.c_str());
-  if (options.fault_plan != nullptr || options.supervise_tasks) {
-    const SupervisionMetrics& sup = result->metrics.supervision;
-    std::printf("supervision: %lld tasks / %lld attempts, %lld retries, "
-                "%lld injected faults (%lld crash, %lld transient, %lld "
-                "straggle), %lld speculative commits\n",
-                static_cast<long long>(sup.tasks),
-                static_cast<long long>(sup.attempts),
-                static_cast<long long>(sup.retries),
-                static_cast<long long>(sup.injected_crashes +
-                                       sup.injected_transients +
-                                       sup.injected_delays),
-                static_cast<long long>(sup.injected_crashes),
-                static_cast<long long>(sup.injected_transients),
-                static_cast<long long>(sup.injected_delays),
-                static_cast<long long>(sup.speculative_commits));
-    // The realized schedule, for deterministic replay of this run.
-    for (const TaskFaultEvent& event : fault_plan.realized_events()) {
-      INFERTURBO_LOG(Info) << "fault_plan realized: "
-                           << TaskFaultEventToString(event);
-    }
+  const SupervisionMetrics& sup = result->metrics.supervision;
+  std::printf("supervision: %lld tasks / %lld attempts, %lld retries, "
+              "%lld injected faults (%lld crash, %lld transient, %lld "
+              "straggle), %lld speculative commits\n",
+              static_cast<long long>(sup.tasks),
+              static_cast<long long>(sup.attempts),
+              static_cast<long long>(sup.retries),
+              static_cast<long long>(sup.injected_crashes +
+                                     sup.injected_transients +
+                                     sup.injected_delays),
+              static_cast<long long>(sup.injected_crashes),
+              static_cast<long long>(sup.injected_transients),
+              static_cast<long long>(sup.injected_delays),
+              static_cast<long long>(sup.speculative_commits));
+  // The realized schedule, for deterministic replay of this run.
+  for (const TaskFaultEvent& event : fault_plan.realized_events()) {
+    INFERTURBO_LOG(Info) << "fault_plan realized: "
+                         << TaskFaultEventToString(event);
   }
   // --metrics_out: one JSON document unifying job + storage accounting,
   // the metric-registry snapshot, and the flags this run was given.
@@ -625,7 +619,7 @@ int Main(int argc, const char* const argv[]) {
        "lambda", "embeddings", "shards", "checkpoint_dir",
        "checkpoint_interval", "keep_last", "resume", "fault_plan",
        "task_deadline_ms", "max_task_retries", "speculative_execution",
-       "supervise_tasks", "packed", "storage_memory_budget",
+       "packed", "storage_memory_budget",
        "storage_pinned_budget", "pipeline_slots", "pin_hubs",
        // serve
        "serve_threads", "serve_requests", "serve_nodes_per_query",

@@ -109,14 +109,11 @@ class MrInferenceDriver {
     job_options.retry = options_.io_retry;
     // One supervisor for the whole job: quarantine decisions and
     // supervision counters span the map stage and every reduce round.
-    std::optional<TaskSupervisor> supervisor;
-    if (options_.supervise_tasks || options_.fault_plan != nullptr) {
-      TaskSupervisionOptions supervision = options_.supervision;
-      supervision.pool = options_.pool;
-      supervision.fault_plan = options_.fault_plan;
-      supervisor.emplace(supervision);
-      job_options.supervisor = &*supervisor;
-    }
+    TaskSupervisionOptions supervision = options_.supervision;
+    supervision.pool = options_.pool;
+    supervision.fault_plan = options_.fault_plan;
+    TaskSupervisor supervisor(supervision);
+    job_options.supervisor = &supervisor;
     MapReduceJob job(job_options);
 
     // Durable round checkpoints: stage 0 is the map, stage l+1 is
@@ -237,7 +234,7 @@ class MrInferenceDriver {
       }
     }
     metrics_ = job.metrics();
-    if (supervisor) metrics_.supervision = supervisor->metrics();
+    metrics_.supervision = supervisor.metrics();
     return logits;
   }
 

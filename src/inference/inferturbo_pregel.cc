@@ -668,14 +668,11 @@ Result<InferenceResult> RunInferTurboPregel(const Graph& graph,
   // Task supervision: deadlines, retry, speculation, quarantine around
   // every superstep compute task. The driver's deferred-commit Compute
   // makes duplicate attempts and superstep re-execution safe.
-  std::optional<TaskSupervisor> supervisor;
-  if (options.supervise_tasks || options.fault_plan != nullptr) {
-    TaskSupervisionOptions supervision = options.supervision;
-    supervision.pool = options.pool;
-    supervision.fault_plan = options.fault_plan;
-    supervisor.emplace(supervision);
-    engine_options.supervisor = &*supervisor;
-  }
+  TaskSupervisionOptions supervision = options.supervision;
+  supervision.pool = options.pool;
+  supervision.fault_plan = options.fault_plan;
+  TaskSupervisor supervisor(supervision);
+  engine_options.supervisor = &supervisor;
 
   PregelEngine engine(engine_options, partitioner);
 

@@ -84,16 +84,13 @@ struct InferTurboOptions {
   bool pin_hub_shards = false;
 
   // --- task supervision (src/runtime/) -----------------------------
-  /// Run every per-partition unit of work (Pregel compute tasks,
-  /// MapReduce map/shuffle/reduce tasks) under a TaskSupervisor:
+  /// Every per-partition unit of work (Pregel compute tasks, MapReduce
+  /// map/shuffle/reduce tasks) runs under one TaskSupervisor per job:
   /// per-attempt deadlines, bounded retry with exponential backoff,
   /// speculative backup execution, and executor quarantine. Any fault
   /// schedule within the retry budgets yields logits bit-identical to
-  /// a fault-free run. Supervision is also enabled implicitly when
-  /// `fault_plan` is set.
-  bool supervise_tasks = false;
-  /// Supervision policy; `pool` and `fault_plan` inside it are
-  /// overridden from this struct's fields.
+  /// a fault-free run. This is its policy; `pool` and `fault_plan`
+  /// inside it are overridden from this struct's fields.
   TaskSupervisionOptions supervision;
   /// Optional compute-side chaos schedule (crash/transient/straggle
   /// per task attempt). Not owned.

@@ -6,7 +6,6 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
-#include <mutex>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -381,60 +380,64 @@ Status MapReduceJob::PromoteSpillBlocks(
   return Status::OK();
 }
 
+void MapReduceJob::RemoveSpillBlocks(std::int64_t stage) const {
+  const int attempt_cap = options_.supervisor->options().max_task_retries + 2;
+  const std::int64_t n = options_.num_instances;
+  for (std::int64_t p = 0; p < n; ++p) {
+    for (std::int64_t r = 0; r < n; ++r) {
+      // Attempt -1 is the canonical name.
+      for (int a = -1; a < attempt_cap; ++a) {
+        std::remove(SpillPath(stage, p, r, a).c_str());
+      }
+    }
+  }
+}
+
 MapReduceJob::MapReduceJob(Options options) : options_(options) {
   INFERTURBO_CHECK(options_.num_instances > 0)
       << "MapReduceJob needs instances";
+  if (options_.supervisor == nullptr) {
+    TaskSupervisionOptions supervision;
+    supervision.pool = options_.pool;
+    default_supervisor_ = std::make_unique<TaskSupervisor>(supervision);
+    options_.supervisor = default_supervisor_.get();
+  }
   dataflow_.resize(static_cast<std::size_t>(options_.num_instances));
   metrics_.cost_model = options_.cost_model;
   metrics_.workers.resize(static_cast<std::size_t>(options_.num_instances));
 }
 
 Status MapReduceJob::RunMap(const MapFn& map_fn) {
-  ThreadPool& pool =
-      options_.pool != nullptr ? *options_.pool : DefaultThreadPool();
   const std::int64_t n = options_.num_instances;
   std::vector<WorkerStepMetrics> step(static_cast<std::size_t>(n));
   TraceSpan stage_span("mr/map_stage");
-  // Attempt-local map task: everything lands in *m / *out; publication
-  // to dataflow_ happens at the caller (unsupervised: immediately;
-  // supervised: only for the winning attempt).
-  const auto run_map_task = [&](std::size_t i, WorkerStepMetrics* m,
-                                std::vector<MrBlock>* out) {
+  // Attempt-local map task: everything lands in locals and only the
+  // winning attempt publishes to dataflow_.
+  const auto map_task = [&](TaskAttempt* attempt) -> Status {
+    const std::size_t i = attempt->task();
     TraceSpan span("mr/map", static_cast<std::int64_t>(i));
     MrEmitter emitter;
     WallTimer timer;
     map_fn(static_cast<std::int64_t>(i), &emitter);
-    m->busy_seconds = timer.ElapsedSeconds();
-    m->records_out = static_cast<std::int64_t>(emitter.size());
-    *out = emitter.TakeBlocks();
+    WorkerStepMetrics m;
+    m.busy_seconds = timer.ElapsedSeconds();
+    m.records_out = static_cast<std::int64_t>(emitter.size());
+    std::vector<MrBlock> out = emitter.TakeBlocks();
     if (MetricsEnabled()) {
-      static Histogram* hist =
-          GlobalMetrics().GetHistogram("mr.map_seconds");
-      hist->Observe(m->busy_seconds);
+      static Histogram* hist = GlobalMetrics().GetHistogram("mr.map_seconds");
+      hist->Observe(m.busy_seconds);
     }
+    if (attempt->TryCommit()) {
+      dataflow_[i] = std::move(out);
+      step[i] = m;
+    }
+    return Status::OK();
   };
-  if (options_.supervisor != nullptr) {
-    const TaskStage map_stage{TaskStageKind::kMrMap, metrics_.num_steps()};
-    INFERTURBO_ASSIGN_OR_RETURN(
-        const StageResult stage_result,
-        options_.supervisor->RunStage(
-            map_stage, static_cast<std::size_t>(n),
-            [&](TaskAttempt* attempt) {
-              WorkerStepMetrics local_metrics;
-              std::vector<MrBlock> local_out;
-              run_map_task(attempt->task(), &local_metrics, &local_out);
-              if (attempt->TryCommit()) {
-                dataflow_[attempt->task()] = std::move(local_out);
-                step[attempt->task()] = local_metrics;
-              }
-              return Status::OK();
-            }));
-    (void)stage_result;
-  } else {
-    pool.ParallelFor(static_cast<std::size_t>(n), [&](std::size_t i) {
-      run_map_task(i, &step[i], &dataflow_[i]);
-    });
-  }
+  const TaskStage map_stage{TaskStageKind::kMrMap, metrics_.num_steps()};
+  INFERTURBO_RETURN_NOT_OK(
+      options_.supervisor
+          ->RunStage(map_stage, static_cast<std::size_t>(n), map_task)
+          .status());
   for (std::int64_t i = 0; i < n; ++i) {
     metrics_.workers[static_cast<std::size_t>(i)].steps.push_back(
         step[static_cast<std::size_t>(i)]);
@@ -443,19 +446,7 @@ Status MapReduceJob::RunMap(const MapFn& map_fn) {
 }
 
 Status MapReduceJob::RunReduce(const ReduceFn& reduce_fn) {
-  TaskSupervisor* const supervisor = options_.supervisor;
-  const bool supervised = supervisor != nullptr;
-  // First error wins; the other tasks finish their current work and
-  // the round is abandoned (ParallelFor has no cancellation). Only the
-  // unsupervised paths use it — the supervisor returns errors itself.
-  std::mutex error_mu;
-  Status first_error = Status::OK();
-  const auto record_error = [&error_mu, &first_error](const Status& s) {
-    std::lock_guard<std::mutex> lock(error_mu);
-    if (first_error.ok()) first_error = s;
-  };
-  ThreadPool& pool =
-      options_.pool != nullptr ? *options_.pool : DefaultThreadPool();
+  TaskSupervisor& supervisor = *options_.supervisor;
   const std::int64_t n = options_.num_instances;
   std::vector<WorkerStepMetrics> step(static_cast<std::size_t>(n));
 
@@ -467,26 +458,30 @@ Status MapReduceJob::RunReduce(const ReduceFn& reduce_fn) {
   TraceSpan stage_span("mr/reduce_stage");
   const std::int64_t spill_stage = metrics_.num_steps();
   const bool spill = !options_.spill_directory.empty();
+  // A failed stage leaves no block behind: a resume re-enters from the
+  // checkpointed dataflow, never from a half-written round.
+  const auto fail = [&](const Status& status) {
+    if (spill) RemoveSpillBlocks(spill_stage);
+    return status;
+  };
   std::atomic<std::uint64_t> written{0};
   std::atomic<std::int64_t> write_retries{0};
-  // Producer task body. Attempt-local under supervision: the resident
-  // dataflow is only read, never released, so a retried or duplicate
-  // attempt sees the same immutable inputs; spill blocks go to
-  // attempt-scoped paths and only the winner's are promoted.
-  const auto produce =
-      [&](std::size_t p, int attempt, std::vector<std::vector<MrBlock>>* out,
-          WorkerStepMetrics* m, std::uint64_t* bytes_spilled,
-          std::int64_t* spill_retries) -> Status {
+  // Producer task body. Attempt-local: the resident dataflow is only
+  // read, and released when the task settles, so a retried or
+  // duplicate attempt sees the same immutable inputs; spill blocks go
+  // to attempt-scoped paths and only the winner's are promoted.
+  const auto produce = [&](TaskAttempt* attempt) -> Status {
+    const std::size_t p = attempt->task();
     TraceSpan span("mr/shuffle_partition", static_cast<std::int64_t>(p));
     WallTimer timer;
+    WorkerStepMetrics m;
     // Group this producer's records by destination reducer with a
     // stable sort over record refs, so emission order holds within
     // each group.
     std::vector<MrRecordRef> refs;
     AppendRefs(dataflow_[p], &refs);
     const std::vector<std::size_t> bounds = GroupByInstance(&refs, n);
-    out->clear();
-    out->resize(static_cast<std::size_t>(n));
+    std::vector<std::vector<MrBlock>> out(static_cast<std::size_t>(n));
     for (std::int64_t r = 0; r < n; ++r) {
       MrEmitter emitter;
       for (std::size_t i = bounds[static_cast<std::size_t>(r)];
@@ -495,20 +490,21 @@ Status MapReduceJob::RunReduce(const ReduceFn& reduce_fn) {
         emitter.Emit(refs[i].key(), record.tag, record.src, record.floats,
                      record.ids);
       }
-      (*out)[static_cast<std::size_t>(r)] = emitter.TakeBlocks();
+      out[static_cast<std::size_t>(r)] = emitter.TakeBlocks();
     }
-    if (!supervised) dataflow_[p].clear();
     // Shuffle-write accounting: every record leaves through external
     // storage, local or not.
-    for (const auto& blocks : *out) {
+    for (const auto& blocks : out) {
       for (const MrBlock& block : blocks) {
         for (std::size_t i = 0; i < block.size(); ++i) {
-          m->bytes_out += block.record(i).WireBytes();
+          m.bytes_out += block.record(i).WireBytes();
         }
-        m->records_out += static_cast<std::int64_t>(block.size());
+        m.records_out += static_cast<std::int64_t>(block.size());
       }
     }
-    m->busy_seconds += timer.ElapsedSeconds();
+    m.busy_seconds += timer.ElapsedSeconds();
+    std::uint64_t bytes_spilled = 0;
+    std::int64_t spill_retries = 0;
     if (spill) {
       // Producers write their blocks out and release the memory; the
       // reducer half reads them back — the dataflow never lives fully
@@ -517,65 +513,41 @@ Status MapReduceJob::RunReduce(const ReduceFn& reduce_fn) {
       // transient injected faults are retried with backoff and counted.
       TraceSpan write_span("mr/spill_write", static_cast<std::int64_t>(p));
       for (std::int64_t r = 0; r < n; ++r) {
-        auto& blocks = (*out)[static_cast<std::size_t>(r)];
+        auto& blocks = out[static_cast<std::size_t>(r)];
         if (blocks.empty()) continue;
         const std::string encoded = EncodeBlock(blocks);
         std::int64_t retries = 0;
         const Status status = WriteFileAtomic(
-            SpillPath(spill_stage, static_cast<std::int64_t>(p), r, attempt),
+            SpillPath(spill_stage, static_cast<std::int64_t>(p), r,
+                      attempt->attempt()),
             encoded, options_.fault_injector, options_.retry, &retries);
-        *spill_retries += retries;
+        spill_retries += retries;
         if (!status.ok()) return status;
-        *bytes_spilled += encoded.size();
+        bytes_spilled += encoded.size();
         blocks.clear();
       }
+    }
+    if (attempt->TryCommit()) {
+      // Only the winner's work enters the books, so counters stay
+      // deterministic; loser attempts' blocks are deleted by
+      // PromoteSpillBlocks below.
+      outgoing[p] = std::move(out);
+      step[p] = m;
+      written.fetch_add(bytes_spilled);
+      write_retries.fetch_add(spill_retries);
     }
     return Status::OK();
   };
 
-  if (supervised) {
-    const TaskStage shuffle_stage{TaskStageKind::kMrShuffle, spill_stage};
-    INFERTURBO_ASSIGN_OR_RETURN(
-        const StageResult shuffle_result,
-        supervisor->RunStage(
-            shuffle_stage, static_cast<std::size_t>(n),
-            [&](TaskAttempt* attempt) -> Status {
-              std::vector<std::vector<MrBlock>> local_out;
-              WorkerStepMetrics local_metrics;
-              std::uint64_t local_bytes = 0;
-              std::int64_t local_retries = 0;
-              INFERTURBO_RETURN_NOT_OK(
-                  produce(attempt->task(), attempt->attempt(), &local_out,
-                          &local_metrics, &local_bytes, &local_retries));
-              if (attempt->TryCommit()) {
-                // Only the winner's work enters the books, so counters
-                // stay deterministic; loser attempts' blocks are
-                // deleted by PromoteSpillBlocks below.
-                outgoing[attempt->task()] = std::move(local_out);
-                step[attempt->task()] = local_metrics;
-                written.fetch_add(local_bytes);
-                write_retries.fetch_add(local_retries);
-              }
-              return Status::OK();
-            }));
-    // The stage committed everywhere; the shared inputs can go now.
-    for (auto& flow : dataflow_) flow.clear();
-    if (spill) {
-      INFERTURBO_RETURN_NOT_OK(
-          PromoteSpillBlocks(spill_stage, shuffle_result.committed_attempt));
-    }
-  } else {
-    pool.ParallelFor(static_cast<std::size_t>(n), [&](std::size_t p) {
-      std::uint64_t local_bytes = 0;
-      std::int64_t local_retries = 0;
-      const Status status = produce(p, /*attempt=*/-1, &outgoing[p], &step[p],
-                                    &local_bytes, &local_retries);
-      written.fetch_add(local_bytes);
-      write_retries.fetch_add(local_retries);
-      if (!status.ok()) record_error(status);
-    });
-  }
+  const TaskStage shuffle_stage{TaskStageKind::kMrShuffle, spill_stage};
+  const Result<StageResult> shuffled = supervisor.RunStage(
+      shuffle_stage, static_cast<std::size_t>(n), produce,
+      [this](std::size_t p) { dataflow_[p].clear(); });
+  if (!shuffled.ok()) return fail(shuffled.status());
   if (spill) {
+    const Status promoted =
+        PromoteSpillBlocks(spill_stage, shuffled->committed_attempt);
+    if (!promoted.ok()) return fail(promoted);
     spill_bytes_written_ += written.load();
     metrics_.spill_write_retries += write_retries.load();
     if (MetricsEnabled()) {
@@ -583,22 +555,22 @@ Status MapReduceJob::RunReduce(const ReduceFn& reduce_fn) {
           ->Add(static_cast<std::int64_t>(written.load()));
     }
   }
-  if (!first_error.ok()) return first_error;
 
   // --- reducer side: read, sort, reduce ------------------------------
   const std::int64_t stage = metrics_.num_steps();
   std::atomic<std::int64_t> read_retries{0};
   std::vector<std::vector<MrBlock>> next_dataflow(
       static_cast<std::size_t>(n));
-  const auto run_reduce_task =
-      [&](std::size_t r, std::vector<MrBlock>* out, WorkerStepMetrics* m,
-          std::int64_t* local_read_retries) -> Status {
+  const auto run_reduce_task = [&](TaskAttempt* attempt) -> Status {
+    const std::size_t r = attempt->task();
     WallTimer timer;
+    WorkerStepMetrics m;
+    std::int64_t local_read_retries = 0;
     // Refs to every record bound for r — producers in id order, each in
     // emission order — stably sorted by key: values for one key arrive
     // in (producer, emission) order, the determinism contract. The
-    // blocks themselves are only read, so a supervised attempt and its
-    // concurrent duplicate can share them.
+    // blocks and spill files are only read, so an attempt and its
+    // concurrent duplicate can share them; they go when r settles.
     std::vector<std::vector<MrBlock>> from_disk(static_cast<std::size_t>(n));
     std::vector<MrRecordRef> refs;
     // Key group g is refs[groups[g], groups[g + 1]).
@@ -631,22 +603,17 @@ Status MapReduceJob::RunReduce(const ReduceFn& reduce_fn) {
                   return Status::OK();
                 },
                 &retries);
-            *local_read_retries += retries;
+            local_read_retries += retries;
             if (!status.ok()) return status;
-            // Supervised attempts must leave the durable shuffle input
-            // in place — a retried or duplicate attempt re-reads it;
-            // the files are retired once every reduce task has
-            // committed.
-            if (!supervised) std::remove(path.c_str());
             blocks = &from_disk[static_cast<std::size_t>(p)];
           }
         }
         const std::size_t first = refs.size();
         AppendRefs(*blocks, &refs);
         for (std::size_t i = first; i < refs.size(); ++i) {
-          m->bytes_in += refs[i].get().WireBytes();
+          m.bytes_in += refs[i].get().WireBytes();
         }
-        m->records_in += static_cast<std::int64_t>(refs.size() - first);
+        m.records_in += static_cast<std::int64_t>(refs.size() - first);
       }
       StableSortByKey(&refs);
       // Streaming execution model: one key group resident at a time
@@ -659,7 +626,7 @@ Status MapReduceJob::RunReduce(const ReduceFn& reduce_fn) {
           group_bytes = 0;
         }
         group_bytes += refs[i].get().WireBytes();
-        m->peak_resident_bytes = std::max(m->peak_resident_bytes, group_bytes);
+        m.peak_resident_bytes = std::max(m.peak_resident_bytes, group_bytes);
       }
       groups.push_back(refs.size());
     }
@@ -672,65 +639,42 @@ Status MapReduceJob::RunReduce(const ReduceFn& reduce_fn) {
                                       g, count + 1)),
                 &emitter);
     }
-    *out = emitter.TakeBlocks();
-    // Unsupervised, reducer r is the only reader of its inputs.
-    if (!supervised) {
-      for (auto& blocks : outgoing) blocks[r].clear();
-    }
-    m->busy_seconds += timer.ElapsedSeconds();
+    std::vector<MrBlock> out = emitter.TakeBlocks();
+    m.busy_seconds = timer.ElapsedSeconds();
     if (MetricsEnabled()) {
       static Histogram* hist =
           GlobalMetrics().GetHistogram("mr.reduce_seconds");
-      hist->Observe(m->busy_seconds);
+      hist->Observe(m.busy_seconds);
+    }
+    if (attempt->TryCommit()) {
+      next_dataflow[r] = std::move(out);
+      WorkerStepMetrics& s = step[r];
+      s.bytes_in += m.bytes_in;
+      s.records_in += m.records_in;
+      s.busy_seconds += m.busy_seconds;
+      s.peak_resident_bytes =
+          std::max(s.peak_resident_bytes, m.peak_resident_bytes);
+      read_retries.fetch_add(local_read_retries);
     }
     return Status::OK();
   };
 
-  if (supervised) {
-    const TaskStage reduce_stage{TaskStageKind::kMrReduce, stage};
-    INFERTURBO_ASSIGN_OR_RETURN(
-        const StageResult reduce_result,
-        supervisor->RunStage(
-            reduce_stage, static_cast<std::size_t>(n),
-            [&](TaskAttempt* attempt) -> Status {
-              std::vector<MrBlock> local_out;
-              WorkerStepMetrics local_metrics;
-              std::int64_t local_retries = 0;
-              INFERTURBO_RETURN_NOT_OK(run_reduce_task(
-                  attempt->task(), &local_out, &local_metrics,
-                  &local_retries));
-              if (attempt->TryCommit()) {
-                next_dataflow[attempt->task()] = std::move(local_out);
-                WorkerStepMetrics& s = step[attempt->task()];
-                s.bytes_in += local_metrics.bytes_in;
-                s.records_in += local_metrics.records_in;
-                s.busy_seconds += local_metrics.busy_seconds;
-                s.peak_resident_bytes = std::max(
-                    s.peak_resident_bytes, local_metrics.peak_resident_bytes);
-                read_retries.fetch_add(local_retries);
-              }
-              return Status::OK();
-            }));
-    (void)reduce_result;
-    if (spill) {
-      // Every reduce task committed; retire the round's durable inputs.
-      for (std::int64_t p = 0; p < n; ++p) {
-        for (std::int64_t r = 0; r < n; ++r) {
-          std::remove(SpillPath(spill_stage, p, r).c_str());
-        }
+  // Reducer r is the last reader of its inputs: they go as r settles.
+  const auto release_inputs = [&](std::size_t r) {
+    for (std::int64_t p = 0; p < n; ++p) {
+      outgoing[static_cast<std::size_t>(p)][r].clear();
+      if (spill) {
+        std::remove(
+            SpillPath(spill_stage, p, static_cast<std::int64_t>(r)).c_str());
       }
     }
-  } else {
-    pool.ParallelFor(static_cast<std::size_t>(n), [&](std::size_t r) {
-      std::int64_t local_retries = 0;
-      const Status status =
-          run_reduce_task(r, &next_dataflow[r], &step[r], &local_retries);
-      read_retries.fetch_add(local_retries);
-      if (!status.ok()) record_error(status);
-    });
-  }
+  };
+  const TaskStage reduce_stage{TaskStageKind::kMrReduce, stage};
+  const Result<StageResult> reduced = supervisor.RunStage(
+      reduce_stage, static_cast<std::size_t>(n), run_reduce_task,
+      release_inputs);
+  if (!reduced.ok()) return fail(reduced.status());
   metrics_.spill_read_retries += read_retries.load();
-  if (!first_error.ok()) return first_error;
 
   dataflow_ = std::move(next_dataflow);
   for (std::int64_t i = 0; i < n; ++i) {

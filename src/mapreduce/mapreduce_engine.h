@@ -238,15 +238,16 @@ class MapReduceJob {
     /// spill_write_retries; a persistent fault surfaces as an IoError
     /// Status from RunReduce, never a crash or silent corruption.
     IoRetryPolicy retry;
-    /// When set, every map/shuffle/reduce task runs under supervision:
+    /// Every map/shuffle/reduce task runs under this supervisor:
     /// per-attempt deadlines, bounded retry with backoff, speculative
-    /// backups, and executor quarantine. Tasks then compute into
-    /// attempt-local buffers (the resident dataflow stays immutable
-    /// until commit) and spill blocks are written under attempt-scoped
-    /// names, promoted to their canonical path only for the winning
-    /// attempt — any in-budget fault schedule yields bit-identical
-    /// results. Not owned; one supervisor may span the whole job so
-    /// quarantine decisions persist across rounds.
+    /// backups, and executor quarantine. Tasks compute into
+    /// attempt-local buffers (a task's inputs stay immutable until it
+    /// settles, then are freed) and spill blocks are written under
+    /// attempt-scoped names, promoted to their canonical path only for
+    /// the winning attempt — any in-budget fault schedule yields
+    /// bit-identical results. Not owned; one supervisor may span the
+    /// whole job so quarantine decisions persist across rounds. Null =
+    /// the job builds a default one on `pool`.
     TaskSupervisor* supervisor = nullptr;
   };
 
@@ -258,20 +259,19 @@ class MapReduceJob {
 
   explicit MapReduceJob(Options options);
 
-  /// Stage 1: populate the dataflow from input splits. Always OK
-  /// without supervision; under a supervisor it surfaces a retry-
-  /// exhausted map task's error instead of crashing.
+  /// Stage 1: populate the dataflow from input splits. Surfaces a
+  /// retry-exhausted map task's error instead of crashing.
   Status RunMap(const MapFn& map_fn);
 
   /// One shuffle+reduce round over the current dataflow; emitted pairs
   /// become the next round's dataflow. Shuffle inputs are durable, so
-  /// under a supervisor a failed reduce task is simply re-executed over
-  /// the same inputs — MapReduce's native fault-tolerance model. Returns
-  /// non-OK — never crashes — when a spill block cannot be written or
-  /// read back intact after bounded retries (IoError), or when a
-  /// supervised task exhausts its retries (the task's error code). On
-  /// error the dataflow is left unspecified; the job must be abandoned
-  /// or resumed from a durable checkpoint.
+  /// a failed reduce task is simply re-executed over the same inputs —
+  /// MapReduce's native fault-tolerance model. Returns
+  /// non-OK — never crashes — when a task exhausts its retries (the
+  /// task's error code; IoError when a spill block cannot be written or
+  /// read back intact). On error the round's spill blocks are removed
+  /// and the dataflow is left unspecified; the job must be abandoned or
+  /// resumed from a durable checkpoint.
   Status RunReduce(const ReduceFn& reduce_fn);
 
   /// Drains the final dataflow: every instance's blocks, in instance
@@ -301,18 +301,22 @@ class MapReduceJob {
 
  private:
   /// Canonical spill block path for attempt < 0; attempt-scoped
-  /// ("..._aN.blk") otherwise. Supervised producers write under their
-  /// attempt's name and the winner's blocks are renamed to the
-  /// canonical path at commit, so readers never observe a loser's (or
-  /// a half-abandoned attempt's) output.
+  /// ("..._aN.blk") otherwise. Producers write under their attempt's
+  /// name and the winner's blocks are renamed to the canonical path at
+  /// commit, so readers never observe a loser's (or a half-abandoned
+  /// attempt's) output.
   std::string SpillPath(std::int64_t stage, std::int64_t producer,
                         std::int64_t reducer, int attempt = -1) const;
-  /// Commit protocol for supervised spilling: promote the winning
-  /// attempt's blocks to canonical names, delete every other attempt's.
+  /// Commit protocol for spilling: promote the winning attempt's
+  /// blocks to canonical names, delete every other attempt's.
   Status PromoteSpillBlocks(std::int64_t stage,
                             const std::vector<int>& winning_attempt);
+  /// Removes every block of `stage`, canonical and attempt-scoped.
+  void RemoveSpillBlocks(std::int64_t stage) const;
 
   Options options_;
+  /// Owns options_.supervisor when the caller passed none.
+  std::unique_ptr<TaskSupervisor> default_supervisor_;
   /// dataflow_[i] = the record blocks resident on instance i.
   std::vector<std::vector<MrBlock>> dataflow_;
   JobMetrics metrics_;

@@ -1,6 +1,7 @@
 #include "src/pregel/pregel_engine.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "src/common/binary_io.h"
@@ -198,6 +199,13 @@ Result<JobMetrics> PregelEngine::Run(const ComputeFn& compute) {
   ThreadPool& pool =
       options_.pool != nullptr ? *options_.pool : DefaultThreadPool();
   const std::int64_t num_workers = options_.num_workers;
+  std::optional<TaskSupervisor> default_supervisor;
+  TaskSupervisor* supervisor = options_.supervisor;
+  if (supervisor == nullptr) {
+    TaskSupervisionOptions supervision;
+    supervision.pool = &pool;
+    supervisor = &default_supervisor.emplace(supervision);
+  }
 
   JobMetrics metrics;
   metrics.cost_model = options_.cost_model;
@@ -248,7 +256,7 @@ Result<JobMetrics> PregelEngine::Run(const ComputeFn& compute) {
   std::int64_t attempts = 0;
   const std::int64_t max_attempts = options_.max_supersteps * 10 + 10;
 
-  // Degradation-ladder bookkeeping (supervised runs only).
+  // Degradation-ladder bookkeeping.
   std::int64_t reexec_step = -1;
   std::int64_t reexecs_this_step = 0;
   std::int64_t superstep_reexecutions_total = 0;
@@ -288,115 +296,99 @@ Result<JobMetrics> PregelEngine::Run(const ComputeFn& compute) {
     std::vector<WorkerStepMetrics> step_metrics(
         static_cast<std::size_t>(num_workers));
 
-    // One worker's compute attempt, writing into caller-owned context
-    // and metrics slots. Under supervision those slots are
-    // attempt-local, so duplicate attempts never share state.
-    const auto run_worker = [&](std::size_t w, PregelContext* ctx,
-                                WorkerStepMetrics* m) {
-      ctx->engine_ = this;
-      ctx->worker_id_ = static_cast<std::int64_t>(w);
-      ctx->superstep_ = step;
-      ctx->inbox_ = &inboxes[w];
-      ctx->inbox_partial_ = inbox_partial[w];
-      ctx->outbox_.resize(static_cast<std::size_t>(num_workers));
+    // --- compute phase (parallel over logical workers) --------------
+    // Each worker's compute runs as one supervised task with
+    // deadlines/retry/speculation. An attempt writes into its own
+    // context and metrics, so duplicate attempts never share state. The
+    // compute is read-only against the superstep's inputs (inboxes,
+    // board, driver state via DeferToCommit), so any attempt — first,
+    // retry, or speculative backup — produces identical bytes, and a
+    // failed stage can re-execute the whole superstep from those same
+    // inputs.
+    const auto compute_task = [&](TaskAttempt* attempt) -> Status {
+      const std::size_t w = attempt->task();
+      PregelContext ctx;
+      WorkerStepMetrics m;
+      ctx.engine_ = this;
+      ctx.worker_id_ = static_cast<std::int64_t>(w);
+      ctx.superstep_ = step;
+      ctx.inbox_ = &inboxes[w];
+      ctx.inbox_partial_ = inbox_partial[w];
+      ctx.outbox_.resize(static_cast<std::size_t>(num_workers));
       std::uint64_t inbox_bytes = 0;
       for (const MessageBatch& b : inboxes[w]) {
-        m->records_in += b.size();
+        m.records_in += b.size();
         inbox_bytes += b.WireBytes();
       }
       WallTimer timer;
       {
         TraceSpan span("pregel/compute", static_cast<std::int64_t>(w));
-        compute(ctx);
+        compute(&ctx);
       }
-      m->busy_seconds = timer.ElapsedSeconds() + ctx->extra_busy_seconds_;
+      m.busy_seconds = timer.ElapsedSeconds() + ctx.extra_busy_seconds_;
       if (MetricsEnabled()) {
         static Histogram* hist =
             GlobalMetrics().GetHistogram("pregel.compute_seconds");
-        hist->Observe(m->busy_seconds);
+        hist->Observe(m.busy_seconds);
       }
       // The whole vectorized inbox is resident during compute, plus
       // whatever state the driver reported.
-      m->peak_resident_bytes =
-          std::max(inbox_bytes + ctx->resident_bytes_,
-                   m->peak_resident_bytes);
-    };
-
-    // --- compute phase (parallel over logical workers) --------------
-    if (options_.supervisor != nullptr) {
-      // Supervised: each worker's compute runs as one task with
-      // deadlines/retry/speculation. The compute is read-only against
-      // the superstep's inputs (inboxes, board, driver state via
-      // DeferToCommit), so any attempt — first, retry, or speculative
-      // backup — produces identical bytes, and a failed stage can
-      // re-execute the whole superstep from those same inputs.
-      const TaskStage task_stage{TaskStageKind::kPregelCompute, step};
-      const Result<StageResult> stage = options_.supervisor->RunStage(
-          task_stage, static_cast<std::size_t>(num_workers),
-          [&](TaskAttempt* attempt) -> Status {
-            const std::size_t w = attempt->task();
-            PregelContext local;
-            WorkerStepMetrics local_metrics;
-            run_worker(w, &local, &local_metrics);
-            if (attempt->TryCommit()) {
-              // Winner owns the slot; losers discard their copies.
-              contexts[w] = std::move(local);
-              step_metrics[w] = local_metrics;
-            }
-            return Status::OK();
-          });
-      if (!stage.ok()) {
-        // The attempted work is still real cost, and appending one row
-        // per worker keeps the per-worker step vectors aligned.
-        for (std::int64_t w = 0; w < num_workers; ++w) {
-          metrics.workers[static_cast<std::size_t>(w)].steps.push_back(
-              step_metrics[static_cast<std::size_t>(w)]);
-        }
-        if (reexec_step != step) {
-          reexec_step = step;
-          reexecs_this_step = 0;
-        }
-        const int max_reexecs =
-            options_.supervisor->options().max_superstep_reexecutions;
-        if (reexecs_this_step < max_reexecs) {
-          // Rung 2 of the ladder: nothing was published (commit
-          // callbacks never ran, next inboxes were never built), so
-          // the superstep's inputs are intact — just run it again.
-          ++reexecs_this_step;
-          ++superstep_reexecutions_total;
-          RecordFlightEvent(FlightEventKind::kSuperstepReexec,
-                            "pregel/reexec", step, reexecs_this_step);
-          INFERTURBO_LOG(Warning)
-              << "re-executing superstep " << step << " ("
-              << reexecs_this_step << "/" << max_reexecs
-              << ") after stage failure: " << stage.status().ToString();
-          --step;  // loop increment replays it
-          continue;
-        }
-        if (has_checkpoint) {
-          // Rung 3: roll back to the last checkpoint.
-          ++supervised_restores;
-          RecordFlightEvent(FlightEventKind::kCheckpointRestore,
-                            "pregel/restore", step, checkpoint.step);
-          INFERTURBO_LOG(Warning)
-              << "superstep " << step
-              << " re-execution budget exhausted; restoring checkpoint of "
-              << "step " << checkpoint.step;
-          INFERTURBO_RETURN_NOT_OK(restore(checkpoint));
-          step = checkpoint.step - 1;  // loop increment replays it
-          continue;
-        }
-        // Rung 4: no checkpoint to fall back to — surface the stage
-        // error as a clean Status, saying why it was final.
-        return stage.status().WithMessage(
-            stage.status().message() +
-            "; no checkpoint to restore (set checkpoint_interval)");
+      m.peak_resident_bytes = inbox_bytes + ctx.resident_bytes_;
+      if (attempt->TryCommit()) {
+        // Winner owns the slot; losers discard their copies.
+        contexts[w] = std::move(ctx);
+        step_metrics[w] = m;
       }
-    } else {
-      pool.ParallelFor(static_cast<std::size_t>(num_workers),
-                       [&](std::size_t w) {
-        run_worker(w, &contexts[w], &step_metrics[w]);
-      });
+      return Status::OK();
+    };
+    const TaskStage task_stage{TaskStageKind::kPregelCompute, step};
+    const Result<StageResult> stage = supervisor->RunStage(
+        task_stage, static_cast<std::size_t>(num_workers), compute_task);
+    if (!stage.ok()) {
+      // The attempted work is still real cost, and appending one row
+      // per worker keeps the per-worker step vectors aligned.
+      for (std::int64_t w = 0; w < num_workers; ++w) {
+        metrics.workers[static_cast<std::size_t>(w)].steps.push_back(
+            step_metrics[static_cast<std::size_t>(w)]);
+      }
+      if (reexec_step != step) {
+        reexec_step = step;
+        reexecs_this_step = 0;
+      }
+      const int max_reexecs = supervisor->options().max_superstep_reexecutions;
+      if (reexecs_this_step < max_reexecs) {
+        // Rung 2 of the ladder: nothing was published (commit
+        // callbacks never ran, next inboxes were never built), so
+        // the superstep's inputs are intact — just run it again.
+        ++reexecs_this_step;
+        ++superstep_reexecutions_total;
+        RecordFlightEvent(FlightEventKind::kSuperstepReexec,
+                          "pregel/reexec", step, reexecs_this_step);
+        INFERTURBO_LOG(Warning)
+            << "re-executing superstep " << step << " ("
+            << reexecs_this_step << "/" << max_reexecs
+            << ") after stage failure: " << stage.status().ToString();
+        --step;  // loop increment replays it
+        continue;
+      }
+      if (has_checkpoint) {
+        // Rung 3: roll back to the last checkpoint.
+        ++supervised_restores;
+        RecordFlightEvent(FlightEventKind::kCheckpointRestore,
+                          "pregel/restore", step, checkpoint.step);
+        INFERTURBO_LOG(Warning)
+            << "superstep " << step
+            << " re-execution budget exhausted; restoring checkpoint of "
+            << "step " << checkpoint.step;
+        INFERTURBO_RETURN_NOT_OK(restore(checkpoint));
+        step = checkpoint.step - 1;  // loop increment replays it
+        continue;
+      }
+      // Rung 4: no checkpoint to fall back to — surface the stage
+      // error as a clean Status, saying why it was final.
+      return stage.status().WithMessage(
+          stage.status().message() +
+          "; no checkpoint to restore (set checkpoint_interval)");
     }
 
     // Commit point: publish every worker's deferred state mutations,
@@ -523,11 +515,9 @@ Result<JobMetrics> PregelEngine::Run(const ComputeFn& compute) {
     (void)all_halted;
     if (!any_messages) break;
   }
-  if (options_.supervisor != nullptr) {
-    metrics.supervision = options_.supervisor->metrics();
-    metrics.supervision.superstep_reexecutions = superstep_reexecutions_total;
-    metrics.supervision.checkpoint_restores = supervised_restores;
-  }
+  metrics.supervision = supervisor->metrics();
+  metrics.supervision.superstep_reexecutions = superstep_reexecutions_total;
+  metrics.supervision.checkpoint_restores = supervised_restores;
   return metrics;
 }
 

@@ -71,11 +71,12 @@ class PregelContext {
 
   /// Defers a publication of driver-visible state (node states, output
   /// rows) until the whole superstep's compute stage has committed.
-  /// Under supervision this is mandatory for state the compute function
-  /// would otherwise mutate in place: duplicate (speculative) attempts
-  /// of one worker may run concurrently, and a failed stage re-executes
-  /// the superstep from its immutable inputs — both are only safe when
-  /// in-place mutation is postponed to the commit point. Callbacks run
+  /// It is mandatory for state the compute function would otherwise
+  /// mutate in place whenever the supervisor may attempt a worker more
+  /// than once: duplicate (speculative) attempts of one worker may run
+  /// concurrently, and a failed stage re-executes the superstep from its
+  /// immutable inputs — both are only safe when in-place mutation is
+  /// postponed to the commit point. Callbacks run
   /// on the coordinator thread, in worker order, exactly once per
   /// committed superstep.
   void DeferToCommit(std::function<void()> fn);
@@ -157,10 +158,12 @@ class PregelEngine {
     std::function<bool(std::int64_t step)> kill_switch;
 
     // --- task supervision (src/runtime/) ----------------------------
-    /// When set, every superstep's compute phase runs as a supervised
-    /// stage: per-attempt deadlines, bounded retry with backoff,
-    /// speculative backups, and executor quarantine. The compute
-    /// function must then follow the deferred-commit contract
+    /// Every superstep's compute phase runs as a stage of this
+    /// supervisor: per-attempt deadlines, bounded retry with backoff,
+    /// speculative backups, and executor quarantine. Null = Run builds a
+    /// default one on `pool` (no deadline, speculation or fault plan, so
+    /// each task runs once). A compute that may be attempted more than
+    /// once must follow the deferred-commit contract
     /// (PregelContext::DeferToCommit) for any in-place state mutation.
     /// On per-task retry exhaustion the engine degrades in order:
     /// superstep re-execution from the superstep's immutable inputs

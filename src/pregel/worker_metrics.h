@@ -196,7 +196,7 @@ struct JobMetrics {
   /// Shard-store counters for jobs that ran over an out-of-core
   /// GraphView (zeros for fully-resident runs).
   StorageMetrics storage;
-  /// Task-supervision counters (zeros for unsupervised runs).
+  /// Task-supervision counters of the job's supervisor.
   SupervisionMetrics supervision;
 
   std::int64_t num_steps() const {

@@ -45,8 +45,11 @@ struct TaskSupervisor::TaskSlot {
 struct TaskSupervisor::StageContext {
   TaskStage stage;
   const TaskFn* fn = nullptr;
+  const TaskSettledFn* settled = nullptr;
   std::vector<TaskSlot> tasks;
   std::vector<std::shared_ptr<TaskAttempt>> running;
+  // Settle calls in progress outside mu_; the drain waits for them too.
+  int settling = 0;
   std::size_t committed_count = 0;
   bool failed = false;
   bool had_failures = false;
@@ -249,7 +252,7 @@ void TaskSupervisor::RunAttemptBody(StageContext* ctx,
     }
   }
 
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   TaskSlot& slot = ctx->tasks[attempt->task_];
   --slot.running;
   if (attempt->speculative_) slot.backup_inflight = false;
@@ -281,6 +284,16 @@ void TaskSupervisor::RunAttemptBody(StageContext* ctx,
     attempt->failure_counted_ = true;
     RecordFailureLocked(ctx, attempt->task_, attempt->executor_, status);
   }
+  // A committed task launches no further attempts, so the last one to
+  // return settles it, exactly once.
+  const bool settle = slot.committed && slot.running == 0 && *ctx->settled;
+  if (settle) ++ctx->settling;
+  ctx->cv.notify_all();
+  if (!settle) return;
+  lock.unlock();
+  (*ctx->settled)(attempt->task_);
+  lock.lock();
+  --ctx->settling;
   ctx->cv.notify_all();
 }
 
@@ -337,12 +350,14 @@ void TaskSupervisor::RecordFailureLocked(StageContext* ctx, std::size_t task,
 
 Result<StageResult> TaskSupervisor::RunStage(const TaskStage& stage,
                                              std::size_t num_tasks,
-                                             const TaskFn& fn) {
+                                             const TaskFn& fn,
+                                             const TaskSettledFn& settled) {
   INFERTURBO_CHECK(!ThreadPool::InPoolWorker())
       << "RunStage must not be called from a pool worker";
   StageContext ctx;
   ctx.stage = stage;
   ctx.fn = &fn;
+  ctx.settled = &settled;
   ctx.tasks.resize(num_tasks);
 
   std::unique_lock<std::mutex> lock(mu_);
@@ -433,12 +448,12 @@ Result<StageResult> TaskSupervisor::RunStage(const TaskStage& stage,
   }
 
   // Drain: abandon every still-running attempt (losers on success,
-  // everything on failure) and wait for the closures to unwind — they
-  // reference this frame.
+  // everything on failure) and wait for the closures and settle calls
+  // to unwind — they reference this frame.
   for (const std::shared_ptr<TaskAttempt>& attempt : ctx.running) {
     attempt->abandon_.store(true, std::memory_order_release);
   }
-  while (!ctx.running.empty()) ctx.cv.wait(lock);
+  while (!ctx.running.empty() || ctx.settling > 0) ctx.cv.wait(lock);
 
   if (ctx.failed) return ctx.stage_error;
   StageResult result;

@@ -123,6 +123,13 @@ class TaskAttempt {
 /// else for permanent-style failures (counts toward quarantine).
 using TaskFn = std::function<Status(TaskAttempt*)>;
 
+/// Called once per committed task when it has settled: it committed
+/// and the last of its attempts has returned, so no attempt of it can
+/// read its inputs any more — the point to free them. Runs on a pool
+/// worker, outside the supervisor's lock; never for a task that did not
+/// commit.
+using TaskSettledFn = std::function<void(std::size_t task)>;
+
 /// Per-stage outcome: which attempt/executor won each task.
 struct StageResult {
   std::vector<int> committed_attempt;
@@ -140,9 +147,9 @@ struct StageResult {
 /// Thread model: RunStage blocks the calling (coordinator) thread; the
 /// attempts run on the pool. The supervisor never calls
 /// ThreadPool::Wait (that waits for the whole pool); it tracks its own
-/// in-flight attempts and always drains them before returning, even on
-/// stage failure — attempt closures may reference coordinator-frame
-/// state.
+/// in-flight attempts and settle calls and always drains them before
+/// returning, even on stage failure — attempt closures may reference
+/// coordinator-frame state.
 class TaskSupervisor {
  public:
   explicit TaskSupervisor(TaskSupervisionOptions options);
@@ -150,9 +157,11 @@ class TaskSupervisor {
   /// Runs `num_tasks` tasks under supervision. Returns the per-task
   /// commit record, or the first retry-exhausted task's error. Never
   /// hangs: injected delays are finite and abandoned attempts are
-  /// cooperatively cancelled.
+  /// cooperatively cancelled. `settled` (optional) runs as each task
+  /// settles; RunStage returns only after every such call has returned.
   Result<StageResult> RunStage(const TaskStage& stage, std::size_t num_tasks,
-                               const TaskFn& fn);
+                               const TaskFn& fn,
+                               const TaskSettledFn& settled = nullptr);
 
   /// Accumulated across all stages this supervisor ran.
   SupervisionMetrics metrics() const;

@@ -181,7 +181,7 @@ TEST(FlagParserTest, SupervisionFlagsParse) {
   EXPECT_EQ(flags.GetInt("max_task_retries", 3), 5);
   EXPECT_TRUE(flags.GetBool("speculative_execution", false));
   EXPECT_EQ(flags.GetString("fault_plan", ""), "crash@compute:1:0");
-  // Presence of any supervision flag is what turns the supervisor on.
+  // Has() tells a flag that was given from one left at its default.
   EXPECT_TRUE(flags.Has("task_deadline_ms"));
   EXPECT_FALSE(MustParse({"--mode=infer"}).Has("task_deadline_ms"));
 }

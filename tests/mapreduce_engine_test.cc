@@ -595,8 +595,8 @@ TEST(MapReduceBlockTest, SupervisedDuplicateAttemptsSeeIdenticalInputs) {
     }
   }
   EXPECT_TRUE(duplicated) << "no block was reduced by two attempts";
-  // Whichever attempt won, the committed dataflow is the unsupervised
-  // one, byte for byte.
+  // Whichever attempt won, the committed dataflow is the plain job's,
+  // byte for byte.
   EXPECT_EQ(job.SerializeDataflow(), plain.SerializeDataflow());
 }
 

@@ -6,6 +6,8 @@
 #include <filesystem>
 #include <map>
 #include <mutex>
+#include <string>
+#include <vector>
 
 #include "src/common/io_fault.h"
 #include "src/graph/datasets.h"
@@ -119,6 +121,16 @@ struct SpillFaultRig {
   }
 };
 
+// Spill blocks (any file whose name holds ".blk") left in `dir`.
+std::vector<std::string> LeftoverBlocks(const std::string& dir) {
+  std::vector<std::string> left;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.find(".blk") != std::string::npos) left.push_back(name);
+  }
+  return left;
+}
+
 TEST(SpillTest, TransientReadFaultIsRetriedAndCounted) {
   SpillFaultRig rig("spill_read_fault");
   ASSERT_TRUE(rig.reference.ok());
@@ -177,6 +189,10 @@ TEST(SpillTest, PersistentReadCorruptionSurfacesAsIoError) {
   EXPECT_NE(result.status().message().find("checksum mismatch"),
             std::string::npos)
       << result.status().ToString();
+  // The failed round removed its blocks; a resume re-enters from the
+  // checkpointed dataflow and never reads them.
+  EXPECT_EQ(LeftoverBlocks(rig.spilled.mr_spill_directory),
+            std::vector<std::string>{});
 }
 
 TEST(SpillTest, PersistentWriteFaultSurfacesAsIoError) {
@@ -191,6 +207,8 @@ TEST(SpillTest, PersistentWriteFaultSurfacesAsIoError) {
   EXPECT_EQ(result.status().code(), StatusCode::kIoError);
   EXPECT_NE(result.status().message().find("no space"), std::string::npos)
       << result.status().ToString();
+  EXPECT_EQ(LeftoverBlocks(rig.spilled.mr_spill_directory),
+            std::vector<std::string>{});
 }
 
 }  // namespace

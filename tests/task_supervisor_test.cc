@@ -1,8 +1,8 @@
 // TaskSupervisor unit tests: the first-commit-wins attempt protocol,
 // bounded retry with status-code-aware accounting, per-attempt
-// deadlines, speculative backups, and executor quarantine — exercised
-// directly against small synthetic task bodies so every assertion pins
-// one supervisor behavior the engines rely on.
+// deadlines, speculative backups, executor quarantine and the settle
+// hook — exercised directly against small synthetic task bodies so
+// every assertion pins one supervisor behavior the engines rely on.
 #include "src/runtime/task_supervisor.h"
 
 #include <gtest/gtest.h>
@@ -369,6 +369,152 @@ TEST(TaskSupervisorTest, MetricsAccumulateAcrossStages) {
   EXPECT_EQ(m.attempts, 7);  // 6 firsts + 1 retry for the transient
   EXPECT_EQ(m.retries, 1);
   EXPECT_EQ(m.injected_transients, 1);
+}
+
+// --- settle hook: a task's inputs may be freed once it has settled ---
+
+// Per-task bookkeeping for the settle-hook tests: attempts inside their
+// body, settle calls, and settle calls that came while an attempt of
+// the task was still inside its body (which may be reading the inputs
+// the hook frees).
+struct SettleProbe {
+  explicit SettleProbe(std::size_t tasks)
+      : in_body(tasks), settles(tasks), early(tasks), committed(tasks) {}
+
+  TaskFn Track(TaskFn body) {
+    return [this, body](TaskAttempt* attempt) {
+      in_body[attempt->task()].fetch_add(1);
+      const Status status = body(attempt);
+      in_body[attempt->task()].fetch_sub(1);
+      return status;
+    };
+  }
+  TaskSettledFn Hook() {
+    return [this](std::size_t task) {
+      if (in_body[task].load() != 0) early[task].fetch_add(1);
+      settles[task].fetch_add(1);
+    };
+  }
+  // Commits `attempt` and flags its task as committed.
+  void Commit(TaskAttempt* attempt) {
+    if (attempt->TryCommit()) committed[attempt->task()].store(true);
+  }
+  // Parks a rival until its task has committed, so the commit happens
+  // while the rival is still inside its body.
+  void WaitForCommit(std::size_t task) {
+    const auto give_up = steady_clock::now() + std::chrono::seconds(10);
+    while (!committed[task].load() && steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+
+  std::vector<std::atomic<int>> in_body;
+  std::vector<std::atomic<int>> settles;
+  std::vector<std::atomic<int>> early;
+  std::vector<std::atomic<bool>> committed;
+};
+
+TEST(TaskSupervisorTest, SettleWaitsForStragglerAfterBackupCommits) {
+  TaskSupervisionOptions options;
+  options.speculative_execution = true;
+  options.speculation_delay_seconds = 0.01;
+  TaskSupervisor supervisor(options);
+  constexpr std::size_t kTasks = 3;
+  SettleProbe probe(kTasks);
+
+  const Result<StageResult> stage = supervisor.RunStage(
+      {TaskStageKind::kMrReduce, 0}, kTasks,
+      probe.Track([&](TaskAttempt* attempt) -> Status {
+        if (attempt->task() == 0 && attempt->attempt() == 0) {
+          // The straggling original: the backup commits while it is
+          // still running.
+          WaitForAbandon(attempt);
+          probe.WaitForCommit(0);
+          return Status::OK();
+        }
+        probe.Commit(attempt);
+        return Status::OK();
+      }),
+      probe.Hook());
+  ASSERT_TRUE(stage.ok()) << stage.status().ToString();
+  EXPECT_EQ(stage->committed_attempt[0], 1);
+  for (std::size_t t = 0; t < kTasks; ++t) {
+    EXPECT_EQ(probe.settles[t].load(), 1) << t;
+    EXPECT_EQ(probe.early[t].load(), 0) << t;
+  }
+}
+
+TEST(TaskSupervisorTest, SettleWaitsForDeadlineAbandonedAttempt) {
+  TaskSupervisionOptions options;
+  options.task_deadline_seconds = 0.05;
+  TaskSupervisor supervisor(options);
+  constexpr std::size_t kTasks = 2;
+  SettleProbe probe(kTasks);
+
+  const Result<StageResult> stage = supervisor.RunStage(
+      {TaskStageKind::kMrShuffle, 0}, kTasks,
+      probe.Track([&](TaskAttempt* attempt) -> Status {
+        if (attempt->task() == 0 && attempt->attempt() == 0) {
+          // Overruns its deadline, then keeps running until the retry
+          // that replaced it has committed.
+          WaitForAbandon(attempt);
+          probe.WaitForCommit(0);
+          return Status::OK();
+        }
+        probe.Commit(attempt);
+        return Status::OK();
+      }),
+      probe.Hook());
+  ASSERT_TRUE(stage.ok()) << stage.status().ToString();
+  EXPECT_GE(stage->committed_attempt[0], 1);
+  EXPECT_GE(supervisor.metrics().deadline_exceeded, 1);
+  for (std::size_t t = 0; t < kTasks; ++t) {
+    EXPECT_EQ(probe.settles[t].load(), 1) << t;
+    EXPECT_EQ(probe.early[t].load(), 0) << t;
+  }
+}
+
+TEST(TaskSupervisorTest, SettleNeverFiresForUncommittedTaskOfFailedStage) {
+  FaultPlan plan;
+  plan.ArmCrash(TaskStageKind::kAny, -1, /*executor=*/1, /*times=*/-1);
+  TaskSupervisionOptions options;
+  options.fault_plan = &plan;
+  options.max_task_retries = 1;
+  options.quarantine_threshold = 0;  // keep task 1 on its crashing executor
+  TaskSupervisor supervisor(options);
+  constexpr std::size_t kTasks = 3;
+  SettleProbe probe(kTasks);
+
+  const Result<StageResult> stage = supervisor.RunStage(
+      {TaskStageKind::kMrMap, 0}, kTasks,
+      probe.Track([&](TaskAttempt* attempt) -> Status {
+        probe.Commit(attempt);
+        return Status::OK();
+      }),
+      probe.Hook());
+  ASSERT_FALSE(stage.ok());
+  EXPECT_EQ(probe.settles[1].load(), 0);
+  for (std::size_t t = 0; t < kTasks; ++t) {
+    // A committed task of a failed stage may settle, but only once.
+    EXPECT_LE(probe.settles[t].load(), probe.committed[t].load() ? 1 : 0)
+        << t;
+    EXPECT_EQ(probe.early[t].load(), 0) << t;
+  }
+}
+
+TEST(TaskSupervisorTest, RunStageReturnsOnlyAfterEverySettleCallReturned) {
+  TaskSupervisor supervisor({});
+  constexpr std::size_t kTasks = 4;
+  std::atomic<int> returned{0};
+  const Result<StageResult> stage = supervisor.RunStage(
+      {TaskStageKind::kPregelCompute, 0}, kTasks,
+      [](TaskAttempt*) { return Status::OK(); },
+      [&returned](std::size_t) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        returned.fetch_add(1);
+      });
+  EXPECT_EQ(returned.load(), static_cast<int>(kTasks));
+  ASSERT_TRUE(stage.ok()) << stage.status().ToString();
 }
 
 }  // namespace
