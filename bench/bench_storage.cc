@@ -3,23 +3,21 @@
 // patterns the streaming inference path is built from and writes
 // BENCH_storage.json — one record per mode with MB/s over the pack.
 //
-//   cold              open the store and demand-load every shard (page-in)
-//   warm              every Map() is a cache hit (unlimited budget)
-//   streamed          sequential partition sweep under a BINDING budget
-//                     (the pack minus its smallest shard), touching every
-//                     feature byte — the MapReduce map stage's access shape
-//   pipelined         the same sweep through a ShardPipeline: a dedicated
-//                     loader thread double-buffers shard I/O behind the
-//                     checksum compute
-//   pipelined_pinned  the pipeline sweep with the hub hot-set pinned
-//                     resident (pinned budget = half the memory budget)
+//   cold       open the store and demand-load every shard (page-in)
+//   warm       every Map() is a cache hit (unlimited budget)
+//   streamed   sequential partition sweep under a BINDING budget (the
+//              pack minus its smallest shard), touching every feature
+//              byte — the MapReduce map stage's access shape
+//   pipelined  the same sweep through a ShardPipeline: a dedicated
+//              loader thread double-buffers shard I/O behind the
+//              checksum compute
 //
+// Every mode but warm opens a fresh store per sweep, as a job does.
 // Every mode folds the bytes it touches into a deterministic
 // gather_checksum (seeded dataset + hash partitioning = host-stable),
 // and the run FAILS — not just reports — when an invariant breaks:
-// peak mapped bytes over budget, nothing pinned, or any checksum
-// failure. The JSON also records which read-path tier (pread or mmap)
-// auto-detection picked.
+// peak mapped bytes over budget or any checksum failure. The JSON also
+// records which read-path tier (pread or mmap) auto-detection picked.
 //
 // Usage:
 //   bench_storage                     full sweep, writes BENCH_storage.json
@@ -128,12 +126,10 @@ std::uint64_t SweepPipelined(const GraphView& view, int slots) {
 }
 
 ShardStoreOptions StoreOptions(const std::string& dir,
-                               std::uint64_t budget,
-                               std::uint64_t pinned_budget = 0) {
+                               std::uint64_t budget) {
   ShardStoreOptions options;
   options.directory = dir;
   options.memory_budget_bytes = budget;
-  options.pinned_budget_bytes = pinned_budget;
   return options;
 }
 
@@ -334,46 +330,6 @@ int Main(int argc, const char* const argv[]) {
                    "INVARIANT: peak %llu exceeds the %llu-byte budget\n",
                    static_cast<unsigned long long>(peak),
                    static_cast<unsigned long long>(budget));
-      ++failures;
-    }
-  }
-
-  {  // pipelined_pinned: persistent store, hub hot-set pinned resident
-     // under half the budget, cold shards cycling through the rest
-    ShardStore store = MustOpen(StoreOptions(dir, budget, budget / 2));
-    const ShardGraphView view(std::move(store));
-    const Result<std::int64_t> pinned = view.PinHotSet(/*hub_threshold=*/0);
-    if (!pinned.ok()) {
-      std::fprintf(stderr, "bench_storage: %s\n",
-                   pinned.status().ToString().c_str());
-      return 2;
-    }
-    const double seconds = bench::TimeIt(timing, [&] {
-      const std::uint64_t acc = SweepPipelined(view, /*slots=*/2);
-      g_sink = g_sink + acc;
-      if (acc != gather_checksum) {
-        std::fprintf(stderr,
-                     "INVARIANT: pipelined_pinned checksum diverged\n");
-        ++failures;
-      }
-    });
-    const StorageMetrics metrics = view.storage_metrics();
-    record("pipelined_pinned", seconds, metrics.peak_bytes_mapped);
-    if (metrics.peak_bytes_mapped > budget) {
-      std::fprintf(stderr,
-                   "INVARIANT: peak %llu exceeds the %llu-byte budget\n",
-                   static_cast<unsigned long long>(metrics.peak_bytes_mapped),
-                   static_cast<unsigned long long>(budget));
-      ++failures;
-    }
-    if (metrics.pinned_bytes == 0 || metrics.pinned_partitions == 0) {
-      std::fprintf(stderr, "INVARIANT: nothing pinned under a %llu-byte "
-                           "pinned budget\n",
-                   static_cast<unsigned long long>(budget / 2));
-      ++failures;
-    }
-    if (metrics.pinned_hits == 0) {
-      std::fprintf(stderr, "INVARIANT: no pinned shard was ever re-hit\n");
       ++failures;
     }
   }

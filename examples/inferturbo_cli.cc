@@ -264,13 +264,11 @@ int Infer(const FlagParser& flags, const std::string& dir) {
   // still supplies model dims and the accuracy labels.
   // --storage_memory_budget caps resident shard bytes ("512MB", "4GiB").
   // --pipeline_slots sets the streaming pipeline's in-flight window
-  // (2 = double buffering, 0 = demand loads); --storage_pinned_budget +
-  // --pin_hubs keep the hub-heavy shards resident across the sweep.
+  // (2 = double buffering, 0 = demand loads).
   const std::string packed = flags.GetString("packed", "");
   Result<InferenceResult> result = Status::Internal("unset");
   options.storage_pipeline_slots =
       static_cast<int>(flags.GetInt("pipeline_slots", 2));
-  options.pin_hub_shards = flags.GetBool("pin_hubs", false);
   if (!packed.empty()) {
     const Result<std::uint64_t> budget =
         flags.GetBytes("storage_memory_budget", 0);
@@ -278,17 +276,9 @@ int Infer(const FlagParser& flags, const std::string& dir) {
       std::fprintf(stderr, "%s\n", budget.status().ToString().c_str());
       return 1;
     }
-    const Result<std::uint64_t> pinned_budget =
-        flags.GetBytes("storage_pinned_budget", 0);
-    if (!pinned_budget.ok()) {
-      std::fprintf(stderr, "%s\n",
-                   pinned_budget.status().ToString().c_str());
-      return 1;
-    }
     ShardStoreOptions store_options;
     store_options.directory = packed;
     store_options.memory_budget_bytes = *budget;
-    store_options.pinned_budget_bytes = *pinned_budget;
     Result<ShardStore> store = ShardStore::Open(std::move(store_options));
     if (!store.ok()) {
       std::fprintf(stderr, "%s\n", store.status().ToString().c_str());
@@ -619,8 +609,7 @@ int Main(int argc, const char* const argv[]) {
        "lambda", "embeddings", "shards", "checkpoint_dir",
        "checkpoint_interval", "keep_last", "resume", "fault_plan",
        "task_deadline_ms", "max_task_retries", "speculative_execution",
-       "packed", "storage_memory_budget",
-       "storage_pinned_budget", "pipeline_slots", "pin_hubs",
+       "packed", "storage_memory_budget", "pipeline_slots",
        // serve
        "serve_threads", "serve_requests", "serve_nodes_per_query",
        "serve_batch_window", "serve_max_batch", "serve_cache", "zipf_alpha",

@@ -652,13 +652,6 @@ Result<InferenceResult> RunInferTurboMapReduce(
         std::to_string(view.num_partitions()) +
         "): the shard partitioning is the worker assignment");
   }
-  const std::int64_t threshold = options.strategies.HubThreshold(
-      view.num_edges(), options.num_workers);
-  if (options.pin_hub_shards) {
-    // Pin the hub-heavy hot-set before any streaming so it survives
-    // every LRU cycle of the sweep (no-op without a pinned budget).
-    INFERTURBO_RETURN_NOT_OK(view.PinHotSet(threshold).status());
-  }
   if (options.strategies.shadow_nodes) {
     // The shadow rewrite restructures topology globally; rebuild the
     // graph (bounded mapped bytes while building, pipelined so shard
@@ -677,6 +670,8 @@ Result<InferenceResult> RunInferTurboMapReduce(
     stats.FoldInto(&result.metrics.storage);
     return result;
   }
+  const std::int64_t threshold = options.strategies.HubThreshold(
+      view.num_edges(), options.num_workers);
   PipelineStats stats;
   INFERTURBO_ASSIGN_OR_RETURN(
       InferenceResult result,

@@ -720,13 +720,7 @@ Result<InferenceResult> RunInferTurboPregel(const GraphView& view,
   // Out-of-core view: Pregel holds all node state resident anyway, so
   // rebuild the graph and run the resident path on the exact original
   // structure. The rebuild streams through the shard pipeline — I/O
-  // for partition p+1 overlaps reconstruction of partition p — after
-  // optionally pinning the hub hot-set.
-  if (options.pin_hub_shards) {
-    const std::int64_t threshold = options.strategies.HubThreshold(
-        view.num_edges(), options.num_workers);
-    INFERTURBO_RETURN_NOT_OK(view.PinHotSet(threshold).status());
-  }
+  // for partition p+1 overlaps reconstruction of partition p.
   PipelineStats stats;
   MaterializeOptions materialize;
   materialize.pipeline_slots = options.storage_pipeline_slots;

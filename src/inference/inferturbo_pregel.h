@@ -77,11 +77,6 @@ struct InferTurboOptions {
   /// moment compute on p begins. 2 = double buffering; <= 0 falls back
   /// to demand loads. Irrelevant for in-memory runs.
   int storage_pipeline_slots = 2;
-  /// Pin the hub-heavy shard hot-set resident before streaming
-  /// (GraphView::PinHotSet with the job's activation threshold). Takes
-  /// effect only when the view's store was opened with a
-  /// pinned_budget_bytes.
-  bool pin_hub_shards = false;
 
   // --- task supervision (src/runtime/) -----------------------------
   /// Every per-partition unit of work (Pregel compute tasks, MapReduce

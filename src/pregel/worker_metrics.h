@@ -93,13 +93,6 @@ struct StorageMetrics {
   std::int64_t evictions = 0;
   /// Shards rejected on load because a page failed CRC/bounds checks.
   std::int64_t checksum_failures = 0;
-  /// Bytes held by the pinned hub hot-set (gauge; pinned shards never
-  /// cycle through the LRU). Zero when pinning is off.
-  std::uint64_t pinned_bytes = 0;
-  /// Partitions currently pinned resident (gauge).
-  std::int64_t pinned_partitions = 0;
-  /// Map() requests satisfied by a pinned shard (subset of cache_hits).
-  std::int64_t pinned_hits = 0;
   /// I/O seconds the shard pipeline hid behind compute (ahead-scheduled
   /// load time that the consumer never waited for).
   double overlap_seconds = 0.0;
@@ -126,9 +119,6 @@ struct StorageMetrics {
     cache_misses += other.cache_misses;
     evictions += other.evictions;
     checksum_failures += other.checksum_failures;
-    pinned_bytes = std::max(pinned_bytes, other.pinned_bytes);
-    pinned_partitions = std::max(pinned_partitions, other.pinned_partitions);
-    pinned_hits += other.pinned_hits;
     overlap_seconds += other.overlap_seconds;
     pipeline_wait_seconds += other.pipeline_wait_seconds;
     read_path = std::max(read_path, other.read_path);

@@ -99,9 +99,4 @@ Result<PartitionSlice> ShardGraphView::AcquirePartition(
   return slice;
 }
 
-Result<std::int64_t> ShardGraphView::PinHotSet(
-    std::int64_t hub_threshold) const {
-  return store_.PinHotSet(hub_threshold);
-}
-
 }  // namespace inferturbo

@@ -60,13 +60,6 @@ class GraphView {
   /// Pins partition p and returns spans over its data.
   virtual Result<PartitionSlice> AcquirePartition(
       std::int64_t partition) const = 0;
-  /// Pins the hub-heavy hot-set resident (out-of-core views configured
-  /// with a pinned budget; see ShardStore::PinHotSet). Returns the
-  /// number of partitions pinned — 0 for in-memory views and stores
-  /// without a pinned budget.
-  virtual Result<std::int64_t> PinHotSet(std::int64_t /*hub_threshold*/) const {
-    return std::int64_t{0};
-  }
 
   /// The whole graph, when it is resident anyway (in-memory views);
   /// nullptr for out-of-core views. Lets callers keep fast paths that
@@ -131,7 +124,6 @@ class ShardGraphView : public GraphView {
 
   Result<PartitionSlice> AcquirePartition(
       std::int64_t partition) const override;
-  Result<std::int64_t> PinHotSet(std::int64_t hub_threshold) const override;
   StorageMetrics storage_metrics() const override {
     return store_.metrics();
   }

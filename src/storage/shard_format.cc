@@ -1,6 +1,7 @@
 #include "src/storage/shard_format.h"
 
 #include <cstdio>
+#include <limits>
 
 #include "src/common/binary_io.h"
 #include "src/common/crc32.h"
@@ -18,6 +19,12 @@ std::string SealFixedFrame(std::string frame, std::size_t target) {
   frame += tail.Take();
   return frame;
 }
+
+constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+
+/// Cap on one page kind's bytes summed over a pack (1 EiB): seven pages
+/// this size plus padding still fit in a uint64 shard size.
+constexpr std::uint64_t kMaxPackPageBytes = std::uint64_t{1} << 60;
 
 /// Validates the trailing CRC32 of a fixed-size frame.
 Status CheckFixedFrame(std::string_view frame, std::string_view what) {
@@ -106,6 +113,10 @@ Status DecodeShardMeta(std::string_view bytes, ShardMeta* meta) {
   INFERTURBO_RETURN_NOT_OK(reader.GetI64(&meta->num_classes));
   INFERTURBO_RETURN_NOT_OK(reader.GetU32(&has_labels));
   meta->has_labels = has_labels != 0;
+  if (meta->feature_dim < 0 || meta->edge_feature_dim < 0 ||
+      meta->num_classes < 0) {
+    return Status::IoError("shard meta has negative dimensions");
+  }
   std::uint64_t num_partitions = 0;
   INFERTURBO_RETURN_NOT_OK(reader.GetU64(&num_partitions));
   if (num_partitions > (reader.remaining() / 16)) {
@@ -124,6 +135,10 @@ Status DecodeShardMeta(std::string_view bytes, ShardMeta* meta) {
       return Status::IoError("shard meta partition " + std::to_string(i) +
                              " has negative counts");
     }
+    if (part.num_nodes > kInt64Max - node_total ||
+        part.num_edges > kInt64Max - edge_total) {
+      return Status::IoError("shard meta partition counts overflow");
+    }
     node_total += part.num_nodes;
     edge_total += part.num_edges;
     meta->partitions.push_back(part);
@@ -131,6 +146,19 @@ Status DecodeShardMeta(std::string_view bytes, ShardMeta* meta) {
   if (node_total != meta->num_nodes || edge_total != meta->num_edges) {
     return Status::IoError(
         "shard meta partition totals disagree with graph totals");
+  }
+  // Whole-pack page sizes bound every partition's, so a shard's size
+  // (seven such pages plus padding) cannot wrap for a meta that passes.
+  const std::uint64_t n = static_cast<std::uint64_t>(node_total);
+  const std::uint64_t m = static_cast<std::uint64_t>(edge_total);
+  std::uint64_t page_bytes = 0;
+  if (!PageBytesWithin(n + 1, 1, 8, kMaxPackPageBytes, &page_bytes) ||
+      !PageBytesWithin(m, 1, 8, kMaxPackPageBytes, &page_bytes) ||
+      !PageBytesWithin(n, static_cast<std::uint64_t>(meta->feature_dim), 4,
+                       kMaxPackPageBytes, &page_bytes) ||
+      !PageBytesWithin(m, static_cast<std::uint64_t>(meta->edge_feature_dim),
+                       4, kMaxPackPageBytes, &page_bytes)) {
+    return Status::IoError("shard meta shape overflows its page sizes");
   }
   return Status::OK();
 }
@@ -215,6 +243,15 @@ Status DecodePageEntry(std::string_view file_bytes, int index,
   }
   entry->kind = static_cast<PageKind>(kind);
   return Status::OK();
+}
+
+bool PageBytesWithin(std::uint64_t rows, std::uint64_t cols,
+                     std::uint64_t width, std::uint64_t limit,
+                     std::uint64_t* bytes) {
+  const std::uint64_t max_elements = limit / width;
+  if (cols != 0 && rows > max_elements / cols) return false;
+  *bytes = rows * cols * width;
+  return true;
 }
 
 std::size_t ShardPayloadStart() {

@@ -133,6 +133,13 @@ std::string EncodePageEntry(const PageEntry& entry);
 Status DecodePageEntry(std::string_view file_bytes, int index,
                        PageEntry* entry);
 
+/// Sets `*bytes` to rows × cols × width and returns true when that is
+/// at most `limit`; returns false otherwise. Division bounds each step,
+/// so a damaged count cannot wrap the product.
+bool PageBytesWithin(std::uint64_t rows, std::uint64_t cols,
+                     std::uint64_t width, std::uint64_t limit,
+                     std::uint64_t* bytes);
+
 /// Offset of the first page payload (header + full page table, rounded
 /// up to kPageAlignment).
 std::size_t ShardPayloadStart();

@@ -5,14 +5,11 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <mutex>
 #include <span>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "src/common/atomic_file.h"
 #include "src/common/crc32.h"
@@ -39,15 +36,9 @@ struct ShardStore::State {
   struct CacheEntry {
     ShardLease lease;
     std::uint64_t last_use = 0;
-    /// Pinned entries belong to the hub hot-set: LRU eviction skips
-    /// them, so they stay resident across supersteps.
-    bool pinned = false;
   };
   std::unordered_map<std::int64_t, CacheEntry> cache;
   std::uint64_t tick = 0;
-  /// Hot-set accounting, guarded by `mu`.
-  std::uint64_t pinned_bytes = 0;
-  std::int64_t pinned_partitions = 0;
   /// Counters mutated under `mu`. bytes_mapped/peak/unmap_calls live as
   /// atomics below: the lease deleter updates them without taking `mu`,
   /// so dropping a lease inside an eviction (which holds `mu`) cannot
@@ -61,13 +52,13 @@ struct ShardStore::State {
 
 /// Loader + validator with friend access to MappedShard internals.
 struct ShardStoreInternal {
-  static Status ValidateShard(MappedShard* shard, bool verify_checksums);
+  static Status ValidateShard(MappedShard* shard);
   static Result<std::unique_ptr<MappedShard>> BuildFromHeap(
-      std::string bytes, bool verify_checksums);
+      std::string bytes);
   static Result<std::unique_ptr<MappedShard>> BuildFromBuffer(
-      AlignedShardBuffer buffer, bool verify_checksums);
+      AlignedShardBuffer buffer);
   static Result<std::unique_ptr<MappedShard>> MapFromFile(
-      const std::string& path, bool verify_checksums);
+      const std::string& path);
 };
 
 /// Validates the shard image behind `shard->base_`/`size_` and fills in
@@ -75,20 +66,27 @@ struct ShardStoreInternal {
 /// — magic, version, frame CRCs, page kinds/order, byte counts vs the
 /// header's shape, alignment, bounds, payload CRCs, CSR offsets — fails
 /// with a descriptive IoError.
-Status ShardStoreInternal::ValidateShard(MappedShard* shard,
-                                         bool verify_checksums) {
+Status ShardStoreInternal::ValidateShard(MappedShard* shard) {
   const std::string_view view(shard->base_, shard->size_);
   INFERTURBO_RETURN_NOT_OK(DecodeShardHeader(view, &shard->header_));
   const ShardHeader& h = shard->header_;
-  const std::uint64_t expected_bytes[kNumPageKinds] = {
-      static_cast<std::uint64_t>(h.num_nodes) * 8,
-      static_cast<std::uint64_t>(h.num_nodes + 1) * 8,
-      static_cast<std::uint64_t>(h.num_edges) * 8,
-      static_cast<std::uint64_t>(h.num_edges) * 8,
-      static_cast<std::uint64_t>(h.num_nodes * h.feature_dim) * 4,
-      static_cast<std::uint64_t>(h.num_edges * h.edge_feature_dim) * 4,
-      h.has_labels ? static_cast<std::uint64_t>(h.num_nodes) * 8 : 0,
-  };
+  // No page can outgrow the file, so the file size bounds every product
+  // below; a header that breaks the bound is damaged, not just large.
+  const std::uint64_t n = static_cast<std::uint64_t>(h.num_nodes);
+  const std::uint64_t m = static_cast<std::uint64_t>(h.num_edges);
+  std::uint64_t expected_bytes[kNumPageKinds] = {};
+  if (!PageBytesWithin(n, 1, 8, shard->size_, &expected_bytes[0]) ||
+      !PageBytesWithin(n + 1, 1, 8, shard->size_, &expected_bytes[1]) ||
+      !PageBytesWithin(m, 1, 8, shard->size_, &expected_bytes[2]) ||
+      !PageBytesWithin(m, 1, 8, shard->size_, &expected_bytes[3]) ||
+      !PageBytesWithin(n, static_cast<std::uint64_t>(h.feature_dim), 4,
+                       shard->size_, &expected_bytes[4]) ||
+      !PageBytesWithin(m, static_cast<std::uint64_t>(h.edge_feature_dim), 4,
+                       shard->size_, &expected_bytes[5])) {
+    return Status::IoError("shard header shape does not fit in a " +
+                           std::to_string(shard->size_) + "-byte file");
+  }
+  expected_bytes[6] = h.has_labels ? expected_bytes[0] : 0;
   for (int i = 0; i < kNumPageKinds; ++i) {
     PageEntry& entry = shard->entries_[static_cast<std::size_t>(i)];
     INFERTURBO_RETURN_NOT_OK(DecodePageEntry(view, i, &entry));
@@ -113,9 +111,8 @@ Status ShardStoreInternal::ValidateShard(MappedShard* shard,
       return Status::IoError("shard file truncated: " + page +
                              " page extends past end of file");
     }
-    if (verify_checksums &&
-        Crc32(shard->base_ + entry.offset, entry.bytes) !=
-            entry.payload_crc) {
+    if (Crc32(shard->base_ + entry.offset, entry.bytes) !=
+        entry.payload_crc) {
       return Status::IoError(page + " page checksum mismatch");
     }
   }
@@ -136,30 +133,30 @@ Status ShardStoreInternal::ValidateShard(MappedShard* shard,
 /// Heap-backed shard: used whenever a fault injector is configured so
 /// every IoFaultKind applies to shard reads.
 Result<std::unique_ptr<MappedShard>> ShardStoreInternal::BuildFromHeap(
-    std::string bytes, bool verify_checksums) {
+    std::string bytes) {
   std::unique_ptr<MappedShard> shard(new MappedShard());
   shard->heap_ = std::move(bytes);
   shard->base_ = shard->heap_.data();
   shard->size_ = shard->heap_.size();
-  INFERTURBO_RETURN_NOT_OK(ValidateShard(shard.get(), verify_checksums));
+  INFERTURBO_RETURN_NOT_OK(ValidateShard(shard.get()));
   return shard;
 }
 
 /// Buffer-backed shard: the whole file image arrived through pread.
 Result<std::unique_ptr<MappedShard>> ShardStoreInternal::BuildFromBuffer(
-    AlignedShardBuffer buffer, bool verify_checksums) {
+    AlignedShardBuffer buffer) {
   std::unique_ptr<MappedShard> shard(new MappedShard());
   shard->buffer_ = std::move(buffer);
   shard->base_ = shard->buffer_.data();
   shard->size_ = shard->buffer_.size();
-  INFERTURBO_RETURN_NOT_OK(ValidateShard(shard.get(), verify_checksums));
+  INFERTURBO_RETURN_NOT_OK(ValidateShard(shard.get()));
   return shard;
 }
 
 /// mmap-backed shard (PROT_READ, MAP_PRIVATE): the kernel pages data in
 /// on demand and can drop clean pages under pressure.
 Result<std::unique_ptr<MappedShard>> ShardStoreInternal::MapFromFile(
-    const std::string& path, bool verify_checksums) {
+    const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
     return Status::IoError("cannot open shard file " + path);
@@ -180,7 +177,7 @@ Result<std::unique_ptr<MappedShard>> ShardStoreInternal::MapFromFile(
   shard->base_ = static_cast<const char*>(base);
   shard->size_ = size;
   // ~MappedShard munmaps on the validation-failure path.
-  INFERTURBO_RETURN_NOT_OK(ValidateShard(shard.get(), verify_checksums));
+  INFERTURBO_RETURN_NOT_OK(ValidateShard(shard.get()));
   return shard;
 }
 
@@ -254,11 +251,10 @@ std::uint64_t ExpectedShardBytes(const ShardMeta& meta,
   return cursor;
 }
 
-/// Drops least-recently-used *unpinned* cache entries until `incoming`
-/// more bytes fit under the budget (or only the pinned hot-set
-/// remains). Entries held by outstanding leases free their bytes only
-/// when those leases drop; the loop still terminates because each pass
-/// shrinks the evictable set.
+/// Drops least-recently-used cache entries until `incoming` more bytes
+/// fit under the budget (or the cache is empty). Entries held by
+/// outstanding leases free their bytes only when those leases drop; the
+/// loop still terminates because each pass shrinks the cache.
 void EvictForLocked(State& s, std::uint64_t incoming) {
   if (s.options.memory_budget_bytes == 0) return;
   if (s.cache.empty() ||
@@ -271,7 +267,6 @@ void EvictForLocked(State& s, std::uint64_t incoming) {
          s.options.memory_budget_bytes) {
     auto lru = s.cache.end();
     for (auto it = s.cache.begin(); it != s.cache.end(); ++it) {
-      if (it->second.pinned) continue;
       if (lru == s.cache.end() ||
           it->second.last_use < lru->second.last_use) {
         lru = it;
@@ -290,55 +285,6 @@ void EvictForLocked(State& s, std::uint64_t incoming) {
   }
 }
 
-/// Out-edges carried by hub nodes (out-degree > `hub_threshold`) of one
-/// shard, computed from a transient read of just the header, page
-/// table, and CSR offsets page — a few KB against multi-MB shards, and
-/// never charged to the memory budget. The page-table frame CRC is
-/// checked (DecodePageEntry); the offsets payload CRC is not — full
-/// validation happens when the shard is actually pinned via Map().
-Result<std::int64_t> HubEdgesForPartition(const std::string& path,
-                                          std::int64_t hub_threshold) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return Status::IoError("cannot open shard file " + path);
-  }
-  const auto pread_exact = [fd, &path](char* dst, std::size_t len,
-                                       std::size_t off) {
-    std::size_t got = 0;
-    while (got < len) {
-      const ssize_t n = ::pread(fd, dst + got, len - got,
-                                static_cast<off_t>(off + got));
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) {
-        return Status::IoError("short read of shard prefix in " + path);
-      }
-      got += static_cast<std::size_t>(n);
-    }
-    return Status::OK();
-  };
-  std::string prefix(ShardPayloadStart(), '\0');
-  Status status = pread_exact(prefix.data(), prefix.size(), 0);
-  PageEntry offsets_entry;
-  if (status.ok()) {
-    // Slot 1 of the page table is kOutOffsets (the local CSR).
-    status = DecodePageEntry(prefix, 1, &offsets_entry);
-  }
-  std::vector<std::int64_t> offsets;
-  if (status.ok()) {
-    offsets.resize(offsets_entry.bytes / sizeof(std::int64_t));
-    status = pread_exact(reinterpret_cast<char*>(offsets.data()),
-                         offsets_entry.bytes, offsets_entry.offset);
-  }
-  ::close(fd);
-  INFERTURBO_RETURN_NOT_OK(status);
-  std::int64_t hub_edges = 0;
-  for (std::size_t i = 1; i < offsets.size(); ++i) {
-    const std::int64_t degree = offsets[i] - offsets[i - 1];
-    if (degree > hub_threshold) hub_edges += degree;
-  }
-  return hub_edges;
-}
-
 /// Non-injector load through the resolved read tier, with mmap as the
 /// safety net when a pread fails mid-job (the probe read the meta file
 /// at Open, but an allocation or a particular shard file can still
@@ -349,8 +295,7 @@ Result<std::unique_ptr<MappedShard>> LoadFromDisk(
   if (s->read_path == ShardReadPath::kPread) {
     Result<AlignedShardBuffer> bytes = ReadFileAligned(path);
     if (bytes.ok()) {
-      return ShardStoreInternal::BuildFromBuffer(
-          std::move(*bytes), s->options.verify_checksums);
+      return ShardStoreInternal::BuildFromBuffer(std::move(*bytes));
     }
     std::lock_guard<std::mutex> lock(s->mu);
     ++s->counters.read_path_fallbacks;
@@ -358,7 +303,7 @@ Result<std::unique_ptr<MappedShard>> LoadFromDisk(
   const bool timed = MetricsEnabled();
   WallTimer timer;
   Result<std::unique_ptr<MappedShard>> mapped =
-      ShardStoreInternal::MapFromFile(path, s->options.verify_checksums);
+      ShardStoreInternal::MapFromFile(path);
   if (timed && mapped.ok()) {
     ObserveShardRead(ShardReadPath::kMmap, timer.ElapsedSeconds(),
                      static_cast<std::int64_t>((*mapped)->mapped_bytes()));
@@ -393,8 +338,7 @@ Result<std::unique_ptr<MappedShard>> LoadShard(
       INFERTURBO_RETURN_NOT_OK(bytes.status());
       read_seconds = timer.ElapsedSeconds();
       Result<std::unique_ptr<MappedShard>> built =
-          ShardStoreInternal::BuildFromHeap(std::move(*bytes),
-                                            s->options.verify_checksums);
+          ShardStoreInternal::BuildFromHeap(std::move(*bytes));
       if (!built.ok()) {
         note_checksum_failure(built.status());
         return built.status();
@@ -476,14 +420,6 @@ Result<ShardStore> ShardStore::Open(ShardStoreOptions options) {
   if (options.directory.empty()) {
     return Status::InvalidArgument("shard directory must be set");
   }
-  if (options.memory_budget_bytes != 0 &&
-      options.pinned_budget_bytes > options.memory_budget_bytes) {
-    return Status::InvalidArgument(
-        "pinned_budget_bytes (" +
-        std::to_string(options.pinned_budget_bytes) +
-        ") exceeds memory_budget_bytes (" +
-        std::to_string(options.memory_budget_bytes) + ")");
-  }
   const std::string meta_path =
       options.directory + "/" + ShardMetaFileName();
   ShardMeta meta;
@@ -534,7 +470,6 @@ Result<ShardLease> ShardStore::Map(std::int64_t partition) {
     auto it = s.cache.find(partition);
     if (it != s.cache.end()) {
       ++s.counters.cache_hits;
-      if (it->second.pinned) ++s.counters.pinned_hits;
       it->second.last_use = ++s.tick;
       return it->second.lease;
     }
@@ -555,64 +490,6 @@ Result<ShardLease> ShardStore::Map(std::int64_t partition) {
   return PublishLocked(state_, partition, std::move(shard));
 }
 
-Result<std::int64_t> ShardStore::PinHotSet(std::int64_t hub_threshold) {
-  State& s = *state_;
-  if (s.options.pinned_budget_bytes == 0) return std::int64_t{0};
-  TraceSpan span("storage/pin_hot_set");
-  struct HubRank {
-    std::int64_t partition = 0;
-    std::uint64_t bytes = 0;
-    std::int64_t hub_edges = 0;
-    std::int64_t num_edges = 0;
-  };
-  std::vector<HubRank> ranks;
-  ranks.reserve(static_cast<std::size_t>(s.meta.num_partitions()));
-  for (std::int64_t p = 0; p < s.meta.num_partitions(); ++p) {
-    HubRank rank;
-    rank.partition = p;
-    rank.bytes = ExpectedShardBytes(s.meta, p);
-    rank.num_edges =
-        s.meta.partitions[static_cast<std::size_t>(p)].num_edges;
-    INFERTURBO_ASSIGN_OR_RETURN(
-        rank.hub_edges,
-        HubEdgesForPartition(
-            s.options.directory + "/" + ShardFileName(p), hub_threshold));
-    ranks.push_back(rank);
-  }
-  // Heaviest hub shards first; edge count then partition id break ties
-  // so the pinned set is deterministic.
-  std::sort(ranks.begin(), ranks.end(),
-            [](const HubRank& a, const HubRank& b) {
-              if (a.hub_edges != b.hub_edges) return a.hub_edges > b.hub_edges;
-              if (a.num_edges != b.num_edges) return a.num_edges > b.num_edges;
-              return a.partition < b.partition;
-            });
-  std::int64_t pinned = 0;
-  std::uint64_t spent = 0;
-  for (const HubRank& rank : ranks) {
-    if (spent + rank.bytes > s.options.pinned_budget_bytes) continue;
-    // Pin through the normal demand path so the shard is validated and
-    // budget-accounted like any other resident shard.
-    INFERTURBO_ASSIGN_OR_RETURN(ShardLease lease, Map(rank.partition));
-    std::lock_guard<std::mutex> lock(s.mu);
-    auto it = s.cache.find(rank.partition);
-    if (it == s.cache.end()) continue;  // raced with an eviction; skip
-    if (!it->second.pinned) {
-      it->second.pinned = true;
-      s.pinned_bytes += it->second.lease->mapped_bytes();
-      ++s.pinned_partitions;
-    }
-    spent += rank.bytes;
-    ++pinned;
-  }
-  if (MetricsEnabled()) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    GlobalMetrics().GetGauge("storage.pinned_bytes")->Set(
-        static_cast<std::int64_t>(s.pinned_bytes));
-  }
-  return pinned;
-}
-
 ShardReadPath ShardStore::read_path() const { return state_->read_path; }
 
 StorageMetrics ShardStore::metrics() const {
@@ -621,8 +498,6 @@ StorageMetrics ShardStore::metrics() const {
   {
     std::lock_guard<std::mutex> lock(s.mu);
     out = s.counters;
-    out.pinned_bytes = s.pinned_bytes;
-    out.pinned_partitions = s.pinned_partitions;
   }
   out.bytes_mapped = s.bytes_mapped.load(std::memory_order_relaxed);
   out.peak_bytes_mapped =

@@ -93,8 +93,6 @@ struct ShardStoreOptions {
   /// the incoming one fits, so peak_bytes_mapped never exceeds the
   /// budget as long as callers hold at most the leases they are using.
   std::uint64_t memory_budget_bytes = 0;
-  /// Verify every page's CRC32 (and CSR offset sanity) on first map.
-  bool verify_checksums = true;
   /// Optional fault injection: when set, shards are read through
   /// ReadFileToString (heap fallback) so every IoFaultKind applies.
   IoFaultInjector* fault_injector = nullptr;
@@ -108,12 +106,6 @@ struct ShardStoreOptions {
   /// with a buffered ReadFileToString so every injected fault applies,
   /// and reports kPread.
   ShardReadPath read_path = ShardReadPath::kAuto;
-  /// Budget carved out of memory_budget_bytes for the pinned hub
-  /// hot-set (PinHotSet). Pinned shards never cycle through the LRU;
-  /// the LRU works the remaining memory_budget_bytes - pinned bytes.
-  /// Must be <= memory_budget_bytes when both are nonzero. 0 disables
-  /// pinning.
-  std::uint64_t pinned_budget_bytes = 0;
 };
 
 /// Maps shard files on demand under a memory budget (paper §IV-C2: the
@@ -141,22 +133,8 @@ class ShardStore {
   /// Returns a lease on partition p, loading it if not resident.
   Result<ShardLease> Map(std::int64_t partition);
 
-  /// Builds the pinned hub hot-set: ranks partitions by the out-edges
-  /// their hub nodes carry (nodes whose out-degree exceeds
-  /// `hub_threshold` — the same nodes the activation threshold flags),
-  /// then greedily pins the heaviest shards resident until
-  /// pinned_budget_bytes is spent. Ranking reads only each shard's
-  /// header + CSR offsets page (a transient pread, never charged
-  /// against the budget); pinning itself goes through Map(), so pinned
-  /// shards are validated like any other. Pinned shards are exempt from
-  /// LRU eviction but still counted against memory_budget_bytes, and
-  /// they unpin when the store is destroyed. Returns the number of
-  /// partitions pinned; a no-op returning 0 when pinned_budget_bytes
-  /// is 0. Call once, before streaming starts; idempotent.
-  Result<std::int64_t> PinHotSet(std::int64_t hub_threshold);
-
-  /// The read tier Open() resolved (never kAuto). kMmap whenever a
-  /// fault injector forces the heap path.
+  /// The read tier Open() resolved (never kAuto). kPread whenever a
+  /// fault injector forces the buffered heap path.
   ShardReadPath read_path() const;
 
   /// Point-in-time snapshot of the store's counters.

@@ -61,9 +61,6 @@ JsonValue StorageJson(const StorageMetrics& s) {
       {"cache_misses", JsonValue(s.cache_misses)},
       {"evictions", JsonValue(s.evictions)},
       {"checksum_failures", JsonValue(s.checksum_failures)},
-      {"pinned_bytes", JsonValue(s.pinned_bytes)},
-      {"pinned_partitions", JsonValue(s.pinned_partitions)},
-      {"pinned_hits", JsonValue(s.pinned_hits)},
       {"overlap_seconds", JsonValue(s.overlap_seconds)},
       {"pipeline_wait_seconds", JsonValue(s.pipeline_wait_seconds)},
       {"read_path",

@@ -262,7 +262,6 @@ TEST(WorkerMetricsTest, AppendStagesMergesStorage) {
   a.storage.peak_bytes_mapped = 400;
   a.storage.map_calls = 3;
   a.storage.cache_hits = 2;
-  a.storage.pinned_hits = 1;
   b.storage.bytes_mapped = 250;
   b.storage.peak_bytes_mapped = 300;
   b.storage.map_calls = 5;
@@ -276,7 +275,6 @@ TEST(WorkerMetricsTest, AppendStagesMergesStorage) {
   EXPECT_EQ(a.storage.peak_bytes_mapped, 400u);
   EXPECT_EQ(a.storage.map_calls, 8);
   EXPECT_EQ(a.storage.cache_hits, 6);
-  EXPECT_EQ(a.storage.pinned_hits, 1);
   EXPECT_EQ(a.storage.evictions, 2);
   EXPECT_EQ(a.storage.checksum_failures, 1);
 }

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -250,87 +251,6 @@ TEST(ShardStoreTest, BudgetEvictsLeastRecentlyUsedShards) {
   EXPECT_GE(metrics.map_calls, 8);
 }
 
-TEST(ShardStoreTest, PinnedShardsSurviveEvictionPressure) {
-  const Dataset d = MakeDataset();
-  const std::string dir = FreshDir("shards_pinned");
-  ShardWriterOptions writer;
-  writer.num_partitions = 8;
-  ASSERT_TRUE(WriteGraphShards(d.graph, dir, writer).ok());
-  std::uint64_t largest = 0;
-  for (std::int64_t p = 0; p < 8; ++p) {
-    largest = std::max<std::uint64_t>(
-        largest,
-        std::filesystem::file_size(dir + "/" + ShardFileName(p)));
-  }
-
-  ShardStoreOptions options;
-  options.directory = dir;
-  options.memory_budget_bytes = 4 * largest;
-  options.pinned_budget_bytes = 2 * largest;
-  Result<ShardStore> store = ShardStore::Open(std::move(options));
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-
-  const Result<std::int64_t> pinned = store->PinHotSet(/*hub_threshold=*/0);
-  ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
-  ASSERT_GT(*pinned, 0);
-  const StorageMetrics after_pin = store->metrics();
-  EXPECT_EQ(after_pin.pinned_partitions, *pinned);
-  EXPECT_GT(after_pin.pinned_bytes, 0u);
-  EXPECT_LE(after_pin.pinned_bytes, 2 * largest);
-
-  // Pinning again is idempotent.
-  const Result<std::int64_t> again = store->PinHotSet(/*hub_threshold=*/0);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(store->metrics().pinned_partitions, after_pin.pinned_partitions);
-  EXPECT_EQ(store->metrics().pinned_bytes, after_pin.pinned_bytes);
-
-  // Two full passes force the unpinned shards to cycle through the
-  // remaining headroom; the pinned hot-set must stay resident (every
-  // Map of a pinned shard is a cache hit) and the combined pinned+LRU
-  // footprint must never exceed the budget.
-  for (int pass = 0; pass < 2; ++pass) {
-    for (std::int64_t p = 0; p < 8; ++p) {
-      ASSERT_TRUE(store->Map(p).ok());
-    }
-  }
-  const StorageMetrics metrics = store->metrics();
-  EXPECT_GT(metrics.evictions, 0);
-  EXPECT_LE(metrics.peak_bytes_mapped, 4 * largest);
-  EXPECT_GE(metrics.pinned_hits, 2 * after_pin.pinned_partitions);
-  EXPECT_EQ(metrics.pinned_partitions, after_pin.pinned_partitions);
-  EXPECT_EQ(metrics.checksum_failures, 0);
-}
-
-TEST(ShardStoreTest, TinyPinnedBudgetPinsNothing) {
-  const Dataset d = MakeDataset();
-  const std::string dir = FreshDir("shards_pin_tiny");
-  ShardWriterOptions writer;
-  writer.num_partitions = 4;
-  ASSERT_TRUE(WriteGraphShards(d.graph, dir, writer).ok());
-  ShardStoreOptions options;
-  options.directory = dir;
-  options.pinned_budget_bytes = 1;  // smaller than any shard
-  Result<ShardStore> store = ShardStore::Open(std::move(options));
-  ASSERT_TRUE(store.ok());
-  const Result<std::int64_t> pinned = store->PinHotSet(/*hub_threshold=*/0);
-  ASSERT_TRUE(pinned.ok());
-  EXPECT_EQ(*pinned, 0);
-  EXPECT_EQ(store->metrics().pinned_bytes, 0u);
-  EXPECT_EQ(store->metrics().pinned_partitions, 0);
-}
-
-TEST(ShardStoreTest, PinnedBudgetAboveMemoryBudgetIsRejected) {
-  const Dataset d = MakeDataset();
-  const std::string dir = FreshDir("shards_pin_reject");
-  ASSERT_TRUE(WriteGraphShards(d.graph, dir).ok());
-  ShardStoreOptions options;
-  options.directory = dir;
-  options.memory_budget_bytes = 1000;
-  options.pinned_budget_bytes = 2000;
-  EXPECT_TRUE(
-      ShardStore::Open(std::move(options)).status().IsInvalidArgument());
-}
-
 TEST(ShardStoreTest, ForcedReadPathsAreBitIdentical) {
   const Dataset d = MakeDataset(/*edge_features=*/true);
   const std::string dir = FreshDir("shards_read_paths");
@@ -521,6 +441,51 @@ TEST(ShardStoreTest, OpenRejectsMissingOrCorruptMeta) {
   const Result<ShardStore> store = ShardStore::Open(std::move(corrupt));
   EXPECT_FALSE(store.ok());
   EXPECT_EQ(store.status().code(), StatusCode::kIoError);
+}
+
+TEST(ShardStoreTest, ResealedOversizedHeaderIsACleanIoError) {
+  const Dataset d = MakeDataset();
+  const std::string dir = FreshDir("shards_huge_header");
+  ASSERT_TRUE(WriteGraphShards(d.graph, dir).ok());
+  // A header frame only needs a valid CRC: reseal one whose page sizes
+  // (2^33 nodes x 2^31 features) overflow 64 bits.
+  ShardHeader header;
+  header.num_nodes = std::int64_t{1} << 33;
+  header.feature_dim = std::int64_t{1} << 31;
+  const std::string frame = EncodeShardHeader(header);
+  std::fstream f(dir + "/" + ShardFileName(0),
+                 std::ios::in | std::ios::out | std::ios::binary);
+  f.write(frame.data(), static_cast<std::streamsize>(frame.size()));
+  f.close();
+
+  ShardStoreOptions options;
+  options.directory = dir;
+  Result<ShardStore> store = ShardStore::Open(std::move(options));
+  ASSERT_TRUE(store.ok());
+  const Result<ShardLease> bad = store->Map(0);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kIoError);
+}
+
+TEST(ShardStoreTest, MetaCountsPastInt64MaxAreACleanIoError) {
+  const std::string dir = FreshDir("shards_huge_meta");
+  const auto open_with = [&dir](const ShardMeta& meta) {
+    std::ofstream(dir + "/" + ShardMetaFileName(), std::ios::binary)
+        << EncodeShardMeta(meta);
+    ShardStoreOptions options;
+    options.directory = dir;
+    return ShardStore::Open(std::move(options)).status();
+  };
+  ShardMeta meta;
+  meta.feature_dim = 4;
+  meta.partitions = {{std::numeric_limits<std::int64_t>::max(), 0},
+                     {1, 0}};
+  EXPECT_EQ(open_with(meta).code(), StatusCode::kIoError);
+
+  meta.partitions = {{2, 0}};
+  meta.num_nodes = 2;
+  meta.feature_dim = -1;
+  EXPECT_EQ(open_with(meta).code(), StatusCode::kIoError);
 }
 
 TEST(ShardStoreTest, TruncatedShardFileIsACleanIoError) {
