@@ -88,6 +88,17 @@ class OverlayGraph {
     }
   }
 
+  /// How many in-edges ForEachInEdge(v) visits: the base degree plus
+  /// v's in-edges in every run.
+  std::int64_t InDegree(NodeId v) const {
+    std::int64_t degree = v < base_->num_nodes() ? base_->InDegree(v) : 0;
+    for (const auto& run : runs_) {
+      const auto [lo, hi] = RunRange(run->by_dst, run->dst, v);
+      degree += hi - lo;
+    }
+    return degree;
+  }
+
   /// fn(src, edge_feature_row) for every in-edge of `v`, in the rebuilt
   /// graph's edge-id order. edge_feature_row is nullptr when the graph
   /// carries no edge features.
@@ -127,9 +138,16 @@ class OverlayGraph {
     Cursor* best = next();
     if (v < base_->num_nodes()) {
       // Base edges go first unless an overlay edge has a strictly
-      // smaller source.
-      for (EdgeId e : base_->InEdges(v)) {
-        const NodeId src = base_->EdgeSrc(e);
+      // smaller source. In-edge ids scatter over edge_src: fetch the
+      // source kInEdgePrefetch edges ahead.
+      const std::span<const EdgeId> in = base_->InEdges(v);
+      const NodeId* edge_src = base_->edge_src().data();
+      for (std::size_t j = 0; j < in.size(); ++j) {
+        if (j + kInEdgePrefetch < in.size()) {
+          __builtin_prefetch(edge_src + in[j + kInEdgePrefetch]);
+        }
+        const EdgeId e = in[j];
+        const NodeId src = edge_src[e];
         for (; best != nullptr && best->head() < src; best = next()) {
           emit(best);
         }
@@ -143,6 +161,8 @@ class OverlayGraph {
   /// Runs hold more than twice the edges of the next, so 64 covers any
   /// overlay that fits in memory.
   static constexpr std::size_t kMaxRuns = 64;
+  /// How far ahead ForEachInEdge's base loop prefetches a source id.
+  static constexpr std::size_t kInEdgePrefetch = 16;
 
   /// Overlay edges of one run, indexed by arrival order k within it.
   struct Run {

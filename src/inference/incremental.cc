@@ -4,8 +4,10 @@
 #include <cstring>
 #include <string>
 
+#include "src/common/logging.h"
 #include "src/gas/gas_conv.h"
 #include "src/telemetry/trace.h"
+#include "src/tensor/kernels/kernel_config.h"
 
 namespace inferturbo {
 
@@ -71,66 +73,109 @@ std::vector<std::int64_t> Distinct(std::vector<std::int64_t>* ids,
   return values;
 }
 
-/// `layer`'s new states from `states` when in-edge k carries message row
-/// rows[k] (`width` floats) to node dst[k], folded in ascending k by one
-/// builder call. Edge-feature layers fold their per-edge ApplyEdge rows
-/// (row k merged with edge_features' row k) instead.
-Tensor GatherApply(const GasConv& layer, const Tensor& states,
-                   std::int64_t width, std::vector<const float*> rows,
-                   std::span<const std::int64_t> dst,
-                   const Tensor& edge_features) {
+/// `layer`'s gather over `num_nodes` destinations when in-edge k
+/// carries message row rows[k] (`width` floats) to node dst[k], folded
+/// in ascending k by one builder call. Edge-feature layers fold their
+/// per-edge ApplyEdge rows (row k merged with edge_features' row k)
+/// instead.
+GatherResult GatherRows(const GasConv& layer, std::int64_t num_nodes,
+                        std::int64_t width, std::vector<const float*> rows,
+                        std::span<const std::int64_t> dst,
+                        const Tensor& edge_features) {
   const LayerSignature& sig = layer.signature();
   if (sig.uses_edge_features) {
     Tensor edge_rows(static_cast<std::int64_t>(rows.size()), width);
     for (std::size_t k = 0; k < rows.size(); ++k) edge_rows.SetRow(k, rows[k]);
-    return layer.ApplyNode(
-        states, GatherIntoResult(sig.agg_kind,
-                                 layer.ApplyEdge(edge_rows, &edge_features),
-                                 dst, states.rows()));
+    return GatherIntoResult(sig.agg_kind,
+                            layer.ApplyEdge(edge_rows, &edge_features), dst,
+                            num_nodes);
   }
-  const GatherResult gathered =
-      sig.agg_kind == AggKind::kUnion
-          ? GatherUnionRows(states.rows(), {dst.begin(), dst.end()},
-                            std::move(rows))
-          : GatherPooledRows(sig.agg_kind, width, states.rows(), dst, rows,
-                             {});
-  return layer.ApplyNode(states, gathered);
+  return sig.agg_kind == AggKind::kUnion
+             ? GatherUnionRows(num_nodes, {dst.begin(), dst.end()},
+                               std::move(rows))
+             : GatherPooledRows(sig.agg_kind, width, num_nodes, dst, rows,
+                                {});
 }
+
+/// Walk work per in-edge, in PlanParallelTasks' units: a source id, a
+/// row lookup and three writes.
+constexpr std::int64_t kWalkWorkPerEdge = 16;
 
 /// Layer `layer`'s new states for `affected` (sorted), each folding its
 /// in-edges in the rebuilt graph's order, as the full pass does. A
 /// message that is the state is its source's input row, read in place
 /// (patch or history); others are computed once per distinct source.
+/// The walk fills exactly sized arrays in parallel: each task owns whole
+/// destinations, cut at even shares of their in-edges.
 Tensor RecomputeRows(const GasConv& layer, const OverlayGraph& graph,
                      const LayerInput& input,
                      const std::vector<NodeId>& affected,
                      std::int64_t* cone_in_edges) {
   const bool uses_edge_features = layer.signature().uses_edge_features;
+  const bool in_place = layer.MessageIsState();
   std::vector<std::int64_t> edge_src;  // each in-edge's source (or slot)
   std::vector<std::int64_t> dst_local;
-  Tensor edge_features(0, graph.edge_feature_dim());
-  for (std::size_t i = 0; i < affected.size(); ++i) {
-    graph.ForEachInEdge(affected[i], [&](NodeId src, const float* features) {
-      edge_src.push_back(src);
-      dst_local.push_back(static_cast<std::int64_t>(i));
-      if (uses_edge_features) edge_features.AppendRow(features);
-    });
+  std::vector<const float*> rows;
+  Tensor edge_features;
+  {
+    TraceSpan walk("incremental/walk");
+    std::vector<std::int64_t> first_edge(affected.size() + 1, 0);
+    for (std::size_t i = 0; i < affected.size(); ++i) {
+      first_edge[i + 1] = first_edge[i] + graph.InDegree(affected[i]);
+    }
+    const std::int64_t edges = first_edge.back();
+    *cone_in_edges += edges;
+    edge_src.resize(static_cast<std::size_t>(in_place ? 0 : edges));
+    dst_local.resize(static_cast<std::size_t>(edges));
+    rows.resize(static_cast<std::size_t>(edges));
+    edge_features =
+        Tensor(uses_edge_features ? edges : 0, graph.edge_feature_dim());
+    const auto nodes = static_cast<std::int64_t>(affected.size());
+    const int tasks = kernels::PlanParallelTasks(
+        nodes, edges * kWalkWorkPerEdge / std::max<std::int64_t>(1, nodes));
+    kernels::ParallelForWeightedChunks(
+        first_edge, tasks, [&](const kernels::RangeChunk& chunk) {
+          for (std::int64_t i = chunk.begin; i < chunk.end; ++i) {
+            const auto at = static_cast<std::size_t>(i);
+            std::int64_t k = first_edge[at];
+            graph.ForEachInEdge(affected[at], [&](NodeId src,
+                                                  const float* features) {
+              const auto slot = static_cast<std::size_t>(k);
+              if (in_place) {
+                rows[slot] = input.Row(src);
+              } else {
+                edge_src[slot] = src;
+              }
+              dst_local[slot] = i;
+              if (uses_edge_features) edge_features.SetRow(k, features);
+              ++k;
+            });
+            INFERTURBO_CHECK(k == first_edge[at + 1])
+                << "node " << affected[at] << " walked " << k - first_edge[at]
+                << " in-edges; InDegree says "
+                << first_edge[at + 1] - first_edge[at];
+          }
+        });
   }
-  *cone_in_edges += static_cast<std::int64_t>(edge_src.size());
-  const bool in_place = layer.MessageIsState();
-  // Sources in id order: their rows are read in memory order, and a
-  // hub's in-edges (sorted by source) read ascending message rows.
-  const Tensor messages =
-      in_place ? Tensor()
-               : layer.ComputeMessage(
-                     input.Gather(Distinct(&edge_src, graph.num_nodes())));
-  std::vector<const float*> rows(edge_src.size());
-  for (std::size_t k = 0; k < rows.size(); ++k) {
-    rows[k] = in_place ? input.Row(edge_src[k]) : messages.RowPtr(edge_src[k]);
+  std::int64_t width = input.history->cols();
+  Tensor messages;
+  if (!in_place) {
+    // Sources in id order: their rows are read in memory order, and a
+    // hub's in-edges (sorted by source) read ascending message rows.
+    messages = layer.ComputeMessage(
+        input.Gather(Distinct(&edge_src, graph.num_nodes())));
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      rows[k] = messages.RowPtr(edge_src[k]);
+    }
+    width = messages.cols();
   }
-  return GatherApply(layer, input.Gather(affected),
-                     in_place ? input.history->cols() : messages.cols(),
-                     std::move(rows), dst_local, edge_features);
+  GatherResult gathered;
+  {
+    TraceSpan fold("incremental/fold");
+    gathered = GatherRows(layer, static_cast<std::int64_t>(affected.size()),
+                          width, std::move(rows), dst_local, edge_features);
+  }
+  return layer.ApplyNode(input.Gather(affected), gathered);
 }
 
 /// Span names must outlive the trace drain; one literal per layer
@@ -202,9 +247,9 @@ LayerStates ComputeLayerStates(const GnnModel& model, const Graph& graph) {
     for (std::size_t e = 0; e < rows.size(); ++e) {
       rows[e] = messages.RowPtr(graph.edge_src()[e]);
     }
-    out.states.push_back(GatherApply(layer, h, messages.cols(),
-                                     std::move(rows), graph.edge_dst(),
-                                     graph.edge_features()));
+    out.states.push_back(layer.ApplyNode(
+        h, GatherRows(layer, h.rows(), messages.cols(), std::move(rows),
+                      graph.edge_dst(), graph.edge_features())));
   }
   return out;
 }

@@ -35,6 +35,11 @@ ChunkedRows ChunkedRows::WithRows(std::int64_t num_rows,
   INFERTURBO_CHECK(values.rows() == static_cast<std::int64_t>(ids.size()) &&
                    (ids.empty() || values.cols() == cols_))
       << "ChunkedRows patch shape mismatch";
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    INFERTURBO_CHECK(ids[i] >= 0 && ids[i] < num_rows &&
+                     (i == 0 || ids[i - 1] < ids[i]))
+        << "ChunkedRows patch ids must be sorted, unique and in range";
+  }
   const auto first_new = std::lower_bound(ids.begin(), ids.end(), rows_);
   INFERTURBO_CHECK(ids.end() - first_new == num_rows - rows_)
       << "every appended row must be written";
@@ -48,9 +53,6 @@ ChunkedRows ChunkedRows::WithRows(std::int64_t num_rows,
   std::size_t i = 0;
   while (i < ids.size()) {
     const std::int64_t c = ids[i] / kChunkRows;
-    INFERTURBO_CHECK(ids[i] >= 0 && ids[i] < num_rows &&
-                     (i == 0 || ids[i - 1] < ids[i]))
-        << "ChunkedRows patch ids must be sorted, unique and in range";
     // Copy-on-write: a fresh chunk holding the rows this matrix already
     // has, then every patched row that falls inside it.
     std::shared_ptr<float[]> fresh(new float[kChunkRows * cols_]());

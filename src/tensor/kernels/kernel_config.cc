@@ -82,6 +82,18 @@ void ParallelForChunksFixed(std::int64_t n, int tasks,
   });
 }
 
+void ParallelForWeightedChunks(
+    std::span<const std::int64_t> prefix, int tasks,
+    const std::function<void(const RangeChunk&)>& fn) {
+  const int chunks = std::max(1, tasks);
+  ParallelForChunksFixed(chunks, chunks, [&](const RangeChunk& chunk) {
+    RangeChunk owned = chunk;
+    owned.begin = WeightedRangeBegin(prefix, chunk.task, chunk.num_tasks);
+    owned.end = WeightedRangeBegin(prefix, chunk.task + 1, chunk.num_tasks);
+    fn(owned);
+  });
+}
+
 void ParallelForChunks(std::int64_t n, std::int64_t work_per_item,
                        const std::function<void(const RangeChunk&)>& fn) {
   ParallelForChunksFixed(n, PlanParallelTasks(n, work_per_item), fn);

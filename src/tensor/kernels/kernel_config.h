@@ -1,8 +1,10 @@
 #ifndef INFERTURBO_TENSOR_KERNELS_KERNEL_CONFIG_H_
 #define INFERTURBO_TENSOR_KERNELS_KERNEL_CONFIG_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <span>
 
 #include "src/common/parallel_exec.h"
 
@@ -64,6 +66,22 @@ inline int RangeOwner(std::int64_t i, std::int64_t n, std::int64_t tasks) {
   return static_cast<int>(((i + 1) * tasks - 1) / n);
 }
 
+/// The balanced cut rule: items [0, n) whose weights (rows, in-edges)
+/// prefix-sum to `prefix` (n + 1 entries, prefix[0] == 0,
+/// nondecreasing). Chunk t of `tasks` owns whole items
+/// [WeightedRangeBegin(prefix, t, tasks),
+///  WeightedRangeBegin(prefix, t + 1, tasks)): each cut falls at the
+/// first item whose prefix reaches the chunk's even share of the total,
+/// and the last chunk ends at n. Depends only on (prefix, t, tasks).
+inline std::int64_t WeightedRangeBegin(std::span<const std::int64_t> prefix,
+                                       std::int64_t t, std::int64_t tasks) {
+  const std::int64_t n = static_cast<std::int64_t>(prefix.size()) - 1;
+  if (t >= tasks) return n;
+  return std::lower_bound(prefix.begin(), prefix.end(),
+                          RangeBegin(prefix.back(), t, tasks)) -
+         prefix.begin();
+}
+
 /// How many tasks a kernel launch over `n` items of `work_per_item`
 /// cost would fan out to under the current config (1 when the caller
 /// is already a pool/executor worker — nested launches run serially).
@@ -92,6 +110,13 @@ void ParallelForChunks(std::int64_t n, std::int64_t work_per_item,
 /// threads, so owner-bucketed data built for `tasks` stays valid.
 void ParallelForChunksFixed(std::int64_t n, int tasks,
                             const std::function<void(const RangeChunk&)>& fn);
+
+/// ParallelForChunksFixed with WeightedRangeBegin's cuts: exactly
+/// `tasks` chunks over the prefix.size() - 1 items, each a run of
+/// whole items of about equal weight (a chunk may be empty).
+void ParallelForWeightedChunks(
+    std::span<const std::int64_t> prefix, int tasks,
+    const std::function<void(const RangeChunk&)>& fn);
 
 }  // namespace kernels
 }  // namespace inferturbo

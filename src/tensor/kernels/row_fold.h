@@ -44,6 +44,28 @@ RowFoldFn RowMin();
 /// is a finalize step).
 enum class FoldOp { kAdd, kMax, kMin };
 
+/// How far ahead PtrRowFold prefetches: rows[i + kRowFoldPrefetch] is
+/// fetched while rows[i] folds.
+inline constexpr std::int64_t kRowFoldPrefetch = 8;
+
+/// Prefetches every 64-byte line of rows[a] (a >= 1) when its segment
+/// is in [s0, s1) and it jumps away from rows[a - 1]: a repeated or
+/// next row continues a stream the hardware prefetcher already follows,
+/// and prefetching it measured slower.
+inline void PrefetchJumpRow(const std::int64_t* segs, const float* const* rows,
+                            std::int64_t a, std::int64_t width,
+                            std::int64_t s0, std::int64_t s1) {
+  // Unsigned: a row before rows[a - 1] wraps to a large step.
+  const std::uintptr_t step = reinterpret_cast<std::uintptr_t>(rows[a]) -
+                              reinterpret_cast<std::uintptr_t>(rows[a - 1]);
+  if (segs[a] >= s0 && segs[a] < s1 &&
+      step > static_cast<std::uintptr_t>(width) * sizeof(float)) {
+    for (std::int64_t j = 0; j < width; j += 16) {
+      __builtin_prefetch(rows[a] + j);
+    }
+  }
+}
+
 /// The batch-granularity fold behind every pooled combine and pooled
 /// receive. The payload stream is the dominant memory traffic of
 /// gather/combine; calling a RowFoldFn per message puts an indirect
@@ -57,9 +79,10 @@ enum class FoldOp { kAdd, kMax, kMin };
 /// never copied per edge. `out_stride` >= `width` lets a combine fold
 /// straight into a wire payload whose rows carry a trailing count
 /// column. Rows outside [s0, s1) only cost the segment load — the
-/// filtered scan ParallelForRanges tasks use to keep destination
-/// ownership. Segments must be in range (callers validate them) and
-/// `out` pre-initialized.
+/// filtered scan parallel tasks use to keep destination ownership.
+/// Segments must be in range (callers validate them) and `out`
+/// pre-initialized. Rows that jump are prefetched kRowFoldPrefetch
+/// rows ahead (PrefetchJumpRow).
 using PtrRowFoldFn = void (*)(float* out, std::int64_t width,
                               std::int64_t out_stride,
                               const std::int64_t* segs,

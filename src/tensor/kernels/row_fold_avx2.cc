@@ -79,6 +79,9 @@ void PtrRowFoldImpl(float* out, std::int64_t width, std::int64_t out_stride,
                     const std::int64_t* segs, const float* const* rows,
                     std::int64_t n, std::int64_t s0, std::int64_t s1) {
   for (std::int64_t i = 0; i < n; ++i) {
+    if (i + kRowFoldPrefetch < n) {
+      PrefetchJumpRow(segs, rows, i + kRowFoldPrefetch, width, s0, s1);
+    }
     const std::int64_t s = segs[i];
     if (s >= s0 && s < s1) Fold::Apply(out + s * out_stride, rows[i], width);
   }

@@ -3,18 +3,33 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/common/crc32.h"
+#include "src/common/rng.h"
 #include "src/graph/datasets.h"
 #include "src/graph/graph_builder.h"
 #include "src/inference/reference_inference.h"
 #include "src/nn/model.h"
+#include "src/telemetry/trace.h"
+#include "src/tensor/kernels/kernel_config.h"
 
 namespace inferturbo {
 namespace {
+
+// Must run before the first StaticExecutor::Default() call in this
+// process, so a 1-core host still runs 4 executor threads and the
+// parallel cone walk and fold really split.
+const bool g_exec_env = [] {
+  ::setenv("INFERTURBO_EXEC_THREADS", "4", /*overwrite=*/1);
+  return true;
+}();
 
 Dataset BaseDataset() {
   PlantedGraphConfig config;
@@ -254,6 +269,150 @@ TEST(IncrementalTest, AppendedOverlaySourceMatchesFullRecompute) {
             << kind << " layer " << l + 1 << " node " << v;
       }
     }
+  }
+}
+
+// A served delta gives the same bytes at any thread count. One hub
+// holds more than a quarter of the cone's in-edges, most of them in two
+// overlay runs, and two appended nodes join the graph; the walk and the
+// fold then run as 4 tasks cut by in-edge and row counts, and every
+// patched row must equal both the 1-task patch and a full pass over the
+// rebuilt graph.
+TEST(IncrementalTest, ConeIsByteIdenticalAcrossThreadCounts) {
+  const Dataset base = BaseDataset();
+  const Dataset edged = EdgeFeaturedDataset();
+  const kernels::KernelConfig saved = kernels::GetKernelConfig();
+  for (const std::string kind : {"sage", "pool_sage", "gat", "edge_sage"}) {
+    const bool edge = kind == "edge_sage";
+    const Dataset& d = edge ? edged : base;
+    const std::unique_ptr<GnnModel> model =
+        edge ? EdgeModel(d.graph) : SmallModel(d.graph, kind);
+    const std::int64_t old_n = d.graph.num_nodes();
+    const std::int64_t edge_dim = d.graph.edge_features().cols();
+    const NodeId hub = 3;
+    Rng rng(11);
+    const auto edges_into_hub = [&](std::int64_t count, std::int64_t n) {
+      std::vector<std::pair<NodeId, NodeId>> edges;
+      for (std::int64_t i = 0; i < count; ++i) {
+        edges.emplace_back(
+            static_cast<NodeId>(rng.NextBounded(static_cast<std::uint64_t>(n))),
+            hub);
+      }
+      return edges;
+    };
+    const auto edge_rows = [&](std::size_t count) {
+      return edge ? Tensor::RandomNormal(static_cast<std::int64_t>(count),
+                                             edge_dim, 1.0f, &rng)
+                      : Tensor();
+    };
+    // The first batch stays a run of its own: it is more than twice the
+    // size of the second.
+    const std::vector<std::pair<NodeId, NodeId>> first =
+        edges_into_hub(900, old_n);
+    std::vector<std::pair<NodeId, NodeId>> second =
+        edges_into_hub(300, old_n + 2);
+    second.insert(second.end(), {{old_n, 42}, {hub, old_n + 1}, {old_n, hub}});
+    const OverlayGraph graph =
+        OverlayGraph(std::make_shared<const Graph>(d.graph))
+            .WithEdges(old_n, first, edge_rows(first.size()))
+            .WithEdges(old_n + 2, second, edge_rows(second.size()));
+    Tensor features(old_n + 2, d.graph.feature_dim());
+    std::memcpy(features.data(), d.graph.node_features().data(),
+                d.graph.node_features().ByteSize());
+    for (const NodeId v : {NodeId{17}, NodeId{230}, old_n, old_n + 1}) {
+      for (std::int64_t j = 0; j < features.cols(); ++j) {
+        features.At(v, j) = rng.NextFloat(-1.0f, 1.0f);
+      }
+    }
+    const Result<Graph> rebuilt = graph.Compact(features);
+    ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+    const LayerStates old_states = ComputeLayerStates(*model, d.graph);
+    const LayerStates fresh = ComputeLayerStates(*model, *rebuilt);
+    std::vector<ChunkedRows> history;
+    for (std::size_t l = 1; l < old_states.states.size(); ++l) {
+      history.push_back(ChunkedRows::View(old_states.states[l], nullptr));
+    }
+    GraphDelta delta;
+    delta.changed_nodes = {17, 230, old_n, old_n + 1};
+    delta.changed_in_edges = {hub, 42, old_n + 1};
+
+    std::vector<DeltaPatches> runs;
+    for (const int threads : {1, 4}) {
+      kernels::KernelConfig config = saved;
+      config.max_threads = threads;
+      config.min_parallel_work = 1;
+      kernels::SetKernelConfig(config);
+      Result<DeltaPatches> patches = ComputeDeltaPatches(
+          *model, graph, ChunkedRows::View(features, nullptr), history, delta);
+      kernels::SetKernelConfig(saved);
+      ASSERT_TRUE(patches.ok()) << patches.status().ToString();
+      runs.push_back(std::move(*patches));
+    }
+    ASSERT_GT(4 * model->num_layers() * graph.InDegree(hub),
+              runs[1].cone_in_edges)
+        << kind << ": the hub holds a quarter of the cone or less";
+    EXPECT_EQ(runs[0].cone_in_edges, runs[1].cone_in_edges);
+    for (std::size_t l = 0; l < runs[1].layers.size(); ++l) {
+      const RowPatch& serial = runs[0].layers[l];
+      const RowPatch& patch = runs[1].layers[l];
+      ASSERT_EQ(patch.ids, serial.ids) << kind << " layer " << l + 1;
+      ASSERT_TRUE(std::binary_search(patch.ids.begin(), patch.ids.end(), hub));
+      const Tensor& expected = fresh.states[l + 1];
+      const auto row_bytes =
+          static_cast<std::size_t>(expected.cols()) * sizeof(float);
+      for (std::size_t i = 0; i < patch.ids.size(); ++i) {
+        const auto r = static_cast<std::int64_t>(i);
+        EXPECT_EQ(std::memcmp(patch.rows.RowPtr(r), serial.rows.RowPtr(r),
+                              row_bytes),
+                  0)
+            << kind << " layer " << l + 1 << " node " << patch.ids[i];
+        EXPECT_EQ(std::memcmp(patch.rows.RowPtr(r),
+                              expected.RowPtr(patch.ids[i]), row_bytes),
+                  0)
+            << kind << " layer " << l + 1 << " node " << patch.ids[i];
+      }
+    }
+  }
+}
+
+// A traced delta splits each layer into its in-edge walk and its fold:
+// both child spans sit inside their layer's span, once per layer, and
+// nothing is recorded with tracing off.
+TEST(IncrementalTest, TracedDeltaSplitsEachLayerIntoWalkAndFold) {
+  const Dataset d = BaseDataset();
+  const std::unique_ptr<GnnModel> model = SmallModel(d.graph);
+  const LayerStates old_states = ComputeLayerStates(*model, d.graph);
+  const Graph mutated = MutateGraph(d.graph, {{17, 0.5f}}, {});
+  GraphDelta delta;
+  delta.changed_nodes = {17};
+  ClearTrace();
+  ASSERT_TRUE(IncrementalInference(*model, mutated, old_states, delta).ok());
+  EXPECT_TRUE(DrainTrace().empty());
+
+  SetTracingEnabled(true);
+  ASSERT_TRUE(IncrementalInference(*model, mutated, old_states, delta).ok());
+  SetTracingEnabled(false);
+  std::vector<TraceEvent> layers, children;
+  for (const TraceEvent& event : DrainTrace()) {
+    const std::string name = event.name;
+    if (name.rfind("incremental/layer", 0) == 0) layers.push_back(event);
+    if (name == "incremental/walk" || name == "incremental/fold") {
+      children.push_back(event);
+    }
+  }
+  ASSERT_EQ(layers.size(), 2u);
+  ASSERT_EQ(children.size(), 4u);
+  for (const TraceEvent& layer : layers) {
+    std::vector<std::string> inside;
+    for (const TraceEvent& child : children) {
+      if (child.start_ns >= layer.start_ns &&
+          child.start_ns + child.dur_ns <= layer.start_ns + layer.dur_ns) {
+        inside.push_back(child.name);
+      }
+    }
+    EXPECT_EQ(inside, (std::vector<std::string>{"incremental/walk",
+                                                "incremental/fold"}))
+        << layer.name;
   }
 }
 

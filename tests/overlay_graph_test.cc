@@ -7,6 +7,7 @@
 #include <cstring>
 #include <memory>
 #include <numeric>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -148,6 +149,8 @@ void ExpectWalksMatch(const OverlayGraph& graph, const Graph& rebuilt) {
       ++i;
     });
     EXPECT_EQ(i, in.size()) << "node " << v << " misses in-edges";
+    EXPECT_EQ(graph.InDegree(v), static_cast<std::int64_t>(i))
+        << "node " << v;
 
     std::vector<NodeId> out;
     graph.ForEachOutNeighbor(v, [&out](NodeId dst) { out.push_back(dst); });
@@ -266,6 +269,55 @@ TEST_P(OverlayGraphTest, LongStreamKeepsWalksAndSharedCopies) {
   ExpectWalksMatch(graph, log.Rebuild(initial, initial.node_features()));
   ExpectWalksMatch(midway,
                    midway_log.Rebuild(initial, initial.node_features()));
+}
+
+// Walks are read-only: 4 threads walking every node of one multi-run
+// overlay at once each see exactly the serial walk.
+TEST_P(OverlayGraphTest, ConcurrentWalksMatchSerialWalk) {
+  const Dataset d = SmallDataset(GetParam());
+  EdgeLog log(d.graph);
+  OverlayGraph graph(std::make_shared<const Graph>(d.graph));
+  Rng rng(5 + static_cast<std::uint64_t>(GetParam()));
+  // Batches of 64, 8 and 1 edges: each run is more than twice the size
+  // of the next, so none merge and the overlay holds three runs.
+  for (const std::size_t size : {64, 8, 1}) {
+    std::vector<std::pair<NodeId, NodeId>> added;
+    while (added.size() < size) {
+      const std::vector<std::pair<NodeId, NodeId>> more =
+          RandomEdges(log, graph.num_nodes() + 1, &rng);
+      added.insert(added.end(), more.begin(), more.end());
+    }
+    added.resize(size);
+    const Tensor added_features =
+        GetParam() > 0
+            ? RandomRows(static_cast<std::int64_t>(size), GetParam(), &rng)
+            : Tensor();
+    graph = graph.WithEdges(graph.num_nodes() + 1, added, added_features);
+    log.Append(added, added_features);
+  }
+  using Walk = std::vector<std::pair<NodeId, const float*>>;
+  const auto walk_all = [&graph] {
+    std::vector<Walk> walks(static_cast<std::size_t>(graph.num_nodes()));
+    for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+      graph.ForEachInEdge(v, [&](NodeId src, const float* features) {
+        walks[static_cast<std::size_t>(v)].emplace_back(src, features);
+      });
+    }
+    return walks;
+  };
+  const std::vector<Walk> serial = walk_all();
+  std::vector<std::vector<Walk>> concurrent(4);
+  std::vector<std::thread> threads;
+  for (std::vector<Walk>& walks : concurrent) {
+    threads.emplace_back([&walks, &walk_all] { walks = walk_all(); });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const std::vector<Walk>& walks : concurrent) {
+    EXPECT_TRUE(walks == serial);
+  }
+  ExpectWalksMatch(graph, log.Rebuild(d.graph, RandomRows(graph.num_nodes(),
+                                                          d.graph.feature_dim(),
+                                                          &rng)));
 }
 
 INSTANTIATE_TEST_SUITE_P(EdgeFeatureWidths, OverlayGraphTest,

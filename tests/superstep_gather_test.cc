@@ -12,8 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <unordered_map>
 #include <vector>
 
@@ -29,6 +31,13 @@
 
 namespace inferturbo {
 namespace {
+
+// Must run before the first StaticExecutor::Default() call in this
+// process, so a 1-core host still runs the 4-thread cases as 4 tasks.
+const bool g_exec_env = [] {
+  ::setenv("INFERTURBO_EXEC_THREADS", "4", /*overwrite=*/1);
+  return true;
+}();
 
 // Forces the kernel layer to `threads` workers with no serial
 // fallback, restoring the previous config on scope exit.
@@ -267,6 +276,100 @@ void SprinkleSpecialValues(Tensor* t, std::int64_t width, Rng* rng) {
           break;
         default:
           break;
+      }
+    }
+  }
+}
+
+// GatherPooledRows cuts its tasks at even shares of the rows, not of
+// the segments: one hub segment holds more than a quarter of the rows,
+// the cuts of 4 tasks fall on empty segments in one layout and on
+// full ones in another, rows come sorted by segment or shuffled,
+// partial rows carry counts above 1, and a gather with no rows still
+// finalizes every segment (extrema read 0, mean never divides). Each layout matches
+// the scalar fold at 1 and 4 tasks, bit for bit.
+TEST(SuperstepGatherTest, RowBalancedCutsMatchScalarFold) {
+  // Rows per segment: prefix 0, 0, 50, 50, 50, 60, ... over 120 rows,
+  // so the cuts of 4 tasks (at 30, 60 and 90 rows) fall on segments 2,
+  // 5 and 11, each empty.
+  const std::vector<std::int64_t> weights = {0, 50, 0, 0,  10, 0, 10, 0,
+                                             10, 0, 10, 0, 10, 0, 10, 0};
+  const auto num_nodes = static_cast<std::int64_t>(weights.size());
+  std::vector<std::int64_t> prefix(weights.size() + 1, 0);
+  for (std::size_t v = 0; v < weights.size(); ++v) {
+    prefix[v + 1] = prefix[v] + weights[v];
+  }
+  for (const std::int64_t t : {1, 2, 3}) {
+    const std::int64_t cut = kernels::WeightedRangeBegin(prefix, t, 4);
+    EXPECT_EQ(weights[static_cast<std::size_t>(cut)], 0) << "cut " << t;
+  }
+  EXPECT_EQ(kernels::WeightedRangeBegin(prefix, 4, 4), num_nodes);
+  EXPECT_GT(4 * weights[1], prefix.back());
+
+  Rng rng(31);
+  // Each layout sorted (a task folds one run of rows) and shuffled (each
+  // task scans every row for its own): the one above, one in which every
+  // segment holds rows (a cut segment folded by two tasks would count
+  // twice), and none at all.
+  const std::vector<std::int64_t> no_empty = {3, 50, 2, 1,  10, 4, 10, 2,
+                                              10, 3, 10, 1, 10, 2, 10, 5};
+  std::vector<std::vector<NodeId>> layouts;
+  for (const std::vector<std::int64_t>* rows_per : {&weights, &no_empty}) {
+    std::vector<NodeId> sorted;
+    for (std::int64_t v = 0; v < num_nodes; ++v) {
+      sorted.insert(sorted.end(), static_cast<std::size_t>((*rows_per)[v]), v);
+    }
+    std::vector<NodeId> shuffled = sorted;
+    for (std::size_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1], shuffled[rng.NextBounded(i)]);
+    }
+    layouts.push_back(std::move(sorted));
+    layouts.push_back(std::move(shuffled));
+  }
+  layouts.emplace_back();
+  for (const AggKind kind :
+       {AggKind::kSum, AggKind::kMean, AggKind::kMax, AggKind::kMin}) {
+    for (const std::int64_t width : {std::int64_t{19}, std::int64_t{40}}) {
+      for (const bool partial : {false, true}) {
+        for (const std::vector<NodeId>& dst : layouts) {
+          SCOPED_TRACE(::testing::Message()
+                       << "kind " << static_cast<int>(kind) << " width "
+                       << width << " partial " << partial << " rows "
+                       << dst.size());
+          const auto n = static_cast<std::int64_t>(dst.size());
+          MessageBatch batch;
+          batch.dst = dst;
+          batch.src.assign(dst.size(), 0);
+          batch.payload = Tensor::RandomNormal(n, width + 1, 2.0f, &rng);
+          SprinkleSpecialValues(&batch.payload, width, &rng);
+          std::vector<const float*> rows;
+          std::vector<std::int64_t> counts;
+          for (std::int64_t i = 0; i < n; ++i) {
+            float* row = batch.payload.RowPtr(i);
+            row[width] = static_cast<float>(1 + rng.NextBounded(3));
+            rows.push_back(row);
+            if (partial) counts.push_back(static_cast<std::int64_t>(row[width]));
+          }
+          std::vector<std::int64_t> local_index(
+              static_cast<std::size_t>(num_nodes));
+          std::iota(local_index.begin(), local_index.end(), 0);
+          const std::vector<MessageBatch> batches = {batch};
+          const GatherResult oracle = ScalarGatherInbox(
+              kind, width, batches, {partial}, local_index, num_nodes,
+              BroadcastLookupFn{});
+          for (const int threads : {1, 4}) {
+            ThreadGuard guard(threads);
+            const GatherResult fast = GatherPooledRows(
+                kind, width, num_nodes, dst, rows, counts);
+            EXPECT_EQ(fast.counts, oracle.counts);
+            EXPECT_TRUE(SameBytes(fast.pooled, oracle.pooled));
+            if (n == 0) {
+              for (std::int64_t i = 0; i < fast.pooled.size(); ++i) {
+                ASSERT_EQ(fast.pooled.data()[i], 0.0f);
+              }
+            }
+          }
+        }
       }
     }
   }

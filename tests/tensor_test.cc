@@ -6,8 +6,10 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <vector>
 
 #include "src/common/rng.h"
+#include "src/tensor/chunked_rows.h"
 #include "src/tensor/ops.h"
 
 namespace inferturbo {
@@ -270,6 +272,22 @@ TEST(OpsTest, TransposeIsInvolution) {
   Rng rng(17);
   Tensor a = Tensor::RandomNormal(3, 6, 1.0f, &rng);
   EXPECT_TRUE(Transpose(Transpose(a)).ApproxEquals(a, 0.0f));
+}
+
+// WithRows checks every patch id, not only the first of each chunk:
+// a negative id after a valid one shares its chunk (-1 / 32 == 0) and
+// would be written one row before the fresh chunk.
+TEST(ChunkedRowsTest, WithRowsRejectsEveryBadId) {
+  const Tensor base(8, 2);
+  const ChunkedRows rows = ChunkedRows::View(base, nullptr);
+  const Tensor values(2, 2);
+  for (const std::vector<std::int64_t>& ids :
+       {std::vector<std::int64_t>{0, -1}, std::vector<std::int64_t>{5, 3},
+        std::vector<std::int64_t>{3, 3}}) {
+    EXPECT_DEATH(rows.WithRows(8, ids, values),
+                 "sorted, unique and in range")
+        << "ids {" << ids[0] << ", " << ids[1] << "}";
+  }
 }
 
 }  // namespace
