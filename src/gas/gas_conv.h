@@ -103,13 +103,12 @@ class GasConv {
 };
 
 /// The one pooled receive behind every sum/mean/max/min gather of both
-/// backends and the in-memory fold. Row i is the pointer rows[i] (width
+/// backends and the in-memory fold: a GatherResult over
+/// kernels::PooledSegmentFold. Row i is the pointer rows[i] (width
 /// floats) and folds into segment segs[i] in ascending i; counts[i] is
 /// the number of messages row i already folds (a partial aggregate),
-/// empty meaning all 1. Tasks own destination ranges, so each segment
-/// folds in row order at any thread count. Segments must lie in
-/// [0, num_nodes). Isolated segments read the neutral zero; mean
-/// divides by the folded count.
+/// empty meaning all 1. Segments must lie in [0, num_nodes). Isolated
+/// segments read the neutral zero; mean divides by the folded count.
 GatherResult GatherPooledRows(AggKind kind, std::int64_t width,
                               std::int64_t num_nodes,
                               std::span<const std::int64_t> segs,

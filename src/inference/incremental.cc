@@ -330,8 +330,7 @@ Result<DeltaPatches> ComputeDeltaPatches(const GnnModel& model,
 
 Result<IncrementalResult> IncrementalInference(
     const GnnModel& model, const Graph& new_graph,
-    const LayerStates& old_states, const GraphDelta& delta,
-    const IncrementalOptions& options) {
+    const LayerStates& old_states, const GraphDelta& delta) {
   if (old_states.num_layers() != model.num_layers()) {
     return Status::InvalidArgument("historical states layer count (" +
                                    std::to_string(old_states.num_layers()) +
@@ -386,9 +385,7 @@ Result<IncrementalResult> IncrementalInference(
   if (!patches->layers.empty()) {
     result.final_changed_nodes = std::move(patches->layers.back().ids);
   }
-  if (options.compute_logits) {
-    result.logits = model.PredictLogits(result.states.states.back());
-  }
+  result.logits = model.PredictLogits(result.states.states.back());
   return result;
 }
 

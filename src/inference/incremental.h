@@ -57,18 +57,10 @@ struct GraphDelta {
   std::vector<NodeId> changed_in_edges;
 };
 
-struct IncrementalOptions {
-  /// Compute IncrementalResult::logits (a full head pass over every
-  /// node). The serving layer turns this off and materializes logits
-  /// lazily per queried node from the returned final-layer states.
-  bool compute_logits = true;
-};
-
 struct IncrementalResult {
   /// Updated per-layer states over new_graph.
   LayerStates states;
   /// Fresh logits for every node (head applied to the final layer).
-  /// Empty when IncrementalOptions::compute_logits is false.
   Tensor logits;
   /// Node-state recomputations performed, per layer. Sum << layers * N
   /// is the savings; a full pass would be exactly layers * N.
@@ -92,8 +84,7 @@ struct IncrementalResult {
 /// ComputeLayerStates(model, new_graph) bit-for-bit on every node.
 Result<IncrementalResult> IncrementalInference(
     const GnnModel& model, const Graph& new_graph,
-    const LayerStates& old_states, const GraphDelta& delta,
-    const IncrementalOptions& options = {});
+    const LayerStates& old_states, const GraphDelta& delta);
 
 /// One layer's recomputed rows: rows.RowPtr(i) is node ids[i]'s state.
 struct RowPatch {

@@ -321,31 +321,12 @@ Result<DeltaApplied> ServingEngine::ApplyMutation(
     delta.changed_in_edges.push_back(dst);
   }
   return ApplyDeltaLocked(current, std::move(graph), std::move(next_features),
-                          delta, /*compacted=*/nullptr, timer);
-}
-
-Result<DeltaApplied> ServingEngine::ApplyDelta(Graph new_graph,
-                                               const GraphDelta& delta) {
-  std::lock_guard<std::mutex> delta_lock(delta_mu_);
-  const std::shared_ptr<const Generation> current = Snapshot();
-  TraceSpan span("serving/delta");
-  const WallTimer timer;
-  if (new_graph.feature_dim() != current->states(0).cols()) {
-    return Status::InvalidArgument(
-        "new graph feature_dim " + std::to_string(new_graph.feature_dim()) +
-        " differs from the served width " +
-        std::to_string(current->states(0).cols()));
-  }
-  auto base = std::make_shared<const Graph>(std::move(new_graph));
-  ChunkedRows features = ChunkedRows::View(base->node_features(), base);
-  return ApplyDeltaLocked(current, OverlayGraph(base), std::move(features),
-                          delta, base, timer);
+                          delta, timer);
 }
 
 Result<DeltaApplied> ServingEngine::ApplyDeltaLocked(
     const std::shared_ptr<const Generation>& current, OverlayGraph graph,
-    ChunkedRows features, const GraphDelta& delta,
-    std::shared_ptr<const Graph> compacted, const WallTimer& timer) {
+    ChunkedRows features, const GraphDelta& delta, const WallTimer& timer) {
   const std::span<const ChunkedRows> history =
       std::span<const ChunkedRows>(current->states_).subspan(1);
   Result<DeltaPatches> patches =
@@ -389,6 +370,7 @@ Result<DeltaApplied> ServingEngine::ApplyDeltaLocked(
     }
   }
 
+  std::shared_ptr<const Graph> compacted;
   if (graph.NeedsCompaction()) {
     TraceSpan span("serving/compact");
     Result<Graph> rebuilt = graph.Compact(next->states_[0].ToTensor());

@@ -136,8 +136,8 @@ struct ServingStats {
 /// The engine keeps a warm store — the current graph plus all
 /// per-layer states of a full forward — behind an epoch/snapshot
 /// scheme: every query batch pins one immutable ServingGeneration via
-/// shared_ptr and serves from it, while ApplyMutation/ApplyDelta
-/// computes the next generation off to the side (exact change
+/// shared_ptr and serves from it, while ApplyMutation computes the
+/// next generation off to the side (exact change
 /// propagation through ComputeDeltaPatches) and publishes it with a
 /// pointer swap. A delta costs O(cone): new edges go on the graph's
 /// overlay, and the next generation copies only the state and cache
@@ -151,7 +151,7 @@ struct ServingStats {
 /// final-layer cone actually touched.
 ///
 /// Thread-safe: any number of Query threads against concurrent
-/// ApplyMutation/ApplyDelta callers (deltas serialize internally).
+/// ApplyMutation callers (deltas serialize internally).
 class ServingEngine {
  public:
   /// Builds the warm store with a full layer-wise forward over `graph`
@@ -176,10 +176,6 @@ class ServingEngine {
   /// recomputes the affected cone, publishes the next generation. Once
   /// the overlay outgrows its bound, the graph is rebuilt (compacted).
   Result<DeltaApplied> ApplyMutation(const GraphMutation& mutation);
-
-  /// Lower-level form for callers that already hold the post-delta
-  /// graph and know what changed (see GraphDelta's contract).
-  Result<DeltaApplied> ApplyDelta(Graph new_graph, const GraphDelta& delta);
 
   /// Current generation id (0 = the warm store the engine started on).
   std::int64_t epoch() const;
@@ -206,13 +202,12 @@ class ServingEngine {
   /// The batch execute callback: one mini-superstep over the union of
   /// the batch's nodes against one pinned generation.
   void ExecuteBatch(const std::vector<BatchedQuery*>& batch);
-  /// Shared delta path; caller holds delta_mu_ and passes the
-  /// generation the delta was computed against, the post-delta graph
-  /// and features, and the graph's rebuilt form when it already has one.
+  /// The delta path behind ApplyMutation; caller holds delta_mu_ and
+  /// passes the generation the delta was computed against and the
+  /// post-delta graph and features.
   Result<DeltaApplied> ApplyDeltaLocked(
       const std::shared_ptr<const Generation>& current, OverlayGraph graph,
-      ChunkedRows features, const GraphDelta& delta,
-      std::shared_ptr<const Graph> compacted, const WallTimer& timer);
+      ChunkedRows features, const GraphDelta& delta, const WallTimer& timer);
 
   const GnnModel* model_;
   const ServingOptions options_;

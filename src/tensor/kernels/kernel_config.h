@@ -60,12 +60,6 @@ inline std::int64_t RangeBegin(std::int64_t n, std::int64_t t,
   return n * t / tasks;
 }
 
-/// The task that owns index `i` under the RangeBegin partition — the
-/// closed-form inverse, used to pre-bucket scattered rows by owner.
-inline int RangeOwner(std::int64_t i, std::int64_t n, std::int64_t tasks) {
-  return static_cast<int>(((i + 1) * tasks - 1) / n);
-}
-
 /// The balanced cut rule: items [0, n) whose weights (rows, in-edges)
 /// prefix-sum to `prefix` (n + 1 entries, prefix[0] == 0,
 /// nondecreasing). Chunk t of `tasks` owns whole items
@@ -85,9 +79,10 @@ inline std::int64_t WeightedRangeBegin(std::span<const std::int64_t> prefix,
 /// How many tasks a kernel launch over `n` items of `work_per_item`
 /// cost would fan out to under the current config (1 when the caller
 /// is already a pool/executor worker — nested launches run serially).
-/// Kernels that pre-partition auxiliary state (row buckets) call this
-/// and then ParallelForChunksFixed with the same count, so the plan
-/// and the execution can never disagree.
+/// Kernels that size per-task state or cuts by the task count call
+/// this and then launch that exact count (ParallelForChunksFixed or
+/// ParallelForWeightedChunks), so the plan and the execution can never
+/// disagree.
 int PlanParallelTasks(std::int64_t n, std::int64_t work_per_item);
 
 /// Runs `fn(begin, end)` over a fixed contiguous partition of [0, n).
@@ -107,7 +102,7 @@ void ParallelForChunks(std::int64_t n, std::int64_t work_per_item,
 
 /// ParallelForChunks at an exact task count (from PlanParallelTasks):
 /// runs precisely `tasks` chunks even when that exceeds the scheduler's
-/// threads, so owner-bucketed data built for `tasks` stays valid.
+/// threads, so per-task state sized for `tasks` stays valid.
 void ParallelForChunksFixed(std::int64_t n, int tasks,
                             const std::function<void(const RangeChunk&)>& fn);
 

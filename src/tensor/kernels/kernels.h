@@ -3,17 +3,19 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "src/tensor/kernels/kernel_config.h"
+#include "src/tensor/kernels/row_fold.h"
 #include "src/tensor/tensor.h"
 
 namespace inferturbo {
 namespace kernels {
 
 /// The fast compute-kernel layer: register-tiled, ISA-dispatched
-/// matmuls and range-partitioned parallel segment/row ops (scheduled
-/// on the StaticExecutor, or the legacy ThreadPool path — a config
-/// choice that never changes results). In the default deterministic
+/// matmuls and range-partitioned parallel segment/row ops, scheduled
+/// on the StaticExecutor (the thread count never changes results).
+/// In the default deterministic
 /// tier every kernel is BIT-IDENTICAL to its scalar twin in
 /// kernels::reference at any thread count — parallel partitions assign
 /// each output element to exactly one task in a fixed order,
@@ -45,6 +47,28 @@ Tensor MatMul(const Tensor& a, const Tensor& b);
 Tensor MatMulTransposedB(const Tensor& a, const Tensor& b);
 Tensor MatMulTransposedA(const Tensor& a, const Tensor& b);
 
+/// The one multi-task pooled segment fold, behind every sum/mean/max/
+/// min gather of both backends and the segment ops below. Folds
+/// rows[i] (`width` floats) into out row segs[i] with `op`, in
+/// ascending i, then finalizes: with `mean` each row divides by its
+/// folded count, and a max/min row that folded nothing reads 0.
+/// counts[i] is the number of messages row i already folds (a partial
+/// aggregate), empty meaning all 1. `out` holds num_segments rows of
+/// `width` floats and is already filled: zero (or a running sum) for
+/// add, the +-inf init for max/min. Aborts on a segment outside
+/// [0, num_segments); returns each segment's folded count.
+///
+/// Each task owns whole segments, cut at even shares of the rows, and
+/// folds them in ascending row order, so the bytes never depend on the
+/// task count. Sorted segments fold as one run of rows per task;
+/// otherwise each task scans every row for its own.
+std::vector<std::int64_t> PooledSegmentFold(
+    detail::FoldOp op, bool mean, float* out, std::int64_t width,
+    std::int64_t num_segments, std::span<const std::int64_t> segs,
+    std::span<const float* const> rows,
+    std::span<const std::int64_t> counts = {});
+
+/// Segment ops over PooledSegmentFold.
 Tensor SegmentSum(const Tensor& values, std::span<const std::int64_t> ids,
                   std::int64_t num_segments);
 Tensor SegmentMean(const Tensor& values, std::span<const std::int64_t> ids,

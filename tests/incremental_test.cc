@@ -541,18 +541,6 @@ TEST(IncrementalTest, FinalChangedNodesBoundsTheLogitsDiff) {
   }
 }
 
-TEST(IncrementalTest, OptionsCanSkipLogits) {
-  const Dataset d = BaseDataset();
-  const std::unique_ptr<GnnModel> model = SmallModel(d.graph);
-  const LayerStates old_states = ComputeLayerStates(*model, d.graph);
-  IncrementalOptions options;
-  options.compute_logits = false;
-  const Result<IncrementalResult> r = IncrementalInference(
-      *model, d.graph, old_states, GraphDelta{}, options);
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(r->logits.empty());
-}
-
 TEST(IncrementalTest, RejectsMismatchedHistory) {
   const Dataset d = BaseDataset();
   const std::unique_ptr<GnnModel> two_layers = SmallModel(d.graph);

@@ -4,6 +4,8 @@
 // tile lane (full 4×16 tiles, column tails, row tails, empty, 1-row,
 // 1-col) and the skip-on-zero path. The crash-sweep and cross-backend
 // equivalence suites build on this guarantee.
+#include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -16,6 +18,14 @@
 
 namespace inferturbo {
 namespace {
+
+// Must run before the first StaticExecutor::Default() call in this
+// process, so a 1-core host still splits the multi-thread settings
+// into several tasks.
+const bool g_exec_env = [] {
+  ::setenv("INFERTURBO_EXEC_THREADS", "4", /*overwrite=*/1);
+  return true;
+}();
 
 bool BitIdentical(const Tensor& a, const Tensor& b) {
   if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
@@ -152,38 +162,54 @@ const SegmentShape kSegmentShapes[] = {
     {16, 8, 5}, {64, 32, 9}, {200, 17, 64}, {33, 1, 200},
 };
 
+// How segment ids are drawn. Uniform ids are unsorted, so a multi-task
+// fold takes the filtered scan; ids sorted by destination take the
+// one-run-per-task branch; a hub segment holding over half the rows
+// puts one heavy segment between the row-share cuts.
+enum class IdDraw { kUniform, kSorted, kHub };
+
+const IdDraw kIdDraws[] = {IdDraw::kUniform, IdDraw::kSorted, IdDraw::kHub};
+
 std::vector<std::int64_t> RandomIds(std::int64_t rows,
-                                    std::int64_t num_segments, Rng* rng) {
+                                    std::int64_t num_segments, IdDraw draw,
+                                    Rng* rng) {
   std::vector<std::int64_t> ids(static_cast<std::size_t>(rows));
-  for (auto& id : ids) {
+  for (std::size_t i = 0; i < ids.size(); ++i) {
     // Sampling from the full range leaves some segments empty on
     // purpose — empty segments must stay exactly zero.
-    id = static_cast<std::int64_t>(
+    ids[i] = static_cast<std::int64_t>(
         rng->NextBounded(static_cast<std::uint64_t>(num_segments)));
+    // Two rows in three go to the middle segment.
+    if (draw == IdDraw::kHub && i % 3 != 0) ids[i] = num_segments / 2;
   }
+  if (draw == IdDraw::kSorted) std::sort(ids.begin(), ids.end());
   return ids;
 }
 
 TEST_F(KernelsTest, SegmentSumAndMeanBitIdenticalAtEveryThreadCount) {
   Rng rng(105);
   for (const SegmentShape& shape : kSegmentShapes) {
-    const Tensor values = RandomWithZeros(shape.rows, shape.cols, &rng);
-    const std::vector<std::int64_t> ids =
-        RandomIds(shape.rows, shape.segments, &rng);
-    const Tensor want_sum =
-        kernels::reference::SegmentSum(values, ids, shape.segments);
-    const Tensor want_mean =
-        kernels::reference::SegmentMean(values, ids, shape.segments);
-    for (const ThreadSetting& setting : kThreadSettings) {
-      Use(setting);
-      EXPECT_TRUE(BitIdentical(
-          want_sum, kernels::SegmentSum(values, ids, shape.segments)))
-          << shape.rows << "x" << shape.cols << " into " << shape.segments
-          << " segments at " << setting.max_threads << " threads";
-      EXPECT_TRUE(BitIdentical(
-          want_mean, kernels::SegmentMean(values, ids, shape.segments)))
-          << shape.rows << "x" << shape.cols << " into " << shape.segments
-          << " segments at " << setting.max_threads << " threads";
+    for (const IdDraw draw : kIdDraws) {
+      const Tensor values = RandomWithZeros(shape.rows, shape.cols, &rng);
+      const std::vector<std::int64_t> ids =
+          RandomIds(shape.rows, shape.segments, draw, &rng);
+      const Tensor want_sum =
+          kernels::reference::SegmentSum(values, ids, shape.segments);
+      const Tensor want_mean =
+          kernels::reference::SegmentMean(values, ids, shape.segments);
+      for (const ThreadSetting& setting : kThreadSettings) {
+        Use(setting);
+        EXPECT_TRUE(BitIdentical(
+            want_sum, kernels::SegmentSum(values, ids, shape.segments)))
+            << shape.rows << "x" << shape.cols << " into " << shape.segments
+            << " segments, draw " << static_cast<int>(draw) << ", at "
+            << setting.max_threads << " threads";
+        EXPECT_TRUE(BitIdentical(
+            want_mean, kernels::SegmentMean(values, ids, shape.segments)))
+            << shape.rows << "x" << shape.cols << " into " << shape.segments
+            << " segments, draw " << static_cast<int>(draw) << ", at "
+            << setting.max_threads << " threads";
+      }
     }
   }
 }
@@ -212,19 +238,22 @@ TEST_F(KernelsTest, ScatterAddRowsBitIdenticalAtEveryThreadCount) {
   Rng rng(107);
   for (const SegmentShape& shape : kSegmentShapes) {
     if (shape.rows == 0 || shape.cols == 0) continue;
-    const Tensor rows = RandomWithZeros(shape.rows, shape.cols, &rng);
-    const Tensor base = RandomWithZeros(shape.segments, shape.cols, &rng);
-    const std::vector<std::int64_t> indices =
-        RandomIds(shape.rows, shape.segments, &rng);
-    Tensor want = base;
-    kernels::reference::ScatterAddRows(&want, indices, rows);
-    for (const ThreadSetting& setting : kThreadSettings) {
-      Use(setting);
-      Tensor got = base;
-      kernels::ScatterAddRows(&got, indices, rows);
-      EXPECT_TRUE(BitIdentical(want, got))
-          << shape.rows << " rows into " << shape.segments << " at "
-          << setting.max_threads << " threads";
+    for (const IdDraw draw : kIdDraws) {
+      const Tensor rows = RandomWithZeros(shape.rows, shape.cols, &rng);
+      const Tensor base = RandomWithZeros(shape.segments, shape.cols, &rng);
+      const std::vector<std::int64_t> indices =
+          RandomIds(shape.rows, shape.segments, draw, &rng);
+      Tensor want = base;
+      kernels::reference::ScatterAddRows(&want, indices, rows);
+      for (const ThreadSetting& setting : kThreadSettings) {
+        Use(setting);
+        Tensor got = base;
+        kernels::ScatterAddRows(&got, indices, rows);
+        EXPECT_TRUE(BitIdentical(want, got))
+            << shape.rows << " rows into " << shape.segments << ", draw "
+            << static_cast<int>(draw) << ", at " << setting.max_threads
+            << " threads";
+      }
     }
   }
 }

@@ -1,5 +1,5 @@
 // The static-ownership scheduler's contracts: fixed task→thread
-// mapping, the RangeBegin/RangeOwner partition algebra, serial nested
+// mapping, the RangeBegin partition algebra, serial nested
 // launches, exact task counts in ParallelForChunksFixed (even beyond
 // the thread count), and barrier correctness under back-to-back
 // launches (the tsan job runs this binary to vet the spin-then-park
@@ -47,22 +47,6 @@ TEST(RangePartition, BoundariesCoverEverythingExactlyOnce) {
       EXPECT_EQ(covered, n) << "n=" << n << " tasks=" << tasks;
       EXPECT_EQ(kernels::RangeBegin(n, 0, tasks), 0);
       EXPECT_EQ(kernels::RangeBegin(n, tasks, tasks), n);
-    }
-  }
-}
-
-TEST(RangePartition, OwnerIsTheClosedFormInverse) {
-  for (const std::int64_t n : {1, 2, 7, 10, 16, 1000, 4097}) {
-    for (const std::int64_t tasks : {1, 2, 3, 4, 7, 8}) {
-      if (tasks > n) continue;
-      for (std::int64_t t = 0; t < tasks; ++t) {
-        const std::int64_t begin = kernels::RangeBegin(n, t, tasks);
-        const std::int64_t end = kernels::RangeBegin(n, t + 1, tasks);
-        for (std::int64_t i = begin; i < end; ++i) {
-          ASSERT_EQ(kernels::RangeOwner(i, n, tasks), t)
-              << "i=" << i << " n=" << n << " tasks=" << tasks;
-        }
-      }
     }
   }
 }

@@ -12,7 +12,6 @@
 #include "src/common/crc32.h"
 #include "src/common/rng.h"
 #include "src/graph/datasets.h"
-#include "src/graph/graph_builder.h"
 #include "src/inference/inferturbo_mapreduce.h"
 #include "src/inference/inferturbo_pregel.h"
 #include "src/inference/reference_inference.h"
@@ -329,6 +328,21 @@ TEST(ServingEngineTest, RejectsMalformedMutations) {
   // Failed mutations must not publish a generation.
   EXPECT_EQ(engine.epoch(), 0);
   EXPECT_TRUE(engine.Query({0}).ok());
+
+  // An edge-featured graph rejects new edge rows of the wrong width.
+  const Dataset e = EdgeFeaturedDataset();
+  const std::unique_ptr<GnnModel> edge_model =
+      SmallModel(e.graph, "edge_sage");
+  ServingEngine edge_engine(edge_model.get(), Graph(e.graph),
+                            ServingOptions{});
+  GraphMutation wider_edges;
+  wider_edges.new_edges.emplace_back(0, 1);
+  wider_edges.new_edge_features =
+      Tensor(1, e.graph.edge_features().cols() + 1);
+  const Result<DeltaApplied> rejected = edge_engine.ApplyMutation(wider_edges);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_TRUE(rejected.status().IsInvalidArgument());
+  EXPECT_EQ(edge_engine.epoch(), 0);
 }
 
 TEST(ServingEngineTest, CacheOffStaysExact) {
@@ -364,51 +378,6 @@ TEST(ServingEngineTest, AdoptsPrecomputedLayerStates) {
   for (int i = 0; i < 3; ++i) {
     EXPECT_TRUE(BitIdenticalRow(response->logits, i, expected, i));
   }
-}
-
-/// `graph`'s topology with new node and edge feature matrices.
-Graph WithFeatures(const Graph& graph, Tensor node_features,
-                   Tensor edge_features) {
-  GraphBuilder builder(graph.num_nodes());
-  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-    builder.AddEdge(graph.EdgeSrc(e), graph.EdgeDst(e));
-  }
-  builder.SetNodeFeatures(std::move(node_features));
-  if (!edge_features.empty()) builder.SetEdgeFeatures(std::move(edge_features));
-  return std::move(builder).Finish().ValueOrDie();
-}
-
-// A wider feature matrix used to abort inside SageConv; a wrong
-// edge-feature width inside EdgeSageConv::ApplyEdge.
-TEST(ServingEngineTest, ApplyDeltaRejectsMisshapenGraphs) {
-  const Dataset d = BaseDataset();
-  const std::unique_ptr<GnnModel> model = SmallModel(d.graph);
-  ServingEngine engine(model.get(), Graph(d.graph), ServingOptions{});
-  GraphDelta delta;
-  delta.changed_nodes = {0};
-  const Result<DeltaApplied> wider = engine.ApplyDelta(
-      WithFeatures(d.graph,
-                   Tensor(d.graph.num_nodes(), d.graph.feature_dim() + 1),
-                   Tensor()),
-      delta);
-  ASSERT_FALSE(wider.ok());
-  EXPECT_TRUE(wider.status().IsInvalidArgument());
-
-  const Dataset e = EdgeFeaturedDataset();
-  const std::unique_ptr<GnnModel> edge_model =
-      SmallModel(e.graph, "edge_sage");
-  ServingEngine edge_engine(edge_model.get(), Graph(e.graph),
-                            ServingOptions{});
-  const Result<DeltaApplied> wider_edges = edge_engine.ApplyDelta(
-      WithFeatures(e.graph, e.graph.node_features(),
-                   Tensor(e.graph.num_edges(),
-                          e.graph.edge_features().cols() + 1)),
-      delta);
-  ASSERT_FALSE(wider_edges.ok());
-  EXPECT_TRUE(wider_edges.status().IsInvalidArgument());
-
-  EXPECT_EQ(engine.epoch(), 0);
-  EXPECT_EQ(edge_engine.epoch(), 0);
 }
 
 /// CRC over every layer's states of one generation.

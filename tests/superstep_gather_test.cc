@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -583,24 +584,35 @@ TEST(SuperstepGatherTest, SegmentExtremaMatchPinnedReference) {
   for (std::int64_t i = 0; i < values.size(); ++i) {
     values.data()[i] -= 5.0f;
   }
-  std::vector<std::int64_t> ids(static_cast<std::size_t>(rows));
-  // Leave segments [40, 50) empty: they must read neutral zero.
-  for (auto& id : ids) {
-    id = static_cast<std::int64_t>(rng.NextBounded(40));
-  }
-  const Tensor ref_max = kernels::reference::SegmentMax(values, ids, segments);
-  const Tensor ref_min = kernels::reference::SegmentMin(values, ids, segments);
-  for (const int threads : {1, 4}) {
-    ThreadGuard guard(threads);
-    EXPECT_TRUE(
-        kernels::SegmentMax(values, ids, segments).ApproxEquals(ref_max, 0.0f));
-    EXPECT_TRUE(
-        kernels::SegmentMin(values, ids, segments).ApproxEquals(ref_min, 0.0f));
-  }
-  for (std::int64_t s = 40; s < segments; ++s) {
-    for (std::int64_t j = 0; j < cols; ++j) {
-      EXPECT_EQ(ref_max.At(s, j), 0.0f);
-      EXPECT_EQ(ref_min.At(s, j), 0.0f);
+  // Three id draws: uniform (the filtered scan), sorted by destination
+  // (one run of rows per task), and a hub segment holding two rows in
+  // three.
+  enum class Draw { kUniform, kSorted, kHub };
+  for (const Draw draw : {Draw::kUniform, Draw::kSorted, Draw::kHub}) {
+    SCOPED_TRACE(static_cast<int>(draw));
+    std::vector<std::int64_t> ids(static_cast<std::size_t>(rows));
+    // Leave segments [40, 50) empty: they must read neutral zero.
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      ids[i] = static_cast<std::int64_t>(rng.NextBounded(40));
+      if (draw == Draw::kHub && i % 3 != 0) ids[i] = 20;
+    }
+    if (draw == Draw::kSorted) std::sort(ids.begin(), ids.end());
+    const Tensor ref_max =
+        kernels::reference::SegmentMax(values, ids, segments);
+    const Tensor ref_min =
+        kernels::reference::SegmentMin(values, ids, segments);
+    for (const int threads : {1, 4}) {
+      ThreadGuard guard(threads);
+      EXPECT_TRUE(kernels::SegmentMax(values, ids, segments)
+                      .ApproxEquals(ref_max, 0.0f));
+      EXPECT_TRUE(kernels::SegmentMin(values, ids, segments)
+                      .ApproxEquals(ref_min, 0.0f));
+    }
+    for (std::int64_t s = 40; s < segments; ++s) {
+      for (std::int64_t j = 0; j < cols; ++j) {
+        EXPECT_EQ(ref_max.At(s, j), 0.0f);
+        EXPECT_EQ(ref_min.At(s, j), 0.0f);
+      }
     }
   }
 }
