@@ -72,10 +72,9 @@ void SetThreads(int max_threads) {
   kernels::SetKernelConfig(config);
 }
 
-void SetFastMath(bool on, bool bf16) {
+void SetFastMath(bool on) {
   kernels::KernelConfig config = kernels::GetKernelConfig();
   config.fast_math = on;
-  config.fast_math_bf16 = bf16;
   kernels::SetKernelConfig(config);
 }
 
@@ -100,7 +99,7 @@ struct Harness {
   }
 
   // As Bench, but reuses an already-measured reference time (for
-  // op variants sharing one oracle, e.g. the fast-math tiers).
+  // op variants sharing one oracle, e.g. the fast-math tier).
   template <typename FastFn>
   void BenchTimed(const std::string& op, const std::string& shape,
                   kernels::KernelWork work, double elems, double ref_seconds,
@@ -212,26 +211,21 @@ void BenchMatMuls(Harness* harness, bool quick, bool fast_math) {
         harness->timing, [&] { Sink(kernels::reference::MatMul(a, b)); });
     harness->BenchTimed("matmul", shape, work, elems, ref_seconds,
                         [&] { Sink(kernels::MatMul(a, b)); });
-    SetFastMath(true, /*bf16=*/false);
+    SetFastMath(true);
     const bool fast_available = kernels::UsingFastMath();
-    SetFastMath(false, false);
+    SetFastMath(false);
     if (fast_math && fast_available) {
-      // Validate each tier once against the oracle at the documented
+      // Validate the tier once against the oracle at the documented
       // tolerance before timing it.
       const Tensor oracle = kernels::reference::MatMul(a, b);
       const Tensor envelope =
           kernels::reference::MatMul(AbsTensor(a), AbsTensor(b));
-      SetFastMath(true, /*bf16=*/false);
+      SetFastMath(true);
       CheckFastMath(kernels::MatMul(a, b), oracle, envelope,
                     kernels::kFastMathRelTol, "matmul_fast");
       harness->BenchTimed("matmul_fast", shape, work, elems, ref_seconds,
                           [&] { Sink(kernels::MatMul(a, b)); });
-      SetFastMath(true, /*bf16=*/true);
-      CheckFastMath(kernels::MatMul(a, b), oracle, envelope,
-                    kernels::kFastMathBf16RelTol, "matmul_fast_bf16");
-      harness->BenchTimed("matmul_fast_bf16", shape, work, elems,
-                          ref_seconds, [&] { Sink(kernels::MatMul(a, b)); });
-      SetFastMath(false, false);
+      SetFastMath(false);
     }
     harness->Bench(
         "matmul_tb", shape, work, elems,

@@ -64,16 +64,16 @@
 //       "crash@compute:1:0;transient@map:*:1x2;straggle@reduce:*:2~80"
 //
 // Performance flags (any mode):
-//   --num_threads=N             kernel-layer threads (0 = all cores);
-//                               results are bit-identical at any value
-//   --fast_math=true            opt-in FMA matmul tier — faster, NOT
-//                               bit-identical (documented tolerance)
-//   --fast_math_precision=fp32|bf16   fast-math panel storage; bf16
-//                               halves panel bytes at a wider tolerance
+//   --num_threads=N             kernel-layer threads, a non-negative
+//                               int (0 = all cores; anything else exits
+//                               2); results are bit-identical at any value
+//   --fast_math=true            opt-in fp32 FMA matmul tier — faster,
+//                               NOT bit-identical (documented tolerance)
 //
 // Run with no flags for a demo that chains all three in /tmp. A flag
 // no mode reads is rejected with exit code 2.
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -599,7 +599,7 @@ int Main(int argc, const char* const argv[]) {
       {// any mode
        "mode", "dir", "model", "seed", "hidden", "layers", "heads",
        "log_level", "trace_out", "metrics_out", "profile",
-       "flight_record_out", "num_threads", "fast_math", "fast_math_precision",
+       "flight_record_out", "num_threads", "fast_math",
        // generate
        "nodes", "avg_degree", "classes", "features", "homophily", "in_skew",
        // train
@@ -635,17 +635,18 @@ int Main(int argc, const char* const argv[]) {
   // tolerance-validated FMA tier and is never on by default.
   {
     kernels::KernelConfig config = kernels::GetKernelConfig();
-    config.max_threads = static_cast<int>(flags->GetInt("num_threads", 0));
-    config.fast_math = flags->GetBool("fast_math", false);
-    const std::string precision =
-        flags->GetString("fast_math_precision", "fp32");
-    if (precision != "fp32" && precision != "bf16") {
+    const std::string threads = flags->GetString("num_threads", "0");
+    const char* const end = threads.data() + threads.size();
+    const auto [parsed_end, error] =
+        std::from_chars(threads.data(), end, config.max_threads);
+    if (error != std::errc() || parsed_end != end || config.max_threads < 0) {
       std::fprintf(stderr,
-                   "unknown --fast_math_precision=%s (fp32|bf16)\n",
-                   precision.c_str());
+                   "invalid --num_threads=%s (a non-negative int; 0 = all "
+                   "cores)\n",
+                   threads.c_str());
       return 2;
     }
-    config.fast_math_bf16 = precision == "bf16";
+    config.fast_math = flags->GetBool("fast_math", false);
     kernels::SetKernelConfig(config);
     if (config.fast_math && !kernels::UsingFastMath()) {
       std::fprintf(stderr,

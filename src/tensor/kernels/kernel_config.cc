@@ -13,7 +13,6 @@ namespace {
 std::atomic<int> g_max_threads{0};
 std::atomic<std::int64_t> g_min_parallel_work{1 << 18};
 std::atomic<bool> g_fast_math{false};
-std::atomic<bool> g_fast_math_bf16{false};
 
 }  // namespace
 
@@ -23,7 +22,6 @@ KernelConfig GetKernelConfig() {
   config.min_parallel_work =
       g_min_parallel_work.load(std::memory_order_relaxed);
   config.fast_math = g_fast_math.load(std::memory_order_relaxed);
-  config.fast_math_bf16 = g_fast_math_bf16.load(std::memory_order_relaxed);
   return config;
 }
 
@@ -33,7 +31,6 @@ void SetKernelConfig(const KernelConfig& config) {
                                                    config.min_parallel_work),
                             std::memory_order_relaxed);
   g_fast_math.store(config.fast_math, std::memory_order_relaxed);
-  g_fast_math_bf16.store(config.fast_math_bf16, std::memory_order_relaxed);
 }
 
 int PlanParallelTasks(std::int64_t n, std::int64_t work_per_item) {

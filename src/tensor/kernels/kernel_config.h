@@ -14,8 +14,8 @@ namespace kernels {
 /// Process-wide tuning knobs for the fast kernel layer. Thread fan-out
 /// never changes results — every output row is owned by exactly one
 /// task in a fixed contiguous partition — so the scheduling knobs only
-/// trade latency against dispatch overhead. The fast-math knobs are the
-/// one exception and are opt-in: they select a separate kernel tier
+/// trade latency against dispatch overhead. The fast-math knob is the
+/// one exception and is opt-in: it selects a separate kernel tier
 /// that trades bit-identity with the scalar oracle for throughput
 /// (documented tolerance, see fast_math_test).
 struct KernelConfig {
@@ -31,9 +31,6 @@ struct KernelConfig {
   /// at a documented tolerance instead of bit-identity. Never on by
   /// default; ignored when the CPU lacks FMA.
   bool fast_math = false;
-  /// With fast_math: store packed B panels as bf16 (fp32 accumulate).
-  /// Halves the panel working set at a wider documented tolerance.
-  bool fast_math_bf16 = false;
 };
 
 KernelConfig GetKernelConfig();

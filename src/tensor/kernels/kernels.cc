@@ -13,7 +13,6 @@
 #include "src/telemetry/perf_counters.h"
 #include "src/tensor/kernels/kernel_stats.h"
 #include "src/tensor/kernels/matmul_tiles.h"
-#include "src/tensor/kernels/reference.h"
 #include "src/tensor/kernels/row_fold.h"
 
 namespace inferturbo {
@@ -60,13 +59,6 @@ void AccountKernel(const char* op, const KernelWork& work) {
 using RowKernel = void (*)(const float*, const float*, float*, std::int64_t,
                            std::int64_t, std::int64_t, std::int64_t);
 
-RowKernel MatMulRowsKernel() {
-  static const RowKernel kernel = detail::Avx2KernelsAvailable()
-                                      ? detail::MatMulRowsAvx2
-                                      : detail::MatMulRowsPortable;
-  return kernel;
-}
-
 RowKernel MatMulTBRowsKernel() {
   static const RowKernel kernel = detail::Avx2KernelsAvailable()
                                       ? detail::MatMulTBRowsAvx2
@@ -87,8 +79,8 @@ PanelKernel MatMulPanelKernel() {
 
 // Panel partition geometry: column-chunk boundaries snap to the tile
 // width so no task ever splits a 16-wide register tile, and each
-// packed block is capped so a panel (k × kPanelMaxCols floats, half
-// that as bf16) stays cache-resident in the owning thread's scratch.
+// packed block is capped so a panel (k × kPanelMaxCols floats) stays
+// cache-resident in the owning thread's scratch.
 constexpr std::int64_t kPanelQuantum = 16;
 constexpr std::int64_t kPanelMaxCols = 128;
 
@@ -101,34 +93,36 @@ void PackPanel(const float* b, std::int64_t k, std::int64_t n, std::int64_t j0,
   }
 }
 
-// Shared C(m×n) = A(m×k)·B(k×n) body behind MatMul and the transposed
-// variants. Three dispatch paths:
-//  - deterministic rows: each task owns output rows. Serial calls and
+// Shared C(m×n) = A(m×k)·B(k×n) body behind MatMul and
+// MatMulTransposedA. One panel kernel per tier, two ways to cut it:
+//  - rows: each task owns output rows and runs the deterministic panel
+//    kernel over all of B unpacked (pw == ldc == n). Serial calls and
 //    skinny-N shapes (not enough 16-column panels for the task count).
-//  - deterministic panels: tasks own column ranges; each packs its B
-//    columns into persistent per-thread scratch, so the streamed
-//    operand stays dense and core-local. Bit-identical to the row path
-//    (packing moves bytes, every per-element chain is unchanged).
-//  - fast-math panels: same geometry, FMA tiles (optionally bf16
-//    storage). Opt-in, tolerance-validated, never silently selected.
+//  - columns: tasks own column ranges; each packs its B columns into
+//    persistent per-thread scratch, so the streamed operand stays dense
+//    and core-local. Bit-identical to the row cut (packing moves bytes,
+//    every per-element chain is unchanged). The opt-in fast-math tier
+//    always takes this cut, with FMA tiles instead of the
+//    deterministic ones; it is tolerance-validated and never silently
+//    selected.
 void MatMulInto(const float* pa, const float* pb, float* pc, std::int64_t m,
                 std::int64_t k, std::int64_t n) {
-  const KernelConfig config = GetKernelConfig();
-  const bool fast = config.fast_math && detail::FastMathKernelsAvailable();
-  const bool bf16 = fast && config.fast_math_bf16;
+  const bool fast = UsingFastMath();
   const std::int64_t groups = (n + kPanelQuantum - 1) / kPanelQuantum;
   const std::int64_t items = std::max(m, groups);
   const std::int64_t work_per_item = m * k * n / std::max<std::int64_t>(1,
                                                                         items);
   const int tasks = PlanParallelTasks(items, work_per_item);
+  const PanelKernel kernel = fast ? detail::MatMulPanelFma
+                                  : MatMulPanelKernel();
 
   if (!fast && (tasks <= 1 || tasks > groups)) {
-    const RowKernel kernel = MatMulRowsKernel();
     const int row_tasks = static_cast<int>(
         std::min<std::int64_t>(tasks, std::max<std::int64_t>(1, m)));
     ParallelForChunksFixed(m, row_tasks, [&](const RangeChunk& chunk) {
       if (chunk.begin < chunk.end) {
-        kernel(pa, pb, pc, chunk.begin, chunk.end, k, n);
+        kernel(pa + chunk.begin * k, pb, pc + chunk.begin * n,
+               chunk.end - chunk.begin, k, n, /*c0=*/0, /*ldc=*/n);
       }
     });
     return;
@@ -146,32 +140,13 @@ void MatMulInto(const float* pa, const float* pb, float* pc, std::int64_t m,
       const std::int64_t j1 = std::min(n, g1 * kPanelQuantum);
       const std::int64_t pw = j1 - j0;
       if (pw <= 0) continue;
-      if (bf16) {
-        // bf16 panels live in the same float scratch, two values per
-        // slot.
-        const std::size_t need = static_cast<std::size_t>(k * pw + 1) / 2;
-        if (scratch.size() < need) scratch.resize(need);
-        std::uint16_t* packed =
-            reinterpret_cast<std::uint16_t*>(scratch.data());
-        detail::PackPanelBf16(pb, k, n, j0, pw, packed);
-        detail::MatMulPanelBf16Fma(pa, packed, pc, m, k, pw, j0, n);
-        continue;
-      }
       const std::size_t need = static_cast<std::size_t>(k * pw);
       if (scratch.size() < need) scratch.resize(need);
       PackPanel(pb, k, n, j0, pw, scratch.data());
-      if (fast) {
-        detail::MatMulPanelFma(pa, scratch.data(), pc, m, k, pw, j0, n);
-      } else {
-        MatMulPanelKernel()(pa, scratch.data(), pc, m, k, pw, j0, n);
-      }
+      kernel(pa, scratch.data(), pc, m, k, pw, j0, n);
     }
   });
 }
-
-// Below this many multiply-adds the transpose-and-tile path for
-// MatMulTransposedA costs more in allocation than it saves.
-constexpr std::int64_t kTransposeAMinMulAdds = 1 << 15;
 
 // Cache-blocked out-of-place transpose: (rows×cols) -> (cols×rows).
 void TransposeInto(const float* __restrict__ src, std::int64_t rows,
@@ -228,9 +203,6 @@ Tensor MatMulTransposedA(const Tensor& a, const Tensor& b) {
   const std::int64_t k = a.rows(), m = a.cols(), n = b.cols();
   PerfCounterScope profile("kernel.matmul_ta");
   AccountKernel("matmul_ta", MatMulWork(m, k, n));
-  if (m * k * n < kTransposeAMinMulAdds && !UsingFastMath()) {
-    return reference::MatMulTransposedA(a, b);
-  }
   // A^T·B = MatMul over a transposed copy of A. The tiled kernel skips
   // the same zero entries in the same ascending-k order the reference's
   // k-i-j loop does, so results stay bit-identical while the hot loop

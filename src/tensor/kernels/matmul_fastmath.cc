@@ -2,10 +2,9 @@
 // with -mavx2 -mfma: contracting mul+add to FMA changes rounding, so
 // everything here is outside the kernel layer's bit-identity contract
 // by design. The trade is explicit and opt-in (KernelConfig.fast_math,
-// `--fast_math` at the CLI): FMA tiles with no skip-on-zero prescan,
-// plus an optional bf16-storage / fp32-accumulate panel that halves
-// the packed working set. fast_math_test validates both against the
-// pinned scalar oracle at the tolerances documented in kernels.h.
+// `--fast_math` at the CLI): fp32 FMA tiles with no skip-on-zero
+// prescan. fast_math_test validates them against the pinned scalar
+// oracle at the tolerance documented in kernels.h.
 //
 // On toolchains without AVX2+FMA the tier degrades to the portable
 // deterministic panel kernel and FastMathKernelsAvailable() reports
@@ -21,58 +20,17 @@
 namespace inferturbo {
 namespace kernels {
 namespace detail {
-namespace {
-
-// fp32 -> bf16 with round-to-nearest-even on the dropped 16 bits.
-// (No NaN special case: rounding can only turn a NaN payload into
-// another NaN payload or Inf stays Inf; the tier's tolerance tests
-// use finite data.)
-inline std::uint16_t Bf16FromFloat(float f) {
-  std::uint32_t u;
-  __builtin_memcpy(&u, &f, sizeof(u));
-  const std::uint32_t lsb = (u >> 16) & 1u;
-  u += 0x7fffu + lsb;
-  return static_cast<std::uint16_t>(u >> 16);
-}
-
-inline float FloatFromBf16(std::uint16_t h) {
-  const std::uint32_t u = static_cast<std::uint32_t>(h) << 16;
-  float f;
-  __builtin_memcpy(&f, &u, sizeof(f));
-  return f;
-}
-
-}  // namespace
-
-void PackPanelBf16(const float* b, std::int64_t k, std::int64_t n,
-                   std::int64_t j0, std::int64_t pw, std::uint16_t* out) {
-  for (std::int64_t kk = 0; kk < k; ++kk) {
-    const float* src = b + kk * n + j0;
-    std::uint16_t* dst = out + kk * pw;
-    for (std::int64_t j = 0; j < pw; ++j) dst[j] = Bf16FromFloat(src[j]);
-  }
-}
 
 #if defined(__AVX2__) && defined(__FMA__)
 
 namespace {
 
-// 8 bf16 values -> 8 fp32 lanes: zero-extend to 32 bits, shift the
-// mantissa/exponent into place.
-inline __m256 LoadBf16x8(const std::uint16_t* p) {
-  const __m128i raw =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-  const __m256i wide = _mm256_cvtepu16_epi32(raw);
-  return _mm256_castsi256_ps(_mm256_slli_epi32(wide, 16));
-}
-
 // kRows×16 FMA accumulator tile over a packed panel: the fast twin of
 // the deterministic MatMulTile16 — fused multiply-add, no zero checks
 // (a zero A entry contributes +0.0 instead of being skipped, one of
-// the documented deviations from the oracle). kBf16 selects the
-// bf16-storage panel load.
-template <int kRows, bool kBf16, typename PanelT>
-inline void FmaTile16(const float* const* ar, const PanelT* bp,
+// the documented deviations from the oracle).
+template <int kRows>
+inline void FmaTile16(const float* const* ar, const float* bp,
                       std::int64_t pw, float* c, std::int64_t ldc,
                       std::int64_t i, std::int64_t j, std::int64_t k) {
   __m256 acc_lo[kRows], acc_hi[kRows];
@@ -81,15 +39,9 @@ inline void FmaTile16(const float* const* ar, const PanelT* bp,
     acc_hi[r] = _mm256_setzero_ps();
   }
   for (std::int64_t kk = 0; kk < k; ++kk) {
-    const PanelT* bk = bp + kk * pw + j;
-    __m256 b_lo, b_hi;
-    if constexpr (kBf16) {
-      b_lo = LoadBf16x8(reinterpret_cast<const std::uint16_t*>(bk));
-      b_hi = LoadBf16x8(reinterpret_cast<const std::uint16_t*>(bk) + 8);
-    } else {
-      b_lo = _mm256_loadu_ps(reinterpret_cast<const float*>(bk));
-      b_hi = _mm256_loadu_ps(reinterpret_cast<const float*>(bk) + 8);
-    }
+    const float* bk = bp + kk * pw + j;
+    const __m256 b_lo = _mm256_loadu_ps(bk);
+    const __m256 b_hi = _mm256_loadu_ps(bk + 8);
     for (int r = 0; r < kRows; ++r) {
       const __m256 v = _mm256_broadcast_ss(ar[r] + kk);
       acc_lo[r] = _mm256_fmadd_ps(v, b_lo, acc_lo[r]);
@@ -106,8 +58,7 @@ inline void FmaTile16(const float* const* ar, const PanelT* bp,
 // Scalar patch for panel-column tails (< 16 wide) and leftover rows.
 // Plain a*b+c — the compiler may contract under -mfma, which is fine
 // inside this tier's tolerance.
-template <bool kBf16, typename PanelT>
-inline void FmaScalarPatch(const float* a, const PanelT* bp, float* c,
+inline void FmaScalarPatch(const float* a, const float* bp, float* c,
                            std::int64_t i0, std::int64_t i1, std::int64_t j0,
                            std::int64_t k, std::int64_t pw, std::int64_t c0,
                            std::int64_t ldc) {
@@ -116,24 +67,17 @@ inline void FmaScalarPatch(const float* a, const PanelT* bp, float* c,
     const float* ai = a + i * k;
     for (std::int64_t kk = 0; kk < k; ++kk) {
       const float v = ai[kk];
-      const PanelT* bk = bp + kk * pw;
-      for (std::int64_t j = j0; j < pw; ++j) {
-        float bv;
-        if constexpr (kBf16) {
-          bv = FloatFromBf16(static_cast<std::uint16_t>(bk[j]));
-        } else {
-          bv = static_cast<float>(bk[j]);
-        }
-        ci[j] += v * bv;
-      }
+      const float* bk = bp + kk * pw;
+      for (std::int64_t j = j0; j < pw; ++j) ci[j] += v * bk[j];
     }
   }
 }
 
-template <bool kBf16, typename PanelT>
-void MatMulPanelFmaImpl(const float* a, const PanelT* bp, float* c,
-                        std::int64_t m, std::int64_t k, std::int64_t pw,
-                        std::int64_t c0, std::int64_t ldc) {
+}  // namespace
+
+void MatMulPanelFma(const float* a, const float* bp, float* c, std::int64_t m,
+                    std::int64_t k, std::int64_t pw, std::int64_t c0,
+                    std::int64_t ldc) {
   constexpr std::int64_t kRowTile = 6;
   constexpr std::int64_t kColTile = 16;
   float* const cb = c + c0;
@@ -143,34 +87,20 @@ void MatMulPanelFmaImpl(const float* a, const PanelT* bp, float* c,
     for (std::int64_t r = 0; r < kRowTile; ++r) ar[r] = a + (i + r) * k;
     std::int64_t j = 0;
     for (; j + kColTile <= pw; j += kColTile) {
-      FmaTile16<kRowTile, kBf16>(ar, bp, pw, cb, ldc, i, j, k);
+      FmaTile16<kRowTile>(ar, bp, pw, cb, ldc, i, j, k);
     }
     if (j < pw) {
-      FmaScalarPatch<kBf16>(a, bp, c, i, i + kRowTile, j, k, pw, c0, ldc);
+      FmaScalarPatch(a, bp, c, i, i + kRowTile, j, k, pw, c0, ldc);
     }
   }
   for (; i < m; ++i) {
     const float* ar[1] = {a + i * k};
     std::int64_t j = 0;
     for (; j + kColTile <= pw; j += kColTile) {
-      FmaTile16<1, kBf16>(ar, bp, pw, cb, ldc, i, j, k);
+      FmaTile16<1>(ar, bp, pw, cb, ldc, i, j, k);
     }
-    if (j < pw) FmaScalarPatch<kBf16>(a, bp, c, i, i + 1, j, k, pw, c0, ldc);
+    if (j < pw) FmaScalarPatch(a, bp, c, i, i + 1, j, k, pw, c0, ldc);
   }
-}
-
-}  // namespace
-
-void MatMulPanelFma(const float* a, const float* bp, float* c, std::int64_t m,
-                    std::int64_t k, std::int64_t pw, std::int64_t c0,
-                    std::int64_t ldc) {
-  MatMulPanelFmaImpl<false>(a, bp, c, m, k, pw, c0, ldc);
-}
-
-void MatMulPanelBf16Fma(const float* a, const std::uint16_t* bp, float* c,
-                        std::int64_t m, std::int64_t k, std::int64_t pw,
-                        std::int64_t c0, std::int64_t ldc) {
-  MatMulPanelFmaImpl<true>(a, bp, c, m, k, pw, c0, ldc);
 }
 
 bool FastMathKernelsAvailable() {
@@ -187,24 +117,6 @@ void MatMulPanelFma(const float* a, const float* bp, float* c, std::int64_t m,
                     std::int64_t k, std::int64_t pw, std::int64_t c0,
                     std::int64_t ldc) {
   MatMulPanelPortable(a, bp, c, m, k, pw, c0, ldc);
-}
-
-void MatMulPanelBf16Fma(const float* a, const std::uint16_t* bp, float* c,
-                        std::int64_t m, std::int64_t k, std::int64_t pw,
-                        std::int64_t c0, std::int64_t ldc) {
-  // Functional (never dispatched: availability reports false): expand
-  // each bf16 entry and accumulate in fp32.
-  for (std::int64_t i = 0; i < m; ++i) {
-    float* ci = c + i * ldc + c0;
-    const float* ai = a + i * k;
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float v = ai[kk];
-      const std::uint16_t* bk = bp + kk * pw;
-      for (std::int64_t j = 0; j < pw; ++j) {
-        ci[j] += v * FloatFromBf16(bk[j]);
-      }
-    }
-  }
 }
 
 bool FastMathKernelsAvailable() { return false; }

@@ -7,25 +7,18 @@ namespace inferturbo {
 namespace kernels {
 namespace detail {
 
-/// Register-tiled matmul row kernels. The same source
-/// (matmul_tiles.inc) is compiled twice: a portable baseline TU and an
-/// AVX2 TU (vector width only — FMA stays off in both so every product
-/// and sum rounds exactly like the scalar reference, keeping results
+/// Register-tiled matmul kernels. Each deterministic kernel is compiled
+/// twice: a portable baseline TU (matmul_tiles.inc) and an AVX2 TU
+/// (vector width only — FMA stays off in both so every product and sum
+/// rounds exactly like the scalar reference, keeping results
 /// bit-identical across ISAs). Callers pick an implementation once via
 /// Avx2KernelsAvailable().
 ///
-/// All pointers are dense row-major and must not alias. Each call owns
-/// output rows [r0, r1) exclusively, so range-partitioned calls can run
+/// All pointers are dense row-major and must not alias.
+
+/// Rows [r0, r1) of C(m×n) = A(m×k) · B(n×k)^T. Each call owns output
+/// rows [r0, r1) exclusively, so row-partitioned calls run
 /// concurrently.
-
-/// Rows [r0, r1) of C(m×n) = A(m×k) · B(k×n).
-void MatMulRowsPortable(const float* a, const float* b, float* c,
-                        std::int64_t r0, std::int64_t r1, std::int64_t k,
-                        std::int64_t n);
-void MatMulRowsAvx2(const float* a, const float* b, float* c, std::int64_t r0,
-                    std::int64_t r1, std::int64_t k, std::int64_t n);
-
-/// Rows [r0, r1) of C(m×n) = A(m×k) · B(n×k)^T.
 void MatMulTBRowsPortable(const float* a, const float* b, float* c,
                           std::int64_t r0, std::int64_t r1, std::int64_t k,
                           std::int64_t n);
@@ -33,14 +26,16 @@ void MatMulTBRowsAvx2(const float* a, const float* b, float* c,
                       std::int64_t r0, std::int64_t r1, std::int64_t k,
                       std::int64_t n);
 
-/// Packed-panel kernels: columns [c0, c0 + pw) of C(m×ldc) from all of
-/// A(m×k) and a pre-packed B panel `bp` (k×pw row-major — the pw
-/// columns made dense so a parallel task's B working set is contiguous
-/// per-thread scratch instead of strided slices of the shared B).
-/// Same math and order as the row kernels: each output element is one
-/// ascending-k chain with skip-on-zero over A, mul and add separate —
-/// bit-identical to the scalar reference. Panel calls own their column
-/// range exclusively, so N-partitioned calls run concurrently.
+/// The one deterministic C = A·B body: columns [c0, c0 + pw) of
+/// C(m×ldc) from all m rows of A(m×k) and a k×pw B panel `bp` (row
+/// stride pw). `bp` is either a packed panel (the pw columns made dense
+/// so a parallel task's B working set is contiguous per-thread scratch)
+/// or, with pw == ldc == n and c0 == 0, all of B unpacked; a row window
+/// of C is a call on A and C offset by its first row. Each output
+/// element is one ascending-k chain with skip-on-zero over A, mul and
+/// add separate — bit-identical to the scalar reference. Calls that own
+/// disjoint rows or columns of C run concurrently. C must be zero on
+/// entry.
 void MatMulPanelPortable(const float* a, const float* bp, float* c,
                          std::int64_t m, std::int64_t k, std::int64_t pw,
                          std::int64_t c0, std::int64_t ldc);
@@ -54,23 +49,12 @@ bool Avx2KernelsAvailable();
 /// The opt-in fast-math tier (matmul_fastmath.cc, compiled with
 /// -mavx2 -mfma): FMA contraction, no skip-on-zero, same panel shape.
 /// NOT bit-identical to the reference — validated against it at the
-/// documented tolerances (see kFastMathRelTol / kFastMathBf16RelTol in
-/// kernels.h). Dispatched only when KernelConfig.fast_math is set and
-/// FastMathKernelsAvailable() is true.
+/// documented tolerance (kFastMathRelTol in kernels.h). Dispatched only
+/// when KernelConfig.fast_math is set and FastMathKernelsAvailable() is
+/// true.
 void MatMulPanelFma(const float* a, const float* bp, float* c, std::int64_t m,
                     std::int64_t k, std::int64_t pw, std::int64_t c0,
                     std::int64_t ldc);
-
-/// bf16-storage variant: `bp` holds the panel as bf16 (PackPanelBf16),
-/// expanded to fp32 in registers and accumulated in fp32.
-void MatMulPanelBf16Fma(const float* a, const std::uint16_t* bp, float* c,
-                        std::int64_t m, std::int64_t k, std::int64_t pw,
-                        std::int64_t c0, std::int64_t ldc);
-
-/// Packs columns [j0, j0 + pw) of B(k×n) into a dense k×pw bf16 panel
-/// (round-to-nearest-even truncation of the fp32 bits).
-void PackPanelBf16(const float* b, std::int64_t k, std::int64_t n,
-                   std::int64_t j0, std::int64_t pw, std::uint16_t* out);
 
 /// True when the fast-math TU was built with AVX2+FMA and the CPU has
 /// both.

@@ -5,10 +5,12 @@
 // it degrades to forwarding wrappers. Callers must gate on
 // Avx2KernelsAvailable(), which also checks the running CPU.
 //
-// MatMulRows is hand-written intrinsics rather than the generic tile
-// body from matmul_tiles.inc: explicit vmulps/vaddps pin both the
-// instruction mix and the register allocation, where autovectorizing
-// the float-array tiles swings several-fold between -O2 and -O3.
+// MatMulPanel, the one deterministic A·B body behind both the row and
+// the column cuts of MatMulInto, is hand-written intrinsics rather
+// than the generic tile body from matmul_tiles.inc: explicit
+// vmulps/vaddps pin both the instruction mix and the register
+// allocation, where autovectorizing the float-array tiles swings
+// several-fold between -O2 and -O3. MatMulTBRows comes from the .inc.
 #include <cstdint>
 
 #if defined(__AVX2__)
@@ -25,11 +27,9 @@ namespace detail {
 
 #define INFERTURBO_TILE_FN(name) name##Avx2
 #define INFERTURBO_TILE_RESTRICT __restrict__
-#define INFERTURBO_TILE_SKIP_MATMUL_ROWS
 #define INFERTURBO_TILE_SKIP_MATMUL_PANEL
 #include "src/tensor/kernels/matmul_tiles.inc"
 #undef INFERTURBO_TILE_SKIP_MATMUL_PANEL
-#undef INFERTURBO_TILE_SKIP_MATMUL_ROWS
 #undef INFERTURBO_TILE_FN
 #undef INFERTURBO_TILE_RESTRICT
 
@@ -52,8 +52,8 @@ namespace {
 // the caller pre-scans the A panel once and runs the check-free
 // instantiation when the panel holds no zeros (skipping zero entries
 // and not checking are then the same function).
-// `b` has row stride ldb (the shared B, or a packed panel), `c` row
-// stride ldc; both are n for the full-matrix row kernel.
+// `b` has row stride ldb (a packed panel, or the shared B at stride
+// n), `c` row stride ldc.
 template <int kRows, bool kHasZeros>
 inline void MatMulTile16(const float* const* ar, const float* b,
                          std::int64_t ldb, float* c, std::int64_t ldc,
@@ -105,59 +105,11 @@ inline bool RowHasZero(const float* row, std::int64_t len) {
   return false;
 }
 
-// Scalar reference body over rows [i0, i1) × columns [j0, n): used for
-// the sub-16-column tail and leftover rows. C is zero-initialized and
-// accumulated in place, matching the reference's i-k-j loop.
-inline void MatMulScalarPatch(const float* a, const float* b, float* c,
-                              std::int64_t i0, std::int64_t i1,
-                              std::int64_t j0, std::int64_t k,
-                              std::int64_t n) {
-  for (std::int64_t i = i0; i < i1; ++i) {
-    float* __restrict__ ci = c + i * n;
-    const float* ai = a + i * k;
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float v = ai[kk];
-      if (v == 0.0f) continue;
-      const float* __restrict__ bk = b + kk * n;
-      for (std::int64_t j = j0; j < n; ++j) ci[j] += v * bk[j];
-    }
-  }
-}
-
-}  // namespace
-
-void MatMulRowsAvx2(const float* a, const float* b, float* c, std::int64_t r0,
-                    std::int64_t r1, std::int64_t k, std::int64_t n) {
-  constexpr std::int64_t kRowTile = 6;
-  constexpr std::int64_t kColTile = 16;
-  std::int64_t i = r0;
-  for (; i + kRowTile <= r1; i += kRowTile) {
-    const float* ar[kRowTile];
-    bool has_zeros = false;
-    for (std::int64_t r = 0; r < kRowTile; ++r) {
-      ar[r] = a + (i + r) * k;
-      has_zeros = has_zeros || RowHasZero(ar[r], k);
-    }
-    std::int64_t j = 0;
-    if (has_zeros) {
-      for (; j + kColTile <= n; j += kColTile) {
-        MatMulTile16<kRowTile, /*kHasZeros=*/true>(ar, b, n, c, n, i, j, k);
-      }
-    } else {
-      for (; j + kColTile <= n; j += kColTile) {
-        MatMulTile16<kRowTile, /*kHasZeros=*/false>(ar, b, n, c, n, i, j, k);
-      }
-    }
-    if (j < n) MatMulScalarPatch(a, b, c, i, i + kRowTile, j, k, n);
-  }
-  if (i < r1) MatMulScalarPatch(a, b, c, i, r1, 0, k, n);
-}
-
-namespace {
-
 // Scalar reference body over rows [i0, i1) × panel columns [j0, pw),
-// reading the packed panel (stride pw) and writing C (stride ldc) at
-// column offset c0. Same order and skip semantics as the reference.
+// reading the panel (stride pw) and writing C (stride ldc) at column
+// offset c0: the sub-16-column tail and leftover rows. C is
+// zero-initialized and accumulated in place, matching the reference's
+// i-k-j loop and skip semantics.
 inline void MatMulPanelScalarPatch(const float* a, const float* bp, float* c,
                                    std::int64_t i0, std::int64_t i1,
                                    std::int64_t j0, std::int64_t k,
@@ -218,11 +170,6 @@ bool Avx2KernelsAvailable() {
 }
 
 #else  // !defined(__AVX2__)
-
-void MatMulRowsAvx2(const float* a, const float* b, float* c, std::int64_t r0,
-                    std::int64_t r1, std::int64_t k, std::int64_t n) {
-  MatMulRowsPortable(a, b, c, r0, r1, k, n);
-}
 
 void MatMulTBRowsAvx2(const float* a, const float* b, float* c,
                       std::int64_t r0, std::int64_t r1, std::int64_t k,

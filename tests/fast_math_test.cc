@@ -2,7 +2,7 @@
 // free: with fast_math unset the kernels are bit-identical to the
 // scalar oracle — the deterministic tier must not change by a single
 // bit whether or not the fast TU is compiled in. (2) ON is bounded:
-// FMA (and optionally bf16-storage) results stay inside the documented
+// fp32 FMA results stay inside the documented
 // envelope |fast - oracle| <= tol * (|A|·|B|)[i,j] + tiny at every
 // shape and thread setting.
 #include <cmath>
@@ -66,19 +66,18 @@ class FastMathTest : public ::testing::Test {
   void SetUp() override { saved_ = kernels::GetKernelConfig(); }
   void TearDown() override { kernels::SetKernelConfig(saved_); }
 
-  void Use(int max_threads, bool fast, bool bf16) {
+  void Use(int max_threads, bool fast) {
     kernels::KernelConfig config;
     config.max_threads = max_threads;
     config.min_parallel_work = 1;
     config.fast_math = fast;
-    config.fast_math_bf16 = bf16;
     kernels::SetKernelConfig(config);
   }
 
   bool FastMathAvailable() {
-    Use(1, /*fast=*/true, /*bf16=*/false);
+    Use(1, /*fast=*/true);
     const bool available = kernels::UsingFastMath();
-    Use(1, /*fast=*/false, /*bf16=*/false);
+    Use(1, /*fast=*/false);
     return available;
   }
 
@@ -107,34 +106,12 @@ TEST_F(FastMathTest, Fp32TierWithinDocumentedTolerance) {
     const Tensor envelope =
         kernels::reference::MatMul(AbsTensor(a), AbsTensor(b));
     for (const int threads : kThreadSettings) {
-      Use(threads, /*fast=*/true, /*bf16=*/false);
+      Use(threads, /*fast=*/true);
       std::ostringstream label;
       label << "fp32 " << shape.m << "x" << shape.k << "x" << shape.n
             << " threads=" << threads;
       ExpectWithinEnvelope(kernels::MatMul(a, b), oracle, envelope,
                            kernels::kFastMathRelTol, label.str());
-    }
-  }
-}
-
-TEST_F(FastMathTest, Bf16TierWithinDocumentedTolerance) {
-  if (!FastMathAvailable()) {
-    GTEST_SKIP() << "no AVX2+FMA on this CPU/build";
-  }
-  Rng rng(212);
-  for (const Shape& shape : kShapes) {
-    const Tensor a = Tensor::RandomNormal(shape.m, shape.k, 1.0f, &rng);
-    const Tensor b = Tensor::RandomNormal(shape.k, shape.n, 1.0f, &rng);
-    const Tensor oracle = kernels::reference::MatMul(a, b);
-    const Tensor envelope =
-        kernels::reference::MatMul(AbsTensor(a), AbsTensor(b));
-    for (const int threads : kThreadSettings) {
-      Use(threads, /*fast=*/true, /*bf16=*/true);
-      std::ostringstream label;
-      label << "bf16 " << shape.m << "x" << shape.k << "x" << shape.n
-            << " threads=" << threads;
-      ExpectWithinEnvelope(kernels::MatMul(a, b), oracle, envelope,
-                           kernels::kFastMathBf16RelTol, label.str());
     }
   }
 }
@@ -156,7 +133,7 @@ TEST_F(FastMathTest, TransposedAUsesTheTierToo) {
   }
   const Tensor envelope = kernels::reference::MatMul(at, AbsTensor(b));
   for (const int threads : kThreadSettings) {
-    Use(threads, /*fast=*/true, /*bf16=*/false);
+    Use(threads, /*fast=*/true);
     ExpectWithinEnvelope(kernels::MatMulTransposedA(a, b), oracle, envelope,
                          kernels::kFastMathRelTol, "matmul_ta fp32");
   }
@@ -171,7 +148,7 @@ TEST_F(FastMathTest, OffMeansBitIdenticalToTheOracle) {
     const Tensor b = Tensor::RandomNormal(shape.k, shape.n, 1.0f, &rng);
     const Tensor want = kernels::reference::MatMul(a, b);
     for (const int threads : kThreadSettings) {
-      Use(threads, /*fast=*/false, /*bf16=*/false);
+      Use(threads, /*fast=*/false);
       const Tensor got = kernels::MatMul(a, b);
       ASSERT_EQ(0, std::memcmp(want.data(), got.data(), want.ByteSize()))
           << shape.m << "x" << shape.k << "x" << shape.n << " threads="
@@ -205,7 +182,7 @@ TEST_F(FastMathTest, OffKeepsBothBackendsLogitsBitIdentical) {
   InferTurboOptions options;
   options.num_workers = 4;
 
-  Use(1, /*fast=*/false, /*bf16=*/false);
+  Use(1, /*fast=*/false);
   const Result<InferenceResult> base_pregel =
       RunInferTurboPregel(dataset.graph, **model, options);
   const Result<InferenceResult> base_mr =
@@ -214,7 +191,7 @@ TEST_F(FastMathTest, OffKeepsBothBackendsLogitsBitIdentical) {
   ASSERT_TRUE(base_mr.ok());
 
   for (const int threads : kThreadSettings) {
-    Use(threads, /*fast=*/false, /*bf16=*/false);
+    Use(threads, /*fast=*/false);
     const Result<InferenceResult> pregel =
         RunInferTurboPregel(dataset.graph, **model, options);
     const Result<InferenceResult> mr =

@@ -2,11 +2,14 @@
 // reproduce its scalar reference exactly — same bytes, not just within
 // tolerance — at any thread count, over shapes that exercise every
 // tile lane (full 4×16 tiles, column tails, row tails, empty, 1-row,
-// 1-col) and the skip-on-zero path. The crash-sweep and cross-backend
-// equivalence suites build on this guarantee.
+// 1-col) and the skip-on-zero path, including a zero A column over an
+// infinite B row. The crash-sweep and cross-backend equivalence suites
+// build on this guarantee.
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +17,7 @@
 #include "src/common/rng.h"
 #include "src/tensor/kernels/kernel_config.h"
 #include "src/tensor/kernels/kernels.h"
+#include "src/tensor/kernels/matmul_tiles.h"
 #include "src/tensor/kernels/reference.h"
 
 namespace inferturbo {
@@ -47,6 +51,30 @@ Tensor RandomWithZeros(std::int64_t rows, std::int64_t cols, Rng* rng) {
   return t;
 }
 
+// The 0·Inf trap: every A entry at k index z = k/2 is ±0 and row z of
+// B is ±Inf. The reference skips zero A entries, so its output stays
+// finite; a kernel that multiplies them instead yields NaN there. A is
+// (m×k), or (k×m) when `a_is_k_by_m` (MatMulTransposedA's operand); B
+// is (k×n) either way.
+void PlantZeroTimesInf(Tensor* a, bool a_is_k_by_m, Tensor* b) {
+  const std::int64_t k = b->rows();
+  if (k == 0) return;
+  const std::int64_t z = k / 2;
+  const std::int64_t m = a_is_k_by_m ? a->cols() : a->rows();
+  for (std::int64_t i = 0; i < m; ++i) {
+    (a_is_k_by_m ? a->At(z, i) : a->At(i, z)) = i % 2 == 0 ? 0.0f : -0.0f;
+  }
+  const float inf = std::numeric_limits<float>::infinity();
+  for (std::int64_t j = 0; j < b->cols(); ++j) {
+    b->At(z, j) = j % 2 == 0 ? inf : -inf;
+  }
+}
+
+bool AllFinite(const Tensor& t) {
+  return std::all_of(t.data(), t.data() + t.size(),
+                     [](float v) { return std::isfinite(v); });
+}
+
 // Thread settings every kernel is checked under. max_threads=1 pins
 // the serial path; the larger settings force multi-task partitions
 // even on tiny shapes (min_parallel_work=1) and oversubscribe the
@@ -78,8 +106,7 @@ struct MatMulShape {
   std::int64_t m, k, n;
 };
 
-// Full tiles, tails in every dimension, degenerate and empty shapes,
-// and sizes straddling the TransposedA transpose-path threshold.
+// Full tiles, tails in every dimension, degenerate and empty shapes.
 const MatMulShape kMatMulShapes[] = {
     {0, 0, 0}, {0, 4, 4},   {4, 0, 4},   {4, 4, 0},    {1, 1, 1},
     {1, 7, 1}, {2, 3, 4},   {4, 16, 16}, {5, 17, 23},  {7, 1, 9},
@@ -89,15 +116,19 @@ const MatMulShape kMatMulShapes[] = {
 TEST_F(KernelsTest, MatMulBitIdenticalAtEveryThreadCount) {
   Rng rng(101);
   for (const MatMulShape& shape : kMatMulShapes) {
-    const Tensor a = RandomWithZeros(shape.m, shape.k, &rng);
-    const Tensor b = RandomWithZeros(shape.k, shape.n, &rng);
-    const Tensor want = kernels::reference::MatMul(a, b);
-    for (const ThreadSetting& setting : kThreadSettings) {
-      Use(setting);
-      const Tensor got = kernels::MatMul(a, b);
-      EXPECT_TRUE(BitIdentical(want, got))
-          << shape.m << "x" << shape.k << "x" << shape.n << " at "
-          << setting.max_threads << " threads";
+    Tensor a = RandomWithZeros(shape.m, shape.k, &rng);
+    Tensor b = RandomWithZeros(shape.k, shape.n, &rng);
+    for (const bool trap : {false, true}) {
+      if (trap) PlantZeroTimesInf(&a, /*a_is_k_by_m=*/false, &b);
+      const Tensor want = kernels::reference::MatMul(a, b);
+      ASSERT_TRUE(AllFinite(want));
+      for (const ThreadSetting& setting : kThreadSettings) {
+        Use(setting);
+        const Tensor got = kernels::MatMul(a, b);
+        EXPECT_TRUE(BitIdentical(want, got))
+            << shape.m << "x" << shape.k << "x" << shape.n << " trap " << trap
+            << " at " << setting.max_threads << " threads";
+      }
     }
   }
 }
@@ -122,15 +153,19 @@ TEST_F(KernelsTest, MatMulTransposedABitIdenticalAtEveryThreadCount) {
   Rng rng(103);
   for (const MatMulShape& shape : kMatMulShapes) {
     // A is (k×m) here; C = A^T·B is (m×n).
-    const Tensor a = RandomWithZeros(shape.k, shape.m, &rng);
-    const Tensor b = RandomWithZeros(shape.k, shape.n, &rng);
-    const Tensor want = kernels::reference::MatMulTransposedA(a, b);
-    for (const ThreadSetting& setting : kThreadSettings) {
-      Use(setting);
-      const Tensor got = kernels::MatMulTransposedA(a, b);
-      EXPECT_TRUE(BitIdentical(want, got))
-          << shape.m << "x" << shape.k << "x" << shape.n << " at "
-          << setting.max_threads << " threads";
+    Tensor a = RandomWithZeros(shape.k, shape.m, &rng);
+    Tensor b = RandomWithZeros(shape.k, shape.n, &rng);
+    for (const bool trap : {false, true}) {
+      if (trap) PlantZeroTimesInf(&a, /*a_is_k_by_m=*/true, &b);
+      const Tensor want = kernels::reference::MatMulTransposedA(a, b);
+      ASSERT_TRUE(AllFinite(want));
+      for (const ThreadSetting& setting : kThreadSettings) {
+        Use(setting);
+        const Tensor got = kernels::MatMulTransposedA(a, b);
+        EXPECT_TRUE(BitIdentical(want, got))
+            << shape.m << "x" << shape.k << "x" << shape.n << " trap " << trap
+            << " at " << setting.max_threads << " threads";
+      }
     }
   }
 }
@@ -149,6 +184,67 @@ TEST_F(KernelsTest, MatMulRandomizedShapesSweep) {
       EXPECT_TRUE(BitIdentical(want, kernels::MatMul(a, b)))
           << "trial " << trial << ": " << m << "x" << k << "x" << n << " at "
           << setting.max_threads << " threads";
+    }
+  }
+}
+
+// Each ISA's deterministic panel kernel, called directly: MatMul never
+// reaches the portable body on an AVX2 host. Both ways MatMulInto cuts
+// it must reproduce the reference's bytes and touch nothing else: a row
+// window that starts off the 4- and 6-row tile grids over unpacked B
+// (pw == ldc == n), and a packed sub-panel written at column offset
+// c0 > 0 with a column tail.
+TEST(KernelsPanelTest, EachIsaPanelKernelMatchesTheReference) {
+  using PanelFn = void (*)(const float*, const float*, float*, std::int64_t,
+                           std::int64_t, std::int64_t, std::int64_t,
+                           std::int64_t);
+  std::vector<PanelFn> variants = {kernels::detail::MatMulPanelPortable};
+  if (kernels::detail::Avx2KernelsAvailable()) {
+    variants.push_back(kernels::detail::MatMulPanelAvx2);
+  }
+  Rng rng(105);
+  for (const MatMulShape& shape :
+       {MatMulShape{29, 19, 37}, MatMulShape{40, 64, 70}}) {
+    const std::int64_t m = shape.m, k = shape.k, n = shape.n;
+    Tensor a = RandomWithZeros(m, k, &rng);
+    Tensor b = RandomWithZeros(k, n, &rng);
+    PlantZeroTimesInf(&a, /*a_is_k_by_m=*/false, &b);
+    const Tensor full = kernels::reference::MatMul(a, b);
+    ASSERT_TRUE(AllFinite(full));
+
+    const std::int64_t r0 = 5, r1 = m - 2;
+    Tensor want_rows(m, n);
+    for (std::int64_t i = r0; i < r1; ++i) {
+      want_rows.SetRow(i, full.RowPtr(i));
+    }
+
+    const std::int64_t j0 = 16, pw = n - j0 - 3;
+    std::vector<float> panel(static_cast<std::size_t>(k * pw));
+    Tensor want_cols(m, n);
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      for (std::int64_t j = 0; j < pw; ++j) {
+        panel[static_cast<std::size_t>(kk * pw + j)] = b.At(kk, j0 + j);
+      }
+    }
+    for (std::int64_t i = 0; i < m; ++i) {
+      for (std::int64_t j = j0; j < j0 + pw; ++j) {
+        want_cols.At(i, j) = full.At(i, j);
+      }
+    }
+
+    for (std::size_t v = 0; v < variants.size(); ++v) {
+      Tensor rows(m, n);
+      variants[v](a.RowPtr(r0), b.data(), rows.RowPtr(r0), r1 - r0, k, n,
+                  /*c0=*/0, /*ldc=*/n);
+      EXPECT_TRUE(BitIdentical(want_rows, rows))
+          << "variant " << v << " rows [" << r0 << ", " << r1 << ") of "
+          << m << "x" << k << "x" << n;
+      Tensor cols(m, n);
+      variants[v](a.data(), panel.data(), cols.data(), m, k, pw, j0,
+                  /*ldc=*/n);
+      EXPECT_TRUE(BitIdentical(want_cols, cols))
+          << "variant " << v << " columns [" << j0 << ", " << j0 + pw
+          << ") of " << m << "x" << k << "x" << n;
     }
   }
 }
