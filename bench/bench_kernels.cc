@@ -23,10 +23,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -238,6 +240,42 @@ void BenchMatMuls(Harness* harness, bool quick, bool fast_math) {
   }
 }
 
+// The two matmuls a real layer apply runs: a ReLU'd 64-wide input
+// (about half its entries exactly zero) through a 64×64 layer and
+// through an 8-class head. Timed at one thread only, as a pool worker's
+// apply plans one task, so these rows add no scaling-gate comparison.
+// Each is checked bit-identical to the reference before it is timed.
+void BenchAppliedMatMuls(Harness* harness) {
+  constexpr std::int64_t kRows = 12288;
+  constexpr std::int64_t kDim = 64;
+  Rng rng(14);
+  Tensor a = Tensor::RandomNormal(kRows, kDim, 1.0f, &rng);
+  for (std::int64_t i = 0; i < a.size(); ++i) {
+    a.data()[i] = std::max(a.data()[i], 0.0f);
+  }
+  const std::vector<int> sweep = harness->thread_set;
+  harness->thread_set = {1};
+  const std::pair<const char*, std::int64_t> shapes[] = {
+      {"matmul_relu", kDim}, {"matmul_head", 8}};
+  for (const auto& [op, n] : shapes) {
+    const Tensor b = Tensor::RandomNormal(kDim, n, 1.0f, &rng);
+    SetThreads(1);
+    const Tensor want = kernels::reference::MatMul(a, b);
+    const Tensor got = kernels::MatMul(a, b);
+    if (std::memcmp(want.data(), got.data(), want.ByteSize()) != 0) {
+      std::fprintf(stderr, "bench_kernels: %s differs from the reference\n",
+                   op);
+      std::exit(3);
+    }
+    harness->Bench(
+        op, MatMulShapeLabel(kRows, kDim, n),
+        kernels::MatMulWork(kRows, kDim, n), static_cast<double>(kRows) * n,
+        [&] { Sink(kernels::reference::MatMul(a, b)); },
+        [&] { Sink(kernels::MatMul(a, b)); });
+  }
+  harness->thread_set = sweep;
+}
+
 void BenchSegmentOps(Harness* harness, bool quick) {
   const std::int64_t rows = quick ? 16384 : 131072;
   const std::int64_t cols = 64;
@@ -382,6 +420,7 @@ int Main(int argc, char** argv) {
 
   const kernels::KernelConfig saved = kernels::GetKernelConfig();
   BenchMatMuls(&harness, quick, fast_math);
+  BenchAppliedMatMuls(&harness);
   BenchSegmentOps(&harness, quick);
   BenchRowOps(&harness, quick);
   kernels::SetKernelConfig(saved);

@@ -65,22 +65,25 @@
 //
 // Performance flags (any mode):
 //   --num_threads=N             kernel-layer threads, a non-negative
-//                               int (0 = all cores; anything else exits
-//                               2); results are bit-identical at any value
+//                               int (0 = all cores); results are
+//                               bit-identical at any value
 //   --fast_math=true            opt-in fp32 FMA matmul tier — faster,
 //                               NOT bit-identical (documented tolerance)
 //
 // Run with no flags for a demo that chains all three in /tmp. A flag
-// no mode reads is rejected with exit code 2.
+// no mode reads is rejected with exit code 2, and so is an integer flag
+// whose value is not a whole base-10 integer in its range (kIntFlags).
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <algorithm>
+#include <limits>
+#include <map>
 #include <numeric>
 #include <optional>
+#include <string_view>
 #include <thread>
 
 #include "src/common/flags.h"
@@ -112,27 +115,93 @@
 namespace inferturbo {
 namespace {
 
-ModelConfig ModelConfigFromFlags(const FlagParser& flags,
-                                 const Graph& graph) {
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+
+// Every integer flag, its default and the values it accepts.
+struct IntFlagSpec {
+  std::string_view key;
+  std::int64_t fallback, lo, hi;
+};
+
+constexpr IntFlagSpec kIntFlags[] = {
+    // any mode
+    {"seed", 11, 0, std::numeric_limits<std::int64_t>::max()},
+    {"hidden", 32, 1, kIntMax},
+    {"layers", 2, 1, kIntMax},
+    {"heads", 4, 1, kIntMax},
+    {"num_threads", 0, 0, kIntMax},
+    // generate
+    {"nodes", 5000, 1, kIntMax},
+    {"classes", 6, 1, kIntMax},
+    {"features", 16, 1, kIntMax},
+    // train
+    {"epochs", 10, 0, kIntMax},
+    {"batch", 64, 1, kIntMax},
+    {"fanout", 10, 1, kIntMax},
+    // infer
+    {"workers", 8, 1, kIntMax},
+    {"checkpoint_interval", 0, 0, kIntMax},
+    {"keep_last", 2, 1, kIntMax},
+    {"max_task_retries", 3, 0, kIntMax},
+    {"pipeline_slots", 2, 0, kIntMax},
+    {"shards", 4, 1, kIntMax},
+    // serve
+    {"serve_threads", 4, 1, 1024},
+    {"serve_requests", 500, 1, kIntMax},
+    {"serve_nodes_per_query", 4, 1, kIntMax},
+    {"serve_max_batch", 64, 1, kIntMax},
+    {"serve_deltas", 8, 0, kIntMax},
+    {"delta_features", 4, 0, kIntMax},
+    {"delta_edges", 2, 0, kIntMax},
+};
+
+// The integer flags of one run, each read once through
+// FlagParser::GetIntInRange before any mode runs: a value that is not a
+// whole base-10 integer in its range is a usage error (exit 2).
+class IntFlags {
+ public:
+  static Result<IntFlags> Parse(const FlagParser& flags) {
+    IntFlags ints;
+    for (const IntFlagSpec& spec : kIntFlags) {
+      const Result<std::int64_t> value = flags.GetIntInRange(
+          std::string(spec.key), spec.fallback, spec.lo, spec.hi);
+      if (!value.ok()) return value.status();
+      ints.values_.emplace(spec.key, *value);
+    }
+    return ints;
+  }
+
+  std::int64_t operator[](std::string_view key) const {
+    const auto it = values_.find(key);
+    INFERTURBO_CHECK(it != values_.end()) << "no integer flag --" << key;
+    return it->second;
+  }
+
+ private:
+  std::map<std::string_view, std::int64_t> values_;
+};
+
+ModelConfig ModelConfigFromFlags(const IntFlags& ints, const Graph& graph) {
   ModelConfig config;
   config.input_dim = graph.feature_dim();
-  config.hidden_dim = flags.GetInt("hidden", 32);
+  config.hidden_dim = ints["hidden"];
   config.num_classes = graph.num_classes();
-  config.num_layers = flags.GetInt("layers", 2);
-  config.heads = flags.GetInt("heads", 4);
-  config.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 11));
+  config.num_layers = ints["layers"];
+  config.heads = ints["heads"];
+  config.seed = static_cast<std::uint64_t>(ints["seed"]);
   return config;
 }
 
-int Generate(const FlagParser& flags, const std::string& dir) {
+int Generate(const FlagParser& flags, const IntFlags& ints,
+             const std::string& dir) {
   PlantedGraphConfig config;
-  config.num_nodes = flags.GetInt("nodes", 5000);
+  config.num_nodes = ints["nodes"];
   config.avg_degree = flags.GetDouble("avg_degree", 10.0);
-  config.num_classes = flags.GetInt("classes", 6);
-  config.feature_dim = flags.GetInt("features", 16);
+  config.num_classes = ints["classes"];
+  config.feature_dim = ints["features"];
   config.homophily = flags.GetDouble("homophily", 0.75);
   config.in_skew_alpha = flags.GetDouble("in_skew", 0.0);
-  config.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 11));
+  config.seed = static_cast<std::uint64_t>(ints["seed"]);
   const Dataset dataset = MakePlantedDataset("cli", config);
   if (!WriteNodeTable(dataset.graph, dir + "/nodes.tsv").ok() ||
       !WriteEdgeTable(dataset.graph, dir + "/edges.tsv").ok()) {
@@ -146,7 +215,8 @@ int Generate(const FlagParser& flags, const std::string& dir) {
   return 0;
 }
 
-int Train(const FlagParser& flags, const std::string& dir) {
+int Train(const FlagParser& flags, const IntFlags& ints,
+          const std::string& dir) {
   const Result<Graph> graph =
       LoadGraphFromTables(dir + "/nodes.tsv", dir + "/edges.tsv");
   if (!graph.ok()) {
@@ -155,7 +225,7 @@ int Train(const FlagParser& flags, const std::string& dir) {
   }
   const std::string kind = flags.GetString("model", "sage");
   Result<std::unique_ptr<GnnModel>> model =
-      MakeModel(kind, ModelConfigFromFlags(flags, *graph));
+      MakeModel(kind, ModelConfigFromFlags(ints, *graph));
   if (!model.ok()) {
     std::fprintf(stderr, "%s\n", model.status().ToString().c_str());
     return 1;
@@ -163,7 +233,7 @@ int Train(const FlagParser& flags, const std::string& dir) {
   TrainerOptions options;
   // Tables carry no train/val/test split; draw a labeled subset.
   if (graph->train_nodes().empty()) {
-    Rng rng(static_cast<std::uint64_t>(flags.GetInt("seed", 11)));
+    Rng rng(static_cast<std::uint64_t>(ints["seed"]));
     const std::int64_t count =
         std::max<std::int64_t>(32, graph->num_nodes() / 5);
     for (std::int64_t i = 0; i < count; ++i) {
@@ -175,9 +245,9 @@ int Train(const FlagParser& flags, const std::string& dir) {
         std::unique(options.train_nodes.begin(), options.train_nodes.end()),
         options.train_nodes.end());
   }
-  options.epochs = flags.GetInt("epochs", 10);
-  options.batch_size = flags.GetInt("batch", 64);
-  options.fanout = flags.GetInt("fanout", 10);
+  options.epochs = ints["epochs"];
+  options.batch_size = ints["batch"];
+  options.fanout = ints["fanout"];
   options.learning_rate =
       static_cast<float>(flags.GetDouble("lr", 1e-2));
   options.verbose = flags.GetBool("verbose", false);
@@ -199,7 +269,8 @@ int Train(const FlagParser& flags, const std::string& dir) {
   return 0;
 }
 
-int Infer(const FlagParser& flags, const std::string& dir) {
+int Infer(const FlagParser& flags, const IntFlags& ints,
+          const std::string& dir) {
   const Result<Graph> graph =
       LoadGraphFromTables(dir + "/nodes.tsv", dir + "/edges.tsv");
   if (!graph.ok()) {
@@ -208,7 +279,7 @@ int Infer(const FlagParser& flags, const std::string& dir) {
   }
   const std::string kind = flags.GetString("model", "sage");
   Result<std::unique_ptr<GnnModel>> model =
-      MakeModel(kind, ModelConfigFromFlags(flags, *graph));
+      MakeModel(kind, ModelConfigFromFlags(ints, *graph));
   if (!model.ok() || !(*model)->LoadParameters(dir + "/model.bin").ok()) {
     std::fprintf(stderr, "cannot rebuild the trained model (same flags as "
                          "--mode=train required)\n");
@@ -216,7 +287,7 @@ int Infer(const FlagParser& flags, const std::string& dir) {
   }
 
   InferTurboOptions options;
-  options.num_workers = flags.GetInt("workers", 8);
+  options.num_workers = ints["workers"];
   options.strategies.partial_gather = flags.GetBool("partial_gather", true);
   options.strategies.broadcast = flags.GetBool("broadcast", false);
   options.strategies.shadow_nodes = flags.GetBool("shadow_nodes", false);
@@ -225,8 +296,8 @@ int Infer(const FlagParser& flags, const std::string& dir) {
   // Durable checkpoints: --checkpoint_dir enables them; --resume picks
   // up a previously killed job from its newest valid checkpoint.
   options.checkpoint_directory = flags.GetString("checkpoint_dir", "");
-  options.checkpoint_interval = flags.GetInt("checkpoint_interval", 0);
-  options.checkpoint_keep_last = flags.GetInt("keep_last", 2);
+  options.checkpoint_interval = ints["checkpoint_interval"];
+  options.checkpoint_keep_last = ints["keep_last"];
   options.resume_from = flags.GetBool("resume", false);
   if (!options.checkpoint_directory.empty()) {
     std::error_code ec;
@@ -254,7 +325,7 @@ int Infer(const FlagParser& flags, const std::string& dir) {
   options.supervision.task_deadline_seconds =
       flags.GetDouble("task_deadline_ms", 0.0) / 1000.0;
   options.supervision.max_task_retries =
-      static_cast<int>(flags.GetInt("max_task_retries", 3));
+      static_cast<int>(ints["max_task_retries"]);
   options.supervision.speculative_execution =
       flags.GetBool("speculative_execution", false);
   const std::string backend = flags.GetString("backend", "pregel");
@@ -267,8 +338,7 @@ int Infer(const FlagParser& flags, const std::string& dir) {
   // (2 = double buffering, 0 = demand loads).
   const std::string packed = flags.GetString("packed", "");
   Result<InferenceResult> result = Status::Internal("unset");
-  options.storage_pipeline_slots =
-      static_cast<int>(flags.GetInt("pipeline_slots", 2));
+  options.storage_pipeline_slots = static_cast<int>(ints["pipeline_slots"]);
   if (!packed.empty()) {
     const Result<std::uint64_t> budget =
         flags.GetBytes("storage_memory_budget", 0);
@@ -310,7 +380,7 @@ int Infer(const FlagParser& flags, const std::string& dir) {
   const std::string out_dir = dir + "/output";
   std::filesystem::create_directories(out_dir);
   OutputWriterOptions writer;
-  writer.num_shards = flags.GetInt("shards", 4);
+  writer.num_shards = ints["shards"];
   if (!WriteInferenceOutput(*result, out_dir, writer).ok()) {
     std::fprintf(stderr, "failed to write output shards\n");
     return 1;
@@ -366,7 +436,8 @@ int Infer(const FlagParser& flags, const std::string& dir) {
   return 0;
 }
 
-int Serve(const FlagParser& flags, const std::string& dir) {
+int Serve(const FlagParser& flags, const IntFlags& ints,
+          const std::string& dir) {
   Result<Graph> graph =
       LoadGraphFromTables(dir + "/nodes.tsv", dir + "/edges.tsv");
   if (!graph.ok()) {
@@ -375,7 +446,7 @@ int Serve(const FlagParser& flags, const std::string& dir) {
   }
   const std::string kind = flags.GetString("model", "sage");
   Result<std::unique_ptr<GnnModel>> model =
-      MakeModel(kind, ModelConfigFromFlags(flags, *graph));
+      MakeModel(kind, ModelConfigFromFlags(ints, *graph));
   if (!model.ok() || !(*model)->LoadParameters(dir + "/model.bin").ok()) {
     std::fprintf(stderr, "cannot rebuild the trained model (same flags as "
                          "--mode=train required)\n");
@@ -388,7 +459,7 @@ int Serve(const FlagParser& flags, const std::string& dir) {
   ServingOptions options;
   options.batch_window_seconds =
       flags.GetDouble("serve_batch_window", 1.0) / 1000.0;
-  options.max_batch = flags.GetInt("serve_max_batch", 64);
+  options.max_batch = ints["serve_max_batch"];
   options.cache_logits = flags.GetBool("serve_cache", true);
   std::printf("warming store: full %lld-layer forward over %lld nodes...\n",
               static_cast<long long>((*model)->num_layers()),
@@ -424,18 +495,14 @@ int Serve(const FlagParser& flags, const std::string& dir) {
     timeline.emplace(timeline_options);
   }
 
-  const std::int64_t num_threads =
-      std::max<std::int64_t>(1, flags.GetInt("serve_threads", 4));
-  const std::int64_t requests_per_thread =
-      std::max<std::int64_t>(1, flags.GetInt("serve_requests", 500));
-  const std::int64_t nodes_per_query =
-      std::max<std::int64_t>(1, flags.GetInt("serve_nodes_per_query", 4));
+  const std::int64_t num_threads = ints["serve_threads"];
+  const std::int64_t requests_per_thread = ints["serve_requests"];
+  const std::int64_t nodes_per_query = ints["serve_nodes_per_query"];
   const double zipf_alpha = flags.GetDouble("zipf_alpha", 1.1);
-  const std::int64_t num_deltas = flags.GetInt("serve_deltas", 8);
+  const std::int64_t num_deltas = ints["serve_deltas"];
   const double delta_interval_seconds =
       flags.GetDouble("delta_interval_ms", 5.0) / 1000.0;
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(flags.GetInt("seed", 11));
+  const std::uint64_t seed = static_cast<std::uint64_t>(ints["seed"]);
 
   // Queries hit only the warm-start id range: the zipf domain is fixed
   // up front while the delta stream may append nodes concurrently.
@@ -460,8 +527,8 @@ int Serve(const FlagParser& flags, const std::string& dir) {
 
   // Background writer: live graph updates race the query threads.
   DeltaStream::Options delta_options;
-  delta_options.feature_updates = flags.GetInt("delta_features", 4);
-  delta_options.new_edges = flags.GetInt("delta_edges", 2);
+  delta_options.feature_updates = ints["delta_features"];
+  delta_options.new_edges = ints["delta_edges"];
   delta_options.zipf_alpha = zipf_alpha;
   delta_options.seed = seed + 7777;
   DeltaStream delta_stream(*engine.graph_snapshot(), delta_options);
@@ -619,6 +686,11 @@ int Main(int argc, const char* const argv[]) {
     std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
     return 2;
   }
+  const Result<IntFlags> ints = IntFlags::Parse(*flags);
+  if (!ints.ok()) {
+    std::fprintf(stderr, "%s\n", ints.status().ToString().c_str());
+    return 2;
+  }
   const std::string log_level = flags->GetString("log_level", "");
   if (!log_level.empty()) {
     LogLevel level;
@@ -635,17 +707,7 @@ int Main(int argc, const char* const argv[]) {
   // tolerance-validated FMA tier and is never on by default.
   {
     kernels::KernelConfig config = kernels::GetKernelConfig();
-    const std::string threads = flags->GetString("num_threads", "0");
-    const char* const end = threads.data() + threads.size();
-    const auto [parsed_end, error] =
-        std::from_chars(threads.data(), end, config.max_threads);
-    if (error != std::errc() || parsed_end != end || config.max_threads < 0) {
-      std::fprintf(stderr,
-                   "invalid --num_threads=%s (a non-negative int; 0 = all "
-                   "cores)\n",
-                   threads.c_str());
-      return 2;
-    }
+    config.max_threads = static_cast<int>((*ints)["num_threads"]);
     config.fast_math = flags->GetBool("fast_math", false);
     kernels::SetKernelConfig(config);
     if (config.fast_math && !kernels::UsingFastMath()) {
@@ -684,10 +746,10 @@ int Main(int argc, const char* const argv[]) {
   std::filesystem::create_directories(dir);
   const std::string mode = flags->GetString("mode", "");
   const int rc = [&]() -> int {
-    if (mode == "generate") return Generate(*flags, dir);
-    if (mode == "train") return Train(*flags, dir);
-    if (mode == "infer") return Infer(*flags, dir);
-    if (mode == "serve") return Serve(*flags, dir);
+    if (mode == "generate") return Generate(*flags, *ints, dir);
+    if (mode == "train") return Train(*flags, *ints, dir);
+    if (mode == "infer") return Infer(*flags, *ints, dir);
+    if (mode == "serve") return Serve(*flags, *ints, dir);
     if (!mode.empty()) {
       std::fprintf(stderr,
                    "unknown --mode=%s (generate|train|infer|serve)\n",
@@ -697,9 +759,9 @@ int Main(int argc, const char* const argv[]) {
     // Demo: chain all three.
     std::printf("== demo: generate -> train -> infer under %s ==\n",
                 dir.c_str());
-    if (const int rc = Generate(*flags, dir); rc != 0) return rc;
-    if (const int rc = Train(*flags, dir); rc != 0) return rc;
-    return Infer(*flags, dir);
+    if (const int rc = Generate(*flags, *ints, dir); rc != 0) return rc;
+    if (const int rc = Train(*flags, *ints, dir); rc != 0) return rc;
+    return Infer(*flags, *ints, dir);
   }();
   if (rc != 0 &&
       DumpFlightRecordOnError("cli exit code " + std::to_string(rc))) {

@@ -1,7 +1,9 @@
 #include "src/common/flags.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <system_error>
 
 #include "src/common/byte_size.h"
 
@@ -42,6 +44,24 @@ std::int64_t FlagParser::GetInt(const std::string& key,
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
   return std::strtoll(it->second.c_str(), nullptr, 10);
+}
+
+Result<std::int64_t> FlagParser::GetIntInRange(const std::string& key,
+                                               std::int64_t fallback,
+                                               std::int64_t lo,
+                                               std::int64_t hi) const {
+  const auto it = values_.find(key);
+  if (it == values_.end()) return fallback;
+  const std::string& text = it->second;
+  const char* const end = text.data() + text.size();
+  std::int64_t value = 0;
+  const auto [parsed_end, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || parsed_end != end || value < lo || value > hi) {
+    return Status::InvalidArgument("invalid --" + key + "=" + text +
+                                   " (an integer in [" + std::to_string(lo) +
+                                   ", " + std::to_string(hi) + "])");
+  }
+  return value;
 }
 
 double FlagParser::GetDouble(const std::string& key, double fallback) const {

@@ -31,6 +31,15 @@ class FlagParser {
   double GetDouble(const std::string& key, double fallback) const;
   bool GetBool(const std::string& key, bool fallback) const;
 
+  /// Checked integer: the whole value must be a base-10 integer (an
+  /// optional '-', then digits; nothing else) within [lo, hi].
+  /// Garbage, a value past int64 or one outside the range is an
+  /// InvalidArgument error naming the flag and its range; a missing
+  /// flag reads `fallback`, unchecked.
+  Result<std::int64_t> GetIntInRange(const std::string& key,
+                                     std::int64_t fallback, std::int64_t lo,
+                                     std::int64_t hi) const;
+
   /// Human-readable byte count ("512MB", "4GiB", "1048576"; see
   /// ParseByteSize). Unlike the lenient getters above a malformed value
   /// is an InvalidArgument error, not a silent fallback — byte budgets

@@ -30,9 +30,9 @@ GatherResult GatherPooledRows(AggKind kind, std::int64_t width,
                       : Tensor(num_nodes, width);
   kernels::detail::AccountRowFold(static_cast<std::int64_t>(segs.size()),
                                   width);
-  result.counts = kernels::PooledSegmentFold(
-      PooledFoldOp(kind), kind == AggKind::kMean, result.pooled.data(), width,
-      num_nodes, segs, rows, counts);
+  kernels::PooledSegmentFold(PooledFoldOp(kind), kind == AggKind::kMean,
+                             result.pooled.data(), width, num_nodes, segs,
+                             rows, counts, &result.counts);
   return result;
 }
 

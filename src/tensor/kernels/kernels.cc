@@ -203,11 +203,12 @@ Tensor MatMulTransposedA(const Tensor& a, const Tensor& b) {
   const std::int64_t k = a.rows(), m = a.cols(), n = b.cols();
   PerfCounterScope profile("kernel.matmul_ta");
   AccountKernel("matmul_ta", MatMulWork(m, k, n));
-  // A^T·B = MatMul over a transposed copy of A. The tiled kernel skips
-  // the same zero entries in the same ascending-k order the reference's
-  // k-i-j loop does, so results stay bit-identical while the hot loop
-  // gets the register-tiled treatment (and the fast-math tier applies
-  // here too, since the shared body does the dispatch).
+  // A^T·B = MatMul over a transposed copy of A. The tiled kernel folds
+  // each element's products in the ascending-k order of the reference's
+  // k-i-j loop, skipping zero entries wherever that changes a byte, so
+  // results stay bit-identical while the hot loop gets the
+  // register-tiled treatment (and the fast-math tier applies here too,
+  // since the shared body does the dispatch).
   std::vector<float> at(static_cast<std::size_t>(m * k));
   TransposeInto(a.data(), k, m, at.data());
   Tensor c(m, n);
@@ -216,38 +217,50 @@ Tensor MatMulTransposedA(const Tensor& a, const Tensor& b) {
   return c;
 }
 
-std::vector<std::int64_t> PooledSegmentFold(
-    detail::FoldOp op, bool mean, float* out, std::int64_t width,
-    std::int64_t num_segments, std::span<const std::int64_t> segs,
-    std::span<const float* const> rows,
-    std::span<const std::int64_t> counts) {
+void PooledSegmentFold(detail::FoldOp op, bool mean, float* out,
+                       std::int64_t width, std::int64_t num_segments,
+                       std::span<const std::int64_t> segs,
+                       std::span<const float* const> rows,
+                       std::span<const std::int64_t> counts,
+                       std::vector<std::int64_t>* folded_counts) {
   INFERTURBO_CHECK(rows.size() == segs.size() &&
                    (counts.empty() || counts.size() == segs.size()))
       << "gather has " << segs.size() << " segments for " << rows.size()
       << " rows and " << counts.size() << " counts";
+  const std::int64_t n = static_cast<std::int64_t>(segs.size());
+  const bool extremum = op != detail::FoldOp::kAdd;
+  const bool finalize = mean || extremum;
+  const int tasks = PlanParallelTasks(
+      num_segments,
+      std::max<std::int64_t>(
+          width, n * width / std::max<std::int64_t>(1, num_segments)));
   // True folded message count per segment: a partial row carries more
-  // than one original message, so this is NOT the row count.
-  std::vector<std::int64_t> folded(static_cast<std::size_t>(num_segments), 0);
+  // than one original message, so this is NOT the row count. Built only
+  // when something reads it: the finalize, the multi-task cut or the
+  // caller.
+  const bool counting = finalize || tasks > 1 || folded_counts != nullptr;
+  std::vector<std::int64_t> folded(
+      counting ? static_cast<std::size_t>(num_segments) : 0, 0);
   bool sorted = true;
   for (std::size_t i = 0; i < segs.size(); ++i) {
     const std::int64_t seg = segs[i];
     INFERTURBO_CHECK(0 <= seg && seg < num_segments)
         << "gather dst index " << seg << " out of [0," << num_segments << ")";
-    folded[static_cast<std::size_t>(seg)] += counts.empty() ? 1 : counts[i];
+    if (counting) {
+      folded[static_cast<std::size_t>(seg)] += counts.empty() ? 1 : counts[i];
+    }
     sorted = sorted && (i == 0 || segs[i - 1] <= seg);
   }
 
-  const std::int64_t n = static_cast<std::int64_t>(segs.size());
   const detail::PtrRowFoldFn fold = detail::PtrRowFold(op);
-  const bool extremum = op != detail::FoldOp::kAdd;
   // Folds segments [s0, s1) from rows [r0, r1), which hold all of them.
   const auto fold_range = [&](std::int64_t s0, std::int64_t s1,
                               std::int64_t r0, std::int64_t r1) {
     fold(out, width, width, segs.data() + r0, rows.data() + r0, r1 - r0, s0,
          s1);
+    if (!finalize) return;
     // Finalize the owned range: empty extremum rows flip their +-inf
-    // init to the neutral zero (sum rows keep what they hold); mean
-    // divides by the count.
+    // init to the neutral zero; mean divides by the count.
     for (std::int64_t v = s0; v < s1; ++v) {
       float* acc = out + v * width;
       const std::int64_t count = folded[static_cast<std::size_t>(v)];
@@ -259,13 +272,10 @@ std::vector<std::int64_t> PooledSegmentFold(
       }
     }
   };
-  const int tasks = PlanParallelTasks(
-      num_segments,
-      std::max<std::int64_t>(
-          width, n * width / std::max<std::int64_t>(1, num_segments)));
   if (tasks <= 1) {
     fold_range(0, num_segments, 0, n);
-    return folded;
+    if (folded_counts != nullptr) *folded_counts = std::move(folded);
+    return;
   }
   // Each task owns whole segments, cut at even shares of the rows: a
   // hub's rows all fold in one task, in ascending row order. Without
@@ -289,7 +299,7 @@ std::vector<std::int64_t> PooledSegmentFold(
       fold_range(chunk.begin, chunk.end, 0, n);
     }
   });
-  return folded;
+  if (folded_counts != nullptr) *folded_counts = std::move(folded);
 }
 
 namespace {

@@ -52,17 +52,20 @@ Tensor MatMulTransposedA(const Tensor& a, const Tensor& b);
 /// aggregate), empty meaning all 1. `out` holds num_segments rows of
 /// `width` floats and is already filled: zero (or a running sum) for
 /// add, the +-inf init for max/min. Aborts on a segment outside
-/// [0, num_segments); returns each segment's folded count.
+/// [0, num_segments). When `folded_counts` is set it receives each
+/// segment's folded count; a one-task sum fold without it counts
+/// nothing.
 ///
 /// Each task owns whole segments, cut at even shares of the rows, and
 /// folds them in ascending row order, so the bytes never depend on the
 /// task count. Sorted segments fold as one run of rows per task;
 /// otherwise each task scans every row for its own.
-std::vector<std::int64_t> PooledSegmentFold(
-    detail::FoldOp op, bool mean, float* out, std::int64_t width,
-    std::int64_t num_segments, std::span<const std::int64_t> segs,
-    std::span<const float* const> rows,
-    std::span<const std::int64_t> counts = {});
+void PooledSegmentFold(detail::FoldOp op, bool mean, float* out,
+                       std::int64_t width, std::int64_t num_segments,
+                       std::span<const std::int64_t> segs,
+                       std::span<const float* const> rows,
+                       std::span<const std::int64_t> counts = {},
+                       std::vector<std::int64_t>* folded_counts = nullptr);
 
 /// Segment ops over PooledSegmentFold.
 Tensor SegmentSum(const Tensor& values, std::span<const std::int64_t> ids,

@@ -32,10 +32,13 @@ void MatMulTBRowsAvx2(const float* a, const float* b, float* c,
 /// so a parallel task's B working set is contiguous per-thread scratch)
 /// or, with pw == ldc == n and c0 == 0, all of B unpacked; a row window
 /// of C is a call on A and C offset by its first row. Each output
-/// element is one ascending-k chain with skip-on-zero over A, mul and
-/// add separate — bit-identical to the scalar reference. Calls that own
-/// disjoint rows or columns of C run concurrently. C must be zero on
-/// entry.
+/// element is one ascending-k chain, mul and add separate —
+/// bit-identical to the scalar reference, which skips zero A entries.
+/// Since accumulators start at +0 and so never become -0, multiplying a
+/// zero A entry instead changes a byte only when the B value it meets is
+/// NaN or ±Inf; each call scans its panel once and skips zeros only when
+/// the panel holds such a value. Calls that own disjoint rows or columns
+/// of C run concurrently. C must be (+0) zero on entry.
 void MatMulPanelPortable(const float* a, const float* bp, float* c,
                          std::int64_t m, std::int64_t k, std::int64_t pw,
                          std::int64_t c0, std::int64_t ldc);

@@ -10,7 +10,12 @@
 // than the generic tile body from matmul_tiles.inc: explicit
 // vmulps/vaddps pin both the instruction mix and the register
 // allocation, where autovectorizing the float-array tiles swings
-// several-fold between -O2 and -O3. MatMulTBRows comes from the .inc.
+// several-fold between -O2 and -O3. It is branch-free on real inputs:
+// whether to skip zero A entries is decided once per call from the B
+// panel (only a NaN or ±Inf there needs the skip), and column tails and
+// B narrower than 16 run as masked register tiles, not through memory.
+// MatMulTBRows comes from the .inc.
+#include <cmath>
 #include <cstdint>
 
 #if defined(__AVX2__)
@@ -35,130 +40,150 @@ namespace detail {
 
 namespace {
 
-// One kRows×16 accumulator tile of C = A·B, columns [j, j+16).
+// One kRows × (8·kVecs) accumulator tile of C = A·B: rows ar[0..kRows)
+// of A against the B columns at `b` (row stride ldb: a packed panel, or
+// the shared B at stride n), stored at `c` (row stride ldc). With
+// kMasked the last vector covers only the lanes set in `tail` — B is
+// read and C written through _mm256_maskload_ps/_mm256_maskstore_ps, so
+// a column tail or a B narrower than 16 stays in registers, and no
+// column outside the tile is read or touched.
 //
-// Math and order are exactly the scalar reference's: per output
-// element the products fold in ascending k, a zero A entry contributes
-// nothing (skip, not 0*b — bitwise different for -0.0 accumulators and
-// NaN/Inf operands), and mul/add stay separate instructions (this TU
-// cannot emit FMA). The vector lanes are independent j columns, so
-// lane math is the scalar math verbatim.
+// Math and order are exactly the scalar reference's: each lane folds
+// one output element's products in ascending k, mul and add stay
+// separate instructions (this TU cannot emit FMA), and lanes are
+// independent columns, so lane math is the scalar math verbatim.
+// kSkipZeros compiles in the reference's skip of a zero A entry; it is
+// needed only when the panel holds a NaN or ±Inf (see MatMulPanelAvx2),
+// and the per-k scalar checks cost several-fold on ReLU'd inputs.
 //
-// kRows = 6 keeps 12 accumulator registers live across the whole
-// k loop with two B registers and one broadcast scratch — 15 of 16
-// YMMs, spill-free — and amortizes loop overhead over 24 vector ops
-// per k step. `kHasZeros` selects whether the skip-on-zero lane is
-// compiled in: the per-k scalar checks cost ~half the throughput, so
-// the caller pre-scans the A panel once and runs the check-free
-// instantiation when the panel holds no zeros (skipping zero entries
-// and not checking are then the same function).
-// `b` has row stride ldb (a packed panel, or the shared B at stride
-// n), `c` row stride ldc.
-template <int kRows, bool kHasZeros>
-inline void MatMulTile16(const float* const* ar, const float* b,
-                         std::int64_t ldb, float* c, std::int64_t ldc,
-                         std::int64_t i, std::int64_t j, std::int64_t k) {
-  __m256 acc_lo[kRows], acc_hi[kRows];
+// kRows = 6, kVecs = 2 keeps 12 accumulator registers live across the
+// whole k loop with two B registers and one broadcast scratch — 15 of
+// 16 YMMs, spill-free — and amortizes loop overhead over 24 vector ops
+// per k step. The unroll pragmas keep the accumulator arrays in
+// registers at -O2 too, which does not fully unroll these loops by
+// itself and then ran the tile about 2× slower than -O3.
+template <int kRows, int kVecs, bool kMasked, bool kSkipZeros>
+inline void MatMulTile(const float* const* ar, const float* b, std::int64_t ldb,
+                       float* c, std::int64_t ldc, std::int64_t k,
+                       __m256i tail) {
+  __m256 acc[kRows][kVecs];
+#pragma GCC unroll 8
   for (int r = 0; r < kRows; ++r) {
-    acc_lo[r] = _mm256_setzero_ps();
-    acc_hi[r] = _mm256_setzero_ps();
+#pragma GCC unroll 2
+    for (int v = 0; v < kVecs; ++v) acc[r][v] = _mm256_setzero_ps();
   }
   for (std::int64_t kk = 0; kk < k; ++kk) {
-    const float* bk = b + kk * ldb + j;
-    const __m256 b_lo = _mm256_loadu_ps(bk);
-    const __m256 b_hi = _mm256_loadu_ps(bk + 8);
-    if (kHasZeros) {
-      for (int r = 0; r < kRows; ++r) {
-        if (ar[r][kk] == 0.0f) continue;
-        const __m256 v = _mm256_broadcast_ss(ar[r] + kk);
-        acc_lo[r] = _mm256_add_ps(acc_lo[r], _mm256_mul_ps(v, b_lo));
-        acc_hi[r] = _mm256_add_ps(acc_hi[r], _mm256_mul_ps(v, b_hi));
-      }
-      continue;
+    const float* bk = b + kk * ldb;
+    __m256 bv[kVecs];
+#pragma GCC unroll 2
+    for (int v = 0; v < kVecs; ++v) {
+      bv[v] = kMasked && v == kVecs - 1 ? _mm256_maskload_ps(bk + 8 * v, tail)
+                                        : _mm256_loadu_ps(bk + 8 * v);
     }
+#pragma GCC unroll 8
     for (int r = 0; r < kRows; ++r) {
-      const __m256 v = _mm256_broadcast_ss(ar[r] + kk);
-      acc_lo[r] = _mm256_add_ps(acc_lo[r], _mm256_mul_ps(v, b_lo));
-      acc_hi[r] = _mm256_add_ps(acc_hi[r], _mm256_mul_ps(v, b_hi));
+      if (kSkipZeros && ar[r][kk] == 0.0f) continue;
+      const __m256 x = _mm256_broadcast_ss(ar[r] + kk);
+#pragma GCC unroll 2
+      for (int v = 0; v < kVecs; ++v) {
+        acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_mul_ps(x, bv[v]));
+      }
     }
   }
+#pragma GCC unroll 8
   for (int r = 0; r < kRows; ++r) {
-    float* cr = c + (i + r) * ldc + j;
-    _mm256_storeu_ps(cr, acc_lo[r]);
-    _mm256_storeu_ps(cr + 8, acc_hi[r]);
+    float* cr = c + r * ldc;
+#pragma GCC unroll 2
+    for (int v = 0; v < kVecs; ++v) {
+      if (kMasked && v == kVecs - 1) {
+        _mm256_maskstore_ps(cr + 8 * v, tail, acc[r][v]);
+      } else {
+        _mm256_storeu_ps(cr + 8 * v, acc[r][v]);
+      }
+    }
   }
 }
 
-// True when any of the `len` floats at `row` is ±0.0f.
-inline bool RowHasZero(const float* row, std::int64_t len) {
-  const __m256 zero = _mm256_setzero_ps();
-  std::int64_t kk = 0;
-  for (; kk + 8 <= len; kk += 8) {
-    const __m256 v = _mm256_loadu_ps(row + kk);
-    if (_mm256_movemask_ps(_mm256_cmp_ps(v, zero, _CMP_EQ_OQ)) != 0) {
-      return true;
-    }
+// One block of kRows C rows, all pw panel columns: 16-wide tiles, then
+// the `w`-column tail (0 <= w < 16) as one masked or 8-wide tile.
+template <int kRows, bool kSkipZeros>
+inline void MatMulRowBlock(const float* const* ar, const float* bp,
+                           std::int64_t pw, float* c, std::int64_t ldc,
+                           std::int64_t k, __m256i tail) {
+  const std::int64_t w = pw % 16;
+  std::int64_t j = 0;
+  for (; j < pw - w; j += 16) {
+    MatMulTile<kRows, 2, false, kSkipZeros>(ar, bp + j, pw, c + j, ldc, k,
+                                            tail);
   }
-  for (; kk < len; ++kk) {
-    if (row[kk] == 0.0f) return true;
+  if (w > 8) {
+    MatMulTile<kRows, 2, true, kSkipZeros>(ar, bp + j, pw, c + j, ldc, k,
+                                           tail);
+  } else if (w == 8) {
+    MatMulTile<kRows, 1, false, kSkipZeros>(ar, bp + j, pw, c + j, ldc, k,
+                                            tail);
+  } else if (w > 0) {
+    MatMulTile<kRows, 1, true, kSkipZeros>(ar, bp + j, pw, c + j, ldc, k,
+                                           tail);
   }
-  return false;
 }
 
-// Scalar reference body over rows [i0, i1) × panel columns [j0, pw),
-// reading the panel (stride pw) and writing C (stride ldc) at column
-// offset c0: the sub-16-column tail and leftover rows. C is
-// zero-initialized and accumulated in place, matching the reference's
-// i-k-j loop and skip semantics.
-inline void MatMulPanelScalarPatch(const float* a, const float* bp, float* c,
-                                   std::int64_t i0, std::int64_t i1,
-                                   std::int64_t j0, std::int64_t k,
-                                   std::int64_t pw, std::int64_t c0,
-                                   std::int64_t ldc) {
-  for (std::int64_t i = i0; i < i1; ++i) {
-    float* __restrict__ ci = c + i * ldc + c0;
-    const float* ai = a + i * k;
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float v = ai[kk];
-      if (v == 0.0f) continue;
-      const float* __restrict__ bk = bp + kk * pw;
-      for (std::int64_t j = j0; j < pw; ++j) ci[j] += v * bk[j];
-    }
+// 6-row blocks, then leftover rows one at a time.
+template <bool kSkipZeros>
+void MatMulPanelBody(const float* a, const float* bp, float* c, std::int64_t m,
+                     std::int64_t k, std::int64_t pw, std::int64_t ldc) {
+  constexpr std::int64_t kRowTile = 6;
+  // Lanes [0, pw % 8) of the tail's last vector.
+  const __m256i tail =
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(pw % 8)),
+                         _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  std::int64_t i = 0;
+  for (; i + kRowTile <= m; i += kRowTile) {
+    const float* ar[kRowTile];
+    for (std::int64_t r = 0; r < kRowTile; ++r) ar[r] = a + (i + r) * k;
+    MatMulRowBlock<kRowTile, kSkipZeros>(ar, bp, pw, c + i * ldc, ldc, k,
+                                         tail);
   }
+  for (; i < m; ++i) {
+    const float* ar[1] = {a + i * k};
+    MatMulRowBlock<1, kSkipZeros>(ar, bp, pw, c + i * ldc, ldc, k, tail);
+  }
+}
+
+// True when none of the `len` floats at `p` is NaN or ±Inf (exponent
+// bits all ones).
+bool AllFinite(const float* p, std::int64_t len) {
+  const __m256i exponent = _mm256_set1_epi32(0x7f800000);
+  std::int64_t t = 0;
+  for (; t + 8 <= len; t += 8) {
+    const __m256i bits = _mm256_and_si256(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + t)), exponent);
+    const __m256i hit = _mm256_cmpeq_epi32(bits, exponent);
+    if (!_mm256_testz_si256(hit, hit)) return false;
+  }
+  for (; t < len; ++t) {
+    if (!std::isfinite(p[t])) return false;
+  }
+  return true;
 }
 
 }  // namespace
 
+// Skip-on-zero is decided once per call, from the panel. Every
+// accumulator starts at +0 and x + y is -0 only when both are -0, so no
+// accumulator is ever -0; for a finite b, 0·b is ±0 and acc + ±0 == acc
+// bit for bit (NaN and ±Inf included). Multiplying a zero A entry and
+// skipping it therefore differ only when the B value it meets is NaN or
+// ±Inf: an all-finite panel runs the check-free tiles, any other the
+// skip tiles, for the whole call.
 void MatMulPanelAvx2(const float* a, const float* bp, float* c, std::int64_t m,
                      std::int64_t k, std::int64_t pw, std::int64_t c0,
                      std::int64_t ldc) {
-  constexpr std::int64_t kRowTile = 6;
-  constexpr std::int64_t kColTile = 16;
-  float* const cb = c + c0;
-  std::int64_t i = 0;
-  for (; i + kRowTile <= m; i += kRowTile) {
-    const float* ar[kRowTile];
-    bool has_zeros = false;
-    for (std::int64_t r = 0; r < kRowTile; ++r) {
-      ar[r] = a + (i + r) * k;
-      has_zeros = has_zeros || RowHasZero(ar[r], k);
-    }
-    std::int64_t j = 0;
-    if (has_zeros) {
-      for (; j + kColTile <= pw; j += kColTile) {
-        MatMulTile16<kRowTile, /*kHasZeros=*/true>(ar, bp, pw, cb, ldc, i, j,
-                                                   k);
-      }
-    } else {
-      for (; j + kColTile <= pw; j += kColTile) {
-        MatMulTile16<kRowTile, /*kHasZeros=*/false>(ar, bp, pw, cb, ldc, i, j,
-                                                    k);
-      }
-    }
-    if (j < pw) MatMulPanelScalarPatch(a, bp, c, i, i + kRowTile, j, k, pw,
-                                       c0, ldc);
+  if (AllFinite(bp, k * pw)) {
+    MatMulPanelBody</*kSkipZeros=*/false>(a, bp, c + c0, m, k, pw, ldc);
+  } else {
+    MatMulPanelBody</*kSkipZeros=*/true>(a, bp, c + c0, m, k, pw, ldc);
   }
-  if (i < m) MatMulPanelScalarPatch(a, bp, c, i, m, 0, k, pw, c0, ldc);
 }
 
 bool Avx2KernelsAvailable() {

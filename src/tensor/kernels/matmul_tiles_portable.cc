@@ -1,5 +1,6 @@
 // Portable-ISA instantiation of the tiled matmul bodies (baseline
 // x86-64 / whatever the toolchain defaults to). See matmul_tiles.inc.
+#include <cmath>
 #include <cstdint>
 
 #include "src/tensor/kernels/matmul_tiles.h"

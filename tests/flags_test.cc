@@ -148,6 +148,38 @@ TEST(FlagParserTest, GetBytesParsesUnitsAndRejectsGarbage) {
   EXPECT_NE(bad.status().message().find("--bad"), std::string::npos);
 }
 
+TEST(FlagParserTest, GetIntInRangeAcceptsOnlyWholeIntegersInRange) {
+  const FlagParser flags = MustParse(
+      {"--workers=16", "--lo=-3", "--zero=0", "--garbage=abc",
+       "--suffix=4x", "--space= 4", "--plus=+4", "--empty=",
+       "--wraps=4294967298", "--huge=99999999999999999999", "--neg=-2"});
+  const std::int64_t kIntMax = 2147483647;
+  ASSERT_TRUE(flags.GetIntInRange("workers", 8, 1, kIntMax).ok());
+  EXPECT_EQ(*flags.GetIntInRange("workers", 8, 1, kIntMax), 16);
+  EXPECT_EQ(*flags.GetIntInRange("lo", 0, -5, 5), -3);
+  EXPECT_EQ(*flags.GetIntInRange("zero", 7, 0, kIntMax), 0);
+  // A missing flag reads its fallback.
+  EXPECT_EQ(*flags.GetIntInRange("absent", 8, 1, kIntMax), 8);
+  // Garbage, trailing or leading junk, an empty value, a value that a
+  // 32-bit cast would wrap, one past int64, and a disallowed negative.
+  for (const std::string key : {"garbage", "suffix", "space", "plus", "empty",
+                                "wraps", "huge", "neg"}) {
+    const Result<std::int64_t> bad = flags.GetIntInRange(key, 2, 0, kIntMax);
+    ASSERT_FALSE(bad.ok()) << key;
+    EXPECT_TRUE(bad.status().IsInvalidArgument()) << key;
+    EXPECT_NE(bad.status().message().find("--" + key + "="),
+              std::string::npos)
+        << bad.status().ToString();
+    EXPECT_NE(bad.status().message().find("[0, 2147483647]"),
+              std::string::npos)
+        << bad.status().ToString();
+  }
+  // The range's ends are inclusive.
+  EXPECT_TRUE(flags.GetIntInRange("workers", 0, 16, 16).ok());
+  EXPECT_FALSE(flags.GetIntInRange("workers", 0, 17, 32).ok());
+  EXPECT_FALSE(flags.GetIntInRange("workers", 0, 0, 15).ok());
+}
+
 TEST(FlagParserTest, ParseFlagsRejectsUnknownFlags) {
   const char* good[] = {"binary", "--quick", "--out=x.json"};
   const Result<FlagParser> parsed = ParseFlags(3, good, {"quick", "out"});

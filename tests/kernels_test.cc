@@ -1,10 +1,11 @@
 // The kernel layer's bit-identity contract: every fast kernel must
 // reproduce its scalar reference exactly — same bytes, not just within
 // tolerance — at any thread count, over shapes that exercise every
-// tile lane (full 4×16 tiles, column tails, row tails, empty, 1-row,
-// 1-col) and the skip-on-zero path, including a zero A column over an
-// infinite B row. The crash-sweep and cross-backend equivalence suites
-// build on this guarantee.
+// tile lane (full 4×16 and 6×16 tiles, column tails, narrow panels,
+// row tails, empty, 1-row, 1-col) and the skip-on-zero path, including
+// a zero A column over an infinite B row or a single NaN or Inf. The
+// crash-sweep and cross-backend equivalence suites build on this
+// guarantee.
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
@@ -51,22 +52,47 @@ Tensor RandomWithZeros(std::int64_t rows, std::int64_t cols, Rng* rng) {
   return t;
 }
 
-// The 0·Inf trap: every A entry at k index z = k/2 is ±0 and row z of
-// B is ±Inf. The reference skips zero A entries, so its output stays
-// finite; a kernel that multiplies them instead yields NaN there. A is
-// (m×k), or (k×m) when `a_is_k_by_m` (MatMulTransposedA's operand); B
-// is (k×n) either way.
-void PlantZeroTimesInf(Tensor* a, bool a_is_k_by_m, Tensor* b) {
-  const std::int64_t k = b->rows();
-  if (k == 0) return;
+// Where a NaN or ±Inf in B meets ±0 A entries. Every A entry at k
+// index z = k/2 is ±0, and B holds at row z:
+//  - kInfRow: ±Inf in every column;
+//  - kNanInTile: one NaN at column min(21, n - 1), inside a full
+//    16-column tile whenever n >= 32 or n == 16;
+//  - kInfInTail: one +Inf at the first column of the sub-16 tail (the
+//    last column when n is a multiple of 16).
+// The reference skips zero A entries, so its output stays finite; a
+// kernel that multiplies them, or misses the one non-finite value when
+// deciding whether it must skip, yields NaN there. A is (m×k), or (k×m)
+// when `a_is_k_by_m` (MatMulTransposedA's operand); B is (k×n) either
+// way.
+enum class Trap { kNone, kInfRow, kNanInTile, kInfInTail };
+
+const Trap kTraps[] = {Trap::kNone, Trap::kInfRow, Trap::kNanInTile,
+                       Trap::kInfInTail};
+
+void PlantTrap(Trap trap, Tensor* a, bool a_is_k_by_m, Tensor* b) {
+  const std::int64_t k = b->rows(), n = b->cols();
+  if (trap == Trap::kNone || k == 0 || n == 0) return;
   const std::int64_t z = k / 2;
   const std::int64_t m = a_is_k_by_m ? a->cols() : a->rows();
   for (std::int64_t i = 0; i < m; ++i) {
     (a_is_k_by_m ? a->At(z, i) : a->At(i, z)) = i % 2 == 0 ? 0.0f : -0.0f;
   }
   const float inf = std::numeric_limits<float>::infinity();
-  for (std::int64_t j = 0; j < b->cols(); ++j) {
-    b->At(z, j) = j % 2 == 0 ? inf : -inf;
+  switch (trap) {
+    case Trap::kInfRow:
+      for (std::int64_t j = 0; j < n; ++j) {
+        b->At(z, j) = j % 2 == 0 ? inf : -inf;
+      }
+      break;
+    case Trap::kNanInTile:
+      b->At(z, std::min<std::int64_t>(21, n - 1)) =
+          std::numeric_limits<float>::quiet_NaN();
+      break;
+    case Trap::kInfInTail:
+      b->At(z, n % 16 == 0 ? n - 1 : n - n % 16) = inf;
+      break;
+    case Trap::kNone:
+      break;
   }
 }
 
@@ -116,18 +142,20 @@ const MatMulShape kMatMulShapes[] = {
 TEST_F(KernelsTest, MatMulBitIdenticalAtEveryThreadCount) {
   Rng rng(101);
   for (const MatMulShape& shape : kMatMulShapes) {
-    Tensor a = RandomWithZeros(shape.m, shape.k, &rng);
-    Tensor b = RandomWithZeros(shape.k, shape.n, &rng);
-    for (const bool trap : {false, true}) {
-      if (trap) PlantZeroTimesInf(&a, /*a_is_k_by_m=*/false, &b);
+    const Tensor a0 = RandomWithZeros(shape.m, shape.k, &rng);
+    const Tensor b0 = RandomWithZeros(shape.k, shape.n, &rng);
+    for (const Trap trap : kTraps) {
+      Tensor a = a0, b = b0;
+      PlantTrap(trap, &a, /*a_is_k_by_m=*/false, &b);
       const Tensor want = kernels::reference::MatMul(a, b);
       ASSERT_TRUE(AllFinite(want));
       for (const ThreadSetting& setting : kThreadSettings) {
         Use(setting);
         const Tensor got = kernels::MatMul(a, b);
         EXPECT_TRUE(BitIdentical(want, got))
-            << shape.m << "x" << shape.k << "x" << shape.n << " trap " << trap
-            << " at " << setting.max_threads << " threads";
+            << shape.m << "x" << shape.k << "x" << shape.n << " trap "
+            << static_cast<int>(trap) << " at " << setting.max_threads
+            << " threads";
       }
     }
   }
@@ -153,18 +181,20 @@ TEST_F(KernelsTest, MatMulTransposedABitIdenticalAtEveryThreadCount) {
   Rng rng(103);
   for (const MatMulShape& shape : kMatMulShapes) {
     // A is (k×m) here; C = A^T·B is (m×n).
-    Tensor a = RandomWithZeros(shape.k, shape.m, &rng);
-    Tensor b = RandomWithZeros(shape.k, shape.n, &rng);
-    for (const bool trap : {false, true}) {
-      if (trap) PlantZeroTimesInf(&a, /*a_is_k_by_m=*/true, &b);
+    const Tensor a0 = RandomWithZeros(shape.k, shape.m, &rng);
+    const Tensor b0 = RandomWithZeros(shape.k, shape.n, &rng);
+    for (const Trap trap : kTraps) {
+      Tensor a = a0, b = b0;
+      PlantTrap(trap, &a, /*a_is_k_by_m=*/true, &b);
       const Tensor want = kernels::reference::MatMulTransposedA(a, b);
       ASSERT_TRUE(AllFinite(want));
       for (const ThreadSetting& setting : kThreadSettings) {
         Use(setting);
         const Tensor got = kernels::MatMulTransposedA(a, b);
         EXPECT_TRUE(BitIdentical(want, got))
-            << shape.m << "x" << shape.k << "x" << shape.n << " trap " << trap
-            << " at " << setting.max_threads << " threads";
+            << shape.m << "x" << shape.k << "x" << shape.n << " trap "
+            << static_cast<int>(trap) << " at " << setting.max_threads
+            << " threads";
       }
     }
   }
@@ -189,11 +219,13 @@ TEST_F(KernelsTest, MatMulRandomizedShapesSweep) {
 }
 
 // Each ISA's deterministic panel kernel, called directly: MatMul never
-// reaches the portable body on an AVX2 host. Both ways MatMulInto cuts
+// reaches the portable body on an AVX2 host. Every way MatMulInto cuts
 // it must reproduce the reference's bytes and touch nothing else: a row
 // window that starts off the 4- and 6-row tile grids over unpacked B
-// (pw == ldc == n), and a packed sub-panel written at column offset
-// c0 > 0 with a column tail.
+// (pw == ldc == n), a packed sub-panel written at column offset c0 > 0
+// with a column tail, and a narrow packed panel (pw = 8, as an 8-class
+// head's weights). One A row is all ±0, so its output row must read +0
+// whether the kernel skips or multiplies its entries.
 TEST(KernelsPanelTest, EachIsaPanelKernelMatchesTheReference) {
   using PanelFn = void (*)(const float*, const float*, float*, std::int64_t,
                            std::int64_t, std::int64_t, std::int64_t,
@@ -206,45 +238,55 @@ TEST(KernelsPanelTest, EachIsaPanelKernelMatchesTheReference) {
   for (const MatMulShape& shape :
        {MatMulShape{29, 19, 37}, MatMulShape{40, 64, 70}}) {
     const std::int64_t m = shape.m, k = shape.k, n = shape.n;
-    Tensor a = RandomWithZeros(m, k, &rng);
-    Tensor b = RandomWithZeros(k, n, &rng);
-    PlantZeroTimesInf(&a, /*a_is_k_by_m=*/false, &b);
-    const Tensor full = kernels::reference::MatMul(a, b);
-    ASSERT_TRUE(AllFinite(full));
-
-    const std::int64_t r0 = 5, r1 = m - 2;
-    Tensor want_rows(m, n);
-    for (std::int64_t i = r0; i < r1; ++i) {
-      want_rows.SetRow(i, full.RowPtr(i));
-    }
-
-    const std::int64_t j0 = 16, pw = n - j0 - 3;
-    std::vector<float> panel(static_cast<std::size_t>(k * pw));
-    Tensor want_cols(m, n);
+    const std::int64_t r0 = 5, r1 = m - 2, j0 = 16;
+    Tensor a0 = RandomWithZeros(m, k, &rng);
     for (std::int64_t kk = 0; kk < k; ++kk) {
-      for (std::int64_t j = 0; j < pw; ++j) {
-        panel[static_cast<std::size_t>(kk * pw + j)] = b.At(kk, j0 + j);
-      }
+      a0.At(r0 + 1, kk) = kk % 2 == 0 ? 0.0f : -0.0f;
     }
-    for (std::int64_t i = 0; i < m; ++i) {
-      for (std::int64_t j = j0; j < j0 + pw; ++j) {
-        want_cols.At(i, j) = full.At(i, j);
-      }
-    }
+    const Tensor b0 = RandomWithZeros(k, n, &rng);
+    for (const Trap trap : kTraps) {
+      Tensor a = a0, b = b0;
+      PlantTrap(trap, &a, /*a_is_k_by_m=*/false, &b);
+      const Tensor full = kernels::reference::MatMul(a, b);
+      ASSERT_TRUE(AllFinite(full));
 
-    for (std::size_t v = 0; v < variants.size(); ++v) {
-      Tensor rows(m, n);
-      variants[v](a.RowPtr(r0), b.data(), rows.RowPtr(r0), r1 - r0, k, n,
-                  /*c0=*/0, /*ldc=*/n);
-      EXPECT_TRUE(BitIdentical(want_rows, rows))
-          << "variant " << v << " rows [" << r0 << ", " << r1 << ") of "
-          << m << "x" << k << "x" << n;
-      Tensor cols(m, n);
-      variants[v](a.data(), panel.data(), cols.data(), m, k, pw, j0,
-                  /*ldc=*/n);
-      EXPECT_TRUE(BitIdentical(want_cols, cols))
-          << "variant " << v << " columns [" << j0 << ", " << j0 + pw
-          << ") of " << m << "x" << k << "x" << n;
+      Tensor want_rows(m, n);
+      for (std::int64_t i = r0; i < r1; ++i) {
+        want_rows.SetRow(i, full.RowPtr(i));
+      }
+      for (std::size_t v = 0; v < variants.size(); ++v) {
+        Tensor rows(m, n);
+        variants[v](a.RowPtr(r0), b.data(), rows.RowPtr(r0), r1 - r0, k, n,
+                    /*c0=*/0, /*ldc=*/n);
+        EXPECT_TRUE(BitIdentical(want_rows, rows))
+            << "variant " << v << " trap " << static_cast<int>(trap)
+            << " rows [" << r0 << ", " << r1 << ") of " << m << "x" << k
+            << "x" << n;
+      }
+
+      for (const std::int64_t pw : {n - j0 - 3, std::int64_t{8}}) {
+        std::vector<float> panel(static_cast<std::size_t>(k * pw));
+        for (std::int64_t kk = 0; kk < k; ++kk) {
+          for (std::int64_t j = 0; j < pw; ++j) {
+            panel[static_cast<std::size_t>(kk * pw + j)] = b.At(kk, j0 + j);
+          }
+        }
+        Tensor want_cols(m, n);
+        for (std::int64_t i = 0; i < m; ++i) {
+          for (std::int64_t j = j0; j < j0 + pw; ++j) {
+            want_cols.At(i, j) = full.At(i, j);
+          }
+        }
+        for (std::size_t v = 0; v < variants.size(); ++v) {
+          Tensor cols(m, n);
+          variants[v](a.data(), panel.data(), cols.data(), m, k, pw, j0,
+                      /*ldc=*/n);
+          EXPECT_TRUE(BitIdentical(want_cols, cols))
+              << "variant " << v << " trap " << static_cast<int>(trap)
+              << " columns [" << j0 << ", " << j0 + pw << ") of " << m << "x"
+              << k << "x" << n;
+        }
+      }
     }
   }
 }
